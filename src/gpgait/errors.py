@@ -33,22 +33,6 @@ class RecordError(DataError):
         self.line_no = line_no
 
 
-class DegenerateSpineError(GpgaitError):
-    """Neck/hip geometry does not define a usable rotation angle."""
-
-    exit_code = 4
-
-    def __init__(self, message, coincident=False):
-        super().__init__(message)
-        self.coincident = coincident
-
-
-class DegenerateFrameError(GpgaitError):
-    """Frame vertical extent too small for body rescale."""
-
-    exit_code = 4
-
-
 class EmptySequenceError(GpgaitError):
     """Every frame of a sequence was dropped during normalization."""
 

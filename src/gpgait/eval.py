@@ -162,13 +162,6 @@ def rank1_simple(dist: np.ndarray, probe_labels, gallery_labels) -> float:
     return float(np.mean(gallery_labels[nearest] == probe_labels))
 
 
-def build_simple_split(entries) -> GalleryProbeSplit:
-    """Entries carry roles already (manifest-driven)."""
-    gallery = [e for e, role in entries if role == "gallery"]
-    probe = [e for e, role in entries if role == "probe"]
-    return GalleryProbeSplit(gallery=gallery, probe=probe, protocol="simple")
-
-
 def rank1_casiab(split: GalleryProbeSplit, embeddings: np.ndarray,
                  metric: str = "euclidean") -> EvalResult:
     """Cross-view rank-1 averaged over view pairs, per condition.
@@ -297,7 +290,7 @@ def cross_domain_eval(checkpoint_path, sequences_with_roles, protocol: str,
     sequences = [s for s, _r in sequences_with_roles]
     embeddings = embed_dataset(sequences, checkpoint_path)
     split = build_split(sequences_with_roles, protocol)
-    return evaluate_split(split, embeddings)
+    return evaluate_split(split, embeddings, metric)
 
 
 def write_results(path, result: EvalResult):

@@ -1,5 +1,5 @@
 """Geometric descriptors computed from unified poses: bone vectors and
-inner/peripheral joint angles.
+inner/peripheral joint angles, over stacks of shape (..., 17, 2).
 
 The bone tree is rooted at the nose; every other joint has exactly one
 parent, and a joint's bone vector points from its parent to itself. The
@@ -14,7 +14,7 @@ the vertical, in (-pi/2, pi/2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,112 +39,80 @@ INNER_TRIANGLES = {
 
 PERIPHERAL_JOINTS = (0, 1, 2, 3, 4, 9, 10, 15, 16)
 
-
-@dataclass(frozen=True)
-class AngleRole:
-    """Role of one joint: 'inner' with a triangle or 'peripheral' with
-    its parent as adjacency."""
-
-    kind: str
-    triangle: tuple = None  # (left, self, right), inner only
-    adjacent: int = None    # parent index, peripheral only
-
-
-def default_angle_roles() -> tuple:
-    roles = [None] * NUM_KEYPOINTS
-    for j, tri in INNER_TRIANGLES.items():
-        roles[j] = AngleRole(kind="inner", triangle=tri)
-    for j in PERIPHERAL_JOINTS:
-        roles[j] = AngleRole(kind="peripheral", adjacent=PARENT[j])
-    assert all(r is not None for r in roles)
-    return tuple(roles)
-
-
-ANGLE_ROLES = default_angle_roles()
+_INNER = np.array(sorted(INNER_TRIANGLES))
+_LEFT, _MID, _RIGHT = np.array([INNER_TRIANGLES[j] for j in _INNER]).T
+_PERIPHERAL = np.array(PERIPHERAL_JOINTS)
+_ADJACENT = np.array([PARENT[j] for j in PERIPHERAL_JOINTS])
 
 
 @dataclass
 class DescriptorSet:
-    joint: np.ndarray  # (T, 17, 2)
-    bone: np.ndarray   # (T, 17, 2)
-    angle: np.ndarray  # (T, 17, 1)
-    warnings: list = field(default_factory=list)
+    joint: np.ndarray  # (..., 17, 2)
+    bone: np.ndarray   # (..., 17, 2)
+    angle: np.ndarray  # (..., 17, 1)
 
 
-def compute_bones(coords: np.ndarray, parent=PARENT) -> np.ndarray:
+def compute_bones(coords: np.ndarray) -> np.ndarray:
     """Per-joint vector from its tree parent; root bone is zero."""
-    parents = np.asarray(parent)
-    bones = coords - coords[parents]
-    bones[0] = 0.0
+    bones = coords - coords[..., PARENT, :]
+    bones[..., 0, :] = 0.0
     return bones
 
 
-def _fold_halfturn(theta: float) -> float:
-    # map into (-pi/2, pi/2]
-    if theta > np.pi / 2:
-        theta -= np.pi
-    elif theta <= -np.pi / 2:
-        theta += np.pi
-    return theta
+def _length(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
-def compute_angles(coords: np.ndarray, roles=ANGLE_ROLES):
-    """(17,) angle vector plus a list of zero-length-side warnings.
+def compute_angles(coords: np.ndarray):
+    """(..., 17) angles plus a list of zero-length-side warnings.
 
     Inner angles use the law of cosines with the argument clamped to
     [-1, 1]; a zero-length adjacent side yields angle 0 with a warning
-    instead of an error.
+    instead of an error. A peripheral bone of length zero has angle 0.
     """
-    angles = np.zeros(NUM_KEYPOINTS, dtype=np.float64)
-    warnings = []
-    for j, role in enumerate(roles):
-        if role.kind == "inner":
-            left, mid, right = role.triangle
-            s_l = float(np.linalg.norm(coords[mid] - coords[left]))
-            s_r = float(np.linalg.norm(coords[mid] - coords[right]))
-            s_opp = float(np.linalg.norm(coords[left] - coords[right]))
-            if s_l == 0.0 or s_r == 0.0:
-                warnings.append(f"joint {j}: zero-length adjacent side")
-                angles[j] = 0.0
-                continue
-            arg = (s_l * s_l + s_r * s_r - s_opp * s_opp) / (2.0 * s_l * s_r)
-            angles[j] = float(np.arccos(np.clip(arg, -1.0, 1.0)))
-        else:
-            adj = coords[role.adjacent]
-            dx = float(coords[j, 0] - adj[0])
-            dy = float(coords[j, 1] - adj[1])
-            if dx == 0.0 and dy == 0.0:
-                angles[j] = 0.0
-            else:
-                angles[j] = _fold_halfturn(float(np.arctan2(dx, dy)))
+    left = coords[..., _LEFT, :]
+    mid = coords[..., _MID, :]
+    right = coords[..., _RIGHT, :]
+    s_l = _length(mid - left)
+    s_r = _length(mid - right)
+    s_opp = _length(left - right)
+    degenerate = (s_l == 0.0) | (s_r == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = (s_l * s_l + s_r * s_r - s_opp * s_opp) / (2.0 * s_l * s_r)
+    inner = np.where(degenerate, 0.0, np.arccos(np.clip(arg, -1.0, 1.0)))
+
+    bone = coords[..., _PERIPHERAL, :] - coords[..., _ADJACENT, :]
+    dx, dy = bone[..., 0], bone[..., 1]
+    theta = np.arctan2(dx, dy)
+    theta = np.where(theta > np.pi / 2, theta - np.pi,
+                     np.where(theta <= -np.pi / 2, theta + np.pi, theta))
+    peripheral = np.where((dx == 0.0) & (dy == 0.0), 0.0, theta)
+
+    angles = np.empty(coords.shape[:-1], dtype=np.float64)
+    angles[..., _INNER] = inner
+    angles[..., _PERIPHERAL] = peripheral
+    warnings = [_zero_side_warning(pos) for pos in np.argwhere(degenerate)]
     return angles, warnings
 
 
-def build_descriptors(useq: UnifiedPoseSequence,
-                      roles=ANGLE_ROLES, parent=PARENT) -> DescriptorSet:
-    """Joint/bone/angle tensors for every frame of a unified sequence."""
-    frames = useq.frames
-    bones = np.stack([compute_bones(f, parent) for f in frames])
-    angle_rows = []
-    warn_all = []
-    for t, f in enumerate(frames):
-        ang, warns = compute_angles(f, roles)
-        angle_rows.append(ang)
-        warn_all.extend(f"frame {t}: {w}" for w in warns)
-    angles = np.stack(angle_rows)[..., None]
+def _zero_side_warning(pos) -> str:
+    message = f"joint {_INNER[pos[-1]]}: zero-length adjacent side"
+    if len(pos) == 1:
+        return message
+    return f"frame {','.join(map(str, pos[:-1]))}: {message}"
+
+
+def describe(frames: np.ndarray) -> DescriptorSet:
+    """Joint/bone/angle arrays for a (..., 17, 2) stack of unified frames."""
+    frames = np.asarray(frames, dtype=np.float64)
+    angles, _warnings = compute_angles(frames)
     return DescriptorSet(
         joint=frames.copy(),
-        bone=bones,
-        angle=angles,
-        warnings=warn_all,
+        bone=compute_bones(frames),
+        angle=angles[..., None],
     )
 
 
-def descriptors_from_frames(frames: np.ndarray) -> DescriptorSet:
-    """Same as build_descriptors but straight from a (T, 17, 2) array."""
-    fake = UnifiedPoseSequence(
-        seq_id="", subject="", condition="NM", view="",
-        frames=np.asarray(frames, dtype=np.float64),
-        kept_frame_indices=list(range(len(frames))),
-    )
-    return build_descriptors(fake)
+def build_descriptors(useq: UnifiedPoseSequence) -> DescriptorSet:
+    """Joint/bone/angle tensors for every frame of a unified sequence."""
+    return describe(useq.frames)

@@ -1,28 +1,23 @@
 """Unified pose normalization: de-slant, body rescale, neck-origin alignment.
 
-Coordinates follow the image convention (x rightward, y downward). Every
-frame is processed independently: a virtual neck/hip pair defines the
-spine, a rotation about the neck removes slants beyond the threshold,
-the skeleton is rescaled to a fixed vertical extent, and finally all
-joints are expressed relative to the (recomputed) neck so the unified
-origin sits exactly at the neck.
+Coordinates follow the image convention (x rightward, y downward). HOT
+works on a whole (T, 17, 2) stack at once, each frame independently: a
+virtual neck/hip pair defines the spine, a rotation about the neck
+removes slants beyond the threshold, the skeleton is rescaled to a fixed
+vertical extent, and finally all joints are expressed relative to the
+(recomputed) neck so the unified origin sits exactly at the neck.
+Degenerate frames are dropped and the indices of the kept ones returned.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DegenerateFrameError,
-    DegenerateSpineError,
-    EmptySequenceError,
-)
+from .errors import DataError, EmptySequenceError
 from .pose_io import PoseSequence
 
 # COCO indices used for the virtual joints.
@@ -50,12 +45,6 @@ class HotConfig:
             raise DataError("epsilon_extent must be positive")
 
 
-@dataclass(frozen=True)
-class VirtualJoints:
-    neck: tuple  # (x, y)
-    hip: tuple
-
-
 @dataclass
 class UnifiedPoseSequence:
     seq_id: str
@@ -70,114 +59,59 @@ class UnifiedPoseSequence:
         return int(self.frames.shape[0])
 
 
-def compute_virtual_joints(coords: np.ndarray) -> VirtualJoints:
-    """Neck = shoulder midpoint, hip = hip midpoint, from (17, 2) coords."""
-    if not np.isfinite(coords).all():
-        raise DataError("non-finite coordinates in frame")
-    neck = (coords[L_SHOULDER] + coords[R_SHOULDER]) / 2.0
-    hip = (coords[L_HIP] + coords[R_HIP]) / 2.0
-    return VirtualJoints(neck=(float(neck[0]), float(neck[1])),
-                         hip=(float(hip[0]), float(hip[1])))
+def unify_frames(coords: np.ndarray, cfg: HotConfig):
+    """HOT over a (T, 17, 2) stack: (unified frames, kept frame indices).
 
-
-def compute_rotation_angle(vj: VirtualJoints) -> float:
-    """Spine slant angle in (-pi/2, pi/2]; zero for a vertical spine.
-
-    The angle is arctan(dx / dy) with dx = neck_x - hip_x and
-    dy = neck_y - hip_y, folded into (-pi/2, pi/2]. A horizontal spine
-    (dy == 0 with dx != 0) or coincident neck/hip is degenerate.
-    """
-    dx = vj.neck[0] - vj.hip[0]
-    dy = vj.neck[1] - vj.hip[1]
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateSpineError("neck coincides with hip", coincident=True)
-    if dx == 0.0:
-        return 0.0
-    if dy == 0.0:
-        raise DegenerateSpineError("horizontal spine (neck_y == hip_y)")
-    theta = math.atan2(dx, dy)
-    if theta > math.pi / 2:
-        theta -= math.pi
-    elif theta <= -math.pi / 2:
-        theta += math.pi
-    return theta
-
-
-def affine_transform(coords: np.ndarray, vj: VirtualJoints, theta: float,
-                     phi: float) -> np.ndarray:
-    """Rotate the frame by theta about the neck when |theta| >= phi.
-
-    Below the threshold the input is returned unchanged. The neck is a
-    fixed point of the rotation, so the post-transform spine is vertical
-    up to floating-point error.
-    """
-    if abs(theta) < phi:
-        return coords.copy()
-    c, s = math.cos(theta), math.sin(theta)
-    n = np.array(vj.neck, dtype=np.float64)
-    rel = coords - n
-    rot = np.empty_like(rel)
-    rot[:, 0] = c * rel[:, 0] - s * rel[:, 1]
-    rot[:, 1] = s * rel[:, 0] + c * rel[:, 1]
-    return rot + n
-
-
-def body_rescale(coords: np.ndarray, h_unif: float,
-                 epsilon_extent: float) -> np.ndarray:
-    """Scale all coordinates so the frame's vertical extent equals h_unif."""
-    extent = float(coords[:, 1].max() - coords[:, 1].min())
-    if extent < epsilon_extent:
-        raise DegenerateFrameError(
-            f"vertical extent {extent:g} below {epsilon_extent:g}")
-    return coords * (h_unif / extent)
-
-
-def body_align(coords: np.ndarray, neck: np.ndarray = None) -> np.ndarray:
-    """Translate so the virtual neck sits exactly at the origin.
-
-    With an explicit neck this is a plain subtraction. Without one the
-    translation is computed as the average of the two per-shoulder
-    differences: float subtraction is antisymmetric, so the recomputed
-    shoulder midpoint of the result is exactly (0, 0), which a rounded
+    Per frame, neck = shoulder midpoint and hip = hip midpoint. The
+    slant arctan(dx / dy), with (dx, dy) = neck - hip folded into
+    (-pi/2, pi/2], is undone by a rotation about the neck when its size
+    is at least phi; a zero slant (vertical spine, or neck coinciding
+    with hip) leaves the frame unrotated. The frame is then scaled to a
+    vertical extent of h_unif and translated by the average of the two
+    per-shoulder differences: float subtraction is antisymmetric, so
+    the recomputed shoulder midpoint is exactly (0, 0), which a rounded
     midpoint subtraction cannot guarantee.
+
+    Dropped: frames with a non-finite coordinate, a horizontal spine
+    (dy == 0 != dx), or a vertical extent below epsilon_extent.
     """
-    if neck is not None:
-        return coords - np.asarray(neck, dtype=np.float64)
-    return 0.5 * (coords - coords[L_SHOULDER]) + 0.5 * (coords - coords[R_SHOULDER])
+    coords = np.asarray(coords, dtype=np.float64)
+    kept = np.flatnonzero(np.isfinite(coords).all(axis=(1, 2)))
+    coords = coords[kept]
+    neck = (coords[:, L_SHOULDER] + coords[:, R_SHOULDER]) / 2.0
+    hip = (coords[:, L_HIP] + coords[:, R_HIP]) / 2.0
+    dx = neck[:, 0] - hip[:, 0]
+    dy = neck[:, 1] - hip[:, 1]
+    upright = ~((dy == 0.0) & (dx != 0.0))
+    kept, coords, neck = kept[upright], coords[upright], neck[upright]
+    dx, dy = dx[upright], dy[upright]
 
+    theta = np.arctan2(dx, dy)
+    theta = np.where(theta > np.pi / 2, theta - np.pi,
+                     np.where(theta <= -np.pi / 2, theta + np.pi, theta))
+    rotate = (np.abs(theta) >= cfg.phi) & (theta != 0.0)
+    c = np.cos(theta)[:, None]
+    s = np.sin(theta)[:, None]
+    rel = coords - neck[:, None, :]
+    rotated = np.stack([c * rel[..., 0] - s * rel[..., 1],
+                        s * rel[..., 0] + c * rel[..., 1]], axis=-1)
+    coords = np.where(rotate[:, None, None], rotated + neck[:, None, :], coords)
 
-def unify_frame(coords: np.ndarray, cfg: HotConfig) -> np.ndarray:
-    """Full per-frame pipeline: virtual joints -> slant -> rescale -> align.
-
-    Raises for frames that must be dropped. A coincident neck/hip is
-    tolerated by skipping the rotation; a horizontal spine is not.
-    """
-    vj = compute_virtual_joints(coords)
-    try:
-        theta = compute_rotation_angle(vj)
-    except DegenerateSpineError as e:
-        if not e.coincident:
-            raise
-        theta = 0.0  # prefer keeping the frame; rotation is skipped
-    coords = affine_transform(coords, vj, theta, cfg.phi)
-    coords = body_rescale(coords, cfg.h_unif, cfg.epsilon_extent)
-    return body_align(coords)
+    extent = coords[..., 1].max(axis=1) - coords[..., 1].min(axis=1)
+    tall = extent >= cfg.epsilon_extent
+    kept, coords = kept[tall], coords[tall]
+    coords = coords * (cfg.h_unif / extent[tall])[:, None, None]
+    unified = (0.5 * (coords - coords[:, L_SHOULDER, None])
+               + 0.5 * (coords - coords[:, R_SHOULDER, None]))
+    return unified, kept.tolist()
 
 
 def apply_hot(seq: PoseSequence, cfg: HotConfig = None) -> UnifiedPoseSequence:
     """Normalize a whole sequence, dropping degenerate frames."""
     if cfg is None:
         cfg = HotConfig()
-    frames = []
-    kept = []
-    for i, frame in enumerate(seq.frames):
-        coords = frame.coords()
-        try:
-            frames.append(unify_frame(coords, cfg))
-        except (DegenerateFrameError, DegenerateSpineError, DataError):
-            continue
-        kept.append(i)
-    if not frames:
+    frames, kept = unify_frames(seq.frames[..., :2], cfg)
+    if not kept:
         raise EmptySequenceError(
             f"sequence {seq.seq_id}: every frame degenerate")
     return UnifiedPoseSequence(
@@ -185,7 +119,7 @@ def apply_hot(seq: PoseSequence, cfg: HotConfig = None) -> UnifiedPoseSequence:
         subject=seq.subject,
         condition=seq.condition,
         view=seq.view,
-        frames=np.stack(frames),
+        frames=frames,
         kept_frame_indices=kept,
     )
 

@@ -1,5 +1,9 @@
 """Pose sequence data model, on-disk formats and keypoint-format conversion.
 
+In memory a sequence is one (T, 17, 3) float64 array of x, y,
+confidence per COCO17 keypoint (``PoseSequence.frames``); every stage
+downstream works on whole stacks of frames at once.
+
 On-disk sequence format: newline-delimited JSON, one sequence per line.
 Fields: seq_id, subject, condition, view, frames. ``frames`` is a nested
 array of shape (T, 17, 3) for raw sequences (x, y, confidence) or
@@ -14,7 +18,6 @@ train/gallery/probe. Paths are resolved relative to the manifest file.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -45,60 +48,35 @@ COCO17_NAMES = (
 ALPHAPOSE18_TO_COCO17 = (0, 15, 14, 17, 16, 5, 2, 6, 3, 7, 4, 11, 8, 12, 9, 13, 10)
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    x: float
-    y: float
-    confidence: float
-
-    def validate(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DataError(f"non-finite keypoint coordinates ({self.x}, {self.y})")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise DataError(f"confidence {self.confidence} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class PoseFrame:
-    """Exactly 17 keypoints in COCO2017 index order."""
-
-    keypoints: tuple
-
-    def __post_init__(self):
-        if len(self.keypoints) != NUM_KEYPOINTS:
-            raise DataError(
-                f"frame has {len(self.keypoints)} keypoints, expected {NUM_KEYPOINTS}"
-            )
-
-    def coords(self) -> np.ndarray:
-        """(17, 2) float array of x, y."""
-        return np.array([(k.x, k.y) for k in self.keypoints], dtype=np.float64)
-
-    def confidences(self) -> np.ndarray:
-        return np.array([k.confidence for k in self.keypoints], dtype=np.float64)
-
-
 @dataclass
 class PoseSequence:
+    """One raw sequence: ``frames`` is a (T, 17, 3) float64 array of
+    x, y, confidence per COCO17 keypoint, T >= 1."""
+
     seq_id: str
     subject: str
     condition: str
     view: str
-    frames: list  # list[PoseFrame], length >= 1
+    frames: np.ndarray
 
     def __post_init__(self):
         if self.condition not in CONDITIONS:
             raise DataError(f"unknown condition {self.condition!r}")
-        if len(self.frames) < 1:
+        self.frames = np.asarray(self.frames, dtype=np.float64)
+        if self.frames.size == 0:
             raise DataError(f"sequence {self.seq_id} has no frames")
+        if self.frames.ndim != 3 or self.frames.shape[1:] != (NUM_KEYPOINTS, 3):
+            raise DataError(
+                f"sequence {self.seq_id}: frames have shape "
+                f"{self.frames.shape}, expected (T, {NUM_KEYPOINTS}, 3)")
 
     @property
     def num_frames(self) -> int:
-        return len(self.frames)
+        return int(self.frames.shape[0])
 
     def coords(self) -> np.ndarray:
-        """(T, 17, 2) float array."""
-        return np.stack([f.coords() for f in self.frames])
+        """(T, 17, 2) float array of x, y (a copy)."""
+        return self.frames[..., :2].copy()
 
 
 @dataclass
@@ -132,45 +110,61 @@ class ValidationReport:
         return not self.issues
 
 
-def _frame_from_triples(triples, path="<memory>", line_no=0) -> PoseFrame:
-    if len(triples) != NUM_KEYPOINTS:
-        raise RecordError(
-            path, line_no,
-            f"frame has {len(triples)} keypoints, expected {NUM_KEYPOINTS}",
-        )
-    kps = []
-    for t in triples:
-        if len(t) != 3:
-            raise RecordError(path, line_no, f"keypoint has {len(t)} fields, expected 3")
-        kps.append(Keypoint(float(t[0]), float(t[1]), float(t[2])))
-    return PoseFrame(tuple(kps))
-
-
 def sequence_to_record(seq: PoseSequence) -> dict:
-    frames = [[[k.x, k.y, k.confidence] for k in f.keypoints] for f in seq.frames]
     return {
         "seq_id": seq.seq_id,
         "subject": seq.subject,
         "condition": seq.condition,
         "view": seq.view,
-        "frames": frames,
+        "frames": seq.frames.tolist(),
     }
 
 
+def _malformed_frames(frames):
+    """Why a record's ``frames`` field is not T frames of 17 numeric
+    triples, or None when it is. Walks the nested lists, so it only
+    runs once the array conversion has failed or looks suspect."""
+    if not isinstance(frames, list):
+        return f"frames is {type(frames).__name__}, expected a list of frames"
+    for frame in frames:
+        if not isinstance(frame, list):
+            return f"frame is {type(frame).__name__}, expected a list of keypoints"
+        if len(frame) != NUM_KEYPOINTS:
+            return f"frame has {len(frame)} keypoints, expected {NUM_KEYPOINTS}"
+        for kp in frame:
+            if not isinstance(kp, list):
+                return f"keypoint is {type(kp).__name__}, expected [x, y, confidence]"
+            if len(kp) != 3:
+                return f"keypoint has {len(kp)} fields, expected 3"
+            for value in kp:
+                try:
+                    float(value)
+                except (TypeError, ValueError, OverflowError):
+                    return f"keypoint value {value!r} is not a number"
+    return None
+
+
 def sequence_from_record(rec: dict, path="<memory>", line_no=0) -> PoseSequence:
+    if not isinstance(rec, dict):
+        raise RecordError(path, line_no,
+                          f"record is {type(rec).__name__}, expected an object")
     try:
-        frames = [
-            _frame_from_triples(f, path, line_no) for f in rec["frames"]
-        ]
-        return PoseSequence(
-            seq_id=str(rec["seq_id"]),
-            subject=str(rec["subject"]),
-            condition=str(rec["condition"]),
-            view=str(rec["view"]),
-            frames=frames,
-        )
+        raw = rec["frames"]
+        meta = {key: str(rec[key])
+                for key in ("seq_id", "subject", "condition", "view")}
     except KeyError as e:
         raise RecordError(path, line_no, f"missing field {e.args[0]!r}") from e
+    try:
+        frames = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        frames = np.empty((0,))
+    # numpy reads null as NaN, so a NaN also triggers the walk, which
+    # tells a JSON NaN (a non-finite keypoint HOT drops) from a null
+    if frames.shape[1:] != (NUM_KEYPOINTS, 3) or np.isnan(frames).any():
+        problem = _malformed_frames(raw)
+        if problem is not None:
+            raise RecordError(path, line_no, problem)
+    return PoseSequence(frames=frames, **meta)
 
 
 def save_sequences(path, sequences):
@@ -245,21 +239,16 @@ def load_sequences(manifest: DatasetManifest):
     return [seq for seq, _role in load_sequences_with_roles(manifest)]
 
 
-def convert_alphapose18_to_coco17(frame18) -> PoseFrame:
-    """Reorder an 18-keypoint frame (explicit neck) into COCO2017 order.
+def convert_alphapose18_to_coco17(frames18) -> np.ndarray:
+    """Reorder (..., 18, 3) keypoints (explicit neck) into COCO2017 order.
 
     The neck triple is dropped; the other 17 triples are copied unchanged.
     """
-    if len(frame18) != 18:
-        raise DataError(f"expected 18 keypoints, got {len(frame18)}")
-    kps = []
-    for src in ALPHAPOSE18_TO_COCO17:
-        k = frame18[src]
-        if isinstance(k, Keypoint):
-            kps.append(k)
-        else:
-            kps.append(Keypoint(float(k[0]), float(k[1]), float(k[2])))
-    return PoseFrame(tuple(kps))
+    frames18 = np.asarray(frames18, dtype=np.float64)
+    if frames18.ndim < 2 or frames18.shape[-2] != 18:
+        count = frames18.shape[-2] if frames18.ndim >= 2 else frames18.size
+        raise DataError(f"expected 18 keypoints, got {count}")
+    return frames18[..., ALPHAPOSE18_TO_COCO17, :]
 
 
 def validate_sequence(seq: PoseSequence, min_frames: int = 1,
@@ -270,13 +259,15 @@ def validate_sequence(seq: PoseSequence, min_frames: int = 1,
     if seq.num_frames < min_frames:
         report.issues.append(ValidationIssue(
             -1, "too_short", f"{seq.num_frames} < {min_frames} frames"))
-    for i, frame in enumerate(seq.frames):
-        coords = frame.coords()
-        if not np.isfinite(coords).all():
-            report.issues.append(ValidationIssue(i, "non_finite"))
-            continue
-        extent = float(coords[:, 1].max() - coords[:, 1].min())
-        if extent < min_extent:
+    coords = seq.frames[..., :2]
+    finite = np.isfinite(coords).all(axis=(1, 2))
+    y = np.where(finite[:, None], coords[..., 1], 0.0)
+    extent = y.max(axis=1) - y.min(axis=1)
+    for i in np.flatnonzero(~finite | (extent < min_extent)):
+        if not finite[i]:
+            report.issues.append(ValidationIssue(int(i), "non_finite"))
+        else:
             report.issues.append(ValidationIssue(
-                i, "degenerate_extent", f"extent {extent:g} < {min_extent:g}"))
+                int(i), "degenerate_extent",
+                f"extent {extent[i]:g} < {min_extent:g}"))
     return report

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .pose_io import (
     DatasetManifest,
-    Keypoint,
-    PoseFrame,
     PoseSequence,
     save_manifest,
     save_sequences,
@@ -123,22 +121,21 @@ def generate_sequence(identity: GaitIdentitySpec, camera: CameraSpec,
                       seq_id: str = None, condition: str = "NM",
                       view: str = "000") -> PoseSequence:
     """Sample the walker at num_frames instants and apply the camera."""
+    if num_frames < 1:
+        raise DataError(f"need at least 1 frame, got {num_frames}")
     rng = np.random.default_rng(seed)
     start = identity.phase + rng.uniform(0.0, 2.0 * math.pi)
+    pose = np.stack([
+        template_frame(identity, start + 2.0 * math.pi * t / identity.stride_period)
+        for t in range(num_frames)])
     c, s = math.cos(camera.slant), math.sin(camera.slant)
-    frames = []
-    for t in range(num_frames):
-        phase = start + 2.0 * math.pi * t / identity.stride_period
-        pose = template_frame(identity, phase)
-        rotated = np.empty_like(pose)
-        rotated[:, 0] = c * pose[:, 0] - s * pose[:, 1]
-        rotated[:, 1] = s * pose[:, 0] + c * pose[:, 1]
-        placed = rotated * camera.scale + np.array([camera.tx, camera.ty])
-        if camera.jitter_sigma > 0.0:
-            placed = placed + rng.normal(0.0, camera.jitter_sigma,
-                                         size=placed.shape)
-        frames.append(PoseFrame(tuple(
-            Keypoint(float(x), float(y), 1.0) for x, y in placed)))
+    rotated = np.stack([c * pose[..., 0] - s * pose[..., 1],
+                        s * pose[..., 0] + c * pose[..., 1]], axis=-1)
+    placed = rotated * camera.scale + np.array([camera.tx, camera.ty])
+    if camera.jitter_sigma > 0.0:
+        placed = placed + rng.normal(0.0, camera.jitter_sigma,
+                                     size=placed.shape)
+    frames = np.concatenate([placed, np.ones(placed.shape[:-1] + (1,))], axis=-1)
     return PoseSequence(
         seq_id=seq_id or f"{identity.identity}-{condition}-00-{view}",
         subject=identity.identity,

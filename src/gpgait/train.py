@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, stop_gradient
 from .errors import ConfigError, DataError, NumericError
-from .hod import descriptors_from_frames
+from .hod import describe
 from .pagcn import (
     ModelParams,
     NetworkConfig,
@@ -164,14 +164,15 @@ def sample_batch(train_set: TrainSet, p: int, k: int, length: int, rng,
 
     Returns (descriptor dict with joint/bone/angle arrays of shape
     (P*K, L, 17, c), labels int array). ``augment`` is an optional
-    callable applied to each sampled (L, 17, 2) frame stack before
-    descriptors are computed.
+    callable applied to each sampled (L, 17, 2) frame stack; sampling
+    and augmentation draw from ``rng`` sequence by sequence, then the
+    descriptors of the whole batch are computed at once.
     """
     if len(train_set.subjects) < p:
         raise DataError(
             f"need {p} subjects, train set has {len(train_set.subjects)}")
     chosen = rng.choice(len(train_set.subjects), size=p, replace=False)
-    joint, bone, angle, labels = [], [], [], []
+    stacks, labels = [], []
     for sidx in chosen:
         subject = train_set.subjects[sidx]
         pool = train_set.by_subject[subject]
@@ -181,13 +182,11 @@ def sample_batch(train_set: TrainSet, p: int, k: int, length: int, rng,
             frames = sample_frames(useq.frames, length, rng)
             if augment is not None:
                 frames = augment(frames)
-            desc = descriptors_from_frames(frames)
-            joint.append(desc.joint)
-            bone.append(desc.bone)
-            angle.append(desc.angle)
+            stacks.append(frames)
             labels.append(sidx)
+    desc = describe(np.stack(stacks))
     return (
-        {"joint": np.stack(joint), "bone": np.stack(bone), "angle": np.stack(angle)},
+        {"joint": desc.joint, "bone": desc.bone, "angle": desc.angle},
         np.asarray(labels, dtype=np.int64),
     )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpgait.pose_io import Keypoint, PoseFrame, PoseSequence
+from gpgait.pose_io import PoseSequence
 from gpgait.synth import CameraSpec, GaitIdentitySpec, template_frame
 
 # filled by the acceptance suite; echoed after the test summary so the
@@ -29,16 +29,13 @@ def walker_frame(phase=0.7, identity=DEFAULT_IDENTITY) -> np.ndarray:
     return template_frame(identity, phase)
 
 
-def frame_from_coords(coords, confidence=1.0) -> PoseFrame:
-    return PoseFrame(tuple(
-        Keypoint(float(x), float(y), confidence) for x, y in coords))
-
-
 def sequence_from_coords(frames, seq_id="seq", subject="subj",
                          condition="NM", view="000") -> PoseSequence:
+    coords = np.asarray(frames, dtype=np.float64)
+    conf = np.ones(coords.shape[:-1] + (1,))
     return PoseSequence(
         seq_id=seq_id, subject=subject, condition=condition, view=view,
-        frames=[frame_from_coords(c) for c in frames])
+        frames=np.concatenate([coords, conf], axis=-1))
 
 
 def random_frame(rng, spread=60.0) -> np.ndarray:

@@ -254,3 +254,96 @@ def ref_rank1(dist, probe_labels, gallery_labels):
         if gallery_labels[best] == probe_labels[i]:
             hits += 1
     return hits / dist.shape[0]
+
+
+# -- HOT and HOD, one frame / one joint at a time ------------------------
+#
+# The per-frame normalization and per-joint angle code the package used
+# before it worked on whole (T, 17, 2) stacks, kept as oracles.
+
+L_SHOULDER, R_SHOULDER, L_HIP, R_HIP = 5, 6, 11, 12
+
+
+def _fold_halfturn(theta):
+    # map into (-pi/2, pi/2]
+    if theta > math.pi / 2:
+        theta -= math.pi
+    elif theta <= -math.pi / 2:
+        theta += math.pi
+    return theta
+
+
+def ref_unify_frame(coords, h_unif, phi, epsilon_extent):
+    """One (17, 2) frame through HOT; None when the frame is dropped."""
+    coords = np.array(coords, dtype=np.float64)
+    for x, y in coords:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return None
+    neck_x = (coords[L_SHOULDER, 0] + coords[R_SHOULDER, 0]) / 2.0
+    neck_y = (coords[L_SHOULDER, 1] + coords[R_SHOULDER, 1]) / 2.0
+    hip_x = (coords[L_HIP, 0] + coords[R_HIP, 0]) / 2.0
+    hip_y = (coords[L_HIP, 1] + coords[R_HIP, 1]) / 2.0
+    dx, dy = neck_x - hip_x, neck_y - hip_y
+    if dx == 0.0:
+        theta = 0.0  # vertical spine, or neck coinciding with hip
+    elif dy == 0.0:
+        return None  # horizontal spine
+    else:
+        theta = _fold_halfturn(math.atan2(dx, dy))
+    if abs(theta) >= phi:
+        c, s = math.cos(theta), math.sin(theta)
+        for j in range(17):
+            rx, ry = coords[j, 0] - neck_x, coords[j, 1] - neck_y
+            coords[j, 0] = c * rx - s * ry + neck_x
+            coords[j, 1] = s * rx + c * ry + neck_y
+    extent = max(coords[:, 1]) - min(coords[:, 1])
+    if extent < epsilon_extent:
+        return None
+    coords = coords * (h_unif / extent)
+    out = np.zeros((17, 2))
+    for j in range(17):
+        for d in range(2):
+            out[j, d] = (0.5 * (coords[j, d] - coords[L_SHOULDER, d])
+                         + 0.5 * (coords[j, d] - coords[R_SHOULDER, d]))
+    return out
+
+
+def ref_hot(frames, h_unif, phi, epsilon_extent):
+    """(unified frames, kept indices) for a list of (17, 2) frames."""
+    unified, kept = [], []
+    for i, coords in enumerate(frames):
+        out = ref_unify_frame(coords, h_unif, phi, epsilon_extent)
+        if out is not None:
+            unified.append(out)
+            kept.append(i)
+    return unified, kept
+
+
+INNER_TRIANGLES = {5: (7, 5, 11), 6: (8, 6, 12), 7: (5, 7, 9), 8: (6, 8, 10),
+                   11: (5, 11, 13), 12: (6, 12, 14), 13: (11, 13, 15),
+                   14: (12, 14, 16)}
+PARENT = (0, 0, 0, 1, 2, 0, 0, 5, 6, 7, 8, 5, 6, 11, 12, 13, 14)
+
+
+def ref_angles(coords):
+    """(17,) angles of one frame plus the joints with a zero-length
+    adjacent side."""
+    angles = np.zeros(17)
+    zero_sides = []
+    for j in range(17):
+        if j in INNER_TRIANGLES:
+            left, mid, right = INNER_TRIANGLES[j]
+            s_l = math.hypot(*(coords[mid] - coords[left]))
+            s_r = math.hypot(*(coords[mid] - coords[right]))
+            s_opp = math.hypot(*(coords[left] - coords[right]))
+            if s_l == 0.0 or s_r == 0.0:
+                zero_sides.append(j)
+                continue
+            arg = (s_l * s_l + s_r * s_r - s_opp * s_opp) / (2.0 * s_l * s_r)
+            angles[j] = math.acos(min(1.0, max(-1.0, arg)))
+        else:
+            dx = coords[j, 0] - coords[PARENT[j], 0]
+            dy = coords[j, 1] - coords[PARENT[j], 1]
+            if dx != 0.0 or dy != 0.0:
+                angles[j] = _fold_halfturn(math.atan2(dx, dy))
+    return angles, zero_sides

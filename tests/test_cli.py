@@ -1,9 +1,35 @@
+import json
+import math
+
+import numpy as np
 import pytest
 
+from gpgait import eval as eval_mod
+from gpgait import pose_io
 from gpgait.checkpoint import load_container
 from gpgait.cli import main
 from gpgait.config import build_run_config, parse_config_file
 from gpgait.errors import ConfigError
+
+from conftest import sequence_from_coords, walker_frame
+
+
+def write_dataset(root, records):
+    """One sequence file holding the given JSON records, plus a manifest
+    that names it as the gallery; returns the manifest path."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "seqs.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records))
+    manifest = root / "manifest.tsv"
+    pose_io.save_manifest(manifest, pose_io.DatasetManifest(
+        [("seqs.jsonl", "gallery"), ("seqs.jsonl", "probe")]))
+    return manifest
+
+
+def walker_record(seq_id, frames=3):
+    seq = sequence_from_coords([walker_frame(p) for p in range(frames)],
+                               seq_id=seq_id)
+    return pose_io.sequence_to_record(seq)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +83,46 @@ class TestPreprocess:
 
     def test_missing_input(self, tmp_path):
         rc = main(["preprocess", "--manifest", str(tmp_path / "nope.tsv"),
+                   "--out", str(tmp_path / "pp")])
+        assert rc == 3
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("coordinate", "abc", "keypoint value 'abc' is not a number"),
+        ("frames", 5, "frames is int, expected a list of frames"),
+    ])
+    def test_malformed_record_exits_3(self, tmp_path, capsys, field, value,
+                                      message):
+        bad = walker_record("bad")
+        if field == "frames":
+            bad["frames"] = value
+        else:
+            bad["frames"][1][4][0] = value
+        manifest = write_dataset(tmp_path / "d", [walker_record("ok"), bad])
+        rc = main(["preprocess", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "pp")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"seqs.jsonl:2: {message}" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_keypoint_drops_frame(self, tmp_path, value):
+        rec = walker_record("s", frames=4)
+        rec["frames"][2][9][1] = value
+        manifest = write_dataset(tmp_path / "d", [rec])
+        rc = main(["preprocess", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "pp")])
+        assert rc == 0
+        report = (tmp_path / "pp" / "report.txt").read_text()
+        assert "s\tdropped_frames\t[2]\n" in report
+        assert "s\tframe 2\tnon_finite" in report
+
+    def test_all_degenerate_sequence_exits_3(self, tmp_path):
+        flat = np.zeros((3, 17, 2))
+        degenerate = pose_io.sequence_to_record(
+            sequence_from_coords(flat, seq_id="flat"))
+        manifest = write_dataset(tmp_path / "d",
+                                 [walker_record("ok"), degenerate])
+        rc = main(["preprocess", "--manifest", str(manifest),
                    "--out", str(tmp_path / "pp")])
         assert rc == 3
 
@@ -126,6 +192,45 @@ class TestEval:
             assert rc == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_all_degenerate_sequence_exits_3(self, toy_checkpoint, tmp_path,
+                                            capsys):
+        final, _ = toy_checkpoint
+        degenerate = pose_io.sequence_to_record(
+            sequence_from_coords(np.zeros((3, 17, 2)), seq_id="flat"))
+        manifest = write_dataset(tmp_path / "d",
+                                 [walker_record("ok"), degenerate])
+        rc = main(["eval", "--checkpoint", str(final), "--manifest",
+                   str(manifest), "--out", str(tmp_path / "r.tsv")])
+        assert rc == 3
+        assert "every frame degenerate" in capsys.readouterr().err
+
+    def test_metric_flag_reaches_scoring(self, toy_data, toy_checkpoint,
+                                         tmp_path, monkeypatch):
+        # manifest rows per identity i: probe, gallery, gallery. Each
+        # probe points along d_i; its own gallery lies far out on d_i,
+        # and the previous identity's second gallery entry lies close
+        # by, slightly turned: Euclidean picks the impostor, cosine the
+        # true match
+        final, _ = toy_checkpoint
+        dirs = [np.array([math.cos(a), math.sin(a)])
+                for a in (0.0, 2.0, 4.0)]
+        turn = np.array([[math.cos(0.1), -math.sin(0.1)],
+                         [math.sin(0.1), math.cos(0.1)]])
+        emb = []
+        for i, d in enumerate(dirs):
+            emb += [d, 5.0 * d, 0.5 * turn @ dirs[(i + 1) % 3]]
+        emb = np.stack(emb)[:, None, :]
+        monkeypatch.setattr(eval_mod, "embed_dataset", lambda *_a: emb)
+        rank1 = {}
+        for metric in ("euclidean", "cosine"):
+            out = tmp_path / f"{metric}.tsv"
+            assert main(["eval", "--checkpoint", str(final), "--manifest",
+                         str(toy_data), "--out", str(out),
+                         "--metric", metric]) == 0
+            rank1[metric] = out.read_text()
+        assert "summary\tall\t0.000000" in rank1["euclidean"]
+        assert "summary\tall\t1.000000" in rank1["cosine"]
 
     def test_missing_checkpoint(self, toy_data, tmp_path):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.gpgw"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from gpgait import hod
 from gpgait.hot import HotConfig, apply_hot
 from gpgait.train import flip_frames
@@ -122,9 +123,9 @@ class TestBuildDescriptors:
 
     def test_mirror_property(self, rng):
         frames = np.stack([random_frame(rng) for _ in range(3)])
-        d = hod.descriptors_from_frames(frames)
+        d = hod.describe(frames)
         flipped = flip_frames(frames)
-        dm = hod.descriptors_from_frames(flipped)
+        dm = hod.describe(flipped)
         # bones of the mirrored skeleton = mirrored-and-swapped bones
         np.testing.assert_allclose(dm.bone, flip_frames(d.bone), atol=1e-12)
         # inner angles invariant under mirroring (up to the l/r swap)
@@ -137,19 +138,39 @@ class TestBuildDescriptors:
 
     def test_identical_frames_identical_rows(self):
         f = walker_frame(1.1)
-        d = hod.descriptors_from_frames(np.stack([f, f]))
+        d = hod.describe(np.stack([f, f]))
         np.testing.assert_array_equal(d.bone[0], d.bone[1])
         np.testing.assert_array_equal(d.angle[0], d.angle[1])
 
 
 def test_roles_cover_all_joints():
-    roles = hod.ANGLE_ROLES
-    assert len(roles) == 17
-    inner = {j for j, r in enumerate(roles) if r.kind == "inner"}
-    assert inner == set(hod.INNER_TRIANGLES)
-    for j, r in enumerate(roles):
-        if r.kind == "inner":
-            assert r.triangle[1] == j
-            assert all(0 <= t < 17 for t in r.triangle)
-        else:
-            assert r.adjacent == hod.PARENT[j]
+    inner = set(hod.INNER_TRIANGLES)
+    assert inner.isdisjoint(hod.PERIPHERAL_JOINTS)
+    assert inner | set(hod.PERIPHERAL_JOINTS) == set(range(17))
+    for j, tri in hod.INNER_TRIANGLES.items():
+        assert tri[1] == j
+        assert all(0 <= t < 17 for t in tri)
+    assert all(0 <= hod.PARENT[j] < 17 for j in hod.PERIPHERAL_JOINTS)
+
+
+def test_angles_match_scalar_oracle(rng):
+    frames = [random_frame(rng) for _ in range(1000)]
+    # zero-length sides: an inner joint on its neighbor, a peripheral
+    # joint on its parent, and every joint at one point
+    touching = walker_frame()
+    touching[7] = touching[5]
+    touching[9] = touching[7]
+    frames += [touching, np.zeros((17, 2))]
+    stack = np.stack(frames)
+    angles, warns = hod.compute_angles(stack)
+    for t, coords in enumerate(frames):
+        expect, zero_sides = ref.ref_angles(coords)
+        np.testing.assert_allclose(angles[t], expect, rtol=0, atol=1e-9)
+        assert [w for w in warns if w.startswith(f"frame {t}:")] == [
+            f"frame {t}: joint {j}: zero-length adjacent side"
+            for j in zero_sides]
+    assert len(warns) == 2 + 8
+    # a batch of frames gives each frame's own angles, bit for bit
+    for t in (0, 1000, 1001):
+        np.testing.assert_array_equal(hod.compute_angles(stack[t])[0],
+                                      angles[t])

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from gpgait import hot
-from gpgait.errors import DegenerateFrameError, DegenerateSpineError, EmptySequenceError
+from gpgait.errors import EmptySequenceError
 
 from conftest import sequence_from_coords, walker_frame
+
+UPRIGHT = hot.HotConfig(phi=math.pi)  # no slant reaches pi: never rotates
 
 
 def rotate_about(coords, center, angle):
@@ -18,85 +21,119 @@ def rotate_about(coords, center, angle):
     return out + center
 
 
+def unify(coords, cfg=hot.HotConfig()):
+    """One (17, 2) frame through HOT; None when it is dropped."""
+    frames, kept = hot.unify_frames(np.asarray(coords)[None], cfg)
+    return frames[0] if kept else None
+
+
+def neck_of(coords):
+    return (coords[5] + coords[6]) / 2.0
+
+
+def shoulders_hips(neck, hip, half=10.0):
+    """Walker frame whose shoulder and hip midpoints are neck and hip."""
+    coords = walker_frame()
+    coords[5], coords[6] = (neck[0] + half, neck[1]), (neck[0] - half, neck[1])
+    coords[11], coords[12] = (hip[0] + half, hip[1]), (hip[0] - half, hip[1])
+    return coords
+
+
+def scale_of(coords):
+    return 225.0 / (coords[:, 1].max() - coords[:, 1].min())
+
+
 class TestVirtualJoints:
     def test_neck_midpoint(self):
         coords = walker_frame()
         coords[5] = (10.0, 20.0)
         coords[6] = (20.0, 20.0)
-        assert hot.compute_virtual_joints(coords).neck == (15.0, 20.0)
+        expect = (coords - (15.0, 20.0)) * scale_of(coords)
+        np.testing.assert_allclose(unify(coords, UPRIGHT), expect,
+                                   atol=1e-12 * 225)
 
     def test_hip_midpoint(self):
+        # the spine from (15, 20) to the hip midpoint (15, 60) is
+        # vertical, so even phi = 0 rotates nothing
         coords = walker_frame()
+        coords[5] = (10.0, 20.0)
+        coords[6] = (20.0, 20.0)
         coords[11] = (12.0, 60.0)
         coords[12] = (18.0, 60.0)
-        assert hot.compute_virtual_joints(coords).hip == (15.0, 60.0)
+        np.testing.assert_array_equal(unify(coords, hot.HotConfig(phi=0.0)),
+                                      unify(coords, UPRIGHT))
 
     def test_coincident_shoulders(self):
         coords = walker_frame()
         coords[5] = coords[6] = (7.0, 7.0)
-        assert hot.compute_virtual_joints(coords).neck == (7.0, 7.0)
+        out = unify(coords)
+        np.testing.assert_array_equal(out[5], (0.0, 0.0))
+        np.testing.assert_array_equal(out[6], (0.0, 0.0))
 
 
 class TestRotationAngle:
     def test_vertical_spine(self):
-        vj = hot.VirtualJoints(neck=(15, 20), hip=(15, 60))
-        assert hot.compute_rotation_angle(vj) == 0.0
+        coords = shoulders_hips((15.0, 20.0), (15.0, 60.0))
+        np.testing.assert_array_equal(unify(coords, hot.HotConfig(phi=0.0)),
+                                      unify(coords, UPRIGHT))
+
+    def _check_undone(self, neck, hip, theta):
+        coords = shoulders_hips(neck, hip)
+        upright = rotate_about(coords, np.array(neck), theta)
+        expect = (upright - neck) * scale_of(upright)
+        out = unify(coords, hot.HotConfig(phi=0.0))
+        np.testing.assert_allclose(out, expect, atol=1e-9 * 225)
+        assert abs(neck_of(out)[0] - (out[11, 0] + out[12, 0]) / 2.0) <= 1e-9
 
     def test_unit_slope(self):
-        vj = hot.VirtualJoints(neck=(0, 0), hip=(10, 10))
-        assert hot.compute_rotation_angle(vj) == pytest.approx(math.pi / 4)
+        self._check_undone((0.0, 0.0), (10.0, 10.0), math.pi / 4)
 
     def test_unit_antislope(self):
-        vj = hot.VirtualJoints(neck=(1, 0), hip=(0, 1))
-        assert hot.compute_rotation_angle(vj) == pytest.approx(-math.pi / 4)
+        self._check_undone((1.0, 0.0), (0.0, 1.0), -math.pi / 4)
 
     def test_horizontal_spine_degenerate(self):
-        vj = hot.VirtualJoints(neck=(0, 5), hip=(3, 5))
-        with pytest.raises(DegenerateSpineError):
-            hot.compute_rotation_angle(vj)
+        coords = shoulders_hips((0.0, 5.0), (3.0, 5.0))
+        _frames, kept = hot.unify_frames(np.stack([walker_frame(), coords]),
+                                         hot.HotConfig())
+        assert kept == [0]
 
     def test_coincident_degenerate(self):
-        vj = hot.VirtualJoints(neck=(1, 1), hip=(1, 1))
-        with pytest.raises(DegenerateSpineError):
-            hot.compute_rotation_angle(vj)
+        # neck on the hip: the frame is kept and not rotated
+        coords = shoulders_hips((15.0, 40.0), (15.0, 40.0))
+        out = unify(coords, hot.HotConfig(phi=0.0))
+        assert out is not None
+        np.testing.assert_array_equal(out, unify(coords, UPRIGHT))
 
 
 class TestAffine:
     def test_below_threshold_passthrough(self):
         coords = walker_frame()
-        vj = hot.compute_virtual_joints(coords)
-        out = hot.affine_transform(coords, vj, theta=0.05, phi=0.1)
-        np.testing.assert_array_equal(out, coords)
+        slanted = rotate_about(coords, neck_of(coords), 0.05)
+        np.testing.assert_array_equal(unify(slanted, hot.HotConfig(phi=0.1)),
+                                      unify(slanted, UPRIGHT))
 
     def test_quarter_turn_about_origin(self):
-        coords = np.zeros((17, 2))
-        coords[0] = (1.0, 0.0)
-        vj = hot.VirtualJoints(neck=(0.0, 0.0), hip=(0.0, 1.0))
-        out = hot.affine_transform(coords, vj, theta=math.pi / 2, phi=0.1)
-        np.testing.assert_allclose(out[0], (0.0, 1.0), atol=1e-12)
+        coords = walker_frame(0.6)
+        base = unify(coords)
+        for angle in (1.5, -1.5):
+            turned = rotate_about(coords, neck_of(coords), angle)
+            np.testing.assert_allclose(unify(turned), base, atol=1e-9 * 225)
 
     def test_neck_fixed_point(self):
         coords = walker_frame() + np.array([3.0, 4.0])
-        vj = hot.VirtualJoints(neck=(3.0, 4.0), hip=(5.0, 40.0))
         for theta in (0.2, 0.5, -1.0):
-            out = hot.affine_transform(coords, vj, theta, phi=0.1)
-            row = np.where((coords == (3.0, 4.0)).all(axis=1))[0]
-            if row.size:
-                np.testing.assert_array_equal(out[row[0]], (3.0, 4.0))
+            out = unify(rotate_about(coords, np.array([3.0, 4.0]), theta))
+            np.testing.assert_array_equal(neck_of(out), (0.0, 0.0))
 
     def test_spine_vertical_after_transform(self, rng):
         for _ in range(20):
             coords = walker_frame(rng.uniform(0, 6))
-            angle = rng.uniform(-1.2, 1.2)
-            vj0 = hot.compute_virtual_joints(coords)
-            slanted = rotate_about(coords, np.array(vj0.neck), angle)
-            vj = hot.compute_virtual_joints(slanted)
-            theta = hot.compute_rotation_angle(vj)
-            out = hot.affine_transform(slanted, vj, theta, phi=0.0)
-            vj_out = hot.compute_virtual_joints(out)
-            spine = math.hypot(vj_out.neck[0] - vj_out.hip[0],
-                               vj_out.neck[1] - vj_out.hip[1])
-            assert abs(vj_out.neck[0] - vj_out.hip[0]) <= 1e-9 * spine
+            slanted = rotate_about(coords, neck_of(coords),
+                                   rng.uniform(-1.2, 1.2))
+            out = unify(slanted, hot.HotConfig(phi=0.0))
+            hip = (out[11] + out[12]) / 2.0
+            spine = math.hypot(*(neck_of(out) - hip))
+            assert abs(neck_of(out)[0] - hip[0]) <= 1e-9 * spine
 
 
 class TestRescaleAlign:
@@ -104,41 +141,48 @@ class TestRescaleAlign:
         coords = np.zeros((17, 2))
         coords[:, 1] = np.linspace(50, 100, 17)
         coords[0] = (10.0, 50.0)
-        out = hot.body_rescale(coords, h_unif=225.0, epsilon_extent=1e-4)
-        np.testing.assert_allclose(out[0], (45.0, 225.0))
+        neck_y = (coords[5, 1] + coords[6, 1]) / 2.0
+        out = unify(coords, UPRIGHT)
+        np.testing.assert_allclose(out[0], (45.0, 4.5 * (50.0 - neck_y)),
+                                   atol=1e-12 * 225)
 
     def test_extent_change(self):
-        coords = walker_frame()
-        out = hot.body_rescale(coords, 225.0, 1e-4)
+        out = unify(walker_frame())
         extent = out[:, 1].max() - out[:, 1].min()
         assert abs(extent - 225.0) <= 1e-9 * 225.0
 
     def test_already_at_target(self):
         coords = walker_frame()
-        scaled = coords * (225.0 / (coords[:, 1].max() - coords[:, 1].min()))
-        out = hot.body_rescale(scaled, 225.0, 1e-4)
-        np.testing.assert_allclose(out, scaled, rtol=1e-12)
+        scaled = coords * scale_of(coords)
+        np.testing.assert_allclose(unify(scaled, UPRIGHT),
+                                   scaled - neck_of(scaled), rtol=1e-12,
+                                   atol=1e-12 * 225)
 
     def test_zero_extent(self):
         coords = np.zeros((17, 2))
         coords[:, 1] = 7.0
-        with pytest.raises(DegenerateFrameError):
-            hot.body_rescale(coords, 225.0, 1e-4)
+        _frames, kept = hot.unify_frames(np.stack([walker_frame(), coords]),
+                                         hot.HotConfig())
+        assert kept == [0]
 
     def test_align_neck_to_origin(self):
-        out = hot.body_align(np.array([[45.0, 225.0]] * 17), np.array([45.0, 225.0]))
-        np.testing.assert_array_equal(out, np.zeros((17, 2)))
+        coords = np.tile([45.0, 225.0], (17, 1))
+        coords[0, 1] = 0.0
+        out = unify(coords, UPRIGHT)
+        np.testing.assert_array_equal(out[1:], np.zeros((16, 2)))
 
     def test_align_subtraction(self):
-        coords = np.tile([13.0, 14.0], (17, 1))
-        out = hot.body_align(coords, np.array([10.0, 10.0]))
-        np.testing.assert_array_equal(out, np.tile([3.0, 4.0], (17, 1)))
+        # the translation is the average of the two per-shoulder
+        # differences, taken after the rescale
+        coords = walker_frame(0.3) + np.array([13.0, 14.0])
+        scaled = coords * scale_of(coords)
+        expect = 0.5 * (scaled - scaled[5]) + 0.5 * (scaled - scaled[6])
+        np.testing.assert_array_equal(unify(coords, UPRIGHT), expect)
 
     def test_align_translation_cancels(self):
         coords = walker_frame()
-        a = hot.unify_frame(coords, hot.HotConfig())
-        b = hot.unify_frame(coords + 100.0, hot.HotConfig())
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        np.testing.assert_allclose(unify(coords), unify(coords + 100.0),
+                                   atol=1e-10)
 
 
 class TestApplyHot:
@@ -155,26 +199,17 @@ class TestApplyHot:
                                        rtol=1e-9, atol=1e-9 * 225)
 
     def test_slant_recovery(self):
-        cfg = hot.HotConfig()
         coords = walker_frame(1.3)
-        base = hot.unify_frame(coords, cfg)
-        neck = np.array(hot.compute_virtual_joints(coords).neck)
-        rotated = rotate_about(coords, neck, 0.3)
-        recovered = hot.unify_frame(rotated, cfg)
-        np.testing.assert_allclose(recovered, base, atol=1e-6)
+        rotated = rotate_about(coords, neck_of(coords), 0.3)
+        np.testing.assert_allclose(unify(rotated), unify(coords), atol=1e-6)
 
     def test_threshold_continuity(self):
         # below phi the affine stage must change nothing: compare the
-        # pipeline against one with the affine forcibly disabled
-        cfg = hot.HotConfig(phi=0.1)
+        # pipeline against one that never rotates
         coords = walker_frame(0.8)
-        neck = np.array(hot.compute_virtual_joints(coords).neck)
-        slanted = rotate_about(coords, neck, 0.05)
-
-        with_affine = hot.unify_frame(slanted, cfg)
-        no_affine = hot.body_align(
-            hot.body_rescale(slanted, cfg.h_unif, cfg.epsilon_extent))
-        np.testing.assert_array_equal(with_affine, no_affine)
+        slanted = rotate_about(coords, neck_of(coords), 0.05)
+        np.testing.assert_array_equal(unify(slanted, hot.HotConfig(phi=0.1)),
+                                      unify(slanted, UPRIGHT))
 
     def test_middle_frame_degenerate(self):
         good = walker_frame(0.4)
@@ -210,3 +245,44 @@ class TestApplyHot:
         loaded = hot.load_unified(path)[0]
         np.testing.assert_array_equal(loaded.frames, u.frames)
         assert loaded.kept_frame_indices == u.kept_frame_indices
+
+
+def degenerate_frames():
+    """One frame per degenerate-frame rule, each next to a good one."""
+    good = walker_frame(0.2)
+    nan = good.copy()
+    nan[3, 0] = np.nan
+    inf = good.copy()
+    inf[16, 1] = np.inf
+    horizontal = shoulders_hips((0.0, 5.0), (30.0, 5.0))
+    flat = good.copy()
+    flat[:, 1] = 7.0
+    coincident = shoulders_hips((15.0, 40.0), (15.0, 40.0))
+    slight = rotate_about(good, neck_of(good), 0.07)
+    return [good, nan, inf, horizontal, flat, coincident, slight]
+
+
+def random_frames(rng, n):
+    """Walker poses under random noise, slant, scale and translation."""
+    frames = []
+    for _ in range(n):
+        coords = walker_frame(rng.uniform(0, 2 * math.pi))
+        coords = coords + rng.normal(0.0, 3.0, size=coords.shape)
+        coords = rotate_about(coords, neck_of(coords), rng.uniform(-1.4, 1.4))
+        frames.append(coords * rng.uniform(0.1, 10.0)
+                      + rng.uniform(-1000.0, 1000.0, size=2))
+    return frames
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.1])
+def test_matches_scalar_oracle(rng, phi):
+    cfg = hot.HotConfig(phi=phi)
+    frames = random_frames(rng, 1000) + degenerate_frames()
+    out, kept = hot.unify_frames(np.stack(frames), cfg)
+    expect, expect_kept = ref.ref_hot(frames, cfg.h_unif, cfg.phi,
+                                      cfg.epsilon_extent)
+    assert kept == expect_kept
+    # good, coincident and slight slant kept; the other four dropped
+    assert kept[-4:] == [999, 1000, 1005, 1006]
+    np.testing.assert_allclose(out, np.stack(expect), rtol=0,
+                               atol=1e-9 * cfg.h_unif)

@@ -45,6 +45,27 @@ class TestLoadSequences:
         assert exc.value.line_no == 1
         assert "16" in str(exc.value)
 
+    @pytest.mark.parametrize("frames, message", [
+        ([[[0.0, 0.0, 1.0]] * 16 + [["abc", 0.0, 1.0]]],
+         "keypoint value 'abc' is not a number"),
+        (5, "frames is int, expected a list of frames"),
+        ([[[0.0, 0.0, 1.0]] * 16 + [[None, 0.0, 1.0]]],
+         "keypoint value None is not a number"),
+        ([[[0.0, 0.0, 1.0]] * 16 + [[0.0, 1.0]]],
+         "keypoint has 2 fields, expected 3"),
+    ])
+    def test_malformed_record_names_line(self, tmp_path, frames, message):
+        s1 = sequence_from_coords([walker_frame(0.1)], seq_id="a")
+        path = _write_seq_file(tmp_path, "a.jsonl", [s1, s1])
+        good, _ = path.read_text().splitlines()
+        rec = json.loads(good)
+        rec["frames"] = frames
+        path.write_text(good + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(RecordError) as exc:
+            pose_io.load_sequence_file(path)
+        assert exc.value.line_no == 2
+        assert str(exc.value) == f"{path}:2: {message}"
+
     def test_empty_manifest(self, tmp_path):
         mpath = _manifest(tmp_path, [])
         assert pose_io.load_sequences(pose_io.load_manifest(mpath)) == []
@@ -72,7 +93,8 @@ class TestConvert18:
 
     def test_constant_frame(self):
         out = pose_io.convert_alphapose18_to_coco17([(0.0, 0.0, 1.0)] * 18)
-        assert all(k.x == 0.0 and k.y == 0.0 for k in out.keypoints)
+        assert out.shape == (17, 3)
+        assert (out[:, :2] == 0.0).all()
 
     def test_mapping_table(self):
         # marker value i identifies source joint i; check each COCO slot
@@ -80,8 +102,10 @@ class TestConvert18:
         frame = self._frame18(float)
         out = pose_io.convert_alphapose18_to_coco17(frame)
         expected_sources = [0, 15, 14, 17, 16, 5, 2, 6, 3, 7, 4, 11, 8, 12, 9, 13, 10]
-        got = [int(k.x) for k in out.keypoints]
-        assert got == expected_sources
+        assert out[:, 0].astype(int).tolist() == expected_sources
+        # a stack of frames converts frame by frame
+        both = pose_io.convert_alphapose18_to_coco17([frame, frame])
+        np.testing.assert_array_equal(both, np.stack([out, out]))
 
     def test_wrong_length(self):
         with pytest.raises(DataError, match="18"):
@@ -93,7 +117,7 @@ class TestConvert18:
     @settings(max_examples=50, deadline=None)
     def test_permutation_plus_drop(self, triples):
         out = pose_io.convert_alphapose18_to_coco17(triples)
-        got = sorted((k.x, k.y, k.confidence) for k in out.keypoints)
+        got = sorted(tuple(k) for k in out.tolist())
         # neck is source index 1
         expect = sorted(t for i, t in enumerate(triples) if i != 1)
         assert got == expect
@@ -120,5 +144,5 @@ class TestValidate:
 
 
 def test_frame_requires_17():
-    with pytest.raises(DataError):
-        pose_io.PoseFrame(tuple(pose_io.Keypoint(0, 0, 1) for _ in range(16)))
+    with pytest.raises(DataError, match="17"):
+        pose_io.PoseSequence("s", "subj", "NM", "000", np.zeros((1, 16, 3)))

@@ -12,8 +12,7 @@ class TestGenerateSequence:
         seq = synth.generate_sequence(ident, synth.CameraSpec(), 12, seed=4)
         assert seq.num_frames == 12
         # spine exactly vertical in every frame
-        for frame in seq.frames:
-            coords = frame.coords()
+        for coords in seq.coords():
             neck_x = (coords[5, 0] + coords[6, 0]) / 2.0
             hip_x = (coords[11, 0] + coords[12, 0]) / 2.0
             assert neck_x == pytest.approx(hip_x, abs=1e-12)
