@@ -36,15 +36,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
-        self.name = name
 
     @property
     def shape(self):
@@ -55,14 +54,10 @@ class Tensor:
         return self.data.ndim
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None

@@ -146,6 +146,7 @@ def cmd_train(args) -> int:
 
     model = None
     state = None
+    sampler_state = None
     start = 0
     if args.resume:
         config, tensors = ckpt.load_container(args.resume)
@@ -153,12 +154,13 @@ def cmd_train(args) -> int:
         net_cfg = NetworkConfig.from_dict(config["network"])
         model = init_model(net_cfg, seed=train_cfg.seed)
         state = restore_training_state(model, tensors)
+        sampler_state = config.get("sampler_state")
         start = state.step
     echo = run_cfg.echo()
     echo["manifest"] = os.path.abspath(args.manifest)
     _model, final = train_loop(train_set, net_cfg, train_cfg, args.out,
                                run_config=echo, model=model, state=state,
-                               start_iteration=start,
+                               start_iteration=start, sampler_state=sampler_state,
                                log_fn=print if args.verbose else None)
     print(f"checkpoint: {final}")
     return 0

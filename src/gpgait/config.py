@@ -21,7 +21,6 @@ from .train import TrainConfig
 class RunConfig:
     preset: str = "casiab"
     seed: int = 0
-    threads: int = 1
     use_hot: bool = True
     normalization: str = "hot"
     h_unif: float = 225.0
@@ -128,7 +127,7 @@ PRESETS = {
 
 _TUPLE_KEYS = {"branches", "parts5_channels", "larger_schemes", "phase_fractions"}
 _INT_KEYS = {
-    "seed", "threads", "larger_channels", "embed_dim", "temporal_kernel",
+    "seed", "larger_channels", "embed_dim", "temporal_kernel",
     "subjects_per_batch", "samples_per_subject", "sequence_length",
     "iterations", "log_interval", "checkpoint_interval",
 }

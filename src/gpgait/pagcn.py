@@ -22,6 +22,7 @@ into the final embedding.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,65 +147,48 @@ class ModelParams:
     adjacency: np.ndarray         # (K_v, V, V) fixed subsets
     masks: dict = field(default_factory=dict)
 
-    def named_parameters(self):
-        """Ordered name -> Tensor mapping of every trainable tensor."""
-        out = {}
+    def named_tensors(self) -> dict:
+        """Ordered name -> tensor table of the model's state.
+
+        Every trainable parameter comes first as a live ``Tensor``, then
+        every running statistic as a live ``ndarray`` (updated in place),
+        in checkpoint directory order. This is the one walk over the
+        model's structure; parameter lists, checkpoint I/O and the
+        no-grad view are all derived from it.
+        """
+        entries = []
+
+        def bn(prefix, b):
+            entries.extend(((f"{prefix}/gamma", b.gamma), (f"{prefix}/beta", b.beta),
+                            (f"{prefix}/mean", b.running_mean),
+                            (f"{prefix}/var", b.running_var)))
+
         for bname in self.config.branches:
             for j, blk in enumerate(self.branches[bname]):
                 prefix = f"branch/{bname}/block{j}"
                 for k, sub in enumerate(blk.subsets):
-                    out[f"{prefix}/k{k}/weight"] = sub.weight
-                    out[f"{prefix}/k{k}/adj"] = sub.learned_adj
+                    entries.append((f"{prefix}/k{k}/weight", sub.weight))
+                    entries.append((f"{prefix}/k{k}/adj", sub.learned_adj))
                     if sub.attn_a is not None:
-                        out[f"{prefix}/k{k}/attn_a"] = sub.attn_a
-                        out[f"{prefix}/k{k}/attn_b"] = sub.attn_b
-                out[f"{prefix}/tkernel"] = blk.temporal_kernel
-                out[f"{prefix}/bn1/gamma"] = blk.bn1.gamma
-                out[f"{prefix}/bn1/beta"] = blk.bn1.beta
-                out[f"{prefix}/bn2/gamma"] = blk.bn2.gamma
-                out[f"{prefix}/bn2/beta"] = blk.bn2.beta
+                        entries.append((f"{prefix}/k{k}/attn_a", sub.attn_a))
+                        entries.append((f"{prefix}/k{k}/attn_b", sub.attn_b))
+                entries.append((f"{prefix}/tkernel", blk.temporal_kernel))
+                bn(f"{prefix}/bn1", blk.bn1)
+                bn(f"{prefix}/bn2", blk.bn2)
         for i, head in enumerate(self.heads):
             prefix = f"head/{i:02d}"
-            out[f"{prefix}/fc_w"] = head.fc_w
-            out[f"{prefix}/fc_b"] = head.fc_b
-            out[f"{prefix}/bnn/gamma"] = head.bnn.gamma
-            out[f"{prefix}/bnn/beta"] = head.bnn.beta
-            out[f"{prefix}/cls_w"] = head.cls_w
-        return out
+            entries.append((f"{prefix}/fc_w", head.fc_w))
+            entries.append((f"{prefix}/fc_b", head.fc_b))
+            bn(f"{prefix}/bnn", head.bnn)
+            entries.append((f"{prefix}/cls_w", head.cls_w))
+        params = [e for e in entries if isinstance(e[1], Tensor)]
+        buffers = [e for e in entries if not isinstance(e[1], Tensor)]
+        return dict(params + buffers)
 
-    def named_buffers(self):
-        """Ordered name -> ndarray mapping of running statistics."""
-        out = {}
-        for bname in self.config.branches:
-            for j, blk in enumerate(self.branches[bname]):
-                prefix = f"branch/{bname}/block{j}"
-                out[f"{prefix}/bn1/mean"] = blk.bn1.running_mean
-                out[f"{prefix}/bn1/var"] = blk.bn1.running_var
-                out[f"{prefix}/bn2/mean"] = blk.bn2.running_mean
-                out[f"{prefix}/bn2/var"] = blk.bn2.running_var
-        for i, head in enumerate(self.heads):
-            out[f"head/{i:02d}/bnn/mean"] = head.bnn.running_mean
-            out[f"head/{i:02d}/bnn/var"] = head.bnn.running_var
-        return out
-
-    def set_buffer(self, name: str, value: np.ndarray):
-        holders = self._buffer_holders()
-        holder, attr = holders[name]
-        setattr(holder, attr, value)
-
-    def _buffer_holders(self):
-        holders = {}
-        for bname in self.config.branches:
-            for j, blk in enumerate(self.branches[bname]):
-                prefix = f"branch/{bname}/block{j}"
-                holders[f"{prefix}/bn1/mean"] = (blk.bn1, "running_mean")
-                holders[f"{prefix}/bn1/var"] = (blk.bn1, "running_var")
-                holders[f"{prefix}/bn2/mean"] = (blk.bn2, "running_mean")
-                holders[f"{prefix}/bn2/var"] = (blk.bn2, "running_var")
-        for i, head in enumerate(self.heads):
-            holders[f"head/{i:02d}/bnn/mean"] = (head.bnn, "running_mean")
-            holders[f"head/{i:02d}/bnn/var"] = (head.bnn, "running_var")
-        return holders
+    def named_parameters(self) -> dict:
+        """Ordered name -> Tensor mapping of every trainable tensor."""
+        return {name: t for name, t in self.named_tensors().items()
+                if isinstance(t, Tensor)}
 
 
 def _attn_dim(c_in: int) -> int:
@@ -285,13 +269,13 @@ def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
         masks[name] = build_partition_mask(PartitionScheme(name, groups))
     if not cfg.use_masks:
         masks = {name: np.ones_like(m) for name, m in masks.items()}
-    # distinct-parameter construction contract: no tensor object shared
-    seen = set()
+    # distinct-tensor construction contract: no tensor object shared
     model = ModelParams(config=cfg, branches=branches, heads=heads,
                         adjacency=build_adjacency_subsets(), masks=masks)
-    for name, t in model.named_parameters().items():
+    seen = set()
+    for name, t in model.named_tensors().items():
         if id(t) in seen:
-            raise ConfigError(f"parameter {name} aliases another tensor")
+            raise ConfigError(f"tensor {name} aliases another tensor")
         seen.add(id(t))
     return model
 
@@ -358,11 +342,10 @@ def batch_norm(x: Tensor, bn: BatchNormParams, axes: tuple, training: bool,
         centered = x - mu
         var = centered.square().mean(axis=axes, keepdims=True)
         xhat = centered / (var + BN_EPS).sqrt()
-        if update_stats:
-            bn.running_mean = (BN_MOMENTUM * bn.running_mean
-                               + (1.0 - BN_MOMENTUM) * mu.data.reshape(-1))
-            bn.running_var = (BN_MOMENTUM * bn.running_var
-                              + (1.0 - BN_MOMENTUM) * var.data.reshape(-1))
+        if update_stats:  # in place, so the state table's references stay live
+            for stat, batch_stat in ((bn.running_mean, mu), (bn.running_var, var)):
+                stat *= BN_MOMENTUM
+                stat += (1.0 - BN_MOMENTUM) * batch_stat.data.reshape(-1)
     else:
         xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     return xhat * bn.gamma + bn.beta
@@ -503,33 +486,11 @@ def detached_view(model: ModelParams) -> ModelParams:
     inference cheap. Running statistics are shared (do not update them
     through a view).
     """
-    def dt(t: Tensor) -> Tensor:
-        return Tensor(t.data)
-
-    def dbn(bn: BatchNormParams) -> BatchNormParams:
-        return BatchNormParams(dt(bn.gamma), dt(bn.beta),
-                               bn.running_mean, bn.running_var)
-
-    branches = {}
-    for bname, blocks in model.branches.items():
-        branches[bname] = [
-            BlockParams(
-                subsets=[SubsetParams(
-                    weight=dt(s.weight), learned_adj=dt(s.learned_adj),
-                    attn_a=None if s.attn_a is None else dt(s.attn_a),
-                    attn_b=None if s.attn_b is None else dt(s.attn_b),
-                ) for s in blk.subsets],
-                temporal_kernel=dt(blk.temporal_kernel),
-                bn1=dbn(blk.bn1), bn2=dbn(blk.bn2),
-                mask_name=blk.mask_name,
-                in_channels=blk.in_channels, out_channels=blk.out_channels,
-            )
-            for blk in blocks
-        ]
-    heads = [HeadParams(fc_w=dt(h.fc_w), fc_b=dt(h.fc_b), bnn=dbn(h.bnn),
-                        cls_w=dt(h.cls_w)) for h in model.heads]
-    return ModelParams(config=model.config, branches=branches, heads=heads,
-                       adjacency=model.adjacency, masks=model.masks)
+    memo = {id(t): Tensor(t.data) if isinstance(t, Tensor) else t
+            for t in model.named_tensors().values()}
+    for shared in (model.config, model.adjacency, model.masks):
+        memo[id(shared)] = shared
+    return copy.deepcopy(model, memo)
 
 
 def with_masks(model: ModelParams, mask_override: dict) -> ModelParams:
@@ -543,31 +504,25 @@ def with_masks(model: ModelParams, mask_override: dict) -> ModelParams:
 
 
 def model_tensors(model: ModelParams) -> dict:
-    """Parameters then buffers, in their canonical directory order."""
-    out = dict(model.named_parameters().items())
-    for name, arr in model.named_buffers().items():
-        out[name] = arr
+    """Parameters then buffers as arrays, in canonical directory order.
+
+    The arrays are the model's own: copy them to keep a snapshot.
+    """
     return {name: (t.data if isinstance(t, Tensor) else t)
-            for name, t in out.items()}
+            for name, t in model.named_tensors().items()}
 
 
 def load_model_tensors(model: ModelParams, tensors: dict):
     """Copy checkpoint arrays into the model, validating shapes."""
-    params = model.named_parameters()
-    buffers = model.named_buffers()
-    for name, t in params.items():
+    for name, t in model.named_tensors().items():
         if name not in tensors:
             raise DataError(f"checkpoint missing tensor {name}")
         arr = tensors[name]
-        if tuple(arr.shape) != tuple(t.data.shape):
+        current = t.data if isinstance(t, Tensor) else t
+        if tuple(arr.shape) != tuple(current.shape):
             raise DataError(
-                f"tensor {name}: checkpoint shape {arr.shape} != model {t.data.shape}")
-        t.data = arr.astype(np.float64, copy=True)
-    for name in buffers:
-        if name not in tensors:
-            raise DataError(f"checkpoint missing tensor {name}")
-        arr = tensors[name]
-        if tuple(arr.shape) != tuple(buffers[name].shape):
-            raise DataError(
-                f"tensor {name}: checkpoint shape {arr.shape} != model shape")
-        model.set_buffer(name, arr.astype(np.float64, copy=True))
+                f"tensor {name}: checkpoint shape {arr.shape} != model {current.shape}")
+        if isinstance(t, Tensor):
+            t.data = arr.astype(np.float64, copy=True)
+        else:
+            t[...] = arr

@@ -254,7 +254,8 @@ def convert_alphapose18_to_coco17(frames18) -> np.ndarray:
 def validate_sequence(seq: PoseSequence, min_frames: int = 1,
                       min_extent: float = 1e-6) -> ValidationReport:
     """Report-only checks: non-finite coordinates, degenerate vertical
-    extent, and sequences shorter than min_frames."""
+    extent, confidences outside [0, 1] (or non-finite), and sequences
+    shorter than min_frames."""
     report = ValidationReport(seq_id=seq.seq_id)
     if seq.num_frames < min_frames:
         report.issues.append(ValidationIssue(
@@ -263,11 +264,17 @@ def validate_sequence(seq: PoseSequence, min_frames: int = 1,
     finite = np.isfinite(coords).all(axis=(1, 2))
     y = np.where(finite[:, None], coords[..., 1], 0.0)
     extent = y.max(axis=1) - y.min(axis=1)
-    for i in np.flatnonzero(~finite | (extent < min_extent)):
+    conf = seq.frames[..., 2]
+    bad_conf = (~((conf >= 0.0) & (conf <= 1.0))).sum(axis=1)  # NaN fails both
+    for i in np.flatnonzero(~finite | (extent < min_extent) | (bad_conf > 0)):
         if not finite[i]:
             report.issues.append(ValidationIssue(int(i), "non_finite"))
-        else:
+        elif extent[i] < min_extent:
             report.issues.append(ValidationIssue(
                 int(i), "degenerate_extent",
                 f"extent {extent[i]:g} < {min_extent:g}"))
+        if bad_conf[i]:
+            report.issues.append(ValidationIssue(
+                int(i), "confidence_range",
+                f"{bad_conf[i]} of {NUM_KEYPOINTS} confidences not in [0, 1]"))
     return report

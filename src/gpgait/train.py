@@ -353,9 +353,14 @@ def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
 def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                train_cfg: TrainConfig, out_dir, run_config: dict = None,
                model: ModelParams = None, state: OptimizerState = None,
-               start_iteration: int = 0, log_fn=None):
+               start_iteration: int = 0, log_fn=None, sampler_state: dict = None):
     """Full optimization: sample -> augment -> forward -> loss ->
     backward -> adam, with periodic checkpoints and a metrics log.
+
+    The batch sampler starts from ``seed + 1`` unless ``sampler_state``
+    (a bit-generator state, as every checkpoint header stores it under
+    ``sampler_state``) is given, so a resumed run draws the batches an
+    uninterrupted run would draw.
 
     Returns (model, final checkpoint path). Reproducible bit-for-bit
     under a fixed seed in single-threaded mode.
@@ -368,9 +373,18 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
     if state is None:
         state = OptimizerState()
     rng = np.random.default_rng(train_cfg.seed + 1)
+    if sampler_state is not None:
+        try:
+            rng.bit_generator.state = sampler_state
+        except (TypeError, ValueError, KeyError) as e:
+            raise DataError(f"malformed sampler_state in checkpoint: {e}") from e
     run_config = dict(run_config or {})
     run_config["network"] = net_cfg.to_dict()
     run_config["train"] = train_cfg.to_dict()
+
+    def save(path):
+        header = dict(run_config, sampler_state=rng.bit_generator.state)
+        ckpt.save_container(path, header, training_tensors(model, state))
 
     def augment(frames):
         frames = augment_flip(frames, train_cfg.flip_probability, rng)
@@ -416,8 +430,7 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                     and (it + 1) % train_cfg.checkpoint_interval == 0
                     and it + 1 < train_cfg.iterations):
                 path = os.path.join(out_dir, f"ckpt_{it + 1:06d}.gpgw")
-                ckpt.save_container(path, run_config,
-                                    training_tensors(model, state))
+                save(path)
                 last_good = path
-    ckpt.save_container(final_path, run_config, training_tensors(model, state))
+    save(final_path)
     return model, final_path

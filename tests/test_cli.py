@@ -6,6 +6,7 @@ import pytest
 
 from gpgait import eval as eval_mod
 from gpgait import pose_io
+from gpgait import train as tr
 from gpgait.checkpoint import load_container
 from gpgait.cli import main
 from gpgait.config import build_run_config, parse_config_file
@@ -116,6 +117,18 @@ class TestPreprocess:
         assert "s\tdropped_frames\t[2]\n" in report
         assert "s\tframe 2\tnon_finite" in report
 
+    def test_confidence_out_of_range_reported(self, tmp_path):
+        rec = walker_record("s", frames=4)
+        rec["frames"][1][5][2] = 2.0
+        manifest = write_dataset(tmp_path / "d", [rec])
+        rc = main(["preprocess", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "pp")])
+        assert rc == 0
+        report = (tmp_path / "pp" / "report.txt").read_text()
+        assert ("s\tframe 1\tconfidence_range\t1 of 17 confidences not in "
+                "[0, 1]\n") in report
+        assert "dropped_frames" not in report  # report-only: frame is kept
+
     def test_all_degenerate_sequence_exits_3(self, tmp_path):
         flat = np.zeros((3, 17, 2))
         degenerate = pose_io.sequence_to_record(
@@ -159,6 +172,60 @@ class TestTrain:
         rc = main(["train", "--manifest", str(toy_data),
                    "--out", str(tmp_path / "x"), "--config", str(bad)])
         assert rc == 2
+
+    def test_run_threads_key_rejected(self, toy_data, tmp_path, capsys):
+        # worker threads come only from --threads / GPGAIT_THREADS
+        bad = tmp_path / "threads.cfg"
+        bad.write_text("run.threads = 4\n")
+        with pytest.raises(ConfigError, match="'run.threads'"):
+            parse_config_file(bad)
+        rc = main(["train", "--manifest", str(toy_data),
+                   "--out", str(tmp_path / "x"), "--config", str(bad)])
+        assert rc == 2
+        assert "'run.threads'" in capsys.readouterr().err
+
+    def test_resume_replays_batch_stream(self, toy_data, toy_checkpoint,
+                                         tmp_path, monkeypatch):
+        """Train 6 with a checkpoint at 4, then resume that checkpoint to
+        6: iterations 4-5 draw the same batches and learning rates."""
+        _, tiny = toy_checkpoint
+        cfgfile = tmp_path / "resume.cfg"
+        cfgfile.write_text(tiny.read_text().replace(
+            "train.iterations = 4", "train.iterations = 6").replace(
+            "train.checkpoint_interval = 0", "train.checkpoint_interval = 4")
+            + "train.log_interval = 1\n")
+        draws = []
+        sample = tr.sample_batch
+
+        def recording_sample(*args, **kwargs):
+            batch, labels = sample(*args, **kwargs)
+            draws.append((batch, labels))
+            return batch, labels
+
+        monkeypatch.setattr(tr, "sample_batch", recording_sample)
+        full = tmp_path / "full"
+        assert main(["train", "--manifest", str(toy_data), "--out", str(full),
+                     "--config", str(cfgfile), "--seed", "7"]) == 0
+        assert len(draws) == 6
+        uninterrupted = draws[4:]
+        draws.clear()
+        resumed = tmp_path / "resumed"
+        assert main(["train", "--manifest", str(toy_data), "--out", str(resumed),
+                     "--config", str(cfgfile), "--seed", "7",
+                     "--resume", str(full / "ckpt_000004.gpgw")]) == 0
+        assert len(draws) == 2
+        for (batch_a, labels_a), (batch_b, labels_b) in zip(uninterrupted, draws):
+            np.testing.assert_array_equal(labels_a, labels_b)
+            assert sorted(batch_a) == sorted(batch_b)
+            for key in batch_a:
+                np.testing.assert_array_equal(batch_a[key], batch_b[key])
+
+        def lr_lines(run):
+            lines = (run / "metrics.log").read_text().splitlines()
+            return [ln.split("\t")[:4] for ln in lines[-2:]]
+
+        assert lr_lines(full) == lr_lines(resumed)
+        assert lr_lines(resumed)[0][:2] == ["iter", "4"]
 
     def test_bit_identical_reruns(self, toy_data, toy_checkpoint, tmp_path):
         _, cfgfile = toy_checkpoint

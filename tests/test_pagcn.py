@@ -469,6 +469,33 @@ class TestCheckpointGlue:
         with pytest.raises(DataError, match="head/00/fc_w"):
             load_model_tensors(other, tensors)
 
+    def test_running_stats_roundtrip_in_place(self, tmp_path, rng):
+        model = init_model(tiny_config(), seed=9)
+        inp = {"joint": rng.normal(size=(4, 3, 17, 2)),
+               "angle": rng.normal(size=(4, 3, 17, 1)),
+               "bone": rng.normal(size=(4, 3, 17, 2))}
+        network_forward(model, inp, training=True)
+        path = tmp_path / "m.gpgw"
+        save_container(path, {}, model_tensors(model))
+        _, tensors = load_container(path)
+        assert np.abs(tensors["head/00/bnn/mean"]).max() > 0
+        model2 = init_model(tiny_config(), seed=1)
+        before = model2.named_tensors()
+        load_model_tensors(model2, tensors)
+        after = model2.named_tensors()
+        assert all(after[name] is t for name, t in before.items())
+        for name, arr in model_tensors(model).items():
+            np.testing.assert_array_equal(model_tensors(model2)[name],
+                                          arr.astype(np.float32))
+
+    def test_missing_running_stat_names_tensor(self, tmp_path):
+        model = init_model(tiny_config(), seed=9)
+        tensors = model_tensors(model)
+        del tensors["head/00/bnn/var"]
+        with pytest.raises(DataError,
+                           match="checkpoint missing tensor head/00/bnn/var"):
+            load_model_tensors(init_model(tiny_config(), seed=0), tensors)
+
     def test_save_load_save_identical_bytes(self, tmp_path):
         model = init_model(tiny_config(), seed=9)
         p1, p2 = tmp_path / "a.gpgw", tmp_path / "b.gpgw"
@@ -485,6 +512,19 @@ class TestMaskOverride:
         assert twin.branches["joint"][0].subsets[0].weight is \
             model.branches["joint"][0].subsets[0].weight
         assert twin.masks["parts5"].all()
+
+    def test_detached_view_shares_state(self):
+        model = init_model(tiny_config(), seed=2)
+        view = detached_view(model)
+        table, view_table = model.named_tensors(), view.named_tensors()
+        assert list(view_table) == list(table)
+        for name, t in table.items():
+            v = view_table[name]
+            if isinstance(t, Tensor):
+                assert v is not t and v.data is t.data and not v.requires_grad
+            else:
+                assert v is t, name
+        assert view.masks is model.masks and view.adjacency is model.adjacency
 
     def test_detached_view_no_graph(self, rng):
         model = init_model(tiny_config(), seed=2)

@@ -142,6 +142,21 @@ class TestValidate:
         flagged = [i for i in report.issues if i.kind == "degenerate_extent"]
         assert len(flagged) == 1 and flagged[0].frame_index == 1
 
+    def test_confidence_out_of_range(self):
+        seq = sequence_from_coords([walker_frame(p / 10) for p in range(5)])
+        seq.frames[1, 3, 2] = 1.5
+        seq.frames[1, 8, 2] = -0.1
+        seq.frames[3, 0, 2] = np.nan
+        seq.frames[4, 16, 2] = np.inf
+        seq.frames[2, :, 2] = [0.0, 1.0] * 8 + [0.5]  # the bounds are valid
+        report = pose_io.validate_sequence(seq)
+        flagged = [(i.frame_index, i.detail) for i in report.issues
+                   if i.kind == "confidence_range"]
+        assert flagged == [(1, "2 of 17 confidences not in [0, 1]"),
+                           (3, "1 of 17 confidences not in [0, 1]"),
+                           (4, "1 of 17 confidences not in [0, 1]")]
+        assert [i.kind for i in report.issues] == ["confidence_range"] * 3
+
 
 def test_frame_requires_17():
     with pytest.raises(DataError, match="17"):

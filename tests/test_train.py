@@ -377,3 +377,56 @@ class TestTrainLoop:
                                   start_iteration=state.step)
         _, t2 = load_container(final2)
         assert int(t2["train/step"][0]) == 6
+
+    def test_malformed_sampler_state_is_data_error(self, tmp_path):
+        ts = build_train_set()
+        with pytest.raises(DataError, match="sampler_state"):
+            tr.train_loop(ts, tiny_net_cfg(ts.num_classes),
+                          tiny_train_cfg(iterations=1), tmp_path / "r",
+                          sampler_state={"bit_generator": "MT19937"})
+
+
+def _expected_directory():
+    """Checkpoint directory of a 2-branch (joint, angle) network with one
+    parts5 block of 4 channels, one global block of 4, embedding 4 and 3
+    classes, written out by hand: parameters, running statistics, Adam
+    moments per parameter, then the step counter."""
+    params, buffers = [], []
+    for branch, c_in in (("joint", 2), ("angle", 1)):
+        for j, cin in enumerate((c_in, 4)):
+            pre = f"branch/{branch}/block{j}"
+            for k in range(3):
+                params += [(f"{pre}/k{k}/weight", (cin, 4)),
+                           (f"{pre}/k{k}/adj", (17, 17)),
+                           (f"{pre}/k{k}/attn_a", (cin, 4)),
+                           (f"{pre}/k{k}/attn_b", (cin, 4))]
+            params += [(f"{pre}/tkernel", (3, 4)),
+                       (f"{pre}/bn1/gamma", (4,)), (f"{pre}/bn1/beta", (4,)),
+                       (f"{pre}/bn2/gamma", (4,)), (f"{pre}/bn2/beta", (4,))]
+            buffers += [(f"{pre}/bn1/mean", (4,)), (f"{pre}/bn1/var", (4,)),
+                        (f"{pre}/bn2/mean", (4,)), (f"{pre}/bn2/var", (4,))]
+    for i in range(12):
+        pre = f"head/{i:02d}"
+        params += [(f"{pre}/fc_w", (4, 4)), (f"{pre}/fc_b", (4,)),
+                   (f"{pre}/bnn/gamma", (4,)), (f"{pre}/bnn/beta", (4,)),
+                   (f"{pre}/cls_w", (4, 3))]
+        buffers += [(f"{pre}/bnn/mean", (4,)), (f"{pre}/bnn/var", (4,))]
+    optim = [(f"optim/{name}/{moment}", shape)
+             for name, shape in params for moment in ("m", "v")]
+    return params + buffers + optim + [("train/step", (1,))]
+
+
+def test_checkpoint_directory_is_pinned(tmp_path):
+    ts = build_train_set()
+    net_cfg = NetworkConfig(num_classes=ts.num_classes, branches=("joint", "angle"),
+                            parts5_channels=(4,), larger_schemes=("global",),
+                            larger_channels=4, embed_dim=4)
+    state = tr.OptimizerState()
+    model, final = tr.train_loop(ts, net_cfg, tiny_train_cfg(iterations=1),
+                                 tmp_path / "run", state=state)
+    got = [(name, arr.shape) for name, arr in tr.training_tensors(model, state).items()]
+    expected = _expected_directory()
+    assert len(expected) == 128 + 40 + 256 + 1
+    assert got == expected
+    _, tensors = load_container(final)
+    assert [(name, arr.shape) for name, arr in tensors.items()] == expected
