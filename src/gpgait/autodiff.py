@@ -63,15 +63,31 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        """Add an incoming gradient. A leaf (no ``_backward``) owns its
+        gradient array, so no two parameters ever share one; an
+        intermediate node borrows the first incoming array and adds
+        later ones out of place, so it never writes into an array that
+        another node may hold."""
+        if self._backward is None:
+            if self.grad is None:
+                self.grad = np.array(grad, dtype=np.float64)
+            else:
+                self.grad += grad
+        elif self.grad is None:
+            self.grad = grad
+        else:
+            self.grad = self.grad + grad
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this tensor (seed defaults to ones)."""
+        """Reverse-mode sweep from this tensor (seed defaults to ones).
+
+        Leaves keep their accumulated ``.grad``; an intermediate node's
+        ``.grad`` is released as soon as its backward closure has used
+        it, so the sweep holds only the gradients still to be consumed.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float64)
+        self.grad = np.array(grad, dtype=np.float64)
 
         # iterative topological sort; graphs get deep enough that
         # recursion would hit the interpreter limit
@@ -91,6 +107,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- binary ops -------------------------------------------------
 
@@ -169,7 +186,12 @@ class Tensor:
                 if a.requires_grad:
                     ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                     a._accumulate(_unbroadcast(ga, a.data.shape))
-                if b.requires_grad:
+                if b.requires_grad and b.data.ndim == 2:
+                    # one GEMM over all leading axes, not a per-matrix
+                    # product summed afterwards
+                    c_in, c_out = b.data.shape
+                    b._accumulate(a.data.reshape(-1, c_in).T @ g.reshape(-1, c_out))
+                elif b.requires_grad:
                     gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                     b._accumulate(_unbroadcast(gb, b.data.shape))
             out._backward = bwd
@@ -232,7 +254,7 @@ class Tensor:
             def bwd(g, a=self, axis=axis, keepdims=keepdims):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+                a._accumulate(np.broadcast_to(g, a.data.shape))
             out._backward = bwd
         return out
 
@@ -291,28 +313,19 @@ class Tensor:
 
     def take(self, indices, axis):
         """Gather along an axis; repeated indices scatter-add on the
-        way back."""
+        way back, unique ones are assigned."""
         indices = np.asarray(indices)
         out = _make(np.take(self.data, indices, axis=axis), (self,))
         if out.requires_grad:
-            def bwd(g, a=self, indices=indices, axis=axis):
+            repeats = np.unique(indices).size < indices.size
+            def bwd(g, a=self, indices=indices, axis=axis, repeats=repeats):
                 grad = np.zeros_like(a.data)
                 gm = np.moveaxis(grad, axis, 0)
-                np.add.at(gm, indices, np.moveaxis(g, axis, 0))
+                if repeats:
+                    np.add.at(gm, indices, np.moveaxis(g, axis, 0))
+                else:
+                    gm[indices] = np.moveaxis(g, axis, 0)
                 a._accumulate(grad)
-            out._backward = bwd
-        return out
-
-    def pad_axis(self, axis, before, after):
-        """Zero-pad along one axis."""
-        widths = [(0, 0)] * self.data.ndim
-        widths[axis] = (before, after)
-        out = _make(np.pad(self.data, widths), (self,))
-        if out.requires_grad:
-            def bwd(g, a=self, axis=axis, before=before):
-                sl = [slice(None)] * a.data.ndim
-                sl[axis] = slice(before, before + a.data.shape[axis])
-                a._accumulate(g[tuple(sl)])
             out._backward = bwd
         return out
 
@@ -379,3 +392,139 @@ def softmax(x: Tensor, axis=-1, mask=None) -> Tensor:
 
 def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data)
+
+
+# -- fused network ops ------------------------------------------------
+#
+# Each replaces a chain of generic nodes with one node whose backward is
+# written out, so the sweep allocates one gradient per input instead of
+# one per intermediate.
+
+
+def graph_conv(f_in: Tensor, adjacencies, weights) -> Tensor:
+    """Joint aggregation and channel mix, summed over K subsets:
+    ``out[..., u, :] = sum_k (sum_v A_k[v, u] * f_in[..., v, :]) @ W_k``.
+
+    ``f_in`` is (N, T, V, C_in); the K adjacencies are all (V, V) or all
+    (N, V, V) (one matrix per sequence); the K weights are (C_in, C_out).
+    Joints are aggregated by one batched product with the stacked
+    (V*K, V) adjacency, channels mixed by one GEMM with the stacked
+    (K*C_in, C_out) weights. Aggregating first keeps the widest buffer
+    at K*C_in channels, never K*C_out. An adjacency entry that is
+    exactly 0 adds exactly 0, so a block-diagonal adjacency keeps parts
+    isolated.
+    """
+    n, t, v, c_in = f_in.shape
+    k = len(weights)
+    c_out = weights[0].shape[1]
+    w = np.concatenate([wk.data for wk in weights], axis=0)
+    adj = np.stack([a.data for a in adjacencies], axis=-1)      # (.., V, V, K)
+    per_sequence = adj.ndim == 4
+    # stacked[.., u*K + k, v] = A_k[.., v, u]
+    stacked = np.moveaxis(adj, -3, -1).reshape(adj.shape[:-3] + (v * k, v))
+    if per_sequence:
+        stacked = stacked[:, None]                              # (N, 1, V*K, V)
+    # agg[n, t, u*K + k] = sum_v A_k[v, u] f[n, t, v]; the K rows of a
+    # joint are adjacent, so the reshape to the GEMM operand copies nothing
+    agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
+    out = _make((agg @ w).reshape(n, t, v, c_out),
+                (f_in, *adjacencies, *weights))
+    if out.requires_grad:
+        def bwd(g, f_in=f_in, adjacencies=tuple(adjacencies),
+                weights=tuple(weights), w=w, agg=agg, stacked=stacked):
+            g = g.reshape(-1, c_out)
+            if any(wk.requires_grad for wk in weights):
+                g_w = agg.T @ g
+                for i, wk in enumerate(weights):
+                    if wk.requires_grad:
+                        wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
+            g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
+            if f_in.requires_grad:
+                f_in._accumulate(np.matmul(np.swapaxes(stacked, -1, -2), g_agg))
+            if any(a.requires_grad for a in adjacencies):
+                g_stacked = np.matmul(g_agg, np.swapaxes(f_in.data, -1, -2))
+                g_stacked = g_stacked.sum(axis=1 if per_sequence else (0, 1))
+                g_adj = np.moveaxis(
+                    g_stacked.reshape(g_stacked.shape[:-2] + (v, k, v)), -1, -3)
+                for i, a in enumerate(adjacencies):
+                    if a.requires_grad:
+                        a._accumulate(g_adj[..., i])
+        out._backward = bwd
+    return out
+
+
+def _tap_windows(k: int, t: int):
+    """(tap, output frames, input frames) of each kernel tap of a
+    same-padded length-k convolution over t frames, centre tap first,
+    skipping taps that touch no frame: output frame f reads input frame
+    f + tap - k // 2."""
+    taps = []
+    for d in sorted(range(k), key=lambda d: abs(d - k // 2)):
+        s = d - k // 2
+        if abs(s) < t:
+            taps.append((d, slice(max(0, -s), t - max(0, s)),
+                         slice(max(0, s), t + min(0, s))))
+    return taps
+
+
+def temporal_conv(x: Tensor, kernel: Tensor) -> Tensor:
+    """Depthwise convolution along the frame axis of a (N, T, V, C)
+    input with a (k, C) kernel, stride 1, zero padding that preserves T
+    (works for T=1 and T < k)."""
+    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
+    data = x.data * kernel.data[centre]
+    for d, o, i in side_taps:
+        data[:, o] += x.data[:, i] * kernel.data[d]
+    out = _make(data, (x, kernel))
+    if out.requires_grad:
+        def bwd(g, x=x, kernel=kernel):
+            if x.requires_grad:
+                gx = g * kernel.data[centre]
+                for d, o, i in side_taps:
+                    gx[:, i] += g[:, o] * kernel.data[d]
+                x._accumulate(gx)
+            if kernel.requires_grad:
+                gk = np.zeros_like(kernel.data)
+                gk[centre] = np.einsum("ntvc,ntvc->c", g, x.data)
+                for d, o, i in side_taps:
+                    gk[d] = np.einsum("ntvc,ntvc->c", g[:, o], x.data[:, i])
+                kernel._accumulate(gk)
+        out._backward = bwd
+    return out
+
+
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
+                     eps: float):
+    """Training-mode batch norm over ``axes`` (channel = last axis):
+    ``(x - mean) / sqrt(var + eps) * gamma + beta`` with the batch's
+    biased statistics.
+
+    Returns (output, batch mean, batch variance); the statistics are
+    arrays shaped like ``gamma``.
+    """
+    inv_count = 1.0 / _axis_count(x.data.shape, axes)
+    mu = x.data.sum(axis=axes, keepdims=True) * inv_count
+    xhat = x.data - mu          # centred, then scaled in place below
+    var = (xhat * xhat).sum(axis=axes, keepdims=True) * inv_count
+    std = np.sqrt(var + eps)
+    xhat /= std
+    data = xhat * gamma.data
+    data += beta.data
+    out = _make(data, (x, gamma, beta))
+    if out.requires_grad:
+        def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, std=std):
+            g_sum = g.sum(axis=axes)
+            gx_sum = (g * xhat).sum(axis=axes)
+            if gamma.requires_grad:
+                gamma._accumulate(gx_sum)
+            if beta.requires_grad:
+                beta._accumulate(g_sum)
+            if x.requires_grad:
+                # gamma / std * (g - mean(g) - xhat * mean(g * xhat))
+                gx = xhat * (-gx_sum * inv_count)
+                gx += g
+                gx -= g_sum * inv_count
+                gx *= gamma.data / std
+                x._accumulate(gx)
+        out._backward = bwd
+    return out, mu.reshape(gamma.shape), var.reshape(gamma.shape)

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax
+from .autodiff import (Tensor, batch_norm_train, concat, graph_conv, softmax,
+                       temporal_conv)
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
 
@@ -302,31 +303,23 @@ def attention_adjacency(f_in: Tensor, attn_a: Tensor, attn_b: Tensor,
 
 def pagcn_spatial(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
                   mask: np.ndarray, with_attention: bool = None) -> Tensor:
-    """Masked graph aggregation followed by channel mixing, summed over
-    the adjacency subsets."""
+    """Masked graph aggregation and channel mixing, summed over the
+    adjacency subsets: the combined (fixed + learned + attention)
+    adjacency of each subset is masked, then one ``graph_conv`` node
+    mixes and aggregates all subsets."""
     if f_in.shape[-1] != block.in_channels:
         raise DataError(
             f"spatial conv expects {block.in_channels} channels, got {f_in.shape[-1]}")
     if with_attention is None:
         with_attention = block.subsets[0].attn_a is not None
-    n, t = f_in.shape[0], f_in.shape[1]
     mask_t = Tensor(mask)
-    out = None
+    combined = []
     for k, sub in enumerate(block.subsets):
-        combined = Tensor(adjacency[k]) + sub.learned_adj
+        adj = Tensor(adjacency[k]) + sub.learned_adj              # (V, V)
         if with_attention and sub.attn_a is not None:
-            attn = attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
-            combined = combined + attn            # (N, V, V)
-            combined = combined * mask_t
-            h = combined.reshape(n, 1, V, V)
-        else:
-            combined = combined * mask_t          # (V, V)
-            h = combined
-        # contract the joint axis: out[..., u, c] = sum_v f[..., v, c] h[v, u]
-        agg = (f_in.transpose((0, 1, 3, 2)) @ h).transpose((0, 1, 3, 2))
-        mixed = agg @ sub.weight
-        out = mixed if out is None else out + mixed
-    return out
+            adj = adj + attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
+        combined.append(adj * mask_t)                              # (N,) V, V
+    return graph_conv(f_in, combined, [sub.weight for sub in block.subsets])
 
 
 def batch_norm(x: Tensor, bn: BatchNormParams, axes: tuple, training: bool,
@@ -338,31 +331,14 @@ def batch_norm(x: Tensor, bn: BatchNormParams, axes: tuple, training: bool,
     running statistics.
     """
     if training:
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = centered.square().mean(axis=axes, keepdims=True)
-        xhat = centered / (var + BN_EPS).sqrt()
+        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta, axes, BN_EPS)
         if update_stats:  # in place, so the state table's references stay live
             for stat, batch_stat in ((bn.running_mean, mu), (bn.running_var, var)):
                 stat *= BN_MOMENTUM
-                stat += (1.0 - BN_MOMENTUM) * batch_stat.data.reshape(-1)
-    else:
-        xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
+                stat += (1.0 - BN_MOMENTUM) * batch_stat
+        return out
+    xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     return xhat * bn.gamma + bn.beta
-
-
-def temporal_conv(x: Tensor, kernel: Tensor) -> Tensor:
-    """Depthwise convolution along the frame axis, stride 1, zero
-    padding that preserves T (works for T=1)."""
-    k = kernel.shape[0]
-    t = x.shape[1]
-    pad = k // 2
-    xp = x.pad_axis(1, pad, pad)
-    out = None
-    for d in range(k):
-        sl = xp[:, d:d + t] * kernel[d]
-        out = sl if out is None else out + sl
-    return out
 
 
 def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,

@@ -340,11 +340,18 @@ def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
     from .pagcn import load_model_tensors
     load_model_tensors(model, tensors)
     state = OptimizerState()
-    for name in model.named_parameters():
+    for name, p in model.named_parameters().items():
         mk, vk = f"optim/{name}/m", f"optim/{name}/v"
-        if mk in tensors:
-            state.m[name] = tensors[mk].copy()
-            state.v[name] = tensors[vk].copy()
+        if mk not in tensors and vk not in tensors:
+            continue
+        for key in (mk, vk):
+            if key not in tensors:
+                raise DataError(f"checkpoint missing tensor {key}")
+            if tuple(tensors[key].shape) != p.data.shape:
+                raise DataError(f"tensor {key}: checkpoint shape "
+                                f"{tensors[key].shape} != model {p.data.shape}")
+        state.m[name] = tensors[mk].copy()
+        state.v[name] = tensors[vk].copy()
     if "train/step" in tensors:
         state.step = int(round(float(tensors["train/step"][0])))
     return state
@@ -432,5 +439,8 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                 path = os.path.join(out_dir, f"ckpt_{it + 1:06d}.gpgw")
                 save(path)
                 last_good = path
+            # release this iteration's graph before the next forward
+            # builds its own, so only one graph is alive at a time
+            del result, total, tri, ce
     save(final_path)
     return model, final_path

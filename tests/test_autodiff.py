@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gpgait.autodiff import Tensor, concat, softmax, stop_gradient
+from gpgait.autodiff import (Tensor, batch_norm_train, concat, graph_conv,
+                             softmax, stop_gradient, temporal_conv)
+from gpgait.graph import mask_set
 
 
 def finite_difference(fn, x0, h=1e-6):
@@ -24,6 +26,25 @@ def check_grad(build, x0, h=1e-6, tol=1e-6):
     err = np.abs(x.grad - num) / np.maximum(
         np.maximum(np.abs(x.grad), np.abs(num)), 1e-4)
     assert err.max() < tol, f"max rel grad error {err.max():.3e}"
+
+
+def check_grads(build, arrays, rng, h=1e-6, tol=1e-6):
+    """Central-difference check of every input of ``build``, which maps
+    a list of Tensors to one Tensor; the scalar checked is the output
+    weighted by a fixed random array."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(leaves)
+    weight = rng.normal(size=out.shape)
+    (out * Tensor(weight)).sum().backward()
+    for j, leaf in enumerate(leaves):
+        def value(a, j=j):
+            inputs = [Tensor(b) for b in arrays]
+            inputs[j] = Tensor(a)
+            return float((build(inputs).data * weight).sum())
+        num = finite_difference(value, arrays[j], h)
+        err = np.abs(leaf.grad - num) / np.maximum(
+            np.maximum(np.abs(leaf.grad), np.abs(num)), 1e-4)
+        assert err.max() < tol, f"input {j}: max rel grad error {err.max():.3e}"
 
 
 @pytest.fixture
@@ -102,11 +123,68 @@ class TestReductionsAndShape:
     def test_take_repeated_indices(self, x0):
         check_grad(lambda x: x.take([0, 2, 2, 1], axis=0).square().sum(), x0)
 
-    def test_pad(self, x0):
-        check_grad(lambda x: x.pad_axis(0, 2, 1).square().sum(), x0)
+    def test_take_unique_indices(self, x0):
+        check_grad(lambda x: x.take([3, 0, 2], axis=1).square().sum(), x0)
 
     def test_concat(self, x0):
         check_grad(lambda x: concat([x, x * 2.0], axis=1).square().sum(), x0)
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("per_sequence", [False, True])
+    def test_graph_conv_gradient(self, rng, per_sequence):
+        """All three subsets under the parts5 mask, with one adjacency
+        for the batch or one per sequence."""
+        mask = mask_set()["parts5"]
+        n, k = 2, 3
+        adj_shape = (n, 17, 17) if per_sequence else (17, 17)
+        arrays = [rng.normal(size=(n, 3, 17, 3))]
+        arrays += [rng.normal(size=adj_shape) * mask for _ in range(k)]
+        arrays += [rng.normal(size=(3, 2)) for _ in range(k)]
+
+        def build(t):
+            return graph_conv(t[0], t[1:1 + k], t[1 + k:])
+
+        # linear in each input, so a wide step has no truncation error
+        # and keeps rounding noise far below the tolerance
+        check_grads(build, arrays, rng, h=1e-3)
+        # the value against the per-subset definition
+        f, adjs, ws = arrays[0], arrays[1:1 + k], arrays[1 + k:]
+        spec = "nvu,ntvc->ntuc" if per_sequence else "vu,ntvc->ntuc"
+        expect = sum(np.einsum(spec, a, f @ w) for a, w in zip(adjs, ws))
+        out = build([Tensor(a) for a in arrays]).data
+        np.testing.assert_allclose(out, expect, atol=1e-12)
+
+    def test_temporal_conv_gradient(self, rng):
+        """Kernel sizes 1, 3 and 5, a single frame and fewer frames than
+        taps."""
+        for t, k in ((6, 1), (6, 3), (6, 5), (1, 3), (1, 5), (2, 5), (4, 5)):
+            arrays = [rng.normal(size=(2, t, 3, 4)), rng.normal(size=(k, 4))]
+            check_grads(lambda x: temporal_conv(x[0], x[1]), arrays, rng, h=1e-3)
+            x, kern = arrays
+            padded = np.pad(x, [(0, 0), (k // 2, k // 2), (0, 0), (0, 0)])
+            expect = sum(padded[:, d:d + t] * kern[d] for d in range(k))
+            np.testing.assert_allclose(temporal_conv(Tensor(x), Tensor(kern)).data,
+                                       expect, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,axes", [((3, 2, 4, 3), (0, 1, 2)),
+                                            ((5, 4), (0,))])
+    def test_batch_norm_gradient(self, rng, shape, axes):
+        c = shape[-1]
+        arrays = [rng.normal(1.0, 2.0, size=shape), rng.normal(size=c),
+                  rng.normal(size=c)]
+        # at a step of 1e-6 rounding noise alone reaches a few 1e-6 of
+        # relative error on the smallest entries; at 1e-5 rounding and
+        # truncation error both stay below the tolerance
+        check_grads(lambda x: batch_norm_train(x[0], x[1], x[2], axes, 1e-5)[0],
+                    arrays, rng, h=1e-5)
+        x = arrays[0]
+        out, mu, var = batch_norm_train(*[Tensor(a) for a in arrays], axes, 1e-5)
+        np.testing.assert_allclose(mu, x.mean(axis=axes), atol=1e-12)
+        np.testing.assert_allclose(var, x.var(axis=axes), atol=1e-12)
+        expect = ((x - x.mean(axis=axes)) / np.sqrt(x.var(axis=axes) + 1e-5)
+                  * arrays[1] + arrays[2])
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
 class TestSoftmax:
@@ -161,6 +239,33 @@ class TestGraphMechanics:
             y = y * 1.0001
         y.backward()
         assert np.isfinite(x.grad)
+
+    def test_intermediate_grads_released_leaf_grads_kept(self, rng):
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+        hidden = (x @ w).relu()
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        assert w.grad is not None and w.grad.shape == (3, 2)
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None:
+                assert node.grad is None
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert id(w) in seen and id(hidden) in seen
+
+    def test_leaves_own_their_grads(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones(3))
 
     def test_repeated_backward_zero_grad(self):
         x = Tensor(np.array(3.0), requires_grad=True)

@@ -7,7 +7,7 @@ import pytest
 from gpgait import eval as eval_mod
 from gpgait import pose_io
 from gpgait import train as tr
-from gpgait.checkpoint import load_container
+from gpgait.checkpoint import load_container, save_container
 from gpgait.cli import main
 from gpgait.config import build_run_config, parse_config_file
 from gpgait.errors import ConfigError
@@ -165,6 +165,22 @@ class TestTrain:
         assert rc == 0
         _, tensors = load_container(tmp_path / "resume" / "final.gpgw")
         assert int(tensors["train/step"][0]) == 6
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_resume_missing_moment_exits_3(self, toy_data, toy_checkpoint,
+                                           tmp_path, capsys, moment):
+        final, cfgfile = toy_checkpoint
+        config, tensors = load_container(final)
+        name = f"optim/branch/joint/block0/k0/weight/{moment}"
+        del tensors[name]
+        broken = tmp_path / "broken.gpgw"
+        save_container(broken, config, tensors)
+        rc = main(["train", "--manifest", str(toy_data),
+                   "--out", str(tmp_path / "resume"),
+                   "--config", str(cfgfile), "--seed", "7",
+                   "--resume", str(broken), "--iterations", "6"])
+        assert rc == 3
+        assert f"checkpoint missing tensor {name}" in capsys.readouterr().err
 
     def test_unknown_config_key(self, toy_data, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -144,6 +144,16 @@ class TestSpatial:
         head = list(range(5))
         np.testing.assert_array_equal(out[:, :, head, :], base[:, :, head, :])
 
+    def test_masked_learned_adj_gradient_exactly_zero(self, rng):
+        block = make_block(rng, 3, 4)
+        f = Tensor(random_input(rng), requires_grad=True)
+        out = pagcn_spatial(f, block, ADJ, MASKS["parts5"])
+        out.backward(rng.normal(size=out.shape))
+        outside = MASKS["parts5"] == 0
+        for sub in block.subsets:
+            assert np.all(sub.learned_adj.grad[outside] == 0.0)
+            assert np.all(sub.learned_adj.grad[~outside] != 0.0)
+
     def test_channel_mismatch(self, rng):
         block = make_block(rng, 3, 4)
         with pytest.raises(DataError, match="channels"):

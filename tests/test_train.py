@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -377,6 +379,37 @@ class TestTrainLoop:
                                   start_iteration=state.step)
         _, t2 = load_container(final2)
         assert int(t2["train/step"][0]) == 6
+
+    def test_previous_graph_released_before_next_forward(self, tmp_path,
+                                                         monkeypatch):
+        forward = tr.network_forward
+        previous = []
+
+        def recording_forward(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in previous)
+            result = forward(*args, **kwargs)
+            # the array lives as long as anything holds this graph
+            previous.append(weakref.ref(result.metrics[0].data))
+            return result
+
+        monkeypatch.setattr(tr, "network_forward", recording_forward)
+        ts = build_train_set()
+        tr.train_loop(ts, tiny_net_cfg(ts.num_classes),
+                      tiny_train_cfg(iterations=3), tmp_path / "run")
+        assert len(previous) == 3
+
+    def test_moment_shape_mismatch_is_data_error(self):
+        model = init_model(tiny_net_cfg(3), seed=0)
+        state = tr.OptimizerState()
+        for name, p in model.named_parameters().items():
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        tensors = tr.training_tensors(model, state)
+        name = "optim/head/00/fc_b/v"
+        tensors[name] = tensors[name][:1]
+        with pytest.raises(DataError, match=f"tensor {name}: checkpoint shape"):
+            tr.restore_training_state(init_model(tiny_net_cfg(3), seed=1), tensors)
 
     def test_malformed_sampler_state_is_data_error(self, tmp_path):
         ts = build_train_set()
