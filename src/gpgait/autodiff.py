@@ -364,10 +364,8 @@ def concat(tensors, axis=0) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis=-1, mask=None) -> Tensor:
-    """Numerically-stable softmax; optional binary mask excludes
-    entries from the normalization (their output is 0)."""
-    data = x.data
+def _softmax(data: np.ndarray, axis=-1, mask=None) -> np.ndarray:
+    """Array kernel of ``softmax``."""
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
         shifted = np.where(mask, data, -np.inf)
@@ -380,7 +378,13 @@ def softmax(x: Tensor, axis=-1, mask=None) -> Tensor:
         e = np.exp(data - m)
     denom = e.sum(axis=axis, keepdims=True)
     denom = np.where(denom == 0.0, 1.0, denom)
-    y = e / denom
+    return e / denom
+
+
+def softmax(x: Tensor, axis=-1, mask=None) -> Tensor:
+    """Numerically-stable softmax; optional binary mask excludes
+    entries from the normalization (their output is 0)."""
+    y = _softmax(x.data, axis, mask)
     out = _make(y, (x,))
     if out.requires_grad:
         def bwd(g, a=x, y=y, axis=axis):
@@ -398,58 +402,108 @@ def stop_gradient(x: Tensor) -> Tensor:
 #
 # Each replaces a chain of generic nodes with one node whose backward is
 # written out, so the sweep allocates one gradient per input instead of
-# one per intermediate.
+# one per intermediate, and a node keeps only what its backward reads.
+# Given only constant tensors they build no graph, which is how a
+# block's inference path runs them.
 
 
-def graph_conv(f_in: Tensor, adjacencies, weights) -> Tensor:
-    """Joint aggregation and channel mix, summed over K subsets:
-    ``out[..., u, :] = sum_k (sum_v A_k[v, u] * f_in[..., v, :]) @ W_k``.
+def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
+                       learned, weights, attn_q=(), attn_k=()) -> Tensor:
+    """Spatial step of a part-aware graph block as one node:
+    ``out[..., u, :] = sum_k (sum_v A_k[v, u] * f_in[..., v, :]) @ W_k``
+    with the combined adjacency ``A_k = (fixed_k + learned_k + att_k) * mask``.
 
-    ``f_in`` is (N, T, V, C_in); the K adjacencies are all (V, V) or all
-    (N, V, V) (one matrix per sequence); the K weights are (C_in, C_out).
+    ``f_in`` is (N, T, V, C_in); ``fixed`` (K, V, V) and ``mask`` (V, V)
+    are constants; ``learned`` holds K (V, V) tensors, ``weights`` K
+    (C_in, C_out) tensors, and ``attn_q``/``attn_k`` K (C_in, C_e)
+    tensors each, or nothing for no attention term.
+
+    The attention pools the temporal mean of ``f_in`` once, projects it
+    with one GEMM each for queries and keys (the K projections stacked to
+    (C_in, K*C_e)) and runs one softmax over (N, K, V, V) normalized
+    within the mask, so a row's attention is exactly 0 outside its part.
     Joints are aggregated by one batched product with the stacked
     (V*K, V) adjacency, channels mixed by one GEMM with the stacked
-    (K*C_in, C_out) weights. Aggregating first keeps the widest buffer
-    at K*C_in channels, never K*C_out. An adjacency entry that is
-    exactly 0 adds exactly 0, so a block-diagonal adjacency keeps parts
-    isolated.
+    (K*C_in, C_out) weights; aggregating first keeps the widest buffer at
+    K*C_in channels, never K*C_out. A masked adjacency entry is exactly
+    0, so it adds exactly 0, and backward masks the adjacency gradient,
+    so a masked learned entry gets a gradient of exactly 0.
     """
     n, t, v, c_in = f_in.shape
     k = len(weights)
     c_out = weights[0].shape[1]
+    f = f_in.data
     w = np.concatenate([wk.data for wk in weights], axis=0)
-    adj = np.stack([a.data for a in adjacencies], axis=-1)      # (.., V, V, K)
+    adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
+    if attn_q:
+        ce = attn_q[0].shape[1]
+        scale = 1.0 / np.sqrt(ce)
+        w_q = np.concatenate([a.data for a in attn_q], axis=1)     # (C_in, K*C_e)
+        w_k = np.concatenate([a.data for a in attn_k], axis=1)
+        pooled = f.sum(axis=1) * (1.0 / t)                          # (N, V, C_in)
+        q = (pooled @ w_q).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
+        key = (pooled @ w_k).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
+        att = _softmax(np.matmul(q, key.swapaxes(-1, -2)) * scale, -1, mask > 0)
+        adj = adj + att                                             # (N, K, V, V)
+    adj *= mask
     per_sequence = adj.ndim == 4
-    # stacked[.., u*K + k, v] = A_k[.., v, u]
-    stacked = np.moveaxis(adj, -3, -1).reshape(adj.shape[:-3] + (v * k, v))
+    # stacked[.., u*K + k, v] = A_k[.., v, u]; the K rows of a joint are
+    # adjacent, so the reshape to the GEMM operand copies nothing
+    stacked = np.moveaxis(adj, -1, -3).reshape(adj.shape[:-3] + (v * k, v))
     if per_sequence:
-        stacked = stacked[:, None]                              # (N, 1, V*K, V)
-    # agg[n, t, u*K + k] = sum_v A_k[v, u] f[n, t, v]; the K rows of a
-    # joint are adjacent, so the reshape to the GEMM operand copies nothing
-    agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
+        stacked = stacked[:, None]                                  # (N, 1, V*K, V)
+    agg = np.matmul(stacked, f).reshape(-1, k * c_in)
     out = _make((agg @ w).reshape(n, t, v, c_out),
-                (f_in, *adjacencies, *weights))
-    if out.requires_grad:
-        def bwd(g, f_in=f_in, adjacencies=tuple(adjacencies),
-                weights=tuple(weights), w=w, agg=agg, stacked=stacked):
-            g = g.reshape(-1, c_out)
-            if any(wk.requires_grad for wk in weights):
-                g_w = agg.T @ g
-                for i, wk in enumerate(weights):
-                    if wk.requires_grad:
-                        wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
-            g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
-            if f_in.requires_grad:
-                f_in._accumulate(np.matmul(np.swapaxes(stacked, -1, -2), g_agg))
-            if any(a.requires_grad for a in adjacencies):
-                g_stacked = np.matmul(g_agg, np.swapaxes(f_in.data, -1, -2))
-                g_stacked = g_stacked.sum(axis=1 if per_sequence else (0, 1))
-                g_adj = np.moveaxis(
-                    g_stacked.reshape(g_stacked.shape[:-2] + (v, k, v)), -1, -3)
-                for i, a in enumerate(adjacencies):
-                    if a.requires_grad:
-                        a._accumulate(g_adj[..., i])
-        out._backward = bwd
+                (f_in, *learned, *weights, *attn_q, *attn_k))
+    if not out.requires_grad:
+        return out
+
+    def bwd(g):
+        g = g.reshape(-1, c_out)
+        if any(wk.requires_grad for wk in weights):
+            g_w = agg.T @ g
+            for i, wk in enumerate(weights):
+                if wk.requires_grad:
+                    wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
+        g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
+        g_f = None
+        if f_in.requires_grad:
+            g_f = np.matmul(np.swapaxes(stacked, -1, -2), g_agg)
+        # per-frame (V*K, C_in) @ (C_in, V) products summed over frames:
+        # faster here than one (V*K, T*C_in) GEMM per sequence
+        g_adj = np.matmul(g_agg, np.swapaxes(f, -1, -2))
+        g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
+        g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
+        g_adj *= mask                                               # (.., K, V, V)
+        g_learned = g_adj.sum(axis=0) if per_sequence else g_adj
+        for i, a in enumerate(learned):
+            if a.requires_grad:
+                a._accumulate(g_learned[i])
+        if attn_q:
+            # softmax backward; a masked entry has att == 0, so its
+            # similarity gets exactly 0
+            g_sim = g_adj - (g_adj * att).sum(axis=-1, keepdims=True)
+            g_sim *= att
+            g_sim *= scale
+            g_q = np.matmul(g_sim, key).transpose(0, 2, 1, 3).reshape(-1, k * ce)
+            g_key = np.matmul(g_sim.swapaxes(-1, -2), q)
+            g_key = g_key.transpose(0, 2, 1, 3).reshape(-1, k * ce)
+            flat_pooled = pooled.reshape(-1, c_in)
+            for proj, g_proj in ((attn_q, g_q), (attn_k, g_key)):
+                if any(a.requires_grad for a in proj):
+                    g_stacked = flat_pooled.T @ g_proj
+                    for i, a in enumerate(proj):
+                        if a.requires_grad:
+                            a._accumulate(g_stacked[:, i * ce:(i + 1) * ce])
+            if g_f is not None:
+                g_pooled = g_q @ w_q.T
+                g_pooled += g_key @ w_k.T
+                g_pooled *= 1.0 / t
+                g_f += g_pooled.reshape(n, 1, v, c_in)
+        if g_f is not None:
+            f_in._accumulate(g_f)
+
+    out._backward = bwd
     return out
 
 
@@ -467,64 +521,175 @@ def _tap_windows(k: int, t: int):
     return taps
 
 
+def _temporal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Array kernel of ``temporal_conv``."""
+    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
+    out = x * kernel[centre]
+    for d, o, i in side_taps:
+        out[:, o] += x[:, i] * kernel[d]
+    return out
+
+
+def _temporal_conv_grads(g, x, kernel, need_x: bool, need_kernel: bool):
+    """(input gradient, kernel gradient) of ``temporal_conv``; None for
+    the one not needed."""
+    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
+    gx = gk = None
+    if need_x:
+        gx = g * kernel[centre]
+        for d, o, i in side_taps:
+            gx[:, i] += g[:, o] * kernel[d]
+    if need_kernel:
+        gk = np.zeros_like(kernel)
+        gk[centre] = np.einsum("ntvc,ntvc->c", g, x)
+        for d, o, i in side_taps:
+            gk[d] = np.einsum("ntvc,ntvc->c", g[:, o], x[:, i])
+    return gx, gk
+
+
 def temporal_conv(x: Tensor, kernel: Tensor) -> Tensor:
     """Depthwise convolution along the frame axis of a (N, T, V, C)
     input with a (k, C) kernel, stride 1, zero padding that preserves T
     (works for T=1 and T < k)."""
-    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
-    data = x.data * kernel.data[centre]
-    for d, o, i in side_taps:
-        data[:, o] += x.data[:, i] * kernel.data[d]
-    out = _make(data, (x, kernel))
+    out = _make(_temporal_conv(x.data, kernel.data), (x, kernel))
     if out.requires_grad:
         def bwd(g, x=x, kernel=kernel):
-            if x.requires_grad:
-                gx = g * kernel.data[centre]
-                for d, o, i in side_taps:
-                    gx[:, i] += g[:, o] * kernel.data[d]
+            gx, gk = _temporal_conv_grads(g, x.data, kernel.data,
+                                          x.requires_grad, kernel.requires_grad)
+            if gx is not None:
                 x._accumulate(gx)
-            if kernel.requires_grad:
-                gk = np.zeros_like(kernel.data)
-                gk[centre] = np.einsum("ntvc,ntvc->c", g, x.data)
-                for d, o, i in side_taps:
-                    gk[d] = np.einsum("ntvc,ntvc->c", g[:, o], x.data[:, i])
+            if gk is not None:
                 kernel._accumulate(gk)
         out._backward = bwd
     return out
 
 
+def _bn_normalize(x: np.ndarray, eps: float, out: np.ndarray = None):
+    """Normalize the columns of an (M, C) array with the batch's biased
+    statistics: returns (xhat, mean, variance, std), the statistics
+    shaped (C,). ``xhat`` is written to ``out`` (``x`` itself is
+    allowed), or to a new array."""
+    inv_count = 1.0 / x.shape[0]
+    mu = x.sum(axis=0) * inv_count
+    xhat = np.subtract(x, mu, out=out)      # centred, then scaled below
+    var = np.einsum("ij,ij->j", xhat, xhat) * inv_count
+    std = np.sqrt(var + eps)
+    xhat /= std
+    return xhat, mu, var, std
+
+
+def _bn_xhat(x: np.ndarray, mu: np.ndarray, std: np.ndarray,
+             out: np.ndarray = None) -> np.ndarray:
+    """The normalized input again, by the forward's exact operations,
+    written to ``out`` or to a new array."""
+    xhat = np.subtract(x, mu, out=out)
+    xhat /= std
+    return xhat
+
+
+def _bn_backward(g, xhat, std, gamma, out=None):
+    """(input, gamma, beta) gradients of batch norm over the rows of
+    (M, C) arrays; the input gradient is written to ``out`` (``xhat``
+    itself is allowed), or to a new array."""
+    inv_count = 1.0 / g.shape[0]
+    g_sum = g.sum(axis=0)
+    gx_sum = np.einsum("ij,ij->j", g, xhat)
+    # gamma / std * (g - mean(g) - xhat * mean(g * xhat))
+    gx = np.multiply(xhat, -gx_sum * inv_count, out=out)
+    gx += g
+    gx -= g_sum * inv_count
+    gx *= gamma / std
+    return gx, gx_sum, g_sum
+
+
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
                      eps: float):
-    """Training-mode batch norm over ``axes`` (channel = last axis):
+    """Training-mode batch norm over ``axes``, which must be every axis
+    but the last (the channel axis):
     ``(x - mean) / sqrt(var + eps) * gamma + beta`` with the batch's
     biased statistics.
 
     Returns (output, batch mean, batch variance); the statistics are
-    arrays shaped like ``gamma``.
+    arrays shaped like ``gamma``. Backward recomputes the normalized
+    input from ``x`` instead of keeping it.
     """
-    inv_count = 1.0 / _axis_count(x.data.shape, axes)
-    mu = x.data.sum(axis=axes, keepdims=True) * inv_count
-    xhat = x.data - mu          # centred, then scaled in place below
-    var = (xhat * xhat).sum(axis=axes, keepdims=True) * inv_count
-    std = np.sqrt(var + eps)
-    xhat /= std
-    data = xhat * gamma.data
+    if tuple(axes) != tuple(range(x.ndim - 1)):
+        raise ValueError(f"batch norm over axes {axes} of a {x.ndim}-d input: "
+                         "only every axis but the channel axis is supported")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    data, mu, var, std = _bn_normalize(x2, eps)
+    data *= gamma.data
     data += beta.data
-    out = _make(data, (x, gamma, beta))
+    out = _make(data.reshape(x.shape), (x, gamma, beta))
     if out.requires_grad:
-        def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, std=std):
-            g_sum = g.sum(axis=axes)
-            gx_sum = (g * xhat).sum(axis=axes)
+        def bwd(g, x=x, gamma=gamma, beta=beta):
+            xhat = _bn_xhat(x2, mu, std)
+            gx, g_gamma, g_beta = _bn_backward(g.reshape(x2.shape), xhat, std,
+                                               gamma.data, out=xhat)
             if gamma.requires_grad:
-                gamma._accumulate(gx_sum)
+                gamma._accumulate(g_gamma)
             if beta.requires_grad:
-                beta._accumulate(g_sum)
+                beta._accumulate(g_beta)
             if x.requires_grad:
-                # gamma / std * (g - mean(g) - xhat * mean(g * xhat))
-                gx = xhat * (-gx_sum * inv_count)
-                gx += g
-                gx -= g_sum * inv_count
-                gx *= gamma.data / std
-                x._accumulate(gx)
+                x._accumulate(gx.reshape(x.shape))
         out._backward = bwd
     return out, mu.reshape(gamma.shape), var.reshape(gamma.shape)
+
+
+def block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor, kernel: Tensor,
+                   gamma2: Tensor, beta2: Tensor, eps: float,
+                   residual: Tensor = None):
+    """The rest of a part-aware graph block after its spatial step, as
+    one node: ``relu(bn2(temporal_conv(relu(bn1(y)), kernel)))``, plus
+    ``residual`` when given, with training-mode batch norms.
+
+    ``y`` is (N, T, V, C); batch statistics are reduced over its
+    (-1, C) view. Returns (output, (mean1, var1), (mean2, var2)), the
+    statistics shaped (C,). Each ReLU runs in place on its batch-norm
+    output. The node keeps the first ReLU's output ``h`` (whose mask is
+    ``h > 0``), the second normalized array (computed in place in the
+    temporal conv's output) and the second ReLU's mask as a bool array;
+    backward recomputes the first normalized array from ``y`` by the
+    forward's exact operations.
+    """
+    shape, c = y.shape, y.shape[-1]
+    y2 = y.data.reshape(-1, c)
+    h, mu1, var1, std1 = _bn_normalize(y2, eps)
+    h *= gamma1.data
+    h += beta1.data
+    np.maximum(h, 0.0, out=h)
+    h = h.reshape(shape)
+    xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
+    xhat2, mu2, var2, std2 = _bn_normalize(xhat2, eps, out=xhat2)
+    r = xhat2 * gamma2.data
+    r += beta2.data
+    np.maximum(r, 0.0, out=r)
+    r = r.reshape(shape)
+    active2 = r > 0.0                       # the second ReLU's mask
+    if residual is not None:
+        r += residual.data
+    parents = (y, gamma1, beta1, kernel, gamma2, beta2)
+    out = _make(r, parents if residual is None else parents + (residual,))
+    stats = ((mu1, var1), (mu2, var2))
+    if not out.requires_grad:
+        return (out, *stats)
+
+    def bwd(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
+        g_r = (g * active2).reshape(-1, c)
+        g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, std2, gamma2.data)
+        g_h, g_kernel = _temporal_conv_grads(g_z.reshape(shape), h, kernel.data,
+                                             True, kernel.requires_grad)
+        g_h *= h > 0.0
+        xhat1 = _bn_xhat(y2, mu1, std1, out=g_z)     # g_z is spent
+        g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(-1, c), xhat1, std1,
+                                              gamma1.data, out=xhat1)
+        for t, grad in ((gamma2, g_gamma2), (beta2, g_beta2), (kernel, g_kernel),
+                        (gamma1, g_gamma1), (beta1, g_beta1),
+                        (y, g_y.reshape(shape))):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    out._backward = bwd
+    return (out, *stats)

@@ -155,13 +155,3 @@ def build_adjacency_subsets(topology: SkeletonTopology = None) -> np.ndarray:
         _column_normalize(centrifugal),
     ])
 
-
-def skeleton_adjacency(topology: SkeletonTopology = None) -> np.ndarray:
-    """Symmetric 0/1 adjacency of the skeleton edges, no self-loops."""
-    if topology is None:
-        topology = SkeletonTopology()
-    adj = np.zeros((topology.num_joints, topology.num_joints))
-    for a, b in topology.edges:
-        adj[a, b] = 1.0
-        adj[b, a] = 1.0
-    return adj

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, batch_norm_train, concat, graph_conv, softmax,
-                       temporal_conv)
+from .autodiff import (Tensor, batch_norm_train, block_epilogue, concat, softmax,
+                       spatial_graph_conv, temporal_conv)
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
 
@@ -40,6 +40,8 @@ PART_GROUPS = {**PARTS5, "body": tuple(range(V))}
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+# cap on the widest temporary of a block's inference pass (see pagcn_block)
+INFERENCE_GROUP_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -301,25 +303,42 @@ def attention_adjacency(f_in: Tensor, attn_a: Tensor, attn_b: Tensor,
     return softmax(sim, axis=-1, mask=bool_mask)
 
 
-def pagcn_spatial(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
-                  mask: np.ndarray, with_attention: bool = None) -> Tensor:
-    """Masked graph aggregation and channel mixing, summed over the
-    adjacency subsets: the combined (fixed + learned + attention)
-    adjacency of each subset is masked, then one ``graph_conv`` node
-    mixes and aggregates all subsets."""
+def _check_channels(f_in: Tensor, block: BlockParams):
     if f_in.shape[-1] != block.in_channels:
         raise DataError(
             f"spatial conv expects {block.in_channels} channels, got {f_in.shape[-1]}")
+
+
+def pagcn_spatial(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
+                  mask: np.ndarray, with_attention: bool = None) -> Tensor:
+    """Masked graph aggregation and channel mixing, summed over the
+    adjacency subsets, as one ``spatial_graph_conv`` node: attention,
+    the combined (fixed + learned + attention) adjacency of every subset,
+    its mask and the graph conv."""
+    _check_channels(f_in, block)
+    subs = block.subsets
     if with_attention is None:
-        with_attention = block.subsets[0].attn_a is not None
-    mask_t = Tensor(mask)
-    combined = []
-    for k, sub in enumerate(block.subsets):
-        adj = Tensor(adjacency[k]) + sub.learned_adj              # (V, V)
-        if with_attention and sub.attn_a is not None:
-            adj = adj + attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
-        combined.append(adj * mask_t)                              # (N,) V, V
-    return graph_conv(f_in, combined, [sub.weight for sub in block.subsets])
+        with_attention = True
+    attention = with_attention and subs[0].attn_a is not None
+    return spatial_graph_conv(
+        f_in, adjacency, mask, [s.learned_adj for s in subs],
+        [s.weight for s in subs],
+        [s.attn_a for s in subs] if attention else (),
+        [s.attn_b for s in subs] if attention else ())
+
+
+def _update_running(bn: BatchNormParams, mu: np.ndarray, var: np.ndarray):
+    """Fold batch statistics into the running averages, in place, so the
+    state table's references stay live."""
+    for stat, batch_stat in ((bn.running_mean, mu), (bn.running_var, var)):
+        stat *= BN_MOMENTUM
+        stat += (1.0 - BN_MOMENTUM) * batch_stat
+
+
+def _folded(bn: BatchNormParams):
+    """Inference batch norm as ``x * scale + shift``."""
+    scale = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
+    return scale, bn.beta.data - bn.running_mean * scale
 
 
 def batch_norm(x: Tensor, bn: BatchNormParams, axes: tuple, training: bool,
@@ -332,10 +351,8 @@ def batch_norm(x: Tensor, bn: BatchNormParams, axes: tuple, training: bool,
     """
     if training:
         out, mu, var = batch_norm_train(x, bn.gamma, bn.beta, axes, BN_EPS)
-        if update_stats:  # in place, so the state table's references stay live
-            for stat, batch_stat in ((bn.running_mean, mu), (bn.running_var, var)):
-                stat *= BN_MOMENTUM
-                stat += (1.0 - BN_MOMENTUM) * batch_stat
+        if update_stats:
+            _update_running(bn, mu, var)
         return out
     xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     return xhat * bn.gamma + bn.beta
@@ -344,15 +361,59 @@ def batch_norm(x: Tensor, bn: BatchNormParams, axes: tuple, training: bool,
 def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
                 masks: dict, training: bool = False,
                 update_stats: bool = True) -> Tensor:
-    """spatial -> norm -> relu -> temporal -> norm -> relu -> residual."""
+    """spatial -> norm -> relu -> temporal -> norm -> relu -> residual.
+
+    Training builds two nodes, ``pagcn_spatial`` and ``block_epilogue``,
+    and with ``update_stats`` folds both batch norms' statistics into
+    their running averages once. Inference builds no graph: each batch
+    norm is folded into the linear op before it (the stacked graph-conv
+    weights and the temporal kernel are scaled by
+    ``gamma / sqrt(running_var + eps)``, the shift
+    ``beta - running_mean * scale`` is added after), shift, ReLU and
+    residual run in place, and the block runs over groups of sequences
+    (independent once batch norm uses running statistics) so that its
+    widest buffer, the aggregated (T, V*K, C_in) features of a group,
+    stays within ``INFERENCE_GROUP_BYTES`` unless one sequence alone
+    exceeds it.
+    """
     mask = masks[block.mask_name]
-    y = pagcn_spatial(f_in, block, adjacency, mask)
-    y = batch_norm(y, block.bn1, (0, 1, 2), training, update_stats).relu()
-    y = temporal_conv(y, block.temporal_kernel)
-    y = batch_norm(y, block.bn2, (0, 1, 2), training, update_stats).relu()
-    if block.in_channels == block.out_channels:
-        y = y + f_in
-    return y
+    residual = block.in_channels == block.out_channels
+    if training:
+        y = pagcn_spatial(f_in, block, adjacency, mask)
+        out, stats1, stats2 = block_epilogue(
+            y, block.bn1.gamma, block.bn1.beta, block.temporal_kernel,
+            block.bn2.gamma, block.bn2.beta, BN_EPS, f_in if residual else None)
+        if update_stats:
+            _update_running(block.bn1, *stats1)
+            _update_running(block.bn2, *stats2)
+        return out
+    _check_channels(f_in, block)
+    scale1, shift1 = _folded(block.bn1)
+    scale2, shift2 = _folded(block.bn2)
+    subs = block.subsets
+    learned = [Tensor(s.learned_adj.data) for s in subs]
+    weights = [Tensor(s.weight.data * scale1) for s in subs]
+    attention = ((), ())
+    if subs[0].attn_a is not None:
+        attention = ([Tensor(s.attn_a.data) for s in subs],
+                     [Tensor(s.attn_b.data) for s in subs])
+    kernel = Tensor(block.temporal_kernel.data * scale2)
+    n, t, v, c_in = f_in.shape
+    out = np.empty((n, t, v, block.out_channels))
+    group = max(1, INFERENCE_GROUP_BYTES // (t * v * len(subs) * c_in * 8))
+    for i in range(0, n, group):
+        f = f_in.data[i:i + group]
+        y = spatial_graph_conv(Tensor(f), adjacency, mask, learned, weights,
+                               *attention).data
+        y += shift1
+        np.maximum(y, 0.0, out=y)
+        z = temporal_conv(Tensor(y), kernel).data
+        z += shift2
+        np.maximum(z, 0.0, out=z)
+        if residual:
+            z += f
+        out[i:i + group] = z
+    return Tensor(out)
 
 
 def branch_forward(x: Tensor, blocks: list, adjacency: np.ndarray,

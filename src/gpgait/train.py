@@ -280,7 +280,14 @@ class OptimizerState:
 
 def adam_step(params: dict, state: OptimizerState, lr: float):
     """One Adam update with bias-corrected moments. Parameters without
-    a gradient this step are left untouched."""
+    a gradient this step are left untouched.
+
+    The moments and ``p.data`` are updated in place, with the operations
+    and their order of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g`` and
+    ``p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, so every value is
+    rounded as those formulas round it.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
@@ -294,11 +301,21 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        tmp = np.multiply(g, 1.0 - state.beta1)
+        m *= state.beta1
+        m += tmp
+        np.multiply(g, 1.0 - state.beta2, out=tmp)
+        tmp *= g
+        v *= state.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step = np.divide(m, bc1)
+        step *= lr
+        step /= tmp
+        p.data -= step
 
 
 def one_cycle_lr(iteration: int, total: int, lr_init: float, lr_max: float,

@@ -1,12 +1,19 @@
-"""Scalar-loop reference implementations used as independent oracles.
+"""Reference implementations used as independent oracles.
 
-Everything here is written with explicit index loops and plain Python
-math so it shares no vectorized code path with the package under test.
+Most are written with explicit index loops and plain Python math so
+they share no vectorized code path with the package under test. The
+last section keeps the chain of autodiff nodes a part-aware graph block
+was built from before it became two fused nodes (``graph_conv`` and
+``ref_block_chain``), as the oracle of the fused block's values and
+gradients.
 """
 
 import math
 
 import numpy as np
+
+from gpgait import pagcn
+from gpgait.autodiff import Tensor, _make, batch_norm_train, temporal_conv
 
 BN_EPS = 1e-5
 
@@ -347,3 +354,83 @@ def ref_angles(coords):
             if dx != 0.0 or dy != 0.0:
                 angles[j] = _fold_halfturn(math.atan2(dx, dy))
     return angles, zero_sides
+
+
+# -- the block as a chain of autodiff nodes -------------------------------
+
+
+def graph_conv(f_in, adjacencies, weights):
+    """``out[..., u, :] = sum_k (sum_v A_k[v, u] * f_in[..., v, :]) @ W_k``
+    as one node, for K given (masked) adjacencies, each (V, V) or
+    (N, V, V), and K (C_in, C_out) weights."""
+    n, t, v, c_in = f_in.shape
+    k = len(weights)
+    c_out = weights[0].shape[1]
+    w = np.concatenate([wk.data for wk in weights], axis=0)
+    adj = np.stack([a.data for a in adjacencies], axis=-1)      # (.., V, V, K)
+    per_sequence = adj.ndim == 4
+    stacked = np.moveaxis(adj, -3, -1).reshape(adj.shape[:-3] + (v * k, v))
+    if per_sequence:
+        stacked = stacked[:, None]
+    agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
+    out = _make((agg @ w).reshape(n, t, v, c_out),
+                (f_in, *adjacencies, *weights))
+    if out.requires_grad:
+        def bwd(g):
+            g = g.reshape(-1, c_out)
+            g_w = agg.T @ g
+            for i, wk in enumerate(weights):
+                if wk.requires_grad:
+                    wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
+            g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
+            if f_in.requires_grad:
+                f_in._accumulate(np.matmul(np.swapaxes(stacked, -1, -2), g_agg))
+            g_stacked = np.matmul(g_agg, np.swapaxes(f_in.data, -1, -2))
+            g_stacked = g_stacked.sum(axis=1 if per_sequence else (0, 1))
+            g_adj = np.moveaxis(
+                g_stacked.reshape(g_stacked.shape[:-2] + (v, k, v)), -1, -3)
+            for i, a in enumerate(adjacencies):
+                if a.requires_grad:
+                    a._accumulate(g_adj[..., i])
+        out._backward = bwd
+    return out
+
+
+def ref_spatial_chain(f_in, block, adjacency, mask):
+    """Per subset: (fixed + learned + attention) * mask from generic
+    nodes, then one ``graph_conv`` node."""
+    mask_t = Tensor(mask)
+    combined = []
+    for k, sub in enumerate(block.subsets):
+        adj = Tensor(adjacency[k]) + sub.learned_adj
+        if sub.attn_a is not None:
+            adj = adj + pagcn.attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
+        combined.append(adj * mask_t)
+    return graph_conv(f_in, combined, [sub.weight for sub in block.subsets])
+
+
+def ref_batch_norm_chain(x, bn, training, update_stats):
+    if training:
+        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta, (0, 1, 2),
+                                        pagcn.BN_EPS)
+        if update_stats:
+            bn.running_mean[...] = (pagcn.BN_MOMENTUM * bn.running_mean
+                                    + (1.0 - pagcn.BN_MOMENTUM) * mu)
+            bn.running_var[...] = (pagcn.BN_MOMENTUM * bn.running_var
+                                   + (1.0 - pagcn.BN_MOMENTUM) * var)
+        return out
+    xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + pagcn.BN_EPS)
+    return xhat * bn.gamma + bn.beta
+
+
+def ref_block_chain(f_in, block, adjacency, masks, training=False,
+                    update_stats=True):
+    """spatial -> norm -> relu -> temporal -> norm -> relu -> residual,
+    one autodiff node per step, in training and in inference mode."""
+    y = ref_spatial_chain(f_in, block, adjacency, masks[block.mask_name])
+    y = ref_batch_norm_chain(y, block.bn1, training, update_stats).relu()
+    y = temporal_conv(y, block.temporal_kernel)
+    y = ref_batch_norm_chain(y, block.bn2, training, update_stats).relu()
+    if block.in_channels == block.out_channels:
+        y = y + f_in
+    return y

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from gpgait.autodiff import (Tensor, batch_norm_train, concat, graph_conv,
-                             softmax, stop_gradient, temporal_conv)
+from gpgait.autodiff import (Tensor, batch_norm_train, block_epilogue, concat,
+                             softmax, spatial_graph_conv, stop_gradient,
+                             temporal_conv)
 from gpgait.graph import mask_set
+from reference import graph_conv
 
 
 def finite_difference(fn, x0, h=1e-6):
@@ -154,6 +156,53 @@ class TestFusedOps:
         expect = sum(np.einsum(spec, a, f @ w) for a, w in zip(adjs, ws))
         out = build([Tensor(a) for a in arrays]).data
         np.testing.assert_allclose(out, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_spatial_graph_conv_gradient(self, rng, attention):
+        """Every input of the spatial node under the parts5 mask, with
+        and without the attention term (exact zeros of the masked learned
+        entries: ``test_pagcn.py::TestSpatial``)."""
+        mask = mask_set()["parts5"]
+        k, c_in, c_out, ce = 3, 3, 2, 2
+        fixed = rng.uniform(size=(k, 17, 17))
+        arrays = [rng.normal(size=(2, 3, 17, c_in))]
+        arrays += [rng.normal(size=(17, 17)) for _ in range(k)]
+        arrays += [rng.normal(size=(c_in, c_out)) for _ in range(k)]
+        if attention:
+            arrays += [rng.normal(size=(c_in, ce)) for _ in range(2 * k)]
+
+        def build(t):
+            return spatial_graph_conv(t[0], fixed, mask, t[1:1 + k],
+                                      t[1 + k:1 + 2 * k], t[1 + 2 * k:1 + 3 * k],
+                                      t[1 + 3 * k:])
+
+        check_grads(build, arrays, rng, h=1e-5)
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_block_epilogue_gradient(self, rng, residual):
+        """Every input of the epilogue node (batch norm, ReLU, temporal
+        conv, batch norm, ReLU, optional residual), and its batch
+        statistics."""
+        shape, c = (2, 4, 5, 3), 3
+        arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, size=c),
+                  rng.normal(size=c), rng.normal(size=(3, c)),
+                  rng.uniform(0.5, 1.5, size=c), rng.normal(size=c)]
+        if residual:
+            arrays.append(rng.normal(size=shape))
+
+        def build(t):
+            return block_epilogue(*t[:6], 1e-5, t[6] if residual else None)[0]
+
+        check_grads(build, arrays, rng, h=1e-5)
+        y = arrays[0]
+        _, (mu1, var1), (mu2, var2) = block_epilogue(
+            *[Tensor(a) for a in arrays[:6]], 1e-5)
+        np.testing.assert_allclose(mu1, y.mean(axis=(0, 1, 2)), atol=1e-12)
+        np.testing.assert_allclose(var1, y.var(axis=(0, 1, 2)), atol=1e-12)
+        h = np.maximum((y - mu1) / np.sqrt(var1 + 1e-5) * arrays[1] + arrays[2], 0.0)
+        z = temporal_conv(Tensor(h), Tensor(arrays[3])).data
+        np.testing.assert_allclose(mu2, z.mean(axis=(0, 1, 2)), atol=1e-12)
+        np.testing.assert_allclose(var2, z.var(axis=(0, 1, 2)), atol=1e-12)
 
     def test_temporal_conv_gradient(self, rng):
         """Kernel sizes 1, 3 and 5, a single frame and fewer frames than

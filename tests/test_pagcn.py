@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,151 @@ class TestBlock:
         x = rng.normal(size=(2, 1, 17, 4))
         out = temporal_conv(Tensor(x), Tensor(kern))
         np.testing.assert_allclose(out.data, x * kern[1], atol=1e-12)
+
+
+def _perturbed_bn(rng, bn):
+    """Non-trivial affine and running statistics, so the inference fold
+    has something to fold."""
+    c = bn.gamma.shape[0]
+    bn.gamma.data = rng.uniform(0.5, 1.5, size=c)
+    bn.beta.data = rng.normal(0.0, 0.3, size=c)
+    bn.running_mean[...] = rng.normal(0.0, 0.5, size=c)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
+
+
+def _assert_rel(actual, expect, tol, what):
+    """Largest entry difference within ``tol`` of the largest entry."""
+    scale = np.abs(expect).max()
+    err = np.abs(actual - expect).max() / scale if scale > 0 else np.abs(actual).max()
+    assert err <= tol, f"{what}: relative error {err:.2e}"
+
+
+# (mask, attention, masks table, frames, temporal kernel, c_in, c_out)
+BLOCK_CASES = {
+    "parts5": ("parts5", True, MASKS, 4, 3, 3, 3),
+    "global": ("global", True, MASKS, 4, 3, 3, 5),
+    "no_attention": ("parts5", False, MASKS, 4, 3, 4, 4),
+    "no_masks": ("parts5", True, ONES_MASKS, 4, 3, 3, 3),
+    "t1": ("parts5", True, MASKS, 1, 3, 3, 3),
+    "t_below_k": ("upper_lower", True, MASKS, 2, 5, 3, 3),
+}
+
+
+class TestFusedBlock:
+    """The two-node training block and the folded inference path
+    against the chain of generic autodiff nodes they replace
+    (``reference.ref_block_chain``)."""
+
+    def _case(self, rng, case):
+        mask_name, attention, masks, t, kernel, c_in, c_out = BLOCK_CASES[case]
+        block = make_block(rng, c_in, c_out, mask_name, attention=attention,
+                           kernel=kernel)
+        _perturbed_bn(rng, block.bn1)
+        _perturbed_bn(rng, block.bn2)
+        return block, masks, random_input(rng, n=3, t=t, c=c_in)
+
+    @staticmethod
+    def _run(fn, block, masks, f, weight, **kw):
+        x = Tensor(f, requires_grad=True)
+        out = fn(x, block, ADJ, masks, **kw)
+        (out * Tensor(weight)).sum().backward()
+        return out.data, x.grad, {n: p.grad for n, p in
+                                  _block_params(block).items()}
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_training_matches_generic_chain(self, rng, case):
+        block, masks, f = self._case(rng, case)
+        twin = copy.deepcopy(block)
+        weight = rng.normal(size=f.shape[:-1] + (block.out_channels,))
+        out, gx, grads = self._run(pagcn_block, block, masks, f, weight,
+                                   training=True)
+        out_ref, gx_ref, grads_ref = self._run(ref.ref_block_chain, twin, masks,
+                                               f, weight, training=True)
+        _assert_rel(out, out_ref, 1e-10, "output")
+        _assert_rel(gx, gx_ref, 1e-10, "input gradient")
+        assert grads.keys() == grads_ref.keys()
+        for name, g in grads.items():
+            if np.abs(grads_ref[name]).max() == 0.0:   # e.g. masked out
+                np.testing.assert_array_equal(g, grads_ref[name])
+            else:
+                _assert_rel(g, grads_ref[name], 1e-10, name)
+        for bn, bn_ref in ((block.bn1, twin.bn1), (block.bn2, twin.bn2)):
+            _assert_rel(bn.running_mean, bn_ref.running_mean, 1e-12, "mean")
+            _assert_rel(bn.running_var, bn_ref.running_var, 1e-12, "var")
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_inference_matches_generic_chain(self, rng, case):
+        block, masks, f = self._case(rng, case)
+        out = pagcn_block(Tensor(f), block, ADJ, masks, training=False)
+        assert out._parents == () and out._backward is None
+        expect = ref.ref_block_chain(Tensor(f), block, ADJ, masks, training=False)
+        _assert_rel(out.data, expect.data, 1e-12, "inference output")
+
+    @pytest.mark.parametrize("group_bytes", [1, 2 * 17 * 3 * 3 * 8 * 4])
+    def test_inference_in_groups_of_sequences(self, rng, monkeypatch, group_bytes):
+        """Groups of one and of two sequences (the last one short) give
+        the single-group result."""
+        block, masks, f = self._case(rng, "parts5")
+        whole = pagcn_block(Tensor(f), block, ADJ, masks).data
+        monkeypatch.setattr(pagcn, "INFERENCE_GROUP_BYTES", group_bytes)
+        grouped = pagcn_block(Tensor(f), block, ADJ, masks).data
+        _assert_rel(grouped, whole, 1e-12, "grouped inference")
+
+    def test_inference_builds_no_graph_from_trainable_params(self, rng):
+        block, masks, f = self._case(rng, "parts5")
+        out = pagcn_block(Tensor(f, requires_grad=True), block, ADJ, masks)
+        assert not out.requires_grad and out._parents == ()
+
+    def test_running_stats_untouched_without_update(self, rng):
+        """``update_stats=False`` and inference leave the running
+        statistics bit-for-bit as they were (a training call updates
+        them once: ``test_training_matches_generic_chain``)."""
+        block, masks, f = self._case(rng, "parts5")
+        stats = [block.bn1.running_mean, block.bn1.running_var,
+                 block.bn2.running_mean, block.bn2.running_var]
+        before = [s.copy() for s in stats]
+        pagcn_block(Tensor(f), block, ADJ, masks, training=True,
+                    update_stats=False)
+        pagcn_block(Tensor(f), block, ADJ, masks, training=False)
+        for s, b in zip(stats, before):
+            np.testing.assert_array_equal(s, b)
+
+    def test_cross_part_isolation_through_folded_inference(self, rng):
+        """Three parts5 blocks with folded running statistics and
+        non-zero shifts: a right-leg perturbation reaches no other part,
+        bit-exactly."""
+        blocks = []
+        for _ in range(3):
+            block = make_block(rng, 4, 4)
+            _perturbed_bn(rng, block.bn1)
+            _perturbed_bn(rng, block.bn2)
+            blocks.append(block)
+        f = random_input(rng, n=2, t=5, c=4)
+        poked = f.copy()
+        poked[:, :, 16, :] += 7.7
+
+        def run(x):
+            t = Tensor(x)
+            for b in blocks:
+                t = pagcn_block(t, b, ADJ, MASKS, training=False)
+            return t.data
+
+        base, out = run(f), run(poked)
+        others = [j for j in range(17) if j not in PARTS5["right_leg"]]
+        np.testing.assert_array_equal(out[:, :, others, :], base[:, :, others, :])
+        assert not np.array_equal(out[:, :, 16, :], base[:, :, 16, :])
+
+
+def _block_params(block):
+    params = {"tkernel": block.temporal_kernel}
+    for bn_name in ("bn1", "bn2"):
+        bn = getattr(block, bn_name)
+        params[f"{bn_name}/gamma"], params[f"{bn_name}/beta"] = bn.gamma, bn.beta
+    for k, sub in enumerate(block.subsets):
+        params[f"k{k}/weight"], params[f"k{k}/adj"] = sub.weight, sub.learned_adj
+        if sub.attn_a is not None:
+            params[f"k{k}/attn_a"], params[f"k{k}/attn_b"] = sub.attn_a, sub.attn_b
+    return params
 
 
 class TestStacks:

@@ -266,6 +266,39 @@ class TestAdam:
             x -= lr * mh / (math.sqrt(vh) + eps)
         assert p.data[0] == pytest.approx(x, abs=1e-12)
 
+    def test_in_place_update_equals_formula_bit_for_bit(self, rng):
+        """Five steps on two parameters (one without a gradient at step
+        3): moments and parameters equal the textbook formulas exactly,
+        and the parameter and moment arrays are updated in place."""
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        params = {"a": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=5), requires_grad=True)}
+        arrays = {n: p.data for n, p in params.items()}
+        x = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        state = tr.OptimizerState()
+        for t in range(1, 6):
+            lr = 0.01 * t
+            for n, p in params.items():
+                p.grad = None if (n, t) == ("b", 3) else rng.normal(size=p.shape)
+            grads = {n: None if p.grad is None else p.grad.copy()
+                     for n, p in params.items()}
+            tr.adam_step(params, state, lr)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for n, p in params.items():
+                g = grads[n]
+                if g is not None:
+                    m[n] = b1 * m[n] + (1.0 - b1) * g
+                    v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                    x[n] = x[n] - lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
+                    np.testing.assert_array_equal(p.grad, g)
+                    np.testing.assert_array_equal(state.m[n], m[n])
+                    np.testing.assert_array_equal(state.v[n], v[n])
+                np.testing.assert_array_equal(p.data, x[n])
+                assert p.data is arrays[n]
+        assert state.step == 5
+
     def test_nonfinite_gradient_names_tensor(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         p.grad = np.array([np.nan])
