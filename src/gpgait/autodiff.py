@@ -365,7 +365,8 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def _softmax(data: np.ndarray, axis=-1, mask=None) -> np.ndarray:
-    """Array kernel of ``softmax``."""
+    """Softmax over ``axis``; a binary mask excludes entries from the
+    normalization (their output is 0)."""
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
         shifted = np.where(mask, data, -np.inf)
@@ -379,19 +380,6 @@ def _softmax(data: np.ndarray, axis=-1, mask=None) -> np.ndarray:
     denom = e.sum(axis=axis, keepdims=True)
     denom = np.where(denom == 0.0, 1.0, denom)
     return e / denom
-
-
-def softmax(x: Tensor, axis=-1, mask=None) -> Tensor:
-    """Numerically-stable softmax; optional binary mask excludes
-    entries from the normalization (their output is 0)."""
-    y = _softmax(x.data, axis, mask)
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def bwd(g, a=x, y=y, axis=axis):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate(y * (g - dot))
-        out._backward = bwd
-    return out
 
 
 def stop_gradient(x: Tensor) -> Tensor:

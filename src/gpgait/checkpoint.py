@@ -1,4 +1,4 @@
-"""Named-tensor container used for checkpoints and descriptor caches.
+"""Named-tensor container used for checkpoints.
 
 Layout:
 

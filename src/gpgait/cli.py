@@ -1,8 +1,9 @@
 """Command-line entry points tying the pipeline together.
 
 Commands: preprocess, train, eval, inspect, synth. Every command is
-deterministic given (config, seed, inputs) when run single-threaded.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
+deterministic given (config, seed, inputs) with BLAS on one thread, and
+accepts only the flags it reads. Exit codes: 0 success, 2 config error,
+3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -10,47 +11,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import eval as eval_mod
-from . import hot as hot_mod
 from . import pose_io, synth
 from .config import build_run_config
 from .errors import ConfigError, DataError, GpgaitError
-from .hod import build_descriptors
-from .pagcn import init_model
+from .pagcn import NetworkConfig, init_model, with_masks
 from .train import TrainSet, restore_training_state, train_loop
 from .graph import mask_set
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GPGAIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"GPGAIT_THREADS={env!r} is not an integer")
-    return 1
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _unify(sequences, run_cfg, threads=1):
-    if run_cfg.use_hot:
-        hot_cfg = hot_mod.HotConfig(h_unif=run_cfg.h_unif, phi=run_cfg.phi)
-        return _parallel_map(lambda s: hot_mod.apply_hot(s, hot_cfg),
-                             sequences, threads)
-    return [hot_mod.passthrough(s) for s in sequences]
+def _unify(sequences, run_cfg, _threads=None):
+    # _threads: the worker-thread count perfbench/worker.py still passes; ignored
+    return eval_mod.unify_for_eval(sequences, run_cfg.echo())
 
 
 def _load_with_roles(manifest_path):
@@ -59,28 +35,25 @@ def _load_with_roles(manifest_path):
 
 
 def _run_config_from_args(args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "no_hot", False):
+    """RunConfig from the flags of one command; flags the command does
+    not accept read as unset."""
+    def flag(name):
+        return getattr(args, name, None)
+
+    overrides = {"seed": flag("seed")}
+    if flag("no_hot"):
         overrides["use_hot"] = False
-    if getattr(args, "descriptors", None):
+    if flag("descriptors"):
         overrides["branches"] = args.descriptors
-    if getattr(args, "single_branch", False):
+    if flag("single_branch"):
         overrides["branches"] = ("fused",)
-    if getattr(args, "no_partition", False):
+    if flag("no_partition"):
         overrides["use_masks"] = False
-    if getattr(args, "normalization", None):
-        overrides["normalization"] = args.normalization
-    if getattr(args, "iterations", None):
-        overrides["iterations"] = args.iterations
-    if getattr(args, "protocol", None):
-        overrides["protocol"] = args.protocol
-    if getattr(args, "metric", None):
-        overrides["metric"] = args.metric
-    cfg = build_run_config(preset=args.preset, config_file=args.config,
-                           overrides=overrides)
-    return cfg
+    for name in ("iterations", "protocol", "metric"):
+        if flag(name):
+            overrides[name] = flag(name)
+    return build_run_config(preset=flag("preset"), config_file=flag("config"),
+                            overrides=overrides)
 
 
 # -- commands ----------------------------------------------------------
@@ -88,7 +61,6 @@ def _run_config_from_args(args):
 
 def cmd_preprocess(args) -> int:
     run_cfg = _run_config_from_args(args)
-    threads = _threads_from(args)
     _manifest, with_roles = _load_with_roles(args.manifest)
     sequences = [s for s, _r in with_roles]
     os.makedirs(args.out, exist_ok=True)
@@ -99,7 +71,7 @@ def cmd_preprocess(args) -> int:
         for issue in rep.issues:
             report_lines.append(
                 f"{rep.seq_id}\tframe {issue.frame_index}\t{issue.kind}\t{issue.detail}")
-    unified = _unify(sequences, run_cfg, threads)
+    unified = eval_mod.unify_for_eval(sequences, run_cfg.echo())
     report_path = os.path.join(args.out, "report.txt")
     with open(report_path, "w", encoding="utf-8") as fh:
         for seq, u in zip(sequences, unified):
@@ -108,16 +80,6 @@ def cmd_preprocess(args) -> int:
                 fh.write(f"{seq.seq_id}\tdropped_frames\t{dropped}\n")
         for line in report_lines:
             fh.write(line + "\n")
-
-    hot_mod.save_unified(os.path.join(args.out, "unified.jsonl"), unified)
-    tensors = {}
-    for u in unified:
-        desc = build_descriptors(u)
-        tensors[f"{u.seq_id}/joint"] = desc.joint
-        tensors[f"{u.seq_id}/bone"] = desc.bone
-        tensors[f"{u.seq_id}/angle"] = desc.angle
-    ckpt.save_container(os.path.join(args.out, "descriptors.gpgw"),
-                        run_cfg.echo(), tensors)
     print(f"preprocessed {len(unified)} sequences -> {args.out}")
     return 0
 
@@ -137,10 +99,13 @@ def _train_entries(with_roles):
 def cmd_train(args) -> int:
     run_cfg = _run_config_from_args(args)
     _manifest, with_roles = _load_with_roles(args.manifest)
-    train_seqs = _train_entries(with_roles)
-    threads = _threads_from(args)
-    unified = _unify(train_seqs, run_cfg, threads)
-    train_set = TrainSet.build(unified)
+    header = run_cfg.echo()
+    if args.resume:
+        resumed, tensors = ckpt.load_container(args.resume)
+        # normalize as the checkpoint was trained, as eval does
+        header.update({k: resumed[k] for k in eval_mod.HOT_KEYS if k in resumed})
+    train_set = TrainSet.build(
+        eval_mod.unify_for_eval(_train_entries(with_roles), header))
     net_cfg = run_cfg.network_config(num_classes=train_set.num_classes)
     train_cfg = run_cfg.train_config()
 
@@ -149,17 +114,14 @@ def cmd_train(args) -> int:
     sampler_state = None
     start = 0
     if args.resume:
-        config, tensors = ckpt.load_container(args.resume)
-        from .pagcn import NetworkConfig
-        net_cfg = NetworkConfig.from_dict(config["network"])
+        net_cfg = NetworkConfig.from_dict(resumed["network"])
         model = init_model(net_cfg, seed=train_cfg.seed)
         state = restore_training_state(model, tensors)
-        sampler_state = config.get("sampler_state")
+        sampler_state = resumed.get("sampler_state")
         start = state.step
-    echo = run_cfg.echo()
-    echo["manifest"] = os.path.abspath(args.manifest)
+    header["manifest"] = os.path.abspath(args.manifest)
     _model, final = train_loop(train_set, net_cfg, train_cfg, args.out,
-                               run_config=echo, model=model, state=state,
+                               run_config=header, model=model, state=state,
                                start_iteration=start, sampler_state=sampler_state,
                                log_fn=print if args.verbose else None)
     print(f"checkpoint: {final}")
@@ -194,7 +156,6 @@ def cmd_inspect(args) -> int:
     eval_mod.heatmap_dump(model, unified, args.out)
     print(f"heatmap: {args.out}")
     if args.compare_unmasked:
-        from .pagcn import with_masks
         ones = {name: np.ones_like(m) for name, m in mask_set().items()}
         unmasked = with_masks(model, ones)
         alt = args.out + ".unmasked"
@@ -223,7 +184,7 @@ def cmd_synth(args) -> int:
     cameras = [_parse_camera(c) for c in (args.camera or ["scale=1"])]
     manifest = synth.generate_dataset(
         args.out, args.identities, args.sequences, cameras, args.frames,
-        args.seed if args.seed is not None else 0, protocol=args.protocol)
+        args.seed, protocol=args.protocol)
     print(f"manifest: {manifest}")
     return 0
 
@@ -238,46 +199,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset_default=None):
+    def config_flag(p):
         p.add_argument("--config", help="config file (dotted.key = value)")
-        p.add_argument("--preset", default=preset_default,
-                       help="casiab | oumvlp | gait3d | grew | toy")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (env GPGAIT_THREADS)")
 
-    def ablations(p):
+    def no_hot_flag(p):
         p.add_argument("--no-hot", action="store_true",
                        help="skip pose normalization (ablation)")
-        p.add_argument("--descriptors",
-                       help="comma list of branches: joint,bone,angle")
-        p.add_argument("--single-branch", action="store_true",
-                       help="fuse descriptors into one branch (ablation)")
-        p.add_argument("--no-partition", action="store_true",
-                       help="replace partition masks with all-ones (ablation)")
-        p.add_argument("--normalization",
-                       choices=("hot", "spine_unit", "dataset_independent"))
 
-    p = sub.add_parser("preprocess", help="normalize sequences, cache descriptors")
-    common(p)
-    ablations(p)
+    p = sub.add_parser("preprocess",
+                       help="validate sequences, report dropped frames")
+    config_flag(p)
+    no_hot_flag(p)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="directory for report.txt")
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model")
-    common(p)
-    ablations(p)
+    config_flag(p)
+    p.add_argument("--preset", help="casiab | oumvlp | gait3d | grew | toy")
+    p.add_argument("--seed", type=int)
+    no_hot_flag(p)
+    p.add_argument("--descriptors",
+                   help="comma list of branches: joint,bone,angle")
+    p.add_argument("--single-branch", action="store_true",
+                   help="fuse descriptors into one branch (ablation)")
+    p.add_argument("--no-partition", action="store_true",
+                   help="replace partition masks with all-ones (ablation)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=int)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="gallery/probe rank-1 evaluation")
-    common(p)
-    ablations(p)
+    config_flag(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True, help="target dataset manifest")
     p.add_argument("--out", required=True, help="results file")
@@ -287,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("inspect", help="dump per-keypoint feature heatmap")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--seq-id", help="sequence to inspect (default: first)")
@@ -297,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--identities", type=int, default=20)
     p.add_argument("--sequences", type=int, default=6)

@@ -22,7 +22,6 @@ class RunConfig:
     preset: str = "casiab"
     seed: int = 0
     use_hot: bool = True
-    normalization: str = "hot"
     h_unif: float = 225.0
     phi: float = 0.1
     branches: tuple = ("joint", "angle", "bone")
@@ -91,7 +90,6 @@ class RunConfig:
             "preset": self.preset,
             "seed": self.seed,
             "use_hot": self.use_hot,
-            "normalization": self.normalization,
             "h_unif": self.h_unif,
             "phi": self.phi,
             "metric": self.metric,
@@ -136,7 +134,7 @@ _FLOAT_KEYS = {
     "flip_probability", "noise_probability", "noise_sigma",
 }
 _BOOL_KEYS = {"use_hot", "attention", "use_masks"}
-_STR_KEYS = {"preset", "metric", "protocol", "normalization"}
+_STR_KEYS = {"preset", "metric", "protocol"}
 
 # dotted config keys -> RunConfig fields
 KEY_MAP = {}
@@ -233,9 +231,4 @@ def build_run_config(preset: str = None, config_file=None,
     if overrides:
         clean = {k: _coerce(k, v) for k, v in overrides.items() if v is not None}
         cfg = replace(cfg, **clean)
-    if cfg.normalization not in ("hot", "spine_unit", "dataset_independent"):
-        raise ConfigError(f"unknown normalization {cfg.normalization!r}")
-    if cfg.normalization != "hot":
-        raise ConfigError(
-            f"normalization {cfg.normalization!r} is a documented stub: not implemented")
     return cfg

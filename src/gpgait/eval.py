@@ -72,8 +72,14 @@ def load_model_from_checkpoint(path):
     return model, config
 
 
+# the header entries that decide normalization
+HOT_KEYS = ("use_hot", "h_unif", "phi")
+
+
 def unify_for_eval(sequences, run_config: dict):
-    """Apply the same normalization the checkpoint was trained with."""
+    """Normalize as a header-shaped dict says (``HOT_KEYS``): the
+    checkpoint header, or ``RunConfig.echo()`` for a fresh run. Every
+    command normalizes through here."""
     use_hot = run_config.get("use_hot", True)
     if use_hot:
         hot_cfg = hot_mod.HotConfig(

@@ -11,8 +11,6 @@ Degenerate frames are dropped and the indices of the kept ones returned.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,43 +132,3 @@ def passthrough(seq: PoseSequence) -> UnifiedPoseSequence:
         frames=seq.coords(),
         kept_frame_indices=list(range(seq.num_frames)),
     )
-
-
-def save_unified(path, sequences):
-    """Unified sequences in the shared record format, marked and without
-    a confidence channel."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u in sequences:
-            rec = {
-                "seq_id": u.seq_id,
-                "subject": u.subject,
-                "condition": u.condition,
-                "view": u.view,
-                "unified": True,
-                "kept_frame_indices": list(u.kept_frame_indices),
-                "frames": u.frames.tolist(),
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_unified(path) -> list:
-    if not os.path.exists(path):
-        raise DataError(f"missing unified sequence file: {path}")
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if not rec.get("unified"):
-                raise DataError(f"{path}: record is not a unified sequence")
-            out.append(UnifiedPoseSequence(
-                seq_id=str(rec["seq_id"]),
-                subject=str(rec["subject"]),
-                condition=str(rec["condition"]),
-                view=str(rec["view"]),
-                frames=np.asarray(rec["frames"], dtype=np.float64),
-                kept_frame_indices=list(rec["kept_frame_indices"]),
-            ))
-    return out

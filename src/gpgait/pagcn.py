@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, batch_norm_train, block_epilogue, concat, softmax,
+from .autodiff import (Tensor, batch_norm_train, block_epilogue, concat,
                        spatial_graph_conv, temporal_conv)
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
@@ -286,23 +286,6 @@ def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
 # -- forward ops ------------------------------------------------------
 
 
-def attention_adjacency(f_in: Tensor, attn_a: Tensor, attn_b: Tensor,
-                        mask: np.ndarray = None) -> Tensor:
-    """Per-sequence joint-affinity matrix from temporally pooled features.
-
-    Returns (N, V, V) with rows summing to 1. When a partition mask is
-    given, entries outside a row's part are excluded from the softmax
-    so the result is block-diagonal.
-    """
-    pooled = f_in.mean(axis=1)              # (N, V, C)
-    q = pooled @ attn_a                     # (N, V, C_e)
-    k = pooled @ attn_b
-    scale = 1.0 / np.sqrt(attn_a.shape[1])
-    sim = (q @ k.transpose((0, 2, 1))) * scale
-    bool_mask = None if mask is None else (np.asarray(mask) > 0)
-    return softmax(sim, axis=-1, mask=bool_mask)
-
-
 def _check_channels(f_in: Tensor, block: BlockParams):
     if f_in.shape[-1] != block.in_channels:
         raise DataError(
@@ -310,16 +293,14 @@ def _check_channels(f_in: Tensor, block: BlockParams):
 
 
 def pagcn_spatial(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
-                  mask: np.ndarray, with_attention: bool = None) -> Tensor:
+                  mask: np.ndarray) -> Tensor:
     """Masked graph aggregation and channel mixing, summed over the
     adjacency subsets, as one ``spatial_graph_conv`` node: attention,
     the combined (fixed + learned + attention) adjacency of every subset,
     its mask and the graph conv."""
     _check_channels(f_in, block)
     subs = block.subsets
-    if with_attention is None:
-        with_attention = True
-    attention = with_attention and subs[0].attn_a is not None
+    attention = subs[0].attn_a is not None
     return spatial_graph_conv(
         f_in, adjacency, mask, [s.learned_adj for s in subs],
         [s.weight for s in subs],

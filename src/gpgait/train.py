@@ -146,9 +146,6 @@ class TrainSet:
     def num_classes(self) -> int:
         return len(self.subjects)
 
-    def label_of(self, subject: str) -> int:
-        return self.subjects.index(subject)
-
 
 def sample_frames(useq_frames: np.ndarray, length: int, rng) -> np.ndarray:
     """L frames drawn uniformly, order discarded; with replacement only
@@ -259,7 +256,6 @@ def combined_loss(metrics: list, logits: list, labels: np.ndarray,
     for metric, logit in zip(metrics, logits):
         tri_terms.append(triplet_loss(metric, labels, margin))
         ce_terms.append(cross_entropy_loss(logit, labels))
-    k = len(tri_terms)
     tri = concat([t.reshape(1) for t in tri_terms]).mean()
     ce = concat([t.reshape(1) for t in ce_terms]).mean()
     return tri + ce * ce_weight, tri, ce

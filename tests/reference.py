@@ -3,9 +3,9 @@
 Most are written with explicit index loops and plain Python math so
 they share no vectorized code path with the package under test. The
 last section keeps the chain of autodiff nodes a part-aware graph block
-was built from before it became two fused nodes (``graph_conv`` and
-``ref_block_chain``), as the oracle of the fused block's values and
-gradients.
+was built from before it became two fused nodes (``graph_conv``,
+``softmax``, ``attention_adjacency`` and ``ref_block_chain``), as the
+oracle of the fused block's values and gradients.
 """
 
 import math
@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from gpgait import pagcn
-from gpgait.autodiff import Tensor, _make, batch_norm_train, temporal_conv
+from gpgait.autodiff import (Tensor, _make, _softmax, batch_norm_train,
+                             temporal_conv)
 
 BN_EPS = 1e-5
 
@@ -396,6 +397,35 @@ def graph_conv(f_in, adjacencies, weights):
     return out
 
 
+def softmax(x, axis=-1, mask=None):
+    """Softmax node; an optional binary mask excludes entries from the
+    normalization (their output is 0)."""
+    y = _softmax(x.data, axis, mask)
+    out = _make(y, (x,))
+    if out.requires_grad:
+        def bwd(g, a=x, y=y, axis=axis):
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            a._accumulate(y * (g - dot))
+        out._backward = bwd
+    return out
+
+
+def attention_adjacency(f_in, attn_a, attn_b, mask=None):
+    """Per-sequence joint-affinity matrix from temporally pooled features.
+
+    Returns (N, V, V) with rows summing to 1. When a partition mask is
+    given, entries outside a row's part are excluded from the softmax
+    so the result is block-diagonal.
+    """
+    pooled = f_in.mean(axis=1)              # (N, V, C)
+    q = pooled @ attn_a                     # (N, V, C_e)
+    k = pooled @ attn_b
+    scale = 1.0 / np.sqrt(attn_a.shape[1])
+    sim = (q @ k.transpose((0, 2, 1))) * scale
+    bool_mask = None if mask is None else (np.asarray(mask) > 0)
+    return softmax(sim, axis=-1, mask=bool_mask)
+
+
 def ref_spatial_chain(f_in, block, adjacency, mask):
     """Per subset: (fixed + learned + attention) * mask from generic
     nodes, then one ``graph_conv`` node."""
@@ -404,7 +434,7 @@ def ref_spatial_chain(f_in, block, adjacency, mask):
     for k, sub in enumerate(block.subsets):
         adj = Tensor(adjacency[k]) + sub.learned_adj
         if sub.attn_a is not None:
-            adj = adj + pagcn.attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
+            adj = adj + attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
         combined.append(adj * mask_t)
     return graph_conv(f_in, combined, [sub.weight for sub in block.subsets])
 

@@ -69,7 +69,6 @@ def _single_thread_env():
         "OPENBLAS_NUM_THREADS": "1",
         "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1",
-        "GPGAIT_THREADS": "1",
     })
     return env
 
@@ -128,7 +127,7 @@ def hot_run(acceptance_dir, domain_a):
     out = acceptance_dir / "train_hot"
     start = time.perf_counter()
     _run_cli(["train", "--preset", "toy", "--manifest", str(domain_a),
-              "--out", str(out), "--seed", "7", "--threads", "1"])
+              "--out", str(out), "--seed", "7"])
     elapsed = time.perf_counter() - start
     return out / "final.gpgw", elapsed
 
@@ -138,15 +137,15 @@ def nohot_run(acceptance_dir, domain_a):
     out = acceptance_dir / "train_nohot"
     start = time.perf_counter()
     _run_cli(["train", "--preset", "toy", "--manifest", str(domain_a),
-              "--out", str(out), "--seed", "7", "--threads", "1", "--no-hot"])
+              "--out", str(out), "--seed", "7", "--no-hot"])
     elapsed = time.perf_counter() - start
     return out / "final.gpgw", elapsed
 
 
-def _eval_rank1(checkpoint, manifest, out_path, extra=()):
+def _eval_rank1(checkpoint, manifest, out_path):
     start = time.perf_counter()
     _run_cli(["eval", "--checkpoint", str(checkpoint), "--manifest",
-              str(manifest), "--out", str(out_path)] + list(extra))
+              str(manifest), "--out", str(out_path)])
     return _rank1_from_results(out_path), time.perf_counter() - start
 
 
@@ -414,9 +413,9 @@ def test_09_synthetic_cross_domain(domain_a, domain_b, hot_run, nohot_run,
                                acceptance_dir / "results_a.tsv")
         cross, t2 = _eval_rank1(hot_ckpt, domain_b,
                                 acceptance_dir / "results_b.tsv")
+        # the checkpoint's header turns normalization off
         nohot_cross, t3 = _eval_rank1(
-            nohot_ckpt, domain_b, acceptance_dir / "results_b_nohot.tsv",
-            extra=["--no-hot"])
+            nohot_ckpt, domain_b, acceptance_dir / "results_b_nohot.tsv")
         total = hot_time + nohot_time + t1 + t2 + t3
         print(f"\n  same {same:.3f}, cross {cross:.3f}, "
               f"no-hot cross {nohot_cross:.3f}, total {total:.0f}s",
@@ -472,7 +471,7 @@ def test_11_determinism(domain_a, hot_run, acceptance_dir):
             out = acceptance_dir / f"det_{tag}"
             _run_cli(["train", "--preset", "toy", "--manifest",
                       str(domain_a), "--out", str(out), "--seed", "13",
-                      "--threads", "1", "--iterations", "30"])
+                      "--iterations", "30"])
             checkpoints.append((out / "final.gpgw").read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
@@ -481,6 +480,6 @@ def test_11_determinism(domain_a, hot_run, acceptance_dir):
         for tag in ("e1", "e2"):
             out = acceptance_dir / f"det_{tag}.tsv"
             _run_cli(["eval", "--checkpoint", str(hot_ckpt), "--manifest",
-                      str(domain_a), "--out", str(out), "--threads", "1"])
+                      str(domain_a), "--out", str(out)])
             results.append(out.read_bytes())
         assert results[0] == results[1]

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from gpgait.autodiff import (Tensor, batch_norm_train, block_epilogue, concat,
-                             softmax, spatial_graph_conv, stop_gradient,
-                             temporal_conv)
+                             spatial_graph_conv, stop_gradient, temporal_conv)
 from gpgait.graph import mask_set
-from reference import graph_conv
+from reference import graph_conv, softmax
 
 
 def finite_difference(fn, x0, h=1e-6):

@@ -1,14 +1,19 @@
+import argparse
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gpgait import cli
 from gpgait import eval as eval_mod
 from gpgait import pose_io
 from gpgait import train as tr
 from gpgait.checkpoint import load_container, save_container
-from gpgait.cli import main
+from gpgait.cli import build_parser, main
 from gpgait.config import build_run_config, parse_config_file
 from gpgait.errors import ConfigError
 
@@ -77,10 +82,9 @@ class TestPreprocess:
         rc = main(["preprocess", "--manifest", str(toy_data),
                    "--out", str(tmp_path / "pp")])
         assert rc == 0
-        assert (tmp_path / "pp" / "unified.jsonl").exists()
         assert (tmp_path / "pp" / "report.txt").exists()
-        config, tensors = load_container(tmp_path / "pp" / "descriptors.gpgw")
-        assert any(name.endswith("/joint") for name in tensors)
+        assert not (tmp_path / "pp" / "unified.jsonl").exists()
+        assert not (tmp_path / "pp" / "descriptors.gpgw").exists()
 
     def test_missing_input(self, tmp_path):
         rc = main(["preprocess", "--manifest", str(tmp_path / "nope.tsv"),
@@ -143,10 +147,11 @@ class TestPreprocess:
         for d in ("p1", "p2"):
             assert main(["preprocess", "--manifest", str(toy_data),
                          "--out", str(tmp_path / d)]) == 0
-        for fname in ("unified.jsonl", "descriptors.gpgw", "report.txt"):
-            b1 = (tmp_path / "p1" / fname).read_bytes()
-            b2 = (tmp_path / "p2" / fname).read_bytes()
-            assert b1 == b2, fname
+        b1 = (tmp_path / "p1" / "report.txt").read_bytes()
+        b2 = (tmp_path / "p2" / "report.txt").read_bytes()
+        assert b1 == b2
+        for fname in ("unified.jsonl", "descriptors.gpgw"):
+            assert not (tmp_path / "p1" / fname).exists(), fname
 
 
 class TestTrain:
@@ -190,7 +195,7 @@ class TestTrain:
         assert rc == 2
 
     def test_run_threads_key_rejected(self, toy_data, tmp_path, capsys):
-        # worker threads come only from --threads / GPGAIT_THREADS
+        # there is no thread setting: the key is unknown
         bad = tmp_path / "threads.cfg"
         bad.write_text("run.threads = 4\n")
         with pytest.raises(ConfigError, match="'run.threads'"):
@@ -242,6 +247,24 @@ class TestTrain:
 
         assert lr_lines(full) == lr_lines(resumed)
         assert lr_lines(resumed)[0][:2] == ["iter", "4"]
+
+    def test_resume_normalizes_as_checkpoint(self, toy_data, toy_checkpoint,
+                                             tmp_path):
+        """A --no-hot run resumed without --no-hot keeps training on raw
+        poses and records that, as eval reads it from the header."""
+        _, tiny = toy_checkpoint
+        cfgfile = tmp_path / "mid.cfg"
+        cfgfile.write_text(tiny.read_text().replace(
+            "train.checkpoint_interval = 0", "train.checkpoint_interval = 2"))
+        run = tmp_path / "nohot"
+        assert main(["train", "--manifest", str(toy_data), "--out", str(run),
+                     "--config", str(cfgfile), "--seed", "7", "--no-hot"]) == 0
+        resumed = tmp_path / "resumed"
+        assert main(["train", "--manifest", str(toy_data), "--out", str(resumed),
+                     "--config", str(cfgfile), "--seed", "7",
+                     "--resume", str(run / "ckpt_000002.gpgw")]) == 0
+        config, _ = load_container(resumed / "final.gpgw")
+        assert config["use_hot"] is False
 
     def test_bit_identical_reruns(self, toy_data, toy_checkpoint, tmp_path):
         _, cfgfile = toy_checkpoint
@@ -418,10 +441,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="preset"):
             build_run_config(preset="imaginary")
 
-    def test_normalization_stubs_raise(self):
-        for stub in ("spine_unit", "dataset_independent"):
-            with pytest.raises(ConfigError, match="not implemented"):
-                build_run_config(overrides={"normalization": stub})
+    def test_normalization_key_rejected(self, tmp_path, capsys):
+        # HOT (or none, with --no-hot) is the only normalization
+        f = tmp_path / "c.cfg"
+        f.write_text("run.normalization = hot\n")
+        rc = main(["preprocess", "--manifest", str(tmp_path / "m.tsv"),
+                   "--out", str(tmp_path / "pp"), "--config", str(f)])
+        assert rc == 2
+        assert "unknown config key 'run.normalization'" in capsys.readouterr().err
 
     def test_partition_override_from_config(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -447,19 +474,6 @@ class TestConfig:
         from gpgait.pagcn import init_model
         with pytest.raises(ConfigError, match="uncovered"):
             init_model(cfg.network_config(num_classes=2), seed=0)
-
-    def test_threads_env_fallback(self, toy_data, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPGAIT_THREADS", "2")
-        rc = main(["preprocess", "--manifest", str(toy_data),
-                   "--out", str(tmp_path / "pp_threads")])
-        assert rc == 0
-        # threaded result identical to single-threaded
-        monkeypatch.delenv("GPGAIT_THREADS")
-        assert main(["preprocess", "--manifest", str(toy_data),
-                     "--out", str(tmp_path / "pp_single")]) == 0
-        b1 = (tmp_path / "pp_threads" / "unified.jsonl").read_bytes()
-        b2 = (tmp_path / "pp_single" / "unified.jsonl").read_bytes()
-        assert b1 == b2
 
 
 class TestAblationFlags:
@@ -520,3 +534,70 @@ class TestAblationFlags:
         assert rc == 0
         config, _ = load_container(tmp_path / "np" / "final.gpgw")
         assert config["network"]["use_masks"] is False
+
+
+# the arguments each command requires, so that a parse fails only on the
+# flag under test
+REQUIRED = {
+    "preprocess": ["--manifest", "m", "--out", "o"],
+    "train": ["--manifest", "m", "--out", "o"],
+    "eval": ["--checkpoint", "c", "--manifest", "m", "--out", "o"],
+    "inspect": ["--checkpoint", "c", "--manifest", "m", "--out", "o"],
+    "synth": ["--out", "o"],
+}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def command_flags():
+    """{command: set of its --flags}, from the parser."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, p in sub.choices.items()}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", ["--no-hot"]), ("eval", ["--seed", "3"]),
+        ("eval", ["--preset", "toy"]), ("inspect", ["--config", "f"]),
+        ("inspect", ["--seed", "3"]), ("preprocess", ["--single-branch"]),
+        ("preprocess", ["--seed", "3"]), ("synth", ["--preset", "toy"]),
+        ("train", ["--threads", "1"]), ("train", ["--normalization", "hot"]),
+    ])
+    def test_unread_flag_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + REQUIRED[command] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--no-hot"]])
+    def test_unify_takes_a_thread_count(self, toy_data, flags):
+        # the benchmark's set-up calls _unify(sequences, run_cfg, 1)
+        args = build_parser().parse_args(["train"] + REQUIRED["train"] + flags)
+        run_cfg = cli._run_config_from_args(args)
+        _manifest, with_roles = cli._load_with_roles(toy_data)
+        seqs = [s for s, _r in with_roles]
+        got = cli._unify(seqs, run_cfg, 1)
+        want = eval_mod.unify_for_eval(seqs, run_cfg.echo())
+        assert len(got) == len(want) == len(seqs)
+        for g, w in zip(got, want):
+            assert g.frames.tobytes() == w.frames.tobytes()
+            assert g.kept_frame_indices == w.kept_frame_indices
+
+    def test_readme_lists_each_commands_flags(self):
+        text = README.read_text()
+        section = text.split("\n## Commands and flags\n", 1)[1].split("\n## ", 1)[0]
+        entries = re.split(r"^### `gpgait (\w+)`$", section, flags=re.M)[1:]
+        documented = {cmd: set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", body))
+                      for cmd, body in zip(entries[0::2], entries[1::2])}
+        assert documented == command_flags()
+
+    def test_readme_command_lines_parse(self):
+        text = README.read_text().replace("\\\n", " ")
+        lines = [ln.split("#", 1)[0] for ln in text.splitlines()
+                 if ln.startswith("gpgait ")]
+        assert lines
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])

