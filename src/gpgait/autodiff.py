@@ -390,9 +390,29 @@ def stop_gradient(x: Tensor) -> Tensor:
 #
 # Each replaces a chain of generic nodes with one node whose backward is
 # written out, so the sweep allocates one gradient per input instead of
-# one per intermediate, and a node keeps only what its backward reads.
+# one per intermediate, and a node keeps only what its backward cannot
+# cheaply rebuild; the rest is recomputed by the forward's exact
+# operations, so values and gradients match a stored tape bit for bit.
 # Given only constant tensors they build no graph, which is how a
 # block's inference path runs them.
+
+
+def _stacked(tensors, axis: int) -> np.ndarray:
+    return np.concatenate([t.data for t in tensors], axis=axis)
+
+
+def _attention(f: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
+               mask: np.ndarray, k: int):
+    """(pooled, queries, keys, attention) of the attention term of
+    ``spatial_graph_conv`` on (N, T, V, C_in) features, for the K
+    query and key projections stacked to (C_in, K*C_e)."""
+    n, t, v, _ = f.shape
+    ce = w_q.shape[1] // k
+    pooled = f.sum(axis=1) * (1.0 / t)                          # (N, V, C_in)
+    q = (pooled @ w_q).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
+    key = (pooled @ w_k).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
+    sim = np.matmul(q, key.swapaxes(-1, -2)) * (1.0 / np.sqrt(ce))
+    return pooled, q, key, _softmax(sim, -1, mask > 0)       # (N, K, V, V)
 
 
 def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
@@ -416,23 +436,22 @@ def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     K*C_in channels, never K*C_out. A masked adjacency entry is exactly
     0, so it adds exactly 0, and backward masks the adjacency gradient,
     so a masked learned entry gets a gradient of exactly 0.
+
+    The node keeps only its input and the stacked adjacency ((V*K, V),
+    or (N, 1, V*K, V) with attention). Backward rebuilds the aggregated
+    (N, T, V*K, C_in) features, the widest array of the step, by the
+    forward's own batched product, uses them for the weight gradient and
+    frees them before the aggregate's gradient is formed; it rebuilds
+    the attention term and the stacked weights the same way, so every
+    gradient is bit-identical to one computed from stored arrays.
     """
     n, t, v, c_in = f_in.shape
     k = len(weights)
     c_out = weights[0].shape[1]
-    f = f_in.data
-    w = np.concatenate([wk.data for wk in weights], axis=0)
     adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
     if attn_q:
-        ce = attn_q[0].shape[1]
-        scale = 1.0 / np.sqrt(ce)
-        w_q = np.concatenate([a.data for a in attn_q], axis=1)     # (C_in, K*C_e)
-        w_k = np.concatenate([a.data for a in attn_k], axis=1)
-        pooled = f.sum(axis=1) * (1.0 / t)                          # (N, V, C_in)
-        q = (pooled @ w_q).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
-        key = (pooled @ w_k).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
-        att = _softmax(np.matmul(q, key.swapaxes(-1, -2)) * scale, -1, mask > 0)
-        adj = adj + att                                             # (N, K, V, V)
+        adj = adj + _attention(f_in.data, _stacked(attn_q, 1),
+                               _stacked(attn_k, 1), mask, k)[3]    # (N, K, V, V)
     adj *= mask
     per_sequence = adj.ndim == 4
     # stacked[.., u*K + k, v] = A_k[.., v, u]; the K rows of a joint are
@@ -440,26 +459,30 @@ def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     stacked = np.moveaxis(adj, -1, -3).reshape(adj.shape[:-3] + (v * k, v))
     if per_sequence:
         stacked = stacked[:, None]                                  # (N, 1, V*K, V)
-    agg = np.matmul(stacked, f).reshape(-1, k * c_in)
-    out = _make((agg @ w).reshape(n, t, v, c_out),
+    agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
+    out = _make((agg @ _stacked(weights, 0)).reshape(n, t, v, c_out),
                 (f_in, *learned, *weights, *attn_q, *attn_k))
     if not out.requires_grad:
         return out
 
     def bwd(g):
+        f = f_in.data
         g = g.reshape(-1, c_out)
         if any(wk.requires_grad for wk in weights):
+            agg = np.matmul(stacked, f).reshape(-1, k * c_in)
             g_w = agg.T @ g
+            del agg
             for i, wk in enumerate(weights):
                 if wk.requires_grad:
                     wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
-        g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
+        g_agg = (g @ _stacked(weights, 0).T).reshape(n, t, v * k, c_in)
         g_f = None
         if f_in.requires_grad:
             g_f = np.matmul(np.swapaxes(stacked, -1, -2), g_agg)
         # per-frame (V*K, C_in) @ (C_in, V) products summed over frames:
         # faster here than one (V*K, T*C_in) GEMM per sequence
         g_adj = np.matmul(g_agg, np.swapaxes(f, -1, -2))
+        del g_agg
         g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
         g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
         g_adj *= mask                                               # (.., K, V, V)
@@ -468,11 +491,14 @@ def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
             if a.requires_grad:
                 a._accumulate(g_learned[i])
         if attn_q:
+            w_q, w_k = _stacked(attn_q, 1), _stacked(attn_k, 1)
+            pooled, q, key, att = _attention(f, w_q, w_k, mask, k)
+            ce = w_q.shape[1] // k
             # softmax backward; a masked entry has att == 0, so its
             # similarity gets exactly 0
             g_sim = g_adj - (g_adj * att).sum(axis=-1, keepdims=True)
             g_sim *= att
-            g_sim *= scale
+            g_sim *= 1.0 / np.sqrt(ce)
             g_q = np.matmul(g_sim, key).transpose(0, 2, 1, 3).reshape(-1, k * ce)
             g_key = np.matmul(g_sim.swapaxes(-1, -2), q)
             g_key = g_key.transpose(0, 2, 1, 3).reshape(-1, k * ce)
@@ -624,6 +650,16 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
     return out, mu.reshape(gamma.shape), var.reshape(gamma.shape)
 
 
+def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+             out: np.ndarray = None) -> np.ndarray:
+    """``relu(xhat * gamma + beta)``, written to ``out`` (``xhat``
+    itself is allowed) or to a new array."""
+    h = np.multiply(xhat, gamma, out=out)
+    h += beta
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
 def block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor, kernel: Tensor,
                    gamma2: Tensor, beta2: Tensor, eps: float,
                    residual: Tensor = None):
@@ -634,25 +670,23 @@ def block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor, kernel: Tensor,
     ``y`` is (N, T, V, C); batch statistics are reduced over its
     (-1, C) view. Returns (output, (mean1, var1), (mean2, var2)), the
     statistics shaped (C,). Each ReLU runs in place on its batch-norm
-    output. The node keeps the first ReLU's output ``h`` (whose mask is
-    ``h > 0``), the second normalized array (computed in place in the
-    temporal conv's output) and the second ReLU's mask as a bool array;
-    backward recomputes the first normalized array from ``y`` by the
-    forward's exact operations.
+    output, and the forward frees the first ReLU's output and the second
+    normalized array as soon as it has used them. The node keeps its
+    input ``y``, the per-channel means and standard deviations and the
+    second ReLU's mask as a bool array. Backward rebuilds, once each and
+    by the forward's exact operations, the first normalized array (which
+    the first batch norm's gradient uses too), the first ReLU's output
+    from it (whose mask is ``> 0``) and the second normalized array, so
+    every gradient is bit-identical to one computed from stored arrays.
     """
     shape, c = y.shape, y.shape[-1]
-    y2 = y.data.reshape(-1, c)
-    h, mu1, var1, std1 = _bn_normalize(y2, eps)
-    h *= gamma1.data
-    h += beta1.data
-    np.maximum(h, 0.0, out=h)
-    h = h.reshape(shape)
-    xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
+    h, mu1, var1, std1 = _bn_normalize(y.data.reshape(-1, c), eps)
+    _bn_relu(h, gamma1.data, beta1.data, out=h)
+    xhat2 = _temporal_conv(h.reshape(shape), kernel.data).reshape(-1, c)
+    del h
     xhat2, mu2, var2, std2 = _bn_normalize(xhat2, eps, out=xhat2)
-    r = xhat2 * gamma2.data
-    r += beta2.data
-    np.maximum(r, 0.0, out=r)
-    r = r.reshape(shape)
+    r = _bn_relu(xhat2, gamma2.data, beta2.data).reshape(shape)
+    del xhat2
     active2 = r > 0.0                       # the second ReLU's mask
     if residual is not None:
         r += residual.data
@@ -665,12 +699,17 @@ def block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor, kernel: Tensor,
     def bwd(g):
         if residual is not None and residual.requires_grad:
             residual._accumulate(g)
-        g_r = (g * active2).reshape(-1, c)
-        g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, std2, gamma2.data)
+        xhat1 = _bn_xhat(y.data.reshape(-1, c), mu1, std1)
+        h = _bn_relu(xhat1, gamma1.data, beta1.data).reshape(shape)
+        xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
+        _bn_xhat(xhat2, mu2, std2, out=xhat2)
+        g_z, g_gamma2, g_beta2 = _bn_backward((g * active2).reshape(-1, c), xhat2,
+                                              std2, gamma2.data, out=xhat2)
         g_h, g_kernel = _temporal_conv_grads(g_z.reshape(shape), h, kernel.data,
                                              True, kernel.requires_grad)
+        del g_z, xhat2
         g_h *= h > 0.0
-        xhat1 = _bn_xhat(y2, mu1, std1, out=g_z)     # g_z is spent
+        del h
         g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(-1, c), xhat1, std1,
                                               gamma1.data, out=xhat1)
         for t, grad in ((gamma2, g_gamma2), (beta2, g_beta2), (kernel, g_kernel),

@@ -9,6 +9,7 @@ accepts only the flags it reads. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import eval as eval_mod
 from . import pose_io, synth
-from .config import build_run_config
+from .config import KEY_MAP, build_run_config, parse_config_file
 from .errors import ConfigError, DataError, GpgaitError
 from .pagcn import NetworkConfig, init_model, with_masks
 from .train import TrainSet, restore_training_state, train_loop
@@ -50,10 +51,40 @@ def _run_config_from_args(args):
     if flag("no_partition"):
         overrides["use_masks"] = False
     for name in ("iterations", "protocol", "metric"):
-        if flag(name):
+        if flag(name) is not None:
             overrides[name] = flag(name)
     return build_run_config(preset=flag("preset"), config_file=flag("config"),
                             overrides=overrides)
+
+
+# flags whose setting a resumed run takes from the checkpoint instead:
+# (argument, flag, RunConfig field)
+_RESUME_FLAGS = (
+    ("no_hot", "--no-hot", "use_hot"),
+    ("descriptors", "--descriptors", "branches"),
+    ("single_branch", "--single-branch", "branches"),
+    ("no_partition", "--no-partition", "use_masks"),
+)
+
+
+def _warn_resume_overrides(args, run_cfg, resumed: dict):
+    """One stderr warning for each network or normalization setting,
+    given by a flag or a ``network.*``/``hot.*``/``graph.partition.*``
+    key of the config file, that differs from the resumed checkpoint's;
+    the checkpoint's value is the one used."""
+    kept = dataclasses.asdict(NetworkConfig.from_dict(resumed["network"]))
+    kept.update((k, resumed[k]) for k in eval_mod.HOT_KEYS if k in resumed)
+    given = [(flag, field, getattr(run_cfg, field))
+             for arg, flag, field in _RESUME_FLAGS if getattr(args, arg)]
+    if args.config:
+        keys = {field: key for key, field in KEY_MAP.items()}
+        given += [(keys.get(field, "graph.partition.*"), field, value)
+                  for field, value in parse_config_file(args.config).items()]
+    for name, field, value in given:
+        if field in kept and value != kept[field]:
+            print(f"warning: {name} sets {field} = {value!r}, but the resumed "
+                  f"checkpoint has {kept[field]!r}; using the checkpoint's",
+                  file=sys.stderr)
 
 
 # -- commands ----------------------------------------------------------
@@ -65,21 +96,18 @@ def cmd_preprocess(args) -> int:
     sequences = [s for s, _r in with_roles]
     os.makedirs(args.out, exist_ok=True)
 
-    report_lines = []
-    for seq in sequences:
-        rep = pose_io.validate_sequence(seq)
-        for issue in rep.issues:
-            report_lines.append(
-                f"{rep.seq_id}\tframe {issue.frame_index}\t{issue.kind}\t{issue.detail}")
-    unified = eval_mod.unify_for_eval(sequences, run_cfg.echo())
-    report_path = os.path.join(args.out, "report.txt")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    # validation lines go out before normalization, which fails on a
+    # sequence with no usable frame: they are what explains the failure
+    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
+        for seq in sequences:
+            for issue in pose_io.validate_sequence(seq).issues:
+                fh.write(f"{seq.seq_id}\tframe {issue.frame_index}\t{issue.kind}"
+                         f"\t{issue.detail}\n")
+        unified = eval_mod.unify_for_eval(sequences, run_cfg.echo())
         for seq, u in zip(sequences, unified):
             dropped = sorted(set(range(seq.num_frames)) - set(u.kept_frame_indices))
             if dropped:
                 fh.write(f"{seq.seq_id}\tdropped_frames\t{dropped}\n")
-        for line in report_lines:
-            fh.write(line + "\n")
     print(f"preprocessed {len(unified)} sequences -> {args.out}")
     return 0
 
@@ -102,6 +130,7 @@ def cmd_train(args) -> int:
     header = run_cfg.echo()
     if args.resume:
         resumed, tensors = ckpt.load_container(args.resume)
+        _warn_resume_overrides(args, run_cfg, resumed)
         # normalize as the checkpoint was trained, as eval does
         header.update({k: resumed[k] for k in eval_mod.HOT_KEYS if k in resumed})
     train_set = TrainSet.build(

@@ -62,6 +62,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.subjects_per_batch < 2 or self.samples_per_subject < 2:
             raise ConfigError("triplet mining needs P >= 2 and K >= 2")
+        if self.iterations < 1:
+            raise ConfigError(
+                f"train.iterations must be at least 1, got {self.iterations}")
         for p in (self.flip_probability, self.noise_probability):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"probability {p} outside [0, 1]")

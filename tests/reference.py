@@ -2,10 +2,14 @@
 
 Most are written with explicit index loops and plain Python math so
 they share no vectorized code path with the package under test. The
-last section keeps the chain of autodiff nodes a part-aware graph block
-was built from before it became two fused nodes (``graph_conv``,
-``softmax``, ``attention_adjacency`` and ``ref_block_chain``), as the
-oracle of the fused block's values and gradients.
+second-to-last section keeps the chain of autodiff nodes a part-aware
+graph block was built from before it became two fused nodes
+(``graph_conv``, ``softmax``, ``attention_adjacency`` and
+``ref_block_chain``), as the oracle of the fused block's values and
+gradients. The last keeps the two fused training nodes as they were
+when they stored their intermediates for backward
+(``stored_spatial_graph_conv``, ``stored_block_epilogue``), as the
+bit-exact oracle of the nodes that rebuild them.
 """
 
 import math
@@ -13,7 +17,9 @@ import math
 import numpy as np
 
 from gpgait import pagcn
-from gpgait.autodiff import (Tensor, _make, _softmax, batch_norm_train,
+from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
+                             _make, _softmax, _temporal_conv,
+                             _temporal_conv_grads, batch_norm_train,
                              temporal_conv)
 
 BN_EPS = 1e-5
@@ -464,3 +470,139 @@ def ref_block_chain(f_in, block, adjacency, masks, training=False,
     if block.in_channels == block.out_channels:
         y = y + f_in
     return y
+
+
+# -- the two training nodes with a stored tape --------------------------
+
+
+def stored_spatial_graph_conv(f_in: Tensor, fixed: np.ndarray,
+                              mask: np.ndarray, learned, weights, attn_q=(),
+                              attn_k=()) -> Tensor:
+    """``autodiff.spatial_graph_conv`` as it was when its node kept the
+    aggregated (N, T, V*K, C_in) features, the stacked weights and the
+    attention arrays for backward instead of rebuilding them."""
+    n, t, v, c_in = f_in.shape
+    k = len(weights)
+    c_out = weights[0].shape[1]
+    f = f_in.data
+    w = np.concatenate([wk.data for wk in weights], axis=0)
+    adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
+    if attn_q:
+        ce = attn_q[0].shape[1]
+        scale = 1.0 / np.sqrt(ce)
+        w_q = np.concatenate([a.data for a in attn_q], axis=1)     # (C_in, K*C_e)
+        w_k = np.concatenate([a.data for a in attn_k], axis=1)
+        pooled = f.sum(axis=1) * (1.0 / t)                          # (N, V, C_in)
+        q = (pooled @ w_q).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
+        key = (pooled @ w_k).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
+        att = _softmax(np.matmul(q, key.swapaxes(-1, -2)) * scale, -1, mask > 0)
+        adj = adj + att                                             # (N, K, V, V)
+    adj *= mask
+    per_sequence = adj.ndim == 4
+    # stacked[.., u*K + k, v] = A_k[.., v, u]; the K rows of a joint are
+    # adjacent, so the reshape to the GEMM operand copies nothing
+    stacked = np.moveaxis(adj, -1, -3).reshape(adj.shape[:-3] + (v * k, v))
+    if per_sequence:
+        stacked = stacked[:, None]                                  # (N, 1, V*K, V)
+    agg = np.matmul(stacked, f).reshape(-1, k * c_in)
+    out = _make((agg @ w).reshape(n, t, v, c_out),
+                (f_in, *learned, *weights, *attn_q, *attn_k))
+    if not out.requires_grad:
+        return out
+
+    def bwd(g):
+        g = g.reshape(-1, c_out)
+        if any(wk.requires_grad for wk in weights):
+            g_w = agg.T @ g
+            for i, wk in enumerate(weights):
+                if wk.requires_grad:
+                    wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
+        g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
+        g_f = None
+        if f_in.requires_grad:
+            g_f = np.matmul(np.swapaxes(stacked, -1, -2), g_agg)
+        # per-frame (V*K, C_in) @ (C_in, V) products summed over frames:
+        # faster here than one (V*K, T*C_in) GEMM per sequence
+        g_adj = np.matmul(g_agg, np.swapaxes(f, -1, -2))
+        g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
+        g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
+        g_adj *= mask                                               # (.., K, V, V)
+        g_learned = g_adj.sum(axis=0) if per_sequence else g_adj
+        for i, a in enumerate(learned):
+            if a.requires_grad:
+                a._accumulate(g_learned[i])
+        if attn_q:
+            # softmax backward; a masked entry has att == 0, so its
+            # similarity gets exactly 0
+            g_sim = g_adj - (g_adj * att).sum(axis=-1, keepdims=True)
+            g_sim *= att
+            g_sim *= scale
+            g_q = np.matmul(g_sim, key).transpose(0, 2, 1, 3).reshape(-1, k * ce)
+            g_key = np.matmul(g_sim.swapaxes(-1, -2), q)
+            g_key = g_key.transpose(0, 2, 1, 3).reshape(-1, k * ce)
+            flat_pooled = pooled.reshape(-1, c_in)
+            for proj, g_proj in ((attn_q, g_q), (attn_k, g_key)):
+                if any(a.requires_grad for a in proj):
+                    g_stacked = flat_pooled.T @ g_proj
+                    for i, a in enumerate(proj):
+                        if a.requires_grad:
+                            a._accumulate(g_stacked[:, i * ce:(i + 1) * ce])
+            if g_f is not None:
+                g_pooled = g_q @ w_q.T
+                g_pooled += g_key @ w_k.T
+                g_pooled *= 1.0 / t
+                g_f += g_pooled.reshape(n, 1, v, c_in)
+        if g_f is not None:
+            f_in._accumulate(g_f)
+
+    out._backward = bwd
+    return out
+
+
+def stored_block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor,
+                          kernel: Tensor, gamma2: Tensor, beta2: Tensor,
+                          eps: float, residual: Tensor = None):
+    """``autodiff.block_epilogue`` as it was when its node kept the
+    first ReLU's output and the second normalized array for backward
+    instead of rebuilding them."""
+    shape, c = y.shape, y.shape[-1]
+    y2 = y.data.reshape(-1, c)
+    h, mu1, var1, std1 = _bn_normalize(y2, eps)
+    h *= gamma1.data
+    h += beta1.data
+    np.maximum(h, 0.0, out=h)
+    h = h.reshape(shape)
+    xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
+    xhat2, mu2, var2, std2 = _bn_normalize(xhat2, eps, out=xhat2)
+    r = xhat2 * gamma2.data
+    r += beta2.data
+    np.maximum(r, 0.0, out=r)
+    r = r.reshape(shape)
+    active2 = r > 0.0                       # the second ReLU's mask
+    if residual is not None:
+        r += residual.data
+    parents = (y, gamma1, beta1, kernel, gamma2, beta2)
+    out = _make(r, parents if residual is None else parents + (residual,))
+    stats = ((mu1, var1), (mu2, var2))
+    if not out.requires_grad:
+        return (out, *stats)
+
+    def bwd(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
+        g_r = (g * active2).reshape(-1, c)
+        g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, std2, gamma2.data)
+        g_h, g_kernel = _temporal_conv_grads(g_z.reshape(shape), h, kernel.data,
+                                             True, kernel.requires_grad)
+        g_h *= h > 0.0
+        xhat1 = _bn_xhat(y2, mu1, std1, out=g_z)     # g_z is spent
+        g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(-1, c), xhat1, std1,
+                                              gamma1.data, out=xhat1)
+        for t, grad in ((gamma2, g_gamma2), (beta2, g_beta2), (kernel, g_kernel),
+                        (gamma1, g_gamma1), (beta1, g_beta1),
+                        (y, g_y.reshape(shape))):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    out._backward = bwd
+    return (out, *stats)

@@ -142,6 +142,9 @@ class TestPreprocess:
         rc = main(["preprocess", "--manifest", str(manifest),
                    "--out", str(tmp_path / "pp")])
         assert rc == 3
+        # the validation lines that explain the failure are written first
+        report = (tmp_path / "pp" / "report.txt").read_text()
+        assert "flat\tframe 0\tdegenerate_extent" in report
 
     def test_deterministic_rerun(self, toy_data, tmp_path):
         for d in ("p1", "p2"):
@@ -247,6 +250,52 @@ class TestTrain:
 
         assert lr_lines(full) == lr_lines(resumed)
         assert lr_lines(resumed)[0][:2] == ["iter", "4"]
+
+    def test_resume_warns_about_overridden_settings(self, toy_data,
+                                                    toy_checkpoint, tmp_path,
+                                                    capsys):
+        """Network and normalization settings given with --resume that
+        differ from the checkpoint's get one warning each; the run is
+        the same as without them."""
+        final, tiny = toy_checkpoint
+        cfgfile = tmp_path / "other.cfg"
+        cfgfile.write_text(tiny.read_text().replace(
+            "network.embed_dim = 4", "network.embed_dim = 8")
+            + "hot.phi = 0.1\n")
+        plain, other = tmp_path / "plain", tmp_path / "other"
+        assert main(["train", "--manifest", str(toy_data), "--out", str(plain),
+                     "--config", str(tiny), "--seed", "7",
+                     "--resume", str(final), "--iterations", "5"]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert main(["train", "--manifest", str(toy_data), "--out", str(other),
+                     "--config", str(cfgfile), "--seed", "7", "--no-hot",
+                     "--no-partition", "--descriptors", "joint,bone",
+                     "--resume", str(final), "--iterations", "5"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert [w.split()[1] for w in warnings] == [
+            "--no-hot", "--descriptors", "--no-partition", "network.embed_dim"]
+        assert "embed_dim = 8, but the resumed checkpoint has 4" in warnings[-1]
+        for name in ("metrics.log", "final.gpgw"):
+            assert (plain / name).read_bytes() == (other / name).read_bytes()
+
+    def test_iterations_zero_is_config_error(self, toy_data, toy_checkpoint,
+                                             tmp_path, capsys):
+        """--iterations 0 is a value, not an unset flag; like
+        train.iterations = 0 in a config file it is refused with exit 2."""
+        _, tiny = toy_checkpoint
+        rc = main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "a"),
+                   "--config", str(tiny), "--iterations", "0"])
+        assert rc == 2
+        assert "train.iterations must be at least 1, got 0" in capsys.readouterr().err
+        zero = tmp_path / "zero.cfg"
+        zero.write_text(tiny.read_text().replace(
+            "train.iterations = 4", "train.iterations = 0"))
+        rc = main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "b"),
+                   "--config", str(zero)])
+        assert rc == 2
+        assert "train.iterations" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "final.gpgw").exists()
 
     def test_resume_normalizes_as_checkpoint(self, toy_data, toy_checkpoint,
                                              tmp_path):

@@ -15,6 +15,7 @@ from gpgait.pagcn import (
     NetworkConfig,
     SubsetParams,
     batch_norm,
+    descriptor_inputs,
     detached_view,
     init_model,
     load_model_tensors,
@@ -28,6 +29,7 @@ from gpgait.pagcn import (
     temporal_pool,
     with_masks,
 )
+from gpgait.train import combined_loss
 
 MASKS = mask_set()
 ADJ = build_adjacency_subsets()
@@ -329,6 +331,132 @@ class TestFusedBlock:
         others = [j for j in range(17) if j not in PARTS5["right_leg"]]
         np.testing.assert_array_equal(out[:, :, others, :], base[:, :, others, :])
         assert not np.array_equal(out[:, :, 16, :], base[:, :, 16, :])
+
+
+# toy and casiab channel plans at the benchmark's batch shapes
+# (P x K sequences of L frames)
+PLANS = {
+    "toy": (dict(parts5_channels=(16, 32), larger_schemes=("global",),
+                 larger_channels=32, embed_dim=32), (4, 2, 20)),
+    "casiab": (dict(parts5_channels=(64, 64, 128)), (2, 2, 20)),
+}
+
+
+def _stored_tape(monkeypatch):
+    """Swap in the training nodes that store their intermediates."""
+    monkeypatch.setattr(pagcn, "spatial_graph_conv", ref.stored_spatial_graph_conv)
+    monkeypatch.setattr(pagcn, "block_epilogue", ref.stored_block_epilogue)
+
+
+class TestRebuiltTape:
+    """The training nodes rebuild the aggregate, the first ReLU output
+    and the second normalized array in backward; against the nodes that
+    stored them (``reference.stored_*``) every value is bit-identical."""
+
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_training_step_bit_identical(self, rng, monkeypatch, plan):
+        """Loss, every parameter gradient and every running statistic of
+        one training step; each plan has blocks with and without the
+        residual."""
+        channels, (p, k, t) = PLANS[plan]
+        cfg = NetworkConfig(num_classes=p, **channels)
+        inputs = descriptor_inputs(
+            cfg, rng.normal(size=(p * k, t, 17, 2)),
+            rng.normal(size=(p * k, t, 17, 2)), rng.normal(size=(p * k, t, 17, 1)))
+        labels = np.repeat(np.arange(p), k)
+        residuals = {b.in_channels == b.out_channels
+                     for b in init_model(cfg).branches["joint"]}
+        assert residuals == {False, True}
+
+        def step():
+            model = init_model(cfg, seed=3)
+            res = network_forward(model, inputs, training=True)
+            total = combined_loss(res.metrics, res.logits, labels, 0.2, 1.0)[0]
+            total.backward()
+            grads = {name: param.grad
+                     for name, param in model.named_parameters().items()}
+            stats = {name: tensor for name, tensor in model.named_tensors().items()
+                     if name.endswith(("/mean", "/var"))}
+            return total.data, grads, stats
+
+        loss, grads, stats = step()
+        _stored_tape(monkeypatch)
+        loss_ref, grads_ref, stats_ref = step()
+        np.testing.assert_array_equal(loss, loss_ref)
+        assert grads.keys() == grads_ref.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, grads_ref[name], err_msg=name)
+        assert stats.keys() == stats_ref.keys() and stats
+        for name, s in stats.items():
+            np.testing.assert_array_equal(s, stats_ref[name], err_msg=name)
+
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_block_bit_identical(self, rng, monkeypatch, plan, residual,
+                                 attention):
+        """One block at a plan's widest channel count, its input
+        gradient included."""
+        channels, (p, k, t) = PLANS[plan]
+        c_out = max(channels["parts5_channels"])
+        c_in = c_out if residual else c_out // 2
+        block = make_block(rng, c_in, c_out, attention=attention)
+        _perturbed_bn(rng, block.bn1)
+        _perturbed_bn(rng, block.bn2)
+        twin = copy.deepcopy(block)
+        f = random_input(rng, n=p * k, t=t, c=c_in)
+        weight = rng.normal(size=f.shape[:-1] + (c_out,))
+        out, gx, grads = TestFusedBlock._run(pagcn_block, block, MASKS, f,
+                                             weight, training=True)
+        _stored_tape(monkeypatch)
+        out_ref, gx_ref, grads_ref = TestFusedBlock._run(
+            pagcn_block, twin, MASKS, f, weight, training=True)
+        np.testing.assert_array_equal(out, out_ref)
+        np.testing.assert_array_equal(gx, gx_ref)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, grads_ref[name], err_msg=name)
+        for bn, bn_ref in ((block.bn1, twin.bn1), (block.bn2, twin.bn2)):
+            np.testing.assert_array_equal(bn.running_mean, bn_ref.running_mean)
+            np.testing.assert_array_equal(bn.running_var, bn_ref.running_var)
+
+    def test_tape_inventory(self, rng):
+        """What one training block keeps for backward: walking the two
+        nodes' closures finds the block input, the spatial output ``y``
+        and the block's parameters as tensors, and as arrays only the
+        four (C,) statistics, the (N, 1, V*K, V) stacked adjacency, one
+        bool mask and the block's constant partition mask. A walk over
+        node ``.data`` alone cannot see this: closures are invisible to
+        it, while the forward's peak memory is not."""
+        n, t, c = 3, 5, 4
+        block = make_block(rng, c, c)
+        mask = MASKS[block.mask_name]
+        x = Tensor(random_input(rng, n=n, t=t, c=c), requires_grad=True)
+        out = pagcn_block(x, block, ADJ, MASKS, training=True)
+        y = out._parents[0]
+        assert y._parents[0] is x
+
+        tensors, arrays = [], []
+
+        def walk(obj):
+            if isinstance(obj, Tensor):
+                tensors.append(obj)
+            elif isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    walk(item)
+
+        for node in (y, out):
+            for cell in node._backward.__closure__:
+                walk(cell.cell_contents)
+        held = {id(tn) for tn in tensors}
+        assert {id(x), id(y)} <= held <= {id(x), id(y)} | {
+            id(p) for p in _block_params(block).values()}
+        kept = sorted((a.shape, a.dtype.str) for a in arrays if a is not mask)
+        k = len(block.subsets)
+        assert kept == sorted([((c,), "<f8")] * 4 + [
+            ((n, 1, 17 * k, 17), "<f8"), ((n, t, 17, c), "|b1")])
+        assert any(a is mask for a in arrays)
 
 
 def _block_params(block):
