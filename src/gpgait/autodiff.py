@@ -123,8 +123,6 @@ class Tensor:
             out._backward = bwd
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         out = _make(self.data - other.data, (self, other))
@@ -137,9 +135,6 @@ class Tensor:
             out._backward = bwd
         return out
 
-    def __rsub__(self, other):
-        return Tensor(other) - self
-
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         out = _make(self.data * other.data, (self, other))
@@ -149,32 +144,6 @@ class Tensor:
                     a._accumulate(_unbroadcast(g * b.data, a.data.shape))
                 if b.requires_grad:
                     b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-            out._backward = bwd
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = _make(self.data / other.data, (self, other))
-        if out.requires_grad:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data),
-                                               b.data.shape))
-            out._backward = bwd
-        return out
-
-    def __rtruediv__(self, other):
-        return Tensor(other) / self
-
-    def __neg__(self):
-        out = _make(-self.data, (self,))
-        if out.requires_grad:
-            def bwd(g, a=self):
-                a._accumulate(-g)
             out._backward = bwd
         return out
 
@@ -270,12 +239,9 @@ class Tensor:
         if out.requires_grad:
             idx = data.argmax(axis=axis)
             def bwd(g, a=self, axis=axis, keepdims=keepdims, idx=idx):
-                if not keepdims:
-                    g_exp = np.expand_dims(g, axis)
-                else:
-                    g_exp = g
                 grad = np.zeros_like(a.data)
-                np.put_along_axis(grad, np.expand_dims(idx, axis), g_exp, axis)
+                np.put_along_axis(grad, np.expand_dims(idx, axis),
+                                  g if keepdims else np.expand_dims(g, axis), axis)
                 a._accumulate(grad)
             out._backward = bwd
         return out
@@ -298,16 +264,6 @@ class Tensor:
             inv = np.argsort(axes)
             def bwd(g, a=self, inv=tuple(inv)):
                 a._accumulate(g.transpose(inv))
-            out._backward = bwd
-        return out
-
-    def __getitem__(self, key):
-        out = _make(self.data[key], (self,))
-        if out.requires_grad:
-            def bwd(g, a=self, key=key):
-                grad = np.zeros_like(a.data)
-                grad[key] = g
-                a._accumulate(grad)
             out._backward = bwd
         return out
 
@@ -360,6 +316,45 @@ def concat(tensors, axis=0) -> Tensor:
                     sl[axis] = slice(start, start + size)
                     t._accumulate(g[tuple(sl)])
                 start += size
+        out._backward = bwd
+    return out
+
+
+def group_pool(x: Tensor, groups) -> Tensor:
+    """(N, T, V, C) -> (N, G, C): per group of joints (a non-empty index
+    sequence), the mean plus the max over its joints, then the max over
+    frames, as one node. The means are one product with the (G, V)
+    matrix of joint shares and the maxima one in-place pass over the
+    (group, joint) pairs, so no gathered copy of the input is made. A
+    max's gradient goes to its first argmax frame and joint, as
+    ``Tensor.max`` routes it."""
+    n, t, v, c = x.shape
+    group, joint = np.array([(p, j) for p, members in enumerate(groups)
+                             for j in members]).T
+    weight = 1.0 / np.bincount(group)[group]              # per (group, joint) pair
+    share = np.zeros((len(groups), v))
+    np.add.at(share, (group, joint), weight)
+    peak = np.full((len(groups), n, t, c), -np.inf)        # group-major: contiguous rows
+    for p, j in zip(group, joint):
+        np.maximum(peak[p], x.data[:, :, j], out=peak[p])
+    per_frame = np.matmul(share, x.data) + np.moveaxis(peak, 0, 2)
+    out = _make(per_frame.max(axis=1), (x,))
+    if out.requires_grad:
+        rows = np.arange(n)[:, None, None] * t + per_frame.argmax(axis=1)  # (N, G, C)
+        chan = np.arange(c)
+
+        def bwd(g):
+            # each group padded with its first joint, so argmax over the
+            # padded joints at the max's frame finds the first maximum
+            width = max(len(m) for m in groups)
+            padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
+            at = x.data.reshape(n * t, v, c)[rows[:, :, None], padded[:, :, None], chan]
+            first = padded[np.arange(len(groups))[:, None], at.argmax(axis=2)]
+            cells = np.concatenate([
+                ((rows[:, group] * v + joint[:, None]) * c + chan).ravel(),
+                ((rows * v + first) * c + chan).ravel()])
+            weights = np.concatenate([(g[:, group] * weight[:, None]).ravel(), g.ravel()])
+            x._accumulate(np.bincount(cells, weights, x.data.size).reshape(x.shape))
         out._backward = bwd
     return out
 

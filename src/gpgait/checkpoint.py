@@ -15,6 +15,7 @@ each tensor flattened C-order.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -41,26 +42,38 @@ def save_container(path, config: dict, tensors):
 
 
 def load_container(path):
-    """Read back (config, {name: float64 ndarray}) from a container."""
+    """Read back (config, {name: float64 ndarray}) from a container.
+
+    A file that does not follow the layout (bad magic, a malformed or
+    overrunning header, a bad or negative shape, a truncated payload,
+    bytes after the last payload) raises ``DataError`` naming the file.
+    """
     if not os.path.exists(path):
         raise DataError(f"missing checkpoint file: {path}")
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        length_line = fh.readline()
         try:
-            header_len = int(length_line.strip())
-        except ValueError:
-            raise DataError(f"{path}: malformed header length {length_line!r}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+            header_len = int(fh.readline())
+            if not 0 <= header_len <= size - fh.tell():
+                raise ValueError(f"header length {header_len} overruns the file")
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            config = header["config"]
+            entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
+                       for e in header["tensors"]]
+            if any(d < 0 for _name, shape in entries for d in shape):
+                raise ValueError("negative shape")
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"{path}: malformed header: {e}") from e
         tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 4)
-            if len(raw) != count * 4:
-                raise DataError(f"{path}: truncated payload for {entry['name']}")
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-            tensors[entry["name"]] = arr
-    return header["config"], tensors
+        for name, shape in entries:
+            nbytes = 4 * math.prod(shape)
+            if nbytes > size - fh.tell():
+                raise DataError(f"{path}: truncated payload for {name}")
+            tensors[name] = np.frombuffer(fh.read(nbytes), dtype="<f4").astype(
+                np.float64).reshape(shape)
+        if fh.tell() != size:
+            raise DataError(f"{path}: trailing bytes after the last payload")
+    return config, tensors

@@ -18,7 +18,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import eval as eval_mod
 from . import pose_io, synth
-from .config import KEY_MAP, build_run_config, parse_config_file
+from .config import KEY_MAP, PRESETS, build_run_config, parse_config_file
 from .errors import ConfigError, DataError, GpgaitError
 from .pagcn import NetworkConfig, init_model, with_masks
 from .train import TrainSet, restore_training_state, train_loop
@@ -69,9 +69,10 @@ _RESUME_FLAGS = (
 
 def _warn_resume_overrides(args, run_cfg, resumed: dict):
     """One stderr warning for each network or normalization setting,
-    given by a flag or a ``network.*``/``hot.*``/``graph.partition.*``
-    key of the config file, that differs from the resumed checkpoint's;
-    the checkpoint's value is the one used."""
+    given by a flag, a ``network.*``/``hot.*``/``graph.partition.*``
+    key of the config file or the preset (where neither of those sets
+    it), that differs from the resumed checkpoint's; the checkpoint's
+    value is the one used."""
     kept = dataclasses.asdict(NetworkConfig.from_dict(resumed["network"]))
     kept.update((k, resumed[k]) for k in eval_mod.HOT_KEYS if k in resumed)
     given = [(flag, field, getattr(run_cfg, field))
@@ -80,6 +81,11 @@ def _warn_resume_overrides(args, run_cfg, resumed: dict):
         keys = {field: key for key, field in KEY_MAP.items()}
         given += [(keys.get(field, "graph.partition.*"), field, value)
                   for field, value in parse_config_file(args.config).items()]
+    if args.preset:
+        set_above = {field for _name, field, _value in given}
+        given += [(f"--preset {args.preset}", field, value)
+                  for field, value in PRESETS[args.preset].items()
+                  if field not in set_above]
     for name, field, value in given:
         if field in kept and value != kept[field]:
             print(f"warning: {name} sets {field} = {value!r}, but the resumed "

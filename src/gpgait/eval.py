@@ -19,7 +19,6 @@ from .hod import build_descriptors
 from .pagcn import (
     NetworkConfig,
     descriptor_inputs,
-    detached_view,
     load_model_tensors,
     init_model,
     network_forward,
@@ -96,7 +95,6 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
     Full sequences are used (no frame sampling). Sequences of equal
     length are batched together; results are returned in input order.
     """
-    view = detached_view(model)
     cfg = model.config
     out = [None] * len(unified_sequences)
     by_len = {}
@@ -110,7 +108,7 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
         bone = np.stack([d.bone for d in descs])
         angle = np.stack([d.angle for d in descs])
         inputs = descriptor_inputs(cfg, joint, bone, angle)
-        result = network_forward(view, inputs, training=False,
+        result = network_forward(model, inputs, training=False,
                                  update_stats=False)
         emb = result.embedding_matrix()
         for row, i in enumerate(indices):
@@ -319,11 +317,10 @@ def heatmap_dump(model, unified_sequence, out_path):
     """Write the final-block per-keypoint features for one sequence as
     a 17-row tab-delimited matrix (rows keypoints, columns channels),
     aggregated over frames by max."""
-    view = detached_view(model)
     desc = build_descriptors(unified_sequence)
     inputs = descriptor_inputs(model.config,
                                desc.joint[None], desc.bone[None], desc.angle[None])
-    result = network_forward(view, inputs, training=False,
+    result = network_forward(model, inputs, training=False,
                              update_stats=False, capture=True)
     first_branch = model.config.branches[0]
     f_m = result.captures[f"f_m/{first_branch}"][0]  # (T, V, C)

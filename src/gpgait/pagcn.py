@@ -16,19 +16,19 @@ parts).
 A branch stacks small-part blocks first and wider-part blocks after,
 each wider block with its own parameters. Branch outputs are pooled per
 body part (mean + max over joints, then max over frames), passed
-through one independent head per (branch, part) slot, and concatenated
-into the final embedding.
+through one head per (branch, part) slot, and concatenated into the
+final embedding. Each slot keeps its own head parameters; a forward
+stacks them once and runs all slots, and their losses, as one batch.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import (Tensor, batch_norm_train, block_epilogue, concat,
-                       spatial_graph_conv, temporal_conv)
+                       group_pool, spatial_graph_conv, temporal_conv)
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
 
@@ -36,7 +36,8 @@ BRANCH_CHANNELS = {"joint": 2, "angle": 1, "bone": 2, "fused": 5}
 
 # part-pool order: the five small parts, then the whole body
 PART_ORDER = ("head", "left_arm", "right_arm", "left_leg", "right_leg", "body")
-PART_GROUPS = {**PARTS5, "body": tuple(range(V))}
+# joints of each part-pool slot, in PART_ORDER
+PART_GROUPS = tuple(PARTS5[name] for name in PART_ORDER[:-1]) + (tuple(range(V)),)
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -156,8 +157,8 @@ class ModelParams:
         Every trainable parameter comes first as a live ``Tensor``, then
         every running statistic as a live ``ndarray`` (updated in place),
         in checkpoint directory order. This is the one walk over the
-        model's structure; parameter lists, checkpoint I/O and the
-        no-grad view are all derived from it.
+        model's structure; parameter lists and checkpoint I/O are derived
+        from it.
         """
         entries = []
 
@@ -322,23 +323,6 @@ def _folded(bn: BatchNormParams):
     return scale, bn.beta.data - bn.running_mean * scale
 
 
-def batch_norm(x: Tensor, bn: BatchNormParams, axes: tuple, training: bool,
-               update_stats: bool = True) -> Tensor:
-    """Per-channel normalization over the given axes (channel = last axis).
-
-    Training mode normalizes with batch statistics and optionally folds
-    them into the running averages; inference mode uses the stored
-    running statistics.
-    """
-    if training:
-        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta, axes, BN_EPS)
-        if update_stats:
-            _update_running(bn, mu, var)
-        return out
-    xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
-    return xhat * bn.gamma + bn.beta
-
-
 def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
                 masks: dict, training: bool = False,
                 update_stats: bool = True) -> Tensor:
@@ -405,46 +389,63 @@ def branch_forward(x: Tensor, blocks: list, adjacency: np.ndarray,
     return x
 
 
-def part_pool(f_m: Tensor, groups=None) -> Tensor:
-    """(N, T, V, C) -> (N, T, P, C): mean + max over each part's joints,
-    for the five small parts and the whole body."""
-    if groups is None:
-        groups = [PART_GROUPS[name] for name in PART_ORDER]
-    pooled = []
-    for g in groups:
-        if len(g) == 0:
-            raise DataError("empty part group")
-        sub = f_m.take(np.asarray(g), axis=2)
-        v = sub.mean(axis=2) + sub.max(axis=2)
-        n, t, c = v.shape
-        pooled.append(v.reshape(n, t, 1, c))
-    return concat(pooled, axis=2)
+def part_pool(f_m: Tensor) -> Tensor:
+    """(N, T, V, C) -> (N, P, C): mean + max over each part's joints,
+    for the five small parts and the whole body, then the max over
+    frames, as one node."""
+    return group_pool(f_m, PART_GROUPS)
 
 
-def temporal_pool(f_vp: Tensor) -> Tensor:
-    """(N, T, P, C) -> (N, P, C): elementwise max over frames."""
-    return f_vp.max(axis=1)
+def _slot_stack(tensors, shape, training: bool) -> Tensor:
+    """The slots' tensors joined along their first axis and reshaped:
+    graph ops in training, a constant otherwise."""
+    if not training:
+        tensors = [Tensor(t.data) for t in tensors]
+    return concat(tensors).reshape(shape)
 
 
-def per_part_head(vec: Tensor, head: HeadParams, training: bool,
-                  update_stats: bool = True):
-    """(N, C) -> metric feature (N, D) and classifier logits (N, K)."""
-    metric = vec @ head.fc_w + head.fc_b
-    necked = batch_norm(metric, head.bnn, (0,), training, update_stats)
-    logits = necked @ head.cls_w
-    return metric, logits
+def part_heads(pooled: Tensor, heads: list, training: bool,
+               update_stats: bool = True):
+    """(S, N, C) pooled slots -> metric features (S, N, D) and
+    classifier logits (S, N, K), every slot through its own head.
+
+    The slots' parameters are stacked once per call: the fc layer and
+    the classifier each run as one batched matmul. The BNNeck runs in
+    training as one batch norm over the (N, S*D) columns, folding the
+    batch statistics into each slot's running averages when
+    ``update_stats``; at inference it is ``x * scale + shift`` from the
+    running statistics, as in ``pagcn_block``.
+    """
+    s, n, c = pooled.shape
+    d, k = heads[0].cls_w.shape
+    metric = (pooled @ _slot_stack([h.fc_w for h in heads], (s, c, d), training)
+              + _slot_stack([h.fc_b for h in heads], (s, 1, d), training))
+    if training:
+        necked, mu, var = batch_norm_train(
+            metric.transpose((1, 0, 2)).reshape(n, s * d),
+            _slot_stack([h.bnn.gamma for h in heads], (s * d,), training),
+            _slot_stack([h.bnn.beta for h in heads], (s * d,), training), (0,), BN_EPS)
+        necked = necked.reshape(n, s, d).transpose((1, 0, 2))
+        if update_stats:
+            for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
+                _update_running(head.bnn, mu_h, var_h)
+    else:
+        scale, shift = (np.stack(a)[:, None]
+                        for a in zip(*(_folded(h.bnn) for h in heads)))
+        necked = Tensor(metric.data * scale + shift)
+    return metric, necked @ _slot_stack([h.cls_w for h in heads], (s, d, k), training)
 
 
 @dataclass
 class ForwardResult:
-    metrics: list    # num_parts tensors of (N, D)
-    logits: list     # num_parts tensors of (N, num_classes)
+    metrics: Tensor  # (num_parts, N, D)
+    logits: Tensor   # (num_parts, N, num_classes)
     part_names: list
     captures: dict = field(default_factory=dict)
 
     def embedding_matrix(self) -> np.ndarray:
         """(N, num_parts, D) array of metric features."""
-        return np.stack([m.data for m in self.metrics], axis=1)
+        return self.metrics.data.transpose(1, 0, 2)
 
 
 def descriptor_inputs(cfg: NetworkConfig, joint, bone, angle) -> dict:
@@ -466,12 +467,11 @@ def network_forward(model: ModelParams, branch_inputs: dict,
 
     branch_inputs maps branch name to an (N, T, V, C) array or Tensor.
     Slot order is branch-major: all six parts of the first configured
-    branch, then the next branch, and so on.
+    branch, then the next branch, and so on. Inference builds no graph,
+    even from a model whose parameters require gradients.
     """
     cfg = model.config
-    metrics, logits, part_names = [], [], []
-    captures = {}
-    head_idx = 0
+    pooled, captures = [], {}
     for bname in cfg.branches:
         x = branch_inputs[bname]
         if not isinstance(x, Tensor):
@@ -484,31 +484,13 @@ def network_forward(model: ModelParams, branch_inputs: dict,
                              model.masks, training, update_stats)
         if capture:
             captures[f"f_m/{bname}"] = f_m.data.copy()
-        pooled = temporal_pool(part_pool(f_m))   # (N, P, C)
-        for p, pname in enumerate(PART_ORDER):
-            vec = pooled[:, p, :]
-            metric, logit = per_part_head(vec, model.heads[head_idx],
-                                          training, update_stats)
-            metrics.append(metric)
-            logits.append(logit)
-            part_names.append(f"{bname}/{pname}")
-            head_idx += 1
+        pooled.append(part_pool(f_m))   # (N, P, C)
+    slots = concat(pooled, axis=1).transpose((1, 0, 2))  # (S, N, C)
+    metrics, logits = part_heads(slots, model.heads, training, update_stats)
+    part_names = [f"{bname}/{pname}" for bname in cfg.branches
+                  for pname in PART_ORDER]
     return ForwardResult(metrics=metrics, logits=logits,
                          part_names=part_names, captures=captures)
-
-
-def detached_view(model: ModelParams) -> ModelParams:
-    """Model sharing the same arrays but with gradient tracking off.
-
-    Forward passes through the view build no graph, which keeps
-    inference cheap. Running statistics are shared (do not update them
-    through a view).
-    """
-    memo = {id(t): Tensor(t.data) if isinstance(t, Tensor) else t
-            for t in model.named_tensors().values()}
-    for shared in (model.config, model.adjacency, model.masks):
-        memo[id(shared)] = shared
-    return copy.deepcopy(model, memo)
 
 
 def with_masks(model: ModelParams, mask_override: dict) -> ModelParams:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, stop_gradient
+from .autodiff import Tensor, stop_gradient
 from .errors import ConfigError, DataError, NumericError
 from .hod import describe
 from .pagcn import (
@@ -195,25 +195,27 @@ def sample_batch(train_set: TrainSet, p: int, k: int, length: int, rng,
 
 
 def _pairwise_sq_dists(emb: Tensor) -> Tensor:
-    sq = emb.square().sum(axis=1)                       # (N,)
-    n = emb.shape[0]
-    gram = emb @ emb.transpose((1, 0))                  # (N, N)
-    d2 = sq.reshape(n, 1) + sq.reshape(1, n) - gram * 2.0
+    s, n, _ = emb.shape
+    sq = emb.square().sum(axis=2)                       # (S, N)
+    gram = emb @ emb.transpose((0, 2, 1))               # (S, N, N)
+    d2 = sq.reshape(s, n, 1) + sq.reshape(s, 1, n) - gram * 2.0
     return d2.relu()  # clamp tiny negatives from cancellation
 
 
 def triplet_loss(metric: Tensor, labels: np.ndarray, margin: float) -> Tensor:
-    """Batch-hard triplet loss over one part's metric features.
+    """Batch-hard triplet loss over the (S, N, D) metric features of S
+    part slots, or the (N, D) features of one.
 
-    Per anchor, hinge(hardest positive - hardest negative + margin),
-    averaged over anchors that have at least one positive and one
-    negative. Anchors without positives are skipped; if every anchor is
-    skipped the loss is 0 (with a warning).
+    Per slot and anchor, hinge(hardest positive - hardest negative +
+    margin), averaged over anchors that have at least one positive and
+    one negative, then over slots. Anchors without positives are
+    skipped; if every anchor is skipped the loss is 0 (with a warning).
     """
-    n = metric.shape[0]
+    if metric.ndim == 2:
+        metric = metric.reshape((1,) + metric.shape)
+    s, n, _ = metric.shape
     labels = np.asarray(labels)
-    d2 = _pairwise_sq_dists(metric)
-    dist = d2.sqrt()
+    dist = _pairwise_sq_dists(metric).sqrt()
     dmat = dist.data
     same = labels[:, None] == labels[None, :]
     eye = np.eye(n, dtype=bool)
@@ -225,42 +227,43 @@ def triplet_loss(metric: Tensor, labels: np.ndarray, margin: float) -> Tensor:
         warnings.warn("triplet loss: no anchor has a positive pair")
         return Tensor(0.0)
     rows = np.flatnonzero(valid)
-    pos_idx = np.where(pos_mask[rows], dmat[rows], -np.inf).argmax(axis=1)
-    neg_idx = np.where(neg_mask[rows], dmat[rows], np.inf).argmin(axis=1)
-    flat = dist.reshape(n * n)
-    hardest_pos = flat.take(rows * n + pos_idx, axis=0)
-    hardest_neg = flat.take(rows * n + neg_idx, axis=0)
-    return (hardest_pos - hardest_neg + margin).relu().mean()
+    pos_idx = np.where(pos_mask[rows], dmat[:, rows], -np.inf).argmax(axis=2)
+    neg_idx = np.where(neg_mask[rows], dmat[:, rows], np.inf).argmin(axis=2)
+    anchors = (np.arange(s)[:, None] * n + rows) * n    # (S, R) flat row starts
+    flat = dist.reshape(s * n * n)
+    hardest_pos = flat.take(anchors + pos_idx, axis=0)
+    hardest_neg = flat.take(anchors + neg_idx, axis=0)
+    return (hardest_pos - hardest_neg + margin).relu().mean(axis=1).mean()
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Softmax cross-entropy averaged over the batch, stabilized with a
-    detached per-row max."""
+    """Softmax cross-entropy over the (S, N, K) logits of S part slots,
+    or the (N, K) logits of one, averaged over the batch, then over
+    slots; stabilized with a detached per-row max."""
+    if logits.ndim == 2:
+        logits = logits.reshape((1,) + logits.shape)
     labels = np.asarray(labels)
-    n, c = logits.shape
+    s, n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"label outside [0, {c})")
-    m = stop_gradient(logits.max(axis=1, keepdims=True))
+    m = stop_gradient(logits.max(axis=2, keepdims=True))
     shifted = logits - m
-    lse = shifted.exp().sum(axis=1).log() + m.reshape(n)
+    lse = shifted.exp().sum(axis=2).log() + m.reshape(s, n)
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = (logits * onehot).sum(axis=1)
-    return (lse - picked).mean()
+    picked = (logits * onehot).sum(axis=2)
+    return (lse - picked).mean(axis=1).mean()
 
 
-def combined_loss(metrics: list, logits: list, labels: np.ndarray,
+def combined_loss(metrics: Tensor, logits: Tensor, labels: np.ndarray,
                   margin: float, ce_weight: float):
-    """Mean over part slots of (triplet + gamma * ce).
+    """Mean over part slots of (triplet + gamma * ce), from the (S, N, D)
+    metric features and (S, N, K) logits of ``network_forward``.
 
     Returns (total, mean_triplet, mean_ce) as tensors.
     """
-    tri_terms, ce_terms = [], []
-    for metric, logit in zip(metrics, logits):
-        tri_terms.append(triplet_loss(metric, labels, margin))
-        ce_terms.append(cross_entropy_loss(logit, labels))
-    tri = concat([t.reshape(1) for t in tri_terms]).mean()
-    ce = concat([t.reshape(1) for t in ce_terms]).mean()
+    tri = triplet_loss(metrics, labels, margin)
+    ce = cross_entropy_loss(logits, labels)
     return tri + ce * ce_weight, tri, ce
 
 

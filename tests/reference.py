@@ -2,25 +2,32 @@
 
 Most are written with explicit index loops and plain Python math so
 they share no vectorized code path with the package under test. The
-second-to-last section keeps the chain of autodiff nodes a part-aware
+third-to-last section keeps the chain of autodiff nodes a part-aware
 graph block was built from before it became two fused nodes
 (``graph_conv``, ``softmax``, ``attention_adjacency`` and
 ``ref_block_chain``), as the oracle of the fused block's values and
-gradients. The last keeps the two fused training nodes as they were
+gradients. The next keeps the two fused training nodes as they were
 when they stored their intermediates for backward
 (``stored_spatial_graph_conv``, ``stored_block_epilogue``), as the
-bit-exact oracle of the nodes that rebuild them.
+bit-exact oracle of the nodes that rebuild them. The last keeps the
+network's tail as it was when every (branch, part) slot ran through its
+own pooling, head and loss nodes (``slot_tail``), as the oracle of the
+stacked tail, and the no-graph model view inference once ran through
+(``detached_view``).
 """
 
+import copy
 import math
+import warnings
 
 import numpy as np
 
 from gpgait import pagcn
 from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
                              _make, _softmax, _temporal_conv,
-                             _temporal_conv_grads, batch_norm_train,
-                             temporal_conv)
+                             _temporal_conv_grads, batch_norm_train, concat,
+                             stop_gradient, temporal_conv)
+from gpgait.errors import DataError
 
 BN_EPS = 1e-5
 
@@ -447,15 +454,15 @@ def ref_spatial_chain(f_in, block, adjacency, mask):
 
 def ref_batch_norm_chain(x, bn, training, update_stats):
     if training:
-        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta, (0, 1, 2),
-                                        pagcn.BN_EPS)
+        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta,
+                                        tuple(range(x.ndim - 1)), pagcn.BN_EPS)
         if update_stats:
             bn.running_mean[...] = (pagcn.BN_MOMENTUM * bn.running_mean
                                     + (1.0 - pagcn.BN_MOMENTUM) * mu)
             bn.running_var[...] = (pagcn.BN_MOMENTUM * bn.running_var
                                    + (1.0 - pagcn.BN_MOMENTUM) * var)
         return out
-    xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + pagcn.BN_EPS)
+    xhat = (x - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + pagcn.BN_EPS))
     return xhat * bn.gamma + bn.beta
 
 
@@ -606,3 +613,98 @@ def stored_block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor,
 
     out._backward = bwd
     return (out, *stats)
+
+
+# -- the tail with one pooling, head and loss chain per slot ------------
+
+
+def detached_view(model):
+    """Model sharing the same arrays but with gradient tracking off:
+    forward passes through the view build no graph. Running statistics
+    are shared (do not update them through a view)."""
+    memo = {id(t): Tensor(t.data) if isinstance(t, Tensor) else t
+            for t in model.named_tensors().values()}
+    for shared in (model.config, model.adjacency, model.masks):
+        memo[id(shared)] = shared
+    return copy.deepcopy(model, memo)
+
+
+def slot_part_pool(f_m):
+    """(N, T, V, C) -> (N, P, C): per part, a gather, mean and max node
+    each, one concat, then the max over frames."""
+    pooled = []
+    for name in pagcn.PART_ORDER:
+        group = pagcn.PARTS5.get(name, tuple(range(pagcn.V)))
+        sub = f_m.take(np.asarray(group), axis=2)
+        v = sub.mean(axis=2) + sub.max(axis=2)
+        n, t, c = v.shape
+        pooled.append(v.reshape(n, t, 1, c))
+    return concat(pooled, axis=2).max(axis=1)
+
+
+def per_part_head(vec, head, training, update_stats=True):
+    """(N, C) -> metric feature (N, D) and classifier logits (N, K) of
+    one slot's head."""
+    metric = vec @ head.fc_w + head.fc_b
+    necked = ref_batch_norm_chain(metric, head.bnn, training, update_stats)
+    return metric, necked @ head.cls_w
+
+
+def slot_triplet_loss(metric, labels, margin):
+    """Batch-hard triplet loss over one slot's (N, D) metric features."""
+    n = metric.shape[0]
+    labels = np.asarray(labels)
+    sq = metric.square().sum(axis=1)
+    gram = metric @ metric.transpose((1, 0))
+    d2 = (sq.reshape(n, 1) + sq.reshape(1, n) - gram * 2.0).relu()
+    dist = d2.sqrt()
+    same = labels[:, None] == labels[None, :]
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    neg_mask = ~same
+    valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    if not valid.any():
+        warnings.warn("triplet loss: no anchor has a positive pair")
+        return Tensor(0.0)
+    rows = np.flatnonzero(valid)
+    pos_idx = np.where(pos_mask[rows], dist.data[rows], -np.inf).argmax(axis=1)
+    neg_idx = np.where(neg_mask[rows], dist.data[rows], np.inf).argmin(axis=1)
+    flat = dist.reshape(n * n)
+    hardest_pos = flat.take(rows * n + pos_idx, axis=0)
+    hardest_neg = flat.take(rows * n + neg_idx, axis=0)
+    return (hardest_pos - hardest_neg + margin).relu().mean()
+
+
+def slot_cross_entropy_loss(logits, labels):
+    """Softmax cross-entropy over one slot's (N, K) logits."""
+    labels = np.asarray(labels)
+    n, c = logits.shape
+    if labels.min() < 0 or labels.max() >= c:
+        raise DataError(f"label outside [0, {c})")
+    m = stop_gradient(logits.max(axis=1, keepdims=True))
+    lse = (logits - m).exp().sum(axis=1).log() + m.reshape(n)
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    return (lse - (logits * onehot).sum(axis=1)).mean()
+
+
+def slot_tail(model, f_ms, labels, margin, ce_weight, training=True,
+              update_stats=True):
+    """(total, metrics, logits) of the per-slot tail on the branch
+    outputs ``f_ms`` (branch name -> (N, T, V, C) Tensor): metrics and
+    logits are lists of one Tensor per slot, ``total`` the mean over
+    slots of triplet + ``ce_weight`` * cross-entropy."""
+    metrics, logits = [], []
+    for b, bname in enumerate(model.config.branches):
+        pooled = slot_part_pool(f_ms[bname])
+        n, parts, c = pooled.shape
+        for p in range(parts):
+            vec = pooled.take([p], axis=1).reshape(n, c)
+            metric, logit = per_part_head(vec, model.heads[b * parts + p],
+                                          training, update_stats)
+            metrics.append(metric)
+            logits.append(logit)
+    tri = concat([slot_triplet_loss(m, labels, margin).reshape(1)
+                  for m in metrics]).mean()
+    ce = concat([slot_cross_entropy_loss(lg, labels).reshape(1)
+                 for lg in logits]).mean()
+    return tri + ce * ce_weight, metrics, logits

@@ -25,14 +25,11 @@ from gpgait.graph import PARTS5, build_adjacency_subsets, mask_set
 from gpgait.pagcn import (
     NetworkConfig,
     branch_forward,
-    detached_view,
     init_model,
     network_forward,
     pagcn_block,
     pagcn_spatial,
     part_pool,
-    per_part_head,
-    temporal_pool,
 )
 from gpgait.train import (
     combined_loss,
@@ -311,7 +308,7 @@ def test_06_gradient_checks():
         # value path for the finite differences: parts of untouched
         # branches are constants that cancel in the central difference,
         # so only the perturbed branch is recomputed
-        view = detached_view(model)
+        view = ref.detached_view(model)
 
         def branch_part_sums(bname):
             offset = list(cfg.branches).index(bname) * 6
@@ -319,13 +316,13 @@ def test_06_gradient_checks():
             f_m = branch_forward(x, view.branches[bname], view.adjacency,
                                  view.masks, training=True,
                                  update_stats=False)
-            pooled = temporal_pool(part_pool(f_m))
+            pooled = part_pool(f_m).data
             sums = []
             for p in range(6):
-                metric, logits = per_part_head(pooled[:, p, :],
-                                               view.heads[offset + p],
-                                               training=True,
-                                               update_stats=False)
+                metric, logits = ref.per_part_head(Tensor(pooled[:, p, :]),
+                                                   view.heads[offset + p],
+                                                   training=True,
+                                                   update_stats=False)
                 sums.append(triplet_loss(metric, labels, margin).item()
                             + gamma * cross_entropy_loss(logits,
                                                          labels).item())

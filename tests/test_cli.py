@@ -279,6 +279,30 @@ class TestTrain:
         for name in ("metrics.log", "final.gpgw"):
             assert (plain / name).read_bytes() == (other / name).read_bytes()
 
+    def test_resume_warns_about_preset_network(self, toy_data, toy_checkpoint,
+                                               tmp_path, capsys):
+        """--preset with --resume: each network field of the preset that
+        differs from the checkpoint's gets a warning, and the run keeps
+        the checkpoint's network."""
+        final, tiny = toy_checkpoint
+        cfgfile = tmp_path / "train_only.cfg"
+        cfgfile.write_text("".join(line + "\n" for line in tiny.read_text().splitlines()
+                                   if line.startswith("train.")))
+        assert main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "r"),
+                     "--preset", "toy", "--config", str(cfgfile), "--seed", "7",
+                     "--resume", str(final), "--iterations", "5"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        # the toy preset's parts5_channels (16, 32), larger_channels 32 and
+        # embed_dim 32 against the checkpoint's [4], 4 and 4; its
+        # larger_schemes ("global",) match
+        assert [w.split()[1:5] for w in warnings] == [
+            ["--preset", "toy", "sets", "parts5_channels"],
+            ["--preset", "toy", "sets", "larger_channels"],
+            ["--preset", "toy", "sets", "embed_dim"]]
+        config, _ = load_container(tmp_path / "r" / "final.gpgw")
+        assert config["network"]["parts5_channels"] == [4]
+
     def test_iterations_zero_is_config_error(self, toy_data, toy_checkpoint,
                                              tmp_path, capsys):
         """--iterations 0 is a value, not an unset flag; like
@@ -420,6 +444,69 @@ class TestEval:
                        "--protocol", protocol])
             assert rc == 0
             assert "summary\tall\t" in out.read_text()
+
+
+def _split_container(data: bytes):
+    """(length line end, header end) offsets of a container's bytes."""
+    line_end = data.index(b"\n", 6) + 1
+    return line_end, line_end + int(data[6:line_end])
+
+
+def _with_header(data: bytes, edit) -> bytes:
+    """The container with its header JSON replaced by ``edit(header)``."""
+    line_end, header_end = _split_container(data)
+    header = json.dumps(edit(json.loads(data[line_end:header_end]))).encode()
+    return data[:6] + b"%d\n" % len(header) + header + data[header_end:]
+
+
+def _truncated_header(data: bytes) -> bytes:
+    line_end, header_end = _split_container(data)
+    return data[:(line_end + header_end) // 2]
+
+
+def _overrunning_header_length(data: bytes) -> bytes:
+    line_end, header_end = _split_container(data)
+    return data[:6] + b"%d\n" % (header_end - line_end + 7) + data[line_end:]
+
+
+def _negative_shape(header: dict) -> dict:
+    entry = header["tensors"][0]
+    assert len(entry["shape"]) == 2
+    entry["shape"] = [-d for d in entry["shape"]]     # same element count
+    return header
+
+
+# each fault -> the container bytes with it
+CONTAINER_FAULTS = {
+    "truncated_header": _truncated_header,
+    "header_length_overruns": _overrunning_header_length,
+    "header_without_tensors": lambda d: _with_header(
+        d, lambda h: {"config": h["config"]}),
+    "negative_shape": lambda d: _with_header(d, _negative_shape),
+    "trailing_bytes": lambda d: d + b"\0\0\0\0",
+}
+
+
+class TestCheckpointFaults:
+    """A malformed checkpoint ends in a data error naming the file
+    (exit 3), for eval and for resumed training alike."""
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("fault", sorted(CONTAINER_FAULTS))
+    def test_malformed_container_exits_3(self, toy_data, toy_checkpoint,
+                                         tmp_path, capsys, fault, command):
+        final, cfgfile = toy_checkpoint
+        broken = tmp_path / "broken.gpgw"
+        broken.write_bytes(CONTAINER_FAULTS[fault](final.read_bytes()))
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(broken), "--manifest",
+                    str(toy_data), "--out", str(tmp_path / "r.tsv")]
+        else:
+            argv = ["train", "--manifest", str(toy_data), "--out",
+                    str(tmp_path / "resume"), "--config", str(cfgfile),
+                    "--resume", str(broken), "--iterations", "6"]
+        assert main(argv) == 3
+        assert f"{broken}: " in capsys.readouterr().err
 
 
 class TestInspect:

@@ -14,19 +14,17 @@ from gpgait.pagcn import (
     BlockParams,
     NetworkConfig,
     SubsetParams,
-    batch_norm,
+    branch_forward,
     descriptor_inputs,
-    detached_view,
     init_model,
     load_model_tensors,
     model_tensors,
     network_forward,
     pagcn_block,
     pagcn_spatial,
+    part_heads,
     part_pool,
-    per_part_head,
     temporal_conv,
-    temporal_pool,
     with_masks,
 )
 from gpgait.train import combined_loss
@@ -471,6 +469,111 @@ def _block_params(block):
     return params
 
 
+class TestStackedTail:
+    """Pooling, heads and losses of all 18 slots in one pass, against
+    the chain with one pooling, head and loss per slot
+    (``reference.slot_tail``) on the same branch outputs."""
+
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_matches_slot_chain(self, rng, plan):
+        """Loss, every parameter gradient and every running statistic of
+        one training step within 1e-10 of the largest gradient entry (the
+        fc biases' exact gradient is 0: BNNeck and the triplet distances
+        both cancel a shift, so theirs are rounding noise), and the
+        inference embeddings within 1e-12. They are not bit-identical:
+        the stacked products and sums round differently."""
+        channels, (p, k, t) = PLANS[plan]
+        cfg = NetworkConfig(num_classes=p, **channels)
+        inputs = descriptor_inputs(
+            cfg, rng.normal(size=(p * k, t, 17, 2)),
+            rng.normal(size=(p * k, t, 17, 2)), rng.normal(size=(p * k, t, 17, 1)))
+        labels = np.repeat(np.arange(p), k)
+
+        def step(stacked):
+            model = init_model(cfg, seed=3)
+            if stacked:
+                res = network_forward(model, inputs, training=True)
+                total = combined_loss(res.metrics, res.logits, labels, 0.2, 1.0)[0]
+                embedding = network_forward(model, inputs).embedding_matrix()
+            else:
+                f_ms = {b: branch_forward(Tensor(inputs[b]), model.branches[b],
+                                          model.adjacency, model.masks, True)
+                        for b in cfg.branches}
+                total = ref.slot_tail(model, f_ms, labels, 0.2, 1.0)[0]
+                view = ref.detached_view(model)
+                f_ms = {b: branch_forward(Tensor(inputs[b]), view.branches[b],
+                                          view.adjacency, view.masks)
+                        for b in cfg.branches}
+                metrics = ref.slot_tail(view, f_ms, labels, 0.2, 1.0,
+                                        training=False)[1]
+                embedding = np.stack([m.data for m in metrics], axis=1)
+            total.backward()
+            grads = {name: param.grad
+                     for name, param in model.named_parameters().items()}
+            stats = {name: tensor for name, tensor in model.named_tensors().items()
+                     if name.endswith(("/mean", "/var"))}
+            return total.data, grads, stats, embedding
+
+        loss, grads, stats, embedding = step(stacked=True)
+        loss_ref, grads_ref, stats_ref, embedding_ref = step(stacked=False)
+        largest = max(np.abs(g).max() for g in grads_ref.values())
+        assert abs(loss - loss_ref) <= 1e-10 * largest
+        assert grads.keys() == grads_ref.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, grads_ref[name], rtol=0,
+                                       atol=1e-10 * largest, err_msg=name)
+        assert stats.keys() == stats_ref.keys()
+        assert any(name.startswith("head/") for name in stats)
+        for name, st in stats.items():
+            np.testing.assert_allclose(st, stats_ref[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+        np.testing.assert_allclose(embedding, embedding_ref, rtol=0, atol=1e-12)
+
+
+class TestGraphGuards:
+    def test_training_graph_node_bound(self, rng):
+        """A toy training step's graph (every tensor reachable from the
+        loss, leaves included): 18 block nodes, 243 parameters, 3 inputs
+        and the stacked tail. Measured: 332 nodes, 76 of them with a
+        backward; 1181 (788) when every slot had its own chain."""
+        channels, (p, k, t) = PLANS["toy"]
+        cfg = NetworkConfig(num_classes=p, **channels)
+        inputs = descriptor_inputs(
+            cfg, rng.normal(size=(p * k, t, 17, 2)),
+            rng.normal(size=(p * k, t, 17, 2)), rng.normal(size=(p * k, t, 17, 1)))
+        model = init_model(cfg, seed=0)
+        res = network_forward(model, inputs, training=True)
+        total = combined_loss(res.metrics, res.logits, np.repeat(np.arange(p), k),
+                              0.2, 1.0)[0]
+        seen, stack, interior = {id(total)}, [total], 0
+        while stack:
+            node = stack.pop()
+            interior += node._backward is not None
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(model.named_parameters()) == 243
+        assert len(seen) <= 350 and interior <= 80, (len(seen), interior)
+
+    def test_inference_builds_no_graph(self, rng):
+        """Inference on the live, trainable model: outputs have no
+        parents, and equal those of a view whose tensors need no grad."""
+        model = init_model(tiny_config(), seed=2)
+        inp = {
+            "joint": rng.normal(size=(1, 2, 17, 2)),
+            "angle": rng.normal(size=(1, 2, 17, 1)),
+            "bone": rng.normal(size=(1, 2, 17, 2)),
+        }
+        res = network_forward(model, inp, training=False, update_stats=False)
+        for out in (res.metrics, res.logits):
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad
+        view = network_forward(ref.detached_view(model), inp, training=False)
+        np.testing.assert_array_equal(res.embedding_matrix(),
+                                      view.embedding_matrix())
+
+
 class TestStacks:
     def _stack(self, rng, n_blocks=3, c=4, attention=True):
         blocks = [make_block(rng, c, c, "parts5", attention=attention)
@@ -544,51 +647,57 @@ class TestPooling:
         f = np.zeros((1, 2, 17, 3))
         f[:, :, [5, 7, 9], :] = 4.0
         pooled = part_pool(Tensor(f)).data
-        np.testing.assert_allclose(pooled[0, :, 1, :], 8.0)  # left_arm slot
+        np.testing.assert_allclose(pooled[0, 1, :], 8.0)  # left_arm slot
 
     def test_mean_plus_max(self):
         f = np.zeros((1, 1, 17, 1))
         f[0, 0, [5, 7, 9], 0] = [1.0, 2.0, 3.0]
         pooled = part_pool(Tensor(f)).data
-        assert pooled[0, 0, 1, 0] == pytest.approx(2.0 + 3.0)
+        assert pooled[0, 1, 0] == pytest.approx(2.0 + 3.0)
 
     def test_whole_body_zero(self):
         pooled = part_pool(Tensor(np.zeros((2, 3, 17, 4)))).data
-        np.testing.assert_array_equal(pooled[:, :, 5, :], 0.0)
+        np.testing.assert_array_equal(pooled[:, 5, :], 0.0)
 
     def test_temporal_pool_max_and_order_free(self, rng):
-        f = rng.normal(size=(2, 6, 6, 4))
-        a = temporal_pool(Tensor(f)).data
+        f = rng.normal(size=(2, 6, 17, 4))
+        a = part_pool(Tensor(f)).data
         perm = rng.permutation(6)
-        b = temporal_pool(Tensor(f[:, perm])).data
+        b = part_pool(Tensor(f[:, perm])).data
         np.testing.assert_array_equal(a, b)
-        f2 = np.zeros((1, 3, 1, 1))
-        f2[0, :, 0, 0] = [1.0, 5.0, 3.0]
-        assert temporal_pool(Tensor(f2)).data[0, 0, 0] == 5.0
+        f2 = np.zeros((1, 3, 17, 1))
+        f2[0, :, 5, 0] = [1.0, 5.0, 3.0]       # a left-arm joint
+        assert part_pool(Tensor(f2)).data[0, 1, 0] == pytest.approx(5.0 / 3 + 5.0)
 
     def test_t1_identity(self, rng):
-        f = rng.normal(size=(2, 1, 6, 4))
-        np.testing.assert_array_equal(temporal_pool(Tensor(f)).data, f[:, 0])
+        f = rng.normal(size=(2, 1, 17, 4))
+        groups = [PARTS5[n] for n in pagcn.PART_ORDER[:-1]] + [tuple(range(17))]
+        np.testing.assert_allclose(part_pool(Tensor(f)).data,
+                                   ref.ref_part_pool(f, groups)[:, 0], atol=1e-12)
 
     def test_scalar_reference(self, rng):
+        """The pooling node and the per-part chain against the loops."""
         f = rng.normal(size=(2, 3, 17, 4))
         groups = [PARTS5[n] for n in ("head", "left_arm", "right_arm",
                                       "left_leg", "right_leg")]
         groups.append(tuple(range(17)))
-        mine = temporal_pool(part_pool(Tensor(f))).data
         expect = ref.ref_temporal_pool(ref.ref_part_pool(f, groups))
-        np.testing.assert_allclose(mine, expect, atol=1e-9)
+        for pool in (part_pool, ref.slot_part_pool):
+            np.testing.assert_allclose(pool(Tensor(f)).data, expect, atol=1e-9)
+
+
+def _identity_head():
+    return pagcn.HeadParams(
+        fc_w=Tensor(np.eye(4)), fc_b=Tensor(np.zeros(4)),
+        bnn=BatchNormParams(Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                            np.zeros(4), np.ones(4) - pagcn.BN_EPS),
+        cls_w=Tensor(np.eye(4)))
 
 
 class TestHeads:
     def test_identity_head(self):
-        head = pagcn.HeadParams(
-            fc_w=Tensor(np.eye(4)), fc_b=Tensor(np.zeros(4)),
-            bnn=BatchNormParams(Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                                np.zeros(4), np.ones(4) - pagcn.BN_EPS),
-            cls_w=Tensor(np.eye(4)))
-        v = np.array([[1.0, -2.0, 0.5, 3.0]])
-        metric, logits = per_part_head(Tensor(v), head, training=False)
+        v = np.array([[[1.0, -2.0, 0.5, 3.0]]])
+        metric, logits = part_heads(Tensor(v), [_identity_head()], training=False)
         np.testing.assert_allclose(metric.data, v, atol=1e-12)
         np.testing.assert_allclose(logits.data, v, atol=1e-12)
 
@@ -601,16 +710,27 @@ class TestHeads:
                 ids.add(id(t))
 
     def test_head_matches_reference(self, rng):
+        """Every slot of one stacked call, in training and at inference,
+        against the per-slot head chain, and in training against the
+        scalar head."""
         model = init_model(tiny_config(), seed=3)
-        head = model.heads[0]
-        vec = rng.normal(size=(4, 4))
-        metric, logits = per_part_head(Tensor(vec), head, training=True,
-                                       update_stats=False)
-        em, el = ref.ref_head(vec, head.fc_w.data, head.fc_b.data,
-                              head.bnn.gamma.data, head.bnn.beta.data,
-                              head.cls_w.data)
-        np.testing.assert_allclose(metric.data, em, atol=1e-9)
-        np.testing.assert_allclose(logits.data, el, atol=1e-9)
+        for head in model.heads:
+            _perturbed_bn(rng, head.bnn)
+        pooled = rng.normal(size=(18, 4, 4))
+        for training in (True, False):
+            metric, logits = part_heads(Tensor(pooled), model.heads,
+                                        training=training, update_stats=False)
+            assert metric.shape == (18, 4, 4) and logits.shape == (18, 4, 2)
+            for slot, head in enumerate(model.heads):
+                em, el = ref.per_part_head(Tensor(pooled[slot]), head, training,
+                                           update_stats=False)
+                np.testing.assert_allclose(metric.data[slot], em.data, atol=1e-12)
+                np.testing.assert_allclose(logits.data[slot], el.data, atol=1e-12)
+        for slot, head in enumerate(model.heads):
+            em, el = ref.ref_head(pooled[slot], head.fc_w.data, head.fc_b.data,
+                                  head.bnn.gamma.data, head.bnn.beta.data,
+                                  head.cls_w.data)
+            np.testing.assert_allclose(metric.data[slot], em, atol=1e-9)
 
 
 class TestNetworkForward:
@@ -624,7 +744,7 @@ class TestNetworkForward:
     def test_shape_contract(self, rng):
         model = init_model(tiny_config(), seed=0)
         res = network_forward(model, self._inputs(rng), training=False)
-        assert len(res.metrics) == 18
+        assert res.metrics.shape == (18, 4, 4) and res.logits.shape == (18, 4, 2)
         emb = res.embedding_matrix()
         assert emb.shape == (4, 18, 4)
         assert res.part_names[0] == "joint/head"
@@ -655,7 +775,7 @@ class TestNetworkForward:
         res = network_forward(model, inputs, training=False)
         # joint and bone branches got identical inputs but have their
         # own parameters: outputs must differ
-        assert not np.allclose(res.metrics[0].data, res.metrics[12].data)
+        assert not np.allclose(res.metrics.data[0], res.metrics.data[12])
 
     def test_preset_channel_plan(self, rng):
         cfg = NetworkConfig(num_classes=5)
@@ -672,10 +792,22 @@ class TestNetworkForward:
 
     def test_whole_forward_scalar_oracle(self, rng):
         """Training-mode forward against the loop reference on the tiny
-        configuration."""
+        configuration, and against the per-slot tail chain on the same
+        branch outputs."""
         model = init_model(tiny_config(), seed=5)
         inputs = self._inputs(rng, n=4, t=3)
         res = network_forward(model, inputs, training=True, update_stats=False)
+
+        f_ms = {b: branch_forward(Tensor(inputs[b]), model.branches[b], ADJ,
+                                  MASKS, training=True, update_stats=False)
+                for b in ("joint", "angle", "bone")}
+        _, slot_metrics, slot_logits = ref.slot_tail(
+            model, f_ms, np.array([0, 0, 1, 1]), 0.2, 1.0, update_stats=False)
+        for slot in range(18):
+            np.testing.assert_allclose(res.metrics.data[slot],
+                                       slot_metrics[slot].data, atol=1e-12)
+            np.testing.assert_allclose(res.logits.data[slot],
+                                       slot_logits[slot].data, atol=1e-12)
 
         groups = [PARTS5[n] for n in ("head", "left_arm", "right_arm",
                                       "left_leg", "right_leg")]
@@ -700,8 +832,8 @@ class TestNetworkForward:
                 em, el = ref.ref_head(pooled[:, p, :], head.fc_w.data,
                                       head.fc_b.data, head.bnn.gamma.data,
                                       head.bnn.beta.data, head.cls_w.data)
-                np.testing.assert_allclose(res.metrics[slot].data, em, atol=1e-6)
-                np.testing.assert_allclose(res.logits[slot].data, el, atol=1e-6)
+                np.testing.assert_allclose(res.metrics.data[slot], em, atol=1e-6)
+                np.testing.assert_allclose(res.logits.data[slot], el, atol=1e-6)
                 slot += 1
 
     def test_bad_input_shape(self, rng):
@@ -713,21 +845,29 @@ class TestNetworkForward:
 
 
 class TestBatchNormStats:
+    """The BNNeck of the stacked heads, one batch norm over every slot's
+    columns."""
+
     def test_running_stats_update(self, rng):
-        bn = pagcn._init_bn(3)
-        x = Tensor(rng.normal(2.0, 3.0, size=(50, 4, 2, 3)))
-        batch_norm(x, bn, (0, 1, 2), training=True, update_stats=True)
-        mu = x.data.mean(axis=(0, 1, 2))
-        np.testing.assert_allclose(bn.running_mean, 0.1 * mu, atol=1e-9)
+        model = init_model(tiny_config(), seed=4)
+        pooled = Tensor(rng.normal(2.0, 3.0, size=(18, 50, 4)))
+        metric, _ = part_heads(pooled, model.heads, training=True)
+        for slot, head in enumerate(model.heads):
+            mu = metric.data[slot].mean(axis=0)
+            var = metric.data[slot].var(axis=0)
+            np.testing.assert_allclose(head.bnn.running_mean, 0.1 * mu, atol=1e-9)
+            np.testing.assert_allclose(head.bnn.running_var, 0.9 + 0.1 * var,
+                                       atol=1e-9)
 
     def test_inference_uses_running(self, rng):
-        bn = pagcn._init_bn(3)
-        bn.running_mean = np.array([1.0, 2.0, 3.0])
-        bn.running_var = np.array([4.0, 4.0, 4.0])
-        x = np.ones((2, 2, 2, 3))
-        out = batch_norm(Tensor(x), bn, (0, 1, 2), training=False)
-        expect = (x - bn.running_mean) / np.sqrt(4.0 + pagcn.BN_EPS)
-        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+        head = _identity_head()
+        head.bnn.running_mean = np.array([1.0, 2.0, 3.0, 4.0])
+        head.bnn.running_var = np.array([4.0, 4.0, 4.0, 9.0])
+        x = rng.normal(size=(1, 2, 4))
+        _, logits = part_heads(Tensor(x), [head], training=False)
+        expect = (x - head.bnn.running_mean) / np.sqrt(
+            head.bnn.running_var + pagcn.BN_EPS)
+        np.testing.assert_allclose(logits.data, expect, atol=1e-12)
 
 
 class TestCheckpointGlue:
@@ -796,30 +936,3 @@ class TestMaskOverride:
         assert twin.branches["joint"][0].subsets[0].weight is \
             model.branches["joint"][0].subsets[0].weight
         assert twin.masks["parts5"].all()
-
-    def test_detached_view_shares_state(self):
-        model = init_model(tiny_config(), seed=2)
-        view = detached_view(model)
-        table, view_table = model.named_tensors(), view.named_tensors()
-        assert list(view_table) == list(table)
-        for name, t in table.items():
-            v = view_table[name]
-            if isinstance(t, Tensor):
-                assert v is not t and v.data is t.data and not v.requires_grad
-            else:
-                assert v is t, name
-        assert view.masks is model.masks and view.adjacency is model.adjacency
-
-    def test_detached_view_no_graph(self, rng):
-        model = init_model(tiny_config(), seed=2)
-        view = detached_view(model)
-        inp = {
-            "joint": rng.normal(size=(1, 2, 17, 2)),
-            "angle": rng.normal(size=(1, 2, 17, 1)),
-            "bone": rng.normal(size=(1, 2, 17, 2)),
-        }
-        res = network_forward(view, inp, training=False, update_stats=False)
-        assert res.metrics[0]._parents == ()
-        full = network_forward(model, inp, training=False, update_stats=False)
-        np.testing.assert_array_equal(res.embedding_matrix(),
-                                      full.embedding_matrix())

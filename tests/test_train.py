@@ -197,12 +197,9 @@ class TestCrossEntropy:
 
 class TestCombinedLoss:
     def _parts(self, rng, n_parts=18):
-        metrics, logits = [], []
         labels = np.array([0, 0, 1, 1])
-        for _ in range(n_parts):
-            metrics.append(Tensor(rng.normal(size=(4, 3))))
-            logits.append(Tensor(rng.normal(size=(4, 2))))
-        return metrics, logits, labels
+        return (Tensor(rng.normal(size=(n_parts, 4, 3))),
+                Tensor(rng.normal(size=(n_parts, 4, 2))), labels)
 
     def test_gamma_zero(self, rng):
         metrics, logits, labels = self._parts(rng)
@@ -211,9 +208,9 @@ class TestCombinedLoss:
 
     def test_equal_losses_scale(self):
         # engineered so every part produces triplet = ce = c
-        metrics = [Tensor(np.array([[0.0], [2.0], [1.0], [9.0]]))] * 18
+        metrics = Tensor(np.tile([[0.0], [2.0], [1.0], [9.0]], (18, 1, 1)))
         labels = np.array([0, 0, 1, 1])
-        logits = [Tensor(np.zeros((4, 2)))] * 18
+        logits = Tensor(np.zeros((18, 4, 2)))
         gamma = 0.7
         total, tri, ce = tr.combined_loss(metrics, logits, labels, 0.2, gamma)
         assert total.item() == pytest.approx(tri.item() + gamma * ce.item(),
@@ -224,9 +221,9 @@ class TestCombinedLoss:
         gamma = 1.3
         total, _, _ = tr.combined_loss(metrics, logits, labels, 0.2, gamma)
         parts = []
-        for m, l in zip(metrics, logits):
-            parts.append(ref.ref_batch_hard_triplet(m.data, labels, 0.2)
-                         + gamma * ref.ref_cross_entropy(l.data, labels))
+        for m, l in zip(metrics.data, logits.data):
+            parts.append(ref.ref_batch_hard_triplet(m, labels, 0.2)
+                         + gamma * ref.ref_cross_entropy(l, labels))
         assert total.item() == pytest.approx(sum(parts) / 18, abs=1e-12)
 
 
@@ -423,7 +420,7 @@ class TestTrainLoop:
             assert all(ref() is None for ref in previous)
             result = forward(*args, **kwargs)
             # the array lives as long as anything holds this graph
-            previous.append(weakref.ref(result.metrics[0].data))
+            previous.append(weakref.ref(result.metrics.data))
             return result
 
         monkeypatch.setattr(tr, "network_forward", recording_forward)
