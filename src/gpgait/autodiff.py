@@ -342,12 +342,12 @@ def group_pool(x: Tensor, groups) -> Tensor:
     if out.requires_grad:
         rows = np.arange(n)[:, None, None] * t + per_frame.argmax(axis=1)  # (N, G, C)
         chan = np.arange(c)
+        # each group padded with its first joint, so argmax over the
+        # padded joints at the max's frame finds the first maximum
+        width = max(len(m) for m in groups)
+        padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
 
         def bwd(g):
-            # each group padded with its first joint, so argmax over the
-            # padded joints at the max's frame finds the first maximum
-            width = max(len(m) for m in groups)
-            padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
             at = x.data.reshape(n * t, v, c)[rows[:, :, None], padded[:, :, None], chan]
             first = padded[np.arange(len(groups))[:, None], at.argmax(axis=2)]
             cells = np.concatenate([

@@ -45,8 +45,9 @@ def load_container(path):
     """Read back (config, {name: float64 ndarray}) from a container.
 
     A file that does not follow the layout (bad magic, a malformed or
-    overrunning header, a bad or negative shape, a truncated payload,
-    bytes after the last payload) raises ``DataError`` naming the file.
+    overrunning header, a config that is not an object, a shape entry
+    that is negative or not an integer, a truncated payload, bytes after
+    the last payload) raises ``DataError`` naming the file.
     """
     if not os.path.exists(path):
         raise DataError(f"missing checkpoint file: {path}")
@@ -61,10 +62,12 @@ def load_container(path):
                 raise ValueError(f"header length {header_len} overruns the file")
             header = json.loads(fh.read(header_len).decode("utf-8"))
             config = header["config"]
-            entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
-                       for e in header["tensors"]]
-            if any(d < 0 for _name, shape in entries for d in shape):
-                raise ValueError("negative shape")
+            if not isinstance(config, dict):
+                raise ValueError("config is not an object")
+            entries = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
+            if any(type(d) is not int or d < 0
+                   for _name, shape in entries for d in shape):
+                raise ValueError("shape entries must be non-negative integers")
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"{path}: malformed header: {e}") from e
         tensors = {}

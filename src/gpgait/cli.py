@@ -67,13 +67,13 @@ _RESUME_FLAGS = (
 )
 
 
-def _warn_resume_overrides(args, run_cfg, resumed: dict):
+def _warn_resume_overrides(args, run_cfg, resumed: dict, resumed_net: NetworkConfig):
     """One stderr warning for each network or normalization setting,
     given by a flag, a ``network.*``/``hot.*``/``graph.partition.*``
     key of the config file or the preset (where neither of those sets
     it), that differs from the resumed checkpoint's; the checkpoint's
     value is the one used."""
-    kept = dataclasses.asdict(NetworkConfig.from_dict(resumed["network"]))
+    kept = dataclasses.asdict(resumed_net)
     kept.update((k, resumed[k]) for k in eval_mod.HOT_KEYS if k in resumed)
     given = [(flag, field, getattr(run_cfg, field))
              for arg, flag, field in _RESUME_FLAGS if getattr(args, arg)]
@@ -136,7 +136,8 @@ def cmd_train(args) -> int:
     header = run_cfg.echo()
     if args.resume:
         resumed, tensors = ckpt.load_container(args.resume)
-        _warn_resume_overrides(args, run_cfg, resumed)
+        resumed_net = eval_mod.checkpoint_network(resumed, args.resume)
+        _warn_resume_overrides(args, run_cfg, resumed, resumed_net)
         # normalize as the checkpoint was trained, as eval does
         header.update({k: resumed[k] for k in eval_mod.HOT_KEYS if k in resumed})
     train_set = TrainSet.build(
@@ -149,7 +150,7 @@ def cmd_train(args) -> int:
     sampler_state = None
     start = 0
     if args.resume:
-        net_cfg = NetworkConfig.from_dict(resumed["network"])
+        net_cfg = resumed_net
         model = init_model(net_cfg, seed=train_cfg.seed)
         state = restore_training_state(model, tensors)
         sampler_state = resumed.get("sampler_state")

@@ -62,10 +62,19 @@ class EvalResult:
 # -- embedding --------------------------------------------------------
 
 
+def checkpoint_network(config: dict, path) -> NetworkConfig:
+    """The network a checkpoint's config echo records; ``DataError``
+    naming the file if its ``network`` section is missing or malformed."""
+    try:
+        return NetworkConfig.from_dict(config["network"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed network config: {e!r}") from e
+
+
 def load_model_from_checkpoint(path):
     """(model, run config) from a checkpoint file."""
     config, tensors = ckpt.load_container(path)
-    net_cfg = NetworkConfig.from_dict(config["network"])
+    net_cfg = checkpoint_network(config, path)
     model = init_model(net_cfg, seed=0)
     load_model_tensors(model, tensors)
     return model, config

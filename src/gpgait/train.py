@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,24 +72,7 @@ class TrainConfig:
             raise ConfigError("phase fractions must sum to 1")
 
     def to_dict(self) -> dict:
-        return {
-            "subjects_per_batch": self.subjects_per_batch,
-            "samples_per_subject": self.samples_per_subject,
-            "sequence_length": self.sequence_length,
-            "margin": self.margin,
-            "ce_weight": self.ce_weight,
-            "iterations": self.iterations,
-            "lr_init": self.lr_init,
-            "lr_max": self.lr_max,
-            "lr_final": self.lr_final,
-            "phase_fractions": list(self.phase_fractions),
-            "flip_probability": self.flip_probability,
-            "noise_probability": self.noise_probability,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-            "log_interval": self.log_interval,
-            "checkpoint_interval": self.checkpoint_interval,
-        }
+        return {**asdict(self), "phase_fractions": list(self.phase_fractions)}
 
 
 # -- augmentation -----------------------------------------------------

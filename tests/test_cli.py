@@ -476,13 +476,24 @@ def _negative_shape(header: dict) -> dict:
     return header
 
 
+def _fractional_shape(header: dict) -> dict:
+    entry = header["tensors"][0]
+    entry["shape"] = [d + 0.5 for d in entry["shape"]]
+    return header
+
+
 # each fault -> the container bytes with it
 CONTAINER_FAULTS = {
     "truncated_header": _truncated_header,
     "header_length_overruns": _overrunning_header_length,
     "header_without_tensors": lambda d: _with_header(
         d, lambda h: {"config": h["config"]}),
+    "config_not_object": lambda d: _with_header(d, lambda h: {**h, "config": []}),
+    "header_without_network": lambda d: _with_header(
+        d, lambda h: {**h, "config": {k: v for k, v in h["config"].items()
+                                      if k != "network"}}),
     "negative_shape": lambda d: _with_header(d, _negative_shape),
+    "fractional_shape": lambda d: _with_header(d, _fractional_shape),
     "trailing_bytes": lambda d: d + b"\0\0\0\0",
 }
 

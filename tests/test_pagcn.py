@@ -717,6 +717,7 @@ class TestHeads:
         for head in model.heads:
             _perturbed_bn(rng, head.bnn)
         pooled = rng.normal(size=(18, 4, 4))
+        outputs = {}
         for training in (True, False):
             metric, logits = part_heads(Tensor(pooled), model.heads,
                                         training=training, update_stats=False)
@@ -726,11 +727,14 @@ class TestHeads:
                                            update_stats=False)
                 np.testing.assert_allclose(metric.data[slot], em.data, atol=1e-12)
                 np.testing.assert_allclose(logits.data[slot], el.data, atol=1e-12)
+            outputs[training] = metric.data, logits.data
+        metric_train, logits_train = outputs[True]
         for slot, head in enumerate(model.heads):
             em, el = ref.ref_head(pooled[slot], head.fc_w.data, head.fc_b.data,
                                   head.bnn.gamma.data, head.bnn.beta.data,
                                   head.cls_w.data)
-            np.testing.assert_allclose(metric.data[slot], em, atol=1e-9)
+            np.testing.assert_allclose(metric_train[slot], em, atol=1e-9)
+            np.testing.assert_allclose(logits_train[slot], el, atol=1e-9)
 
 
 class TestNetworkForward:
