@@ -18,7 +18,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import eval as eval_mod
 from . import pose_io, synth
-from .config import KEY_MAP, PRESETS, build_run_config, parse_config_file
+from .config import (HOT_KEYS, KEY_MAP, METRICS, PRESETS, PROTOCOLS,
+                     build_run_config, parse_config_file)
 from .errors import ConfigError, DataError, GpgaitError
 from .pagcn import NetworkConfig, init_model, with_masks
 from .train import TrainSet, restore_training_state, train_loop
@@ -74,7 +75,7 @@ def _warn_resume_overrides(args, run_cfg, resumed: dict, resumed_net: NetworkCon
     it), that differs from the resumed checkpoint's; the checkpoint's
     value is the one used."""
     kept = dataclasses.asdict(resumed_net)
-    kept.update((k, resumed[k]) for k in eval_mod.HOT_KEYS if k in resumed)
+    kept.update((k, resumed[k]) for k in HOT_KEYS if k in resumed)
     given = [(flag, field, getattr(run_cfg, field))
              for arg, flag, field in _RESUME_FLAGS if getattr(args, arg)]
     if args.config:
@@ -138,8 +139,10 @@ def cmd_train(args) -> int:
         resumed, tensors = ckpt.load_container(args.resume)
         resumed_net = eval_mod.checkpoint_network(resumed, args.resume)
         _warn_resume_overrides(args, run_cfg, resumed, resumed_net)
-        # normalize as the checkpoint was trained, as eval does
-        header.update({k: resumed[k] for k in eval_mod.HOT_KEYS if k in resumed})
+        # normalize as the checkpoint was trained, as eval does, and
+        # name the preset its network came from
+        header.update({k: resumed[k] for k in ("preset",) + HOT_KEYS
+                       if k in resumed})
     train_set = TrainSet.build(
         eval_mod.unify_for_eval(_train_entries(with_roles), header))
     net_cfg = run_cfg.network_config(num_classes=train_set.num_classes)
@@ -273,9 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True, help="target dataset manifest")
     p.add_argument("--out", required=True, help="results file")
-    p.add_argument("--protocol",
-                   choices=("casiab", "oumvlp", "gait3d", "grew", "simple"))
-    p.add_argument("--metric", choices=("euclidean", "cosine"))
+    p.add_argument("--protocol", choices=PROTOCOLS)
+    p.add_argument("--metric", choices=METRICS)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("inspect", help="dump per-keypoint feature heatmap")
@@ -295,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=40)
     p.add_argument("--camera", action="append",
                    help="scale=1,tx=0,ty=0,slant=0,jitter=0 (repeatable)")
-    p.add_argument("--protocol", default="simple",
-                   choices=("casiab", "oumvlp", "gait3d", "grew", "simple"))
+    p.add_argument("--protocol", default="simple", choices=PROTOCOLS)
     p.set_defaults(fn=cmd_synth)
     return parser
 

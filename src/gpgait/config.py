@@ -5,95 +5,151 @@ Config files are plain text, one ``dotted.key = value`` per line with
 lists, booleans) and fall back to bare strings. Presets populate the
 published defaults; explicit keys override presets; command-line flags
 override both.
+
+Each setting is declared once, as a field with a default of the
+dataclass that reads it: ``HotSettings`` and ``EvalSettings`` here,
+``NetworkConfig`` and ``TrainConfig`` (the ``SECTIONS``). Its config key
+is ``<section>.<field>`` unless the field's metadata names another
+``key`` (``None``: no key of its own), and values are converted to the
+type of its default (``coerce``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, make_dataclass, replace
 
-from .errors import ConfigError
+from . import hot
+from .errors import ConfigError, DataError
 from .pagcn import NetworkConfig
 from .train import TrainConfig
 
+PROTOCOLS = ("casiab", "oumvlp", "gait3d", "grew", "simple")
+METRICS = ("euclidean", "cosine")
 
-@dataclass
-class RunConfig:
-    preset: str = "casiab"
-    seed: int = 0
+
+@dataclass(frozen=True)
+class HotSettings:
+    """How every command normalizes poses (see ``hot.HotConfig``)."""
     use_hot: bool = True
-    h_unif: float = 225.0
-    phi: float = 0.1
-    branches: tuple = ("joint", "angle", "bone")
-    parts5_channels: tuple = (64, 64, 128)
-    larger_schemes: tuple = ("upper_lower", "three_groups", "left_right", "global")
-    larger_channels: int = 128
-    embed_dim: int = 128
-    temporal_kernel: int = 3
-    attention: bool = True
-    use_masks: bool = True
-    subjects_per_batch: int = 4
-    samples_per_subject: int = 32
-    sequence_length: int = 60
-    margin: float = 0.2
-    ce_weight: float = 1.0
-    iterations: int = 40000
-    lr_init: float = 1e-5
-    lr_max: float = 1e-3
-    lr_final: float = 1e-8
-    phase_fractions: tuple = (0.3, 0.6, 0.1)
-    flip_probability: float = 0.01
-    noise_probability: float = 0.3
-    noise_sigma: float = 2.0
-    log_interval: int = 50
-    checkpoint_interval: int = 1000
+    h_unif: float = hot.DEFAULT_HEIGHT
+    phi: float = hot.DEFAULT_SLANT_THRESHOLD
+
+    def __post_init__(self):
+        try:    # HotConfig's checks, each message led by the setting's name
+            hot.HotConfig(h_unif=self.h_unif, phi=self.phi)
+        except DataError as e:
+            raise ConfigError(f"hot.{e}") from e
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    """How ``gpgait eval`` scores retrieval."""
     metric: str = "euclidean"
     protocol: str = None  # default: the manifest's protocol
-    partition_overrides: tuple = ()  # (name, groups) pairs, see graph module
+
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise ConfigError(f"eval.metric must be one of {', '.join(METRICS)}, "
+                              f"got {self.metric!r}")
+        if self.protocol is not None and self.protocol not in PROTOCOLS:
+            raise ConfigError(f"eval.protocol must be one of {', '.join(PROTOCOLS)}, "
+                              f"got {self.protocol!r}")
+
+
+SECTIONS = {"hot": HotSettings, "eval": EvalSettings,
+            "network": NetworkConfig, "train": TrainConfig}
+
+
+def _settings(cls) -> list:
+    """The fields of a section dataclass that are settings: those with a
+    default (``NetworkConfig.num_classes`` comes from the data)."""
+    return [f for f in fields(cls) if f.default is not MISSING]
+
+
+# setting name -> (config key or None, its field)
+_DECLARED = {f.name: (f.metadata.get("key", f"{section}.{f.name}"), f)
+             for section, cls in SECTIONS.items() for f in _settings(cls)}
+# dotted config keys -> RunConfig fields
+KEY_MAP = {key: name for name, (key, _f) in _DECLARED.items() if key}
+HOT_KEYS = tuple(f.name for f in fields(HotSettings))
+
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def coerce(default, value):
+    """``value`` converted to the type of a setting's declared ``default``;
+    ``TypeError``/``ValueError`` if it does not fit.
+
+    A tuple takes a list or a comma-separated string, each item converted
+    like the default's first one (an empty default holds names and
+    nested lists of integers: partition groups). A bool takes
+    true/false, 1/yes/on or 0/no/off; an int takes integral values only;
+    a float any number but a bool; a string (or a ``None`` default) any
+    value, ``None`` kept.
+    """
+    if isinstance(default, tuple):
+        if isinstance(value, str):
+            value = [v.strip() for v in value.split(",") if v.strip()]
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        if default:
+            return tuple(coerce(default[0], v) for v in value)
+        # partition_overrides: scheme names and nested joint-index lists
+        return tuple(v if isinstance(v, str) else
+                     coerce((), v) if isinstance(v, (list, tuple)) else coerce(0, v)
+                     for v in value)
+    if isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, (int, str)) and str(value).lower() in _TRUE + _FALSE:
+            return str(value).lower() in _TRUE
+        raise ValueError(f"expected true or false, got {value!r}")
+    if isinstance(default, (int, float)) and isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    if isinstance(default, float):
+        return float(value)
+    return None if value is None else str(value)
+
+
+def build_section(cls, values: dict, **given):
+    """``cls`` from ``values``, a mapping of setting name to value (a
+    checkpoint header's section or a ``RunConfig``'s fields), each
+    converted by ``coerce``; settings ``values`` lacks keep their
+    defaults, and ``given`` supplies the fields that are not settings."""
+    return cls(**given, **{f.name: coerce(f.default, values[f.name])
+                           for f in _settings(cls) if f.name in values})
+
+
+@dataclass
+class RunConfig(make_dataclass(
+        "Settings", [("preset", str, "casiab")]
+        + [(name, f.type, field(default=f.default))
+           for name, (_key, f) in _DECLARED.items()])):
+    """Every setting of a run as one flat record, plus the preset it
+    started from. Building one checks the ``hot`` and ``eval`` values."""
+
+    def __post_init__(self):
+        self.section(HotSettings)
+        self.section(EvalSettings)
+
+    def section(self, cls, **given):
+        return build_section(cls, vars(self), **given)
 
     def network_config(self, num_classes: int) -> NetworkConfig:
-        return NetworkConfig(
-            num_classes=num_classes,
-            branches=tuple(self.branches),
-            parts5_channels=tuple(self.parts5_channels),
-            larger_schemes=tuple(self.larger_schemes),
-            larger_channels=self.larger_channels,
-            embed_dim=self.embed_dim,
-            temporal_kernel=self.temporal_kernel,
-            attention=self.attention,
-            use_masks=self.use_masks,
-            partition_overrides=tuple(self.partition_overrides),
-        )
+        return self.section(NetworkConfig, num_classes=num_classes)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            subjects_per_batch=self.subjects_per_batch,
-            samples_per_subject=self.samples_per_subject,
-            sequence_length=self.sequence_length,
-            margin=self.margin,
-            ce_weight=self.ce_weight,
-            iterations=self.iterations,
-            lr_init=self.lr_init,
-            lr_max=self.lr_max,
-            lr_final=self.lr_final,
-            phase_fractions=tuple(self.phase_fractions),
-            flip_probability=self.flip_probability,
-            noise_probability=self.noise_probability,
-            noise_sigma=self.noise_sigma,
-            seed=self.seed,
-            log_interval=self.log_interval,
-            checkpoint_interval=self.checkpoint_interval,
-        )
+        return self.section(TrainConfig)
 
     def echo(self) -> dict:
-        return {
-            "preset": self.preset,
-            "seed": self.seed,
-            "use_hot": self.use_hot,
-            "h_unif": self.h_unif,
-            "phi": self.phi,
-            "metric": self.metric,
-        }
+        """The leading entries of every checkpoint header."""
+        return {"preset": self.preset, "seed": self.seed,
+                **vars(self.section(HotSettings)), "metric": self.metric}
 
 
 # published training setups; the toy preset is sized to finish in
@@ -123,60 +179,14 @@ PRESETS = {
     ),
 }
 
-_TUPLE_KEYS = {"branches", "parts5_channels", "larger_schemes", "phase_fractions"}
-_INT_KEYS = {
-    "seed", "larger_channels", "embed_dim", "temporal_kernel",
-    "subjects_per_batch", "samples_per_subject", "sequence_length",
-    "iterations", "log_interval", "checkpoint_interval",
-}
-_FLOAT_KEYS = {
-    "h_unif", "phi", "margin", "ce_weight", "lr_init", "lr_max", "lr_final",
-    "flip_probability", "noise_probability", "noise_sigma",
-}
-_BOOL_KEYS = {"use_hot", "attention", "use_masks"}
-_STR_KEYS = {"preset", "metric", "protocol"}
-
-# dotted config keys -> RunConfig fields
-KEY_MAP = {}
-for _f in (_TUPLE_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS):
-    _section = ("hot" if _f in {"use_hot", "h_unif", "phi"} else
-                "network" if _f in {"branches", "parts5_channels",
-                                    "larger_schemes", "larger_channels",
-                                    "embed_dim", "temporal_kernel",
-                                    "attention", "use_masks"} else
-                "train" if _f in {"subjects_per_batch", "samples_per_subject",
-                                  "sequence_length", "margin", "ce_weight",
-                                  "iterations", "lr_init", "lr_max",
-                                  "lr_final", "phase_fractions",
-                                  "flip_probability", "noise_probability",
-                                  "noise_sigma", "log_interval",
-                                  "checkpoint_interval"} else
-                "eval" if _f in {"metric", "protocol"} else
-                "run")
-    KEY_MAP[f"{_section}.{_f}"] = _f
-
-
-def _coerce(fieldname: str, value):
+def _converted(name: str, value, where: str = ""):
+    """A setting's value by its field name; ``ConfigError`` naming its
+    key when the value does not fit the declared type."""
+    key, f = _DECLARED[name]
     try:
-        if fieldname in _TUPLE_KEYS:
-            if isinstance(value, str):
-                value = [v.strip() for v in value.split(",") if v.strip()]
-            if fieldname in ("parts5_channels",):
-                return tuple(int(v) for v in value)
-            if fieldname == "phase_fractions":
-                return tuple(float(v) for v in value)
-            return tuple(str(v) for v in value)
-        if fieldname in _INT_KEYS:
-            return int(value)
-        if fieldname in _FLOAT_KEYS:
-            return float(value)
-        if fieldname in _BOOL_KEYS:
-            if isinstance(value, bool):
-                return value
-            return str(value).lower() in ("1", "true", "yes", "on")
-        return str(value)
+        return coerce(f.default, value)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad value for {fieldname}: {value!r}") from e
+        raise ConfigError(f"{where}bad value for {key}: {value!r} ({e})") from e
 
 
 def parse_config_file(path) -> dict:
@@ -192,27 +202,26 @@ def parse_config_file(path) -> dict:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}: "
             if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+                raise ConfigError(f"{where}expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
             try:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
             if key.startswith("graph.partition."):
-                name = key[len("graph.partition."):]
                 try:
-                    groups = tuple(tuple(int(j) for j in g) for g in value)
+                    groups = tuple(tuple(coerce(0, j) for j in g) for g in value)
                 except (TypeError, ValueError) as e:
                     raise ConfigError(
-                        f"{path}:{line_no}: {key} needs a list of joint-index "
-                        f"lists") from e
-                overrides.append((name, groups))
+                        f"{where}{key} needs a list of joint-index lists") from e
+                overrides.append((key[len("graph.partition."):], groups))
                 continue
             if key not in KEY_MAP:
-                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            fieldname = KEY_MAP[key]
-            out[fieldname] = _coerce(fieldname, value)
+                hint = "; choose a preset with --preset" if key == "run.preset" else ""
+                raise ConfigError(f"{where}unknown config key {key!r}{hint}")
+            out[KEY_MAP[key]] = _converted(KEY_MAP[key], value, where)
     if overrides:
         out["partition_overrides"] = tuple(overrides)
     return out
@@ -220,6 +229,9 @@ def parse_config_file(path) -> dict:
 
 def build_run_config(preset: str = None, config_file=None,
                      overrides: dict = None) -> RunConfig:
+    """The defaults, then the preset, the config file and the
+    ``overrides`` (setting names to values; ``None`` reads as unset), each
+    over the one before."""
     cfg = RunConfig()
     if preset:
         if preset not in PRESETS:
@@ -229,6 +241,7 @@ def build_run_config(preset: str = None, config_file=None,
     if config_file:
         cfg = replace(cfg, **parse_config_file(config_file))
     if overrides:
-        clean = {k: _coerce(k, v) for k, v in overrides.items() if v is not None}
-        cfg = replace(cfg, **clean)
+        cfg = replace(cfg, **{name: _converted(name, value)
+                              for name, value in overrides.items()
+                              if value is not None})
     return cfg

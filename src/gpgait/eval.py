@@ -10,11 +10,12 @@ with a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, EmptySequenceError
+from .config import build_section, coerce
+from .errors import ConfigError, DataError, EmptySequenceError
 from .hod import build_descriptors
 from .pagcn import (
     NetworkConfig,
@@ -66,8 +67,10 @@ def checkpoint_network(config: dict, path) -> NetworkConfig:
     """The network a checkpoint's config echo records; ``DataError``
     naming the file if its ``network`` section is missing or malformed."""
     try:
-        return NetworkConfig.from_dict(config["network"])
-    except (KeyError, TypeError, ValueError) as e:
+        network = config["network"]
+        return build_section(NetworkConfig, network,
+                             num_classes=coerce(0, network["num_classes"]))
+    except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed network config: {e!r}") from e
 
 
@@ -80,22 +83,16 @@ def load_model_from_checkpoint(path):
     return model, config
 
 
-# the header entries that decide normalization
-HOT_KEYS = ("use_hot", "h_unif", "phi")
-
-
 def unify_for_eval(sequences, run_config: dict):
-    """Normalize as a header-shaped dict says (``HOT_KEYS``): the
-    checkpoint header, or ``RunConfig.echo()`` for a fresh run. Every
-    command normalizes through here."""
-    use_hot = run_config.get("use_hot", True)
-    if use_hot:
-        hot_cfg = hot_mod.HotConfig(
-            h_unif=run_config.get("h_unif", hot_mod.DEFAULT_HEIGHT),
-            phi=run_config.get("phi", hot_mod.DEFAULT_SLANT_THRESHOLD),
-        )
-        return [hot_mod.apply_hot(s, hot_cfg) for s in sequences]
-    return [hot_mod.passthrough(s) for s in sequences]
+    """Normalize as a header-shaped dict says (``config.HOT_KEYS``): the
+    checkpoint header, or ``RunConfig.echo()`` for a fresh run; entries
+    it lacks take their defaults. Every command normalizes through here."""
+    if not run_config.get("use_hot", True):
+        return [hot_mod.passthrough(s) for s in sequences]
+    hot_cfg = hot_mod.HotConfig(**{f.name: run_config[f.name]
+                                   for f in fields(hot_mod.HotConfig)
+                                   if f.name in run_config})
+    return [hot_mod.apply_hot(s, hot_cfg) for s in sequences]
 
 
 def embed_unified(model, unified_sequences) -> np.ndarray:

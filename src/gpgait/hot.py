@@ -33,9 +33,9 @@ class HotConfig:
     epsilon_extent: float = None  # defaults to 1e-6 * h_unif
 
     def __post_init__(self):
-        if self.h_unif <= 0:
+        if not self.h_unif > 0:
             raise DataError(f"h_unif must be positive, got {self.h_unif}")
-        if self.phi < 0:
+        if not self.phi >= 0:
             raise DataError(f"phi must be nonnegative, got {self.phi}")
         if self.epsilon_extent is None:
             object.__setattr__(self, "epsilon_extent", 1e-6 * self.h_unif)

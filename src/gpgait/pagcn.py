@@ -23,14 +23,15 @@ stacks them once and runs all slots, and their losses, as one batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import (Tensor, batch_norm_train, block_epilogue, concat,
                        group_pool, spatial_graph_conv, temporal_conv)
 from .errors import ConfigError, DataError
-from .graph import PARTS5, V, build_adjacency_subsets, mask_set
+from .graph import (PARTITION_SCHEMES, PARTS5, V, PartitionScheme,
+                    build_adjacency_subsets, build_partition_mask, mask_set)
 
 BRANCH_CHANNELS = {"joint": 2, "angle": 1, "bone": 2, "fused": 5}
 
@@ -57,15 +58,26 @@ class NetworkConfig:
     attention: bool = True
     use_masks: bool = True
     # optional (scheme name, groups) pairs replacing the built-in
-    # partitions; groups are tuples of joint-index tuples
-    partition_overrides: tuple = ()
+    # partitions; groups are tuples of joint-index tuples. No config key
+    # of its own: graph.partition.<scheme> keys set it
+    partition_overrides: tuple = field(default=(), metadata={"key": None})
 
     def __post_init__(self):
+        if not self.branches:
+            raise ConfigError("need at least one branch")
         for b in self.branches:
             if b not in BRANCH_CHANNELS:
                 raise ConfigError(f"unknown branch {b!r}")
         if not self.parts5_channels:
             raise ConfigError("need at least one small-part block")
+        if min(*self.parts5_channels, self.larger_channels, self.embed_dim) < 1:
+            raise ConfigError("channel counts and embed_dim must be at least 1")
+        for name, groups in self.partition_overrides:
+            PartitionScheme(name, groups)  # disjoint groups covering every joint
+        schemes = set(PARTITION_SCHEMES).union(n for n, _g in self.partition_overrides)
+        for scheme in self.larger_schemes:
+            if scheme not in schemes:
+                raise ConfigError(f"unknown partition scheme {scheme!r}")
         if self.temporal_kernel < 1 or self.temporal_kernel % 2 == 0:
             raise ConfigError("temporal kernel must be odd and >= 1")
 
@@ -74,38 +86,7 @@ class NetworkConfig:
         return len(self.branches) * len(PART_ORDER)
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "branches": list(self.branches),
-            "parts5_channels": list(self.parts5_channels),
-            "larger_schemes": list(self.larger_schemes),
-            "larger_channels": self.larger_channels,
-            "embed_dim": self.embed_dim,
-            "temporal_kernel": self.temporal_kernel,
-            "attention": self.attention,
-            "use_masks": self.use_masks,
-            "partition_overrides": [
-                [name, [list(g) for g in groups]]
-                for name, groups in self.partition_overrides
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NetworkConfig":
-        return NetworkConfig(
-            num_classes=int(d["num_classes"]),
-            branches=tuple(d["branches"]),
-            parts5_channels=tuple(int(c) for c in d["parts5_channels"]),
-            larger_schemes=tuple(d["larger_schemes"]),
-            larger_channels=int(d["larger_channels"]),
-            embed_dim=int(d["embed_dim"]),
-            temporal_kernel=int(d["temporal_kernel"]),
-            attention=bool(d["attention"]),
-            use_masks=bool(d["use_masks"]),
-            partition_overrides=tuple(
-                (name, tuple(tuple(int(j) for j in g) for g in groups))
-                for name, groups in d.get("partition_overrides", ())),
-        )
+        return asdict(self)
 
 
 @dataclass
@@ -269,7 +250,6 @@ def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
         ))
     masks = mask_set()
     for name, groups in cfg.partition_overrides:
-        from .graph import PartitionScheme, build_partition_mask
         masks[name] = build_partition_mask(PartitionScheme(name, groups))
     if not cfg.use_masks:
         masks = {name: np.ones_like(m) for name, m in masks.items()}

@@ -55,24 +55,28 @@ class TrainConfig:
     flip_probability: float = 0.01
     noise_probability: float = 0.3
     noise_sigma: float = 2.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"key": "run.seed"})
     log_interval: int = 50
     checkpoint_interval: int = 1000
 
     def __post_init__(self):
         if self.subjects_per_batch < 2 or self.samples_per_subject < 2:
             raise ConfigError("triplet mining needs P >= 2 and K >= 2")
-        if self.iterations < 1:
-            raise ConfigError(
-                f"train.iterations must be at least 1, got {self.iterations}")
+        for name in ("iterations", "sequence_length", "log_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train.{name} must be at least 1, "
+                                  f"got {getattr(self, name)}")
         for p in (self.flip_probability, self.noise_probability):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"probability {p} outside [0, 1]")
+        if not self.noise_sigma >= 0:
+            raise ConfigError(
+                f"train.noise_sigma must be nonnegative, got {self.noise_sigma}")
         if abs(sum(self.phase_fractions) - 1.0) > 1e-9:
             raise ConfigError("phase fractions must sum to 1")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "phase_fractions": list(self.phase_fractions)}
+        return asdict(self)
 
 
 # -- augmentation -----------------------------------------------------

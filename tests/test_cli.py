@@ -14,7 +14,7 @@ from gpgait import pose_io
 from gpgait import train as tr
 from gpgait.checkpoint import load_container, save_container
 from gpgait.cli import build_parser, main
-from gpgait.config import build_run_config, parse_config_file
+from gpgait.config import KEY_MAP, RunConfig, build_run_config, parse_config_file
 from gpgait.errors import ConfigError
 
 from conftest import sequence_from_coords, walker_frame
@@ -283,7 +283,7 @@ class TestTrain:
                                                tmp_path, capsys):
         """--preset with --resume: each network field of the preset that
         differs from the checkpoint's gets a warning, and the run keeps
-        the checkpoint's network."""
+        the checkpoint's network and records the checkpoint's preset."""
         final, tiny = toy_checkpoint
         cfgfile = tmp_path / "train_only.cfg"
         cfgfile.write_text("".join(line + "\n" for line in tiny.read_text().splitlines()
@@ -302,6 +302,7 @@ class TestTrain:
             ["--preset", "toy", "sets", "embed_dim"]]
         config, _ = load_container(tmp_path / "r" / "final.gpgw")
         assert config["network"]["parts5_channels"] == [4]
+        assert config["preset"] == load_container(final)[0]["preset"] == "casiab"
 
     def test_iterations_zero_is_config_error(self, toy_data, toy_checkpoint,
                                              tmp_path, capsys):
@@ -320,6 +321,26 @@ class TestTrain:
         assert rc == 2
         assert "train.iterations" in capsys.readouterr().err
         assert not (tmp_path / "a" / "final.gpgw").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("train.log_interval = 0", "train.log_interval must be at least 1"),
+        ("train.sequence_length = 0", "train.sequence_length must be at least 1"),
+        ("train.noise_sigma = -2", "train.noise_sigma must be nonnegative"),
+        ("network.embed_dim = 0", "embed_dim must be at least 1"),
+        ("network.larger_channels = 0", "channel counts"),
+        ("network.branches = []", "need at least one branch"),
+        ("network.larger_schemes = [\"nope\"]", "unknown partition scheme 'nope'"),
+    ])
+    def test_out_of_range_setting_is_config_error(self, toy_data, toy_checkpoint,
+                                                  tmp_path, capsys, line, message):
+        """A value the run cannot use ends in exit 2, not a traceback."""
+        _, tiny = toy_checkpoint
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(tiny.read_text() + line + "\n")
+        rc = main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "o"),
+                   "--config", str(cfgfile)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_resume_normalizes_as_checkpoint(self, toy_data, toy_checkpoint,
                                              tmp_path):
@@ -482,6 +503,12 @@ def _fractional_shape(header: dict) -> dict:
     return header
 
 
+def _network(header: dict, **changes) -> dict:
+    """The header with ``changes`` made to its network section."""
+    network = {**header["config"]["network"], **changes}
+    return {**header, "config": {**header["config"], "network": network}}
+
+
 # each fault -> the container bytes with it
 CONTAINER_FAULTS = {
     "truncated_header": _truncated_header,
@@ -492,6 +519,11 @@ CONTAINER_FAULTS = {
     "header_without_network": lambda d: _with_header(
         d, lambda h: {**h, "config": {k: v for k, v in h["config"].items()
                                       if k != "network"}}),
+    "network_value_misfit": lambda d: _with_header(d, lambda h: _network(
+        h, attention="maybe")),
+    "fractional_joint_index": lambda d: _with_header(d, lambda h: _network(
+        h, partition_overrides=[["upper_lower", [list(range(12)) + [12.5],
+                                                 [13, 14, 15, 16]]]])),
     "negative_shape": lambda d: _with_header(d, _negative_shape),
     "fractional_shape": lambda d: _with_header(d, _fractional_shape),
     "trailing_bytes": lambda d: d + b"\0\0\0\0",
@@ -549,6 +581,45 @@ class TestInspect:
         assert outs[0] == outs[1]
 
 
+# {config key: default}, and each preset's changes to it, as the hand-written
+# key table had them (less run.preset, which --preset alone sets)
+PINNED_DEFAULTS = {
+    "run.seed": 0, "hot.use_hot": True, "hot.h_unif": 225.0, "hot.phi": 0.1,
+    "eval.metric": "euclidean", "eval.protocol": None,
+    "network.branches": ("joint", "angle", "bone"),
+    "network.parts5_channels": (64, 64, 128),
+    "network.larger_schemes": ("upper_lower", "three_groups", "left_right",
+                               "global"),
+    "network.larger_channels": 128, "network.embed_dim": 128,
+    "network.temporal_kernel": 3, "network.attention": True,
+    "network.use_masks": True,
+    "train.subjects_per_batch": 4, "train.samples_per_subject": 32,
+    "train.sequence_length": 60, "train.margin": 0.2, "train.ce_weight": 1.0,
+    "train.iterations": 40000, "train.lr_init": 1e-05, "train.lr_max": 0.001,
+    "train.lr_final": 1e-08, "train.phase_fractions": (0.3, 0.6, 0.1),
+    "train.flip_probability": 0.01, "train.noise_probability": 0.3,
+    "train.noise_sigma": 2.0, "train.log_interval": 50,
+    "train.checkpoint_interval": 1000,
+}
+PINNED_PRESETS = {
+    "casiab": {},
+    "gait3d": {"train.iterations": 60000, "train.samples_per_subject": 4,
+               "train.subjects_per_batch": 32},
+    "oumvlp": {"network.parts5_channels": (64, 128, 128, 128),
+               "train.iterations": 150000, "train.samples_per_subject": 16,
+               "train.sequence_length": 30, "train.subjects_per_batch": 32},
+    "grew": {"network.parts5_channels": (64, 128, 128, 128),
+             "train.iterations": 150000, "train.samples_per_subject": 8,
+             "train.subjects_per_batch": 32},
+    "toy": {"network.embed_dim": 32, "network.larger_channels": 32,
+            "network.larger_schemes": ("global",),
+            "network.parts5_channels": (16, 32),
+            "train.checkpoint_interval": 150, "train.iterations": 300,
+            "train.log_interval": 25, "train.noise_sigma": 1.0,
+            "train.samples_per_subject": 2, "train.sequence_length": 20},
+}
+
+
 class TestConfig:
     def test_presets_carry_published_defaults(self):
         cfg = build_run_config(preset="casiab")
@@ -597,6 +668,94 @@ class TestConfig:
         assert rc == 2
         assert "unknown config key 'run.normalization'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line, key", [
+        ("eval", "eval.protocol = casia", "eval.protocol"),
+        ("eval", "eval.metric = manhattan", "eval.metric"),
+        ("train", "hot.h_unif = -1", "hot.h_unif"),
+        ("train", "hot.phi = -0.1", "hot.phi"),
+        ("train", "hot.h_unif = NaN", "hot.h_unif"),
+    ])
+    def test_eval_and_hot_values_checked_when_built(self, toy_data,
+                                                    toy_checkpoint, tmp_path,
+                                                    capsys, command, line, key):
+        final, _ = toy_checkpoint
+        f = tmp_path / "c.cfg"
+        f.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            build_run_config(config_file=f)
+        out = tmp_path / "out"
+        argv = (["eval", "--checkpoint", str(final)] if command == "eval"
+                else ["train"])
+        rc = main(argv + ["--manifest", str(toy_data), "--out", str(out),
+                          "--config", str(f)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("network.attention = maybe", "network.attention"),
+        ("hot.use_hot = 2", "hot.use_hot"),
+        ("hot.use_hot = 1.0", "hot.use_hot"),
+        ("train.iterations = 3.7", "train.iterations"),
+        ("train.iterations = true", "train.iterations"),
+        ("train.iterations = 12x", "train.iterations"),
+        ("train.margin = false", "train.margin"),
+        ("network.parts5_channels = [4, 2.5]", "network.parts5_channels"),
+        ("network.parts5_channels = 4", "network.parts5_channels"),
+        ("graph.partition.global = [[0, 1.5]]", "graph.partition.global"),
+    ])
+    def test_value_that_does_not_fit_is_named(self, tmp_path, line, key):
+        f = tmp_path / "c.cfg"
+        f.write_text("# strict values\n" + line + "\n")
+        with pytest.raises(ConfigError, match=rf"c\.cfg:2: .*{re.escape(key)}"):
+            build_run_config(config_file=f)
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("false", False), ("1", True), ("0", False),
+        ("yes", True), ("No", False), ("on", True), ("off", False),
+    ])
+    def test_bool_spellings(self, tmp_path, text, value):
+        f = tmp_path / "c.cfg"
+        f.write_text(f"network.attention = {text}\nhot.use_hot = {text}\n")
+        cfg = build_run_config(config_file=f)
+        assert cfg.attention is value and cfg.use_hot is value
+
+    def test_integral_and_list_spellings(self, tmp_path):
+        f = tmp_path / "c.cfg"
+        f.write_text("train.iterations = 1e3\nnetwork.parts5_channels = 4, 8\n"
+                     "network.branches = joint,bone\ntrain.margin = 1\n")
+        cfg = build_run_config(config_file=f, overrides={"seed": "5"})
+        assert cfg.iterations == 1000 and type(cfg.iterations) is int
+        assert cfg.parts5_channels == (4, 8)
+        assert cfg.branches == ("joint", "bone")
+        assert cfg.margin == 1.0 and type(cfg.margin) is float
+        assert cfg.seed == 5
+        with pytest.raises(ConfigError, match="run.seed"):
+            build_run_config(overrides={"seed": 1.5})
+
+    def test_run_preset_key_rejected(self, toy_data, tmp_path, capsys):
+        # a config file cannot choose the preset: --preset does
+        f = tmp_path / "c.cfg"
+        f.write_text("run.preset = toy\n")
+        with pytest.raises(ConfigError, match="'run.preset'.*--preset"):
+            parse_config_file(f)
+        rc = main(["train", "--manifest", str(toy_data),
+                   "--out", str(tmp_path / "x"), "--config", str(f)])
+        assert rc == 2
+        assert "--preset" in capsys.readouterr().err
+
+    def test_key_table_and_presets_pinned(self):
+        """Every key with its default, and every preset resolved, as the
+        hand-written key table had them."""
+        want = dict(PINNED_DEFAULTS)
+        assert {key: getattr(RunConfig(), name)
+                for key, name in KEY_MAP.items()} == want
+        for preset, changes in PINNED_PRESETS.items():
+            cfg = build_run_config(preset=preset)
+            assert cfg.preset == preset
+            assert {key: getattr(cfg, name)
+                    for key, name in KEY_MAP.items()} == {**want, **changes}
+
     def test_partition_override_from_config(self, tmp_path):
         f = tmp_path / "c.cfg"
         f.write_text("graph.partition.upper_lower = "
@@ -605,13 +764,14 @@ class TestConfig:
         assert cfg.partition_overrides == (
             ("upper_lower", ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
                              (13, 14, 15, 16))),)
-        from gpgait.pagcn import NetworkConfig, init_model
+        from gpgait.pagcn import init_model
         net = cfg.network_config(num_classes=2)
         model = init_model(net, seed=0)
         assert model.masks["upper_lower"][12, 0] == 1.0  # custom grouping
         assert model.masks["upper_lower"][13, 0] == 0.0
         # survives the checkpoint config echo
-        again = NetworkConfig.from_dict(net.to_dict())
+        echoed = json.loads(json.dumps({"network": net.to_dict()}))
+        again = eval_mod.checkpoint_network(echoed, "c.gpgw")
         assert again.partition_overrides == net.partition_overrides
 
     def test_partition_override_must_cover(self, tmp_path):
@@ -740,6 +900,20 @@ class TestParser:
         documented = {cmd: set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", body))
                       for cmd, body in zip(entries[0::2], entries[1::2])}
         assert documented == command_flags()
+
+    def test_readme_key_table_matches_declarations(self):
+        rows = re.findall(r"^\| `([a-z_]+\.[a-z_0-9]+)` \| `([^`]*)` \| ([a-z ]+) \|",
+                          README.read_text(), flags=re.M)
+        documented = {key: (json.loads(default), kind) for key, default, kind in rows}
+        assert len(rows) == len(documented)
+
+        def declared(value):
+            if isinstance(value, tuple):
+                return list(value), f"list of {type(value[0]).__name__}"
+            return value, "str" if value is None else type(value).__name__
+
+        assert documented == {key: declared(getattr(RunConfig(), name))
+                              for key, name in KEY_MAP.items()}
 
     def test_readme_command_lines_parse(self):
         text = README.read_text().replace("\\\n", " ")
