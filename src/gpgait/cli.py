@@ -9,26 +9,23 @@ accepts only the flags it reads. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from . import eval as eval_mod
 from . import pose_io, synth
-from .config import (HOT_KEYS, KEY_MAP, METRICS, PRESETS, PROTOCOLS,
-                     build_run_config, parse_config_file)
+from .config import METRICS, PROTOCOLS, build_run_config
 from .errors import ConfigError, DataError, GpgaitError
-from .pagcn import NetworkConfig, init_model, with_masks
+from .pagcn import with_masks
 from .train import TrainSet, restore_training_state, train_loop
 from .graph import mask_set
 
 
 def _unify(sequences, run_cfg, _threads=None):
     # _threads: the worker-thread count perfbench/worker.py still passes; ignored
-    return eval_mod.unify_for_eval(sequences, run_cfg.echo())
+    return eval_mod.unify_for_eval(sequences, run_cfg.hot_config())
 
 
 def _load_with_roles(manifest_path):
@@ -58,42 +55,6 @@ def _run_config_from_args(args):
                             overrides=overrides)
 
 
-# flags whose setting a resumed run takes from the checkpoint instead:
-# (argument, flag, RunConfig field)
-_RESUME_FLAGS = (
-    ("no_hot", "--no-hot", "use_hot"),
-    ("descriptors", "--descriptors", "branches"),
-    ("single_branch", "--single-branch", "branches"),
-    ("no_partition", "--no-partition", "use_masks"),
-)
-
-
-def _warn_resume_overrides(args, run_cfg, resumed: dict, resumed_net: NetworkConfig):
-    """One stderr warning for each network or normalization setting,
-    given by a flag, a ``network.*``/``hot.*``/``graph.partition.*``
-    key of the config file or the preset (where neither of those sets
-    it), that differs from the resumed checkpoint's; the checkpoint's
-    value is the one used."""
-    kept = dataclasses.asdict(resumed_net)
-    kept.update((k, resumed[k]) for k in HOT_KEYS if k in resumed)
-    given = [(flag, field, getattr(run_cfg, field))
-             for arg, flag, field in _RESUME_FLAGS if getattr(args, arg)]
-    if args.config:
-        keys = {field: key for key, field in KEY_MAP.items()}
-        given += [(keys.get(field, "graph.partition.*"), field, value)
-                  for field, value in parse_config_file(args.config).items()]
-    if args.preset:
-        set_above = {field for _name, field, _value in given}
-        given += [(f"--preset {args.preset}", field, value)
-                  for field, value in PRESETS[args.preset].items()
-                  if field not in set_above]
-    for name, field, value in given:
-        if field in kept and value != kept[field]:
-            print(f"warning: {name} sets {field} = {value!r}, but the resumed "
-                  f"checkpoint has {kept[field]!r}; using the checkpoint's",
-                  file=sys.stderr)
-
-
 # -- commands ----------------------------------------------------------
 
 
@@ -110,7 +71,7 @@ def cmd_preprocess(args) -> int:
             for issue in pose_io.validate_sequence(seq).issues:
                 fh.write(f"{seq.seq_id}\tframe {issue.frame_index}\t{issue.kind}"
                          f"\t{issue.detail}\n")
-        unified = eval_mod.unify_for_eval(sequences, run_cfg.echo())
+        unified = _unify(sequences, run_cfg)
         for seq, u in zip(sequences, unified):
             dropped = sorted(set(range(seq.num_frames)) - set(u.kept_frame_indices))
             if dropped:
@@ -131,37 +92,33 @@ def _train_entries(with_roles):
     return gallery
 
 
-def cmd_train(args) -> int:
-    run_cfg = _run_config_from_args(args)
-    _manifest, with_roles = _load_with_roles(args.manifest)
-    header = run_cfg.echo()
-    if args.resume:
-        resumed, tensors = ckpt.load_container(args.resume)
-        resumed_net = eval_mod.checkpoint_network(resumed, args.resume)
-        _warn_resume_overrides(args, run_cfg, resumed, resumed_net)
-        # normalize as the checkpoint was trained, as eval does, and
-        # name the preset its network came from
-        header.update({k: resumed[k] for k in ("preset",) + HOT_KEYS
-                       if k in resumed})
-    train_set = TrainSet.build(
-        eval_mod.unify_for_eval(_train_entries(with_roles), header))
-    net_cfg = run_cfg.network_config(num_classes=train_set.num_classes)
-    train_cfg = run_cfg.train_config()
+# the train arguments a resumed run accepts; every other one is a setting,
+# which the checkpoint records
+_RESUME_ARGS = ("command", "fn", "manifest", "out", "resume", "verbose")
 
-    model = None
-    state = None
-    sampler_state = None
-    start = 0
+
+def cmd_train(args) -> int:
+    model = state = sampler_state = None
     if args.resume:
-        net_cfg = resumed_net
-        model = init_model(net_cfg, seed=train_cfg.seed)
+        given = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+                 if name not in _RESUME_ARGS and value is not None and value is not False]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be given with --resume: "
+                              "the resumed run takes every setting from its checkpoint")
+        run_cfg, model, header, tensors = eval_mod.load_checkpoint(args.resume)
         state = restore_training_state(model, tensors)
-        sampler_state = resumed.get("sampler_state")
-        start = state.step
-    header["manifest"] = os.path.abspath(args.manifest)
-    _model, final = train_loop(train_set, net_cfg, train_cfg, args.out,
+        sampler_state = header.get("sampler_state")
+    else:
+        run_cfg = _run_config_from_args(args)
+    _manifest, with_roles = _load_with_roles(args.manifest)
+    train_set = TrainSet.build(_unify(_train_entries(with_roles), run_cfg))
+    net_cfg = (model.config if model else
+               run_cfg.network_config(num_classes=train_set.num_classes))
+    header = dict(run_cfg.echo(), manifest=os.path.abspath(args.manifest))
+    _model, final = train_loop(train_set, net_cfg, run_cfg.train_config(), args.out,
                                run_config=header, model=model, state=state,
-                               start_iteration=start, sampler_state=sampler_state,
+                               start_iteration=state.step if state else 0,
+                               sampler_state=sampler_state,
                                log_fn=print if args.verbose else None)
     print(f"checkpoint: {final}")
     return 0
@@ -181,7 +138,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    model, config = eval_mod.load_model_from_checkpoint(args.checkpoint)
+    run_cfg, model = eval_mod.load_checkpoint(args.checkpoint)[:2]
     _manifest, with_roles = _load_with_roles(args.manifest)
     sequences = [s for s, _r in with_roles]
     if args.seq_id:
@@ -191,7 +148,7 @@ def cmd_inspect(args) -> int:
         seq = matches[0]
     else:
         seq = sequences[0]
-    unified = eval_mod.unify_for_eval([seq], config)[0]
+    unified = _unify([seq], run_cfg)[0]
     eval_mod.heatmap_dump(model, unified, args.out)
     print(f"heatmap: {args.out}")
     if args.compare_unmasked:

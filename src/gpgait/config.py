@@ -7,7 +7,7 @@ published defaults; explicit keys override presets; command-line flags
 override both.
 
 Each setting is declared once, as a field with a default of the
-dataclass that reads it: ``HotSettings`` and ``EvalSettings`` here,
+dataclass that reads it: ``hot.HotConfig``, ``EvalSettings`` (here),
 ``NetworkConfig`` and ``TrainConfig`` (the ``SECTIONS``). Its config key
 is ``<section>.<field>`` unless the field's metadata names another
 ``key`` (``None``: no key of its own), and values are converted to the
@@ -19,27 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields, make_dataclass, replace
 
-from . import hot
 from .errors import ConfigError, DataError
+from .hot import HotConfig
 from .pagcn import NetworkConfig
 from .train import TrainConfig
 
 PROTOCOLS = ("casiab", "oumvlp", "gait3d", "grew", "simple")
 METRICS = ("euclidean", "cosine")
-
-
-@dataclass(frozen=True)
-class HotSettings:
-    """How every command normalizes poses (see ``hot.HotConfig``)."""
-    use_hot: bool = True
-    h_unif: float = hot.DEFAULT_HEIGHT
-    phi: float = hot.DEFAULT_SLANT_THRESHOLD
-
-    def __post_init__(self):
-        try:    # HotConfig's checks, each message led by the setting's name
-            hot.HotConfig(h_unif=self.h_unif, phi=self.phi)
-        except DataError as e:
-            raise ConfigError(f"hot.{e}") from e
 
 
 @dataclass(frozen=True)
@@ -57,7 +43,7 @@ class EvalSettings:
                               f"got {self.protocol!r}")
 
 
-SECTIONS = {"hot": HotSettings, "eval": EvalSettings,
+SECTIONS = {"hot": HotConfig, "eval": EvalSettings,
             "network": NetworkConfig, "train": TrainConfig}
 
 
@@ -72,7 +58,6 @@ _DECLARED = {f.name: (f.metadata.get("key", f"{section}.{f.name}"), f)
              for section, cls in SECTIONS.items() for f in _settings(cls)}
 # dotted config keys -> RunConfig fields
 KEY_MAP = {key: name for name, (key, _f) in _DECLARED.items() if key}
-HOT_KEYS = tuple(f.name for f in fields(HotSettings))
 
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
@@ -134,11 +119,14 @@ class RunConfig(make_dataclass(
     started from. Building one checks the ``hot`` and ``eval`` values."""
 
     def __post_init__(self):
-        self.section(HotSettings)
+        self.hot_config()
         self.section(EvalSettings)
 
     def section(self, cls, **given):
         return build_section(cls, vars(self), **given)
+
+    def hot_config(self) -> HotConfig:
+        return self.section(HotConfig)
 
     def network_config(self, num_classes: int) -> NetworkConfig:
         return self.section(NetworkConfig, num_classes=num_classes)
@@ -149,7 +137,7 @@ class RunConfig(make_dataclass(
     def echo(self) -> dict:
         """The leading entries of every checkpoint header."""
         return {"preset": self.preset, "seed": self.seed,
-                **vars(self.section(HotSettings)), "metric": self.metric}
+                **vars(self.hot_config()), "metric": self.metric}
 
 
 # published training setups; the toy preset is sized to finish in
@@ -245,3 +233,31 @@ def build_run_config(preset: str = None, config_file=None,
                               for name, value in overrides.items()
                               if value is not None})
     return cfg
+
+
+def read_header(header: dict, path) -> tuple:
+    """(RunConfig, NetworkConfig) a checkpoint header was written from.
+
+    The settings come from the header's ``RunConfig.echo`` entries and
+    its ``network`` and ``train`` sections, each value converted and
+    checked as a config file's is; an entry the header lacks keeps its
+    default. The network section, with the classifier's ``num_classes``,
+    is required. Anything that does not fit is a ``DataError`` naming
+    ``path``.
+    """
+    network, train = header.get("network"), header.get("train", {})
+    try:
+        if not isinstance(network, dict) or "num_classes" not in network:
+            raise ValueError("no network section with its num_classes")
+        if not isinstance(train, dict):
+            raise ValueError(f"train section {train!r} is not an object")
+        values = {name: _converted(name, value) for section in (header, network, train)
+                  for name, value in section.items() if name in _DECLARED}
+        if "preset" in header:
+            values["preset"] = coerce("", header["preset"])
+        run_cfg = RunConfig(**values)
+        net_cfg = run_cfg.network_config(coerce(0, network["num_classes"]))
+        run_cfg.train_config()
+    except (ConfigError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed header: {e}") from e
+    return run_cfg, net_cfg

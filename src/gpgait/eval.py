@@ -10,15 +10,16 @@ with a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import build_section, coerce
-from .errors import ConfigError, DataError, EmptySequenceError
+from .autodiff import Tensor
+from .config import read_header
+from .errors import DataError, EmptySequenceError
 from .hod import build_descriptors
 from .pagcn import (
-    NetworkConfig,
+    branch_forward,
     descriptor_inputs,
     load_model_tensors,
     init_model,
@@ -63,35 +64,22 @@ class EvalResult:
 # -- embedding --------------------------------------------------------
 
 
-def checkpoint_network(config: dict, path) -> NetworkConfig:
-    """The network a checkpoint's config echo records; ``DataError``
-    naming the file if its ``network`` section is missing or malformed."""
-    try:
-        network = config["network"]
-        return build_section(NetworkConfig, network,
-                             num_classes=coerce(0, network["num_classes"]))
-    except (ConfigError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{path}: malformed network config: {e!r}") from e
-
-
-def load_model_from_checkpoint(path):
-    """(model, run config) from a checkpoint file."""
-    config, tensors = ckpt.load_container(path)
-    net_cfg = checkpoint_network(config, path)
+def load_checkpoint(path):
+    """(settings, model, header, tensors) of a checkpoint file: the
+    ``RunConfig`` its header records (``config.read_header``) and its
+    model, built from that and loaded with its tensors."""
+    header, tensors = ckpt.load_container(path)
+    run_cfg, net_cfg = read_header(header, path)
     model = init_model(net_cfg, seed=0)
     load_model_tensors(model, tensors)
-    return model, config
+    return run_cfg, model, header, tensors
 
 
-def unify_for_eval(sequences, run_config: dict):
-    """Normalize as a header-shaped dict says (``config.HOT_KEYS``): the
-    checkpoint header, or ``RunConfig.echo()`` for a fresh run; entries
-    it lacks take their defaults. Every command normalizes through here."""
-    if not run_config.get("use_hot", True):
+def unify_for_eval(sequences, hot_cfg: hot_mod.HotConfig):
+    """Normalize as ``hot_cfg`` says: a checkpoint's settings, or a fresh
+    run's. Every command normalizes through here."""
+    if not hot_cfg.use_hot:
         return [hot_mod.passthrough(s) for s in sequences]
-    hot_cfg = hot_mod.HotConfig(**{f.name: run_config[f.name]
-                                   for f in fields(hot_mod.HotConfig)
-                                   if f.name in run_config})
     return [hot_mod.apply_hot(s, hot_cfg) for s in sequences]
 
 
@@ -124,9 +112,8 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
 
 def embed_dataset(sequences, checkpoint_path) -> np.ndarray:
     """Raw sequences -> embeddings via the checkpoint's own pipeline."""
-    model, config = load_model_from_checkpoint(checkpoint_path)
-    unified = unify_for_eval(sequences, config)
-    return embed_unified(model, unified)
+    run_cfg, model = load_checkpoint(checkpoint_path)[:2]
+    return embed_unified(model, unify_for_eval(sequences, run_cfg.hot_config()))
 
 
 # -- distances and rank-1 ----------------------------------------------
@@ -251,7 +238,16 @@ def build_split(sequences_with_roles, protocol: str) -> GalleryProbeSplit:
     roles; casiab derives membership from condition and sequence index:
     the first four normal-walk sequences form the gallery, the rest are
     probes.
+
+    A seq_id listed twice (so a sequence that is both probe and
+    gallery, which would match itself at distance 0) is a ``DataError``.
     """
+    roles = {}
+    for seq, role in sequences_with_roles:
+        if seq.seq_id in roles:
+            raise DataError(f"sequence {seq.seq_id!r} listed twice in the manifest "
+                            f"(as {roles[seq.seq_id]} and as {role})")
+        roles[seq.seq_id] = role
     entries = []
     for i, (seq, role) in enumerate(sequences_with_roles):
         entries.append((SplitEntry(index=i, label=seq.subject, view=seq.view,
@@ -320,17 +316,17 @@ def write_results(path, result: EvalResult):
 
 
 def heatmap_dump(model, unified_sequence, out_path):
-    """Write the final-block per-keypoint features for one sequence as
-    a 17-row tab-delimited matrix (rows keypoints, columns channels),
-    aggregated over frames by max."""
+    """Write the final-block per-keypoint features of the first branch
+    for one sequence as a 17-row tab-delimited matrix (rows keypoints,
+    columns channels), aggregated over frames by max."""
     desc = build_descriptors(unified_sequence)
-    inputs = descriptor_inputs(model.config,
-                               desc.joint[None], desc.bone[None], desc.angle[None])
-    result = network_forward(model, inputs, training=False,
-                             update_stats=False, capture=True)
     first_branch = model.config.branches[0]
-    f_m = result.captures[f"f_m/{first_branch}"][0]  # (T, V, C)
-    matrix = f_m.max(axis=0)                          # (V, C)
+    inputs = descriptor_inputs(model.config, desc.joint[None], desc.bone[None],
+                               desc.angle[None])[first_branch]
+    f_m = branch_forward(Tensor(inputs), model.branches[first_branch],
+                         model.adjacency, model.masks, training=False,
+                         update_stats=False)
+    matrix = f_m.data[0].max(axis=0)  # (T, V, C) -> (V, C)
     with open(out_path, "w", encoding="utf-8") as fh:
         for row in matrix:
             fh.write("\t".join(f"{x:.9e}" for x in row) + "\n")

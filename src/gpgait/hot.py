@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptySequenceError
+from .errors import ConfigError, EmptySequenceError
 from .pose_io import PoseSequence
 
 # COCO indices used for the virtual joints.
@@ -28,19 +28,22 @@ DEFAULT_SLANT_THRESHOLD = 0.1  # radians
 
 @dataclass(frozen=True)
 class HotConfig:
+    """How every command normalizes poses: the ``hot.*`` settings."""
+    use_hot: bool = True  # False: raw coordinates (``passthrough``)
     h_unif: float = DEFAULT_HEIGHT
     phi: float = DEFAULT_SLANT_THRESHOLD
-    epsilon_extent: float = None  # defaults to 1e-6 * h_unif
 
     def __post_init__(self):
-        if not self.h_unif > 0:
-            raise DataError(f"h_unif must be positive, got {self.h_unif}")
+        # also refuses a height so small that the extent floor underflows
+        if not self.epsilon_extent > 0:
+            raise ConfigError(f"hot.h_unif must be positive, got {self.h_unif}")
         if not self.phi >= 0:
-            raise DataError(f"phi must be nonnegative, got {self.phi}")
-        if self.epsilon_extent is None:
-            object.__setattr__(self, "epsilon_extent", 1e-6 * self.h_unif)
-        if self.epsilon_extent <= 0:
-            raise DataError("epsilon_extent must be positive")
+            raise ConfigError(f"hot.phi must be nonnegative, got {self.phi}")
+
+    @property
+    def epsilon_extent(self) -> float:
+        """Frames with a smaller vertical extent are dropped."""
+        return 1e-6 * self.h_unif
 
 
 @dataclass

@@ -72,6 +72,8 @@ class NetworkConfig:
             raise ConfigError("need at least one small-part block")
         if min(*self.parts5_channels, self.larger_channels, self.embed_dim) < 1:
             raise ConfigError("channel counts and embed_dim must be at least 1")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be at least 1, got {self.num_classes}")
         for name, groups in self.partition_overrides:
             PartitionScheme(name, groups)  # disjoint groups covering every joint
         schemes = set(PARTITION_SCHEMES).union(n for n, _g in self.partition_overrides)
@@ -421,7 +423,6 @@ class ForwardResult:
     metrics: Tensor  # (num_parts, N, D)
     logits: Tensor   # (num_parts, N, num_classes)
     part_names: list
-    captures: dict = field(default_factory=dict)
 
     def embedding_matrix(self) -> np.ndarray:
         """(N, num_parts, D) array of metric features."""
@@ -441,8 +442,7 @@ def descriptor_inputs(cfg: NetworkConfig, joint, bone, angle) -> dict:
 
 
 def network_forward(model: ModelParams, branch_inputs: dict,
-                    training: bool = False, update_stats: bool = True,
-                    capture: bool = False) -> ForwardResult:
+                    training: bool = False, update_stats: bool = True) -> ForwardResult:
     """Full network: branches -> pooling -> per-part heads.
 
     branch_inputs maps branch name to an (N, T, V, C) array or Tensor.
@@ -451,7 +451,7 @@ def network_forward(model: ModelParams, branch_inputs: dict,
     even from a model whose parameters require gradients.
     """
     cfg = model.config
-    pooled, captures = [], {}
+    pooled = []
     for bname in cfg.branches:
         x = branch_inputs[bname]
         if not isinstance(x, Tensor):
@@ -462,15 +462,12 @@ def network_forward(model: ModelParams, branch_inputs: dict,
                 f"branch {bname!r} expects (N,T,{V},{expect}), got {x.shape}")
         f_m = branch_forward(x, model.branches[bname], model.adjacency,
                              model.masks, training, update_stats)
-        if capture:
-            captures[f"f_m/{bname}"] = f_m.data.copy()
         pooled.append(part_pool(f_m))   # (N, P, C)
     slots = concat(pooled, axis=1).transpose((1, 0, 2))  # (S, N, C)
     metrics, logits = part_heads(slots, model.heads, training, update_stats)
     part_names = [f"{bname}/{pname}" for bname in cfg.branches
                   for pname in PART_ORDER]
-    return ForwardResult(metrics=metrics, logits=logits,
-                         part_names=part_names, captures=captures)
+    return ForwardResult(metrics=metrics, logits=logits, part_names=part_names)
 
 
 def with_masks(model: ModelParams, mask_override: dict) -> ModelParams:

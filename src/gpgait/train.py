@@ -69,9 +69,14 @@ class TrainConfig:
         for p in (self.flip_probability, self.noise_probability):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"probability {p} outside [0, 1]")
-        if not self.noise_sigma >= 0:
-            raise ConfigError(
-                f"train.noise_sigma must be nonnegative, got {self.noise_sigma}")
+        for name in ("lr_init", "lr_max", "lr_final"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"train.{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
+        for name in ("margin", "ce_weight", "noise_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"train.{name} must be nonnegative and finite, "
+                                  f"got {getattr(self, name)}")
         if abs(sum(self.phase_fractions) - 1.0) > 1e-9:
             raise ConfigError("phase fractions must sum to 1")
 
@@ -262,9 +267,6 @@ class OptimizerState:
     m: dict = field(default_factory=dict)  # name -> first moment
     v: dict = field(default_factory=dict)  # name -> second moment
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def adam_step(params: dict, state: OptimizerState, lr: float):
@@ -279,8 +281,8 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -291,16 +293,16 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
-        tmp = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
+        tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += tmp
-        np.multiply(g, 1.0 - state.beta2, out=tmp)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
         tmp *= g
-        v *= state.beta2
+        v *= ADAM_BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         step = np.divide(m, bc1)
         step *= lr
         step /= tmp

@@ -14,8 +14,9 @@ from gpgait import pose_io
 from gpgait import train as tr
 from gpgait.checkpoint import load_container, save_container
 from gpgait.cli import build_parser, main
-from gpgait.config import KEY_MAP, RunConfig, build_run_config, parse_config_file
-from gpgait.errors import ConfigError
+from gpgait.config import (KEY_MAP, PRESETS, RunConfig, build_run_config,
+                           parse_config_file, read_header)
+from gpgait.errors import ConfigError, DataError
 
 from conftest import sequence_from_coords, walker_frame
 
@@ -157,6 +158,12 @@ class TestPreprocess:
             assert not (tmp_path / "p1" / fname).exists(), fname
 
 
+# each settings flag of train, with a value; none may come with --resume
+RESUME_REFUSED = [["--config", "c.cfg"], ["--preset", "toy"], ["--seed", "0"],
+                  ["--iterations", "6"], ["--no-hot"], ["--descriptors", "joint"],
+                  ["--single-branch"], ["--no-partition"]]
+
+
 class TestTrain:
     def test_checkpoint_header(self, toy_checkpoint):
         final, _ = toy_checkpoint
@@ -165,11 +172,17 @@ class TestTrain:
         assert "train/step" in tensors
 
     def test_resume_continues(self, toy_data, toy_checkpoint, tmp_path):
-        final, cfgfile = toy_checkpoint
+        _, tiny = toy_checkpoint
+        cfgfile = tmp_path / "six.cfg"
+        cfgfile.write_text(tiny.read_text().replace(
+            "train.iterations = 4", "train.iterations = 6").replace(
+            "train.checkpoint_interval = 0", "train.checkpoint_interval = 4"))
+        run = tmp_path / "run"
+        assert main(["train", "--manifest", str(toy_data), "--out", str(run),
+                     "--config", str(cfgfile), "--seed", "7"]) == 0
         rc = main(["train", "--manifest", str(toy_data),
                    "--out", str(tmp_path / "resume"),
-                   "--config", str(cfgfile), "--seed", "7",
-                   "--resume", str(final), "--iterations", "6"])
+                   "--resume", str(run / "ckpt_000004.gpgw")])
         assert rc == 0
         _, tensors = load_container(tmp_path / "resume" / "final.gpgw")
         assert int(tensors["train/step"][0]) == 6
@@ -184,9 +197,7 @@ class TestTrain:
         broken = tmp_path / "broken.gpgw"
         save_container(broken, config, tensors)
         rc = main(["train", "--manifest", str(toy_data),
-                   "--out", str(tmp_path / "resume"),
-                   "--config", str(cfgfile), "--seed", "7",
-                   "--resume", str(broken), "--iterations", "6"])
+                   "--out", str(tmp_path / "resume"), "--resume", str(broken)])
         assert rc == 3
         assert f"checkpoint missing tensor {name}" in capsys.readouterr().err
 
@@ -211,21 +222,32 @@ class TestTrain:
     def test_resume_replays_batch_stream(self, toy_data, toy_checkpoint,
                                          tmp_path, monkeypatch):
         """Train 6 with a checkpoint at 4, then resume that checkpoint to
-        6: iterations 4-5 draw the same batches and learning rates."""
+        6 with only --manifest and --out: the resumed run takes every
+        setting (network, train settings, seed, normalization) from the
+        checkpoint, and iterations 4-5 draw the same batches and learning
+        rates."""
         _, tiny = toy_checkpoint
         cfgfile = tmp_path / "resume.cfg"
         cfgfile.write_text(tiny.read_text().replace(
             "train.iterations = 4", "train.iterations = 6").replace(
             "train.checkpoint_interval = 0", "train.checkpoint_interval = 4")
-            + "train.log_interval = 1\n")
-        draws = []
-        sample = tr.sample_batch
+            + "train.log_interval = 1\nhot.phi = 0.05\n")
+        runs, draws = [], []
+        loop, sample = cli.train_loop, tr.sample_batch
+
+        def recording_loop(train_set, net_cfg, train_cfg, out_dir, **kwargs):
+            runs.append((net_cfg, train_cfg, kwargs["run_config"]))
+            # checked before training, so that a resumed run with other
+            # settings fails at once
+            assert (net_cfg, train_cfg) == runs[0][:2]
+            return loop(train_set, net_cfg, train_cfg, out_dir, **kwargs)
 
         def recording_sample(*args, **kwargs):
             batch, labels = sample(*args, **kwargs)
             draws.append((batch, labels))
             return batch, labels
 
+        monkeypatch.setattr(cli, "train_loop", recording_loop)
         monkeypatch.setattr(tr, "sample_batch", recording_sample)
         full = tmp_path / "full"
         assert main(["train", "--manifest", str(toy_data), "--out", str(full),
@@ -235,8 +257,10 @@ class TestTrain:
         draws.clear()
         resumed = tmp_path / "resumed"
         assert main(["train", "--manifest", str(toy_data), "--out", str(resumed),
-                     "--config", str(cfgfile), "--seed", "7",
                      "--resume", str(full / "ckpt_000004.gpgw")]) == 0
+        (_, _, header), (_, resumed_cfg, resumed_header) = runs
+        assert resumed_cfg.seed == 7 and resumed_header == header
+        assert header["phi"] == 0.05
         assert len(draws) == 2
         for (batch_a, labels_a), (batch_b, labels_b) in zip(uninterrupted, draws):
             np.testing.assert_array_equal(labels_a, labels_b)
@@ -251,58 +275,20 @@ class TestTrain:
         assert lr_lines(full) == lr_lines(resumed)
         assert lr_lines(resumed)[0][:2] == ["iter", "4"]
 
-    def test_resume_warns_about_overridden_settings(self, toy_data,
-                                                    toy_checkpoint, tmp_path,
-                                                    capsys):
-        """Network and normalization settings given with --resume that
-        differ from the checkpoint's get one warning each; the run is
-        the same as without them."""
-        final, tiny = toy_checkpoint
-        cfgfile = tmp_path / "other.cfg"
-        cfgfile.write_text(tiny.read_text().replace(
-            "network.embed_dim = 4", "network.embed_dim = 8")
-            + "hot.phi = 0.1\n")
-        plain, other = tmp_path / "plain", tmp_path / "other"
-        assert main(["train", "--manifest", str(toy_data), "--out", str(plain),
-                     "--config", str(tiny), "--seed", "7",
-                     "--resume", str(final), "--iterations", "5"]) == 0
-        assert "warning" not in capsys.readouterr().err
-        assert main(["train", "--manifest", str(toy_data), "--out", str(other),
-                     "--config", str(cfgfile), "--seed", "7", "--no-hot",
-                     "--no-partition", "--descriptors", "joint,bone",
-                     "--resume", str(final), "--iterations", "5"]) == 0
-        warnings = [line for line in capsys.readouterr().err.splitlines()
-                    if line.startswith("warning: ")]
-        assert [w.split()[1] for w in warnings] == [
-            "--no-hot", "--descriptors", "--no-partition", "network.embed_dim"]
-        assert "embed_dim = 8, but the resumed checkpoint has 4" in warnings[-1]
-        for name in ("metrics.log", "final.gpgw"):
-            assert (plain / name).read_bytes() == (other / name).read_bytes()
+    @pytest.mark.parametrize("flag", RESUME_REFUSED)
+    def test_settings_flag_with_resume_exits_2(self, toy_data, toy_checkpoint,
+                                               tmp_path, capsys, flag):
+        final, _ = toy_checkpoint
+        out = tmp_path / "r"
+        rc = main(["train", "--manifest", str(toy_data), "--out", str(out),
+                   "--resume", str(final)] + flag)
+        assert rc == 2
+        assert f"{flag[0]} cannot be given with --resume" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_resume_warns_about_preset_network(self, toy_data, toy_checkpoint,
-                                               tmp_path, capsys):
-        """--preset with --resume: each network field of the preset that
-        differs from the checkpoint's gets a warning, and the run keeps
-        the checkpoint's network and records the checkpoint's preset."""
-        final, tiny = toy_checkpoint
-        cfgfile = tmp_path / "train_only.cfg"
-        cfgfile.write_text("".join(line + "\n" for line in tiny.read_text().splitlines()
-                                   if line.startswith("train.")))
-        assert main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "r"),
-                     "--preset", "toy", "--config", str(cfgfile), "--seed", "7",
-                     "--resume", str(final), "--iterations", "5"]) == 0
-        warnings = [line for line in capsys.readouterr().err.splitlines()
-                    if line.startswith("warning: ")]
-        # the toy preset's parts5_channels (16, 32), larger_channels 32 and
-        # embed_dim 32 against the checkpoint's [4], 4 and 4; its
-        # larger_schemes ("global",) match
-        assert [w.split()[1:5] for w in warnings] == [
-            ["--preset", "toy", "sets", "parts5_channels"],
-            ["--preset", "toy", "sets", "larger_channels"],
-            ["--preset", "toy", "sets", "embed_dim"]]
-        config, _ = load_container(tmp_path / "r" / "final.gpgw")
-        assert config["network"]["parts5_channels"] == [4]
-        assert config["preset"] == load_container(final)[0]["preset"] == "casiab"
+    def test_every_settings_flag_refused_with_resume(self):
+        assert (command_flags()["train"] - {"--manifest", "--out", "--resume", "--verbose"}
+                == {flag[0] for flag in RESUME_REFUSED})
 
     def test_iterations_zero_is_config_error(self, toy_data, toy_checkpoint,
                                              tmp_path, capsys):
@@ -326,6 +312,13 @@ class TestTrain:
         ("train.log_interval = 0", "train.log_interval must be at least 1"),
         ("train.sequence_length = 0", "train.sequence_length must be at least 1"),
         ("train.noise_sigma = -2", "train.noise_sigma must be nonnegative"),
+        ("train.lr_init = 0", "train.lr_init must be positive and finite"),
+        ("train.lr_max = -1", "train.lr_max must be positive and finite"),
+        ("train.lr_final = NaN", "train.lr_final must be positive and finite"),
+        ("train.lr_max = Infinity", "train.lr_max must be positive and finite"),
+        ("train.margin = -1", "train.margin must be nonnegative and finite"),
+        ("train.margin = NaN", "train.margin must be nonnegative and finite"),
+        ("train.ce_weight = -0.5", "train.ce_weight must be nonnegative and finite"),
         ("network.embed_dim = 0", "embed_dim must be at least 1"),
         ("network.larger_channels = 0", "channel counts"),
         ("network.branches = []", "need at least one branch"),
@@ -355,7 +348,6 @@ class TestTrain:
                      "--config", str(cfgfile), "--seed", "7", "--no-hot"]) == 0
         resumed = tmp_path / "resumed"
         assert main(["train", "--manifest", str(toy_data), "--out", str(resumed),
-                     "--config", str(cfgfile), "--seed", "7",
                      "--resume", str(run / "ckpt_000002.gpgw")]) == 0
         config, _ = load_container(resumed / "final.gpgw")
         assert config["use_hot"] is False
@@ -404,6 +396,22 @@ class TestEval:
                    str(manifest), "--out", str(tmp_path / "r.tsv")])
         assert rc == 3
         assert "every frame degenerate" in capsys.readouterr().err
+
+    def test_sequence_in_probe_and_gallery_exits_3(self, toy_checkpoint,
+                                                   tmp_path, capsys):
+        """A sequence listed as gallery and as probe would match itself at
+        distance 0, and rank-1 would read 1.0."""
+        final, _ = toy_checkpoint
+        # lists the one sequence file as gallery and as probe
+        manifest = write_dataset(tmp_path / "d", [walker_record("a"),
+                                                  walker_record("b")])
+        out = tmp_path / "r.tsv"
+        rc = main(["eval", "--checkpoint", str(final), "--manifest",
+                   str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert ("sequence 'a' listed twice in the manifest (as gallery and as "
+                "probe)") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metric_flag_reaches_scoring(self, toy_data, toy_checkpoint,
                                          tmp_path, monkeypatch):
@@ -503,10 +511,15 @@ def _fractional_shape(header: dict) -> dict:
     return header
 
 
-def _network(header: dict, **changes) -> dict:
-    """The header with ``changes`` made to its network section."""
-    network = {**header["config"]["network"], **changes}
-    return {**header, "config": {**header["config"], "network": network}}
+def _edited(header: dict, section: str = None, **changes) -> dict:
+    """The header with ``changes`` made to its config echo, or to the
+    named section of it."""
+    config = dict(header["config"])
+    if section:
+        config[section] = {**config[section], **changes}
+    else:
+        config.update(changes)
+    return {**header, "config": config}
 
 
 # each fault -> the container bytes with it
@@ -519,11 +532,17 @@ CONTAINER_FAULTS = {
     "header_without_network": lambda d: _with_header(
         d, lambda h: {**h, "config": {k: v for k, v in h["config"].items()
                                       if k != "network"}}),
-    "network_value_misfit": lambda d: _with_header(d, lambda h: _network(
-        h, attention="maybe")),
-    "fractional_joint_index": lambda d: _with_header(d, lambda h: _network(
-        h, partition_overrides=[["upper_lower", [list(range(12)) + [12.5],
-                                                 [13, 14, 15, 16]]]])),
+    "network_value_misfit": lambda d: _with_header(d, lambda h: _edited(
+        h, "network", attention="maybe")),
+    "h_unif_not_number": lambda d: _with_header(d, lambda h: _edited(h, h_unif="abc")),
+    "phi_null": lambda d: _with_header(d, lambda h: _edited(h, phi=None)),
+    "train_value_misfit": lambda d: _with_header(d, lambda h: _edited(
+        h, "train", iterations="many")),
+    "lr_max_negative": lambda d: _with_header(d, lambda h: _edited(
+        h, "train", lr_max=-1)),
+    "fractional_joint_index": lambda d: _with_header(d, lambda h: _edited(
+        h, "network", partition_overrides=[
+            ["upper_lower", [list(range(12)) + [12.5], [13, 14, 15, 16]]]])),
     "negative_shape": lambda d: _with_header(d, _negative_shape),
     "fractional_shape": lambda d: _with_header(d, _fractional_shape),
     "trailing_bytes": lambda d: d + b"\0\0\0\0",
@@ -532,22 +551,21 @@ CONTAINER_FAULTS = {
 
 class TestCheckpointFaults:
     """A malformed checkpoint ends in a data error naming the file
-    (exit 3), for eval and for resumed training alike."""
+    (exit 3), for eval, inspect and resumed training alike."""
 
-    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("command", ["eval", "train", "inspect"])
     @pytest.mark.parametrize("fault", sorted(CONTAINER_FAULTS))
     def test_malformed_container_exits_3(self, toy_data, toy_checkpoint,
                                          tmp_path, capsys, fault, command):
-        final, cfgfile = toy_checkpoint
+        final, _ = toy_checkpoint
         broken = tmp_path / "broken.gpgw"
         broken.write_bytes(CONTAINER_FAULTS[fault](final.read_bytes()))
-        if command == "eval":
-            argv = ["eval", "--checkpoint", str(broken), "--manifest",
+        if command in ("eval", "inspect"):
+            argv = [command, "--checkpoint", str(broken), "--manifest",
                     str(toy_data), "--out", str(tmp_path / "r.tsv")]
         else:
             argv = ["train", "--manifest", str(toy_data), "--out",
-                    str(tmp_path / "resume"), "--config", str(cfgfile),
-                    "--resume", str(broken), "--iterations", "6"]
+                    str(tmp_path / "resume"), "--resume", str(broken)]
         assert main(argv) == 3
         assert f"{broken}: " in capsys.readouterr().err
 
@@ -771,8 +789,44 @@ class TestConfig:
         assert model.masks["upper_lower"][13, 0] == 0.0
         # survives the checkpoint config echo
         echoed = json.loads(json.dumps({"network": net.to_dict()}))
-        again = eval_mod.checkpoint_network(echoed, "c.gpgw")
+        _run_cfg, again = read_header(echoed, "c.gpgw")
         assert again.partition_overrides == net.partition_overrides
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_header_reads_back(self, preset, tmp_path):
+        """The header train_loop writes reads back to the settings it was
+        written from."""
+        run_cfg = build_run_config(preset=preset, overrides={"seed": 3})
+        net_cfg = run_cfg.network_config(num_classes=5)
+        train_cfg = run_cfg.train_config()
+        # from the last iteration on, the loop only writes final.gpgw
+        _model, final = tr.train_loop(
+            tr.TrainSet.build([]), net_cfg, train_cfg, tmp_path,
+            run_config=run_cfg.echo(), start_iteration=train_cfg.iterations)
+        got, got_net = read_header(load_container(final)[0], final)
+        assert got == run_cfg
+        assert got_net == net_cfg
+        assert got.train_config() == train_cfg
+
+    def test_header_entries_converted_or_defaulted(self):
+        """Each header entry is converted as a config value is; one the
+        header lacks (here every train entry) keeps its default."""
+        run_cfg, net = read_header({"network": {"num_classes": "3"},
+                                    "use_hot": "no", "h_unif": "100"}, "c.gpgw")
+        assert run_cfg == build_run_config(overrides={"use_hot": False,
+                                                      "h_unif": 100.0})
+        assert net == RunConfig().network_config(num_classes=3)
+
+    @pytest.mark.parametrize("entries", [
+        {"h_unif": "abc"}, {"phi": None}, {"use_hot": "maybe"},
+        {"h_unif": -1}, {"metric": "manhattan"}, {"train": {"lr_max": -1}},
+        {"train": {"iterations": 2.5}}, {"train": [4]}, {"network": {"embed_dim": 4}},
+        {"network": {"num_classes": 3, "embed_dim": "x"}},
+        {"network": {"num_classes": 0}}, {"network": None},
+    ])
+    def test_header_misfit_is_data_error(self, entries):
+        with pytest.raises(DataError, match=r"^c\.gpgw: malformed header: "):
+            read_header({"network": {"num_classes": 3}, **entries}, "c.gpgw")
 
     def test_partition_override_must_cover(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -887,7 +941,7 @@ class TestParser:
         _manifest, with_roles = cli._load_with_roles(toy_data)
         seqs = [s for s, _r in with_roles]
         got = cli._unify(seqs, run_cfg, 1)
-        want = eval_mod.unify_for_eval(seqs, run_cfg.echo())
+        want = eval_mod.unify_for_eval(seqs, run_cfg.hot_config())
         assert len(got) == len(want) == len(seqs)
         for g, w in zip(got, want):
             assert g.frames.tobytes() == w.frames.tobytes()

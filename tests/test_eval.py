@@ -245,6 +245,17 @@ class TestBuildSplit:
         split = ev.build_split(self._seqs(specs), "simple")
         assert len(split.probe) == 1 and len(split.gallery) == 1
 
+    @pytest.mark.parametrize("protocol", ["simple", "casiab"])
+    @pytest.mark.parametrize("roles", [("gallery", "probe"), ("gallery", "gallery")])
+    def test_repeated_seq_id_rejected(self, protocol, roles):
+        specs = [("a-NM-01-000", "a", "NM", "000", roles[0]),
+                 ("b-NM-05-000", "b", "NM", "000", "probe"),
+                 ("a-NM-01-000", "a", "NM", "000", roles[1])]
+        with pytest.raises(DataError, match=(r"sequence 'a-NM-01-000' listed twice "
+                                             rf"in the manifest \(as {roles[0]} and "
+                                             rf"as {roles[1]}\)")):
+            ev.build_split(self._seqs(specs), protocol)
+
 
 class TestResultsFile:
     def test_write_and_reread(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import reference as ref
 from gpgait import hot
-from gpgait.errors import EmptySequenceError
+from gpgait.errors import ConfigError, EmptySequenceError
 
 from conftest import sequence_from_coords, walker_frame
 
@@ -276,3 +276,12 @@ def test_matches_scalar_oracle(rng, phi):
     assert kept[-4:] == [999, 1000, 1005, 1006]
     np.testing.assert_allclose(out, np.stack(expect), rtol=0,
                                atol=1e-9 * cfg.h_unif)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("h_unif", -1.0), ("h_unif", math.nan), ("h_unif", 1e-320), ("phi", -0.1),
+])
+def test_out_of_range_setting_named_by_key(setting, value):
+    # 1e-320 is positive, but its extent floor 1e-6 * h_unif underflows to 0
+    with pytest.raises(ConfigError, match=rf"^hot\.{setting} must be"):
+        hot.HotConfig(**{setting: value})

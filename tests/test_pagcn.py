@@ -7,8 +7,8 @@ import reference as ref
 from gpgait import pagcn
 from gpgait.autodiff import Tensor
 from gpgait.checkpoint import load_container, save_container
+from gpgait.config import read_header
 from gpgait.errors import DataError
-from gpgait.eval import checkpoint_network
 from gpgait.graph import PARTS5, build_adjacency_subsets, mask_set
 from gpgait.pagcn import (
     BatchNormParams,
@@ -882,7 +882,7 @@ class TestCheckpointGlue:
         save_container(path, {"network": model.config.to_dict()},
                        model_tensors(model))
         config, tensors = load_container(path)
-        model2 = init_model(checkpoint_network(config, path), seed=1)
+        model2 = init_model(read_header(config, path)[1], seed=1)
         load_model_tensors(model2, tensors)
         for name, t in model.named_parameters().items():
             np.testing.assert_allclose(
