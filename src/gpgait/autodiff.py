@@ -388,8 +388,10 @@ def stop_gradient(x: Tensor) -> Tensor:
 # one per intermediate, and a node keeps only what its backward cannot
 # cheaply rebuild; the rest is recomputed by the forward's exact
 # operations, so values and gradients match a stored tape bit for bit.
-# Given only constant tensors they build no graph, which is how a
-# block's inference path runs them.
+# A training block is one ``graph_block`` node, which keeps its input
+# and no (N, T, V, C) array of its own. Given only constant tensors the
+# ops build no graph, which is how a block's inference path runs
+# ``spatial_graph_conv`` and ``temporal_conv``.
 
 
 def _stacked(tensors, axis: int) -> np.ndarray:
@@ -408,6 +410,83 @@ def _attention(f: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
     key = (pooled @ w_k).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
     sim = np.matmul(q, key.swapaxes(-1, -2)) * (1.0 / np.sqrt(ce))
     return pooled, q, key, _softmax(sim, -1, mask > 0)       # (N, K, V, V)
+
+
+def _stacked_adjacency(f: np.ndarray, fixed: np.ndarray, mask: np.ndarray,
+                       learned, attn_q, attn_k) -> np.ndarray:
+    """The combined adjacency ``(fixed_k + learned_k + att_k) * mask`` of
+    ``spatial_graph_conv`` on (N, T, V, C_in) features, stacked to the
+    operand of its batched product: (V*K, V), or (N, 1, V*K, V) with
+    attention."""
+    k, v = len(learned), f.shape[2]
+    adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
+    if attn_q:
+        adj = adj + _attention(f, _stacked(attn_q, 1), _stacked(attn_k, 1),
+                               mask, k)[3]                          # (N, K, V, V)
+    adj *= mask
+    # stacked[.., u*K + k, v] = A_k[.., v, u]; the K rows of a joint are
+    # adjacent, so the reshape to the GEMM operand copies nothing
+    stacked = np.moveaxis(adj, -1, -3).reshape(adj.shape[:-3] + (v * k, v))
+    return stacked[:, None] if adj.ndim == 4 else stacked
+
+
+def _accumulate_stacked(tensors, grad: np.ndarray, axis: int):
+    """Hand each of ``tensors`` its equal share of ``grad`` along
+    ``axis``, the gradient of their stacked copy."""
+    for t, share in zip(tensors, np.split(grad, len(tensors), axis=axis)):
+        if t.requires_grad:
+            t._accumulate(share)
+
+
+def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
+                         mask: np.ndarray, learned, w: np.ndarray, attn_q,
+                         attn_k):
+    """Backward of ``spatial_graph_conv`` for the (M, C_out) output
+    gradient ``g``, less the weight gradient, given the stacked
+    (K*C_in, C_out) weights ``w``: accumulates the learned adjacencies'
+    and the attention projections' gradients and returns the input's, or
+    None when ``f_in`` needs none."""
+    f = f_in.data
+    n, t, v, c_in = f.shape
+    k = len(learned)
+    per_sequence = stacked.ndim == 4
+    g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
+    g_f = None
+    if f_in.requires_grad:
+        g_f = np.matmul(np.swapaxes(stacked, -1, -2), g_agg)
+    # per-frame (V*K, C_in) @ (C_in, V) products summed over frames:
+    # faster here than one (V*K, T*C_in) GEMM per sequence
+    g_adj = np.matmul(g_agg, np.swapaxes(f, -1, -2))
+    del g_agg
+    g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
+    g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
+    g_adj *= mask                                               # (.., K, V, V)
+    g_learned = g_adj.sum(axis=0) if per_sequence else g_adj
+    for i, a in enumerate(learned):
+        if a.requires_grad:
+            a._accumulate(g_learned[i])
+    if attn_q:
+        w_q, w_k = _stacked(attn_q, 1), _stacked(attn_k, 1)
+        pooled, q, key, att = _attention(f, w_q, w_k, mask, k)
+        ce = w_q.shape[1] // k
+        # softmax backward; a masked entry has att == 0, so its
+        # similarity gets exactly 0
+        g_sim = g_adj - (g_adj * att).sum(axis=-1, keepdims=True)
+        g_sim *= att
+        g_sim *= 1.0 / np.sqrt(ce)
+        g_q = np.matmul(g_sim, key).transpose(0, 2, 1, 3).reshape(-1, k * ce)
+        g_key = np.matmul(g_sim.swapaxes(-1, -2), q)
+        g_key = g_key.transpose(0, 2, 1, 3).reshape(-1, k * ce)
+        flat_pooled = pooled.reshape(-1, c_in)
+        for proj, g_proj in ((attn_q, g_q), (attn_k, g_key)):
+            if any(a.requires_grad for a in proj):
+                _accumulate_stacked(proj, flat_pooled.T @ g_proj, 1)
+        if g_f is not None:
+            g_pooled = g_q @ w_q.T
+            g_pooled += g_key @ w_k.T
+            g_pooled *= 1.0 / t
+            g_f += g_pooled.reshape(n, 1, v, c_in)
+    return g_f
 
 
 def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
@@ -439,21 +518,13 @@ def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     frees them before the aggregate's gradient is formed; it rebuilds
     the attention term and the stacked weights the same way, so every
     gradient is bit-identical to one computed from stored arrays.
+    Inference runs it on constant tensors; a training block runs the
+    same steps inside ``graph_block``.
     """
     n, t, v, c_in = f_in.shape
     k = len(weights)
     c_out = weights[0].shape[1]
-    adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
-    if attn_q:
-        adj = adj + _attention(f_in.data, _stacked(attn_q, 1),
-                               _stacked(attn_k, 1), mask, k)[3]    # (N, K, V, V)
-    adj *= mask
-    per_sequence = adj.ndim == 4
-    # stacked[.., u*K + k, v] = A_k[.., v, u]; the K rows of a joint are
-    # adjacent, so the reshape to the GEMM operand copies nothing
-    stacked = np.moveaxis(adj, -1, -3).reshape(adj.shape[:-3] + (v * k, v))
-    if per_sequence:
-        stacked = stacked[:, None]                                  # (N, 1, V*K, V)
+    stacked = _stacked_adjacency(f_in.data, fixed, mask, learned, attn_q, attn_k)
     agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
     out = _make((agg @ _stacked(weights, 0)).reshape(n, t, v, c_out),
                 (f_in, *learned, *weights, *attn_q, *attn_k))
@@ -461,54 +532,14 @@ def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
         return out
 
     def bwd(g):
-        f = f_in.data
         g = g.reshape(-1, c_out)
         if any(wk.requires_grad for wk in weights):
-            agg = np.matmul(stacked, f).reshape(-1, k * c_in)
+            agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
             g_w = agg.T @ g
             del agg
-            for i, wk in enumerate(weights):
-                if wk.requires_grad:
-                    wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
-        g_agg = (g @ _stacked(weights, 0).T).reshape(n, t, v * k, c_in)
-        g_f = None
-        if f_in.requires_grad:
-            g_f = np.matmul(np.swapaxes(stacked, -1, -2), g_agg)
-        # per-frame (V*K, C_in) @ (C_in, V) products summed over frames:
-        # faster here than one (V*K, T*C_in) GEMM per sequence
-        g_adj = np.matmul(g_agg, np.swapaxes(f, -1, -2))
-        del g_agg
-        g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
-        g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
-        g_adj *= mask                                               # (.., K, V, V)
-        g_learned = g_adj.sum(axis=0) if per_sequence else g_adj
-        for i, a in enumerate(learned):
-            if a.requires_grad:
-                a._accumulate(g_learned[i])
-        if attn_q:
-            w_q, w_k = _stacked(attn_q, 1), _stacked(attn_k, 1)
-            pooled, q, key, att = _attention(f, w_q, w_k, mask, k)
-            ce = w_q.shape[1] // k
-            # softmax backward; a masked entry has att == 0, so its
-            # similarity gets exactly 0
-            g_sim = g_adj - (g_adj * att).sum(axis=-1, keepdims=True)
-            g_sim *= att
-            g_sim *= 1.0 / np.sqrt(ce)
-            g_q = np.matmul(g_sim, key).transpose(0, 2, 1, 3).reshape(-1, k * ce)
-            g_key = np.matmul(g_sim.swapaxes(-1, -2), q)
-            g_key = g_key.transpose(0, 2, 1, 3).reshape(-1, k * ce)
-            flat_pooled = pooled.reshape(-1, c_in)
-            for proj, g_proj in ((attn_q, g_q), (attn_k, g_key)):
-                if any(a.requires_grad for a in proj):
-                    g_stacked = flat_pooled.T @ g_proj
-                    for i, a in enumerate(proj):
-                        if a.requires_grad:
-                            a._accumulate(g_stacked[:, i * ce:(i + 1) * ce])
-            if g_f is not None:
-                g_pooled = g_q @ w_q.T
-                g_pooled += g_key @ w_k.T
-                g_pooled *= 1.0 / t
-                g_f += g_pooled.reshape(n, 1, v, c_in)
+            _accumulate_stacked(weights, g_w, 0)
+        g_f = _spatial_input_grads(g, f_in, stacked, mask, learned,
+                                   _stacked(weights, 0), attn_q, attn_k)
         if g_f is not None:
             f_in._accumulate(g_f)
 
@@ -655,63 +686,89 @@ def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return h
 
 
-def block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor, kernel: Tensor,
-                   gamma2: Tensor, beta2: Tensor, eps: float,
-                   residual: Tensor = None):
-    """The rest of a part-aware graph block after its spatial step, as
-    one node: ``relu(bn2(temporal_conv(relu(bn1(y)), kernel)))``, plus
-    ``residual`` when given, with training-mode batch norms.
+def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
+                weights, attn_q, attn_k, gamma1: Tensor, beta1: Tensor,
+                kernel: Tensor, gamma2: Tensor, beta2: Tensor, eps: float,
+                residual: bool = False):
+    """A part-aware graph block in training as one node:
+    ``relu(bn2(temporal_conv(relu(bn1(y)), kernel)))``, plus ``f_in`` when
+    ``residual``, where ``y`` is ``spatial_graph_conv`` of ``f_in`` (the
+    first seven arguments are that op's) and both batch norms use the
+    batch's statistics, reduced over the (-1, C_out) view.
 
-    ``y`` is (N, T, V, C); batch statistics are reduced over its
-    (-1, C) view. Returns (output, (mean1, var1), (mean2, var2)), the
-    statistics shaped (C,). Each ReLU runs in place on its batch-norm
-    output, and the forward frees the first ReLU's output and the second
-    normalized array as soon as it has used them. The node keeps its
-    input ``y``, the per-channel means and standard deviations and the
-    second ReLU's mask as a bool array. Backward rebuilds, once each and
-    by the forward's exact operations, the first normalized array (which
-    the first batch norm's gradient uses too), the first ReLU's output
-    from it (whose mask is ``> 0``) and the second normalized array, so
-    every gradient is bit-identical to one computed from stored arrays.
+    Returns (output, (mean1, var1), (mean2, var2)), the statistics shaped
+    (C_out,). The forward frees the aggregate once ``y`` is formed, then
+    normalizes and applies each ReLU in place, in ``y``'s buffer and then
+    in the temporal conv's.
+
+    The node keeps its input, the stacked adjacency and the per-channel
+    means and standard deviations: no (N, T, V, C_out) array. Backward
+    rebuilds, once each and by the forward's exact operations, the
+    aggregate and ``y`` from it (normalized in place to the first
+    normalized array, which the first batch norm's gradient uses too),
+    the first ReLU's output (whose mask is ``> 0``) and the second
+    normalized array, from which the second ReLU's mask is
+    ``xhat2 * gamma2 + beta2 > 0``. The gradient of ``y`` goes straight
+    into the spatial step's backward, so every value is bit-identical to
+    ``spatial_graph_conv`` followed by a node that stored its arrays.
     """
-    shape, c = y.shape, y.shape[-1]
-    h, mu1, var1, std1 = _bn_normalize(y.data.reshape(-1, c), eps)
-    _bn_relu(h, gamma1.data, beta1.data, out=h)
-    xhat2 = _temporal_conv(h.reshape(shape), kernel.data).reshape(-1, c)
-    del h
+    shape = f_in.shape[:-1] + (weights[0].shape[1],)
+    c_agg, c = len(weights) * f_in.shape[-1], shape[-1]
+    stacked = _stacked_adjacency(f_in.data, fixed, mask, learned, attn_q, attn_k)
+    agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
+    xhat1 = agg @ _stacked(weights, 0)                  # y, normalized below
+    del agg
+    xhat1, mu1, var1, std1 = _bn_normalize(xhat1, eps, out=xhat1)
+    h = _bn_relu(xhat1, gamma1.data, beta1.data, out=xhat1).reshape(shape)
+    xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
+    del h, xhat1
     xhat2, mu2, var2, std2 = _bn_normalize(xhat2, eps, out=xhat2)
-    r = _bn_relu(xhat2, gamma2.data, beta2.data).reshape(shape)
+    r = _bn_relu(xhat2, gamma2.data, beta2.data, out=xhat2).reshape(shape)
     del xhat2
-    active2 = r > 0.0                       # the second ReLU's mask
-    if residual is not None:
-        r += residual.data
-    parents = (y, gamma1, beta1, kernel, gamma2, beta2)
-    out = _make(r, parents if residual is None else parents + (residual,))
+    if residual:
+        r += f_in.data
+    out = _make(r, (f_in, *learned, *weights, *attn_q, *attn_k,
+                    gamma1, beta1, kernel, gamma2, beta2))
     stats = ((mu1, var1), (mu2, var2))
     if not out.requires_grad:
         return (out, *stats)
 
     def bwd(g):
-        if residual is not None and residual.requires_grad:
-            residual._accumulate(g)
-        xhat1 = _bn_xhat(y.data.reshape(-1, c), mu1, std1)
+        agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
+        w = _stacked(weights, 0)
+        xhat1 = agg @ w
+        _bn_xhat(xhat1, mu1, std1, out=xhat1)
         h = _bn_relu(xhat1, gamma1.data, beta1.data).reshape(shape)
         xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
         _bn_xhat(xhat2, mu2, std2, out=xhat2)
-        g_z, g_gamma2, g_beta2 = _bn_backward((g * active2).reshape(-1, c), xhat2,
-                                              std2, gamma2.data, out=xhat2)
+        g_r = np.multiply(xhat2, gamma2.data)
+        g_r += beta2.data
+        # the output gradient through the second ReLU
+        np.multiply(g.reshape(-1, c), g_r > 0.0, out=g_r)
+        g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, std2, gamma2.data,
+                                              out=xhat2)
+        del g_r, xhat2
         g_h, g_kernel = _temporal_conv_grads(g_z.reshape(shape), h, kernel.data,
                                              True, kernel.requires_grad)
-        del g_z, xhat2
+        del g_z
         g_h *= h > 0.0
         del h
         g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(-1, c), xhat1, std1,
                                               gamma1.data, out=xhat1)
+        del g_h
         for t, grad in ((gamma2, g_gamma2), (beta2, g_beta2), (kernel, g_kernel),
-                        (gamma1, g_gamma1), (beta1, g_beta1),
-                        (y, g_y.reshape(shape))):
+                        (gamma1, g_gamma1), (beta1, g_beta1)):
             if t.requires_grad:
                 t._accumulate(grad)
+        if any(wk.requires_grad for wk in weights):
+            _accumulate_stacked(weights, agg.T @ g_y, 0)
+        del agg
+        g_f = _spatial_input_grads(g_y, f_in, stacked, mask, learned, w,
+                                   attn_q, attn_k)
+        if g_f is not None:
+            if residual:
+                g_f += g
+            f_in._accumulate(g_f)
 
     out._backward = bwd
     return (out, *stats)

@@ -19,7 +19,7 @@ from . import pose_io, synth
 from .config import METRICS, PROTOCOLS, build_run_config
 from .errors import ConfigError, DataError, GpgaitError
 from .pagcn import with_masks
-from .train import TrainSet, restore_training_state, train_loop
+from .train import TrainSet, restore_training_state, sampler_rng, train_loop
 from .graph import mask_set
 
 
@@ -108,6 +108,7 @@ def cmd_train(args) -> int:
         run_cfg, model, header, tensors = eval_mod.load_checkpoint(args.resume)
         state = restore_training_state(model, tensors)
         sampler_state = header.get("sampler_state")
+        sampler_rng(0, sampler_state, args.resume)   # refuse a bad one up front
     else:
         run_cfg = _run_config_from_args(args)
     _manifest, with_roles = _load_with_roles(args.manifest)

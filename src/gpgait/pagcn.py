@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, batch_norm_train, block_epilogue, concat,
+from .autodiff import (Tensor, batch_norm_train, concat, graph_block,
                        group_pool, spatial_graph_conv, temporal_conv)
 from .errors import ConfigError, DataError
 from .graph import (PARTITION_SCHEMES, PARTS5, V, PartitionScheme,
@@ -275,6 +275,16 @@ def _check_channels(f_in: Tensor, block: BlockParams):
             f"spatial conv expects {block.in_channels} channels, got {f_in.shape[-1]}")
 
 
+def _spatial_params(block: BlockParams) -> tuple:
+    """(learned adjacencies, weights, attention queries, attention keys)
+    of a block's subsets, as ``spatial_graph_conv`` takes them."""
+    subs = block.subsets
+    if subs[0].attn_a is None:
+        return [s.learned_adj for s in subs], [s.weight for s in subs], (), ()
+    return ([s.learned_adj for s in subs], [s.weight for s in subs],
+            [s.attn_a for s in subs], [s.attn_b for s in subs])
+
+
 def pagcn_spatial(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
                   mask: np.ndarray) -> Tensor:
     """Masked graph aggregation and channel mixing, summed over the
@@ -282,13 +292,7 @@ def pagcn_spatial(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
     the combined (fixed + learned + attention) adjacency of every subset,
     its mask and the graph conv."""
     _check_channels(f_in, block)
-    subs = block.subsets
-    attention = subs[0].attn_a is not None
-    return spatial_graph_conv(
-        f_in, adjacency, mask, [s.learned_adj for s in subs],
-        [s.weight for s in subs],
-        [s.attn_a for s in subs] if attention else (),
-        [s.attn_b for s in subs] if attention else ())
+    return spatial_graph_conv(f_in, adjacency, mask, *_spatial_params(block))
 
 
 def _update_running(bn: BatchNormParams, mu: np.ndarray, var: np.ndarray):
@@ -310,11 +314,12 @@ def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
                 update_stats: bool = True) -> Tensor:
     """spatial -> norm -> relu -> temporal -> norm -> relu -> residual.
 
-    Training builds two nodes, ``pagcn_spatial`` and ``block_epilogue``,
-    and with ``update_stats`` folds both batch norms' statistics into
-    their running averages once. Inference builds no graph: each batch
-    norm is folded into the linear op before it (the stacked graph-conv
-    weights and the temporal kernel are scaled by
+    Training builds one ``graph_block`` node, which keeps only the block
+    input, the stacked adjacency and the batch norms' (C,) statistics
+    for backward, and with ``update_stats`` folds both batch norms'
+    statistics into their running averages once. Inference builds no
+    graph: each batch norm is folded into the linear op before it (the
+    stacked graph-conv weights and the temporal kernel are scaled by
     ``gamma / sqrt(running_var + eps)``, the shift
     ``beta - running_mean * scale`` is added after), shift, ReLU and
     residual run in place, and the block runs over groups of sequences
@@ -325,16 +330,16 @@ def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
     """
     mask = masks[block.mask_name]
     residual = block.in_channels == block.out_channels
+    _check_channels(f_in, block)
     if training:
-        y = pagcn_spatial(f_in, block, adjacency, mask)
-        out, stats1, stats2 = block_epilogue(
-            y, block.bn1.gamma, block.bn1.beta, block.temporal_kernel,
-            block.bn2.gamma, block.bn2.beta, BN_EPS, f_in if residual else None)
+        out, stats1, stats2 = graph_block(
+            f_in, adjacency, mask, *_spatial_params(block), block.bn1.gamma,
+            block.bn1.beta, block.temporal_kernel, block.bn2.gamma,
+            block.bn2.beta, BN_EPS, residual)
         if update_stats:
             _update_running(block.bn1, *stats1)
             _update_running(block.bn2, *stats2)
         return out
-    _check_channels(f_in, block)
     scale1, shift1 = _folded(block.bn1)
     scale2, shift2 = _folded(block.bn2)
     subs = block.subsets

@@ -77,8 +77,11 @@ class TrainConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"train.{name} must be nonnegative and finite, "
                                   f"got {getattr(self, name)}")
-        if abs(sum(self.phase_fractions) - 1.0) > 1e-9:
-            raise ConfigError("phase fractions must sum to 1")
+        fractions = self.phase_fractions
+        if (len(fractions) != 3 or not all(0 <= f < math.inf for f in fractions)
+                or abs(sum(fractions) - 1.0) > 1e-9):
+            raise ConfigError("train.phase_fractions must be three finite "
+                              f"fractions >= 0 summing to 1, got {fractions}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -313,17 +316,18 @@ def one_cycle_lr(iteration: int, total: int, lr_init: float, lr_max: float,
                  lr_final: float, phase_fractions=(0.3, 0.6, 0.1)) -> float:
     """Three-phase schedule over normalized progress: linear warmup to
     the peak, cosine decay back to the initial rate, then a linear tail
-    to the final rate. Endpoints are exact."""
+    to the final rate. Endpoints are exact; a phase of zero length is
+    skipped."""
     if not 0 <= iteration < total:
         raise ConfigError(f"iteration {iteration} outside [0, {total})")
     if total == 1:
         return lr_init
     f1, f2, _f3 = phase_fractions
     p = iteration / (total - 1)
-    if p <= f1:
+    if 0 < f1 and p <= f1:
         q = p / f1
         return lr_init * (1.0 - q) + lr_max * q
-    if p <= f1 + f2:
+    if 0 < f2 and p <= f1 + f2:
         w = 0.5 * (1.0 + math.cos(math.pi * (p - f1) / f2))
         return lr_max * w + lr_init * (1.0 - w)
     q = (p - f1 - f2) / (1.0 - f1 - f2)
@@ -365,6 +369,20 @@ def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
     return state
 
 
+def sampler_rng(seed: int, sampler_state: dict = None,
+                source: str = "checkpoint") -> np.random.Generator:
+    """The batch sampler's generator: seeded with ``seed + 1``, or set to
+    ``sampler_state`` when given. A state that does not fit is a
+    ``DataError`` naming ``source``."""
+    rng = np.random.default_rng(seed + 1)
+    if sampler_state is not None:
+        try:
+            rng.bit_generator.state = sampler_state
+        except (TypeError, ValueError, KeyError) as e:
+            raise DataError(f"{source}: malformed sampler_state: {e}") from e
+    return rng
+
+
 def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                train_cfg: TrainConfig, out_dir, run_config: dict = None,
                model: ModelParams = None, state: OptimizerState = None,
@@ -387,12 +405,7 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
         model = init_model(net_cfg, seed=train_cfg.seed)
     if state is None:
         state = OptimizerState()
-    rng = np.random.default_rng(train_cfg.seed + 1)
-    if sampler_state is not None:
-        try:
-            rng.bit_generator.state = sampler_state
-        except (TypeError, ValueError, KeyError) as e:
-            raise DataError(f"malformed sampler_state in checkpoint: {e}") from e
+    rng = sampler_rng(train_cfg.seed, sampler_state)
     run_config = dict(run_config or {})
     run_config["network"] = net_cfg.to_dict()
     run_config["train"] = train_cfg.to_dict()

@@ -3,16 +3,17 @@
 Most are written with explicit index loops and plain Python math so
 they share no vectorized code path with the package under test. The
 third-to-last section keeps the chain of autodiff nodes a part-aware
-graph block was built from before it became two fused nodes
+graph block was built from before it became fused nodes
 (``graph_conv``, ``softmax``, ``attention_adjacency`` and
 ``ref_block_chain``), as the oracle of the fused block's values and
-gradients. The next keeps the two fused training nodes as they were
-when they stored their intermediates for backward
-(``stored_spatial_graph_conv``, ``stored_block_epilogue``), as the
-bit-exact oracle of the nodes that rebuild them. The last keeps the
-network's tail as it was when every (branch, part) slot ran through its
-own pooling, head and loss nodes (``slot_tail``), as the oracle of the
-stacked tail, and the no-graph model view inference once ran through
+gradients. The next keeps the two training nodes a block was before
+it became one, as they were when they stored their intermediates for
+backward (``stored_spatial_graph_conv``, ``stored_block_epilogue``),
+and chains them into ``stored_graph_block``, the bit-exact oracle of
+the node that rebuilds them. The last keeps the network's tail as it
+was when every (branch, part) slot ran through its own pooling, head
+and loss nodes (``slot_tail``), as the oracle of the stacked tail, and
+the no-graph model view inference once ran through
 (``detached_view``).
 """
 
@@ -613,6 +614,18 @@ def stored_block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor,
 
     out._backward = bwd
     return (out, *stats)
+
+
+def stored_graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
+                       learned, weights, attn_q, attn_k, gamma1: Tensor,
+                       beta1: Tensor, kernel: Tensor, gamma2: Tensor,
+                       beta2: Tensor, eps: float, residual: bool = False):
+    """``autodiff.graph_block`` as two nodes with a stored tape: the
+    spatial node, then the epilogue node on its output ``y``."""
+    y = stored_spatial_graph_conv(f_in, fixed, mask, learned, weights, attn_q,
+                                  attn_k)
+    return stored_block_epilogue(y, gamma1, beta1, kernel, gamma2, beta2, eps,
+                                 f_in if residual else None)
 
 
 # -- the tail with one pooling, head and loss chain per slot ------------

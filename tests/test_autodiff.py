@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpgait.autodiff import (Tensor, batch_norm_train, block_epilogue, concat,
+from gpgait.autodiff import (Tensor, batch_norm_train, concat, graph_block,
                              group_pool, spatial_graph_conv, stop_gradient,
                              temporal_conv)
 from gpgait.graph import mask_set
@@ -171,29 +171,48 @@ class TestFusedOps:
 
         check_grads(build, arrays, rng, h=1e-5)
 
+    @pytest.mark.parametrize("attention", [False, True])
     @pytest.mark.parametrize("residual", [False, True])
-    def test_block_epilogue_gradient(self, rng, residual):
-        """Every input of the epilogue node (batch norm, ReLU, temporal
-        conv, batch norm, ReLU, optional residual), and its batch
+    def test_graph_block_gradient(self, rng, residual, attention):
+        """Every input of the block node (spatial step, batch norm, ReLU,
+        temporal conv, batch norm, ReLU, optional residual) under the
+        parts5 mask, with and without the attention term, and its batch
         statistics."""
-        shape, c = (2, 4, 5, 3), 3
-        arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, size=c),
-                  rng.normal(size=c), rng.normal(size=(3, c)),
-                  rng.uniform(0.5, 1.5, size=c), rng.normal(size=c)]
-        if residual:
-            arrays.append(rng.normal(size=shape))
+        mask = mask_set()["parts5"]
+        k, c_in, ce = 3, 3, 2
+        c_out = c_in if residual else 2
+        fixed = rng.uniform(size=(k, 17, 17))
+        arrays = [rng.normal(size=(2, 3, 17, c_in))]
+        arrays += [rng.normal(size=(17, 17)) for _ in range(k)]
+        arrays += [rng.normal(size=(c_in, c_out)) for _ in range(k)]
+        if attention:
+            arrays += [rng.normal(size=(c_in, ce)) for _ in range(2 * k)]
+        n_spatial = len(arrays)
+        arrays += [rng.uniform(0.5, 1.5, size=c_out), rng.normal(size=c_out),
+                   rng.normal(size=(3, c_out)), rng.uniform(0.5, 1.5, size=c_out),
+                   rng.normal(size=c_out)]
+
+        def spatial_args(t):
+            attn = t[1 + 2 * k:n_spatial]
+            return (t[0], fixed, mask, t[1:1 + k], t[1 + k:1 + 2 * k],
+                    attn[:k], attn[k:])
 
         def build(t):
-            return block_epilogue(*t[:6], 1e-5, t[6] if residual else None)[0]
+            return graph_block(*spatial_args(t), *t[n_spatial:], 1e-5,
+                               residual)[0]
 
-        check_grads(build, arrays, rng, h=1e-5)
-        y = arrays[0]
-        _, (mu1, var1), (mu2, var2) = block_epilogue(
-            *[Tensor(a) for a in arrays[:6]], 1e-5)
+        # the weighted output sums ~100 rows through two batch norms, so
+        # rounding noise, not truncation, limits steps below 1e-4
+        check_grads(build, arrays, rng, h=1e-4)
+        tensors = [Tensor(a) for a in arrays]
+        y = spatial_graph_conv(*spatial_args(tensors)).data
+        _, (mu1, var1), (mu2, var2) = graph_block(*spatial_args(tensors),
+                                                  *tensors[n_spatial:], 1e-5)
         np.testing.assert_allclose(mu1, y.mean(axis=(0, 1, 2)), atol=1e-12)
         np.testing.assert_allclose(var1, y.var(axis=(0, 1, 2)), atol=1e-12)
-        h = np.maximum((y - mu1) / np.sqrt(var1 + 1e-5) * arrays[1] + arrays[2], 0.0)
-        z = temporal_conv(Tensor(h), Tensor(arrays[3])).data
+        gamma1, beta1, kern = arrays[n_spatial:n_spatial + 3]
+        h = np.maximum((y - mu1) / np.sqrt(var1 + 1e-5) * gamma1 + beta1, 0.0)
+        z = temporal_conv(Tensor(h), Tensor(kern)).data
         np.testing.assert_allclose(mu2, z.mean(axis=(0, 1, 2)), atol=1e-12)
         np.testing.assert_allclose(var2, z.var(axis=(0, 1, 2)), atol=1e-12)
 

@@ -319,6 +319,9 @@ class TestTrain:
         ("train.margin = -1", "train.margin must be nonnegative and finite"),
         ("train.margin = NaN", "train.margin must be nonnegative and finite"),
         ("train.ce_weight = -0.5", "train.ce_weight must be nonnegative and finite"),
+        ("train.phase_fractions = [0.5, 0.6, -0.1]", "train.phase_fractions must be"),
+        ("train.phase_fractions = [0.5, 0.5]", "train.phase_fractions must be"),
+        ("train.phase_fractions = [NaN, 0.5, 0.5]", "train.phase_fractions must be"),
         ("network.embed_dim = 0", "embed_dim must be at least 1"),
         ("network.larger_channels = 0", "channel counts"),
         ("network.branches = []", "need at least one branch"),
@@ -334,6 +337,33 @@ class TestTrain:
                    "--config", str(cfgfile)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_zero_length_warmup_trains(self, toy_data, toy_checkpoint, tmp_path):
+        """A schedule without warmup starts at the peak rate instead of
+        dividing by the warmup's zero length."""
+        _, tiny = toy_checkpoint
+        cfgfile = tmp_path / "nowarmup.cfg"
+        cfgfile.write_text(tiny.read_text() + "train.phase_fractions = [0, 0.9, 0.1]\n")
+        rc = main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "o"),
+                   "--config", str(cfgfile)])
+        assert rc == 0
+        log = (tmp_path / "o" / "metrics.log").read_text().splitlines()
+        assert log[0].split("\t")[3] == f"{1e-3:.9e}"
+
+    def test_malformed_sampler_state_names_checkpoint(self, toy_checkpoint,
+                                                      tmp_path, capsys):
+        """A resumed run refuses a checkpoint whose sampler state does not
+        fit, naming the file, before it reads the manifest."""
+        final, _ = toy_checkpoint
+        broken = tmp_path / "broken.gpgw"
+        broken.write_bytes(_with_header(final.read_bytes(), lambda h: _edited(
+            h, sampler_state={"bit_generator": "MT19937"})))
+        rc = main(["train", "--manifest", str(tmp_path / "absent.tsv"),
+                   "--out", str(tmp_path / "o"), "--resume", str(broken)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{broken}: malformed sampler_state" in err
+        assert "absent.tsv" not in err
 
     def test_resume_normalizes_as_checkpoint(self, toy_data, toy_checkpoint,
                                              tmp_path):
@@ -540,6 +570,10 @@ CONTAINER_FAULTS = {
         h, "train", iterations="many")),
     "lr_max_negative": lambda d: _with_header(d, lambda h: _edited(
         h, "train", lr_max=-1)),
+    "phase_fractions_negative": lambda d: _with_header(d, lambda h: _edited(
+        h, "train", phase_fractions=[0.5, 0.6, -0.1])),
+    "phase_fractions_two": lambda d: _with_header(d, lambda h: _edited(
+        h, "train", phase_fractions=[0.5, 0.5])),
     "fractional_joint_index": lambda d: _with_header(d, lambda h: _edited(
         h, "network", partition_overrides=[
             ["upper_lower", [list(range(12)) + [12.5], [13, 14, 15, 16]]]])),

@@ -147,14 +147,19 @@ class TestSpatial:
         np.testing.assert_array_equal(out[:, :, head, :], base[:, :, head, :])
 
     def test_masked_learned_adj_gradient_exactly_zero(self, rng):
-        block = make_block(rng, 3, 4)
-        f = Tensor(random_input(rng), requires_grad=True)
-        out = pagcn_spatial(f, block, ADJ, MASKS["parts5"])
-        out.backward(rng.normal(size=out.shape))
+        """Through the spatial node alone and through the training block."""
         outside = MASKS["parts5"] == 0
-        for sub in block.subsets:
-            assert np.all(sub.learned_adj.grad[outside] == 0.0)
-            assert np.all(sub.learned_adj.grad[~outside] != 0.0)
+        for training_block in (False, True):
+            block = make_block(rng, 3, 4)
+            f = Tensor(random_input(rng), requires_grad=True)
+            if training_block:
+                out = pagcn_block(f, block, ADJ, MASKS, training=True)
+            else:
+                out = pagcn_spatial(f, block, ADJ, MASKS["parts5"])
+            out.backward(rng.normal(size=out.shape))
+            for sub in block.subsets:
+                assert np.all(sub.learned_adj.grad[outside] == 0.0)
+                assert np.all(sub.learned_adj.grad[~outside] != 0.0)
 
     def test_channel_mismatch(self, rng):
         block = make_block(rng, 3, 4)
@@ -228,7 +233,7 @@ BLOCK_CASES = {
 
 
 class TestFusedBlock:
-    """The two-node training block and the folded inference path
+    """The one-node training block and the folded inference path
     against the chain of generic autodiff nodes they replace
     (``reference.ref_block_chain``)."""
 
@@ -342,15 +347,15 @@ PLANS = {
 
 
 def _stored_tape(monkeypatch):
-    """Swap in the training nodes that store their intermediates."""
-    monkeypatch.setattr(pagcn, "spatial_graph_conv", ref.stored_spatial_graph_conv)
-    monkeypatch.setattr(pagcn, "block_epilogue", ref.stored_block_epilogue)
+    """Swap in the two training nodes that store their intermediates."""
+    monkeypatch.setattr(pagcn, "graph_block", ref.stored_graph_block)
 
 
 class TestRebuiltTape:
-    """The training nodes rebuild the aggregate, the first ReLU output
-    and the second normalized array in backward; against the nodes that
-    stored them (``reference.stored_*``) every value is bit-identical."""
+    """The training node rebuilds the aggregate, the spatial output, the
+    first ReLU output, the second normalized array and the second
+    ReLU's mask in backward; against the two nodes that stored them
+    (``reference.stored_graph_block``) every value is bit-identical."""
 
     @pytest.mark.parametrize("plan", sorted(PLANS))
     def test_training_step_bit_identical(self, rng, monkeypatch, plan):
@@ -419,43 +424,42 @@ class TestRebuiltTape:
             np.testing.assert_array_equal(bn.running_var, bn_ref.running_var)
 
     def test_tape_inventory(self, rng):
-        """What one training block keeps for backward: walking the two
-        nodes' closures finds the block input, the spatial output ``y``
+        """What one training block keeps for backward, with and without
+        the residual: walking the node's closure finds the block input
         and the block's parameters as tensors, and as arrays only the
-        four (C,) statistics, the (N, 1, V*K, V) stacked adjacency, one
-        bool mask and the block's constant partition mask. A walk over
-        node ``.data`` alone cannot see this: closures are invisible to
-        it, while the forward's peak memory is not."""
-        n, t, c = 3, 5, 4
-        block = make_block(rng, c, c)
-        mask = MASKS[block.mask_name]
-        x = Tensor(random_input(rng, n=n, t=t, c=c), requires_grad=True)
-        out = pagcn_block(x, block, ADJ, MASKS, training=True)
-        y = out._parents[0]
-        assert y._parents[0] is x
+        four (C,) statistics, the (N, 1, V*K, V) stacked adjacency and the
+        block's constant partition mask; no (N, T, V, C_out) array and no
+        bool array. A walk over node ``.data`` alone cannot see this:
+        closures are invisible to it, while the forward's peak memory is
+        not."""
+        n, t, c_out = 3, 5, 4
 
-        tensors, arrays = [], []
-
-        def walk(obj):
+        def walk(obj, tensors, arrays):
             if isinstance(obj, Tensor):
                 tensors.append(obj)
             elif isinstance(obj, np.ndarray):
                 arrays.append(obj)
             elif isinstance(obj, (list, tuple)):
                 for item in obj:
-                    walk(item)
+                    walk(item, tensors, arrays)
 
-        for node in (y, out):
-            for cell in node._backward.__closure__:
-                walk(cell.cell_contents)
-        held = {id(tn) for tn in tensors}
-        assert {id(x), id(y)} <= held <= {id(x), id(y)} | {
-            id(p) for p in _block_params(block).values()}
-        kept = sorted((a.shape, a.dtype.str) for a in arrays if a is not mask)
-        k = len(block.subsets)
-        assert kept == sorted([((c,), "<f8")] * 4 + [
-            ((n, 1, 17 * k, 17), "<f8"), ((n, t, 17, c), "|b1")])
-        assert any(a is mask for a in arrays)
+        for c_in in (2, c_out):
+            block = make_block(rng, c_in, c_out)
+            mask = MASKS[block.mask_name]
+            x = Tensor(random_input(rng, n=n, t=t, c=c_in), requires_grad=True)
+            out = pagcn_block(x, block, ADJ, MASKS, training=True)
+            assert out._parents[0] is x
+            tensors, arrays = [], []
+            for cell in out._backward.__closure__:
+                walk(cell.cell_contents, tensors, arrays)
+            held = {id(tn) for tn in tensors}
+            assert id(x) in held
+            assert held <= {id(x)} | {id(p) for p in _block_params(block).values()}
+            kept = sorted((a.shape, a.dtype.str) for a in arrays if a is not mask)
+            k = len(block.subsets)
+            assert kept == sorted([((c_out,), "<f8")] * 4
+                                  + [((n, 1, 17 * k, 17), "<f8")])
+            assert any(a is mask for a in arrays)
 
 
 def _block_params(block):

@@ -27,7 +27,8 @@ def test_ladder_stops_at_first_size_that_does_not_fit():
 def test_measure_one_small_iteration():
     out = published_batch.measure(sequences=8, frames=3)
     assert out["fit"] and out["sequences"] == 8
-    for key in ("forward_s", "backward_s", "adam_s", "peak_rss_mb",
-                "minor_faults", "forward_gflop"):
+    for key in ("forward_s", "backward_s", "adam_s", "forward_peak_rss_mb",
+                "peak_rss_mb", "minor_faults", "forward_gflop"):
         assert out[key] >= 0
     assert out["forward_gflop"] > 0
+    assert 0 < out["forward_peak_rss_mb"] <= out["peak_rss_mb"]

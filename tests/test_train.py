@@ -337,6 +337,26 @@ class TestSchedule:
         vals = [tr.one_cycle_lr(i, 101, 1e-5, 1e-3, 1e-8) for i in range(31)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("fractions, start, end", [
+        ((0.0, 0.9, 0.1), 1e-3, 1e-8),   # no warmup: starts at the peak
+        ((0.0, 0.0, 1.0), 1e-5, 1e-8),   # the tail alone
+        ((0.3, 0.7, 0.0), 1e-5, 1e-5),   # no tail: ends at the initial rate
+        ((1.0, 0.0, 0.0), 1e-5, 1e-3),   # the warmup alone
+    ])
+    def test_zero_length_phase_skipped(self, fractions, start, end):
+        vals = [tr.one_cycle_lr(i, 101, 1e-5, 1e-3, 1e-8, fractions)
+                for i in range(101)]
+        assert vals[0] == start and vals[-1] == end
+        assert all(1e-8 <= v <= 1e-3 for v in vals)
+
+    @pytest.mark.parametrize("fractions", [
+        (0.5, 0.6, -0.1), (0.5, 0.5), (0.3, 0.6, 0.1, 0.0), (math.nan, 0.5, 0.5),
+        (math.inf, 0.5, 0.5), (0.3, 0.6, 0.2),
+    ])
+    def test_phase_fractions_checked(self, fractions):
+        with pytest.raises(ConfigError, match="train.phase_fractions must be"):
+            tr.TrainConfig(phase_fractions=fractions)
+
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
             tr.one_cycle_lr(101, 101, 1e-5, 1e-3, 1e-8)
@@ -443,7 +463,7 @@ class TestTrainLoop:
 
     def test_malformed_sampler_state_is_data_error(self, tmp_path):
         ts = build_train_set()
-        with pytest.raises(DataError, match="sampler_state"):
+        with pytest.raises(DataError, match="checkpoint: malformed sampler_state"):
             tr.train_loop(ts, tiny_net_cfg(ts.num_classes),
                           tiny_train_cfg(iterations=1), tmp_path / "r",
                           sampler_state={"bit_generator": "MT19937"})

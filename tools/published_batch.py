@@ -17,8 +17,11 @@ stderr as they finish; the report is one JSON document on stdout.
 A step builds the casiab network (seed 0), draws random descriptor
 inputs, and times one iteration as in ``train.train_loop``: forward,
 loss, backward and the Adam step, in process CPU seconds with BLAS on
-one thread. It records the process's peak RSS and its minor page faults
-during the iteration, and the forward FLOPs from ``perfbench/layers.py``
+one thread. It records the process's peak RSS right after the forward
+(``forward_peak_rss_mb``: set-up plus the training tape and the
+forward's transients) and after the whole iteration (``peak_rss_mb``,
+which adds backward's transients), its minor page faults during the
+iteration, and the forward FLOPs from ``perfbench/layers.py``
 (matrix products and temporal convolution, multiply-adds counted as
 two).
 """
@@ -77,6 +80,7 @@ def measure(sequences: int, frames: int) -> dict:
     t0 = time.process_time()
     result = network_forward(model, inputs, training=True)
     t1 = time.process_time()
+    forward_peak = _rusage().ru_maxrss
     total = combined_loss(result.metrics, result.logits, labels,
                           run_cfg.margin, run_cfg.ce_weight)[0]
     t2 = time.process_time()
@@ -89,6 +93,7 @@ def measure(sequences: int, frames: int) -> dict:
     return {
         "sequences": n, "frames": frames, "fit": True,
         "loss": float(total.data),
+        "forward_peak_rss_mb": forward_peak / 1024.0,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "minor_faults": usage.ru_minflt - faults,
         "forward_s": t1 - t0, "loss_s": t2 - t1, "backward_s": t3 - t2,
