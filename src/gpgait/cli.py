@@ -173,7 +173,11 @@ def _parse_camera(spec: str) -> synth.CameraSpec:
         key = key.strip()
         if key not in ("scale", "tx", "ty", "slant", "jitter"):
             raise ConfigError(f"unknown camera key {key!r}")
-        kwargs["jitter_sigma" if key == "jitter" else key] = float(value)
+        try:
+            kwargs["jitter_sigma" if key == "jitter" else key] = float(value)
+        except ValueError as e:
+            raise ConfigError(f"camera {key} must be a number, "
+                              f"got {value.strip()!r}") from e
     return synth.CameraSpec(**kwargs)
 
 

@@ -76,8 +76,14 @@ class CameraSpec:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
+        for key, value in (("scale", self.scale), ("tx", self.tx), ("ty", self.ty),
+                           ("slant", self.slant), ("jitter", self.jitter_sigma)):
+            if not math.isfinite(value):
+                raise ConfigError(f"camera {key} must be finite, got {value!r}")
         if self.scale <= 0:
             raise ConfigError("camera scale must be positive")
+        if self.jitter_sigma < 0:
+            raise ConfigError("camera jitter must be nonnegative")
 
 
 def template_frame(identity: GaitIdentitySpec, phase: float) -> np.ndarray:
@@ -192,6 +198,8 @@ def generate_dataset(out_dir, n_identities: int, sequences_per_identity: int,
     """
     if n_identities < 2:
         raise DataError("need at least 2 identities")
+    if sequences_per_identity < 1:
+        raise DataError("need at least 1 sequence per identity")
     if isinstance(cameras, CameraSpec):
         cameras = [cameras]
     os.makedirs(out_dir, exist_ok=True)

@@ -383,6 +383,39 @@ def sampler_rng(seed: int, sampler_state: dict = None,
     return rng
 
 
+# glibc mallopt parameters (malloc.h) and the values training sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2**20     # glibc's largest allowed value
+TRIM_THRESHOLD = 256 * 2**20
+
+
+def keep_freed_memory():
+    """Tell the C allocator to keep the memory it is handed back, for
+    the rest of the process.
+
+    A training block frees its numpy temporaries before the next block
+    allocates arrays of the same sizes. With glibc's defaults the
+    larger ones come from fresh ``mmap`` regions and the heap top is
+    trimmed after each free, so every block touches new pages: thousands
+    of minor page faults per iteration. Here arrays up to 32 MiB come
+    from the heap, which is trimmed only once 256 MiB lie free at its
+    top; larger arrays are still mapped and unmapped. No value changes.
+    Where libc has no ``mallopt`` this does nothing.
+
+    Only training sets this: evaluation's 10-30 MB arrays, once served
+    from the heap, fragment it and raise its peak RSS.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                train_cfg: TrainConfig, out_dir, run_config: dict = None,
                model: ModelParams = None, state: OptimizerState = None,
@@ -395,11 +428,15 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
     ``sampler_state``) is given, so a resumed run draws the batches an
     uninterrupted run would draw.
 
+    It first sets the allocator to keep freed memory
+    (``keep_freed_memory``), for the rest of the process.
+
     Returns (model, final checkpoint path). Reproducible bit-for-bit
     under a fixed seed in single-threaded mode.
     """
     import os
 
+    keep_freed_memory()
     os.makedirs(out_dir, exist_ok=True)
     if model is None:
         model = init_model(net_cfg, seed=train_cfg.seed)

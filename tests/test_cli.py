@@ -77,6 +77,25 @@ class TestSynthCommand:
         rc = main(["synth", "--out", str(tmp_path), "--camera", "zoom=2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("camera, message", [
+        ("scale=abc", "camera scale must be a number, got 'abc'"),
+        ("slant=nan", "camera slant must be finite"),
+        ("tx=inf", "camera tx must be finite"),
+        ("jitter=-1", "camera jitter must be nonnegative"),
+    ])
+    def test_bad_camera_value_is_config_error(self, tmp_path, capsys, camera,
+                                              message):
+        rc = main(["synth", "--out", str(tmp_path / "s"), "--camera", camera])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_zero_sequences_is_data_error(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "s"), "--sequences", "0"])
+        assert rc == 3
+        assert "at least 1 sequence per identity" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "manifest.tsv").exists()
+
 
 class TestPreprocess:
     def test_outputs(self, toy_data, tmp_path):

@@ -24,8 +24,12 @@ def test_ladder_stops_at_first_size_that_does_not_fit():
 
 
 @pytest.mark.filterwarnings("ignore:triplet loss")
-def test_measure_one_small_iteration():
+def test_measure_one_small_iteration(monkeypatch):
+    from gpgait import train
+    calls = []
+    monkeypatch.setattr(train, "keep_freed_memory", lambda: calls.append(1))
     out = published_batch.measure(sequences=8, frames=3)
+    assert calls == [1]     # the allocator setting train_loop makes
     assert out["fit"] and out["sequences"] == 8
     for key in ("forward_s", "backward_s", "adam_s", "forward_peak_rss_mb",
                 "peak_rss_mb", "minor_faults", "forward_gflop"):

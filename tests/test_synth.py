@@ -45,6 +45,18 @@ class TestGenerateSequence:
         np.testing.assert_allclose(ua.frames, ub.frames, atol=1e-6)
 
 
+class TestCameraSpec:
+    @pytest.mark.parametrize("field", ["scale", "tx", "ty", "slant", "jitter_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            synth.CameraSpec(**{field: value})
+
+    def test_negative_jitter_refused(self):
+        with pytest.raises(ConfigError, match="jitter must be nonnegative"):
+            synth.CameraSpec(jitter_sigma=-1.0)
+
+
 class TestIdentities:
     def test_spacing_enforced(self):
         ids = synth.make_identities(10, seed=3)
@@ -110,6 +122,12 @@ class TestGenerateDataset:
         with pytest.raises(DataError):
             synth.generate_dataset(tmp_path / "x", 1, 2, synth.CameraSpec(),
                                    6, seed=0)
+
+    def test_needs_one_sequence_per_identity(self, tmp_path):
+        with pytest.raises(DataError, match="at least 1 sequence"):
+            synth.generate_dataset(tmp_path / "x", 2, 0, synth.CameraSpec(),
+                                   6, seed=0)
+        assert not (tmp_path / "x").exists()
 
     def test_cross_camera_same_walkers(self, tmp_path):
         """The per-sequence walker sample is camera-independent: two

@@ -15,10 +15,11 @@ ladder stops at the first step that does not fit. Steps print to
 stderr as they finish; the report is one JSON document on stdout.
 
 A step builds the casiab network (seed 0), draws random descriptor
-inputs, and times one iteration as in ``train.train_loop``: forward,
-loss, backward and the Adam step, in process CPU seconds with BLAS on
-one thread. It records the process's peak RSS right after the forward
-(``forward_peak_rss_mb``: set-up plus the training tape and the
+inputs, and times one iteration as in ``train.train_loop``: with the
+allocator setting it makes first (``train.keep_freed_memory``), then
+forward, loss, backward and the Adam step, in process CPU seconds with
+BLAS on one thread. It records the process's peak RSS right after the
+forward (``forward_peak_rss_mb``: set-up plus the training tape and the
 forward's transients) and after the whole iteration (``peak_rss_mb``,
 which adds backward's transients), its minor page faults during the
 iteration, and the forward FLOPs from ``perfbench/layers.py``
@@ -59,10 +60,16 @@ def measure(sequences: int, frames: int) -> dict:
         "perfbench_layers", os.path.join(REPO, "perfbench", "layers.py"))
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    from gpgait import train
     from gpgait.config import build_run_config
     from gpgait.pagcn import descriptor_inputs, init_model, network_forward
     from gpgait.train import OptimizerState, adam_step, combined_loss
 
+    # the allocator setting train_loop makes before its first iteration;
+    # a tree that predates it trains with glibc's defaults
+    keep_freed_memory = getattr(train, "keep_freed_memory", None)
+    if keep_freed_memory:
+        keep_freed_memory()
     run_cfg = build_run_config(preset="casiab")
     k = sequences // SUBJECTS
     net_cfg = run_cfg.network_config(num_classes=SUBJECTS)
