@@ -390,8 +390,8 @@ def stop_gradient(x: Tensor) -> Tensor:
 # operations, so values and gradients match a stored tape bit for bit.
 # A training block is one ``graph_block`` node, which keeps its input
 # and no (N, T, V, C) array of its own. Given only constant tensors the
-# ops build no graph, which is how a block's inference path runs
-# ``spatial_graph_conv`` and ``temporal_conv``.
+# ops build no graph; a block's inference pass (``pagcn._inference_block``)
+# calls the array kernels below directly.
 
 
 def _stacked(tensors, axis: int) -> np.ndarray:
@@ -518,8 +518,8 @@ def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     frees them before the aggregate's gradient is formed; it rebuilds
     the attention term and the stacked weights the same way, so every
     gradient is bit-identical to one computed from stored arrays.
-    Inference runs it on constant tensors; a training block runs the
-    same steps inside ``graph_block``.
+    A training block runs the same steps inside ``graph_block``, a
+    block's inference pass in ``pagcn._inference_block``.
     """
     n, t, v, c_in = f_in.shape
     k = len(weights)

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import read_header
 from .errors import DataError, EmptySequenceError
-from .hod import build_descriptors
+from .hod import build_descriptors, describe
 from .pagcn import (
     branch_forward,
     descriptor_inputs,
@@ -87,7 +87,8 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
     """(S, num_parts, D) metric features, inference mode.
 
     Full sequences are used (no frame sampling). Sequences of equal
-    length are batched together; results are returned in input order.
+    length are batched together, their descriptors built by one
+    ``describe`` call per length; results are returned in input order.
     """
     cfg = model.config
     out = [None] * len(unified_sequences)
@@ -97,11 +98,8 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
             raise EmptySequenceError(f"sequence {u.seq_id} empty after normalization")
         by_len.setdefault(u.num_frames, []).append(i)
     for _t, indices in sorted(by_len.items()):
-        descs = [build_descriptors(unified_sequences[i]) for i in indices]
-        joint = np.stack([d.joint for d in descs])
-        bone = np.stack([d.bone for d in descs])
-        angle = np.stack([d.angle for d in descs])
-        inputs = descriptor_inputs(cfg, joint, bone, angle)
+        desc = describe(np.stack([unified_sequences[i].frames for i in indices]))
+        inputs = descriptor_inputs(cfg, desc.joint, desc.bone, desc.angle)
         result = network_forward(model, inputs, training=False,
                                  update_stats=False)
         emb = result.embedding_matrix()

@@ -126,12 +126,22 @@ def apply_hot(seq: PoseSequence, cfg: HotConfig = None) -> UnifiedPoseSequence:
 
 
 def passthrough(seq: PoseSequence) -> UnifiedPoseSequence:
-    """Copy raw coordinates without normalization (ablation path)."""
+    """Raw coordinates without normalization (ablation path).
+
+    Frames with a non-finite coordinate are dropped, as ``unify_frames``
+    drops them, so one missing coordinate cannot turn the sequence's
+    whole embedding into NaN.
+    """
+    coords = seq.coords()
+    kept = np.flatnonzero(np.isfinite(coords).all(axis=(1, 2)))
+    if not kept.size:
+        raise EmptySequenceError(
+            f"sequence {seq.seq_id}: every frame has a non-finite coordinate")
     return UnifiedPoseSequence(
         seq_id=seq.seq_id,
         subject=seq.subject,
         condition=seq.condition,
         view=seq.view,
-        frames=seq.coords(),
-        kept_frame_indices=list(range(seq.num_frames)),
+        frames=coords[kept],
+        kept_frame_indices=kept.tolist(),
     )

@@ -27,8 +27,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, batch_norm_train, concat, graph_block,
-                       group_pool, spatial_graph_conv, temporal_conv)
+from .autodiff import (Tensor, _stacked_adjacency, _tap_windows,
+                       batch_norm_train, concat, graph_block, group_pool,
+                       spatial_graph_conv, temporal_conv)
 from .errors import ConfigError, DataError
 from .graph import (PARTITION_SCHEMES, PARTS5, V, PartitionScheme,
                     build_adjacency_subsets, build_partition_mask, mask_set)
@@ -42,8 +43,9 @@ PART_GROUPS = tuple(PARTS5[name] for name in PART_ORDER[:-1]) + (tuple(range(V))
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
-# cap on the widest temporary of a block's inference pass (see pagcn_block)
-INFERENCE_GROUP_BYTES = 8 * 2**20
+# cap on the working set of one group of sequences in a block's inference
+# pass, sized to stay in a core's L2 cache (see _inference_block)
+INFERENCE_GROUP_BYTES = 1 * 2**20
 
 
 @dataclass(frozen=True)
@@ -309,6 +311,77 @@ def _folded(bn: BatchNormParams):
     return scale, bn.beta.data - bn.running_mean * scale
 
 
+def _group_bytes_per_sequence(shape: tuple, block: BlockParams) -> int:
+    """Bytes one sequence of an (N, T, V, C_in) input adds to a group's
+    working set in a block's inference pass: its input and output
+    slices, its aggregated (T, V*K, C_in) features, ``y`` and the
+    temporal taps."""
+    _n, t, v, c_in = shape
+    k, c_out = len(block.subsets), block.out_channels
+    return 8 * t * v * (c_in + k * c_in + 3 * c_out)
+
+
+def _inference_group(shape: tuple, block: BlockParams) -> int:
+    """Sequences per group of a block's inference pass: as many as keep
+    the group's working set within ``INFERENCE_GROUP_BYTES``, at least
+    one, at most N."""
+    fit = INFERENCE_GROUP_BYTES // _group_bytes_per_sequence(shape, block)
+    return max(1, min(shape[0], fit))
+
+
+def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
+                     mask: np.ndarray, residual: bool) -> np.ndarray:
+    """Inference pass of ``pagcn_block`` on an (N, T, V, C_in) array.
+
+    The stacked adjacency (with attention, one per sequence) is built
+    once for all N sequences and both batch norms are folded once: the
+    stacked graph-conv weights are scaled by the first, the temporal
+    kernel by the second. Sequences are then independent, and run in
+    L2-sized groups (``_inference_group``) through buffers allocated
+    once per call: the aggregate and ``y`` are written by ``out=``
+    products, shift and ReLU run in place, the temporal taps are
+    written straight into the group's slice of the output, where the
+    second shift, ReLU and the residual run in place too. Per-channel
+    vectors are tiled over the joints, so each broadcast runs along
+    (V*C) rows.
+    """
+    n, t, v, c_in = f.shape
+    subs = block.subsets
+    k, c_out = len(subs), block.out_channels
+    attention = ((), ())
+    if subs[0].attn_a is not None:
+        attention = ([s.attn_a for s in subs], [s.attn_b for s in subs])
+    stacked = _stacked_adjacency(f, adjacency, mask,
+                                 [s.learned_adj for s in subs], *attention)
+    per_sequence = stacked.ndim == 4
+    scale1, shift1 = _folded(block.bn1)
+    scale2, shift2 = _folded(block.bn2)
+    weight = np.concatenate([s.weight.data for s in subs]) * scale1
+    kernel = np.tile(block.temporal_kernel.data * scale2, (1, v))
+    shift1, shift2 = np.tile(shift1, v), np.tile(shift2, v)
+    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], t)
+    g = _inference_group(f.shape, block)
+    agg = np.empty((g, t, v * k, c_in))
+    y = np.empty((g, t, v * c_out))
+    tap = np.empty((g, t, v * c_out))
+    out = np.empty((n, t, v, c_out))
+    for i in range(0, n, g):
+        m = min(g, n - i)
+        a, h, z = agg[:m], y[:m], out[i:i + m].reshape(m, t, v * c_out)
+        np.matmul(stacked[i:i + m] if per_sequence else stacked, f[i:i + m], out=a)
+        np.matmul(a.reshape(-1, k * c_in), weight, out=h.reshape(-1, c_out))
+        h += shift1
+        np.maximum(h, 0.0, out=h)
+        np.multiply(h, kernel[centre], out=z)
+        for d, o, s in side_taps:
+            z[:, o] += np.multiply(h[:, s], kernel[d], out=tap[:m, o])
+        z += shift2
+        np.maximum(z, 0.0, out=z)
+        if residual:
+            z += f[i:i + m].reshape(z.shape)
+    return out
+
+
 def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
                 masks: dict, training: bool = False,
                 update_stats: bool = True) -> Tensor:
@@ -321,12 +394,11 @@ def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
     graph: each batch norm is folded into the linear op before it (the
     stacked graph-conv weights and the temporal kernel are scaled by
     ``gamma / sqrt(running_var + eps)``, the shift
-    ``beta - running_mean * scale`` is added after), shift, ReLU and
-    residual run in place, and the block runs over groups of sequences
-    (independent once batch norm uses running statistics) so that its
-    widest buffer, the aggregated (T, V*K, C_in) features of a group,
-    stays within ``INFERENCE_GROUP_BYTES`` unless one sequence alone
-    exceeds it.
+    ``beta - running_mean * scale`` is added after), and the block runs
+    as one array kernel over groups of sequences (independent once batch
+    norm uses running statistics) whose working set stays within
+    ``INFERENCE_GROUP_BYTES`` unless one sequence alone exceeds it
+    (``_inference_block``).
     """
     mask = masks[block.mask_name]
     residual = block.in_channels == block.out_channels
@@ -340,32 +412,7 @@ def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
             _update_running(block.bn1, *stats1)
             _update_running(block.bn2, *stats2)
         return out
-    scale1, shift1 = _folded(block.bn1)
-    scale2, shift2 = _folded(block.bn2)
-    subs = block.subsets
-    learned = [Tensor(s.learned_adj.data) for s in subs]
-    weights = [Tensor(s.weight.data * scale1) for s in subs]
-    attention = ((), ())
-    if subs[0].attn_a is not None:
-        attention = ([Tensor(s.attn_a.data) for s in subs],
-                     [Tensor(s.attn_b.data) for s in subs])
-    kernel = Tensor(block.temporal_kernel.data * scale2)
-    n, t, v, c_in = f_in.shape
-    out = np.empty((n, t, v, block.out_channels))
-    group = max(1, INFERENCE_GROUP_BYTES // (t * v * len(subs) * c_in * 8))
-    for i in range(0, n, group):
-        f = f_in.data[i:i + group]
-        y = spatial_graph_conv(Tensor(f), adjacency, mask, learned, weights,
-                               *attention).data
-        y += shift1
-        np.maximum(y, 0.0, out=y)
-        z = temporal_conv(Tensor(y), kernel).data
-        z += shift2
-        np.maximum(z, 0.0, out=z)
-        if residual:
-            z += f
-        out[i:i + group] = z
-    return Tensor(out)
+    return Tensor(_inference_block(f_in.data, block, adjacency, mask, residual))
 
 
 def branch_forward(x: Tensor, blocks: list, adjacency: np.ndarray,

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,22 @@ class TestEmbed:
         batched = ev.embed_unified(model, useqs)
         single = np.stack([ev.embed_unified(model, [u])[0] for u in useqs])
         np.testing.assert_allclose(batched, single, atol=1e-6)
+
+    def test_passthrough_drops_non_finite_frames(self):
+        """Without HOT a NaN coordinate drops its frame instead of making
+        the sequence's embedding NaN."""
+        model = tiny_model()
+        ident = make_identities(2, 3)[0]
+        seq = generate_sequence(ident, CameraSpec(jitter_sigma=0.4), 6, 11,
+                                seq_id=f"{ident.identity}-NM-05-000")
+        clean = copy.deepcopy(seq)
+        clean.frames = np.delete(clean.frames, 3, axis=0)
+        seq.frames[3, 0, 0] = np.nan
+        raw = HotConfig(use_hot=False)
+        emb = ev.embed_unified(model, ev.unify_for_eval([seq], raw))
+        assert np.isfinite(emb).all()
+        np.testing.assert_array_equal(
+            emb, ev.embed_unified(model, ev.unify_for_eval([clean], raw)))
 
     def test_tiny_sequence(self):
         model = tiny_model()

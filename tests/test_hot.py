@@ -237,6 +237,30 @@ class TestApplyHot:
             assert abs(extent - cfg.h_unif) <= 1e-9 * cfg.h_unif
 
 
+class TestPassthrough:
+    def test_keeps_raw_finite_frames(self):
+        frames = [walker_frame(p) for p in (0.2, 0.7, 1.1)]
+        out = hot.passthrough(sequence_from_coords(frames))
+        np.testing.assert_array_equal(out.frames, np.stack(frames))
+        assert out.kept_frame_indices == [0, 1, 2]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_drops_frames_with_a_non_finite_coordinate(self, bad):
+        """As HOT does: one NaN x would make the whole embedding NaN."""
+        frames = [walker_frame(p) for p in (0.2, 0.7, 1.1, 1.6)]
+        frames[1][3, 0] = bad
+        frames[3][16, 1] = bad
+        out = hot.passthrough(sequence_from_coords(frames))
+        np.testing.assert_array_equal(out.frames, np.stack([frames[0], frames[2]]))
+        assert out.kept_frame_indices == [0, 2]
+
+    def test_no_finite_frame_is_empty_sequence(self):
+        frame = walker_frame(0.3)
+        frame[0, 0] = math.nan
+        with pytest.raises(EmptySequenceError, match="non-finite"):
+            hot.passthrough(sequence_from_coords([frame, frame]))
+
+
 def degenerate_frames():
     """One frame per degenerate-frame rule, each next to a good one."""
     good = walker_frame(0.2)

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,15 +283,40 @@ class TestFusedBlock:
         expect = ref.ref_block_chain(Tensor(f), block, ADJ, masks, training=False)
         _assert_rel(out.data, expect.data, 1e-12, "inference output")
 
-    @pytest.mark.parametrize("group_bytes", [1, 2 * 17 * 3 * 3 * 8 * 4])
-    def test_inference_in_groups_of_sequences(self, rng, monkeypatch, group_bytes):
+    @pytest.mark.parametrize("group", [1, 2])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_inference_in_groups_of_sequences(self, rng, monkeypatch, case, group):
         """Groups of one and of two sequences (the last one short) give
-        the single-group result."""
-        block, masks, f = self._case(rng, "parts5")
-        whole = pagcn_block(Tensor(f), block, ADJ, masks).data
-        monkeypatch.setattr(pagcn, "INFERENCE_GROUP_BYTES", group_bytes)
+        the generic chain's result."""
+        block, masks, f = self._case(rng, case)
+        monkeypatch.setattr(pagcn, "INFERENCE_GROUP_BYTES",
+                            group * pagcn._group_bytes_per_sequence(f.shape, block))
+        assert pagcn._inference_group(f.shape, block) == group
         grouped = pagcn_block(Tensor(f), block, ADJ, masks).data
-        _assert_rel(grouped, whole, 1e-12, "grouped inference")
+        expect = ref.ref_block_chain(Tensor(f), block, ADJ, masks, training=False)
+        _assert_rel(grouped, expect.data, 1e-12, "grouped inference")
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_inference_memory_flat_in_the_number_of_groups(self, rng, monkeypatch,
+                                                           attention):
+        """One sequence per group at the toy network's widest block: the
+        traced peak of an inference block, less its output, grows from 4
+        groups to 16 by no more than the stacked adjacency, which is built
+        once for all sequences (one (V*K, V) array per sequence with
+        attention, a single one without)."""
+        block = make_block(rng, 32, 32, attention=attention)
+        monkeypatch.setattr(pagcn, "INFERENCE_GROUP_BYTES", 1)
+        per_sequence_adjacency = 17 * 3 * 17 * 8 if attention else 0
+        extra = []
+        for n in (4, 16):
+            f = Tensor(random_input(rng, n=n, t=40, c=32))
+            tracemalloc.start()
+            try:
+                out = pagcn_block(f, block, ADJ, MASKS)
+                extra.append(tracemalloc.get_traced_memory()[1] - out.data.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] - extra[0] <= 12 * per_sequence_adjacency + 4096, extra
 
     def test_inference_builds_no_graph_from_trainable_params(self, rng):
         block, masks, f = self._case(rng, "parts5")
