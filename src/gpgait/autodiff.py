@@ -400,9 +400,12 @@ def _stacked(tensors, axis: int) -> np.ndarray:
 
 def _attention(f: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
                mask: np.ndarray, k: int):
-    """(pooled, queries, keys, attention) of the attention term of
-    ``spatial_graph_conv`` on (N, T, V, C_in) features, for the K
-    query and key projections stacked to (C_in, K*C_e)."""
+    """(pooled, queries, keys, attention) of the attention term of a
+    block's spatial step on (N, T, V, C_in) features, for the K query and
+    key projections stacked to (C_in, K*C_e): the temporal mean pooled
+    once, one GEMM each for queries and keys, one softmax over
+    (N, K, V, V) normalized within the mask, so a row's attention is
+    exactly 0 outside its part."""
     n, t, v, _ = f.shape
     ce = w_q.shape[1] // k
     pooled = f.sum(axis=1) * (1.0 / t)                          # (N, V, C_in)
@@ -415,9 +418,9 @@ def _attention(f: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
 def _stacked_adjacency(f: np.ndarray, fixed: np.ndarray, mask: np.ndarray,
                        learned, attn_q, attn_k) -> np.ndarray:
     """The combined adjacency ``(fixed_k + learned_k + att_k) * mask`` of
-    ``spatial_graph_conv`` on (N, T, V, C_in) features, stacked to the
+    a block's spatial step on (N, T, V, C_in) features, stacked to the
     operand of its batched product: (V*K, V), or (N, 1, V*K, V) with
-    attention."""
+    attention. A masked entry is exactly 0, so it adds exactly 0."""
     k, v = len(learned), f.shape[2]
     adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
     if attn_q:
@@ -441,11 +444,13 @@ def _accumulate_stacked(tensors, grad: np.ndarray, axis: int):
 def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
                          mask: np.ndarray, learned, w: np.ndarray, attn_q,
                          attn_k):
-    """Backward of ``spatial_graph_conv`` for the (M, C_out) output
-    gradient ``g``, less the weight gradient, given the stacked
+    """Backward of a block's spatial step for the (M, C_out) gradient
+    ``g`` of ``y``, less the weight gradient, given the stacked
     (K*C_in, C_out) weights ``w``: accumulates the learned adjacencies'
     and the attention projections' gradients and returns the input's, or
-    None when ``f_in`` needs none."""
+    None when ``f_in`` needs none. The adjacency gradient is masked, so a
+    masked learned entry gets a gradient of exactly 0; the attention term
+    is rebuilt by the forward's own operations."""
     f = f_in.data
     n, t, v, c_in = f.shape
     k = len(learned)
@@ -487,64 +492,6 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
             g_pooled *= 1.0 / t
             g_f += g_pooled.reshape(n, 1, v, c_in)
     return g_f
-
-
-def spatial_graph_conv(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
-                       learned, weights, attn_q=(), attn_k=()) -> Tensor:
-    """Spatial step of a part-aware graph block as one node:
-    ``out[..., u, :] = sum_k (sum_v A_k[v, u] * f_in[..., v, :]) @ W_k``
-    with the combined adjacency ``A_k = (fixed_k + learned_k + att_k) * mask``.
-
-    ``f_in`` is (N, T, V, C_in); ``fixed`` (K, V, V) and ``mask`` (V, V)
-    are constants; ``learned`` holds K (V, V) tensors, ``weights`` K
-    (C_in, C_out) tensors, and ``attn_q``/``attn_k`` K (C_in, C_e)
-    tensors each, or nothing for no attention term.
-
-    The attention pools the temporal mean of ``f_in`` once, projects it
-    with one GEMM each for queries and keys (the K projections stacked to
-    (C_in, K*C_e)) and runs one softmax over (N, K, V, V) normalized
-    within the mask, so a row's attention is exactly 0 outside its part.
-    Joints are aggregated by one batched product with the stacked
-    (V*K, V) adjacency, channels mixed by one GEMM with the stacked
-    (K*C_in, C_out) weights; aggregating first keeps the widest buffer at
-    K*C_in channels, never K*C_out. A masked adjacency entry is exactly
-    0, so it adds exactly 0, and backward masks the adjacency gradient,
-    so a masked learned entry gets a gradient of exactly 0.
-
-    The node keeps only its input and the stacked adjacency ((V*K, V),
-    or (N, 1, V*K, V) with attention). Backward rebuilds the aggregated
-    (N, T, V*K, C_in) features, the widest array of the step, by the
-    forward's own batched product, uses them for the weight gradient and
-    frees them before the aggregate's gradient is formed; it rebuilds
-    the attention term and the stacked weights the same way, so every
-    gradient is bit-identical to one computed from stored arrays.
-    A training block runs the same steps inside ``graph_block``, a
-    block's inference pass in ``pagcn._inference_block``.
-    """
-    n, t, v, c_in = f_in.shape
-    k = len(weights)
-    c_out = weights[0].shape[1]
-    stacked = _stacked_adjacency(f_in.data, fixed, mask, learned, attn_q, attn_k)
-    agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
-    out = _make((agg @ _stacked(weights, 0)).reshape(n, t, v, c_out),
-                (f_in, *learned, *weights, *attn_q, *attn_k))
-    if not out.requires_grad:
-        return out
-
-    def bwd(g):
-        g = g.reshape(-1, c_out)
-        if any(wk.requires_grad for wk in weights):
-            agg = np.matmul(stacked, f_in.data).reshape(-1, k * c_in)
-            g_w = agg.T @ g
-            del agg
-            _accumulate_stacked(weights, g_w, 0)
-        g_f = _spatial_input_grads(g, f_in, stacked, mask, learned,
-                                   _stacked(weights, 0), attn_q, attn_k)
-        if g_f is not None:
-            f_in._accumulate(g_f)
-
-    out._backward = bwd
-    return out
 
 
 def _tap_windows(k: int, t: int):
@@ -642,20 +589,15 @@ def _bn_backward(g, xhat, std, gamma, out=None):
     return gx, gx_sum, g_sum
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple,
-                     eps: float):
-    """Training-mode batch norm over ``axes``, which must be every axis
-    but the last (the channel axis):
-    ``(x - mean) / sqrt(var + eps) * gamma + beta`` with the batch's
-    biased statistics.
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
+    """Training-mode batch norm over every axis but the last (the channel
+    axis): ``(x - mean) / sqrt(var + eps) * gamma + beta`` with the
+    batch's biased statistics.
 
     Returns (output, batch mean, batch variance); the statistics are
     arrays shaped like ``gamma``. Backward recomputes the normalized
     input from ``x`` instead of keeping it.
     """
-    if tuple(axes) != tuple(range(x.ndim - 1)):
-        raise ValueError(f"batch norm over axes {axes} of a {x.ndim}-d input: "
-                         "only every axis but the channel axis is supported")
     x2 = x.data.reshape(-1, x.shape[-1])
     data, mu, var, std = _bn_normalize(x2, eps)
     data *= gamma.data
@@ -692,9 +634,19 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
                 residual: bool = False):
     """A part-aware graph block in training as one node:
     ``relu(bn2(temporal_conv(relu(bn1(y)), kernel)))``, plus ``f_in`` when
-    ``residual``, where ``y`` is ``spatial_graph_conv`` of ``f_in`` (the
-    first seven arguments are that op's) and both batch norms use the
-    batch's statistics, reduced over the (-1, C_out) view.
+    ``residual``, where both batch norms use the batch's statistics,
+    reduced over the (-1, C_out) view, and ``y`` is the spatial step
+    ``y[..., u, :] = sum_k (sum_v A_k[v, u] * f_in[..., v, :]) @ W_k``
+    with the combined adjacency ``A_k = (fixed_k + learned_k + att_k) * mask``.
+
+    ``f_in`` is (N, T, V, C_in); ``fixed`` (K, V, V) and ``mask`` (V, V)
+    are constants; ``learned`` holds K (V, V) tensors, ``weights`` K
+    (C_in, C_out) tensors, and ``attn_q``/``attn_k`` K (C_in, C_e)
+    tensors each, or nothing for no attention term (``_attention``).
+    Joints are aggregated by one batched product with the stacked
+    (V*K, V) adjacency (``_stacked_adjacency``), channels mixed by one
+    GEMM with the stacked (K*C_in, C_out) weights; aggregating first
+    keeps the widest buffer at K*C_in channels, never K*C_out.
 
     Returns (output, (mean1, var1), (mean2, var2)), the statistics shaped
     (C_out,). The forward frees the aggregate once ``y`` is formed, then
@@ -709,8 +661,9 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     the first ReLU's output (whose mask is ``> 0``) and the second
     normalized array, from which the second ReLU's mask is
     ``xhat2 * gamma2 + beta2 > 0``. The gradient of ``y`` goes straight
-    into the spatial step's backward, so every value is bit-identical to
-    ``spatial_graph_conv`` followed by a node that stored its arrays.
+    into the spatial step's backward (``_spatial_input_grads``), so every
+    value is bit-identical to a spatial node and an epilogue node that
+    stored their arrays.
     """
     shape = f_in.shape[:-1] + (weights[0].shape[1],)
     c_agg, c = len(weights) * f_in.shape[-1], shape[-1]

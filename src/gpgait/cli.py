@@ -20,7 +20,6 @@ from .config import METRICS, PROTOCOLS, build_run_config
 from .errors import ConfigError, DataError, GpgaitError
 from .pagcn import with_masks
 from .train import TrainSet, restore_training_state, sampler_rng, train_loop
-from .graph import mask_set
 
 
 def _unify(sequences, run_cfg, _threads=None):
@@ -153,7 +152,7 @@ def cmd_inspect(args) -> int:
     eval_mod.heatmap_dump(model, unified, args.out)
     print(f"heatmap: {args.out}")
     if args.compare_unmasked:
-        ones = {name: np.ones_like(m) for name, m in mask_set().items()}
+        ones = {name: np.ones_like(m) for name, m in model.masks.items()}
         unmasked = with_masks(model, ones)
         alt = args.out + ".unmasked"
         eval_mod.heatmap_dump(unmasked, unified, alt)

@@ -22,9 +22,9 @@ from dataclasses import MISSING, dataclass, field, fields, make_dataclass, repla
 from .errors import ConfigError, DataError
 from .hot import HotConfig
 from .pagcn import NetworkConfig
+from .pose_io import PROTOCOLS
 from .train import TrainConfig
 
-PROTOCOLS = ("casiab", "oumvlp", "gait3d", "grew", "simple")
 METRICS = ("euclidean", "cosine")
 
 

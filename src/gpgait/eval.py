@@ -100,8 +100,7 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
     for _t, indices in sorted(by_len.items()):
         desc = describe(np.stack([unified_sequences[i].frames for i in indices]))
         inputs = descriptor_inputs(cfg, desc.joint, desc.bone, desc.angle)
-        result = network_forward(model, inputs, training=False,
-                                 update_stats=False)
+        result = network_forward(model, inputs, training=False)
         emb = result.embedding_matrix()
         for row, i in enumerate(indices):
             out[i] = emb[row]
@@ -322,8 +321,7 @@ def heatmap_dump(model, unified_sequence, out_path):
     inputs = descriptor_inputs(model.config, desc.joint[None], desc.bone[None],
                                desc.angle[None])[first_branch]
     f_m = branch_forward(Tensor(inputs), model.branches[first_branch],
-                         model.adjacency, model.masks, training=False,
-                         update_stats=False)
+                         model.adjacency, model.masks, training=False)
     matrix = f_m.data[0].max(axis=0)  # (T, V, C) -> (V, C)
     with open(out_path, "w", encoding="utf-8") as fh:
         for row in matrix:

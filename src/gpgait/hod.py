@@ -20,8 +20,6 @@ import numpy as np
 
 from .hot import UnifiedPoseSequence
 
-NUM_KEYPOINTS = 17
-
 # parent[i] is the tree parent of joint i; the nose (0) is the root.
 PARENT = (0, 0, 0, 1, 2, 0, 0, 5, 6, 7, 8, 5, 6, 11, 12, 13, 14)
 

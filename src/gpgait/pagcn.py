@@ -28,8 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import (Tensor, _stacked_adjacency, _tap_windows,
-                       batch_norm_train, concat, graph_block, group_pool,
-                       spatial_graph_conv, temporal_conv)
+                       batch_norm_train, concat, graph_block, group_pool)
 from .errors import ConfigError, DataError
 from .graph import (PARTITION_SCHEMES, PARTS5, V, PartitionScheme,
                     build_adjacency_subsets, build_partition_mask, mask_set)
@@ -279,22 +278,12 @@ def _check_channels(f_in: Tensor, block: BlockParams):
 
 def _spatial_params(block: BlockParams) -> tuple:
     """(learned adjacencies, weights, attention queries, attention keys)
-    of a block's subsets, as ``spatial_graph_conv`` takes them."""
+    of a block's subsets, as ``graph_block`` takes them."""
     subs = block.subsets
     if subs[0].attn_a is None:
         return [s.learned_adj for s in subs], [s.weight for s in subs], (), ()
     return ([s.learned_adj for s in subs], [s.weight for s in subs],
             [s.attn_a for s in subs], [s.attn_b for s in subs])
-
-
-def pagcn_spatial(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
-                  mask: np.ndarray) -> Tensor:
-    """Masked graph aggregation and channel mixing, summed over the
-    adjacency subsets, as one ``spatial_graph_conv`` node: attention,
-    the combined (fixed + learned + attention) adjacency of every subset,
-    its mask and the graph conv."""
-    _check_channels(f_in, block)
-    return spatial_graph_conv(f_in, adjacency, mask, *_spatial_params(block))
 
 
 def _update_running(bn: BatchNormParams, mu: np.ndarray, var: np.ndarray):
@@ -346,17 +335,13 @@ def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
     (V*C) rows.
     """
     n, t, v, c_in = f.shape
-    subs = block.subsets
-    k, c_out = len(subs), block.out_channels
-    attention = ((), ())
-    if subs[0].attn_a is not None:
-        attention = ([s.attn_a for s in subs], [s.attn_b for s in subs])
-    stacked = _stacked_adjacency(f, adjacency, mask,
-                                 [s.learned_adj for s in subs], *attention)
+    learned, weights, attn_q, attn_k = _spatial_params(block)
+    k, c_out = len(weights), block.out_channels
+    stacked = _stacked_adjacency(f, adjacency, mask, learned, attn_q, attn_k)
     per_sequence = stacked.ndim == 4
     scale1, shift1 = _folded(block.bn1)
     scale2, shift2 = _folded(block.bn2)
-    weight = np.concatenate([s.weight.data for s in subs]) * scale1
+    weight = np.concatenate([w.data for w in weights]) * scale1
     kernel = np.tile(block.temporal_kernel.data * scale2, (1, v))
     shift1, shift2 = np.tile(shift1, v), np.tile(shift2, v)
     (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], t)
@@ -383,17 +368,16 @@ def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
 
 
 def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
-                masks: dict, training: bool = False,
-                update_stats: bool = True) -> Tensor:
+                masks: dict, training: bool = False) -> Tensor:
     """spatial -> norm -> relu -> temporal -> norm -> relu -> residual.
 
     Training builds one ``graph_block`` node, which keeps only the block
     input, the stacked adjacency and the batch norms' (C,) statistics
-    for backward, and with ``update_stats`` folds both batch norms'
-    statistics into their running averages once. Inference builds no
-    graph: each batch norm is folded into the linear op before it (the
-    stacked graph-conv weights and the temporal kernel are scaled by
-    ``gamma / sqrt(running_var + eps)``, the shift
+    for backward, and folds both batch norms' statistics into their
+    running averages once. Inference builds no graph and leaves the
+    running statistics as they are: each batch norm is folded into the
+    linear op before it (the stacked graph-conv weights and the temporal
+    kernel are scaled by ``gamma / sqrt(running_var + eps)``, the shift
     ``beta - running_mean * scale`` is added after), and the block runs
     as one array kernel over groups of sequences (independent once batch
     norm uses running statistics) whose working set stays within
@@ -408,18 +392,16 @@ def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
             f_in, adjacency, mask, *_spatial_params(block), block.bn1.gamma,
             block.bn1.beta, block.temporal_kernel, block.bn2.gamma,
             block.bn2.beta, BN_EPS, residual)
-        if update_stats:
-            _update_running(block.bn1, *stats1)
-            _update_running(block.bn2, *stats2)
+        _update_running(block.bn1, *stats1)
+        _update_running(block.bn2, *stats2)
         return out
     return Tensor(_inference_block(f_in.data, block, adjacency, mask, residual))
 
 
 def branch_forward(x: Tensor, blocks: list, adjacency: np.ndarray,
-                   masks: dict, training: bool = False,
-                   update_stats: bool = True) -> Tensor:
+                   masks: dict, training: bool = False) -> Tensor:
     for block in blocks:
-        x = pagcn_block(x, block, adjacency, masks, training, update_stats)
+        x = pagcn_block(x, block, adjacency, masks, training)
     return x
 
 
@@ -438,17 +420,16 @@ def _slot_stack(tensors, shape, training: bool) -> Tensor:
     return concat(tensors).reshape(shape)
 
 
-def part_heads(pooled: Tensor, heads: list, training: bool,
-               update_stats: bool = True):
+def part_heads(pooled: Tensor, heads: list, training: bool):
     """(S, N, C) pooled slots -> metric features (S, N, D) and
     classifier logits (S, N, K), every slot through its own head.
 
     The slots' parameters are stacked once per call: the fc layer and
     the classifier each run as one batched matmul. The BNNeck runs in
     training as one batch norm over the (N, S*D) columns, folding the
-    batch statistics into each slot's running averages when
-    ``update_stats``; at inference it is ``x * scale + shift`` from the
-    running statistics, as in ``pagcn_block``.
+    batch statistics into each slot's running averages; at inference it
+    is ``x * scale + shift`` from the running statistics, as in
+    ``pagcn_block``.
     """
     s, n, c = pooled.shape
     d, k = heads[0].cls_w.shape
@@ -458,11 +439,10 @@ def part_heads(pooled: Tensor, heads: list, training: bool,
         necked, mu, var = batch_norm_train(
             metric.transpose((1, 0, 2)).reshape(n, s * d),
             _slot_stack([h.bnn.gamma for h in heads], (s * d,), training),
-            _slot_stack([h.bnn.beta for h in heads], (s * d,), training), (0,), BN_EPS)
+            _slot_stack([h.bnn.beta for h in heads], (s * d,), training), BN_EPS)
         necked = necked.reshape(n, s, d).transpose((1, 0, 2))
-        if update_stats:
-            for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
-                _update_running(head.bnn, mu_h, var_h)
+        for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
+            _update_running(head.bnn, mu_h, var_h)
     else:
         scale, shift = (np.stack(a)[:, None]
                         for a in zip(*(_folded(h.bnn) for h in heads)))
@@ -494,7 +474,7 @@ def descriptor_inputs(cfg: NetworkConfig, joint, bone, angle) -> dict:
 
 
 def network_forward(model: ModelParams, branch_inputs: dict,
-                    training: bool = False, update_stats: bool = True) -> ForwardResult:
+                    training: bool = False) -> ForwardResult:
     """Full network: branches -> pooling -> per-part heads.
 
     branch_inputs maps branch name to an (N, T, V, C) array or Tensor.
@@ -513,10 +493,10 @@ def network_forward(model: ModelParams, branch_inputs: dict,
             raise DataError(
                 f"branch {bname!r} expects (N,T,{V},{expect}), got {x.shape}")
         f_m = branch_forward(x, model.branches[bname], model.adjacency,
-                             model.masks, training, update_stats)
+                             model.masks, training)
         pooled.append(part_pool(f_m))   # (N, P, C)
     slots = concat(pooled, axis=1).transpose((1, 0, 2))  # (S, N, C)
-    metrics, logits = part_heads(slots, model.heads, training, update_stats)
+    metrics, logits = part_heads(slots, model.heads, training)
     part_names = [f"{bname}/{pname}" for bname in cfg.branches
                   for pname in PART_ORDER]
     return ForwardResult(metrics=metrics, logits=logits, part_names=part_names)

@@ -160,15 +160,20 @@ def relu_scalar(x):
     return np.maximum(x, 0.0)
 
 
-def ref_block(f, adjacency, learned, weights, attns, mask, tkernel,
-              gamma1, beta1, gamma2, beta2, residual):
-    y = ref_spatial(f, adjacency, learned, weights, attn=attns, mask=mask)
+def ref_epilogue(y, tkernel, gamma1, beta1, gamma2, beta2, skip=None):
+    """Training-mode block after its spatial step ``y``: norm -> relu ->
+    temporal -> norm -> relu, plus ``skip`` when given."""
     y = relu_scalar(ref_batchnorm_train(y, gamma1, beta1))
     y = ref_temporal_conv(y, tkernel)
     y = relu_scalar(ref_batchnorm_train(y, gamma2, beta2))
-    if residual:
-        y = y + f
-    return y
+    return y if skip is None else y + skip
+
+
+def ref_block(f, adjacency, learned, weights, attns, mask, tkernel,
+              gamma1, beta1, gamma2, beta2, residual):
+    y = ref_spatial(f, adjacency, learned, weights, attn=attns, mask=mask)
+    return ref_epilogue(y, tkernel, gamma1, beta1, gamma2, beta2,
+                        f if residual else None)
 
 
 def ref_part_pool(fm, groups):
@@ -453,28 +458,25 @@ def ref_spatial_chain(f_in, block, adjacency, mask):
     return graph_conv(f_in, combined, [sub.weight for sub in block.subsets])
 
 
-def ref_batch_norm_chain(x, bn, training, update_stats):
+def ref_batch_norm_chain(x, bn, training):
     if training:
-        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta,
-                                        tuple(range(x.ndim - 1)), pagcn.BN_EPS)
-        if update_stats:
-            bn.running_mean[...] = (pagcn.BN_MOMENTUM * bn.running_mean
-                                    + (1.0 - pagcn.BN_MOMENTUM) * mu)
-            bn.running_var[...] = (pagcn.BN_MOMENTUM * bn.running_var
-                                   + (1.0 - pagcn.BN_MOMENTUM) * var)
+        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta, pagcn.BN_EPS)
+        bn.running_mean[...] = (pagcn.BN_MOMENTUM * bn.running_mean
+                                + (1.0 - pagcn.BN_MOMENTUM) * mu)
+        bn.running_var[...] = (pagcn.BN_MOMENTUM * bn.running_var
+                               + (1.0 - pagcn.BN_MOMENTUM) * var)
         return out
     xhat = (x - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + pagcn.BN_EPS))
     return xhat * bn.gamma + bn.beta
 
 
-def ref_block_chain(f_in, block, adjacency, masks, training=False,
-                    update_stats=True):
+def ref_block_chain(f_in, block, adjacency, masks, training=False):
     """spatial -> norm -> relu -> temporal -> norm -> relu -> residual,
     one autodiff node per step, in training and in inference mode."""
     y = ref_spatial_chain(f_in, block, adjacency, masks[block.mask_name])
-    y = ref_batch_norm_chain(y, block.bn1, training, update_stats).relu()
+    y = ref_batch_norm_chain(y, block.bn1, training).relu()
     y = temporal_conv(y, block.temporal_kernel)
-    y = ref_batch_norm_chain(y, block.bn2, training, update_stats).relu()
+    y = ref_batch_norm_chain(y, block.bn2, training).relu()
     if block.in_channels == block.out_channels:
         y = y + f_in
     return y
@@ -486,9 +488,10 @@ def ref_block_chain(f_in, block, adjacency, masks, training=False,
 def stored_spatial_graph_conv(f_in: Tensor, fixed: np.ndarray,
                               mask: np.ndarray, learned, weights, attn_q=(),
                               attn_k=()) -> Tensor:
-    """``autodiff.spatial_graph_conv`` as it was when its node kept the
-    aggregated (N, T, V*K, C_in) features, the stacked weights and the
-    attention arrays for backward instead of rebuilding them."""
+    """The spatial step of ``autodiff.graph_block`` as the node it once
+    was on its own, keeping the aggregated (N, T, V*K, C_in) features,
+    the stacked weights and the attention arrays for backward instead
+    of rebuilding them."""
     n, t, v, c_in = f_in.shape
     k = len(weights)
     c_out = weights[0].shape[1]
@@ -632,10 +635,11 @@ def stored_graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
 
 
 def detached_view(model):
-    """Model sharing the same arrays but with gradient tracking off:
-    forward passes through the view build no graph. Running statistics
-    are shared (do not update them through a view)."""
-    memo = {id(t): Tensor(t.data) if isinstance(t, Tensor) else t
+    """Model sharing the same parameter arrays but with gradient tracking
+    off: forward passes through the view build no graph. Running
+    statistics are copies, so a training forward through the view
+    leaves the model's as they are."""
+    memo = {id(t): Tensor(t.data) if isinstance(t, Tensor) else t.copy()
             for t in model.named_tensors().values()}
     for shared in (model.config, model.adjacency, model.masks):
         memo[id(shared)] = shared
@@ -655,11 +659,11 @@ def slot_part_pool(f_m):
     return concat(pooled, axis=2).max(axis=1)
 
 
-def per_part_head(vec, head, training, update_stats=True):
+def per_part_head(vec, head, training):
     """(N, C) -> metric feature (N, D) and classifier logits (N, K) of
     one slot's head."""
     metric = vec @ head.fc_w + head.fc_b
-    necked = ref_batch_norm_chain(metric, head.bnn, training, update_stats)
+    necked = ref_batch_norm_chain(metric, head.bnn, training)
     return metric, necked @ head.cls_w
 
 
@@ -700,8 +704,7 @@ def slot_cross_entropy_loss(logits, labels):
     return (lse - (logits * onehot).sum(axis=1)).mean()
 
 
-def slot_tail(model, f_ms, labels, margin, ce_weight, training=True,
-              update_stats=True):
+def slot_tail(model, f_ms, labels, margin, ce_weight, training=True):
     """(total, metrics, logits) of the per-slot tail on the branch
     outputs ``f_ms`` (branch name -> (N, T, V, C) Tensor): metrics and
     logits are lists of one Tensor per slot, ``total`` the mean over
@@ -713,7 +716,7 @@ def slot_tail(model, f_ms, labels, margin, ce_weight, training=True,
         for p in range(parts):
             vec = pooled.take([p], axis=1).reshape(n, c)
             metric, logit = per_part_head(vec, model.heads[b * parts + p],
-                                          training, update_stats)
+                                          training)
             metrics.append(metric)
             logits.append(logit)
     tri = concat([slot_triplet_loss(m, labels, margin).reshape(1)

@@ -28,7 +28,6 @@ from gpgait.pagcn import (
     init_model,
     network_forward,
     pagcn_block,
-    pagcn_spatial,
     part_pool,
 )
 from gpgait.train import (
@@ -247,7 +246,11 @@ def test_05_mask_algebra(rng):
         for _ in range(50):
             block = make_block(rng, 3, 4)
             f = rng.normal(size=(2, 3, 17, 3))
-            full = pagcn_spatial(Tensor(f), block, ADJ, MASKS["parts5"]).data
+            full = pagcn_block(Tensor(f), block, ADJ, MASKS,
+                               training=True).data
+            # the spatial step as five independent per-part convolutions
+            # on sliced adjacencies with the same weights
+            y = np.zeros((2, 3, 17, 4))
             for g in PARTS5.values():
                 ix = np.asarray(g)
                 fg = f[:, :, ix, :]
@@ -260,8 +263,11 @@ def test_05_mask_algebra(rng):
                              + sub.learned_adj.data[np.ix_(ix, ix)] + att[b])
                         for t in range(3):
                             pieces[b, t] += (fg[b, t].T @ h).T @ sub.weight.data
-                np.testing.assert_allclose(full[:, :, ix, :], pieces,
-                                           atol=1e-6)
+                y[:, :, ix, :] = pieces
+            expect = ref.ref_epilogue(
+                y, block.temporal_kernel.data, block.bn1.gamma.data,
+                block.bn1.beta.data, block.bn2.gamma.data, block.bn2.beta.data)
+            np.testing.assert_allclose(full, expect, atol=1e-6)
         blocks = [make_block(rng, 4, 4) for _ in range(3)]
         f = rng.normal(size=(1, 5, 17, 4))
         poked = f.copy()
@@ -297,8 +303,7 @@ def test_06_gradient_checks():
         margin, gamma = 0.2, 1.0
 
         params = model.named_parameters()
-        res = network_forward(model, inputs, training=True,
-                              update_stats=False)
+        res = network_forward(model, inputs, training=True)
         loss, _, _ = combined_loss(res.metrics, res.logits, labels, margin,
                                    gamma)
         for p in params.values():
@@ -314,15 +319,13 @@ def test_06_gradient_checks():
             offset = list(cfg.branches).index(bname) * 6
             x = Tensor(inputs[bname])
             f_m = branch_forward(x, view.branches[bname], view.adjacency,
-                                 view.masks, training=True,
-                                 update_stats=False)
+                                 view.masks, training=True)
             pooled = part_pool(f_m).data
             sums = []
             for p in range(6):
                 metric, logits = ref.per_part_head(Tensor(pooled[:, p, :]),
                                                    view.heads[offset + p],
-                                                   training=True,
-                                                   update_stats=False)
+                                                   training=True)
                 sums.append(triplet_loss(metric, labels, margin).item()
                             + gamma * cross_entropy_loss(logits,
                                                          labels).item())

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from gpgait.autodiff import (Tensor, batch_norm_train, concat, graph_block,
-                             group_pool, spatial_graph_conv, stop_gradient,
-                             temporal_conv)
+                             group_pool, stop_gradient, temporal_conv)
 from gpgait.graph import mask_set
-from reference import graph_conv, softmax
+from reference import graph_conv, softmax, stored_spatial_graph_conv
 
 
 def finite_difference(fn, x0, h=1e-6):
@@ -150,46 +149,32 @@ class TestFusedOps:
         out = build([Tensor(a) for a in arrays]).data
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
-    @pytest.mark.parametrize("attention", [False, True])
-    def test_spatial_graph_conv_gradient(self, rng, attention):
-        """Every input of the spatial node under the parts5 mask, with
-        and without the attention term (exact zeros of the masked learned
-        entries: ``test_pagcn.py::TestSpatial``)."""
-        mask = mask_set()["parts5"]
-        k, c_in, c_out, ce = 3, 3, 2, 2
-        fixed = rng.uniform(size=(k, 17, 17))
-        arrays = [rng.normal(size=(2, 3, 17, c_in))]
-        arrays += [rng.normal(size=(17, 17)) for _ in range(k)]
-        arrays += [rng.normal(size=(c_in, c_out)) for _ in range(k)]
-        if attention:
-            arrays += [rng.normal(size=(c_in, ce)) for _ in range(2 * k)]
-
-        def build(t):
-            return spatial_graph_conv(t[0], fixed, mask, t[1:1 + k],
-                                      t[1 + k:1 + 2 * k], t[1 + 2 * k:1 + 3 * k],
-                                      t[1 + 3 * k:])
-
-        check_grads(build, arrays, rng, h=1e-5)
-
-    @pytest.mark.parametrize("attention", [False, True])
-    @pytest.mark.parametrize("residual", [False, True])
-    def test_graph_block_gradient(self, rng, residual, attention):
+    # (residual, attention) at 3 frames and 3 taps, then the frame and
+    # kernel edges with both on
+    @pytest.mark.parametrize("residual,attention,frames,taps", [
+        pytest.param(r, a, 3, 3, id=f"{r}-{a}")
+        for r in (False, True) for a in (False, True)] + [
+        pytest.param(True, True, t, k, id=f"True-True-t{t}k{k}")
+        for t, k in ((1, 3), (2, 5), (4, 1), (6, 5))])
+    def test_graph_block_gradient(self, rng, residual, attention, frames, taps):
         """Every input of the block node (spatial step, batch norm, ReLU,
         temporal conv, batch norm, ReLU, optional residual) under the
         parts5 mask, with and without the attention term, and its batch
-        statistics."""
+        statistics; at a single frame, fewer frames than taps and kernel
+        sizes 1 and 5 too, the edges ``test_temporal_conv_gradient``
+        checks on the standalone node."""
         mask = mask_set()["parts5"]
         k, c_in, ce = 3, 3, 2
         c_out = c_in if residual else 2
         fixed = rng.uniform(size=(k, 17, 17))
-        arrays = [rng.normal(size=(2, 3, 17, c_in))]
+        arrays = [rng.normal(size=(2, frames, 17, c_in))]
         arrays += [rng.normal(size=(17, 17)) for _ in range(k)]
         arrays += [rng.normal(size=(c_in, c_out)) for _ in range(k)]
         if attention:
             arrays += [rng.normal(size=(c_in, ce)) for _ in range(2 * k)]
         n_spatial = len(arrays)
         arrays += [rng.uniform(0.5, 1.5, size=c_out), rng.normal(size=c_out),
-                   rng.normal(size=(3, c_out)), rng.uniform(0.5, 1.5, size=c_out),
+                   rng.normal(size=(taps, c_out)), rng.uniform(0.5, 1.5, size=c_out),
                    rng.normal(size=c_out)]
 
         def spatial_args(t):
@@ -201,11 +186,11 @@ class TestFusedOps:
             return graph_block(*spatial_args(t), *t[n_spatial:], 1e-5,
                                residual)[0]
 
-        # the weighted output sums ~100 rows through two batch norms, so
+        # the weighted output sums 34 rows a frame through two batch norms, so
         # rounding noise, not truncation, limits steps below 1e-4
         check_grads(build, arrays, rng, h=1e-4)
         tensors = [Tensor(a) for a in arrays]
-        y = spatial_graph_conv(*spatial_args(tensors)).data
+        y = stored_spatial_graph_conv(*spatial_args(tensors)).data
         _, (mu1, var1), (mu2, var2) = graph_block(*spatial_args(tensors),
                                                   *tensors[n_spatial:], 1e-5)
         np.testing.assert_allclose(mu1, y.mean(axis=(0, 1, 2)), atol=1e-12)
@@ -237,10 +222,10 @@ class TestFusedOps:
         # at a step of 1e-6 rounding noise alone reaches a few 1e-6 of
         # relative error on the smallest entries; at 1e-5 rounding and
         # truncation error both stay below the tolerance
-        check_grads(lambda x: batch_norm_train(x[0], x[1], x[2], axes, 1e-5)[0],
+        check_grads(lambda x: batch_norm_train(x[0], x[1], x[2], 1e-5)[0],
                     arrays, rng, h=1e-5)
         x = arrays[0]
-        out, mu, var = batch_norm_train(*[Tensor(a) for a in arrays], axes, 1e-5)
+        out, mu, var = batch_norm_train(*[Tensor(a) for a in arrays], 1e-5)
         np.testing.assert_allclose(mu, x.mean(axis=axes), atol=1e-12)
         np.testing.assert_allclose(var, x.var(axis=axes), atol=1e-12)
         expect = ((x - x.mean(axis=axes)) / np.sqrt(x.var(axis=axes) + 1e-5)

@@ -641,6 +641,34 @@ class TestInspect:
         assert rc == 0
         assert out.exists() and (tmp_path / "h.tsv.unmasked").exists()
 
+    def test_compare_unmasked_custom_scheme(self, toy_data, tmp_path):
+        """A scheme added by ``graph.partition.<name>`` gets an all-ones
+        mask too."""
+        cfgfile = tmp_path / "halves.cfg"
+        cfgfile.write_text(
+            "graph.partition.halves = [[0,1,2,3,4,5,6,7,8,9,10], "
+            "[11,12,13,14,15,16]]\n"
+            "network.parts5_channels = [4]\n"
+            "network.larger_schemes = [\"halves\"]\n"
+            "network.larger_channels = 4\n"
+            "network.embed_dim = 4\n"
+            "train.sequence_length = 6\n"
+            "train.subjects_per_batch = 2\n"
+            "train.samples_per_subject = 2\n"
+            "train.iterations = 2\n"
+            "train.checkpoint_interval = 0\n")
+        run = tmp_path / "run"
+        assert main(["train", "--manifest", str(toy_data), "--out", str(run),
+                     "--config", str(cfgfile), "--seed", "7"]) == 0
+        out = tmp_path / "h.tsv"
+        rc = main(["inspect", "--checkpoint", str(run / "final.gpgw"),
+                   "--manifest", str(toy_data), "--out", str(out),
+                   "--compare-unmasked"])
+        assert rc == 0
+        unmasked = (tmp_path / "h.tsv.unmasked").read_text()
+        assert len(unmasked.strip().split("\n")) == 17
+        assert unmasked != out.read_text()
+
     def test_rerun_identical(self, toy_data, toy_checkpoint, tmp_path):
         final, _ = toy_checkpoint
         outs = []

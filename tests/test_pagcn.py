@@ -6,16 +6,14 @@ import pytest
 
 import reference as ref
 from gpgait import pagcn
-from gpgait.autodiff import Tensor
+from gpgait.autodiff import Tensor, temporal_conv
 from gpgait.checkpoint import load_container, save_container
 from gpgait.config import read_header
 from gpgait.errors import DataError
 from gpgait.graph import PARTS5, build_adjacency_subsets, mask_set
 from gpgait.pagcn import (
     BatchNormParams,
-    BlockParams,
     NetworkConfig,
-    SubsetParams,
     branch_forward,
     descriptor_inputs,
     init_model,
@@ -23,10 +21,8 @@ from gpgait.pagcn import (
     model_tensors,
     network_forward,
     pagcn_block,
-    pagcn_spatial,
     part_heads,
     part_pool,
-    temporal_conv,
     with_masks,
 )
 from gpgait.train import combined_loss
@@ -93,88 +89,34 @@ class TestAttention:
 
 
 class TestSpatial:
-    def test_identity_composition(self, rng):
-        c = 3
-        block = BlockParams(
-            subsets=[SubsetParams(weight=Tensor(np.eye(c)),
-                                  learned_adj=Tensor(np.zeros((17, 17))))],
-            temporal_kernel=Tensor(np.zeros((3, c))),
-            bn1=None, bn2=None, mask_name="global", in_channels=c, out_channels=c)
-        f = random_input(rng, c=c)
-        out = pagcn_spatial(Tensor(f), block, np.eye(17)[None],
-                            np.ones((17, 17)))
-        np.testing.assert_array_equal(out.data, f)
-
-    def test_matches_scalar_reference(self, rng):
-        block = make_block(rng, 3, 5)
-        f = random_input(rng, c=3)
-        out = pagcn_spatial(Tensor(f), block, ADJ, MASKS["parts5"])
-        attns = [ref.ref_attention(f, s.attn_a.data, s.attn_b.data,
-                                   MASKS["parts5"]) for s in block.subsets]
-        expect = ref.ref_spatial(
-            f, ADJ, [s.learned_adj.data for s in block.subsets],
-            [s.weight.data for s in block.subsets], attn=attns,
-            mask=MASKS["parts5"])
-        np.testing.assert_allclose(out.data, expect, atol=1e-9)
-
-    def test_block_diagonal_oracle(self, rng):
-        """parts5-masked spatial conv equals five independent per-part
-        convolutions run on sliced adjacencies with the same weights."""
-        for _ in range(50):
-            block = make_block(rng, 3, 4)
-            f = random_input(rng, n=2, t=3, c=3)
-            full = pagcn_spatial(Tensor(f), block, ADJ, MASKS["parts5"]).data
-            for g in PARTS5.values():
-                ix = np.asarray(g)
-                fg = f[:, :, ix, :]
-                pieces = np.zeros((2, 3, len(ix), 4))
-                for k, sub in enumerate(block.subsets):
-                    att = ref.ref_attention(fg, sub.attn_a.data, sub.attn_b.data)
-                    for b in range(2):
-                        h = (ADJ[k][np.ix_(ix, ix)]
-                             + sub.learned_adj.data[np.ix_(ix, ix)] + att[b])
-                        for t in range(3):
-                            pieces[b, t] += (fg[b, t].T @ h).T @ sub.weight.data
-                np.testing.assert_allclose(full[:, :, ix, :], pieces, atol=1e-6)
-
-    def test_cross_part_zero_path(self, rng):
-        block = make_block(rng, 3, 4)
-        f = random_input(rng)
-        base = pagcn_spatial(Tensor(f), block, ADJ, MASKS["parts5"]).data
-        poked = f.copy()
-        poked[:, :, 16, :] += 123.456
-        out = pagcn_spatial(Tensor(poked), block, ADJ, MASKS["parts5"]).data
-        head = list(range(5))
-        np.testing.assert_array_equal(out[:, :, head, :], base[:, :, head, :])
+    """The spatial step as the training and inference blocks run it;
+    its values against the scalar loops, through the block:
+    ``TestBlock::test_matches_scalar_reference`` and acceptance 05."""
 
     def test_masked_learned_adj_gradient_exactly_zero(self, rng):
-        """Through the spatial node alone and through the training block."""
+        """Through the training block."""
         outside = MASKS["parts5"] == 0
-        for training_block in (False, True):
-            block = make_block(rng, 3, 4)
-            f = Tensor(random_input(rng), requires_grad=True)
-            if training_block:
-                out = pagcn_block(f, block, ADJ, MASKS, training=True)
-            else:
-                out = pagcn_spatial(f, block, ADJ, MASKS["parts5"])
-            out.backward(rng.normal(size=out.shape))
-            for sub in block.subsets:
-                assert np.all(sub.learned_adj.grad[outside] == 0.0)
-                assert np.all(sub.learned_adj.grad[~outside] != 0.0)
+        block = make_block(rng, 3, 4)
+        f = Tensor(random_input(rng), requires_grad=True)
+        out = pagcn_block(f, block, ADJ, MASKS, training=True)
+        out.backward(rng.normal(size=out.shape))
+        for sub in block.subsets:
+            assert np.all(sub.learned_adj.grad[outside] == 0.0)
+            assert np.all(sub.learned_adj.grad[~outside] != 0.0)
 
     def test_channel_mismatch(self, rng):
         block = make_block(rng, 3, 4)
-        with pytest.raises(DataError, match="channels"):
-            pagcn_spatial(Tensor(random_input(rng, c=2)), block, ADJ,
-                          MASKS["parts5"])
+        for training in (False, True):
+            with pytest.raises(DataError, match="channels"):
+                pagcn_block(Tensor(random_input(rng, c=2)), block, ADJ, MASKS,
+                            training=training)
 
 
 class TestBlock:
     def test_matches_scalar_reference(self, rng):
         block = make_block(rng, 3, 3)  # equal channels -> residual active
         f = random_input(rng, n=2, t=4, c=3)
-        out = pagcn_block(Tensor(f), block, ADJ, MASKS, training=True,
-                          update_stats=False)
+        out = pagcn_block(Tensor(f), block, ADJ, MASKS, training=True)
         attns = [ref.ref_attention(f, s.attn_a.data, s.attn_b.data,
                                    MASKS["parts5"]) for s in block.subsets]
         expect = ref.ref_block(
@@ -324,15 +266,13 @@ class TestFusedBlock:
         assert not out.requires_grad and out._parents == ()
 
     def test_running_stats_untouched_without_update(self, rng):
-        """``update_stats=False`` and inference leave the running
-        statistics bit-for-bit as they were (a training call updates
-        them once: ``test_training_matches_generic_chain``)."""
+        """Inference leaves the running statistics bit-for-bit as they
+        were (a training call updates them once:
+        ``test_training_matches_generic_chain``)."""
         block, masks, f = self._case(rng, "parts5")
         stats = [block.bn1.running_mean, block.bn1.running_var,
                  block.bn2.running_mean, block.bn2.running_var]
         before = [s.copy() for s in stats]
-        pagcn_block(Tensor(f), block, ADJ, masks, training=True,
-                    update_stats=False)
         pagcn_block(Tensor(f), block, ADJ, masks, training=False)
         for s, b in zip(stats, before):
             np.testing.assert_array_equal(s, b)
@@ -596,7 +536,7 @@ class TestGraphGuards:
             "angle": rng.normal(size=(1, 2, 17, 1)),
             "bone": rng.normal(size=(1, 2, 17, 2)),
         }
-        res = network_forward(model, inp, training=False, update_stats=False)
+        res = network_forward(model, inp, training=False)
         for out in (res.metrics, res.logits):
             assert out._parents == () and out._backward is None
             assert not out.requires_grad
@@ -750,12 +690,13 @@ class TestHeads:
         pooled = rng.normal(size=(18, 4, 4))
         outputs = {}
         for training in (True, False):
-            metric, logits = part_heads(Tensor(pooled), model.heads,
-                                        training=training, update_stats=False)
+            # training updates the running statistics: on a copy, so
+            # inference folds the perturbed ones
+            heads = copy.deepcopy(model.heads) if training else model.heads
+            metric, logits = part_heads(Tensor(pooled), heads, training=training)
             assert metric.shape == (18, 4, 4) and logits.shape == (18, 4, 2)
-            for slot, head in enumerate(model.heads):
-                em, el = ref.per_part_head(Tensor(pooled[slot]), head, training,
-                                           update_stats=False)
+            for slot, head in enumerate(heads):
+                em, el = ref.per_part_head(Tensor(pooled[slot]), head, training)
                 np.testing.assert_allclose(metric.data[slot], em.data, atol=1e-12)
                 np.testing.assert_allclose(logits.data[slot], el.data, atol=1e-12)
             outputs[training] = metric.data, logits.data
@@ -831,13 +772,13 @@ class TestNetworkForward:
         branch outputs."""
         model = init_model(tiny_config(), seed=5)
         inputs = self._inputs(rng, n=4, t=3)
-        res = network_forward(model, inputs, training=True, update_stats=False)
+        res = network_forward(model, inputs, training=True)
 
         f_ms = {b: branch_forward(Tensor(inputs[b]), model.branches[b], ADJ,
-                                  MASKS, training=True, update_stats=False)
+                                  MASKS, training=True)
                 for b in ("joint", "angle", "bone")}
         _, slot_metrics, slot_logits = ref.slot_tail(
-            model, f_ms, np.array([0, 0, 1, 1]), 0.2, 1.0, update_stats=False)
+            model, f_ms, np.array([0, 0, 1, 1]), 0.2, 1.0)
         for slot in range(18):
             np.testing.assert_allclose(res.metrics.data[slot],
                                        slot_metrics[slot].data, atol=1e-12)

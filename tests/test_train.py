@@ -378,7 +378,7 @@ class TestGradientFlow:
         from gpgait.pagcn import descriptor_inputs
         res = network_forward(model, descriptor_inputs(
             net_cfg, batch["joint"], batch["bone"], batch["angle"]),
-            training=True, update_stats=False)
+            training=True)
         total, _, _ = tr.combined_loss(res.metrics, res.logits, labels, 0.2, 1.0)
         total.backward()
         for name, p in model.named_parameters().items():
