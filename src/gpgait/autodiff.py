@@ -326,18 +326,30 @@ def group_pool(x: Tensor, groups) -> Tensor:
     frames, as one node. The means are one product with the (G, V)
     matrix of joint shares and the maxima one in-place pass over the
     (group, joint) pairs, so no gathered copy of the input is made. A
-    max's gradient goes to its first argmax frame and joint, as
-    ``Tensor.max`` routes it."""
+    group whose joints are exactly those of the earlier groups inside
+    it (the whole body after its parts) takes the max of their maxima
+    instead; max is exact, so the values are the same. A max's gradient
+    goes to its first argmax frame and joint, as ``Tensor.max`` routes
+    it."""
     n, t, v, c = x.shape
     group, joint = np.array([(p, j) for p, members in enumerate(groups)
                              for j in members]).T
     weight = 1.0 / np.bincount(group)[group]              # per (group, joint) pair
     share = np.zeros((len(groups), v))
     np.add.at(share, (group, joint), weight)
-    peak = np.full((len(groups), n, t, c), -np.inf)        # group-major: contiguous rows
-    for p, j in zip(group, joint):
-        np.maximum(peak[p], x.data[:, :, j], out=peak[p])
-    per_frame = np.matmul(share, x.data) + np.moveaxis(peak, 0, 2)
+    peak = np.empty((len(groups), n, t, c))                # group-major: contiguous rows
+    members = [set(m) for m in groups]
+    for p, row in enumerate(peak):
+        inside = [q for q in range(p) if members[q] <= members[p]]
+        if inside and set().union(*(members[q] for q in inside)) == members[p]:
+            first, *rest = (peak[q] for q in inside)
+        else:
+            first, *rest = (x.data[:, :, j] for j in groups[p])
+        np.copyto(row, first)
+        for other in rest:
+            np.maximum(row, other, out=row)
+    per_frame = np.matmul(share, x.data)
+    per_frame += np.moveaxis(peak, 0, 2)
     out = _make(per_frame.max(axis=1), (x,))
     if out.requires_grad:
         rows = np.arange(n)[:, None, None] * t + per_frame.argmax(axis=1)  # (N, G, C)
@@ -509,7 +521,9 @@ def _tap_windows(k: int, t: int):
 
 
 def _temporal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Array kernel of ``temporal_conv``."""
+    """Depthwise convolution along the frame axis of a (N, T, V, C)
+    array with a (k, C) kernel, stride 1, zero padding that preserves T
+    (works for T=1 and T < k)."""
     (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
     out = x * kernel[centre]
     for d, o, i in side_taps:
@@ -518,7 +532,7 @@ def _temporal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _temporal_conv_grads(g, x, kernel, need_x: bool, need_kernel: bool):
-    """(input gradient, kernel gradient) of ``temporal_conv``; None for
+    """(input gradient, kernel gradient) of ``_temporal_conv``; None for
     the one not needed."""
     (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
     gx = gk = None
@@ -532,23 +546,6 @@ def _temporal_conv_grads(g, x, kernel, need_x: bool, need_kernel: bool):
         for d, o, i in side_taps:
             gk[d] = np.einsum("ntvc,ntvc->c", g[:, o], x[:, i])
     return gx, gk
-
-
-def temporal_conv(x: Tensor, kernel: Tensor) -> Tensor:
-    """Depthwise convolution along the frame axis of a (N, T, V, C)
-    input with a (k, C) kernel, stride 1, zero padding that preserves T
-    (works for T=1 and T < k)."""
-    out = _make(_temporal_conv(x.data, kernel.data), (x, kernel))
-    if out.requires_grad:
-        def bwd(g, x=x, kernel=kernel):
-            gx, gk = _temporal_conv_grads(g, x.data, kernel.data,
-                                          x.requires_grad, kernel.requires_grad)
-            if gx is not None:
-                x._accumulate(gx)
-            if gk is not None:
-                kernel._accumulate(gk)
-        out._backward = bwd
-    return out
 
 
 def _bn_normalize(x: np.ndarray, eps: float, out: np.ndarray = None):

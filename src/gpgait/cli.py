@@ -41,6 +41,9 @@ def _run_config_from_args(args):
     overrides = {"seed": flag("seed")}
     if flag("no_hot"):
         overrides["use_hot"] = False
+    if flag("descriptors") and flag("single_branch"):
+        raise ConfigError("--single-branch and --descriptors cannot be given "
+                          "together: each sets the branches")
     if flag("descriptors"):
         overrides["branches"] = args.descriptors
     if flag("single_branch"):

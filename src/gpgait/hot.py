@@ -7,6 +7,8 @@ removes slants beyond the threshold, the skeleton is rescaled to a fixed
 vertical extent, and finally all joints are expressed relative to the
 (recomputed) neck so the unified origin sits exactly at the neck.
 Degenerate frames are dropped and the indices of the kept ones returned.
+Since frames are independent, commands normalize whole chunks of
+sequences in one such pass (``unify_sequences``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ L_HIP, R_HIP = 11, 12
 
 DEFAULT_HEIGHT = 225.0
 DEFAULT_SLANT_THRESHOLD = 0.1  # radians
+# frames of the sequences one unify_frames call normalizes together
+CHUNK_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -109,20 +113,49 @@ def unify_frames(coords: np.ndarray, cfg: HotConfig):
 
 def apply_hot(seq: PoseSequence, cfg: HotConfig = None) -> UnifiedPoseSequence:
     """Normalize a whole sequence, dropping degenerate frames."""
-    if cfg is None:
-        cfg = HotConfig()
-    frames, kept = unify_frames(seq.frames[..., :2], cfg)
-    if not kept:
-        raise EmptySequenceError(
-            f"sequence {seq.seq_id}: every frame degenerate")
-    return UnifiedPoseSequence(
-        seq_id=seq.seq_id,
-        subject=seq.subject,
-        condition=seq.condition,
-        view=seq.view,
-        frames=frames,
-        kept_frame_indices=kept,
-    )
+    return unify_sequences([seq], cfg or HotConfig())[0]
+
+
+def unify_sequences(sequences, cfg: HotConfig) -> list:
+    """``apply_hot`` of each sequence, in order, through one
+    ``unify_frames`` call per chunk of whole sequences of at most
+    CHUNK_FRAMES frames (a longer sequence is a chunk of its own).
+    ``unify_frames`` treats every frame on its own, so each sequence's
+    frames and kept indices are those of its own call, and the first
+    sequence with no frame left raises ``EmptySequenceError``."""
+    out = []
+    chunk, size = [], 0
+    for seq in sequences:
+        if chunk and size + seq.num_frames > CHUNK_FRAMES:
+            out.extend(_unify_chunk(chunk, cfg))
+            chunk, size = [], 0
+        chunk.append(seq)
+        size += seq.num_frames
+    if chunk:
+        out.extend(_unify_chunk(chunk, cfg))
+    return out
+
+
+def _unify_chunk(sequences, cfg: HotConfig) -> list:
+    starts = np.cumsum([0] + [s.num_frames for s in sequences])
+    frames, kept = unify_frames(
+        np.concatenate([s.frames[..., :2] for s in sequences]), cfg)
+    kept = np.asarray(kept, dtype=np.int64)
+    cuts = np.searchsorted(kept, starts)
+    out = []
+    for seq, start, lo, hi in zip(sequences, starts, cuts[:-1], cuts[1:]):
+        if lo == hi:
+            raise EmptySequenceError(
+                f"sequence {seq.seq_id}: every frame degenerate")
+        out.append(UnifiedPoseSequence(
+            seq_id=seq.seq_id,
+            subject=seq.subject,
+            condition=seq.condition,
+            view=seq.view,
+            frames=frames[lo:hi],
+            kept_frame_indices=(kept[lo:hi] - start).tolist(),
+        ))
+    return out
 
 
 def passthrough(seq: PoseSequence) -> UnifiedPoseSequence:

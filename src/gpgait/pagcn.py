@@ -66,9 +66,11 @@ class NetworkConfig:
     def __post_init__(self):
         if not self.branches:
             raise ConfigError("need at least one branch")
-        for b in self.branches:
+        for i, b in enumerate(self.branches):
             if b not in BRANCH_CHANNELS:
                 raise ConfigError(f"unknown branch {b!r}")
+            if b in self.branches[:i]:
+                raise ConfigError(f"branch {b!r} listed twice")
         if not self.parts5_channels:
             raise ConfigError("need at least one small-part block")
         if min(*self.parts5_channels, self.larger_channels, self.embed_dim) < 1:

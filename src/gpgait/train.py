@@ -383,7 +383,8 @@ def sampler_rng(seed: int, sampler_state: dict = None,
     return rng
 
 
-# glibc mallopt parameters (malloc.h) and the values training sets
+# glibc mallopt parameters (malloc.h) and the values training and
+# evaluation set
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 * 2**20     # glibc's largest allowed value
 TRIM_THRESHOLD = 256 * 2**20
@@ -391,19 +392,18 @@ TRIM_THRESHOLD = 256 * 2**20
 
 def keep_freed_memory():
     """Tell the C allocator to keep the memory it is handed back, for
-    the rest of the process.
+    the rest of the process. ``train_loop`` and
+    ``eval.cross_domain_eval`` call it first.
 
     A training block frees its numpy temporaries before the next block
-    allocates arrays of the same sizes. With glibc's defaults the
-    larger ones come from fresh ``mmap`` regions and the heap top is
-    trimmed after each free, so every block touches new pages: thousands
-    of minor page faults per iteration. Here arrays up to 32 MiB come
-    from the heap, which is trimmed only once 256 MiB lie free at its
-    top; larger arrays are still mapped and unmapped. No value changes.
-    Where libc has no ``mallopt`` this does nothing.
-
-    Only training sets this: evaluation's 10-30 MB arrays, once served
-    from the heap, fragment it and raise its peak RSS.
+    allocates arrays of the same sizes, and an eval pass frees what the
+    previous pass allocated. With glibc's defaults the larger ones come
+    from fresh ``mmap`` regions and the heap top is trimmed after each
+    free, so every block touches new pages: thousands of minor page
+    faults per iteration or pass. Here arrays up to 32 MiB come from the
+    heap, which is trimmed only once 256 MiB lie free at its top; larger
+    arrays are still mapped and unmapped. No value changes. Where libc
+    has no ``mallopt`` this does nothing.
     """
     import ctypes
 

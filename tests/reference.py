@@ -2,19 +2,21 @@
 
 Most are written with explicit index loops and plain Python math so
 they share no vectorized code path with the package under test. The
-third-to-last section keeps the chain of autodiff nodes a part-aware
+fourth-to-last section keeps the chain of autodiff nodes a part-aware
 graph block was built from before it became fused nodes
-(``graph_conv``, ``softmax``, ``attention_adjacency`` and
-``ref_block_chain``), as the oracle of the fused block's values and
-gradients. The next keeps the two training nodes a block was before
-it became one, as they were when they stored their intermediates for
-backward (``stored_spatial_graph_conv``, ``stored_block_epilogue``),
-and chains them into ``stored_graph_block``, the bit-exact oracle of
-the node that rebuilds them. The last keeps the network's tail as it
-was when every (branch, part) slot ran through its own pooling, head
-and loss nodes (``slot_tail``), as the oracle of the stacked tail, and
-the no-graph model view inference once ran through
-(``detached_view``).
+(``graph_conv``, ``softmax``, ``attention_adjacency``,
+``temporal_conv`` and ``ref_block_chain``), as the oracle of the fused
+block's values and gradients. The next keeps the two training nodes a
+block was before it became one, as they were when they stored their
+intermediates for backward (``stored_spatial_graph_conv``,
+``stored_block_epilogue``), and chains them into ``stored_graph_block``,
+the bit-exact oracle of the node that rebuilds them. The next keeps the
+network's tail as it was when every (branch, part) slot ran through its
+own pooling, head and loss nodes (``slot_tail``), as the oracle of the
+stacked tail, and the no-graph model view inference once ran through
+(``detached_view``). The last keeps the pooling node as it was when
+every group's maxima ran over its own joints (``joint_group_pool``), the
+bit-exact oracle of the node that pools the body from its parts.
 """
 
 import copy
@@ -27,7 +29,7 @@ from gpgait import pagcn
 from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
                              _make, _softmax, _temporal_conv,
                              _temporal_conv_grads, batch_norm_train, concat,
-                             stop_gradient, temporal_conv)
+                             stop_gradient)
 from gpgait.errors import DataError
 
 BN_EPS = 1e-5
@@ -445,6 +447,23 @@ def attention_adjacency(f_in, attn_a, attn_b, mask=None):
     return softmax(sim, axis=-1, mask=bool_mask)
 
 
+def temporal_conv(x, kernel):
+    """Depthwise convolution along the frame axis of a (N, T, V, C)
+    input with a (k, C) kernel, stride 1, zero padding that preserves T
+    (works for T=1 and T < k), as one node."""
+    out = _make(_temporal_conv(x.data, kernel.data), (x, kernel))
+    if out.requires_grad:
+        def bwd(g, x=x, kernel=kernel):
+            gx, gk = _temporal_conv_grads(g, x.data, kernel.data,
+                                          x.requires_grad, kernel.requires_grad)
+            if gx is not None:
+                x._accumulate(gx)
+            if gk is not None:
+                kernel._accumulate(gk)
+        out._backward = bwd
+    return out
+
+
 def ref_spatial_chain(f_in, block, adjacency, mask):
     """Per subset: (fixed + learned + attention) * mask from generic
     nodes, then one ``graph_conv`` node."""
@@ -724,3 +743,39 @@ def slot_tail(model, f_ms, labels, margin, ce_weight, training=True):
     ce = concat([slot_cross_entropy_loss(lg, labels).reshape(1)
                  for lg in logits]).mean()
     return tri + ce * ce_weight, metrics, logits
+
+
+# -- the pooling node before the body was pooled from its parts -----------
+
+
+def joint_group_pool(x, groups):
+    """``autodiff.group_pool`` as it was when every group's maxima ran
+    over its own joints, from a -inf fill, and were added to the means
+    out of place."""
+    n, t, v, c = x.shape
+    group, joint = np.array([(p, j) for p, members in enumerate(groups)
+                             for j in members]).T
+    weight = 1.0 / np.bincount(group)[group]
+    share = np.zeros((len(groups), v))
+    np.add.at(share, (group, joint), weight)
+    peak = np.full((len(groups), n, t, c), -np.inf)
+    for p, j in zip(group, joint):
+        np.maximum(peak[p], x.data[:, :, j], out=peak[p])
+    per_frame = np.matmul(share, x.data) + np.moveaxis(peak, 0, 2)
+    out = _make(per_frame.max(axis=1), (x,))
+    if out.requires_grad:
+        rows = np.arange(n)[:, None, None] * t + per_frame.argmax(axis=1)
+        chan = np.arange(c)
+        width = max(len(m) for m in groups)
+        padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
+
+        def bwd(g):
+            at = x.data.reshape(n * t, v, c)[rows[:, :, None], padded[:, :, None], chan]
+            first = padded[np.arange(len(groups))[:, None], at.argmax(axis=2)]
+            cells = np.concatenate([
+                ((rows[:, group] * v + joint[:, None]) * c + chan).ravel(),
+                ((rows * v + first) * c + chan).ravel()])
+            weights = np.concatenate([(g[:, group] * weight[:, None]).ravel(), g.ravel()])
+            x._accumulate(np.bincount(cells, weights, x.data.size).reshape(x.shape))
+        out._backward = bwd
+    return out

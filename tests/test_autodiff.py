@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from gpgait.autodiff import (Tensor, batch_norm_train, concat, graph_block,
-                             group_pool, stop_gradient, temporal_conv)
+                             group_pool, stop_gradient)
 from gpgait.graph import mask_set
-from reference import graph_conv, softmax, stored_spatial_graph_conv
+from gpgait.pagcn import PART_GROUPS
+from reference import (graph_conv, joint_group_pool, softmax,
+                       stored_spatial_graph_conv, temporal_conv)
 
 
 def finite_difference(fn, x0, h=1e-6):
@@ -243,6 +245,30 @@ class TestFusedOps:
         # mean shares on both joints of the first frame, the max on joint 1
         np.testing.assert_array_equal(x.grad[0, :, :, 0],
                                       [[0.0, 1.5, 0.5, 0.0], [0.0] * 4])
+
+    @pytest.mark.parametrize("groups", [
+        PART_GROUPS,                                  # the body is its parts' union
+        ((0, 2), (1, 3), (2, 3)),                     # no group is a union
+        ((0, 2), (1, 2, 3), (3,), (0, 1, 2, 3)),      # overlapping, with a union
+        ((0, 2), (1, 2), (0, 1, 2, 3), (2, 0)),       # a superset, then a repeat
+    ])
+    def test_group_pool_equals_joint_maxima(self, rng, groups):
+        """Values and gradients equal, bit for bit, those of the node
+        whose every group's maxima run over its own joints. Small
+        integers make ties, so the gradient's routing to the first
+        argmax frame and joint is compared too."""
+        v = max(j for m in groups for j in m) + 1
+        data = rng.integers(-3, 4, size=(3, 5, v, 4)).astype(float)
+        g = rng.normal(size=(3, len(groups), 4))
+        outs, grads = [], []
+        for pool in (group_pool, joint_group_pool):
+            x = Tensor(data, requires_grad=True)
+            out = pool(x, groups)
+            (out * Tensor(g)).sum().backward()
+            outs.append(out.data)
+            grads.append(x.grad)
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestSoftmax:

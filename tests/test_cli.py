@@ -958,6 +958,25 @@ class TestAblationFlags:
         config, _ = load_container(tmp_path / "sb" / "final.gpgw")
         assert config["network"]["branches"] == ["fused"]
 
+    def test_repeated_descriptor_is_config_error(self, toy_data, tmp_path, capsys):
+        rc = main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "o"),
+                   "--preset", "toy", "--iterations", "1",
+                   "--descriptors", "joint,joint"])
+        assert rc == 2
+        assert "branch 'joint' listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_single_branch_with_descriptors_is_config_error(self, toy_data, tmp_path,
+                                                            capsys):
+        """--single-branch would silently drop the --descriptors list."""
+        rc = main(["train", "--manifest", str(toy_data), "--out", str(tmp_path / "o"),
+                   "--preset", "toy", "--iterations", "1",
+                   "--descriptors", "joint,bone", "--single-branch"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--single-branch" in err and "--descriptors" in err
+        assert not (tmp_path / "o").exists()
+
     def test_no_partition(self, toy_data, tmp_path):
         cfg = tmp_path / "c3.cfg"
         cfg.write_text(

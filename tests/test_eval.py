@@ -1,4 +1,8 @@
 import copy
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -312,3 +316,46 @@ class TestHeatmap:
         ev.heatmap_dump(model, useq, p1)
         ev.heatmap_dump(model, useq, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# one process: a seeded toy checkpoint and 42 sequences of 60 frames,
+# then the minor page faults of each of six eval passes
+_EVAL_FAULTS = """
+import os, resource, sys
+from gpgait import checkpoint, pagcn, pose_io, synth
+from gpgait import eval as ev
+from gpgait.config import build_run_config
+out = sys.argv[1]
+manifest = synth.generate_dataset(
+    out, 6, 7, [synth.CameraSpec(jitter_sigma=0.5),
+                synth.CameraSpec(scale=1.3, slant=0.3, jitter_sigma=0.5)], 60, seed=3)
+run_cfg = build_run_config(preset="toy")
+net_cfg = run_cfg.network_config(num_classes=6)
+ckpt = os.path.join(out, "model.gpgw")
+checkpoint.save_container(ckpt, dict(run_cfg.echo(), network=net_cfg.to_dict()),
+                          pagcn.model_tensors(pagcn.init_model(net_cfg, seed=0)))
+with_roles = pose_io.load_sequences_with_roles(pose_io.load_manifest(manifest))
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ev.cross_domain_eval(ckpt, with_roles, "simple")
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting is glibc's")
+def test_steady_state_eval_pass_takes_no_page_faults(tmp_path):
+    """A pass reuses the memory the previous one freed (about 2,200
+    minor faults a pass at this size with glibc's defaults, which unmap
+    the block outputs and trim the heap after each pass). A fresh
+    process, so that no earlier test's training has set the allocator."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ev.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _EVAL_FAULTS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(line) for line in proc.stdout.split()]
+    assert len(faults) == 6
+    # passes 3-6; one of them may still grow the heap to its high-water
+    # mark, so the quietest two are counted
+    assert sum(sorted(faults[2:])[:2]) <= 50

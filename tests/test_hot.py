@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from gpgait import eval as eval_mod
 from gpgait import hot
 from gpgait.errors import ConfigError, EmptySequenceError
 
@@ -309,3 +310,72 @@ def test_out_of_range_setting_named_by_key(setting, value):
     # 1e-320 is positive, but its extent floor 1e-6 * h_unif underflows to 0
     with pytest.raises(ConfigError, match=rf"^hot\.{setting} must be"):
         hot.HotConfig(**{setting: value})
+
+
+class TestChunks:
+    """``eval.unify_for_eval`` runs HOT over chunks of whole sequences
+    (``hot.unify_sequences``); each sequence comes out as from a
+    ``unify_frames`` call of its own."""
+
+    @staticmethod
+    def sequences(rng, lengths, degenerate=()):
+        """Sequences of random walker frames; ``degenerate`` maps a
+        sequence's position to the frames made degenerate in it."""
+        bad = degenerate_frames()[1:5]      # dropped: NaN, inf, horizontal, flat
+        seqs = []
+        for i, n in enumerate(lengths):
+            frames = random_frames(rng, n)
+            for k, f in enumerate(degenerate.get(i, ())):
+                frames[f] = bad[k % len(bad)]
+            seqs.append(sequence_from_coords(frames, seq_id=f"s{i}"))
+        return seqs
+
+    def test_equal_to_one_call_per_sequence(self, rng, monkeypatch):
+        calls = []
+
+        def counted(coords, cfg):
+            calls.append(len(coords))
+            return unify_frames(coords, cfg)
+
+        unify_frames = hot.unify_frames
+        monkeypatch.setattr(hot, "CHUNK_FRAMES", 40)
+        lengths = [15, 20, 1, 30, 12, 55, 3, 9, 25, 17, 40, 8]
+        # dropped first and last frames, some of them next to a chunk
+        # boundary, and a sequence longer than a chunk
+        seqs = self.sequences(rng, lengths, {
+            0: (0,), 1: (19,), 3: (0, 29), 5: (0, 1, 54), 8: (24,), 11: (0, 7)})
+        cfg = hot.HotConfig()
+        monkeypatch.setattr(hot, "unify_frames", counted)
+        got = eval_mod.unify_for_eval(seqs, cfg)
+        assert calls == [36, 30, 12, 55, 37, 17, 40, 8]
+        monkeypatch.setattr(hot, "unify_frames", unify_frames)
+        assert len(got) == len(seqs)
+        for seq, u in zip(seqs, got):
+            frames, kept = unify_frames(seq.frames[..., :2], cfg)
+            assert (u.seq_id, u.subject, u.condition, u.view) == (
+                seq.seq_id, seq.subject, seq.condition, seq.view)
+            assert u.kept_frame_indices == kept
+            assert u.frames.shape == frames.shape
+            assert u.frames.tobytes() == frames.tobytes()
+            one = hot.apply_hot(seq, cfg)
+            assert one.kept_frame_indices == kept
+            assert one.frames.tobytes() == frames.tobytes()
+        assert [len(u.kept_frame_indices) for u in got] == [
+            14, 19, 1, 28, 12, 52, 3, 9, 24, 17, 40, 6]
+
+    @pytest.mark.parametrize("empty", [[2], [2, 4], [5], [5, 1]])
+    def test_first_empty_sequence_raises(self, rng, monkeypatch, empty):
+        """The error and its message are those of the first sequence,
+        in input order, with no frame left, whichever chunk it is in."""
+        monkeypatch.setattr(hot, "CHUNK_FRAMES", 20)
+        lengths = [6, 6, 4, 6, 3, 5, 6]
+        seqs = self.sequences(rng, lengths, {
+            i: range(lengths[i]) for i in empty})
+        first = f"s{min(empty)}"
+        with pytest.raises(EmptySequenceError,
+                           match=f"^sequence {first}: every frame degenerate$"):
+            eval_mod.unify_for_eval(seqs, hot.HotConfig())
+        with pytest.raises(EmptySequenceError,
+                           match=f"^sequence {first}: every frame degenerate$"):
+            for seq in seqs:
+                hot.apply_hot(seq, hot.HotConfig())

