@@ -31,6 +31,9 @@ from .train import keep_freed_memory
 
 CASIAB_PROBE_SETS = {"NM": (5, 6), "BG": (1, 2), "CL": (1, 2)}
 CASIAB_GALLERY = ("NM", (1, 2, 3, 4))
+# floats in one block of probe-gallery differences (16 MB), which bounds
+# the memory of distances and rank-1 whatever the gallery size
+DISTANCE_BLOCK = 2_000_000
 
 
 @dataclass
@@ -90,7 +93,9 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
 
     Full sequences are used (no frame sampling). Sequences of equal
     length are batched together, their descriptors built by one
-    ``describe`` call per length; results are returned in input order.
+    ``describe`` call per length, and run through one inference
+    ``network_forward``, whose blocks and pooling take them in chunks of
+    whole sequences; results are returned in input order.
     """
     cfg = model.config
     out = [None] * len(unified_sequences)
@@ -123,6 +128,15 @@ def flatten_embeddings(emb: np.ndarray) -> np.ndarray:
     return emb.reshape(emb.shape[0], -1)
 
 
+def _block_rows(p: int, g: int, d: int) -> tuple:
+    """(probe rows, gallery rows) of a block of the (P, G) distances
+    whose (P_b, G_b, D) differences hold at most DISTANCE_BLOCK floats:
+    as many gallery rows as fit, then as many probe rows as fit beside
+    them, at least one of each."""
+    g_rows = max(1, min(g, DISTANCE_BLOCK // max(1, d)))
+    return max(1, min(p, DISTANCE_BLOCK // max(1, g_rows * d))), g_rows
+
+
 def pairwise_distances(probe: np.ndarray, gallery: np.ndarray,
                        metric: str = "euclidean") -> np.ndarray:
     """(P, G) distance matrix over flattened part features."""
@@ -133,12 +147,13 @@ def pairwise_distances(probe: np.ndarray, gallery: np.ndarray,
             f"embedding layouts differ: {p.shape[1]} vs {g.shape[1]}")
     if metric == "euclidean":
         # direct differences: exact zeros for identical rows, no
-        # catastrophic cancellation; chunked to bound memory
+        # catastrophic cancellation; over blocks to bound memory
         out = np.empty((p.shape[0], g.shape[0]))
-        step = max(1, 2_000_000 // max(1, g.shape[0] * g.shape[1]))
-        for start in range(0, p.shape[0], step):
-            block = p[start:start + step, None, :] - g[None, :, :]
-            out[start:start + step] = np.sqrt((block * block).sum(axis=2))
+        p_rows, g_rows = _block_rows(*out.shape, p.shape[1])
+        for i in range(0, p.shape[0], p_rows):
+            for j in range(0, g.shape[0], g_rows):
+                block = p[i:i + p_rows, None, :] - g[None, j:j + g_rows, :]
+                out[i:i + p_rows, j:j + g_rows] = np.sqrt((block * block).sum(axis=2))
         return out
     if metric == "cosine":
         pn = p / np.maximum(np.linalg.norm(p, axis=1, keepdims=True), 1e-12)
@@ -156,6 +171,43 @@ def rank1_simple(dist: np.ndarray, probe_labels, gallery_labels) -> float:
     gallery_labels = np.asarray(gallery_labels)
     nearest = dist.argmin(axis=1)
     return float(np.mean(gallery_labels[nearest] == probe_labels))
+
+
+def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
+                    metric: str = "euclidean") -> np.ndarray:
+    """Position in ``gallery_rows`` of each probe row's nearest gallery
+    row of ``embeddings``: the argmin of its row of
+    ``pairwise_distances``, lowest index on ties, taken over
+    ``_block_rows`` blocks of probes and gallery gathered one at a time,
+    so memory does not grow with P or G."""
+    if not len(gallery_rows):
+        raise DataError("empty gallery")
+    flat = flatten_embeddings(embeddings)
+    probe_rows, gallery_rows = np.asarray(probe_rows), np.asarray(gallery_rows)
+    p_rows, g_rows = _block_rows(len(probe_rows), len(gallery_rows), flat.shape[1])
+    nearest = np.empty(len(probe_rows), dtype=np.intp)
+    for i in range(0, len(probe_rows), p_rows):
+        probes = flat[probe_rows[i:i + p_rows]]
+        mins, at = [], []
+        for j in range(0, len(gallery_rows), g_rows):
+            dist = pairwise_distances(probes, flat[gallery_rows[j:j + g_rows]], metric)
+            mins.append(dist.min(axis=1))
+            at.append(dist.argmin(axis=1) + j)
+        # the first block holding a row's smallest distance (or its first
+        # NaN), which is where argmin over the whole row finds it
+        first = np.argmin(mins, axis=0)
+        nearest[i:i + p_rows] = np.array(at)[first, np.arange(len(first))]
+    return nearest
+
+
+def rank1(embeddings: np.ndarray, probes, gallery, metric: str = "euclidean") -> float:
+    """``rank1_simple`` of the probe and gallery ``SplitEntry`` lists'
+    distances, from ``nearest_gallery`` instead of the (P, G) matrix."""
+    nearest = nearest_gallery(embeddings, [e.index for e in probes],
+                              [e.index for e in gallery], metric)
+    gallery_labels = np.asarray([e.label for e in gallery])
+    return float(np.mean(gallery_labels[nearest]
+                         == np.asarray([e.label for e in probes])))
 
 
 def rank1_casiab(split: GalleryProbeSplit, embeddings: np.ndarray,
@@ -186,12 +238,7 @@ def rank1_casiab(split: GalleryProbeSplit, embeddings: np.ndarray,
                     result.warnings.append(
                         f"missing gallery view {gv} (probe view {pv}, {condition})")
                     continue
-                p_idx = [e.index for e in probes]
-                g_idx = [e.index for e in gals]
-                dist = pairwise_distances(embeddings[p_idx], embeddings[g_idx],
-                                          metric)
-                acc = rank1_simple(dist, [e.label for e in probes],
-                                   [e.label for e in gals])
+                acc = rank1(embeddings, probes, gals, metric)
                 accs.append(acc)
                 result.cells.append((condition, pv, gv, acc))
         result.accuracies[condition] = float(np.mean(accs)) if accs else float("nan")
@@ -204,15 +251,11 @@ def evaluate_split(split: GalleryProbeSplit, embeddings: np.ndarray,
     rank-1 over the whole gallery."""
     if split.protocol == "casiab":
         return rank1_casiab(split, embeddings, metric)
-    p_idx = [e.index for e in split.probe]
-    g_idx = [e.index for e in split.gallery]
-    if not g_idx:
+    if not split.gallery:
         raise DataError("empty gallery")
-    if not p_idx:
+    if not split.probe:
         raise DataError("empty probe set")
-    dist = pairwise_distances(embeddings[p_idx], embeddings[g_idx], metric)
-    acc = rank1_simple(dist, [e.label for e in split.probe],
-                       [e.label for e in split.gallery])
+    acc = rank1(embeddings, split.probe, split.gallery, metric)
     return EvalResult(protocol=split.protocol, accuracies={"all": acc})
 
 
@@ -233,10 +276,12 @@ def _parse_seq_index(seq_id: str):
 def build_split(sequences_with_roles, protocol: str) -> GalleryProbeSplit:
     """Assign gallery/probe membership per protocol.
 
-    simple / gait3d / grew / oumvlp trust (or derive from) manifest
-    roles; casiab derives membership from condition and sequence index:
-    the first four normal-walk sequences form the gallery, the rest are
-    probes.
+    simple / gait3d / grew trust (or derive from) manifest roles;
+    casiab derives membership from condition and sequence index (the
+    first four normal-walk sequences form the gallery, the rest are
+    probes), oumvlp from the sequence index alone (#01 gallery, #00
+    probe). Under these two a seq id without a sequence index is a
+    ``DataError``.
 
     A seq_id listed twice (so a sequence that is both probe and
     gallery, which would match itself at distance 0) is a ``DataError``.
@@ -249,16 +294,17 @@ def build_split(sequences_with_roles, protocol: str) -> GalleryProbeSplit:
         roles[seq.seq_id] = role
     entries = []
     for i, (seq, role) in enumerate(sequences_with_roles):
+        seq_index = _parse_seq_index(seq.seq_id)
+        if seq_index is None and protocol in ("casiab", "oumvlp"):
+            raise DataError(f"{protocol} protocol needs seq ids like "
+                            f"subject-COND-NN-view, got {seq.seq_id!r}")
         entries.append((SplitEntry(index=i, label=seq.subject, view=seq.view,
                                    condition=seq.condition,
-                                   seq_index=_parse_seq_index(seq.seq_id)), role))
+                                   seq_index=seq_index), role))
     if protocol == "casiab":
         gallery, probe = [], []
         g_cond, g_set = CASIAB_GALLERY
         for e, _role in entries:
-            if e.seq_index is None:
-                raise DataError(
-                    "casiab protocol needs seq ids like subject-COND-NN-view")
             if e.condition == g_cond and e.seq_index in g_set:
                 gallery.append(e)
             elif (e.condition in CASIAB_PROBE_SETS
@@ -296,9 +342,13 @@ def cross_domain_eval(checkpoint_path, sequences_with_roles, protocol: str,
     (``train.keep_freed_memory``), for the rest of the process, as
     ``train_loop`` does: a pass then reuses the pages the previous one
     freed. A steady-state pass over 42 sequences of 60 frames with the
-    toy network takes 0-8 minor page faults so, against 2,185 with
-    glibc's defaults, which unmap its 11 MB block outputs and trim the
-    heap after each pass.
+    toy network takes 0-20 minor page faults so, against about 16,600
+    with glibc's defaults, which hand the forward's 1.8 MB chunk arrays
+    back to the kernel. The forward runs in chunks of whole sequences
+    and rank-1 over bounded blocks of probes and gallery
+    (``nearest_gallery``), so a pass holds no array that grows with the
+    number of sequences but the sequences, their descriptors and the
+    embeddings.
     """
     keep_freed_memory()
     sequences = [s for s, _r in sequences_with_roles]

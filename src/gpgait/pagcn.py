@@ -19,6 +19,8 @@ body part (mean + max over joints, then max over frames), passed
 through one head per (branch, part) slot, and concatenated into the
 final embedding. Each slot keeps its own head parameters; a forward
 stacks them once and runs all slots, and their losses, as one batch.
+At inference the branches and pooling run over chunks of whole
+sequences and the heads once over all of them (``network_forward``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .autodiff import (Tensor, _stacked_adjacency, _tap_windows,
                        batch_norm_train, concat, graph_block, group_pool)
+from . import hot
 from .errors import ConfigError, DataError
 from .graph import (PARTITION_SCHEMES, PARTS5, V, PartitionScheme,
                     build_adjacency_subsets, build_partition_mask, mask_set)
@@ -475,6 +478,15 @@ def descriptor_inputs(cfg: NetworkConfig, joint, bone, angle) -> dict:
     return out
 
 
+def _sequence_chunks(n: int, t: int) -> list:
+    """(start, stop) rows of the chunks an inference forward runs N
+    sequences of T frames in: the fewest chunks of whole sequences of at
+    most ``hot.CHUNK_FRAMES`` frames, split evenly (their sizes differ by
+    at most one); a sequence longer than that is a chunk of its own."""
+    chunks = max(1, -(-n // max(1, hot.CHUNK_FRAMES // max(1, t))))
+    return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
+
+
 def network_forward(model: ModelParams, branch_inputs: dict,
                     training: bool = False) -> ForwardResult:
     """Full network: branches -> pooling -> per-part heads.
@@ -482,10 +494,17 @@ def network_forward(model: ModelParams, branch_inputs: dict,
     branch_inputs maps branch name to an (N, T, V, C) array or Tensor.
     Slot order is branch-major: all six parts of the first configured
     branch, then the next branch, and so on. Inference builds no graph,
-    even from a model whose parameters require gradients.
+    even from a model whose parameters require gradients, and runs the
+    branches and their pooling over chunks of whole sequences
+    (``_sequence_chunks``) into one (N, S, C) array, then the heads once
+    over all N. Blocks and pooling treat each sequence on its own, so
+    the embeddings are those of one unchunked pass while block outputs,
+    stacked adjacencies and pooling temporaries stay chunk-sized.
+    Training never chunks: its batch norms use the whole batch's
+    statistics.
     """
     cfg = model.config
-    pooled = []
+    inputs = []
     for bname in cfg.branches:
         x = branch_inputs[bname]
         if not isinstance(x, Tensor):
@@ -494,11 +513,21 @@ def network_forward(model: ModelParams, branch_inputs: dict,
         if x.shape[-1] != expect or x.shape[2] != V:
             raise DataError(
                 f"branch {bname!r} expects (N,T,{V},{expect}), got {x.shape}")
-        f_m = branch_forward(x, model.branches[bname], model.adjacency,
-                             model.masks, training)
-        pooled.append(part_pool(f_m))   # (N, P, C)
-    slots = concat(pooled, axis=1).transpose((1, 0, 2))  # (S, N, C)
-    metrics, logits = part_heads(slots, model.heads, training)
+        inputs.append(x)
+
+    def pooled(xs):   # (N, S, C) from one input per branch
+        return concat([part_pool(branch_forward(x, model.branches[bname],
+                                                model.adjacency, model.masks,
+                                                training))
+                       for bname, x in zip(cfg.branches, xs)], axis=1)
+
+    if training:
+        slots = pooled(inputs)
+    else:
+        slots = Tensor(np.concatenate([
+            pooled([Tensor(x.data[lo:hi]) for x in inputs]).data
+            for lo, hi in _sequence_chunks(*inputs[0].shape[:2])]))
+    metrics, logits = part_heads(slots.transpose((1, 0, 2)), model.heads, training)
     part_names = [f"{bname}/{pname}" for bname in cfg.branches
                   for pname in PART_ORDER]
     return ForwardResult(metrics=metrics, logits=logits, part_names=part_names)

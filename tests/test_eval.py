@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,81 @@ class TestRank1Simple:
             ev.rank1_simple(np.zeros((2, 0)), [0, 1], [])
 
 
+def _entries(labels, first_row=0):
+    return [ev.SplitEntry(index=first_row + i, label=label, view="000",
+                          condition="NM")
+            for i, label in enumerate(labels)]
+
+
+class TestRank1Blocks:
+    """``rank1`` and ``nearest_gallery`` give ``rank1_simple`` of
+    ``pairwise_distances`` over blocks of probes and gallery, so the
+    (P, G) matrix is never held."""
+
+    # gallery rows 1 and 4, and 2 and 5, are equal: probes on them tie
+    GALLERY = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [1.0, 0.0], [0.0, 1.0]]
+    PROBES = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [5.0, 5.0]]
+
+    # DISTANCE_BLOCK 1 and 3: one pair a block; 8: gallery blocks of
+    # rows 0-3 and 4-5, so ties span two blocks
+    @pytest.mark.parametrize("block", [1, 3, 8, 2_000_000])
+    def test_hand_ties_take_the_lowest_index(self, monkeypatch, block):
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", block)
+        emb = np.array(self.GALLERY + self.PROBES)
+        gallery = _entries("abcdef")
+        probes = _entries("bfad", first_row=6)
+        np.testing.assert_array_equal(
+            ev.nearest_gallery(emb, range(6, 10), range(6)), [1, 2, 0, 3])
+        dist = ev.pairwise_distances(emb[6:], emb[:6])
+        assert ev.rank1(emb, probes, gallery) == ev.rank1_simple(
+            dist, list("bfad"), list("abcdef")) == 0.75
+
+    @pytest.mark.parametrize("block", [1, 5, 12, 40, 2_000_000])
+    def test_random_ties_and_nan_match_argmin(self, monkeypatch, rng, block):
+        emb = rng.integers(0, 3, size=(70, 2, 3)).astype(float)
+        emb[[5, 33]] = np.nan            # two NaN gallery rows
+        probe_rows, gallery_rows = np.arange(40, 70), np.arange(40)
+        full = ev.pairwise_distances(emb[probe_rows], emb[gallery_rows])
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", block)
+        np.testing.assert_array_equal(
+            ev.pairwise_distances(emb[probe_rows], emb[gallery_rows]), full)
+        for rows in (gallery_rows, gallery_rows[:5], gallery_rows[6:]):
+            np.testing.assert_array_equal(
+                ev.nearest_gallery(emb, probe_rows, rows),
+                ev.pairwise_distances(emb[probe_rows], emb[rows]).argmin(axis=1))
+
+    def test_cosine_matches_full_matrix(self, monkeypatch, rng):
+        emb = rng.normal(size=(30, 4))
+        full = ev.pairwise_distances(emb[:10], emb[10:], "cosine").argmin(axis=1)
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", 12)
+        np.testing.assert_array_equal(
+            ev.nearest_gallery(emb, range(10), range(10, 30), "cosine"), full)
+
+    def test_empty_gallery(self):
+        with pytest.raises(DataError, match="empty gallery"):
+            ev.nearest_gallery(np.zeros((2, 3)), [0, 1], [])
+
+    def test_peak_flat_in_probes_and_gallery(self, monkeypatch, rng):
+        """Four times the probes or the gallery: the traced peak of
+        ``evaluate_split`` grows by no more than its per-entry label and
+        index arrays (32 KB), not by a (P, G) matrix or gathered copies
+        of the embeddings."""
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", 4096)
+        emb = rng.normal(size=(800, 16))
+        peaks = {}
+        for p, g in ((100, 100), (400, 100), (100, 400)):
+            split = ev.GalleryProbeSplit(
+                gallery=_entries(list(range(g)), first_row=400),
+                probe=_entries(list(range(p))), protocol="simple")
+            tracemalloc.start()
+            try:
+                ev.evaluate_split(split, emb)
+                peaks[p, g] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) - peaks[100, 100] <= 32 * 1024, peaks
+
+
 def _casiab_split_2x2():
     """Two identities, two views; gallery has both identities at both
     views, probes are NM sequences at both views."""
@@ -254,6 +330,17 @@ class TestBuildSplit:
         assert [e.seq_index for e in split.gallery] == [1]
         assert [e.seq_index for e in split.probe] == [0]
 
+    @pytest.mark.parametrize("protocol", ["oumvlp", "casiab"])
+    @pytest.mark.parametrize("seq_id", ["s2-00", "s2-NM-xx-000"])
+    def test_seq_id_without_index_rejected(self, protocol, seq_id):
+        """Such a sequence would fall out of both gallery and probe."""
+        specs = [("s1-NM-00-000", "s1", "NM", "000", "probe"),
+                 ("s1-NM-01-000", "s1", "NM", "000", "gallery"),
+                 (seq_id, "s2", "NM", "000", "probe")]
+        with pytest.raises(DataError, match=(rf"{protocol} protocol needs seq ids like "
+                                             rf"subject-COND-NN-view, got '{seq_id}'")):
+            ev.build_split(self._seqs(specs), protocol)
+
     def test_grew_two_and_two(self):
         specs = [(f"s1-NM-{i:02d}-000", "s1", "NM", "000", "gallery")
                  for i in range(4)]
@@ -345,10 +432,10 @@ for _ in range(6):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the allocator setting is glibc's")
 def test_steady_state_eval_pass_takes_no_page_faults(tmp_path):
-    """A pass reuses the memory the previous one freed (about 2,200
-    minor faults a pass at this size with glibc's defaults, which unmap
-    the block outputs and trim the heap after each pass). A fresh
-    process, so that no earlier test's training has set the allocator."""
+    """A pass reuses the memory the previous one freed (about 16,600
+    minor faults a pass at this size with glibc's defaults, which hand
+    the forward's chunk arrays back to the kernel). A fresh process, so
+    that no earlier test's training has set the allocator."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ev.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _EVAL_FAULTS, str(tmp_path)],

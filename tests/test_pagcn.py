@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import reference as ref
-from gpgait import pagcn
+from gpgait import hot, pagcn
 from gpgait.autodiff import Tensor
 from gpgait.checkpoint import load_container, save_container
-from gpgait.config import read_header
+from gpgait.config import build_run_config, read_header
 from gpgait.errors import ConfigError, DataError
 from gpgait.graph import PARTS5, build_adjacency_subsets, mask_set
 from gpgait.pagcn import (
@@ -828,6 +828,86 @@ class TestNetworkForward:
         inputs["angle"] = inputs["angle"][:, :, :16, :]
         with pytest.raises(DataError):
             network_forward(model, inputs)
+
+
+def _trained_like(preset: str):
+    """A preset's network with perturbed batch-norm parameters and
+    running statistics throughout, so inference folds something."""
+    model = init_model(build_run_config(preset=preset).network_config(num_classes=3),
+                       seed=4)
+    rng = np.random.default_rng(9)
+    for blocks in model.branches.values():
+        for block in blocks:
+            _perturbed_bn(rng, block.bn1)
+            _perturbed_bn(rng, block.bn2)
+    for head in model.heads:
+        _perturbed_bn(rng, head.bnn)
+    return model
+
+
+class TestInferenceChunks:
+    """An inference forward runs blocks and pooling over chunks of whole
+    sequences of at most ``hot.CHUNK_FRAMES`` frames and the heads once."""
+
+    N, T = 7, 6
+
+    def _inputs(self, n):
+        rng = np.random.default_rng(21)
+        return {"joint": rng.normal(size=(n, self.T, 17, 2)),
+                "angle": rng.normal(size=(n, self.T, 17, 1)),
+                "bone": rng.normal(size=(n, self.T, 17, 2))}
+
+    # frame budget -> the chunks of 7 sequences of 6 frames it gives
+    BUDGETS = {
+        "less_than_one_sequence": (5, [(i, i + 1) for i in range(7)]),
+        "one_sequence": (6, [(i, i + 1) for i in range(7)]),
+        "two_sequences": (12, [(0, 1), (1, 3), (3, 5), (5, 7)]),
+        "three_sequences": (18, [(0, 2), (2, 4), (4, 7)]),
+        "uneven_last_chunk": (30, [(0, 3), (3, 7)]),
+    }
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("preset", ["toy", "casiab"])
+    def test_embeddings_equal_unchunked(self, monkeypatch, preset, budget):
+        frames, chunks = self.BUDGETS[budget]
+        model = _trained_like(preset)
+        inputs = self._inputs(self.N)
+        monkeypatch.setattr(hot, "CHUNK_FRAMES", self.N * self.T)
+        whole = network_forward(model, inputs)
+        monkeypatch.setattr(hot, "CHUNK_FRAMES", frames)
+        assert pagcn._sequence_chunks(self.N, self.T) == chunks
+        chunked = network_forward(model, inputs)
+        np.testing.assert_array_equal(chunked.metrics.data, whole.metrics.data)
+        np.testing.assert_array_equal(chunked.logits.data, whole.logits.data)
+
+    def test_training_never_chunks(self, monkeypatch):
+        """Batch norm takes the whole batch's statistics in training."""
+        model = _trained_like("toy")
+        inputs = self._inputs(self.N)
+        monkeypatch.setattr(hot, "CHUNK_FRAMES", self.T)
+        chunked = network_forward(copy.deepcopy(model), inputs, training=True)
+        monkeypatch.setattr(hot, "CHUNK_FRAMES", self.N * self.T)
+        whole = network_forward(model, inputs, training=True)
+        np.testing.assert_array_equal(chunked.metrics.data, whole.metrics.data)
+
+    def test_peak_grows_only_with_the_inputs(self, monkeypatch):
+        """With chunks of 4 sequences, 16 sequences peak no higher than
+        4 do plus the 12 extra sequences' input bytes and 64 KB: block
+        outputs, stacked adjacencies and pooling temporaries stay
+        chunk-sized."""
+        model = _trained_like("toy")
+        monkeypatch.setattr(hot, "CHUNK_FRAMES", 4 * self.T)
+        peaks, input_bytes = [], []
+        for n in (4, 16):
+            inputs = self._inputs(n)
+            input_bytes.append(sum(a.nbytes for a in inputs.values()))
+            tracemalloc.start()
+            try:
+                network_forward(model, inputs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= input_bytes[1] - input_bytes[0] + 64 * 1024, peaks
 
 
 class TestBatchNormStats:
