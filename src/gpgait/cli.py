@@ -18,13 +18,14 @@ from . import eval as eval_mod
 from . import pose_io, synth
 from .config import METRICS, PROTOCOLS, build_run_config
 from .errors import ConfigError, DataError, GpgaitError
+from .hot import unify_sequences
 from .pagcn import with_masks
 from .train import TrainSet, restore_training_state, sampler_rng, train_loop
 
 
 def _unify(sequences, run_cfg, _threads=None):
     # _threads: the worker-thread count perfbench/worker.py still passes; ignored
-    return eval_mod.unify_for_eval(sequences, run_cfg.hot_config())
+    return unify_sequences(sequences, run_cfg.hot_config())
 
 
 def _load_with_roles(manifest_path):
@@ -120,7 +121,6 @@ def cmd_train(args) -> int:
     header = dict(run_cfg.echo(), manifest=os.path.abspath(args.manifest))
     _model, final = train_loop(train_set, net_cfg, run_cfg.train_config(), args.out,
                                run_config=header, model=model, state=state,
-                               start_iteration=state.step if state else 0,
                                sampler_state=sampler_state,
                                log_fn=print if args.verbose else None)
     print(f"checkpoint: {final}")

@@ -79,15 +79,6 @@ def load_checkpoint(path):
     return run_cfg, model, header, tensors
 
 
-def unify_for_eval(sequences, hot_cfg: hot_mod.HotConfig):
-    """Normalize as ``hot_cfg`` says: a checkpoint's settings, or a fresh
-    run's. Every command normalizes through here, HOT over chunks of
-    whole sequences (``hot.unify_sequences``)."""
-    if not hot_cfg.use_hot:
-        return [hot_mod.passthrough(s) for s in sequences]
-    return hot_mod.unify_sequences(sequences, hot_cfg)
-
-
 def embed_unified(model, unified_sequences) -> np.ndarray:
     """(S, num_parts, D) metric features, inference mode.
 
@@ -117,7 +108,7 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
 def embed_dataset(sequences, checkpoint_path) -> np.ndarray:
     """Raw sequences -> embeddings via the checkpoint's own pipeline."""
     run_cfg, model = load_checkpoint(checkpoint_path)[:2]
-    return embed_unified(model, unify_for_eval(sequences, run_cfg.hot_config()))
+    return embed_unified(model, hot_mod.unify_sequences(sequences, run_cfg.hot_config()))
 
 
 # -- distances and rank-1 ----------------------------------------------
@@ -139,7 +130,9 @@ def _block_rows(p: int, g: int, d: int) -> tuple:
 
 def pairwise_distances(probe: np.ndarray, gallery: np.ndarray,
                        metric: str = "euclidean") -> np.ndarray:
-    """(P, G) distance matrix over flattened part features."""
+    """(P, G) distance matrix over flattened part features, in one
+    block: the caller bounds P x G x D (``nearest_gallery`` passes
+    ``_block_rows`` blocks)."""
     p = flatten_embeddings(probe) if probe.ndim == 3 else probe
     g = flatten_embeddings(gallery) if gallery.ndim == 3 else gallery
     if p.shape[1] != g.shape[1]:
@@ -147,30 +140,14 @@ def pairwise_distances(probe: np.ndarray, gallery: np.ndarray,
             f"embedding layouts differ: {p.shape[1]} vs {g.shape[1]}")
     if metric == "euclidean":
         # direct differences: exact zeros for identical rows, no
-        # catastrophic cancellation; over blocks to bound memory
-        out = np.empty((p.shape[0], g.shape[0]))
-        p_rows, g_rows = _block_rows(*out.shape, p.shape[1])
-        for i in range(0, p.shape[0], p_rows):
-            for j in range(0, g.shape[0], g_rows):
-                block = p[i:i + p_rows, None, :] - g[None, j:j + g_rows, :]
-                out[i:i + p_rows, j:j + g_rows] = np.sqrt((block * block).sum(axis=2))
-        return out
+        # catastrophic cancellation
+        diff = p[:, None, :] - g[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=2))
     if metric == "cosine":
         pn = p / np.maximum(np.linalg.norm(p, axis=1, keepdims=True), 1e-12)
         gn = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-12)
         return 1.0 - pn @ gn.T
     raise DataError(f"unknown distance metric {metric!r}")
-
-
-def rank1_simple(dist: np.ndarray, probe_labels, gallery_labels) -> float:
-    """Fraction of probes whose nearest gallery entry shares their
-    label; ties break toward the lowest gallery index."""
-    if dist.shape[1] == 0:
-        raise DataError("empty gallery")
-    probe_labels = np.asarray(probe_labels)
-    gallery_labels = np.asarray(gallery_labels)
-    nearest = dist.argmin(axis=1)
-    return float(np.mean(gallery_labels[nearest] == probe_labels))
 
 
 def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
@@ -201,8 +178,8 @@ def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
 
 
 def rank1(embeddings: np.ndarray, probes, gallery, metric: str = "euclidean") -> float:
-    """``rank1_simple`` of the probe and gallery ``SplitEntry`` lists'
-    distances, from ``nearest_gallery`` instead of the (P, G) matrix."""
+    """Fraction of the probe ``SplitEntry`` list whose nearest gallery
+    entry (``nearest_gallery``, lowest index on ties) shares its label."""
     nearest = nearest_gallery(embeddings, [e.index for e in probes],
                               [e.index for e in gallery], metric)
     gallery_labels = np.asarray([e.label for e in gallery])

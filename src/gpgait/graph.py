@@ -77,13 +77,6 @@ PARTITION_SCHEMES = {
 
 
 @dataclass(frozen=True)
-class SkeletonTopology:
-    num_joints: int = V
-    edges: tuple = EDGES
-    parent: tuple = PARENT
-
-
-@dataclass(frozen=True)
 class PartitionScheme:
     name: str
     groups: tuple
@@ -128,20 +121,17 @@ def _column_normalize(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_adjacency_subsets(topology: SkeletonTopology = None) -> np.ndarray:
-    """(3, 17, 17) stack: self-loops, centripetal, centrifugal; each
-    column-normalized. Before normalization the subsets sum to
-    identity + symmetric adjacency."""
-    if topology is None:
-        topology = SkeletonTopology()
-    n = topology.num_joints
+def build_adjacency_subsets() -> np.ndarray:
+    """(3, 17, 17) stack over the ``EDGES`` skeleton: self-loops,
+    centripetal, centrifugal; each column-normalized. Before
+    normalization the subsets sum to identity + symmetric adjacency."""
     barycenter = CANONICAL_POSE.mean(axis=0)
     dist = np.linalg.norm(CANONICAL_POSE - barycenter, axis=1)
 
-    identity = np.eye(n)
-    centripetal = np.zeros((n, n))
-    centrifugal = np.zeros((n, n))
-    for a, b in topology.edges:
+    identity = np.eye(V)
+    centripetal = np.zeros((V, V))
+    centrifugal = np.zeros((V, V))
+    for a, b in EDGES:
         for u, v in ((a, b), (b, a)):
             # entry (v, u): contribution of neighbor v to node u
             if dist[v] <= dist[u]:

@@ -8,7 +8,7 @@ vertical extent, and finally all joints are expressed relative to the
 (recomputed) neck so the unified origin sits exactly at the neck.
 Degenerate frames are dropped and the indices of the kept ones returned.
 Since frames are independent, commands normalize whole chunks of
-sequences in one such pass (``unify_sequences``).
+sequences in one such pass (``unify_sequences``), HOT on or off.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ CHUNK_FRAMES = 512
 @dataclass(frozen=True)
 class HotConfig:
     """How every command normalizes poses: the ``hot.*`` settings."""
-    use_hot: bool = True  # False: raw coordinates (``passthrough``)
+    use_hot: bool = True  # False: raw coordinates, non-finite frames dropped
     h_unif: float = DEFAULT_HEIGHT
     phi: float = DEFAULT_SLANT_THRESHOLD
 
@@ -81,11 +81,14 @@ def unify_frames(coords: np.ndarray, cfg: HotConfig):
     midpoint subtraction cannot guarantee.
 
     Dropped: frames with a non-finite coordinate, a horizontal spine
-    (dy == 0 != dx), or a vertical extent below epsilon_extent.
+    (dy == 0 != dx), or a vertical extent below epsilon_extent. Without
+    ``use_hot`` only the first are dropped, the rest returned as given.
     """
     coords = np.asarray(coords, dtype=np.float64)
     kept = np.flatnonzero(np.isfinite(coords).all(axis=(1, 2)))
     coords = coords[kept]
+    if not cfg.use_hot:
+        return coords, kept.tolist()
     neck = (coords[:, L_SHOULDER] + coords[:, R_SHOULDER]) / 2.0
     hip = (coords[:, L_HIP] + coords[:, R_HIP]) / 2.0
     dx = neck[:, 0] - hip[:, 0]
@@ -122,7 +125,8 @@ def apply_hot(seq: PoseSequence, cfg: HotConfig = None) -> UnifiedPoseSequence:
 def unify_sequences(sequences, cfg: HotConfig) -> list:
     """``apply_hot`` of each sequence, in order, through one
     ``unify_frames`` call per chunk of whole sequences of at most
-    CHUNK_FRAMES frames (a longer sequence is a chunk of its own).
+    CHUNK_FRAMES frames (a longer sequence is a chunk of its own). Every
+    command normalizes through here, with ``cfg.use_hot`` on or off.
     ``unify_frames`` treats every frame on its own, so each sequence's
     frames and kept indices are those of its own call, and the first
     sequence with no frame left raises ``EmptySequenceError``."""
@@ -159,25 +163,3 @@ def _unify_chunk(sequences, cfg: HotConfig) -> list:
             kept_frame_indices=(kept[lo:hi] - start).tolist(),
         ))
     return out
-
-
-def passthrough(seq: PoseSequence) -> UnifiedPoseSequence:
-    """Raw coordinates without normalization (ablation path).
-
-    Frames with a non-finite coordinate are dropped, as ``unify_frames``
-    drops them, so one missing coordinate cannot turn the sequence's
-    whole embedding into NaN.
-    """
-    coords = seq.coords()
-    kept = np.flatnonzero(np.isfinite(coords).all(axis=(1, 2)))
-    if not kept.size:
-        raise EmptySequenceError(
-            f"sequence {seq.seq_id}: every frame has a non-finite coordinate")
-    return UnifiedPoseSequence(
-        seq_id=seq.seq_id,
-        subject=seq.subject,
-        condition=seq.condition,
-        view=seq.view,
-        frames=coords[kept],
-        kept_frame_indices=kept.tolist(),
-    )

@@ -74,10 +74,6 @@ class PoseSequence:
     def num_frames(self) -> int:
         return int(self.frames.shape[0])
 
-    def coords(self) -> np.ndarray:
-        """(T, 17, 2) float array of x, y (a copy)."""
-        return self.frames[..., :2].copy()
-
 
 @dataclass
 class DatasetManifest:

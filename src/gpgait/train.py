@@ -419,14 +419,15 @@ def keep_freed_memory():
 def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                train_cfg: TrainConfig, out_dir, run_config: dict = None,
                model: ModelParams = None, state: OptimizerState = None,
-               start_iteration: int = 0, log_fn=None, sampler_state: dict = None):
+               log_fn=None, sampler_state: dict = None):
     """Full optimization: sample -> augment -> forward -> loss ->
     backward -> adam, with periodic checkpoints and a metrics log.
 
     The batch sampler starts from ``seed + 1`` unless ``sampler_state``
     (a bit-generator state, as every checkpoint header stores it under
     ``sampler_state``) is given, so a resumed run draws the batches an
-    uninterrupted run would draw.
+    uninterrupted run would draw. The loop starts at ``state.step``: 0
+    for a fresh ``OptimizerState``, the saved step for a resumed one.
 
     It first sets the allocator to keep freed memory
     (``keep_freed_memory``), for the rest of the process.
@@ -461,7 +462,7 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
     final_path = os.path.join(out_dir, "final.gpgw")
     last_good = None
     with open(log_path, "a", encoding="utf-8") as log:
-        for it in range(start_iteration, train_cfg.iterations):
+        for it in range(state.step, train_cfg.iterations):
             lr = one_cycle_lr(it, train_cfg.iterations, train_cfg.lr_init,
                               train_cfg.lr_max, train_cfg.lr_final,
                               train_cfg.phase_fractions)

@@ -10,7 +10,7 @@ import pytest
 
 from gpgait import cli
 from gpgait import eval as eval_mod
-from gpgait import pose_io
+from gpgait import hot, pose_io
 from gpgait import train as tr
 from gpgait.checkpoint import load_container, save_container
 from gpgait.cli import build_parser, main
@@ -883,7 +883,8 @@ class TestConfig:
         # from the last iteration on, the loop only writes final.gpgw
         _model, final = tr.train_loop(
             tr.TrainSet.build([]), net_cfg, train_cfg, tmp_path,
-            run_config=run_cfg.echo(), start_iteration=train_cfg.iterations)
+            run_config=run_cfg.echo(),
+            state=tr.OptimizerState(step=train_cfg.iterations))
         got, got_net = read_header(load_container(final)[0], final)
         assert got == run_cfg
         assert got_net == net_cfg
@@ -1041,7 +1042,7 @@ class TestParser:
         _manifest, with_roles = cli._load_with_roles(toy_data)
         seqs = [s for s, _r in with_roles]
         got = cli._unify(seqs, run_cfg, 1)
-        want = eval_mod.unify_for_eval(seqs, run_cfg.hot_config())
+        want = hot.unify_sequences(seqs, run_cfg.hot_config())
         assert len(got) == len(want) == len(seqs)
         for g, w in zip(got, want):
             assert g.frames.tobytes() == w.frames.tobytes()

@@ -11,7 +11,7 @@ import pytest
 import reference as ref
 from gpgait import eval as ev
 from gpgait.errors import DataError
-from gpgait.hot import HotConfig, apply_hot
+from gpgait.hot import HotConfig, apply_hot, unify_sequences
 from gpgait.pagcn import NetworkConfig, init_model
 from gpgait.synth import CameraSpec, generate_sequence, make_identities
 
@@ -35,6 +35,21 @@ def unified_sequences(n_ids=3, seqs=2, frames=8, seed=5, jitter=0.4):
     return out
 
 
+def _splits(items, smallest):
+    """Every split of ``items`` into groups of at least ``smallest``."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for mask in range(1 << len(rest)):
+        group = [first] + [x for k, x in enumerate(rest) if mask >> k & 1]
+        if len(group) < smallest:
+            continue
+        others = [x for k, x in enumerate(rest) if not mask >> k & 1]
+        for tail in _splits(others, smallest):
+            yield [group] + tail
+
+
 class TestEmbed:
     def test_duplicate_identical(self):
         model = tiny_model()
@@ -43,11 +58,24 @@ class TestEmbed:
         np.testing.assert_array_equal(emb[0], emb[-1])
 
     def test_batch_partition_invariance(self):
+        """Every split of the sequences into groups of two or more, each
+        group in either order, embeds bit-identically to one call. One
+        sequence alone differs by rounding only (measured 1.4e-14): its
+        heads' one-row products take BLAS's matrix-vector path."""
         model = tiny_model()
         useqs = unified_sequences(n_ids=3, seqs=2)
         batched = ev.embed_unified(model, useqs)
+        splits = list(_splits(list(range(len(useqs))), smallest=2))
+        assert len(splits) == 41
+        for groups in splits:
+            for order in (1, -1):
+                got = np.empty_like(batched)
+                for group in groups:
+                    group = group[::order]
+                    got[group] = ev.embed_unified(model, [useqs[i] for i in group])
+                np.testing.assert_array_equal(got, batched, err_msg=str(groups))
         single = np.stack([ev.embed_unified(model, [u])[0] for u in useqs])
-        np.testing.assert_allclose(batched, single, atol=1e-6)
+        np.testing.assert_allclose(single, batched, rtol=0, atol=1e-12)
 
     def test_passthrough_drops_non_finite_frames(self):
         """Without HOT a NaN coordinate drops its frame instead of making
@@ -60,10 +88,10 @@ class TestEmbed:
         clean.frames = np.delete(clean.frames, 3, axis=0)
         seq.frames[3, 0, 0] = np.nan
         raw = HotConfig(use_hot=False)
-        emb = ev.embed_unified(model, ev.unify_for_eval([seq], raw))
+        emb = ev.embed_unified(model, unify_sequences([seq], raw))
         assert np.isfinite(emb).all()
         np.testing.assert_array_equal(
-            emb, ev.embed_unified(model, ev.unify_for_eval([clean], raw)))
+            emb, ev.embed_unified(model, unify_sequences([clean], raw)))
 
     def test_tiny_sequence(self):
         model = tiny_model()
@@ -113,54 +141,62 @@ class TestDistances:
         np.testing.assert_allclose(d2, d[np.ix_(pp, gp)], atol=1e-12)
 
 
-class TestRank1Simple:
-    def test_hand_case_two_thirds(self):
-        dist = np.array([
-            [0.1, 0.9, 0.9],
-            [0.9, 0.1, 0.9],
-            [0.9, 0.2, 0.9],
-        ])
-        acc = ev.rank1_simple(dist, ["a", "b", "c"], ["a", "b", "c"])
-        assert acc == pytest.approx(2.0 / 3.0)
-        assert acc == pytest.approx(
-            ref.ref_rank1(dist, ["a", "b", "c"], ["a", "b", "c"]))
-
-    def test_exact_gallery_match(self, rng):
-        emb = rng.normal(size=(5, 6))
-        d = ev.pairwise_distances(emb, emb)
-        assert ev.rank1_simple(d, list(range(5)), list(range(5))) == 1.0
-
-    def test_single_wrong(self):
-        assert ev.rank1_simple(np.array([[1.0]]), ["a"], ["b"]) == 0.0
-
-    def test_brute_force_up_to_50(self, rng):
-        for _ in range(20):
-            p = int(rng.integers(1, 51))
-            g = int(rng.integers(1, 51))
-            dist = rng.random(size=(p, g))
-            pl = rng.integers(0, 5, size=p)
-            gl = rng.integers(0, 5, size=g)
-            assert ev.rank1_simple(dist, pl, gl) == pytest.approx(
-                ref.ref_rank1(dist, pl, gl))
-
-    def test_tie_breaks_lowest_index(self):
-        dist = np.array([[0.5, 0.5]])
-        assert ev.rank1_simple(dist, ["x"], ["x", "y"]) == 1.0
-        assert ev.rank1_simple(dist, ["x"], ["y", "x"]) == 0.0
-
-    def test_empty_gallery(self):
-        with pytest.raises(DataError):
-            ev.rank1_simple(np.zeros((2, 0)), [0, 1], [])
-
-
 def _entries(labels, first_row=0):
     return [ev.SplitEntry(index=first_row + i, label=label, view="000",
                           condition="NM")
             for i, label in enumerate(labels)]
 
 
+def _rank1(probe, gallery, probe_labels, gallery_labels):
+    """``ev.rank1`` of probe and gallery embeddings (gallery rows
+    first), checked against the scalar oracle on their distances."""
+    emb = np.concatenate([gallery, probe])
+    acc = ev.rank1(emb, _entries(probe_labels, first_row=len(gallery)),
+                   _entries(gallery_labels))
+    assert acc == ref.ref_rank1(ref.ref_pairwise_distances(probe, gallery),
+                                list(probe_labels), list(gallery_labels))
+    return acc
+
+
+class TestRank1Simple:
+    """Rank-1 over one whole gallery, as the ``simple`` protocol takes it."""
+
+    def test_hand_case_two_thirds(self):
+        gallery = np.array([[0.0], [10.0], [20.0]])
+        probe = np.array([[0.1], [10.1], [10.2]])   # the last one nearest "b"
+        assert _rank1(probe, gallery, "abc", "abc") == pytest.approx(2.0 / 3.0)
+
+    def test_exact_gallery_match(self, rng):
+        emb = rng.normal(size=(5, 6))
+        entries = _entries(range(5))
+        assert ev.rank1(emb, entries, entries) == 1.0
+
+    def test_single_wrong(self):
+        assert _rank1(np.array([[1.0]]), np.array([[0.0]]), "a", "b") == 0.0
+
+    def test_brute_force_up_to_50(self, monkeypatch, rng):
+        """Small integer features: many ties, all exact; blocks of one
+        pair, of a few rows, and the whole matrix."""
+        for _ in range(20):
+            monkeypatch.setattr(ev, "DISTANCE_BLOCK", int(rng.choice([3, 20, 2_000_000])))
+            p = int(rng.integers(1, 51))
+            g = int(rng.integers(1, 51))
+            _rank1(rng.integers(0, 3, size=(p, 3)).astype(float),
+                   rng.integers(0, 3, size=(g, 3)).astype(float),
+                   rng.integers(0, 5, size=p), rng.integers(0, 5, size=g))
+
+    def test_tie_breaks_lowest_index(self):
+        probe, gallery = np.array([[0.0]]), np.array([[-0.5], [0.5]])
+        assert _rank1(probe, gallery, "x", "xy") == 1.0
+        assert _rank1(probe, gallery, "x", "yx") == 0.0
+
+    def test_empty_gallery(self):
+        with pytest.raises(DataError, match="empty gallery"):
+            ev.rank1(np.zeros((2, 3)), _entries("ab"), [])
+
+
 class TestRank1Blocks:
-    """``rank1`` and ``nearest_gallery`` give ``rank1_simple`` of
+    """``rank1`` and ``nearest_gallery`` take the argmin of each row of
     ``pairwise_distances`` over blocks of probes and gallery, so the
     (P, G) matrix is never held."""
 
@@ -179,7 +215,7 @@ class TestRank1Blocks:
         np.testing.assert_array_equal(
             ev.nearest_gallery(emb, range(6, 10), range(6)), [1, 2, 0, 3])
         dist = ev.pairwise_distances(emb[6:], emb[:6])
-        assert ev.rank1(emb, probes, gallery) == ev.rank1_simple(
+        assert ev.rank1(emb, probes, gallery) == ref.ref_rank1(
             dist, list("bfad"), list("abcdef")) == 0.75
 
     @pytest.mark.parametrize("block", [1, 5, 12, 40, 2_000_000])
@@ -187,10 +223,7 @@ class TestRank1Blocks:
         emb = rng.integers(0, 3, size=(70, 2, 3)).astype(float)
         emb[[5, 33]] = np.nan            # two NaN gallery rows
         probe_rows, gallery_rows = np.arange(40, 70), np.arange(40)
-        full = ev.pairwise_distances(emb[probe_rows], emb[gallery_rows])
         monkeypatch.setattr(ev, "DISTANCE_BLOCK", block)
-        np.testing.assert_array_equal(
-            ev.pairwise_distances(emb[probe_rows], emb[gallery_rows]), full)
         for rows in (gallery_rows, gallery_rows[:5], gallery_rows[6:]):
             np.testing.assert_array_equal(
                 ev.nearest_gallery(emb, probe_rows, rows),

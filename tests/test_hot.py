@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import reference as ref
-from gpgait import eval as eval_mod
 from gpgait import hot
 from gpgait.errors import ConfigError, EmptySequenceError
 
@@ -238,10 +237,15 @@ class TestApplyHot:
             assert abs(extent - cfg.h_unif) <= 1e-9 * cfg.h_unif
 
 
+RAW = hot.HotConfig(use_hot=False)
+
+
 class TestPassthrough:
+    """HOT off: raw coordinates through the same chunked pass."""
+
     def test_keeps_raw_finite_frames(self):
         frames = [walker_frame(p) for p in (0.2, 0.7, 1.1)]
-        out = hot.passthrough(sequence_from_coords(frames))
+        out, = hot.unify_sequences([sequence_from_coords(frames)], RAW)
         np.testing.assert_array_equal(out.frames, np.stack(frames))
         assert out.kept_frame_indices == [0, 1, 2]
 
@@ -251,15 +255,21 @@ class TestPassthrough:
         frames = [walker_frame(p) for p in (0.2, 0.7, 1.1, 1.6)]
         frames[1][3, 0] = bad
         frames[3][16, 1] = bad
-        out = hot.passthrough(sequence_from_coords(frames))
+        out, = hot.unify_sequences([sequence_from_coords(frames)], RAW)
         np.testing.assert_array_equal(out.frames, np.stack([frames[0], frames[2]]))
         assert out.kept_frame_indices == [0, 2]
 
     def test_no_finite_frame_is_empty_sequence(self):
+        """Named as HOT names it; only the non-finite frames go."""
         frame = walker_frame(0.3)
         frame[0, 0] = math.nan
-        with pytest.raises(EmptySequenceError, match="non-finite"):
-            hot.passthrough(sequence_from_coords([frame, frame]))
+        flat = walker_frame(0.3)
+        flat[:, 1] = 7.0                  # HOT would drop it too
+        seqs = [sequence_from_coords([flat], seq_id="s0"),
+                sequence_from_coords([frame, frame], seq_id="s1")]
+        with pytest.raises(EmptySequenceError,
+                           match="^sequence s1: every frame degenerate$"):
+            hot.unify_sequences(seqs, RAW)
 
 
 def degenerate_frames():
@@ -313,9 +323,9 @@ def test_out_of_range_setting_named_by_key(setting, value):
 
 
 class TestChunks:
-    """``eval.unify_for_eval`` runs HOT over chunks of whole sequences
-    (``hot.unify_sequences``); each sequence comes out as from a
-    ``unify_frames`` call of its own."""
+    """``hot.unify_sequences`` runs HOT, on or off, over chunks of whole
+    sequences; each sequence comes out as from a ``unify_frames`` call
+    of its own."""
 
     @staticmethod
     def sequences(rng, lengths, degenerate=()):
@@ -331,12 +341,6 @@ class TestChunks:
         return seqs
 
     def test_equal_to_one_call_per_sequence(self, rng, monkeypatch):
-        calls = []
-
-        def counted(coords, cfg):
-            calls.append(len(coords))
-            return unify_frames(coords, cfg)
-
         unify_frames = hot.unify_frames
         monkeypatch.setattr(hot, "CHUNK_FRAMES", 40)
         lengths = [15, 20, 1, 30, 12, 55, 3, 9, 25, 17, 40, 8]
@@ -344,24 +348,32 @@ class TestChunks:
         # boundary, and a sequence longer than a chunk
         seqs = self.sequences(rng, lengths, {
             0: (0,), 1: (19,), 3: (0, 29), 5: (0, 1, 54), 8: (24,), 11: (0, 7)})
-        cfg = hot.HotConfig()
-        monkeypatch.setattr(hot, "unify_frames", counted)
-        got = eval_mod.unify_for_eval(seqs, cfg)
-        assert calls == [36, 30, 12, 55, 37, 17, 40, 8]
-        monkeypatch.setattr(hot, "unify_frames", unify_frames)
-        assert len(got) == len(seqs)
-        for seq, u in zip(seqs, got):
-            frames, kept = unify_frames(seq.frames[..., :2], cfg)
-            assert (u.seq_id, u.subject, u.condition, u.view) == (
-                seq.seq_id, seq.subject, seq.condition, seq.view)
-            assert u.kept_frame_indices == kept
-            assert u.frames.shape == frames.shape
-            assert u.frames.tobytes() == frames.tobytes()
-            one = hot.apply_hot(seq, cfg)
-            assert one.kept_frame_indices == kept
-            assert one.frames.tobytes() == frames.tobytes()
-        assert [len(u.kept_frame_indices) for u in got] == [
-            14, 19, 1, 28, 12, 52, 3, 9, 24, 17, 40, 6]
+        # HOT off drops only the NaN and inf frames: not 5's horizontal one
+        for cfg, counts in (
+                (hot.HotConfig(), [14, 19, 1, 28, 12, 52, 3, 9, 24, 17, 40, 6]),
+                (RAW, [14, 19, 1, 28, 12, 53, 3, 9, 24, 17, 40, 6])):
+            calls = []
+
+            def counted(coords, cfg):
+                calls.append(len(coords))
+                return unify_frames(coords, cfg)
+
+            monkeypatch.setattr(hot, "unify_frames", counted)
+            got = hot.unify_sequences(seqs, cfg)
+            assert calls == [36, 30, 12, 55, 37, 17, 40, 8]
+            monkeypatch.setattr(hot, "unify_frames", unify_frames)
+            assert len(got) == len(seqs)
+            for seq, u in zip(seqs, got):
+                frames, kept = unify_frames(seq.frames[..., :2], cfg)
+                assert (u.seq_id, u.subject, u.condition, u.view) == (
+                    seq.seq_id, seq.subject, seq.condition, seq.view)
+                assert u.kept_frame_indices == kept
+                assert u.frames.shape == frames.shape
+                assert u.frames.tobytes() == frames.tobytes()
+                one = hot.apply_hot(seq, cfg)
+                assert one.kept_frame_indices == kept
+                assert one.frames.tobytes() == frames.tobytes()
+            assert [len(u.kept_frame_indices) for u in got] == counts
 
     @pytest.mark.parametrize("empty", [[2], [2, 4], [5], [5, 1]])
     def test_first_empty_sequence_raises(self, rng, monkeypatch, empty):
@@ -374,7 +386,7 @@ class TestChunks:
         first = f"s{min(empty)}"
         with pytest.raises(EmptySequenceError,
                            match=f"^sequence {first}: every frame degenerate$"):
-            eval_mod.unify_for_eval(seqs, hot.HotConfig())
+            hot.unify_sequences(seqs, hot.HotConfig())
         with pytest.raises(EmptySequenceError,
                            match=f"^sequence {first}: every frame degenerate$"):
             for seq in seqs:

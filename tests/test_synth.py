@@ -12,7 +12,7 @@ class TestGenerateSequence:
         seq = synth.generate_sequence(ident, synth.CameraSpec(), 12, seed=4)
         assert seq.num_frames == 12
         # spine exactly vertical in every frame
-        for coords in seq.coords():
+        for coords in seq.frames[..., :2]:
             neck_x = (coords[5, 0] + coords[6, 0]) / 2.0
             hip_x = (coords[11, 0] + coords[12, 0]) / 2.0
             assert neck_x == pytest.approx(hip_x, abs=1e-12)
@@ -22,7 +22,7 @@ class TestGenerateSequence:
         cam = synth.CameraSpec(jitter_sigma=1.0)
         a = synth.generate_sequence(ident, cam, 10, seed=7)
         b = synth.generate_sequence(ident, cam, 10, seed=7)
-        np.testing.assert_array_equal(a.coords(), b.coords())
+        np.testing.assert_array_equal(a.frames, b.frames)
 
     def test_camera_invariance_chain(self):
         """Similarity-only cameras (no jitter) produce identical unified

@@ -428,8 +428,7 @@ class TestTrainLoop:
         assert state.step == 4
         cfg2 = tiny_train_cfg(iterations=6)
         _, final2 = tr.train_loop(ts, tiny_net_cfg(ts.num_classes), cfg2,
-                                  tmp_path / "r2", model=model2, state=state,
-                                  start_iteration=state.step)
+                                  tmp_path / "r2", model=model2, state=state)
         _, t2 = load_container(final2)
         assert int(t2["train/step"][0]) == 6
 
