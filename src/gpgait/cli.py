@@ -9,17 +9,16 @@ accepts only the flags it reads. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-
-import numpy as np
 
 from . import eval as eval_mod
 from . import pose_io, synth
 from .config import METRICS, PROTOCOLS, build_run_config
-from .errors import ConfigError, DataError, GpgaitError
+from .errors import ConfigError, DataError, EmptySequenceError, GpgaitError
+from .graph import mask_set
 from .hot import unify_sequences
-from .pagcn import with_masks
 from .train import TrainSet, restore_training_state, sampler_rng, train_loop
 
 
@@ -67,19 +66,26 @@ def cmd_preprocess(args) -> int:
     sequences = [s for s, _r in with_roles]
     os.makedirs(args.out, exist_ok=True)
 
-    # validation lines go out before normalization, which fails on a
-    # sequence with no usable frame: they are what explains the failure
+    # every sequence is normalized on its own, so the report lists the
+    # frames HOT drops from each, those of a sequence left with no frame
+    # too, before the first such sequence fails the command
+    failure = None
     with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
         for seq in sequences:
             for issue in pose_io.validate_sequence(seq).issues:
                 fh.write(f"{seq.seq_id}\tframe {issue.frame_index}\t{issue.kind}"
                          f"\t{issue.detail}\n")
-        unified = _unify(sequences, run_cfg)
-        for seq, u in zip(sequences, unified):
-            dropped = sorted(set(range(seq.num_frames)) - set(u.kept_frame_indices))
+        for seq in sequences:
+            try:
+                kept = _unify([seq], run_cfg)[0].kept_frame_indices
+            except EmptySequenceError as e:
+                kept, failure = [], failure or e
+            dropped = sorted(set(range(seq.num_frames)) - set(kept))
             if dropped:
                 fh.write(f"{seq.seq_id}\tdropped_frames\t{dropped}\n")
-    print(f"preprocessed {len(unified)} sequences -> {args.out}")
+    if failure:
+        raise failure
+    print(f"preprocessed {len(sequences)} sequences -> {args.out}")
     return 0
 
 
@@ -155,8 +161,8 @@ def cmd_inspect(args) -> int:
     eval_mod.heatmap_dump(model, unified, args.out)
     print(f"heatmap: {args.out}")
     if args.compare_unmasked:
-        ones = {name: np.ones_like(m) for name, m in model.masks.items()}
-        unmasked = with_masks(model, ones)
+        unmasked = dataclasses.replace(
+            model, masks=mask_set(model.config.partition_overrides, False))
         alt = args.out + ".unmasked"
         eval_mod.heatmap_dump(unmasked, unified, alt)
         print(f"heatmap (unmasked): {alt}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import read_header
-from .errors import DataError, EmptySequenceError
+from .errors import DataError
 from .hod import build_descriptors, describe
 from .pagcn import (
     branch_forward,
@@ -92,12 +92,10 @@ def embed_unified(model, unified_sequences) -> np.ndarray:
     out = [None] * len(unified_sequences)
     by_len = {}
     for i, u in enumerate(unified_sequences):
-        if u.num_frames == 0:
-            raise EmptySequenceError(f"sequence {u.seq_id} empty after normalization")
         by_len.setdefault(u.num_frames, []).append(i)
     for _t, indices in sorted(by_len.items()):
-        desc = describe(np.stack([unified_sequences[i].frames for i in indices]))
-        inputs = descriptor_inputs(cfg, desc.joint, desc.bone, desc.angle)
+        inputs = descriptor_inputs(cfg, **describe(
+            np.stack([unified_sequences[i].frames for i in indices])))
         result = network_forward(model, inputs, training=False)
         emb = result.embedding_matrix()
         for row, i in enumerate(indices):
@@ -194,7 +192,8 @@ def rank1_casiab(split: GalleryProbeSplit, embeddings: np.ndarray,
     For every probe view / gallery view pair with the views different,
     rank-1 is computed over the gallery restricted to that view; cells
     are averaged per condition with equal weight. Identical-view cells
-    are structurally excluded.
+    are structurally excluded. A split with no cell to score (say, a
+    single view) is a ``DataError``.
     """
     views = sorted({e.view for e in split.gallery} | {e.view for e in split.probe})
     result = EvalResult(protocol="casiab", accuracies={})
@@ -219,19 +218,26 @@ def rank1_casiab(split: GalleryProbeSplit, embeddings: np.ndarray,
                 accs.append(acc)
                 result.cells.append((condition, pv, gv, acc))
         result.accuracies[condition] = float(np.mean(accs)) if accs else float("nan")
+    if not result.cells:
+        raise DataError(
+            "casiab protocol has no cross-view cell to score: no probe view has "
+            "gallery sequences of another view (probe views "
+            f"{sorted({e.view for e in split.probe})}, gallery views "
+            f"{sorted({e.view for e in split.gallery})})")
     return result
 
 
 def evaluate_split(split: GalleryProbeSplit, embeddings: np.ndarray,
                    metric: str = "euclidean") -> EvalResult:
-    """Protocol dispatch. Non-cross-view protocols reduce to plain
-    rank-1 over the whole gallery."""
-    if split.protocol == "casiab":
-        return rank1_casiab(split, embeddings, metric)
+    """Protocol dispatch, after refusing an empty gallery or probe set
+    (``DataError``). Non-cross-view protocols reduce to plain rank-1
+    over the whole gallery."""
     if not split.gallery:
         raise DataError("empty gallery")
     if not split.probe:
         raise DataError("empty probe set")
+    if split.protocol == "casiab":
+        return rank1_casiab(split, embeddings, metric)
     acc = rank1(embeddings, split.probe, split.gallery, metric)
     return EvalResult(protocol=split.protocol, accuracies={"all": acc})
 
@@ -356,8 +362,8 @@ def heatmap_dump(model, unified_sequence, out_path):
     columns channels), aggregated over frames by max."""
     desc = build_descriptors(unified_sequence)
     first_branch = model.config.branches[0]
-    inputs = descriptor_inputs(model.config, desc.joint[None], desc.bone[None],
-                               desc.angle[None])[first_branch]
+    inputs = descriptor_inputs(model.config, **{name: d[None] for name, d in
+                                                desc.items()})[first_branch]
     f_m = branch_forward(Tensor(inputs), model.branches[first_branch],
                          model.adjacency, model.masks, training=False)
     matrix = f_m.data[0].max(axis=0)  # (T, V, C) -> (V, C)

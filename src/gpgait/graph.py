@@ -14,8 +14,6 @@ small parts up to the all-ones global mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -76,41 +74,30 @@ PARTITION_SCHEMES = {
 }
 
 
-@dataclass(frozen=True)
-class PartitionScheme:
-    name: str
-    groups: tuple
-
-    def __post_init__(self):
+def mask_set(overrides=(), partitioned=True) -> dict:
+    """Scheme name -> 17x17 partition mask, 1 iff two joints share a
+    group: every built-in scheme, then each ``(name, groups)`` pair of
+    ``overrides`` replacing or adding one. Every scheme's groups must be
+    disjoint and cover all joints (``ConfigError``). Not ``partitioned``:
+    every mask is all ones."""
+    masks = {}
+    for name, groups in (*PARTITION_SCHEMES.items(), *overrides):
         seen = set()
-        for g in self.groups:
+        for g in groups:
             overlap = seen.intersection(g)
             if overlap:
                 raise ConfigError(
-                    f"scheme {self.name!r}: joints {sorted(overlap)} in multiple groups")
+                    f"scheme {name!r}: joints {sorted(overlap)} in multiple groups")
             seen.update(g)
         if seen != set(range(V)):
             missing = sorted(set(range(V)) - seen)
-            raise ConfigError(f"scheme {self.name!r}: joints {missing} uncovered")
-
-
-def named_scheme(name: str) -> PartitionScheme:
-    if name not in PARTITION_SCHEMES:
-        raise ConfigError(f"unknown partition scheme {name!r}")
-    return PartitionScheme(name=name, groups=PARTITION_SCHEMES[name])
-
-
-def build_partition_mask(scheme: PartitionScheme) -> np.ndarray:
-    """17x17 binary mask: 1 iff two joints share a group."""
-    mask = np.zeros((V, V), dtype=np.float64)
-    for g in scheme.groups:
-        ix = np.asarray(g)
-        mask[np.ix_(ix, ix)] = 1.0
-    return mask
-
-
-def mask_set(names=("parts5", "upper_lower", "three_groups", "left_right", "global")):
-    return {name: build_partition_mask(named_scheme(name)) for name in names}
+            raise ConfigError(f"scheme {name!r}: joints {missing} uncovered")
+        mask = np.zeros((V, V)) if partitioned else np.ones((V, V))
+        for g in groups:
+            ix = np.asarray(g)
+            mask[np.ix_(ix, ix)] = 1.0
+        masks[name] = mask
+    return masks
 
 
 def _column_normalize(mat: np.ndarray) -> np.ndarray:

@@ -14,8 +14,6 @@ the vertical, in (-pi/2, pi/2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hot import UnifiedPoseSequence
@@ -41,13 +39,6 @@ _INNER = np.array(sorted(INNER_TRIANGLES))
 _LEFT, _MID, _RIGHT = np.array([INNER_TRIANGLES[j] for j in _INNER]).T
 _PERIPHERAL = np.array(PERIPHERAL_JOINTS)
 _ADJACENT = np.array([PARENT[j] for j in PERIPHERAL_JOINTS])
-
-
-@dataclass
-class DescriptorSet:
-    joint: np.ndarray  # (..., 17, 2)
-    bone: np.ndarray   # (..., 17, 2)
-    angle: np.ndarray  # (..., 17, 1)
 
 
 def compute_bones(coords: np.ndarray) -> np.ndarray:
@@ -100,17 +91,15 @@ def _zero_side_warning(pos) -> str:
     return f"frame {','.join(map(str, pos[:-1]))}: {message}"
 
 
-def describe(frames: np.ndarray) -> DescriptorSet:
-    """Joint/bone/angle arrays for a (..., 17, 2) stack of unified frames."""
+def describe(frames: np.ndarray) -> dict:
+    """Descriptors of a (..., 17, 2) stack of unified frames, keyed by
+    branch name: ``joint`` and ``bone`` (..., 17, 2), ``angle`` (..., 17, 1)."""
     frames = np.asarray(frames, dtype=np.float64)
     angles, _warnings = compute_angles(frames)
-    return DescriptorSet(
-        joint=frames.copy(),
-        bone=compute_bones(frames),
-        angle=angles[..., None],
-    )
+    return {"joint": frames.copy(), "bone": compute_bones(frames),
+            "angle": angles[..., None]}
 
 
-def build_descriptors(useq: UnifiedPoseSequence) -> DescriptorSet:
+def build_descriptors(useq: UnifiedPoseSequence) -> dict:
     """Joint/bone/angle tensors for every frame of a unified sequence."""
     return describe(useq.frames)

@@ -33,8 +33,7 @@ from .autodiff import (Tensor, _stacked_adjacency, _tap_windows,
                        batch_norm_train, concat, graph_block, group_pool)
 from . import hot
 from .errors import ConfigError, DataError
-from .graph import (PARTITION_SCHEMES, PARTS5, V, PartitionScheme,
-                    build_adjacency_subsets, build_partition_mask, mask_set)
+from .graph import PARTS5, V, build_adjacency_subsets, mask_set
 
 BRANCH_CHANNELS = {"joint": 2, "angle": 1, "bone": 2, "fused": 5}
 
@@ -80,9 +79,7 @@ class NetworkConfig:
             raise ConfigError("channel counts and embed_dim must be at least 1")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be at least 1, got {self.num_classes}")
-        for name, groups in self.partition_overrides:
-            PartitionScheme(name, groups)  # disjoint groups covering every joint
-        schemes = set(PARTITION_SCHEMES).union(n for n, _g in self.partition_overrides)
+        schemes = mask_set(self.partition_overrides)   # checks every scheme
         for scheme in self.larger_schemes:
             if scheme not in schemes:
                 raise ConfigError(f"unknown partition scheme {scheme!r}")
@@ -256,14 +253,10 @@ def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
             cls_w=Tensor(_uniform(rng, (cfg.embed_dim, cfg.num_classes),
                                   cfg.embed_dim), requires_grad=True),
         ))
-    masks = mask_set()
-    for name, groups in cfg.partition_overrides:
-        masks[name] = build_partition_mask(PartitionScheme(name, groups))
-    if not cfg.use_masks:
-        masks = {name: np.ones_like(m) for name, m in masks.items()}
     # distinct-tensor construction contract: no tensor object shared
     model = ModelParams(config=cfg, branches=branches, heads=heads,
-                        adjacency=build_adjacency_subsets(), masks=masks)
+                        adjacency=build_adjacency_subsets(),
+                        masks=mask_set(cfg.partition_overrides, cfg.use_masks))
     seen = set()
     for name, t in model.named_tensors().items():
         if id(t) in seen:
@@ -459,7 +452,6 @@ def part_heads(pooled: Tensor, heads: list, training: bool):
 class ForwardResult:
     metrics: Tensor  # (num_parts, N, D)
     logits: Tensor   # (num_parts, N, num_classes)
-    part_names: list
 
     def embedding_matrix(self) -> np.ndarray:
         """(N, num_parts, D) array of metric features."""
@@ -528,16 +520,7 @@ def network_forward(model: ModelParams, branch_inputs: dict,
             pooled([Tensor(x.data[lo:hi]) for x in inputs]).data
             for lo, hi in _sequence_chunks(*inputs[0].shape[:2])]))
     metrics, logits = part_heads(slots.transpose((1, 0, 2)), model.heads, training)
-    part_names = [f"{bname}/{pname}" for bname in cfg.branches
-                  for pname in PART_ORDER]
-    return ForwardResult(metrics=metrics, logits=logits, part_names=part_names)
-
-
-def with_masks(model: ModelParams, mask_override: dict) -> ModelParams:
-    """Same parameters, different partition masks (e.g. all ones)."""
-    return ModelParams(config=model.config, branches=model.branches,
-                       heads=model.heads, adjacency=model.adjacency,
-                       masks=mask_override)
+    return ForwardResult(metrics=metrics, logits=logits)
 
 
 # -- checkpoint glue --------------------------------------------------

@@ -91,7 +91,7 @@ class DatasetManifest:
 
 @dataclass
 class ValidationIssue:
-    frame_index: int  # -1 for sequence-level issues
+    frame_index: int
     kind: str
     detail: str = ""
 
@@ -100,10 +100,6 @@ class ValidationIssue:
 class ValidationReport:
     seq_id: str
     issues: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
 
 
 def sequence_to_record(seq: PoseSequence) -> dict:
@@ -230,11 +226,6 @@ def load_sequences_with_roles(manifest: DatasetManifest):
     return out
 
 
-def load_sequences(manifest: DatasetManifest):
-    """All sequences referenced by the manifest, in manifest order."""
-    return [seq for seq, _role in load_sequences_with_roles(manifest)]
-
-
 def convert_alphapose18_to_coco17(frames18) -> np.ndarray:
     """Reorder (..., 18, 3) keypoints (explicit neck) into COCO2017 order.
 
@@ -247,28 +238,23 @@ def convert_alphapose18_to_coco17(frames18) -> np.ndarray:
     return frames18[..., ALPHAPOSE18_TO_COCO17, :]
 
 
-def validate_sequence(seq: PoseSequence, min_frames: int = 1,
-                      min_extent: float = 1e-6) -> ValidationReport:
-    """Report-only checks: non-finite coordinates, degenerate vertical
-    extent, confidences outside [0, 1] (or non-finite), and sequences
-    shorter than min_frames."""
+def validate_sequence(seq: PoseSequence) -> ValidationReport:
+    """Report-only checks per frame: non-finite coordinates, a raw
+    vertical extent below 1e-6, confidences outside [0, 1] (or
+    non-finite)."""
     report = ValidationReport(seq_id=seq.seq_id)
-    if seq.num_frames < min_frames:
-        report.issues.append(ValidationIssue(
-            -1, "too_short", f"{seq.num_frames} < {min_frames} frames"))
     coords = seq.frames[..., :2]
     finite = np.isfinite(coords).all(axis=(1, 2))
     y = np.where(finite[:, None], coords[..., 1], 0.0)
     extent = y.max(axis=1) - y.min(axis=1)
     conf = seq.frames[..., 2]
     bad_conf = (~((conf >= 0.0) & (conf <= 1.0))).sum(axis=1)  # NaN fails both
-    for i in np.flatnonzero(~finite | (extent < min_extent) | (bad_conf > 0)):
+    for i in np.flatnonzero(~finite | (extent < 1e-6) | (bad_conf > 0)):
         if not finite[i]:
             report.issues.append(ValidationIssue(int(i), "non_finite"))
-        elif extent[i] < min_extent:
+        elif extent[i] < 1e-6:
             report.issues.append(ValidationIssue(
-                int(i), "degenerate_extent",
-                f"extent {extent[i]:g} < {min_extent:g}"))
+                int(i), "degenerate_extent", f"extent {extent[i]:g} < 1e-06"))
         if bad_conf[i]:
             report.issues.append(ValidationIssue(
                 int(i), "confidence_range",

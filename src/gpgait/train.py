@@ -179,11 +179,7 @@ def sample_batch(train_set: TrainSet, p: int, k: int, length: int, rng,
                 frames = augment(frames)
             stacks.append(frames)
             labels.append(sidx)
-    desc = describe(np.stack(stacks))
-    return (
-        {"joint": desc.joint, "bone": desc.bone, "angle": desc.angle},
-        np.asarray(labels, dtype=np.int64),
-    )
+    return describe(np.stack(stacks)), np.asarray(labels, dtype=np.int64)
 
 
 # -- losses -----------------------------------------------------------
@@ -470,8 +466,7 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                 train_set, train_cfg.subjects_per_batch,
                 train_cfg.samples_per_subject, train_cfg.sequence_length,
                 rng, augment=augment)
-            inputs = descriptor_inputs(net_cfg, batch["joint"], batch["bone"],
-                                       batch["angle"])
+            inputs = descriptor_inputs(net_cfg, **batch)
             result = network_forward(model, inputs, training=True)
             total, tri, ce = combined_loss(result.metrics, result.logits,
                                            labels, train_cfg.margin,

@@ -166,6 +166,30 @@ class TestPreprocess:
         report = (tmp_path / "pp" / "report.txt").read_text()
         assert "flat\tframe 0\tdegenerate_extent" in report
 
+    def test_report_lists_every_dropped_frame(self, tmp_path, capsys):
+        """HOT drops more than validation flags: frames whose extent is
+        tiny but above validation's raw 1e-6 (HOT's floor is 1e-6 x
+        h_unif after de-slanting) and horizontal-spine frames. Each
+        sequence's dropped frames are listed, those of the sequence HOT
+        leaves with no frame too, before that sequence fails the run."""
+        w = walker_frame(0.3)
+        thin = w.copy()
+        thin[:, 1] = (w[:, 1] - w[:, 1].min()) * 1e-4 / np.ptp(w[:, 1])
+        level = w.copy()                      # hips at shoulder height
+        level[11:13, 1] = w[5:7, 1]
+        level[11:13, 0] += 30.0
+        records = [pose_io.sequence_to_record(sequence_from_coords(f, seq_id=i))
+                   for i, f in (("mixed", [w, thin, thin, level, w]),
+                                ("thin", [thin, level, thin]))]
+        manifest = write_dataset(tmp_path / "d", records)
+        rc = main(["preprocess", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "pp")])
+        assert rc == 3
+        assert "sequence thin: every frame degenerate" in capsys.readouterr().err
+        report = (tmp_path / "pp" / "report.txt").read_text()
+        assert report == ("mixed\tdropped_frames\t[1, 2, 3]\n"
+                          "thin\tdropped_frames\t[0, 1, 2]\n") * 2
+
     def test_deterministic_rerun(self, toy_data, tmp_path):
         for d in ("p1", "p2"):
             assert main(["preprocess", "--manifest", str(toy_data),
@@ -445,6 +469,23 @@ class TestEval:
                    str(manifest), "--out", str(tmp_path / "r.tsv")])
         assert rc == 3
         assert "every frame degenerate" in capsys.readouterr().err
+
+    def test_casiab_single_view_exits_3(self, toy_checkpoint, tmp_path, capsys):
+        """No cross-view cell to score: a data error, not a nan summary."""
+        final, _ = toy_checkpoint
+        root = tmp_path / "d"
+        root.mkdir()
+        (root / "seqs.jsonl").write_text("".join(
+            json.dumps(walker_record(f"{s}-NM-{i:02d}-000")) + "\n"
+            for s in ("a", "b") for i in (1, 5)))
+        pose_io.save_manifest(root / "manifest.tsv", pose_io.DatasetManifest(
+            [("seqs.jsonl", "gallery")], "casiab"))
+        out = tmp_path / "r.tsv"
+        rc = main(["eval", "--checkpoint", str(final), "--manifest",
+                   str(root / "manifest.tsv"), "--out", str(out)])
+        assert rc == 3
+        assert "no cross-view cell to score" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sequence_in_probe_and_gallery_exits_3(self, toy_checkpoint,
                                                    tmp_path, capsys):
@@ -996,6 +1037,49 @@ class TestAblationFlags:
         assert rc == 0
         config, _ = load_container(tmp_path / "np" / "final.gpgw")
         assert config["network"]["use_masks"] is False
+
+
+@pytest.fixture(scope="module")
+def ablation_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ablation")
+    assert main(["synth", "--out", str(root / "data"), "--identities", "6",
+                 "--sequences", "4", "--frames", "20", "--seed", "3"]) == 0
+    (root / "attention.cfg").write_text("network.attention = false\n")
+    (root / "no_larger.cfg").write_text("network.larger_schemes = []\n")
+    (root / "halves.cfg").write_text(
+        "graph.partition.global = [[0,1,2,3,4,5,6,7,8,9,10],[11,12,13,14,15,16]]\n")
+    return root
+
+
+def _ablation_tensors(root, name, flags):
+    out = root / name
+    if not out.exists():
+        assert main(["train", "--preset", "toy", "--iterations", "2",
+                     "--manifest", str(root / "data" / "manifest.tsv"),
+                     "--out", str(out), *flags]) == 0
+    return load_container(out / "final.gpgw")[1]
+
+
+class TestAblationSwitches:
+    """Every ablation switch changes what a 2-iteration toy training
+    produces: the checkpoint's tensor names or values differ from the
+    plain run's."""
+
+    @pytest.mark.parametrize("name, flags", [
+        ("no_hot", ["--no-hot"]),
+        ("descriptors", ["--descriptors", "joint,bone"]),
+        ("single_branch", ["--single-branch"]),
+        ("no_partition", ["--no-partition"]),
+        ("no_attention", ["--config", "attention.cfg"]),
+        ("no_larger_schemes", ["--config", "no_larger.cfg"]),
+        ("partition_override", ["--config", "halves.cfg"]),
+    ])
+    def test_switch_changes_checkpoint(self, ablation_data, name, flags):
+        flags = [str(ablation_data / f) if f.endswith(".cfg") else f for f in flags]
+        plain = _ablation_tensors(ablation_data, "plain", [])
+        switched = _ablation_tensors(ablation_data, name, flags)
+        assert list(switched) != list(plain) or any(
+            not np.array_equal(switched[k], plain[k]) for k in plain)
 
 
 # the arguments each command requires, so that a parse fails only on the

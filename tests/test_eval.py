@@ -333,6 +333,39 @@ class TestRank1Casiab:
         assert all(gv == "000" for _c, _pv, gv, _a in result.cells)
 
 
+class TestDegenerateSplits:
+    """Under every protocol an empty gallery or probe set, and a casiab
+    split with no cross-view cell to score, are data errors, never a
+    ``nan`` summary."""
+
+    @pytest.mark.parametrize("protocol", ["casiab", "simple", "oumvlp"])
+    @pytest.mark.parametrize("side, message", [("probe", "empty probe set"),
+                                               ("gallery", "empty gallery")])
+    def test_empty_side(self, protocol, side, message):
+        split = _casiab_split_2x2()
+        setattr(split, side, [])
+        split.protocol = protocol
+        with pytest.raises(DataError, match=message):
+            ev.evaluate_split(split, np.zeros((8, 1, 2)))
+
+    def test_casiab_without_cross_view_cell(self):
+        split = _casiab_split_2x2()
+        split.gallery = [e for e in split.gallery if e.view == "000"]
+        split.probe = [e for e in split.probe if e.view == "000"]
+        with pytest.raises(DataError, match=r"no cross-view cell to score.*"
+                           r"probe views \['000'\], gallery views \['000'\]"):
+            ev.evaluate_split(split, np.zeros((8, 1, 2)))
+
+    def test_condition_without_cell_keeps_nan(self):
+        split = _casiab_split_2x2()
+        split.probe.append(ev.SplitEntry(index=0, label="A", view="090",
+                                         condition="CL", seq_index=1))
+        split.gallery = [e for e in split.gallery if e.view == "090"]
+        result = ev.evaluate_split(split, np.arange(16.0).reshape(8, 1, 2))
+        assert np.isnan(result.accuracies["CL"])
+        assert [c[:3] for c in result.cells] == [("NM", "000", "090")]
+
+
 class TestBuildSplit:
     def _seqs(self, specs):
         out = []

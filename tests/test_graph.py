@@ -48,34 +48,36 @@ class TestAdjacencySubsets:
 
 class TestPartitionMasks:
     def test_parts5_entries(self):
-        m = graph.build_partition_mask(graph.named_scheme("parts5"))
+        m = graph.mask_set()["parts5"]
         assert m[5, 7] == 1.0   # both left arm
         assert m[5, 16] == 0.0  # left arm vs right leg
 
     def test_global_all_ones(self):
-        m = graph.build_partition_mask(graph.named_scheme("global"))
+        m = graph.mask_set()["global"]
         assert m.sum() == 17 * 17
 
     def test_left_right_arm_leg(self):
-        m = graph.build_partition_mask(graph.named_scheme("left_right"))
+        m = graph.mask_set()["left_right"]
         assert m[7, 13] == 1.0  # left arm with left leg
         assert m[8, 13] == 0.0
 
     def test_overlapping_groups_rejected(self):
-        with pytest.raises(ConfigError, match="multiple"):
-            graph.PartitionScheme("bad", ((0, 1), (1, 2), tuple(range(3, 17))))
+        with pytest.raises(ConfigError, match="scheme 'bad': joints \\[1\\] in multiple"):
+            graph.mask_set((("bad", ((0, 1), (1, 2), tuple(range(3, 17)))),))
 
     def test_non_covering_rejected(self):
         with pytest.raises(ConfigError, match="uncovered"):
-            graph.PartitionScheme("bad", ((0, 1, 2),))
+            graph.mask_set((("bad", ((0, 1, 2),)),))
+        # a built-in scheme's groups are checked as an override's are
+        with pytest.raises(ConfigError, match="scheme 'parts5'.*uncovered"):
+            graph.mask_set((("parts5", ((0, 1, 2),)),), partitioned=False)
 
     @pytest.mark.parametrize("name", sorted(graph.PARTITION_SCHEMES))
     def test_equivalence_relation(self, name):
         """Brute force: M is the indicator of 'same group'."""
-        scheme = graph.named_scheme(name)
-        m = graph.build_partition_mask(scheme)
+        m = graph.mask_set()[name]
         group_of = {}
-        for gi, g in enumerate(scheme.groups):
+        for gi, g in enumerate(graph.PARTITION_SCHEMES[name]):
             for j in g:
                 group_of[j] = gi
         for i in range(17):
@@ -91,10 +93,22 @@ class TestPartitionMasks:
     def test_within_group_permutation_invariance(self, perm5):
         # permute joints within the head group; M must be unchanged
         # after applying the same permutation to rows and columns
-        m = graph.build_partition_mask(graph.named_scheme("parts5"))
+        m = graph.mask_set()["parts5"]
         p = np.arange(17)
         p[:5] = np.asarray(perm5)
         np.testing.assert_array_equal(m, m[np.ix_(p, p)])
+
+    def test_overrides_replace_or_add(self):
+        halves = ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (11, 12, 13, 14, 15, 16))
+        masks = graph.mask_set((("parts5", halves), ("halves", halves)))
+        assert list(masks) == [*graph.PARTITION_SCHEMES, "halves"]
+        np.testing.assert_array_equal(masks["parts5"], graph.mask_set()["upper_lower"])
+        np.testing.assert_array_equal(masks["halves"], masks["parts5"])
+
+    def test_unpartitioned_all_ones(self):
+        masks = graph.mask_set((("extra", (tuple(range(17)),)),), partitioned=False)
+        assert list(masks) == [*graph.PARTITION_SCHEMES, "extra"]
+        assert all((m == 1.0).all() and m.shape == (17, 17) for m in masks.values())
 
 
 def test_topology_connected_and_symmetric():

@@ -112,14 +112,15 @@ class TestBuildDescriptors:
     def test_shapes(self):
         useq = self._useq([walker_frame(p) for p in (0.0, 0.4, 0.8)])
         d = hod.build_descriptors(useq)
-        assert d.joint.shape == (3, 17, 2)
-        assert d.bone.shape == (3, 17, 2)
-        assert d.angle.shape == (3, 17, 1)
+        assert list(d) == ["joint", "bone", "angle"]
+        assert d["joint"].shape == (3, 17, 2)
+        assert d["bone"].shape == (3, 17, 2)
+        assert d["angle"].shape == (3, 17, 1)
 
     def test_joint_passthrough(self):
         useq = self._useq([walker_frame(0.3)])
         d = hod.build_descriptors(useq)
-        np.testing.assert_array_equal(d.joint, useq.frames)
+        np.testing.assert_array_equal(d["joint"], useq.frames)
 
     def test_mirror_property(self, rng):
         frames = np.stack([random_frame(rng) for _ in range(3)])
@@ -127,20 +128,20 @@ class TestBuildDescriptors:
         flipped = flip_frames(frames)
         dm = hod.describe(flipped)
         # bones of the mirrored skeleton = mirrored-and-swapped bones
-        np.testing.assert_allclose(dm.bone, flip_frames(d.bone), atol=1e-12)
+        np.testing.assert_allclose(dm["bone"], flip_frames(d["bone"]), atol=1e-12)
         # inner angles invariant under mirroring (up to the l/r swap)
-        swapped = d.angle.copy()
+        swapped = d["angle"].copy()
         for a, b in ((5, 6), (7, 8), (11, 12), (13, 14)):
             swapped[:, [a, b]] = swapped[:, [b, a]]
         inner = sorted(hod.INNER_TRIANGLES)
-        np.testing.assert_allclose(dm.angle[:, inner], swapped[:, inner],
+        np.testing.assert_allclose(dm["angle"][:, inner], swapped[:, inner],
                                    atol=1e-12)
 
     def test_identical_frames_identical_rows(self):
         f = walker_frame(1.1)
         d = hod.describe(np.stack([f, f]))
-        np.testing.assert_array_equal(d.bone[0], d.bone[1])
-        np.testing.assert_array_equal(d.angle[0], d.angle[1])
+        np.testing.assert_array_equal(d["bone"][0], d["bone"][1])
+        np.testing.assert_array_equal(d["angle"][0], d["angle"][1])
 
 
 def test_roles_cover_all_joints():

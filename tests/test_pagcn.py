@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,6 @@ from gpgait.pagcn import (
     pagcn_block,
     part_heads,
     part_pool,
-    with_masks,
 )
 from gpgait.train import combined_loss
 
@@ -719,13 +719,18 @@ class TestNetworkForward:
 
     def test_shape_contract(self, rng):
         model = init_model(tiny_config(), seed=0)
-        res = network_forward(model, self._inputs(rng), training=False)
+        inputs = self._inputs(rng)
+        res = network_forward(model, inputs, training=False)
         assert res.metrics.shape == (18, 4, 4) and res.logits.shape == (18, 4, 2)
         emb = res.embedding_matrix()
         assert emb.shape == (4, 18, 4)
-        assert res.part_names[0] == "joint/head"
-        assert res.part_names[6].startswith("angle/")
-        assert res.part_names[12].startswith("bone/")
+        # slots are branch-major: a branch's input moves its six slots only
+        for b, bname in enumerate(("joint", "angle", "bone")):
+            moved = self._inputs(rng)
+            moved = {k: v if k == bname else inputs[k] for k, v in moved.items()}
+            changed = (network_forward(model, moved).metrics.data
+                       != res.metrics.data).any(axis=(1, 2))
+            assert np.flatnonzero(changed).tolist() == list(range(6 * b, 6 * b + 6))
 
     def test_duplicate_sequence_identical_embedding(self, rng):
         model = init_model(tiny_config(), seed=0)
@@ -998,7 +1003,7 @@ class TestCheckpointGlue:
 class TestMaskOverride:
     def test_with_masks_shares_parameters(self):
         model = init_model(tiny_config(), seed=2)
-        twin = with_masks(model, ONES_MASKS)
+        twin = dataclasses.replace(model, masks=mask_set(partitioned=False))
         assert twin.branches["joint"][0].subsets[0].weight is \
             model.branches["joint"][0].subsets[0].weight
         assert twin.masks["parts5"].all()

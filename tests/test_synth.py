@@ -77,7 +77,7 @@ class TestIdentities:
             seq = synth.generate_sequence(ident, cam, 40, seed=1)
             u = apply_hot(seq, HotConfig())
             d = hod.build_descriptors(u)
-            angle_tracks.append(d.angle[..., 0])
+            angle_tracks.append(d["angle"][..., 0])
         inner = sorted(hod.INNER_TRIANGLES)
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
@@ -100,10 +100,10 @@ class TestGenerateDataset:
         roles = [r for _p, r in manifest.entries]
         assert roles.count("probe") == 4
         assert roles.count("gallery") == 8
-        seqs = pose_io.load_sequences(manifest)
+        seqs = pose_io.load_sequences_with_roles(manifest)
         assert len(seqs) == 12
-        probe_ids = [s.seq_id for s, r in zip(
-            seqs, roles) if r == "probe"]
+        assert [r for _s, r in seqs] == roles
+        probe_ids = [s.seq_id for s, r in seqs if r == "probe"]
         assert all(sid.split("-")[2] == "00" for sid in probe_ids)
 
     def test_regeneration_identical_files(self, tmp_path):
@@ -137,9 +137,9 @@ class TestGenerateDataset:
         pb = synth.generate_dataset(
             tmp_path / "db", 2, 2,
             synth.CameraSpec(scale=2.5, tx=30.0, ty=-10.0), 6, seed=8)
-        sa = pose_io.load_sequences(pose_io.load_manifest(pa))
-        sb = pose_io.load_sequences(pose_io.load_manifest(pb))
-        for a, b in zip(sa, sb):
+        sa = pose_io.load_sequences_with_roles(pose_io.load_manifest(pa))
+        sb = pose_io.load_sequences_with_roles(pose_io.load_manifest(pb))
+        for (a, _ra), (b, _rb) in zip(sa, sb):
             ua = apply_hot(a, HotConfig())
             ub = apply_hot(b, HotConfig())
             np.testing.assert_allclose(ua.frames, ub.frames, atol=1e-9 * 225)

@@ -376,9 +376,8 @@ class TestGradientFlow:
         model = init_model(net_cfg, seed=1)
         batch, labels = tr.sample_batch(ts, 2, 2, 4, rng)
         from gpgait.pagcn import descriptor_inputs
-        res = network_forward(model, descriptor_inputs(
-            net_cfg, batch["joint"], batch["bone"], batch["angle"]),
-            training=True)
+        res = network_forward(model, descriptor_inputs(net_cfg, **batch),
+                              training=True)
         total, _, _ = tr.combined_loss(res.metrics, res.logits, labels, 0.2, 1.0)
         total.backward()
         for name, p in model.named_parameters().items():
