@@ -10,6 +10,7 @@ with a warning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .pagcn import (
     descriptor_inputs,
     load_model_tensors,
     init_model,
-    network_forward,
+    metric_features,
 )
 from . import checkpoint as ckpt
 from . import hot as hot_mod
@@ -31,9 +32,12 @@ from .train import keep_freed_memory
 
 CASIAB_PROBE_SETS = {"NM": (5, 6), "BG": (1, 2), "CL": (1, 2)}
 CASIAB_GALLERY = ("NM", (1, 2, 3, 4))
-# floats in one block of probe-gallery differences (16 MB), which bounds
-# the memory of distances and rank-1 whatever the gallery size
+# floats in one block of probe-gallery differences, or of the Gram screen's
+# gathered rows (16 MB), which bounds the memory of distances and rank-1
+# whatever the gallery size
 DISTANCE_BLOCK = 2_000_000
+# float64 unit roundoff u = 2^-53 (Higham's notation)
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass
@@ -80,27 +84,33 @@ def load_checkpoint(path):
 
 
 def embed_unified(model, unified_sequences) -> np.ndarray:
-    """(S, num_parts, D) metric features, inference mode.
+    """(S, num_parts, D) metric features, inference mode, in input order.
 
     Full sequences are used (no frame sampling). Sequences of equal
-    length are batched together, their descriptors built by one
-    ``describe`` call per length, and run through one inference
-    ``network_forward``, whose blocks and pooling take them in chunks of
-    whole sequences; results are returned in input order.
+    length form one group, which ``pagcn.metric_features`` runs one
+    chunk of whole sequences at a time: it asks for the chunk's
+    descriptors (one ``describe`` call) just before the chunk's blocks
+    and pooling, and runs the heads once over the group. A group of
+    consecutive sequences, such as the only group when all lengths are
+    equal, writes its rows in place; any other goes through one
+    group-sized array.
     """
     cfg = model.config
-    out = [None] * len(unified_sequences)
+    out = np.empty((len(unified_sequences), cfg.num_parts, cfg.embed_dim))
     by_len = {}
     for i, u in enumerate(unified_sequences):
         by_len.setdefault(u.num_frames, []).append(i)
-    for _t, indices in sorted(by_len.items()):
-        inputs = descriptor_inputs(cfg, **describe(
-            np.stack([unified_sequences[i].frames for i in indices])))
-        result = network_forward(model, inputs, training=False)
-        emb = result.embedding_matrix()
-        for row, i in enumerate(indices):
-            out[i] = emb[row]
-    return np.stack(out)
+    for t, indices in sorted(by_len.items()):
+        def chunk_inputs(lo, hi, indices=indices):
+            return descriptor_inputs(cfg, **describe(
+                np.stack([unified_sequences[i].frames for i in indices[lo:hi]])))
+
+        first, n = indices[0], len(indices)
+        if indices[-1] - first == n - 1:
+            metric_features(model, n, t, chunk_inputs, out[first:first + n])
+        else:
+            out[indices] = metric_features(model, n, t, chunk_inputs)
+    return out
 
 
 def embed_dataset(sequences, checkpoint_path) -> np.ndarray:
@@ -148,19 +158,15 @@ def pairwise_distances(probe: np.ndarray, gallery: np.ndarray,
     raise DataError(f"unknown distance metric {metric!r}")
 
 
-def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
-                    metric: str = "euclidean") -> np.ndarray:
-    """Position in ``gallery_rows`` of each probe row's nearest gallery
-    row of ``embeddings``: the argmin of its row of
-    ``pairwise_distances``, lowest index on ties, taken over
-    ``_block_rows`` blocks of probes and gallery gathered one at a time,
-    so memory does not grow with P or G."""
-    if not len(gallery_rows):
-        raise DataError("empty gallery")
-    flat = flatten_embeddings(embeddings)
-    probe_rows, gallery_rows = np.asarray(probe_rows), np.asarray(gallery_rows)
+def _nearest_exact(flat, probe_rows, gallery_rows, metric) -> tuple:
+    """(position in ``gallery_rows``, distance) of each probe row's
+    nearest gallery row of ``flat``: the argmin of its row of
+    ``pairwise_distances``, lowest index on ties and the first NaN
+    before any number, over ``_block_rows`` blocks gathered one at a
+    time."""
     p_rows, g_rows = _block_rows(len(probe_rows), len(gallery_rows), flat.shape[1])
     nearest = np.empty(len(probe_rows), dtype=np.intp)
+    nearest_dist = np.empty(len(probe_rows))
     for i in range(0, len(probe_rows), p_rows):
         probes = flat[probe_rows[i:i + p_rows]]
         mins, at = [], []
@@ -170,8 +176,119 @@ def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
             at.append(dist.argmin(axis=1) + j)
         # the first block holding a row's smallest distance (or its first
         # NaN), which is where argmin over the whole row finds it
-        first = np.argmin(mins, axis=0)
-        nearest[i:i + p_rows] = np.array(at)[first, np.arange(len(first))]
+        first, cols = np.argmin(mins, axis=0), np.arange(len(probes))
+        nearest[i:i + p_rows] = np.array(at)[first, cols]
+        nearest_dist[i:i + p_rows] = np.array(mins)[first, cols]
+    return nearest, nearest_dist
+
+
+def _screen_rows(d: int) -> int:
+    """Probe and gallery rows of one Gram-screen block: both gathered
+    blocks hold at most DISTANCE_BLOCK floats, and so do the screen's
+    four (P_b, G_b) float arrays together."""
+    return max(1, min(DISTANCE_BLOCK // max(1, d), math.isqrt(DISTANCE_BLOCK) // 2))
+
+
+def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
+                    metric: str = "euclidean") -> np.ndarray:
+    """Position in ``gallery_rows`` of each probe row's nearest gallery
+    row of ``embeddings``: the argmin of its row of
+    ``pairwise_distances``, lowest index on ties, the first NaN before
+    any number. Memory does not grow with P or G.
+
+    Cosine distances are one product already, and run over
+    ``_block_rows`` blocks (``_nearest_exact``). Euclidean ones are
+    screened first. Each block of ``_screen_rows`` probes and gallery
+    rows estimates the squared distances as ``q = |p|^2 + |g|^2 - 2
+    p.g`` from one GEMM. For each entry it bounds how far ``q`` can lie
+    from ``r``, the squared distance ``pairwise_distances`` computes
+    before its square root. It then keeps every entry whose lower bound
+    ``q - b`` is at most ``(1 + 8u)`` times the smallest upper bound ``q
+    + b`` of the row so far. The kept entries are rechecked through
+    ``pairwise_distances`` (``_nearest_exact``), and the best so far of
+    each row is replaced only by a NaN or a strictly smaller distance.
+    Blocks come in gallery order, so ties keep the lowest index.
+
+    The bound. Let u = 2^-53 be the unit roundoff, s = |p|^2 + |g|^2 and
+    Q = |p - g|^2 exactly. Higham (*Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1) bounds a computed dot product of
+    length D, in any order of summation, by |fl(x.y) - x.y| <= g_D
+    |x|.|y|, where g_n = nu / (1 - nu). An FMA only tightens this. So:
+
+    - each squared norm is off by at most g_D times itself;
+    - the GEMM entry is off by at most g_D |p||g| <= g_D s / 2, so 2 p.g
+      is off by at most g_D s;
+    - the sum of the norms and the subtraction add one rounding each,
+      on values of at most s and Q + O(u s) <= 2 s + O(u s).
+
+    Hence |q - Q| <= (2 g_D + 3u) s + O(u^2 s). The exact path rounds
+    each difference and each square once and then sums D terms, so
+    |r - Q| <= g_(D+2) Q <= 2 g_(D+2) s, since Q <= 2 s. Together |q -
+    r| <= (4D + 7) u s + O(D^2 u^2 s). The code takes b = (4D + 32) u s,
+    with s from the computed norms, which are at least (1 - g_D) s. The
+    spare 25 u s covers that, the rounding of b itself, and the
+    rounding of q - b and q + b (at most 3 u s each), as long as D <
+    2^26. Every embedding layout here is far below that. Higham's model
+    leaves out underflow: a product that underflows rounds with an
+    absolute error of up to half the smallest subnormal. The norms, the
+    doubled GEMM entry and the exact squares hold at most 5D such
+    products, less than one smallest normal number ``t`` in all for any
+    D below 2^50. The code adds ``4 t`` to b to cover them, with ``3 t``
+    to spare on each side.
+
+    Why the factor (1 + 8u). Exclude j only when its lower bound
+    exceeds (1 + 8u) U, where U is the smallest upper bound, held by
+    some entry k. With the spare ``3 t``, r_j > (1 + 6u) r_k + 5 t after
+    the product's rounding. A correctly rounded square root then keeps
+    the two distances strictly ordered: sqrt(r_j) (1 - u) > sqrt(r_k) (1
+    + u) when r_k is a normal number, and sqrt(r_j) > sqrt(5 t) > sqrt(t)
+    > sqrt(r_k) otherwise. So an excluded entry is strictly farther than
+    k. It can be neither the row's argmin nor a tie with it.
+
+    An entry whose bound or upper bound is not finite (a NaN or
+    infinite coordinate, or norms that overflow) is always kept.
+    """
+    if not len(gallery_rows):
+        raise DataError("empty gallery")
+    flat = flatten_embeddings(embeddings)
+    probe_rows, gallery_rows = np.asarray(probe_rows), np.asarray(gallery_rows)
+    if metric != "euclidean":
+        return _nearest_exact(flat, probe_rows, gallery_rows, metric)[0]
+    d = flat.shape[1]
+    tau = (4 * d + 32) * UNIT_ROUNDOFF
+    slack = 4 * np.finfo(np.float64).tiny
+    widen = 1.0 + 8 * UNIT_ROUNDOFF
+    rows = _screen_rows(d)
+    nearest = np.empty(len(probe_rows), dtype=np.intp)
+    for i in range(0, len(probe_rows), rows):
+        block_rows = probe_rows[i:i + rows]
+        probes = flat[block_rows]
+        p_sq = np.einsum("ij,ij->i", probes, probes)
+        smallest_upper = np.full(len(probes), np.inf)
+        best = np.full(len(probes), np.inf)
+        at = np.full(len(probes), -1, dtype=np.intp)
+        for j in range(0, len(gallery_rows), rows):
+            gallery = flat[gallery_rows[j:j + rows]]
+            s = p_sq[:, None] + np.einsum("ij,ij->i", gallery, gallery)
+            q = probes @ gallery.T
+            q *= -2.0
+            q += s                       # the Gram estimate of |p - g|^2
+            s *= tau
+            s += slack                   # the bound b
+            upper = q + s
+            known = np.isfinite(upper)
+            np.minimum(smallest_upper, np.where(known, upper, np.inf).min(axis=1),
+                       out=smallest_upper)
+            q -= s                       # lower bounds
+            keep = ~known | (q <= smallest_upper[:, None] * widen)
+            for r in np.flatnonzero(keep.any(axis=1)):
+                cols = np.flatnonzero(keep[r])
+                (pos,), (dist,) = _nearest_exact(flat, block_rows[r:r + 1],
+                                                 gallery_rows[j + cols], metric)
+                if at[r] < 0 or (not np.isnan(best[r])
+                                 and (np.isnan(dist) or dist < best[r])):
+                    best[r], at[r] = dist, j + cols[pos]
+        nearest[i:i + rows] = at
     return nearest
 
 
@@ -327,11 +444,18 @@ def cross_domain_eval(checkpoint_path, sequences_with_roles, protocol: str,
     freed. A steady-state pass over 42 sequences of 60 frames with the
     toy network takes 0-20 minor page faults so, against about 16,600
     with glibc's defaults, which hand the forward's 1.8 MB chunk arrays
-    back to the kernel. The forward runs in chunks of whole sequences
-    and rank-1 over bounded blocks of probes and gallery
-    (``nearest_gallery``), so a pass holds no array that grows with the
-    number of sequences but the sequences, their descriptors and the
-    embeddings.
+    back to the kernel.
+
+    What a pass holds that grows with the number of sequences: the
+    loaded and the unified sequences, one (N, S, C) array of pooled
+    slots per length group and the (N, S, D) embeddings. Descriptors,
+    block outputs and pooling temporaries are built per chunk of whole
+    sequences (``embed_unified``), and inference stops at the metric
+    features, so no classifier logits are computed whatever the
+    checkpoint's class count. Rank-1 (``nearest_gallery``) runs over
+    bounded blocks of probes and gallery: its time grows as P x G x D
+    in one GEMM per block plus an exact recheck of about one gallery
+    entry per probe, its memory not at all.
     """
     keep_freed_memory()
     sequences = [s for s, _r in sequences_with_roles]

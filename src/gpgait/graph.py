@@ -77,13 +77,17 @@ PARTITION_SCHEMES = {
 def mask_set(overrides=(), partitioned=True) -> dict:
     """Scheme name -> 17x17 partition mask, 1 iff two joints share a
     group: every built-in scheme, then each ``(name, groups)`` pair of
-    ``overrides`` replacing or adding one. Every scheme's groups must be
-    disjoint and cover all joints (``ConfigError``). Not ``partitioned``:
-    every mask is all ones."""
+    ``overrides`` replacing or adding one. Every scheme's groups must
+    hold joint indices 0-16 only, be disjoint and cover all joints
+    (``ConfigError``). Not ``partitioned``: every mask is all ones."""
     masks = {}
     for name, groups in (*PARTITION_SCHEMES.items(), *overrides):
         seen = set()
         for g in groups:
+            outside = sorted(j for j in g if not 0 <= j < V)
+            if outside:
+                raise ConfigError(f"scheme {name!r}: joint indices {outside} "
+                                  f"outside 0-{V - 1}")
             overlap = seen.intersection(g)
             if overlap:
                 raise ConfigError(

@@ -27,8 +27,8 @@ L_HIP, R_HIP = 11, 12
 DEFAULT_HEIGHT = 225.0
 DEFAULT_SLANT_THRESHOLD = 0.1  # radians
 # frame budget of a chunk of whole sequences: the frames one unify_frames
-# call normalizes together, and the sequences an inference forward runs
-# through its blocks and pooling at once (pagcn.network_forward); 512
+# call normalizes together, and the sequences inference describes and
+# runs through its blocks and pooling at once (pagcn.metric_features); 512
 # from a sweep of 256-2048 on the eval benchmark (BENCH_eval_chunks.json)
 CHUNK_FRAMES = 512
 

@@ -20,7 +20,8 @@ through one head per (branch, part) slot, and concatenated into the
 final embedding. Each slot keeps its own head parameters; a forward
 stacks them once and runs all slots, and their losses, as one batch.
 At inference the branches and pooling run over chunks of whole
-sequences and the heads once over all of them (``network_forward``).
+sequences, the heads once over all of them, and the network stops at
+the metric features (``metric_features``).
 """
 
 from __future__ import annotations
@@ -410,48 +411,39 @@ def part_pool(f_m: Tensor) -> Tensor:
     return group_pool(f_m, PART_GROUPS)
 
 
-def _slot_stack(tensors, shape, training: bool) -> Tensor:
-    """The slots' tensors joined along their first axis and reshaped:
-    graph ops in training, a constant otherwise."""
-    if not training:
-        tensors = [Tensor(t.data) for t in tensors]
+def _slot_stack(tensors, shape) -> Tensor:
+    """The slots' tensors joined along their first axis and reshaped."""
     return concat(tensors).reshape(shape)
 
 
-def part_heads(pooled: Tensor, heads: list, training: bool):
-    """(S, N, C) pooled slots -> metric features (S, N, D) and
+def part_heads(pooled: Tensor, heads: list):
+    """Training: (S, N, C) pooled slots -> metric features (S, N, D) and
     classifier logits (S, N, K), every slot through its own head.
 
     The slots' parameters are stacked once per call: the fc layer and
-    the classifier each run as one batched matmul. The BNNeck runs in
-    training as one batch norm over the (N, S*D) columns, folding the
-    batch statistics into each slot's running averages; at inference it
-    is ``x * scale + shift`` from the running statistics, as in
-    ``pagcn_block``.
+    the classifier each run as one batched matmul, and the BNNeck as
+    one batch norm over the (N, S*D) columns, folding the batch
+    statistics into each slot's running averages. Inference stops at
+    the metric features (``metric_features``).
     """
     s, n, c = pooled.shape
     d, k = heads[0].cls_w.shape
-    metric = (pooled @ _slot_stack([h.fc_w for h in heads], (s, c, d), training)
-              + _slot_stack([h.fc_b for h in heads], (s, 1, d), training))
-    if training:
-        necked, mu, var = batch_norm_train(
-            metric.transpose((1, 0, 2)).reshape(n, s * d),
-            _slot_stack([h.bnn.gamma for h in heads], (s * d,), training),
-            _slot_stack([h.bnn.beta for h in heads], (s * d,), training), BN_EPS)
-        necked = necked.reshape(n, s, d).transpose((1, 0, 2))
-        for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
-            _update_running(head.bnn, mu_h, var_h)
-    else:
-        scale, shift = (np.stack(a)[:, None]
-                        for a in zip(*(_folded(h.bnn) for h in heads)))
-        necked = Tensor(metric.data * scale + shift)
-    return metric, necked @ _slot_stack([h.cls_w for h in heads], (s, d, k), training)
+    metric = (pooled @ _slot_stack([h.fc_w for h in heads], (s, c, d))
+              + _slot_stack([h.fc_b for h in heads], (s, 1, d)))
+    necked, mu, var = batch_norm_train(
+        metric.transpose((1, 0, 2)).reshape(n, s * d),
+        _slot_stack([h.bnn.gamma for h in heads], (s * d,)),
+        _slot_stack([h.bnn.beta for h in heads], (s * d,)), BN_EPS)
+    necked = necked.reshape(n, s, d).transpose((1, 0, 2))
+    for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
+        _update_running(head.bnn, mu_h, var_h)
+    return metric, necked @ _slot_stack([h.cls_w for h in heads], (s, d, k))
 
 
 @dataclass
 class ForwardResult:
     metrics: Tensor  # (num_parts, N, D)
-    logits: Tensor   # (num_parts, N, num_classes)
+    logits: Tensor   # (num_parts, N, num_classes); None at inference
 
     def embedding_matrix(self) -> np.ndarray:
         """(N, num_parts, D) array of metric features."""
@@ -479,24 +471,13 @@ def _sequence_chunks(n: int, t: int) -> list:
     return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
 
 
-def network_forward(model: ModelParams, branch_inputs: dict,
-                    training: bool = False) -> ForwardResult:
-    """Full network: branches -> pooling -> per-part heads.
-
-    branch_inputs maps branch name to an (N, T, V, C) array or Tensor.
-    Slot order is branch-major: all six parts of the first configured
-    branch, then the next branch, and so on. Inference builds no graph,
-    even from a model whose parameters require gradients, and runs the
-    branches and their pooling over chunks of whole sequences
-    (``_sequence_chunks``) into one (N, S, C) array, then the heads once
-    over all N. Blocks and pooling treat each sequence on its own, so
-    the embeddings are those of one unchunked pass while block outputs,
-    stacked adjacencies and pooling temporaries stay chunk-sized.
-    Training never chunks: its batch norms use the whole batch's
-    statistics.
-    """
+def pooled_slots(model: ModelParams, branch_inputs: dict,
+                 training: bool = False) -> Tensor:
+    """(N, S, C) pooled slots: every branch's blocks, then its part
+    pooling, slots branch-major. ``branch_inputs`` maps branch name to
+    an (N, T, V, C) array or Tensor."""
     cfg = model.config
-    inputs = []
+    slots = []
     for bname in cfg.branches:
         x = branch_inputs[bname]
         if not isinstance(x, Tensor):
@@ -505,22 +486,65 @@ def network_forward(model: ModelParams, branch_inputs: dict,
         if x.shape[-1] != expect or x.shape[2] != V:
             raise DataError(
                 f"branch {bname!r} expects (N,T,{V},{expect}), got {x.shape}")
-        inputs.append(x)
+        slots.append(part_pool(branch_forward(x, model.branches[bname],
+                                              model.adjacency, model.masks,
+                                              training)))
+    return concat(slots, axis=1)
 
-    def pooled(xs):   # (N, S, C) from one input per branch
-        return concat([part_pool(branch_forward(x, model.branches[bname],
-                                                model.adjacency, model.masks,
-                                                training))
-                       for bname, x in zip(cfg.branches, xs)], axis=1)
 
+def metric_features(model: ModelParams, n: int, t: int, chunk_inputs,
+                    out: np.ndarray = None) -> np.ndarray:
+    """(N, S, D) metric features of N sequences of T frames, inference.
+
+    ``chunk_inputs(lo, hi)`` gives the branch inputs of sequences lo to
+    hi, as ``pooled_slots`` takes them. Blocks and pooling run over the
+    chunks of ``_sequence_chunks`` into one (N, S, C) array, so the
+    inputs, block outputs, stacked adjacencies and pooling temporaries
+    stay chunk-sized. The heads then run once over all N rows: slot by
+    slot, the fc product is written into ``out`` (a new array if None),
+    then the biases are added in place. These are the products and sums
+    of one batched matmul over the same rows, so the features do not
+    depend on the chunks. No BNNeck and no classifier product run:
+    nothing reads inference logits.
+    """
+    pooled = None
+    for lo, hi in _sequence_chunks(n, t):
+        chunk = pooled_slots(model, chunk_inputs(lo, hi)).data
+        if pooled is None:
+            pooled = np.empty((n,) + chunk.shape[1:])
+        pooled[lo:hi] = chunk
+    if out is None:
+        out = np.empty((n, len(model.heads), model.config.embed_dim))
+    for slot, head in enumerate(model.heads):
+        np.matmul(pooled[:, slot], head.fc_w.data, out=out[:, slot])
+    out += np.stack([head.fc_b.data for head in model.heads])
+    return out
+
+
+def network_forward(model: ModelParams, branch_inputs: dict,
+                    training: bool = False) -> ForwardResult:
+    """Full network: branches -> pooling -> per-part heads.
+
+    branch_inputs maps branch name to an (N, T, V, C) array or Tensor.
+    Slot order is branch-major: all six parts of the first configured
+    branch, then the next branch, and so on. Training returns the metric
+    features and the classifier logits (``part_heads``) and never
+    chunks: its batch norms use the whole batch's statistics. Inference
+    builds no graph, even from a model whose parameters require
+    gradients, and returns the metric features only, through
+    ``metric_features`` over slices of the inputs (``logits`` is None).
+    """
     if training:
-        slots = pooled(inputs)
-    else:
-        slots = Tensor(np.concatenate([
-            pooled([Tensor(x.data[lo:hi]) for x in inputs]).data
-            for lo, hi in _sequence_chunks(*inputs[0].shape[:2])]))
-    metrics, logits = part_heads(slots.transpose((1, 0, 2)), model.heads, training)
-    return ForwardResult(metrics=metrics, logits=logits)
+        metrics, logits = part_heads(
+            pooled_slots(model, branch_inputs, True).transpose((1, 0, 2)),
+            model.heads)
+        return ForwardResult(metrics=metrics, logits=logits)
+    arrays = {b: x.data if isinstance(x, Tensor) else np.asarray(x)
+              for b, x in branch_inputs.items()}
+    n, t = arrays[model.config.branches[0]].shape[:2]
+    features = metric_features(
+        model, n, t, lambda lo, hi: {b: x[lo:hi] for b, x in arrays.items()})
+    return ForwardResult(metrics=Tensor(features.transpose(1, 0, 2)), logits=None)
 
 
 # -- checkpoint glue --------------------------------------------------

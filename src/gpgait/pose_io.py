@@ -6,10 +6,10 @@ downstream works on whole stacks of frames at once.
 
 On-disk sequence format: newline-delimited JSON, one sequence per line.
 Fields: seq_id, subject, condition, view, frames. ``frames`` is a nested
-array of shape (T, 17, 3) for raw sequences (x, y, confidence) or
-(T, 17, 2) plus ``"unified": true`` for normalized sequences, which also
-carry ``kept_frame_indices``. Numbers are plain decimal text, so files
-are diffable and language-neutral.
+array of shape (T, 17, 3): x, y, confidence. Frames of 18 keypoints (an
+explicit neck, every frame) are converted to COCO17 on load
+(``convert_alphapose18_to_coco17``). Numbers are plain decimal text, so
+files are diffable and language-neutral.
 
 Manifest format: one entry per line, ``path<TAB>role`` with role one of
 train/gallery/probe. Paths are resolved relative to the manifest file.
@@ -26,6 +26,8 @@ import numpy as np
 from .errors import DataError, RecordError
 
 NUM_KEYPOINTS = 17
+# 18-keypoint estimator output (explicit neck), converted on load
+KEYPOINTS_WITH_NECK = 18
 
 CONDITIONS = ("NM", "BG", "CL", "WILD")
 ROLES = ("train", "gallery", "probe")
@@ -114,15 +116,20 @@ def sequence_to_record(seq: PoseSequence) -> dict:
 
 def _malformed_frames(frames):
     """Why a record's ``frames`` field is not T frames of 17 numeric
-    triples, or None when it is. Walks the nested lists, so it only
-    runs once the array conversion has failed or looks suspect."""
+    triples (or of 18, every frame, as an 18-keypoint estimator writes
+    them), or None when it is. Walks the nested lists, so it only runs
+    once the array conversion has failed or looks suspect."""
     if not isinstance(frames, list):
         return f"frames is {type(frames).__name__}, expected a list of frames"
+    expected = NUM_KEYPOINTS
+    if frames and isinstance(frames[0], list):
+        if len(frames[0]) == KEYPOINTS_WITH_NECK:
+            expected = KEYPOINTS_WITH_NECK
     for frame in frames:
         if not isinstance(frame, list):
             return f"frame is {type(frame).__name__}, expected a list of keypoints"
-        if len(frame) != NUM_KEYPOINTS:
-            return f"frame has {len(frame)} keypoints, expected {NUM_KEYPOINTS}"
+        if len(frame) != expected:
+            return f"frame has {len(frame)} keypoints, expected {expected}"
         for kp in frame:
             if not isinstance(kp, list):
                 return f"keypoint is {type(kp).__name__}, expected [x, y, confidence]"
@@ -152,10 +159,13 @@ def sequence_from_record(rec: dict, path="<memory>", line_no=0) -> PoseSequence:
         frames = np.empty((0,))
     # numpy reads null as NaN, so a NaN also triggers the walk, which
     # tells a JSON NaN (a non-finite keypoint HOT drops) from a null
-    if frames.shape[1:] != (NUM_KEYPOINTS, 3) or np.isnan(frames).any():
+    if (frames.shape[1:] not in ((NUM_KEYPOINTS, 3), (KEYPOINTS_WITH_NECK, 3))
+            or np.isnan(frames).any()):
         problem = _malformed_frames(raw)
         if problem is not None:
             raise RecordError(path, line_no, problem)
+    if frames.shape[1:] == (KEYPOINTS_WITH_NECK, 3):
+        frames = convert_alphapose18_to_coco17(frames)
     return PoseSequence(frames=frames, **meta)
 
 
@@ -232,7 +242,7 @@ def convert_alphapose18_to_coco17(frames18) -> np.ndarray:
     The neck triple is dropped; the other 17 triples are copied unchanged.
     """
     frames18 = np.asarray(frames18, dtype=np.float64)
-    if frames18.ndim < 2 or frames18.shape[-2] != 18:
+    if frames18.ndim < 2 or frames18.shape[-2] != KEYPOINTS_WITH_NECK:
         count = frames18.shape[-2] if frames18.ndim >= 2 else frames18.size
         raise DataError(f"expected 18 keypoints, got {count}")
     return frames18[..., ALPHAPOSE18_TO_COCO17, :]

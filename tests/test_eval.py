@@ -10,6 +10,7 @@ import pytest
 
 import reference as ref
 from gpgait import eval as ev
+from gpgait import hot, pagcn
 from gpgait.errors import DataError
 from gpgait.hot import HotConfig, apply_hot, unify_sequences
 from gpgait.pagcn import NetworkConfig, init_model
@@ -99,6 +100,74 @@ class TestEmbed:
         emb = ev.embed_unified(model, useqs)
         assert emb.shape == (2, 18, 4)
         assert np.isfinite(emb).all()
+
+
+def _toy_model(classes=6):
+    from gpgait.config import build_run_config
+    return init_model(build_run_config(preset="toy").network_config(
+        num_classes=classes), seed=1)
+
+
+def _embed_peak(model, useqs) -> int:
+    """tracemalloc peak, in bytes, of one ``embed_unified`` call."""
+    ev.embed_unified(model, useqs[:1])       # first-call caches out of the peak
+    tracemalloc.start()
+    try:
+        ev.embed_unified(model, useqs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEmbedChunks:
+    """``embed_unified`` describes, runs and pools one chunk of whole
+    sequences at a time and runs the heads once per length group."""
+
+    def test_mixed_lengths_equal_per_length_calls(self, monkeypatch):
+        """Each length group's rows equal a call on that group alone,
+        groups of consecutive rows and scattered ones, whatever the
+        chunk size."""
+        model = tiny_model()
+        useqs = unified_sequences(n_ids=3, seqs=2, frames=8)
+        useqs += unified_sequences(n_ids=2, seqs=1, frames=5, seed=8)
+        useqs.insert(2, unified_sequences(n_ids=2, seqs=1, frames=5, seed=9)[0])
+        lengths = [u.num_frames for u in useqs]
+        whole = ev.embed_unified(model, useqs)
+        for budget in (5, 16, 40):
+            monkeypatch.setattr(hot, "CHUNK_FRAMES", budget)
+            np.testing.assert_array_equal(ev.embed_unified(model, useqs), whole)
+        for t in set(lengths):
+            rows = [i for i, n in enumerate(lengths) if n == t]
+            np.testing.assert_array_equal(
+                whole[rows], ev.embed_unified(model, [useqs[i] for i in rows]))
+
+    def test_peak_grows_by_pooled_array_and_embeddings(self):
+        """From 42 to 672 sequences of 70 frames (chunks of 7 sequences
+        either way), the traced peak grows by at most the extra
+        sequences' pooled (N, S, C) array and embeddings (N, S, D),
+        ``dN * S * (C + D) * 8`` bytes, plus 256 KB for the interpreter's
+        free lists, which fill over the first few dozen chunks and then
+        stop growing (measured +120 KB from 42 to 1,344 sequences).
+        Descriptors, block outputs and classifier logits do not grow
+        with N."""
+        model = _toy_model()
+        base = unified_sequences(n_ids=6, seqs=7, frames=70, seed=3)
+        assert len(base) == 42 and {u.num_frames for u in base} == {70}
+        assert pagcn._sequence_chunks(42, 70)[0] == (0, 7)
+        assert pagcn._sequence_chunks(672, 70)[0] == (0, 7)
+        peaks = {n: _embed_peak(model, (base * 16)[:n]) for n in (42, 672)}
+        cfg = model.config
+        channels = cfg.larger_channels
+        allowed = ((672 - 42) * cfg.num_parts * (channels + cfg.embed_dim) * 8
+                   + 256 * 1024)
+        assert peaks[672] - peaks[42] <= allowed, (peaks, allowed)
+
+    def test_peak_independent_of_class_count(self):
+        """A 5,000-class checkpoint embeds within 5% of the traced peak
+        of a 6-class one: inference computes no classifier logits."""
+        useqs = unified_sequences(n_ids=6, seqs=7, frames=60, seed=3)
+        peaks = {k: _embed_peak(_toy_model(k), useqs) for k in (6, 5000)}
+        assert peaks[5000] <= 1.05 * peaks[6], peaks
 
 
 class TestDistances:
@@ -259,6 +328,108 @@ class TestRank1Blocks:
             finally:
                 tracemalloc.stop()
         assert max(peaks.values()) - peaks[100, 100] <= 32 * 1024, peaks
+
+
+def _argmin_rows(emb, probe_rows, gallery_rows, metric="euclidean"):
+    """The argmin of each probe's whole row of ``pairwise_distances``,
+    one probe at a time."""
+    flat = ev.flatten_embeddings(np.asarray(emb))
+    gallery = flat[list(gallery_rows)]
+    return np.array([ev.pairwise_distances(flat[[p]], gallery, metric).argmin()
+                     for p in probe_rows])
+
+
+class TestGramScreen:
+    """Euclidean rank-1 screens blocks with ``|p|^2 + |g|^2 - 2 p.g`` and
+    rechecks the survivors through ``pairwise_distances``: the indices
+    are those of the argmin of every whole row."""
+
+    def test_random_wide_embeddings_over_several_blocks(self, monkeypatch, rng):
+        """D = 2304 (18 slots x 128), blocks of 50 rows: 3 probe blocks
+        by 6 gallery blocks, and one block of each at full size."""
+        emb = rng.normal(size=(420, 18, 128))
+        probes, gallery = range(120), range(120, 420)
+        expect = _argmin_rows(emb, probes, gallery)
+        np.testing.assert_array_equal(ev.nearest_gallery(emb, probes, gallery), expect)
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", 2304 * 50)
+        assert ev._screen_rows(2304) == 50
+        np.testing.assert_array_equal(ev.nearest_gallery(emb, probes, gallery), expect)
+
+    @pytest.mark.parametrize("block", [1, 64, 2_000_000])
+    def test_clustered_duplicates_and_ties(self, monkeypatch, rng, block):
+        """Tight clusters, probes duplicated exactly in the gallery,
+        repeated gallery rows (exact ties) and an all-zero corner where
+        every entry ties."""
+        centres = rng.normal(size=(12, 3, 8))
+        emb = centres[rng.integers(0, 12, 260)] + 1e-6 * rng.normal(size=(260, 3, 8))
+        emb[100:140] = emb[140:180]            # gallery rows tie pairwise
+        emb[200:210] = emb[:10]                # probes found exactly
+        emb[250:] = 0.0
+        emb[90:100] = 0.0                      # probes tying every zero row
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", block)
+        probes, gallery = range(100), range(100, 260)
+        np.testing.assert_array_equal(ev.nearest_gallery(emb, probes, gallery),
+                                      _argmin_rows(emb, probes, gallery))
+
+    @pytest.mark.parametrize("where", ["probe", "gallery", "both"])
+    def test_nan_and_infinite_rows(self, monkeypatch, rng, where):
+        emb = rng.normal(size=(60, 3, 4))
+        if where in ("probe", "both"):
+            emb[3, 1, 2] = np.nan
+            emb[5, 0, 0] = np.inf
+        if where in ("gallery", "both"):
+            emb[30, 0, 0] = np.nan
+            emb[41, 2, 1] = np.nan
+            emb[25, 1, 1] = -np.inf
+            emb[50] = 1e200                    # norms overflow
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", 96)
+        probes, gallery = range(12), range(12, 60)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(ev.nearest_gallery(emb, probes, gallery),
+                                          _argmin_rows(emb, probes, gallery))
+
+    def test_cosine(self, monkeypatch, rng):
+        emb = rng.normal(size=(200, 18, 8))
+        emb[150:160] = emb[:10]
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", 144 * 30)
+        np.testing.assert_array_equal(
+            ev.nearest_gallery(emb, range(40), range(40, 200), "cosine"),
+            _argmin_rows(emb, range(40), range(40, 200), "cosine"))
+
+    def test_near_tie_the_gram_form_misorders(self, rng):
+        """Gallery rows at distances 1e-3 (1 + k 1e-6) from a probe of
+        norm 4.8e4: the exact distances are strictly ordered with the
+        nearest last, while the Gram form's rounding (about D u |p|^2,
+        6e-4 here, against squared distances of 1e-6) scrambles them.
+        Skipping the recheck gives a wrong index."""
+        d, k = 2304, 40
+        probe = 1e3 + rng.normal(size=d)
+        steps = rng.normal(size=(k, d))
+        steps *= (1e-3 * (1 + 1e-6 * np.arange(k)[::-1]) /
+                  np.linalg.norm(steps, axis=1))[:, None]
+        emb = np.vstack([probe, probe + steps])
+        gallery = range(1, k + 1)
+        expect = _argmin_rows(emb, [0], gallery)
+        assert expect.tolist() == [k - 1]
+        g = emb[1:]
+        gram = (emb[0] @ emb[0]) + np.einsum("ij,ij->i", g, g) - 2 * (g @ emb[0])
+        assert gram.argmin() != k - 1
+        np.testing.assert_array_equal(ev.nearest_gallery(emb, [0], gallery), expect)
+
+    def test_screen_keeps_few_candidates(self, monkeypatch, rng):
+        """On well separated embeddings the recheck sees about one
+        gallery row per probe, not the gallery."""
+        emb = rng.normal(size=(300, 2, 16))
+        calls = []
+        exact = ev._nearest_exact
+
+        def counting(flat, probe_rows, gallery_rows, metric):
+            calls.append(len(gallery_rows))
+            return exact(flat, probe_rows, gallery_rows, metric)
+
+        monkeypatch.setattr(ev, "_nearest_exact", counting)
+        ev.nearest_gallery(emb, range(100), range(100, 300))
+        assert len(calls) == 100 and sum(calls) <= 110, calls
 
 
 def _casiab_split_2x2():

@@ -72,6 +72,14 @@ class TestPartitionMasks:
         with pytest.raises(ConfigError, match="scheme 'parts5'.*uncovered"):
             graph.mask_set((("parts5", ((0, 1, 2),)),), partitioned=False)
 
+    @pytest.mark.parametrize("joint", [17, -1])
+    def test_out_of_range_joint_named(self, joint):
+        """Every joint covered plus one index outside 0-16: the message
+        names that index (it used to read "joints [] uncovered")."""
+        with pytest.raises(ConfigError, match=f"scheme 'global': joint indices "
+                                              f"\\[{joint}\\] outside 0-16"):
+            graph.mask_set((("global", (tuple(range(17)), (joint,))),))
+
     @pytest.mark.parametrize("name", sorted(graph.PARTITION_SCHEMES))
     def test_equivalence_relation(self, name):
         """Brute force: M is the indicator of 'same group'."""

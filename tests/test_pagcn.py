@@ -537,9 +537,9 @@ class TestGraphGuards:
             "bone": rng.normal(size=(1, 2, 17, 2)),
         }
         res = network_forward(model, inp, training=False)
-        for out in (res.metrics, res.logits):
-            assert out._parents == () and out._backward is None
-            assert not out.requires_grad
+        assert res.logits is None
+        assert res.metrics._parents == () and res.metrics._backward is None
+        assert not res.metrics.requires_grad
         view = network_forward(ref.detached_view(model), inp, training=False)
         np.testing.assert_array_equal(res.embedding_matrix(),
                                       view.embedding_matrix())
@@ -667,10 +667,13 @@ def _identity_head():
 
 class TestHeads:
     def test_identity_head(self):
-        v = np.array([[[1.0, -2.0, 0.5, 3.0]]])
-        metric, logits = part_heads(Tensor(v), [_identity_head()], training=False)
+        """Training: the metric is the fc output, the logits its BNNeck
+        output under batch statistics through an identity classifier."""
+        v = np.array([[[1.0, -2.0, 0.5, 3.0], [3.0, 2.0, -0.5, 1.0]]])
+        metric, logits = part_heads(Tensor(v), [_identity_head()])
         np.testing.assert_allclose(metric.data, v, atol=1e-12)
-        np.testing.assert_allclose(logits.data, v, atol=1e-12)
+        expect = (v - v.mean(axis=1)) / np.sqrt(v.var(axis=1) + pagcn.BN_EPS)
+        np.testing.assert_allclose(logits.data, expect, atol=1e-12)
 
     def test_heads_never_share_parameters(self):
         model = init_model(tiny_config(), seed=1)
@@ -681,26 +684,21 @@ class TestHeads:
                 ids.add(id(t))
 
     def test_head_matches_reference(self, rng):
-        """Every slot of one stacked call, in training and at inference,
-        against the per-slot head chain, and in training against the
-        scalar head."""
+        """Every slot of one stacked training call against the per-slot
+        head chain and against the scalar head."""
         model = init_model(tiny_config(), seed=3)
         for head in model.heads:
             _perturbed_bn(rng, head.bnn)
         pooled = rng.normal(size=(18, 4, 4))
-        outputs = {}
-        for training in (True, False):
-            # training updates the running statistics: on a copy, so
-            # inference folds the perturbed ones
-            heads = copy.deepcopy(model.heads) if training else model.heads
-            metric, logits = part_heads(Tensor(pooled), heads, training=training)
-            assert metric.shape == (18, 4, 4) and logits.shape == (18, 4, 2)
-            for slot, head in enumerate(heads):
-                em, el = ref.per_part_head(Tensor(pooled[slot]), head, training)
-                np.testing.assert_allclose(metric.data[slot], em.data, atol=1e-12)
-                np.testing.assert_allclose(logits.data[slot], el.data, atol=1e-12)
-            outputs[training] = metric.data, logits.data
-        metric_train, logits_train = outputs[True]
+        # training updates the running statistics: on a copy
+        heads = copy.deepcopy(model.heads)
+        metric, logits = part_heads(Tensor(pooled), heads)
+        assert metric.shape == (18, 4, 4) and logits.shape == (18, 4, 2)
+        for slot, head in enumerate(copy.deepcopy(model.heads)):
+            em, el = ref.per_part_head(Tensor(pooled[slot]), head, True)
+            np.testing.assert_allclose(metric.data[slot], em.data, atol=1e-12)
+            np.testing.assert_allclose(logits.data[slot], el.data, atol=1e-12)
+        metric_train, logits_train = metric.data, logits.data
         for slot, head in enumerate(model.heads):
             em, el = ref.ref_head(pooled[slot], head.fc_w.data, head.fc_b.data,
                                   head.bnn.gamma.data, head.bnn.beta.data,
@@ -721,7 +719,7 @@ class TestNetworkForward:
         model = init_model(tiny_config(), seed=0)
         inputs = self._inputs(rng)
         res = network_forward(model, inputs, training=False)
-        assert res.metrics.shape == (18, 4, 4) and res.logits.shape == (18, 4, 2)
+        assert res.metrics.shape == (18, 4, 4) and res.logits is None
         emb = res.embedding_matrix()
         assert emb.shape == (4, 18, 4)
         # slots are branch-major: a branch's input moves its six slots only
@@ -883,7 +881,6 @@ class TestInferenceChunks:
         assert pagcn._sequence_chunks(self.N, self.T) == chunks
         chunked = network_forward(model, inputs)
         np.testing.assert_array_equal(chunked.metrics.data, whole.metrics.data)
-        np.testing.assert_array_equal(chunked.logits.data, whole.logits.data)
 
     def test_training_never_chunks(self, monkeypatch):
         """Batch norm takes the whole batch's statistics in training."""
@@ -922,7 +919,7 @@ class TestBatchNormStats:
     def test_running_stats_update(self, rng):
         model = init_model(tiny_config(), seed=4)
         pooled = Tensor(rng.normal(2.0, 3.0, size=(18, 50, 4)))
-        metric, _ = part_heads(pooled, model.heads, training=True)
+        metric, _ = part_heads(pooled, model.heads)
         for slot, head in enumerate(model.heads):
             mu = metric.data[slot].mean(axis=0)
             var = metric.data[slot].var(axis=0)
@@ -930,15 +927,30 @@ class TestBatchNormStats:
             np.testing.assert_allclose(head.bnn.running_var, 0.9 + 0.1 * var,
                                        atol=1e-9)
 
-    def test_inference_uses_running(self, rng):
-        head = _identity_head()
-        head.bnn.running_mean = np.array([1.0, 2.0, 3.0, 4.0])
-        head.bnn.running_var = np.array([4.0, 4.0, 4.0, 9.0])
-        x = rng.normal(size=(1, 2, 4))
-        _, logits = part_heads(Tensor(x), [head], training=False)
-        expect = (x - head.bnn.running_mean) / np.sqrt(
-            head.bnn.running_var + pagcn.BN_EPS)
-        np.testing.assert_allclose(logits.data, expect, atol=1e-12)
+    def test_inference_stops_at_metric_features(self, rng):
+        """Inference reads neither the BNNeck nor the classifier: with
+        them all NaN, the embeddings are the fc outputs unchanged, and
+        the running statistics stay as they are."""
+        model = _trained_like("toy")
+        inputs = {"joint": rng.normal(size=(3, 4, 17, 2)),
+                  "angle": rng.normal(size=(3, 4, 17, 1)),
+                  "bone": rng.normal(size=(3, 4, 17, 2))}
+        expect = network_forward(model, inputs).embedding_matrix()
+        for head in model.heads:
+            head.cls_w.data[...] = np.nan
+            head.bnn.gamma.data[...] = np.nan
+            head.bnn.beta.data[...] = np.nan
+            head.bnn.running_mean[...] = np.nan
+            head.bnn.running_var[...] = np.nan
+        res = network_forward(model, inputs)
+        assert res.logits is None
+        np.testing.assert_array_equal(res.embedding_matrix(), expect)
+        pooled = pagcn.pooled_slots(model, inputs).data
+        for slot, head in enumerate(model.heads):
+            np.testing.assert_allclose(
+                expect[:, slot], pooled[:, slot] @ head.fc_w.data + head.fc_b.data,
+                rtol=0, atol=1e-12)
+        assert all(np.isnan(h.bnn.running_mean).all() for h in model.heads)
 
 
 class TestCheckpointGlue:

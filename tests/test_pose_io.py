@@ -123,6 +123,47 @@ class TestConvert18:
         assert got == expect
 
 
+class TestLoad18:
+    """Records of 18-keypoint frames are converted on load."""
+
+    def _record(self, frames):
+        return {"seq_id": "a", "subject": "s", "condition": "NM", "view": "000",
+                "frames": frames}
+
+    def test_file_loads_as_converted_by_hand(self, tmp_path):
+        rng = np.random.default_rng(3)
+        frames18 = rng.uniform(0, 100, size=(4, 18, 3))
+        frames18[..., 2] = rng.uniform(0, 1, size=(4, 18))
+        frames18[2, 7, 0] = np.nan          # a non-finite keypoint is kept
+        path = tmp_path / "a.jsonl"
+        path.write_text(json.dumps(self._record(frames18.tolist())) + "\n")
+        (seq,) = pose_io.load_sequence_file(path)
+        np.testing.assert_array_equal(
+            seq.frames, pose_io.convert_alphapose18_to_coco17(frames18))
+        assert seq.frames.shape == (4, 17, 3)
+
+    @pytest.mark.parametrize("counts, message", [
+        ((16,), "frame has 16 keypoints, expected 17"),
+        ((19,), "frame has 19 keypoints, expected 17"),
+        ((18, 17), "frame has 17 keypoints, expected 18"),
+        ((17, 18), "frame has 18 keypoints, expected 17"),
+    ])
+    def test_other_counts_refused(self, tmp_path, counts, message):
+        frames = [[[1.0, 2.0, 1.0]] * n for n in counts]
+        path = tmp_path / "a.jsonl"
+        path.write_text(json.dumps(self._record(frames)) + "\n")
+        with pytest.raises(RecordError, match=message):
+            pose_io.load_sequence_file(path)
+
+    def test_null_neck_refused(self, tmp_path):
+        frames = [[[1.0, 2.0, 1.0]] * 18]
+        frames[0][1] = [None, 2.0, 1.0]     # the neck, dropped on conversion
+        path = tmp_path / "a.jsonl"
+        path.write_text(json.dumps(self._record(frames)) + "\n")
+        with pytest.raises(RecordError, match="keypoint value None is not a number"):
+            pose_io.load_sequence_file(path)
+
+
 class TestValidate:
     def test_clean_sequence(self):
         seq = sequence_from_coords([walker_frame(p / 10) for p in range(60)])

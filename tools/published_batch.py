@@ -110,18 +110,26 @@ def measure(sequences: int, frames: int) -> dict:
     }
 
 
-def child(sequences: int) -> int:
+def capped_child(measure_step, failed: dict) -> int:
+    """Body of a ladder step's process: cap the address space at
+    ``CAP_GIB``, run ``measure_step()`` and print its result as one JSON
+    line, or ``failed`` with the error and the peak RSS when it raises
+    ``MemoryError``."""
     import resource
     cap = CAP_GIB * 2**30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     try:
-        out = measure(sequences, FRAMES)
+        out = measure_step()
     except MemoryError as e:
-        out = {"sequences": sequences, "frames": FRAMES, "fit": False,
-               "error": f"{type(e).__name__}: {e}"[:200],
-               "peak_rss_mb": _rusage().ru_maxrss / 1024.0}
+        out = dict(failed, error=f"{type(e).__name__}: {e}"[:200],
+                   peak_rss_mb=_rusage().ru_maxrss / 1024.0)
     print(json.dumps(out))
     return 0
+
+
+def child(sequences: int) -> int:
+    return capped_child(lambda: measure(sequences, FRAMES),
+                        {"sequences": sequences, "frames": FRAMES, "fit": False})
 
 
 def _commit(path: str):
@@ -133,30 +141,41 @@ def _commit(path: str):
         return None
 
 
-def run_step(tree: str, sequences: int) -> dict:
-    """One ladder step in a fresh process measuring ``tree``'s source."""
+def run_child(script: str, tree: str, args: list, failed: dict) -> dict:
+    """Run ``script --child ARGS`` in a fresh process that imports
+    ``tree``'s ``src/gpgait`` with BLAS on one thread, and return the
+    JSON line it printed last, or ``failed`` with the exit status when
+    it died without one (killed or crashed on the way to a
+    ``MemoryError``: it did not fit)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", str(sequences)],
+        [sys.executable, os.path.abspath(script), "--child", *map(str, args)],
         env=env, capture_output=True, text=True, timeout=STEP_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        # killed or crashed on the way to a MemoryError: did not fit
-        return {"sequences": sequences, "frames": FRAMES, "fit": False,
-                "error": f"exit {proc.returncode}: {proc.stderr.strip()[-200:]}"}
+        return dict(failed, error=f"exit {proc.returncode}: {proc.stderr.strip()[-200:]}")
     return json.loads(lines[-1])
 
 
-def ladder(tree: str, step=run_step) -> dict:
+def run_step(tree: str, sequences: int) -> dict:
+    """One ladder step in a fresh process measuring ``tree``'s source."""
+    return run_child(__file__, tree, [sequences],
+                     {"sequences": sequences, "frames": FRAMES, "fit": False})
+
+
+def ladder(tree: str, step=run_step, sizes=LADDER, key: str = "sequences") -> dict:
+    """``step(tree, size)`` for each size in turn, up to the first step
+    that does not fit; ``largest_fit`` is the ``key`` field of the
+    largest step that did."""
     steps = []
-    for n in LADDER:
+    for n in sizes:
         out = step(tree, n)
         print(json.dumps(out), file=sys.stderr)
         steps.append(out)
         if not out["fit"]:
             break
-    fitted = [s["sequences"] for s in steps if s["fit"]]
+    fitted = [s[key] for s in steps if s["fit"]]
     return {"commit": _commit(tree), "steps": steps,
             "largest_fit": max(fitted) if fitted else None}
 
