@@ -9,9 +9,16 @@ shapes.
 
 The engine is deliberately free of global state so repeated runs with
 identical inputs are bit-reproducible.
+
+Parameters can live in an ``Arena``: one flat array for their values
+and one of the same layout for their gradients, cut into regions of
+same-shaped tensors stacked along a new first axis, so a fused op reads
+the stacked operand as a view and hands back its gradient in one copy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,7 +43,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    # home: (Region, index) of the arena slot the tensor was placed in,
+    # or None; see Arena
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "home")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
@@ -44,6 +53,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
+        self.home = None
 
     @property
     def shape(self):
@@ -64,13 +74,19 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray):
         """Add an incoming gradient. A leaf (no ``_backward``) owns its
-        gradient array, so no two parameters ever share one; an
-        intermediate node borrows the first incoming array and adds
-        later ones out of place, so it never writes into an array that
-        another node may hold."""
+        gradient array, so no two parameters ever share one: its slot of
+        its arena's gradient array while it holds its arena view
+        (``Arena``), a copy otherwise. An intermediate node borrows the
+        first incoming array and adds later ones out of place, so it
+        never writes into an array that another node may hold."""
         if self._backward is None:
             if self.grad is None:
-                self.grad = np.array(grad, dtype=np.float64)
+                region = _home_region(self)
+                if region is None:
+                    self.grad = np.array(grad, dtype=np.float64)
+                else:
+                    self.grad = region.gradients()[1][self.home[1]]
+                    np.copyto(self.grad, grad)
             else:
                 self.grad += grad
         elif self.grad is None:
@@ -320,6 +336,158 @@ def concat(tensors, axis=0) -> Tensor:
     return out
 
 
+def stack(tensors) -> Tensor:
+    """``np.stack`` of the tensors as one node. Its value is their arena
+    region's view where ``stacked_data`` finds one, and backward hands
+    each tensor its slice (``_accumulate_stacked``)."""
+    tensors = tuple(tensors)
+    out = _make(stacked_data(tensors), tensors)
+    if out.requires_grad:
+        def bwd(g):
+            _accumulate_stacked(tensors, g)
+        out._backward = bwd
+    return out
+
+
+# -- parameter arenas -------------------------------------------------
+
+ARENA_ALIGN = 8     # floats: every region starts on a 64-byte boundary
+
+
+class Region:
+    """K same-shaped tensors stacked along a new first axis in the floats
+    ``[start, stop)`` of an arena's arrays; tensor i is index i of the
+    stack, so each tensor's view is C-contiguous. A region refers to its
+    arena but not to its tensors, so a model's tensors, regions and
+    arena hold no reference cycle and are freed with the model."""
+
+    __slots__ = ("arena", "start", "stop", "shape", "data", "views", "_grads")
+
+    def __init__(self, arena, start: int, k: int, shape: tuple):
+        self.arena, self.start = arena, start
+        self.shape = (k,) + tuple(shape)
+        self.stop = start + math.prod(self.shape)
+        self._grads = None
+
+    def stack(self, flat: np.ndarray) -> np.ndarray:
+        """This region of ``flat``, an array of the arena's layout,
+        shaped as the stacked tensors (a view)."""
+        return flat[self.start:self.stop].reshape(self.shape)
+
+    def gradients(self):
+        """(stacked view, each tensor's view) of the arena's gradient
+        array."""
+        if self._grads is None:
+            stacked = self.stack(self.arena.grad)
+            self._grads = (stacked, list(stacked))
+        return self._grads
+
+
+class Arena:
+    """One flat float64 array holding many parameter tensors, and one of
+    the same layout for their gradients, made on the first gradient.
+
+    ``groups`` lists the regions in layout order, each a sequence of K
+    same-shaped tensors that becomes one ``Region``, starting on an
+    ``ARENA_ALIGN`` boundary (the padding stays 0). Each tensor's values
+    are copied in and its ``data`` rebound to its view, so every op that
+    reads ``data`` runs as before. A tensor holds its slot while its
+    ``data`` is a view of the arena: ``stacked_data`` then returns its
+    region's stacked view, ``_accumulate`` writes its gradient into its
+    slot of the gradient array, and ``train.adam_step`` updates runs of
+    adjacent regions as one flat array. Rebinding ``data``, or
+    deep-copying the tensor, leaves the slot: the tensor then behaves as
+    one that was never placed.
+    """
+
+    def __init__(self, groups):
+        regions, start = [], 0
+        for tensors in groups:
+            regions.append(Region(self, start, len(tensors), tensors[0].shape))
+            start = -(-regions[-1].stop // ARENA_ALIGN) * ARENA_ALIGN
+        self.size = start
+        self.data = np.zeros(start)
+        self._grad = None
+        for region, tensors in zip(regions, groups):
+            region.data = region.stack(self.data)
+            region.views = list(region.data)
+            for i, (t, view) in enumerate(zip(tensors, region.views)):
+                view[...] = t.data
+                t.data, t.home = view, (region, i)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The gradient array, allocated (zeros) on first use, so a model
+        that never trains does not hold it."""
+        if self._grad is None:
+            self._grad = np.zeros(self.size)
+        return self._grad
+
+
+def _home_region(t: Tensor):
+    """The arena region whose slot ``t`` holds, or None."""
+    home = t.home
+    if home is None or t.data.base is not home[0].arena.data:
+        return None
+    return home[0]
+
+
+def _slot_gradient_region(t: Tensor):
+    """The arena region whose slot ``t`` holds with its gradient in the
+    slot's gradient view, or None."""
+    region = _home_region(t)
+    if region is None or region._grads is None:
+        return None
+    return region if t.grad is region._grads[1][t.home[1]] else None
+
+
+def _stacked_region(tensors):
+    """The region whose slots ``tensors`` hold, each in its own, in
+    order, filling it; or None."""
+    region = _home_region(tensors[0])
+    if region is None or len(tensors) != len(region.views):
+        return None
+    base = region.arena.data
+    for i, t in enumerate(tensors):
+        if t.home != (region, i) or t.data.base is not base:
+            return None
+    return region
+
+
+def stacked_data(tensors) -> np.ndarray:
+    """The tensors' values stacked along a new first axis, as
+    ``np.stack`` stacks them: a view of their arena region when they hold
+    its slots in order, a new array otherwise (loose tensors, or a
+    region's tensors in another grouping)."""
+    region = _stacked_region(tensors)
+    if region is None:
+        return np.stack([t.data for t in tensors])
+    return region.data
+
+
+def _accumulate_stacked(tensors, grad: np.ndarray):
+    """Hand each of ``tensors`` its slice of ``grad``, the gradient of
+    their stack (``stacked_data``) in any shape that reshapes to it. When
+    they hold their region's slots this is one copy into the region's
+    gradient (none has a gradient yet) or one sum onto it (each has its
+    slot's); otherwise one ``_accumulate`` per tensor."""
+    grad = grad.reshape((len(tensors),) + tensors[0].shape)
+    region = _stacked_region(tensors)
+    if region is not None and all(t.requires_grad for t in tensors):
+        stacked, views = region.gradients()
+        if all(t.grad is None for t in tensors):
+            np.copyto(stacked, grad)
+            for t, view in zip(tensors, views):
+                t.grad = view
+            return
+        if all(t.grad is view for t, view in zip(tensors, views)):
+            stacked += grad
+            return
+    for t, share in zip(tensors, grad):
+        if t.requires_grad:
+            t._accumulate(share)
+
+
 def group_pool(x: Tensor, groups) -> Tensor:
     """(N, T, V, C) -> (N, G, C): per group of joints (a non-empty index
     sequence), the mean plus the max over its joints, then the max over
@@ -406,38 +574,43 @@ def stop_gradient(x: Tensor) -> Tensor:
 # calls the array kernels below directly.
 
 
-def _stacked(tensors, axis: int) -> np.ndarray:
-    return np.concatenate([t.data for t in tensors], axis=axis)
+def _projections(attn_q, attn_k) -> list:
+    """The K query and the K key projections, each joined along their
+    columns to one (C_in, K*C_e) operand."""
+    return [np.concatenate(stacked_data(proj), axis=1) for proj in (attn_q, attn_k)]
 
 
-def _attention(f: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
-               mask: np.ndarray, k: int):
-    """(pooled, queries, keys, attention) of the attention term of a
-    block's spatial step on (N, T, V, C_in) features, for the K query and
-    key projections stacked to (C_in, K*C_e): the temporal mean pooled
-    once, one GEMM each for queries and keys, one softmax over
-    (N, K, V, V) normalized within the mask, so a row's attention is
-    exactly 0 outside its part."""
-    n, t, v, _ = f.shape
-    ce = w_q.shape[1] // k
-    pooled = f.sum(axis=1) * (1.0 / t)                          # (N, V, C_in)
-    q = (pooled @ w_q).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
-    key = (pooled @ w_k).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
-    sim = np.matmul(q, key.swapaxes(-1, -2)) * (1.0 / np.sqrt(ce))
-    return pooled, q, key, _softmax(sim, -1, mask > 0)       # (N, K, V, V)
+def _queries_keys(pooled: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, k: int):
+    """(N, K, V, C_e) queries and keys of the (N, V, C_in) pooled
+    features, one GEMM each with the stacked projections
+    (``_projections``)."""
+    n, v, _ = pooled.shape
+    return [(pooled @ w).reshape(n, v, k, -1).transpose(0, 2, 1, 3)
+            for w in (w_q, w_k)]
 
 
-def _stacked_adjacency(f: np.ndarray, fixed: np.ndarray, mask: np.ndarray,
-                       learned, attn_q, attn_k) -> np.ndarray:
+def _attention(f: np.ndarray, attn_q, attn_k, mask: np.ndarray):
+    """(pooled, attention) of the attention term of a block's spatial
+    step on (N, T, V, C_in) features: the temporal mean pooled once to
+    (N, V, C_in), its queries and keys (``_queries_keys``), and one
+    softmax over (N, K, V, V) normalized within the mask, so a row's
+    attention is exactly 0 outside its part."""
+    pooled = f.sum(axis=1) * (1.0 / f.shape[1])
+    q, key = _queries_keys(pooled, *_projections(attn_q, attn_k), len(attn_q))
+    sim = np.matmul(q, key.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    return pooled, _softmax(sim, -1, mask > 0)
+
+
+def _stacked_adjacency(fixed: np.ndarray, mask: np.ndarray, learned,
+                       att: np.ndarray = None) -> np.ndarray:
     """The combined adjacency ``(fixed_k + learned_k + att_k) * mask`` of
-    a block's spatial step on (N, T, V, C_in) features, stacked to the
-    operand of its batched product: (V*K, V), or (N, 1, V*K, V) with
-    attention. A masked entry is exactly 0, so it adds exactly 0."""
-    k, v = len(learned), f.shape[2]
-    adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
-    if attn_q:
-        adj = adj + _attention(f, _stacked(attn_q, 1), _stacked(attn_k, 1),
-                               mask, k)[3]                          # (N, K, V, V)
+    a block's spatial step, stacked to the operand of its batched
+    product: (V*K, V), or (N, 1, V*K, V) with the (N, K, V, V) attention
+    ``att``. A masked entry is exactly 0, so it adds exactly 0."""
+    k, v = len(learned), fixed.shape[-1]
+    adj = fixed + stacked_data(learned)                         # (K, V, V)
+    if att is not None:
+        adj = adj + att                                         # (N, K, V, V)
     adj *= mask
     # stacked[.., u*K + k, v] = A_k[.., v, u]; the K rows of a joint are
     # adjacent, so the reshape to the GEMM operand copies nothing
@@ -445,24 +618,18 @@ def _stacked_adjacency(f: np.ndarray, fixed: np.ndarray, mask: np.ndarray,
     return stacked[:, None] if adj.ndim == 4 else stacked
 
 
-def _accumulate_stacked(tensors, grad: np.ndarray, axis: int):
-    """Hand each of ``tensors`` its equal share of ``grad`` along
-    ``axis``, the gradient of their stacked copy."""
-    for t, share in zip(tensors, np.split(grad, len(tensors), axis=axis)):
-        if t.requires_grad:
-            t._accumulate(share)
-
-
 def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
                          mask: np.ndarray, learned, w: np.ndarray, attn_q,
-                         attn_k):
+                         attn_k, pooled: np.ndarray, att: np.ndarray):
     """Backward of a block's spatial step for the (M, C_out) gradient
     ``g`` of ``y``, less the weight gradient, given the stacked
-    (K*C_in, C_out) weights ``w``: accumulates the learned adjacencies'
-    and the attention projections' gradients and returns the input's, or
-    None when ``f_in`` needs none. The adjacency gradient is masked, so a
-    masked learned entry gets a gradient of exactly 0; the attention term
-    is rebuilt by the forward's own operations."""
+    (K*C_in, C_out) weights ``w`` and, with attention, the forward's
+    pooled features and attention (``_attention``): accumulates the
+    learned adjacencies' and the attention projections' gradients and
+    returns the input's, or None when ``f_in`` needs none. The adjacency
+    gradient is masked, so a masked learned entry gets a gradient of
+    exactly 0; the queries and keys are rebuilt by the forward's own
+    products."""
     f = f_in.data
     n, t, v, c_in = f.shape
     k = len(learned)
@@ -478,14 +645,11 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
     g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
     g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
     g_adj *= mask                                               # (.., K, V, V)
-    g_learned = g_adj.sum(axis=0) if per_sequence else g_adj
-    for i, a in enumerate(learned):
-        if a.requires_grad:
-            a._accumulate(g_learned[i])
+    _accumulate_stacked(learned, g_adj.sum(axis=0) if per_sequence else g_adj)
     if attn_q:
-        w_q, w_k = _stacked(attn_q, 1), _stacked(attn_k, 1)
-        pooled, q, key, att = _attention(f, w_q, w_k, mask, k)
-        ce = w_q.shape[1] // k
+        w_q, w_k = _projections(attn_q, attn_k)
+        q, key = _queries_keys(pooled, w_q, w_k, k)
+        ce = q.shape[-1]
         # softmax backward; a masked entry has att == 0, so its
         # similarity gets exactly 0
         g_sim = g_adj - (g_adj * att).sum(axis=-1, keepdims=True)
@@ -497,7 +661,9 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
         flat_pooled = pooled.reshape(-1, c_in)
         for proj, g_proj in ((attn_q, g_q), (attn_k, g_key)):
             if any(a.requires_grad for a in proj):
-                _accumulate_stacked(proj, flat_pooled.T @ g_proj, 1)
+                # (C_in, K*C_e) columns back to the K projections
+                g_proj = (flat_pooled.T @ g_proj).reshape(c_in, k, ce)
+                _accumulate_stacked(proj, g_proj.swapaxes(0, 1))
         if g_f is not None:
             g_pooled = g_q @ w_q.T
             g_pooled += g_key @ w_k.T
@@ -643,15 +809,22 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     Joints are aggregated by one batched product with the stacked
     (V*K, V) adjacency (``_stacked_adjacency``), channels mixed by one
     GEMM with the stacked (K*C_in, C_out) weights; aggregating first
-    keeps the widest buffer at K*C_in channels, never K*C_out.
+    keeps the widest buffer at K*C_in channels, never K*C_out. Stacked
+    parameters are read through ``stacked_data`` (views of their arena
+    region in a model from ``pagcn.init_model``) and their gradients
+    handed back through ``_accumulate_stacked``, one copy per region.
 
     Returns (output, (mean1, var1), (mean2, var2)), the statistics shaped
     (C_out,). The forward frees the aggregate once ``y`` is formed, then
     normalizes and applies each ReLU in place, in ``y``'s buffer and then
     in the temporal conv's.
 
-    The node keeps its input, the stacked adjacency and the per-channel
-    means and standard deviations: no (N, T, V, C_out) array. Backward
+    The node keeps its input, the stacked adjacency, the per-channel
+    means and standard deviations and, with attention, the (N, V, C_in)
+    pooled features (T times smaller than the input) and the
+    (N, K, V, V) attention (the size of the stacked adjacency): no
+    (N, T, V, C_out) array. Backward recomputes from the pooled features
+    only the two small query and key products (``_queries_keys``), and
     rebuilds, once each and by the forward's exact operations, the
     aggregate and ``y`` from it (normalized in place to the first
     normalized array, which the first batch norm's gradient uses too),
@@ -664,9 +837,12 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     """
     shape = f_in.shape[:-1] + (weights[0].shape[1],)
     c_agg, c = len(weights) * f_in.shape[-1], shape[-1]
-    stacked = _stacked_adjacency(f_in.data, fixed, mask, learned, attn_q, attn_k)
+    pooled = att = None
+    if attn_q:
+        pooled, att = _attention(f_in.data, attn_q, attn_k, mask)
+    stacked = _stacked_adjacency(fixed, mask, learned, att)
     agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
-    xhat1 = agg @ _stacked(weights, 0)                  # y, normalized below
+    xhat1 = agg @ stacked_data(weights).reshape(c_agg, c)    # y, normalized below
     del agg
     xhat1, mu1, var1, std1 = _bn_normalize(xhat1, eps, out=xhat1)
     h = _bn_relu(xhat1, gamma1.data, beta1.data, out=xhat1).reshape(shape)
@@ -685,7 +861,7 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
 
     def bwd(g):
         agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
-        w = _stacked(weights, 0)
+        w = stacked_data(weights).reshape(c_agg, c)
         xhat1 = agg @ w
         _bn_xhat(xhat1, mu1, std1, out=xhat1)
         h = _bn_relu(xhat1, gamma1.data, beta1.data).reshape(shape)
@@ -711,10 +887,10 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
             if t.requires_grad:
                 t._accumulate(grad)
         if any(wk.requires_grad for wk in weights):
-            _accumulate_stacked(weights, agg.T @ g_y, 0)
+            _accumulate_stacked(weights, agg.T @ g_y)
         del agg
         g_f = _spatial_input_grads(g_y, f_in, stacked, mask, learned, w,
-                                   attn_q, attn_k)
+                                   attn_q, attn_k, pooled, att)
         if g_f is not None:
             if residual:
                 g_f += g

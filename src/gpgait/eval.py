@@ -20,10 +20,10 @@ from .config import read_header
 from .errors import DataError
 from .hod import build_descriptors, describe
 from .pagcn import (
+    blank_model,
     branch_forward,
     descriptor_inputs,
     load_model_tensors,
-    init_model,
     metric_features,
 )
 from . import checkpoint as ckpt
@@ -78,7 +78,7 @@ def load_checkpoint(path):
     model, built from that and loaded with its tensors."""
     header, tensors = ckpt.load_container(path)
     run_cfg, net_cfg = read_header(header, path)
-    model = init_model(net_cfg, seed=0)
+    model = blank_model(net_cfg)
     load_model_tensors(model, tensors)
     return run_cfg, model, header, tensors
 
@@ -182,6 +182,49 @@ def _nearest_exact(flat, probe_rows, gallery_rows, metric) -> tuple:
     return nearest, nearest_dist
 
 
+def _nearest_cosine(flat, probe_rows, gallery_rows) -> np.ndarray:
+    """Position in ``gallery_rows`` of each probe row's nearest gallery
+    row of ``flat`` by cosine distance ``1 - p.g / (|p| |g|)``, each norm
+    floored at 1e-12: lowest index on ties, the first NaN before any
+    number.
+
+    Each row is normalized once. The gallery norms are computed once,
+    over blocks of ``_screen_rows`` rows; each block of that many probes
+    is divided by its norms, then for each gallery block one GEMM of the
+    normalized probes with the raw gallery rows, divided by the gallery
+    norms, gives the (P_b, G_b) similarities. So the gathered blocks and
+    the distances each hold at most ``DISTANCE_BLOCK`` floats. These are
+    ``pairwise_distances``' cosine distances up to rounding: their last
+    bits can move with the block shape (BLAS may sum a product of
+    another shape in another order) and differ from the full matrix's,
+    and so can the index of a near tie. Rows that are exact duplicates
+    get equal distances.
+    """
+    rows = _screen_rows(flat.shape[1])
+    g_norm = np.empty(len(gallery_rows))
+    for j in range(0, len(gallery_rows), rows):
+        g_norm[j:j + rows] = np.linalg.norm(flat[gallery_rows[j:j + rows]], axis=1)
+    np.maximum(g_norm, 1e-12, out=g_norm)
+    nearest = np.empty(len(probe_rows), dtype=np.intp)
+    for i in range(0, len(probe_rows), rows):
+        probes = flat[probe_rows[i:i + rows]]
+        probes /= np.maximum(np.linalg.norm(probes, axis=1, keepdims=True), 1e-12)
+        for j in range(0, len(gallery_rows), rows):
+            dist = probes @ flat[gallery_rows[j:j + rows]].T
+            dist /= g_norm[j:j + rows]
+            np.subtract(1.0, dist, out=dist)
+            low, at = dist.min(axis=1), dist.argmin(axis=1) + j
+            if j == 0:
+                best, nearest[i:i + rows] = low, at
+                continue
+            # a later block wins only with a NaN or a strictly smaller
+            # distance, and never over a NaN
+            take = ~np.isnan(best) & (np.isnan(low) | (low < best))
+            best[take] = low[take]
+            nearest[i:i + rows][take] = at[take]
+    return nearest
+
+
 def _screen_rows(d: int) -> int:
     """Probe and gallery rows of one Gram-screen block: both gathered
     blocks hold at most DISTANCE_BLOCK floats, and so do the screen's
@@ -196,8 +239,8 @@ def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
     ``pairwise_distances``, lowest index on ties, the first NaN before
     any number. Memory does not grow with P or G.
 
-    Cosine distances are one product already, and run over
-    ``_block_rows`` blocks (``_nearest_exact``). Euclidean ones are
+    Cosine distances are one product already, over bounded blocks of
+    rows normalized once (``_nearest_cosine``). Euclidean ones are
     screened first. Each block of ``_screen_rows`` probes and gallery
     rows estimates the squared distances as ``q = |p|^2 + |g|^2 - 2
     p.g`` from one GEMM. For each entry it bounds how far ``q`` can lie
@@ -252,8 +295,10 @@ def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
         raise DataError("empty gallery")
     flat = flatten_embeddings(embeddings)
     probe_rows, gallery_rows = np.asarray(probe_rows), np.asarray(gallery_rows)
+    if metric == "cosine":
+        return _nearest_cosine(flat, probe_rows, gallery_rows)
     if metric != "euclidean":
-        return _nearest_exact(flat, probe_rows, gallery_rows, metric)[0]
+        raise DataError(f"unknown distance metric {metric!r}")
     d = flat.shape[1]
     tau = (4 * d + 32) * UNIT_ROUNDOFF
     slack = 4 * np.finfo(np.float64).tiny

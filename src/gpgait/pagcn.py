@@ -19,6 +19,9 @@ body part (mean + max over joints, then max over frames), passed
 through one head per (branch, part) slot, and concatenated into the
 final embedding. Each slot keeps its own head parameters; a forward
 stacks them once and runs all slots, and their losses, as one batch.
+Every parameter lives in one arena (``autodiff.Arena``) laid out by
+role, so those stacks are views and the optimizer steps them as flat
+arrays.
 At inference the branches and pooling run over chunks of whole
 sequences, the heads once over all of them, and the network stops at
 the metric features (``metric_features``).
@@ -30,8 +33,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, _stacked_adjacency, _tap_windows,
-                       batch_norm_train, concat, graph_block, group_pool)
+from .autodiff import (Arena, Tensor, _attention, _stacked_adjacency,
+                       _tap_windows, batch_norm_train, concat, graph_block,
+                       group_pool, stack, stacked_data)
 from . import hot
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
@@ -224,14 +228,57 @@ def _init_block(rng, c_in, c_out, mask_name, cfg: NetworkConfig) -> BlockParams:
     )
 
 
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False       # so every placeholder is read-only
+
+
+class _DeferredDraws:
+    """Stands in for the generator while ``_placed_model`` builds the
+    model's structure: each ``uniform`` call is recorded and answered
+    with a zero-stride placeholder of its shape, so no parameter array
+    exists before the arena does."""
+
+    def __init__(self):
+        self.calls = []
+
+    def uniform(self, low, high, size):
+        placeholder = np.ndarray(size, buffer=_ZERO, strides=(0,) * len(size))
+        self.calls.append((placeholder, low, high))
+        return placeholder
+
+
 def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
     """Build a model with seeded parameter initialization.
 
     Learned adjacencies start at zero so an untrained model behaves
     like the plain predefined-graph network; mix weights use fan-in
     scaled uniform init.
+
+    Every parameter is placed in one arena (``_arena_groups``). The
+    structure is built first with the draws deferred (``_placed_model``);
+    then each draw is made, with the same generator calls in the same
+    order, straight into its tensor's arena view, so no second copy of
+    the parameters is ever held.
     """
-    rng = np.random.default_rng(seed)
+    model, draws = _placed_model(cfg)
+    generator = np.random.default_rng(seed)
+    for t, low, high in draws:
+        t.data[...] = generator.uniform(low, high, size=t.shape)
+    return model
+
+
+def blank_model(cfg: NetworkConfig) -> ModelParams:
+    """The model ``init_model`` builds, with the parameters it draws at
+    random left at 0: for a checkpoint to be loaded into
+    (``load_model_tensors`` sets every tensor), so no draw is wasted."""
+    return _placed_model(cfg)[0]
+
+
+def _placed_model(cfg: NetworkConfig):
+    """(model, deferred draws): the model's structure with every
+    parameter placed in its arena, the randomly drawn ones at 0, and
+    for each of their draws, in generator order, (tensor, low, high)."""
+    rng = _DeferredDraws()
     branches = {}
     for bname in cfg.branches:
         blocks = []
@@ -263,7 +310,31 @@ def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
         if id(t) in seen:
             raise ConfigError(f"tensor {name} aliases another tensor")
         seen.add(id(t))
-    return model
+    owners = {id(t.data): t for t in model.named_parameters().values()}
+    Arena(_arena_groups(model))
+    return model, [(owners[id(placeholder)], low, high)
+                   for placeholder, low, high in rng.calls]
+
+
+def _arena_groups(model: ModelParams) -> list:
+    """The regions of a model's parameter arena, role-major: per block
+    its K subset weights (whose stack reshapes to the (K*C_in, C_out)
+    channel mix), its K learned adjacencies, its K query and its K key
+    projections, then its temporal kernel and batch-norm parameters one
+    each; then each head role's slots."""
+    groups = []
+    for bname in model.config.branches:
+        for blk in model.branches[bname]:
+            subs = blk.subsets
+            groups += [[s.weight for s in subs], [s.learned_adj for s in subs]]
+            if subs[0].attn_a is not None:
+                groups += [[s.attn_a for s in subs], [s.attn_b for s in subs]]
+            groups += [[t] for t in (blk.temporal_kernel, blk.bn1.gamma,
+                                     blk.bn1.beta, blk.bn2.gamma, blk.bn2.beta)]
+    heads = model.heads
+    return groups + [[h.fc_w for h in heads], [h.fc_b for h in heads],
+                     [h.bnn.gamma for h in heads], [h.bnn.beta for h in heads],
+                     [h.cls_w for h in heads]]
 
 
 # -- forward ops ------------------------------------------------------
@@ -336,11 +407,13 @@ def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
     n, t, v, c_in = f.shape
     learned, weights, attn_q, attn_k = _spatial_params(block)
     k, c_out = len(weights), block.out_channels
-    stacked = _stacked_adjacency(f, adjacency, mask, learned, attn_q, attn_k)
+    stacked = _stacked_adjacency(
+        adjacency, mask, learned,
+        _attention(f, attn_q, attn_k, mask)[1] if attn_q else None)
     per_sequence = stacked.ndim == 4
     scale1, shift1 = _folded(block.bn1)
     scale2, shift2 = _folded(block.bn2)
-    weight = np.concatenate([w.data for w in weights]) * scale1
+    weight = stacked_data(weights).reshape(k * c_in, c_out) * scale1
     kernel = np.tile(block.temporal_kernel.data * scale2, (1, v))
     shift1, shift2 = np.tile(shift1, v), np.tile(shift2, v)
     (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], t)
@@ -371,8 +444,9 @@ def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
     """spatial -> norm -> relu -> temporal -> norm -> relu -> residual.
 
     Training builds one ``graph_block`` node, which keeps only the block
-    input, the stacked adjacency and the batch norms' (C,) statistics
-    for backward, and folds both batch norms' statistics into their
+    input, the stacked adjacency, the batch norms' (C,) statistics and,
+    with attention, the pooled features and the attention for backward,
+    and folds both batch norms' statistics into their
     running averages once. Inference builds no graph and leaves the
     running statistics as they are: each batch norm is folded into the
     linear op before it (the stacked graph-conv weights and the temporal
@@ -411,33 +485,29 @@ def part_pool(f_m: Tensor) -> Tensor:
     return group_pool(f_m, PART_GROUPS)
 
 
-def _slot_stack(tensors, shape) -> Tensor:
-    """The slots' tensors joined along their first axis and reshaped."""
-    return concat(tensors).reshape(shape)
-
-
 def part_heads(pooled: Tensor, heads: list):
     """Training: (S, N, C) pooled slots -> metric features (S, N, D) and
     classifier logits (S, N, K), every slot through its own head.
 
-    The slots' parameters are stacked once per call: the fc layer and
-    the classifier each run as one batched matmul, and the BNNeck as
-    one batch norm over the (N, S*D) columns, folding the batch
-    statistics into each slot's running averages. Inference stops at
-    the metric features (``metric_features``).
+    The slots' parameters are stacked once per call (``autodiff.stack``:
+    views of their arena regions in a model from ``init_model``): the fc
+    layer and the classifier each run as one batched matmul, and the
+    BNNeck as one batch norm over the (N, S*D) columns, folding the
+    batch statistics into each slot's running averages. Inference stops
+    at the metric features (``metric_features``).
     """
-    s, n, c = pooled.shape
-    d, k = heads[0].cls_w.shape
-    metric = (pooled @ _slot_stack([h.fc_w for h in heads], (s, c, d))
-              + _slot_stack([h.fc_b for h in heads], (s, 1, d)))
+    s, n, _c = pooled.shape
+    metric = (pooled @ stack([h.fc_w for h in heads])
+              + stack([h.fc_b for h in heads]).reshape(s, 1, -1))
+    d = metric.shape[-1]
     necked, mu, var = batch_norm_train(
         metric.transpose((1, 0, 2)).reshape(n, s * d),
-        _slot_stack([h.bnn.gamma for h in heads], (s * d,)),
-        _slot_stack([h.bnn.beta for h in heads], (s * d,)), BN_EPS)
+        stack([h.bnn.gamma for h in heads]).reshape(s * d),
+        stack([h.bnn.beta for h in heads]).reshape(s * d), BN_EPS)
     necked = necked.reshape(n, s, d).transpose((1, 0, 2))
     for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
         _update_running(head.bnn, mu_h, var_h)
-    return metric, necked @ _slot_stack([h.cls_w for h in heads], (s, d, k))
+    return metric, necked @ stack([h.cls_w for h in heads])
 
 
 @dataclass
@@ -517,7 +587,7 @@ def metric_features(model: ModelParams, n: int, t: int, chunk_inputs,
         out = np.empty((n, len(model.heads), model.config.embed_dim))
     for slot, head in enumerate(model.heads):
         np.matmul(pooled[:, slot], head.fc_w.data, out=out[:, slot])
-    out += np.stack([head.fc_b.data for head in model.heads])
+    out += stacked_data([head.fc_b for head in model.heads])
     return out
 
 
@@ -560,7 +630,10 @@ def model_tensors(model: ModelParams) -> dict:
 
 
 def load_model_tensors(model: ModelParams, tensors: dict):
-    """Copy checkpoint arrays into the model, validating shapes."""
+    """Copy checkpoint arrays into the model's own arrays, validating
+    shapes: parameters into their ``data`` (their arena views in a model
+    from ``init_model``, which stay in place), running statistics into
+    theirs."""
     for name, t in model.named_tensors().items():
         if name not in tensors:
             raise DataError(f"checkpoint missing tensor {name}")
@@ -569,7 +642,4 @@ def load_model_tensors(model: ModelParams, tensors: dict):
         if tuple(arr.shape) != tuple(current.shape):
             raise DataError(
                 f"tensor {name}: checkpoint shape {arr.shape} != model {current.shape}")
-        if isinstance(t, Tensor):
-            t.data = arr.astype(np.float64, copy=True)
-        else:
-            t[...] = arr
+        current[...] = arr

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, stop_gradient
+from .autodiff import (ARENA_ALIGN, Tensor, _home_region, _slot_gradient_region,
+                       stop_gradient)
 from .errors import ConfigError, DataError, NumericError
 from .hod import describe
 from .pagcn import (
@@ -38,6 +39,7 @@ FLIP_PAIRS = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14), (15, 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_SLICE = 8192   # floats per slice of an arena run in adam_step
 
 
 @dataclass(frozen=True)
@@ -263,9 +265,99 @@ def combined_loss(metrics: Tensor, logits: Tensor, labels: np.ndarray,
 
 @dataclass
 class OptimizerState:
+    """Adam's step count and moments. ``m`` and ``v`` map a parameter's
+    name to its moments, made on its first gradient. For a parameter
+    that holds its arena slot (``autodiff.Arena``) they are views of
+    this state's two moment arrays of that arena's layout
+    (``moments``), so they step with the parameters as flat arrays."""
+
     m: dict = field(default_factory=dict)  # name -> first moment
     v: dict = field(default_factory=dict)  # name -> second moment
     step: int = 0
+    moments: dict = field(default_factory=dict)  # Arena -> (m, v) flat arrays
+
+
+def _moments(state: OptimizerState, name: str, p: Tensor):
+    """(m, v) of parameter ``name``, made as zeros on first use: for a
+    ``p`` that holds its arena slot, that slot's views of the state's
+    moment arrays of the arena (the values of moments the state held
+    for the name before are copied in), arrays of their own otherwise."""
+    region = _home_region(p)
+    if region is None:
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        return state.m[name], state.v[name]
+    arrays = state.moments.get(region.arena)
+    if arrays is None:
+        arrays = state.moments[region.arena] = (np.zeros(region.arena.size),
+                                                np.zeros(region.arena.size))
+    m = state.m.get(name)
+    if m is None or m.base is not arrays[0]:
+        for table, flat in zip((state.m, state.v), arrays):
+            view = region.stack(flat)[p.home[1]]
+            if name in table:
+                view[...] = table[name]
+            table[name] = view
+    return state.m[name], state.v[name]
+
+
+def _adam_update(p, g, m, v, lr: float, bc1: float, bc2: float, tmp, step):
+    """The Adam update of arrays ``p``, ``m``, ``v`` in place from their
+    gradient ``g``, through the scratch arrays ``tmp`` and ``step``
+    shaped like them."""
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    m *= ADAM_BETA1
+    m += tmp
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v *= ADAM_BETA2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, bc1, out=step)
+    step *= lr
+    step /= tmp
+    p -= step
+
+
+def _check_finite(name: str, g: np.ndarray):
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient in tensor {name}")
+
+
+def _adam_runs(params: dict, state: OptimizerState):
+    """(runs, alone) of the parameters with a gradient. A run is
+    [arena, start, stop, (name, param) members]: adjacent arena regions
+    whose tensors all hold their slots with their gradients in their
+    slots (``autodiff._slot_gradient_region``), as one span of the
+    arena's flat arrays; their moments are made here. ``alone`` holds
+    every other (name, param)."""
+    whole, alone = {}, []
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        region = _slot_gradient_region(p)
+        if region is None:
+            alone.append((name, p))
+        else:
+            whole.setdefault(region, []).append((name, p))
+    runs = []
+    for region in sorted(whole, key=lambda r: r.start):
+        members = whole[region]
+        if len(members) != len(region.views):
+            alone += members
+            continue
+        for name, p in members:
+            _moments(state, name, p)
+        last = runs[-1] if runs else None
+        if last and last[0] is region.arena and 0 <= region.start - last[2] < ARENA_ALIGN:
+            last[2] = region.stop
+            last[3] += members
+        else:
+            runs.append([region.arena, region.start, region.stop, members])
+    return runs, alone
 
 
 def adam_step(params: dict, state: OptimizerState, lr: float):
@@ -276,36 +368,41 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
     and their order of ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g g`` and
     ``p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, so every value is
-    rounded as those formulas round it.
+    rounded as those formulas round it. The ops are elementwise, so how
+    the values are grouped changes no bit.
+
+    Parameters that hold their arena slots, with their gradients in
+    their slots, step as runs of adjacent whole regions
+    (``_adam_runs``): one span of the arena's value, gradient and moment
+    arrays (``OptimizerState.moments``), walked in slices of at most
+    ``ADAM_SLICE`` floats through two scratch buffers of that size, so
+    no full-size temporary is made. Any other parameter with a gradient
+    steps on its own arrays. A non-finite gradient raises
+    ``NumericError`` naming its tensor before its slice, or its tensor,
+    is updated.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in tensor {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        tmp = np.multiply(g, 1.0 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m += tmp
-        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-        tmp *= g
-        v *= ADAM_BETA2
-        v += tmp
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        step = np.divide(m, bc1)
-        step *= lr
-        step /= tmp
-        p.data -= step
+    runs, alone = _adam_runs(params, state)
+    for name, p in alone:
+        _check_finite(name, p.grad)
+        m, v = _moments(state, name, p)
+        _adam_update(p.data, p.grad, m, v, lr, bc1, bc2, np.empty_like(m),
+                     np.empty_like(m))
+    if runs:
+        tmp, step = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
+    for arena, start, stop, members in runs:
+        m, v = state.moments[arena]
+        for lo in range(start, stop, ADAM_SLICE):
+            hi = min(lo + ADAM_SLICE, stop)
+            g = arena.grad[lo:hi]
+            if not np.isfinite(g).all():
+                for name, p in members:
+                    _check_finite(name, p.grad)
+            _adam_update(arena.data[lo:hi], g, m[lo:hi], v[lo:hi], lr, bc1, bc2,
+                         tmp[:hi - lo], step[:hi - lo])
 
 
 def one_cycle_lr(iteration: int, total: int, lr_init: float, lr_max: float,
@@ -345,6 +442,10 @@ def training_tensors(model: ModelParams, state: OptimizerState) -> dict:
 
 
 def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
+    """Load a checkpoint's parameters and running statistics into
+    ``model`` (``pagcn.load_model_tensors``) and return the optimizer
+    state it records: the step and, per parameter that has them, its
+    moments, copied into their arena views (``_moments``)."""
     from .pagcn import load_model_tensors
     load_model_tensors(model, tensors)
     state = OptimizerState()
@@ -358,8 +459,8 @@ def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
             if tuple(tensors[key].shape) != p.data.shape:
                 raise DataError(f"tensor {key}: checkpoint shape "
                                 f"{tensors[key].shape} != model {p.data.shape}")
-        state.m[name] = tensors[mk].copy()
-        state.v[name] = tensors[vk].copy()
+        for moment, key in zip(_moments(state, name, p), (mk, vk)):
+            moment[...] = tensors[key]
     if "train/step" in tensors:
         state.step = int(round(float(tensors["train/step"][0])))
     return state

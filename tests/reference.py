@@ -16,7 +16,9 @@ own pooling, head and loss nodes (``slot_tail``), as the oracle of the
 stacked tail, and the no-graph model view inference once ran through
 (``detached_view``). The last keeps the pooling node as it was when
 every group's maxima ran over its own joints (``joint_group_pool``), the
-bit-exact oracle of the node that pools the body from its parts.
+bit-exact oracle of the node that pools the body from its parts. After
+it, the per-tensor Adam step (``adam_step``) is the bit-exact oracle of
+the one that steps arena runs as flat arrays.
 """
 
 import copy
@@ -30,7 +32,8 @@ from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
                              _make, _softmax, _temporal_conv,
                              _temporal_conv_grads, batch_norm_train, concat,
                              stop_gradient)
-from gpgait.errors import DataError
+from gpgait.errors import DataError, NumericError
+from gpgait.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 BN_EPS = 1e-5
 
@@ -779,3 +782,40 @@ def joint_group_pool(x, groups):
             x._accumulate(np.bincount(cells, weights, x.data.size).reshape(x.shape))
         out._backward = bwd
     return out
+
+
+# -- the Adam step one tensor at a time ----------------------------------
+
+
+def adam_step(params: dict, state, lr: float):
+    """``train.adam_step`` as it was when it walked the parameters one by
+    one, each with moment arrays of its own in ``state.m``/``state.v``
+    (name -> array, made on the tensor's first gradient)."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient in tensor {name}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = np.divide(m, bc1)
+        step *= lr
+        step /= tmp
+        p.data -= step

@@ -330,6 +330,62 @@ class TestRank1Blocks:
         assert max(peaks.values()) - peaks[100, 100] <= 32 * 1024, peaks
 
 
+class TestCosineBlocks:
+    """Cosine rank-1 normalizes each row once and runs over bounded
+    (P_b, G_b) blocks: the indices are those of the argmin of each whole
+    row of ``pairwise_distances`` on data without near ties."""
+
+    # 1: one row a block; 24 * 3: blocks of 3 rows at D = 24; 2_000_000:
+    # one block
+    BLOCKS = [1, 24 * 3, 2_000_000]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_separated_rows_match_the_full_matrix(self, monkeypatch, rng, block):
+        emb = rng.normal(size=(70, 3, 8))
+        emb[50:] = emb[:20] + 0.05 * rng.normal(size=(20, 3, 8))   # probes
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", block)
+        probes, gallery = range(50, 70), range(50)
+        full = ev.pairwise_distances(emb[50:], emb[:50], "cosine").argmin(axis=1)
+        np.testing.assert_array_equal(full, np.arange(20))
+        np.testing.assert_array_equal(
+            ev.nearest_gallery(emb, probes, gallery, "cosine"), full)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_exact_duplicates_take_the_lowest_index(self, monkeypatch, rng, block):
+        """Gallery rows 3 and 17, 5 and 6, and 9, 10 and 29 are equal,
+        and row 12 equals row 4 scaled (the same direction); probes lie
+        near each of them."""
+        emb = rng.normal(size=(40, 24))
+        emb[17], emb[6], emb[10], emb[29] = emb[3], emb[5], emb[9], emb[9]
+        emb[12] = 3.0 * emb[4]
+        targets = [17, 6, 29, 3, 12]
+        emb[30:35] = emb[targets] + 1e-3 * rng.normal(size=(5, 24))
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", block)
+        got = ev.nearest_gallery(emb, range(30, 35), range(30), "cosine")
+        np.testing.assert_array_equal(got[:4], [3, 5, 9, 3])
+        assert got[4] in (4, 12)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_nan_rows_come_first(self, monkeypatch, rng, block):
+        emb = rng.normal(size=(30, 24))
+        emb[7, 5] = np.nan          # gallery: every distance to it is NaN
+        emb[19, 0] = np.nan
+        emb[27, 3] = np.nan         # a probe: its whole row is NaN
+        monkeypatch.setattr(ev, "DISTANCE_BLOCK", block)
+        for gallery in (range(25), range(8, 25)):
+            with np.errstate(invalid="ignore"):
+                full = ev.pairwise_distances(emb[25:], emb[list(gallery)],
+                                             "cosine").argmin(axis=1)
+                got = ev.nearest_gallery(emb, range(25, 30), gallery, "cosine")
+            np.testing.assert_array_equal(got, full)
+            first_nan = 7 if gallery[0] == 0 else 19 - 8
+            np.testing.assert_array_equal(got, [first_nan] * 2 + [0] + [first_nan] * 2)
+
+    def test_unknown_metric(self, rng):
+        with pytest.raises(DataError, match="unknown distance metric"):
+            ev.nearest_gallery(rng.normal(size=(4, 3)), [0], [1, 2], "manhattan")
+
+
 def _argmin_rows(emb, probe_rows, gallery_rows, metric="euclidean"):
     """The argmin of each probe's whole row of ``pairwise_distances``,
     one probe at a time."""

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -391,13 +392,15 @@ class TestRebuiltTape:
 
     def test_tape_inventory(self, rng):
         """What one training block keeps for backward, with and without
-        the residual: walking the node's closure finds the block input
-        and the block's parameters as tensors, and as arrays only the
-        four (C,) statistics, the (N, 1, V*K, V) stacked adjacency and the
-        block's constant partition mask; no (N, T, V, C_out) array and no
-        bool array. A walk over node ``.data`` alone cannot see this:
-        closures are invisible to it, while the forward's peak memory is
-        not."""
+        the residual and the attention term: walking the node's closure
+        finds the block input and the block's parameters as tensors, and
+        as arrays only the four (C,) statistics, the stacked adjacency
+        ((V*K, V), with attention (N, 1, V*K, V)), the block's constant
+        partition mask and, with attention, the (N, V, C_in) pooled
+        features and the (N, K, V, V) attention; no (N, T, V, C_out) array
+        and no bool array. A walk over node ``.data`` alone cannot see
+        this: closures are invisible to it, while the forward's peak
+        memory is not."""
         n, t, c_out = 3, 5, 4
 
         def walk(obj, tensors, arrays):
@@ -409,8 +412,8 @@ class TestRebuiltTape:
                 for item in obj:
                     walk(item, tensors, arrays)
 
-        for c_in in (2, c_out):
-            block = make_block(rng, c_in, c_out)
+        for c_in, attention in itertools.product((2, c_out), (False, True)):
+            block = make_block(rng, c_in, c_out, attention=attention)
             mask = MASKS[block.mask_name]
             x = Tensor(random_input(rng, n=n, t=t, c=c_in), requires_grad=True)
             out = pagcn_block(x, block, ADJ, MASKS, training=True)
@@ -423,8 +426,12 @@ class TestRebuiltTape:
             assert held <= {id(x)} | {id(p) for p in _block_params(block).values()}
             kept = sorted((a.shape, a.dtype.str) for a in arrays if a is not mask)
             k = len(block.subsets)
-            assert kept == sorted([((c_out,), "<f8")] * 4
-                                  + [((n, 1, 17 * k, 17), "<f8")])
+            if attention:
+                adjacency = [((n, 1, 17 * k, 17), "<f8"), ((n, 17, c_in), "<f8"),
+                             ((n, k, 17, 17), "<f8")]
+            else:
+                adjacency = [((17 * k, 17), "<f8")]
+            assert kept == sorted([((c_out,), "<f8")] * 4 + adjacency)
             assert any(a is mask for a in arrays)
 
 
@@ -966,6 +973,23 @@ class TestCheckpointGlue:
             np.testing.assert_allclose(
                 model2.named_parameters()[name].data, t.data.astype(np.float32),
                 atol=0)
+
+    def test_blank_model_loads_as_init_model_does(self, rng):
+        """``blank_model`` is ``init_model``'s network without the random
+        draws: the same directory, each parameter in its arena slot, and
+        once a checkpoint's tensors are loaded, the same values."""
+        cfg = tiny_config()
+        tensors = model_tensors(init_model(cfg, seed=9))
+        blank, seeded = pagcn.blank_model(cfg), init_model(cfg, seed=1)
+        assert ([(n, a.shape) for n, a in model_tensors(blank).items()]
+                == [(n, a.shape) for n, a in tensors.items()])
+        assert all(t.data.base is t.home[0].arena.data
+                   for t in blank.named_parameters().values())
+        for model in (blank, seeded):
+            load_model_tensors(model, tensors)
+        for name, arr in model_tensors(blank).items():
+            np.testing.assert_array_equal(arr, model_tensors(seeded)[name])
+            np.testing.assert_array_equal(arr, tensors[name])
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         model = init_model(tiny_config(), seed=9)

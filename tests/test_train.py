@@ -10,7 +10,7 @@ import pytest
 import reference as ref
 from gpgait import train as tr
 from gpgait.autodiff import Tensor
-from gpgait.checkpoint import load_container
+from gpgait.checkpoint import load_container, save_container
 from gpgait.config import build_run_config
 from gpgait.errors import ConfigError, DataError, NumericError
 from gpgait.hot import HotConfig, apply_hot
@@ -304,6 +304,141 @@ class TestAdam:
         p.grad = np.array([np.nan])
         with pytest.raises(NumericError, match="spooky"):
             tr.adam_step({"spooky": p}, tr.OptimizerState(), 0.1)
+
+
+def _in_arena(t: Tensor) -> bool:
+    """Whether ``t`` holds its arena slot: its data is a view of the
+    arena's value array."""
+    return t.home is not None and t.data.base is t.home[0].arena.data
+
+
+def _disjoint(arrays: list) -> bool:
+    return not any(np.may_share_memory(a, b) and np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+class TestArenaAdam:
+    """Adam over a model's parameter arena steps runs of whole regions
+    as flat arrays; the per-tensor step (``reference.adam_step``) on
+    loose copies of the same parameters is its bit-exact oracle."""
+
+    SKIPPED = "branch/angle/block0/k1/attn_a"      # no gradient at step 3
+    NEVER = "branch/joint/block1/k2/adj"           # never a gradient
+    ASSIGNED = "head/03/fc_w"                      # p.grad assigned directly
+
+    def test_five_steps_equal_the_per_tensor_oracle(self, rng):
+        model = init_model(tiny_net_cfg(3), seed=5)
+        params = model.named_parameters()
+        assert all(_in_arena(p) for p in params.values())
+        loose = {name: Tensor(p.data.copy(), requires_grad=True)
+                 for name, p in params.items()}
+        arrays = {name: p.data for name, p in params.items()}
+        state, oracle = tr.OptimizerState(), tr.OptimizerState()
+        for t in range(1, 6):
+            lr = 0.01 * t
+            for name, p in params.items():
+                p.zero_grad()
+                loose[name].grad = None
+                if name == self.NEVER or (name, t) == (self.SKIPPED, 3):
+                    continue
+                g = rng.normal(size=p.shape)
+                loose[name].grad = g.copy()
+                if name == self.ASSIGNED:
+                    p.grad = g
+                else:
+                    p._accumulate(g)
+            runs, alone = tr._adam_runs(params, tr.OptimizerState())
+            assert runs
+            assert self.ASSIGNED in {name for name, _p in alone}
+            tr.adam_step(params, state, lr)
+            ref.adam_step(loose, oracle, lr)
+            for name, p in params.items():
+                assert p.data is arrays[name]
+                np.testing.assert_array_equal(p.data, loose[name].data, err_msg=name)
+            assert state.m.keys() == oracle.m.keys() == params.keys() - {self.NEVER}
+            for name in oracle.m:
+                np.testing.assert_array_equal(state.m[name], oracle.m[name], err_msg=name)
+                np.testing.assert_array_equal(state.v[name], oracle.v[name], err_msg=name)
+        assert state.step == oracle.step == 5
+        assert _disjoint(list(arrays.values()))
+        assert _disjoint([p.grad for p in params.values() if p.grad is not None])
+        assert _disjoint(list(state.m.values()) + list(state.v.values()))
+        saved = tr.training_tensors(model, state)
+        assert not {f"optim/{self.NEVER}/m", f"optim/{self.NEVER}/v"} & saved.keys()
+        assert f"optim/{self.SKIPPED}/m" in saved
+
+    def test_nonfinite_gradient_names_its_tensor(self, rng):
+        model = init_model(tiny_net_cfg(3), seed=5)
+        params = model.named_parameters()
+        for name, p in params.items():
+            g = rng.normal(size=p.shape)
+            if name == self.SKIPPED:
+                g[0, 1] = np.inf
+            p._accumulate(g)
+        assert tr._adam_runs(params, tr.OptimizerState())[0]
+        with pytest.raises(NumericError, match=self.SKIPPED):
+            tr.adam_step(params, tr.OptimizerState(), 0.1)
+
+    def test_load_and_resume_fill_the_arena_views(self, tmp_path, rng):
+        """After ``load_model_tensors`` / ``restore_training_state`` every
+        parameter and moment is an arena view holding the checkpoint's
+        values, and the next step moves those same arrays."""
+        model = init_model(tiny_net_cfg(3), seed=5)
+        params = model.named_parameters()
+        state = tr.OptimizerState()
+        for _ in range(2):
+            for p in params.values():
+                p.zero_grad()
+                p._accumulate(rng.normal(size=p.shape))
+            tr.adam_step(params, state, 0.01)
+        saved = tr.training_tensors(model, state)
+        path = tmp_path / "run.gpgw"
+        save_container(path, {}, saved)
+        _, tensors = load_container(path)
+        resumed = init_model(tiny_net_cfg(3), seed=9)
+        restored = tr.restore_training_state(resumed, tensors)
+        assert restored.step == 2
+        params2 = resumed.named_parameters()
+        arena = next(iter(params2.values())).home[0].arena
+        m_flat, v_flat = restored.moments[arena]
+        held = {}
+        for name, p in params2.items():
+            assert _in_arena(p) and p.home[0].arena is arena, name
+            assert restored.m[name].base is m_flat and restored.v[name].base is v_flat
+            np.testing.assert_array_equal(p.data, tensors[name])
+            for moment in ("m", "v"):
+                np.testing.assert_array_equal(getattr(restored, moment)[name],
+                                              tensors[f"optim/{name}/{moment}"])
+            held[name] = (p.data, restored.m[name], restored.v[name])
+        for p in params2.values():
+            p._accumulate(rng.normal(size=p.shape))
+        tr.adam_step(params2, restored, 0.01)
+        for name, p in params2.items():
+            now = (p.data, restored.m[name], restored.v[name])
+            assert all(a is b for a, b in zip(now, held[name])), name
+            assert not np.array_equal(p.data, tensors[name]), name
+            assert not np.array_equal(restored.m[name], tensors[f"optim/{name}/m"])
+
+
+    def test_model_freed_without_the_cycle_collector(self, rng):
+        """Tensors, their regions and the arena hold no reference cycle:
+        a trained model and its optimizer state are freed as soon as
+        nothing refers to them, not at the next cycle collection."""
+        gc.disable()
+        try:
+            model = init_model(tiny_net_cfg(3), seed=5)
+            params = model.named_parameters()
+            for tensor in params.values():
+                tensor._accumulate(rng.normal(size=tensor.shape))
+            state = tr.OptimizerState()
+            tr.adam_step(params, state, 0.01)
+            arena = tensor.home[0].arena
+            refs = [weakref.ref(a) for a in (arena.data, arena.grad,
+                                             *state.moments[arena])]
+            del model, params, tensor, state, arena
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestSchedule:
