@@ -672,46 +672,72 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
     return g_f
 
 
-def _tap_windows(k: int, t: int):
-    """(tap, output frames, input frames) of each kernel tap of a
-    same-padded length-k convolution over t frames, centre tap first,
-    skipping taps that touch no frame: output frame f reads input frame
-    f + tap - k // 2."""
-    taps = []
-    for d in sorted(range(k), key=lambda d: abs(d - k // 2)):
-        s = d - k // 2
-        if abs(s) < t:
-            taps.append((d, slice(max(0, -s), t - max(0, s)),
-                         slice(max(0, s), t + min(0, s))))
-    return taps
+def _frame_buffer(shape: tuple, k: int):
+    """(padded, frames): a zero (N, T + 2*(k//2), ...) array and its
+    (N, T, ...) interior, the view a length-k convolution's input frames
+    are written to; the frames around it stay 0, the convolution's
+    same-padding."""
+    p = k // 2
+    padded = np.zeros((shape[0], shape[1] + 2 * p) + tuple(shape[2:]))
+    return padded, padded[:, p:p + shape[1]]
 
 
-def _temporal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Depthwise convolution along the frame axis of a (N, T, V, C)
-    array with a (k, C) kernel, stride 1, zero padding that preserves T
-    (works for T=1 and T < k)."""
-    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
-    out = x * kernel[centre]
-    for d, o, i in side_taps:
-        out[:, o] += x[:, i] * kernel[d]
-    return out
+def _taps(padded: np.ndarray, k: int, reverse: bool = False) -> np.ndarray:
+    """The (N, k, T, ...) read-only view of a C-contiguous
+    ``_frame_buffer`` array whose [n, d, f] is padded frame f + d, or
+    with ``reverse`` padded frame f + k - 1 - d (a negative tap stride):
+    no copy. It is made on the buffer directly, not by ``as_strided``:
+    after some tens of thousands of ``as_strided`` calls the interpreter
+    allocated a 0.96 MB dict key table once, which showed in a toy
+    training run's peak RSS."""
+    s = padded.strides
+    shape = (padded.shape[0], k, padded.shape[1] - 2 * (k // 2)) + padded.shape[2:]
+    tap, offset = (-s[1], (k - 1) * s[1]) if reverse else (s[1], 0)
+    view = np.ndarray(shape, padded.dtype, padded, offset, (s[0], tap) + s[1:])
+    view.flags.writeable = False
+    return view
 
 
-def _temporal_conv_grads(g, x, kernel, need_x: bool, need_kernel: bool):
-    """(input gradient, kernel gradient) of ``_temporal_conv``; None for
-    the one not needed."""
-    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
-    gx = gk = None
-    if need_x:
-        gx = g * kernel[centre]
-        for d, o, i in side_taps:
-            gx[:, i] += g[:, o] * kernel[d]
-    if need_kernel:
-        gk = np.zeros_like(kernel)
-        gk[centre] = np.einsum("ntvc,ntvc->c", g, x)
-        for d, o, i in side_taps:
-            gk[d] = np.einsum("ntvc,ntvc->c", g[:, o], x[:, i])
+def _temporal_conv(padded: np.ndarray, kernel: np.ndarray,
+                   out: np.ndarray = None) -> np.ndarray:
+    """Depthwise convolution along the frame axis, stride 1, zero
+    padding that preserves T (works for T=1 and T < k), of the (N, T,
+    ...) frames in the interior of ``padded`` (``_frame_buffer``) with a
+    (k, ...) kernel broadcast over the middle axes: output frame f is
+    ``sum_d frames[f + d - k//2] * kernel[d]``, one contraction over the
+    tap view (``_taps``), its terms added in tap order from 0, written
+    to ``out`` or to a new array."""
+    return np.einsum("nk...,k...->n...", _taps(padded, kernel.shape[0]), kernel,
+                     out=out)
+
+
+def _temporal_conv_grads(g: np.ndarray, padded: np.ndarray, kernel: np.ndarray,
+                         need_kernel: bool, out: np.ndarray = None):
+    """(input gradient, kernel gradient) of ``_temporal_conv`` on
+    ``padded`` for the (N, T, V, C) gradient ``g`` of its output; None
+    for the kernel's when not needed. The kernel gradient is one
+    contraction of ``g`` with the tap view of ``padded``. Then ``g`` is
+    copied over the frames in ``padded``, whose padding is still 0, and
+    the input gradient is one contraction of its reversed tap view:
+    input frame f gets ``g[f + k//2 - d] * kernel[d]`` in tap order from
+    0. So ``padded`` no longer holds the input afterwards. The input
+    gradient is written to ``out`` (``g`` itself is allowed) or to a new
+    array."""
+    k = kernel.shape[0]
+    gk = np.einsum("ntvc,nktvc->kc", g, _taps(padded, k)) if need_kernel else None
+    p = k // 2
+    np.copyto(padded[:, p:p + g.shape[1]], g)
+    gx = np.einsum("nk...,k...->n...", _taps(padded, k, reverse=True), kernel,
+                   out=out)
     return gx, gk
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Per-column sums of an (M, C) array, bit-identical to
+    ``x.sum(axis=0)``. ``einsum`` adds row after row as numpy's
+    reduction does, in one pass at about half its time for C > 1; a
+    single column numpy sums pairwise, so it keeps ``sum``."""
+    return np.einsum("ij->j", x) if x.shape[1] > 1 else x.sum(axis=0)
 
 
 def _bn_normalize(x: np.ndarray, eps: float, out: np.ndarray = None):
@@ -720,7 +746,7 @@ def _bn_normalize(x: np.ndarray, eps: float, out: np.ndarray = None):
     shaped (C,). ``xhat`` is written to ``out`` (``x`` itself is
     allowed), or to a new array."""
     inv_count = 1.0 / x.shape[0]
-    mu = x.sum(axis=0) * inv_count
+    mu = _column_sums(x) * inv_count
     xhat = np.subtract(x, mu, out=out)      # centred, then scaled below
     var = np.einsum("ij,ij->j", xhat, xhat) * inv_count
     std = np.sqrt(var + eps)
@@ -742,7 +768,7 @@ def _bn_backward(g, xhat, std, gamma, out=None):
     (M, C) arrays; the input gradient is written to ``out`` (``xhat``
     itself is allowed), or to a new array."""
     inv_count = 1.0 / g.shape[0]
-    g_sum = g.sum(axis=0)
+    g_sum = _column_sums(g)
     gx_sum = np.einsum("ij,ij->j", g, xhat)
     # gamma / std * (g - mean(g) - xhat * mean(g * xhat))
     gx = np.multiply(xhat, -gx_sum * inv_count, out=out)
@@ -815,9 +841,12 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     handed back through ``_accumulate_stacked``, one copy per region.
 
     Returns (output, (mean1, var1), (mean2, var2)), the statistics shaped
-    (C_out,). The forward frees the aggregate once ``y`` is formed, then
-    normalizes and applies each ReLU in place, in ``y``'s buffer and then
-    in the temporal conv's.
+    (C_out,). The forward frees the aggregate once ``y`` is formed and
+    normalizes it in place. The first ReLU writes its output straight
+    into the interior of a zero-padded frame buffer (``_frame_buffer``),
+    and ``y``'s buffer is freed. The temporal conv reads that buffer's
+    taps as one contraction (``_temporal_conv``) into a new array, where
+    the second batch norm and ReLU run in place.
 
     The node keeps its input, the stacked adjacency, the per-channel
     means and standard deviations and, with attention, the (N, V, C_in)
@@ -828,10 +857,14 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     rebuilds, once each and by the forward's exact operations, the
     aggregate and ``y`` from it (normalized in place to the first
     normalized array, which the first batch norm's gradient uses too),
-    the first ReLU's output (whose mask is ``> 0``) and the second
-    normalized array, from which the second ReLU's mask is
-    ``xhat2 * gamma2 + beta2 > 0``. The gradient of ``y`` goes straight
-    into the spatial step's backward (``_spatial_input_grads``), so every
+    the first ReLU's output in its frame buffer (its mask is ``> 0``, and
+    the kernel gradient reads its taps) and the second normalized array,
+    from which the second ReLU's mask is ``xhat2 * gamma2 + beta2 > 0``.
+    Once the first ReLU's mask is taken, the temporal conv's gradients
+    reuse the frame buffer for the output gradient's frames, and its
+    input gradient is written over that output gradient
+    (``_temporal_conv_grads``). The gradient of ``y`` goes straight into
+    the spatial step's backward (``_spatial_input_grads``), so every
     value is bit-identical to a spatial node and an epilogue node that
     stored their arrays.
     """
@@ -845,9 +878,11 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     xhat1 = agg @ stacked_data(weights).reshape(c_agg, c)    # y, normalized below
     del agg
     xhat1, mu1, var1, std1 = _bn_normalize(xhat1, eps, out=xhat1)
-    h = _bn_relu(xhat1, gamma1.data, beta1.data, out=xhat1).reshape(shape)
-    xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
-    del h, xhat1
+    padded, h = _frame_buffer(shape, kernel.shape[0])
+    _bn_relu(xhat1.reshape(shape), gamma1.data, beta1.data, out=h)
+    del xhat1, h
+    xhat2 = _temporal_conv(padded, kernel.data).reshape(-1, c)
+    del padded
     xhat2, mu2, var2, std2 = _bn_normalize(xhat2, eps, out=xhat2)
     r = _bn_relu(xhat2, gamma2.data, beta2.data, out=xhat2).reshape(shape)
     del xhat2
@@ -864,8 +899,9 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
         w = stacked_data(weights).reshape(c_agg, c)
         xhat1 = agg @ w
         _bn_xhat(xhat1, mu1, std1, out=xhat1)
-        h = _bn_relu(xhat1, gamma1.data, beta1.data).reshape(shape)
-        xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
+        padded, h = _frame_buffer(shape, kernel.shape[0])
+        _bn_relu(xhat1.reshape(shape), gamma1.data, beta1.data, out=h)
+        xhat2 = _temporal_conv(padded, kernel.data).reshape(-1, c)
         _bn_xhat(xhat2, mu2, std2, out=xhat2)
         g_r = np.multiply(xhat2, gamma2.data)
         g_r += beta2.data
@@ -874,11 +910,14 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
         g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, std2, gamma2.data,
                                               out=xhat2)
         del g_r, xhat2
-        g_h, g_kernel = _temporal_conv_grads(g_z.reshape(shape), h, kernel.data,
-                                             True, kernel.requires_grad)
-        del g_z
-        g_h *= h > 0.0
+        active = h > 0.0                    # the first ReLU's mask
         del h
+        g_z = g_z.reshape(shape)
+        g_h, g_kernel = _temporal_conv_grads(g_z, padded, kernel.data,
+                                             kernel.requires_grad, out=g_z)
+        del g_z, padded
+        g_h *= active
+        del active
         g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(-1, c), xhat1, std1,
                                               gamma1.data, out=xhat1)
         del g_h

@@ -33,9 +33,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import (Arena, Tensor, _attention, _stacked_adjacency,
-                       _tap_windows, batch_norm_train, concat, graph_block,
-                       group_pool, stack, stacked_data)
+from .autodiff import (Arena, Tensor, _attention, _frame_buffer,
+                       _stacked_adjacency, _temporal_conv, batch_norm_train,
+                       concat, graph_block, group_pool, stack, stacked_data)
 from . import hot
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
@@ -373,11 +373,13 @@ def _folded(bn: BatchNormParams):
 def _group_bytes_per_sequence(shape: tuple, block: BlockParams) -> int:
     """Bytes one sequence of an (N, T, V, C_in) input adds to a group's
     working set in a block's inference pass: its input and output
-    slices, its aggregated (T, V*K, C_in) features, ``y`` and the
-    temporal taps."""
+    slices, its aggregated (T, V*K, C_in) features and its
+    (T + 2*(k//2), V, C_out) zero-padded frames, which hold ``y`` and
+    the first ReLU's output."""
     _n, t, v, c_in = shape
     k, c_out = len(block.subsets), block.out_channels
-    return 8 * t * v * (c_in + k * c_in + 3 * c_out)
+    padded_t = t + 2 * (block.temporal_kernel.shape[0] // 2)
+    return 8 * v * (t * (c_in + k * c_in + c_out) + padded_t * c_out)
 
 
 def _inference_group(shape: tuple, block: BlockParams) -> int:
@@ -397,12 +399,15 @@ def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
     stacked graph-conv weights are scaled by the first, the temporal
     kernel by the second. Sequences are then independent, and run in
     L2-sized groups (``_inference_group``) through buffers allocated
-    once per call: the aggregate and ``y`` are written by ``out=``
-    products, shift and ReLU run in place, the temporal taps are
+    once per call. The aggregate is written by an ``out=`` product, and
+    ``y`` by one ``out=`` product per sequence straight into the interior
+    of a zero-padded frame buffer (``autodiff._frame_buffer``), where
+    shift and ReLU run in place. The temporal convolution is one
+    contraction over that buffer's taps (``autodiff._temporal_conv``),
     written straight into the group's slice of the output, where the
     second shift, ReLU and the residual run in place too. Per-channel
-    vectors are tiled over the joints, so each broadcast runs along
-    (V*C) rows.
+    vectors and kernel taps are tiled over the joints, so each broadcast
+    runs along (V*C) rows.
     """
     n, t, v, c_in = f.shape
     learned, weights, attn_q, attn_k = _spatial_params(block)
@@ -416,22 +421,19 @@ def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
     weight = stacked_data(weights).reshape(k * c_in, c_out) * scale1
     kernel = np.tile(block.temporal_kernel.data * scale2, (1, v))
     shift1, shift2 = np.tile(shift1, v), np.tile(shift2, v)
-    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], t)
     g = _inference_group(f.shape, block)
     agg = np.empty((g, t, v * k, c_in))
-    y = np.empty((g, t, v * c_out))
-    tap = np.empty((g, t, v * c_out))
+    padded, frames = _frame_buffer((g, t, v * c_out), kernel.shape[0])
     out = np.empty((n, t, v, c_out))
     for i in range(0, n, g):
         m = min(g, n - i)
-        a, h, z = agg[:m], y[:m], out[i:i + m].reshape(m, t, v * c_out)
+        a, h, z = agg[:m], frames[:m], out[i:i + m].reshape(m, t, v * c_out)
         np.matmul(stacked[i:i + m] if per_sequence else stacked, f[i:i + m], out=a)
-        np.matmul(a.reshape(-1, k * c_in), weight, out=h.reshape(-1, c_out))
+        np.matmul(a.reshape(m, t * v, k * c_in), weight,
+                  out=h.reshape(m, t * v, c_out))
         h += shift1
         np.maximum(h, 0.0, out=h)
-        np.multiply(h, kernel[centre], out=z)
-        for d, o, s in side_taps:
-            z[:, o] += np.multiply(h[:, s], kernel[d], out=tap[:m, o])
+        _temporal_conv(padded[:m], kernel, out=z)
         z += shift2
         np.maximum(z, 0.0, out=z)
         if residual:

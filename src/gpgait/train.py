@@ -14,6 +14,7 @@ triplet + gamma * ce and averaged over all slots.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -275,6 +276,8 @@ class OptimizerState:
     v: dict = field(default_factory=dict)  # name -> second moment
     step: int = 0
     moments: dict = field(default_factory=dict)  # Arena -> (m, v) flat arrays
+    # (key, runs, alone) of the last step's run plan (_adam_plan)
+    plan: tuple = field(default=None, repr=False, compare=False)
 
 
 def _moments(state: OptimizerState, name: str, p: Tensor):
@@ -360,6 +363,22 @@ def _adam_runs(params: dict, state: OptimizerState):
     return runs, alone
 
 
+def _adam_plan(params: dict, state: OptimizerState):
+    """(runs, alone) of ``_adam_runs``, kept on the state and reused while
+    the plan's key is the same objects: every parameter's name, tensor,
+    values and gradient, in order. Its values being the same view keeps
+    a tensor in the same arena slot, and its gradient being the same
+    view keeps that gradient in its slot; a rebound ``data``, a
+    parameter that gained or lost a gradient, or one whose gradient is a
+    new array rebuilds the plan."""
+    key = [x for name, p in params.items() for x in (name, p, p.data, p.grad)]
+    plan = state.plan
+    if (plan is None or len(plan[0]) != len(key)
+            or not all(map(operator.is_, key, plan[0]))):
+        plan = state.plan = (key, *_adam_runs(params, state))
+    return plan[1], plan[2]
+
+
 def adam_step(params: dict, state: OptimizerState, lr: float):
     """One Adam update with bias-corrected moments. Parameters without
     a gradient this step are left untouched.
@@ -373,8 +392,9 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
 
     Parameters that hold their arena slots, with their gradients in
     their slots, step as runs of adjacent whole regions
-    (``_adam_runs``): one span of the arena's value, gradient and moment
-    arrays (``OptimizerState.moments``), walked in slices of at most
+    (``_adam_runs``, kept between steps by ``_adam_plan``): one span of
+    the arena's value, gradient and moment arrays
+    (``OptimizerState.moments``), walked in slices of at most
     ``ADAM_SLICE`` floats through two scratch buffers of that size, so
     no full-size temporary is made. Any other parameter with a gradient
     steps on its own arrays. A non-finite gradient raises
@@ -385,7 +405,7 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    runs, alone = _adam_runs(params, state)
+    runs, alone = _adam_plan(params, state)
     for name, p in alone:
         _check_finite(name, p.grad)
         m, v = _moments(state, name, p)

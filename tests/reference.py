@@ -6,8 +6,10 @@ fourth-to-last section keeps the chain of autodiff nodes a part-aware
 graph block was built from before it became fused nodes
 (``graph_conv``, ``softmax``, ``attention_adjacency``,
 ``temporal_conv`` and ``ref_block_chain``), as the oracle of the fused
-block's values and gradients. The next keeps the two training nodes a
-block was before it became one, as they were when they stored their
+block's values and gradients. Its temporal convolution is the loop over
+kernel taps (``tap_temporal_conv``, ``tap_temporal_conv_grads``), the
+oracle of the one-contraction kernels. The next keeps the two training
+nodes a block was before it became one, as they were when they stored their
 intermediates for backward (``stored_spatial_graph_conv``,
 ``stored_block_epilogue``), and chains them into ``stored_graph_block``,
 the bit-exact oracle of the node that rebuilds them. The next keeps the
@@ -29,8 +31,7 @@ import numpy as np
 
 from gpgait import pagcn
 from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
-                             _make, _softmax, _temporal_conv,
-                             _temporal_conv_grads, batch_norm_train, concat,
+                             _make, _softmax, batch_norm_train, concat,
                              stop_gradient)
 from gpgait.errors import DataError, NumericError
 from gpgait.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -450,15 +451,58 @@ def attention_adjacency(f_in, attn_a, attn_b, mask=None):
     return softmax(sim, axis=-1, mask=bool_mask)
 
 
+def _tap_windows(k: int, t: int):
+    """(tap, output frames, input frames) of each kernel tap of a
+    same-padded length-k convolution over t frames, centre tap first,
+    skipping taps that touch no frame: output frame f reads input frame
+    f + tap - k // 2."""
+    taps = []
+    for d in sorted(range(k), key=lambda d: abs(d - k // 2)):
+        s = d - k // 2
+        if abs(s) < t:
+            taps.append((d, slice(max(0, -s), t - max(0, s)),
+                         slice(max(0, s), t + min(0, s))))
+    return taps
+
+
+def tap_temporal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``autodiff._temporal_conv`` as it was before it became one
+    contraction over zero-padded frames: a loop over the kernel taps of
+    a (N, T, V, C) array, centre tap first, each side tap added over the
+    frames it reaches."""
+    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
+    out = x * kernel[centre]
+    for d, o, i in side_taps:
+        out[:, o] += x[:, i] * kernel[d]
+    return out
+
+
+def tap_temporal_conv_grads(g, x, kernel, need_x: bool, need_kernel: bool):
+    """(input gradient, kernel gradient) of ``tap_temporal_conv``, tap by
+    tap; None for the one not needed."""
+    (centre, _, _), *side_taps = _tap_windows(kernel.shape[0], x.shape[1])
+    gx = gk = None
+    if need_x:
+        gx = g * kernel[centre]
+        for d, o, i in side_taps:
+            gx[:, i] += g[:, o] * kernel[d]
+    if need_kernel:
+        gk = np.zeros_like(kernel)
+        gk[centre] = np.einsum("ntvc,ntvc->c", g, x)
+        for d, o, i in side_taps:
+            gk[d] = np.einsum("ntvc,ntvc->c", g[:, o], x[:, i])
+    return gx, gk
+
+
 def temporal_conv(x, kernel):
     """Depthwise convolution along the frame axis of a (N, T, V, C)
     input with a (k, C) kernel, stride 1, zero padding that preserves T
-    (works for T=1 and T < k), as one node."""
-    out = _make(_temporal_conv(x.data, kernel.data), (x, kernel))
+    (works for T=1 and T < k), as one node over the tap loop."""
+    out = _make(tap_temporal_conv(x.data, kernel.data), (x, kernel))
     if out.requires_grad:
         def bwd(g, x=x, kernel=kernel):
-            gx, gk = _temporal_conv_grads(g, x.data, kernel.data,
-                                          x.requires_grad, kernel.requires_grad)
+            gx, gk = tap_temporal_conv_grads(g, x.data, kernel.data,
+                                             x.requires_grad, kernel.requires_grad)
             if gx is not None:
                 x._accumulate(gx)
             if gk is not None:
@@ -597,7 +641,8 @@ def stored_block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor,
                           eps: float, residual: Tensor = None):
     """``autodiff.block_epilogue`` as it was when its node kept the
     first ReLU's output and the second normalized array for backward
-    instead of rebuilding them."""
+    instead of rebuilding them, and its temporal convolution looped over
+    the kernel taps (``tap_temporal_conv``)."""
     shape, c = y.shape, y.shape[-1]
     y2 = y.data.reshape(-1, c)
     h, mu1, var1, std1 = _bn_normalize(y2, eps)
@@ -605,7 +650,7 @@ def stored_block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor,
     h += beta1.data
     np.maximum(h, 0.0, out=h)
     h = h.reshape(shape)
-    xhat2 = _temporal_conv(h, kernel.data).reshape(-1, c)
+    xhat2 = tap_temporal_conv(h, kernel.data).reshape(-1, c)
     xhat2, mu2, var2, std2 = _bn_normalize(xhat2, eps, out=xhat2)
     r = xhat2 * gamma2.data
     r += beta2.data
@@ -625,8 +670,8 @@ def stored_block_epilogue(y: Tensor, gamma1: Tensor, beta1: Tensor,
             residual._accumulate(g)
         g_r = (g * active2).reshape(-1, c)
         g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, std2, gamma2.data)
-        g_h, g_kernel = _temporal_conv_grads(g_z.reshape(shape), h, kernel.data,
-                                             True, kernel.requires_grad)
+        g_h, g_kernel = tap_temporal_conv_grads(g_z.reshape(shape), h, kernel.data,
+                                                True, kernel.requires_grad)
         g_h *= h > 0.0
         xhat1 = _bn_xhat(y2, mu1, std1, out=g_z)     # g_z is spent
         g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(-1, c), xhat1, std1,

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from gpgait.autodiff import (Tensor, batch_norm_train, concat, graph_block,
-                             group_pool, stop_gradient)
+from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _frame_buffer,
+                             _temporal_conv, _temporal_conv_grads,
+                             batch_norm_train, concat, graph_block, group_pool,
+                             stop_gradient)
 from gpgait.graph import mask_set
 from gpgait.pagcn import PART_GROUPS
 from reference import (graph_conv, joint_group_pool, softmax,
-                       stored_spatial_graph_conv, temporal_conv)
+                       stored_spatial_graph_conv, tap_temporal_conv,
+                       tap_temporal_conv_grads, temporal_conv)
 
 
 def finite_difference(fn, x0, h=1e-6):
@@ -269,6 +272,121 @@ class TestFusedOps:
             grads.append(x.grad)
         assert outs[0].tobytes() == outs[1].tobytes()
         assert grads[0].tobytes() == grads[1].tobytes()
+
+
+# (kernel size, frames, channels): T = 1, 2, k - 1 (T < k included) and 20
+CONTRACTION_CASES = [(k, t, c) for k in (1, 3, 5)
+                     for t in sorted({1, 2, k - 1, 20} - {0}) for c in (1, 2, 16)]
+
+
+class TestTemporalContraction:
+    """The temporal convolution's kernels, one contraction each over a
+    zero-padded frame buffer, against the tap loop they replaced
+    (``reference.tap_temporal_conv``), at kernel sizes 1, 3 and 5.
+
+    Inputs hold exact zeros (a ReLU's output, and forced zeros in the
+    gradient) and kernels negative taps, so products of -0 occur. Which
+    bits may move, and why:
+
+    - the sign of a zero result: the loop starts from the centre tap's
+      product, so where every product it adds is -0 it returns -0;
+      ``einsum`` adds onto a +0 it starts from and returns +0. Every
+      other bit of the forward and the input gradient is the loop's for
+      k <= 3, whose loop adds (centre + tap 0) + tap 2 and the
+      contraction (0 + tap 0 + centre) + tap 2, the same sums;
+    - k = 5: the loop adds the centre, then taps 1, 3, 0, 4, the
+      contraction taps 0 to 4 in order, so a frame's sum of five
+      products is rounded in another order (last bits only);
+    - the kernel gradient at C = 1: numpy reduces a single column with
+      SIMD partial sums grouped by the operands' memory layout; the loop
+      read a contiguous input, the contraction reads the frames inside
+      their padded buffer, one sequence at a time, so the grouping and
+      the last bits differ. For C >= 2 both add the (n, t, v) products of
+      a channel one after another, and the padding adds only zeros,
+      which change no sum, so the kernel gradient is the loop's bit for
+      bit at every k.
+    """
+
+    @staticmethod
+    def _inputs(rng, k, t, c):
+        x = np.maximum(rng.normal(size=(3, t, 17, c)), 0.0)   # a ReLU's output
+        g = rng.normal(size=x.shape)
+        g[rng.random(g.shape) < 0.3] = 0.0
+        kernel = rng.normal(size=(k, c))
+        kernel[:, : c // 2 + 1] = -np.abs(kernel[:, : c // 2 + 1])
+        padded, frames = _frame_buffer(x.shape, k)
+        frames[...] = x
+        return x, g, kernel, padded
+
+    @staticmethod
+    def _assert_matches_loop(new, old, k, what):
+        """Equal values for k <= 3, differing only in the sign of zeros
+        the loop leaves at -0; close to the last bits for k = 5."""
+        if k <= 3:
+            np.testing.assert_array_equal(new, old, err_msg=what)
+            moved = new.view(np.uint64) != old.view(np.uint64)
+            assert (old[moved] == 0.0).all() and np.signbit(old[moved]).all(), what
+            assert not np.signbit(new[new == 0.0]).any(), what
+        else:
+            np.testing.assert_allclose(new, old, rtol=0,
+                                       atol=1e-14 * np.abs(old).max(), err_msg=what)
+
+    @pytest.mark.parametrize("k,t,c", CONTRACTION_CASES)
+    def test_forward_matches_tap_loop(self, rng, k, t, c):
+        x, _g, kernel, padded = self._inputs(rng, k, t, c)
+        self._assert_matches_loop(_temporal_conv(padded, kernel),
+                                  tap_temporal_conv(x, kernel), k, "forward")
+
+    @pytest.mark.parametrize("k,t,c", CONTRACTION_CASES)
+    def test_gradients_match_tap_loop(self, rng, k, t, c):
+        x, g, kernel, padded = self._inputs(rng, k, t, c)
+        gx_old, gk_old = tap_temporal_conv_grads(g, x, kernel, True, True)
+        gx, gk = _temporal_conv_grads(g, padded, kernel, True)
+        self._assert_matches_loop(gx, gx_old, k, "input gradient")
+        if c > 1:
+            assert gk.tobytes() == gk_old.tobytes()
+        else:
+            bound = 1e-14 * np.einsum("ntvc,ntvc->c", np.abs(g), x).max()
+            np.testing.assert_allclose(gk, gk_old, rtol=0, atol=bound)
+
+    def test_gradient_written_over_its_output_gradient(self, rng):
+        """``out=g``, as the training block passes it: the kernel
+        gradient is taken before ``g`` goes into the frame buffer and the
+        input gradient overwrites ``g``."""
+        x, g, kernel, padded = self._inputs(rng, 3, 20, 16)
+        expect = _temporal_conv_grads(g, padded.copy(), kernel, True)
+        got = _temporal_conv_grads(g, padded, kernel, True, out=g)
+        assert got[0] is g
+        assert got[0].tobytes() == expect[0].tobytes()
+        assert got[1].tobytes() == expect[1].tobytes()
+
+    def test_padding_stays_zero(self, rng):
+        """The frames around the interior are read, never written: the
+        forward leaves the buffer as it is, the gradients leave the
+        output gradient's frames in its interior."""
+        x, _g, kernel, padded = self._inputs(rng, 5, 4, 2)
+        _temporal_conv(padded, kernel)
+        np.testing.assert_array_equal(padded[:, 2:-2], x)
+        g = rng.normal(size=x.shape)
+        _temporal_conv_grads(g, padded, kernel, True)
+        assert not padded[:, :2].any() and not padded[:, -2:].any()
+        np.testing.assert_array_equal(padded[:, 2:-2], g)
+
+
+class TestBatchNormSums:
+    """The per-channel sums of the batch norm's forward (the mean) and
+    backward (the gradient's sum) are ``x.sum(axis=0)``'s bits."""
+
+    @pytest.mark.parametrize("m", [1, 3, 2720])
+    @pytest.mark.parametrize("c", [1, 16, 128])
+    def test_sums_equal_numpy_sum(self, rng, m, c):
+        x = rng.normal(1.0, 2.0, size=(m, c))
+        g = rng.normal(size=(m, c))
+        _xhat, mu, _var, _std = _bn_normalize(x.copy(), 1e-5)
+        assert mu.tobytes() == (x.sum(axis=0) * (1.0 / m)).tobytes()
+        xhat = rng.normal(size=(m, c))
+        _gx, _g_gamma, g_sum = _bn_backward(g, xhat, np.ones(c), np.ones(c))
+        assert g_sum.tobytes() == g.sum(axis=0).tobytes()
 
 
 class TestSoftmax:

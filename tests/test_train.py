@@ -441,6 +441,71 @@ class TestArenaAdam:
             gc.enable()
 
 
+class TestAdamPlan:
+    """``adam_step`` keeps its run plan on the optimizer state and
+    rebuilds it only when a parameter's name, tensor, values or gradient
+    is another object than when it was made; every step's values equal
+    the per-tensor oracle (``reference.adam_step``) bit for bit."""
+
+    NAME = "branch/joint/block0/k1/weight"
+
+    def _steps(self, rng, monkeypatch, before_step):
+        """Four steps of a toy model and of loose copies of its
+        parameters, ``before_step(t, params)`` run after each step's
+        gradients are placed; returns the number of plans built."""
+        built = []
+        plan_runs = tr._adam_runs
+        monkeypatch.setattr(tr, "_adam_runs",
+                            lambda *a: built.append(1) or plan_runs(*a))
+        model = init_model(tiny_net_cfg(3), seed=5)
+        params = model.named_parameters()
+        loose = {name: Tensor(p.data.copy(), requires_grad=True)
+                 for name, p in params.items()}
+        state, oracle = tr.OptimizerState(), tr.OptimizerState()
+        for t in range(1, 5):
+            for name, p in params.items():
+                p.zero_grad()
+                g = rng.normal(size=p.shape)
+                p._accumulate(g)
+                loose[name].grad = g.copy()
+            before_step(t, params, loose)
+            tr.adam_step(params, state, 0.01 * t)
+            ref.adam_step(loose, oracle, 0.01 * t)
+            for name, p in params.items():
+                np.testing.assert_array_equal(p.data, loose[name].data, err_msg=name)
+            assert state.m.keys() == oracle.m.keys()
+            for name in oracle.m:
+                np.testing.assert_array_equal(state.m[name], oracle.m[name], err_msg=name)
+                np.testing.assert_array_equal(state.v[name], oracle.v[name], err_msg=name)
+        return len(built)
+
+    def test_plan_made_once_while_nothing_changes(self, rng, monkeypatch):
+        assert self._steps(rng, monkeypatch, lambda t, params, loose: None) == 1
+
+    def test_rebound_data_rebuilds_the_plan(self, rng, monkeypatch):
+        """Step 3 rebinds one tensor's ``data`` before its gradient is
+        placed, so the tensor leaves its arena slot and steps alone. Its
+        gradient is then an array of its own, a new one every step, so
+        steps 3 and 4 each build a plan."""
+        def rebind(t, params, loose):
+            if t == 3:
+                p = params[self.NAME]
+                p.data = p.data.copy()
+                p.zero_grad()
+                p._accumulate(loose[self.NAME].grad)
+                assert not _in_arena(p)
+        assert self._steps(rng, monkeypatch, rebind) == 3
+
+    def test_missing_gradient_rebuilds_the_plan(self, rng, monkeypatch):
+        """One parameter has no gradient at step 2 and has one again at
+        step 3: each change builds a plan."""
+        def drop(t, params, loose):
+            if t == 2:
+                params[self.NAME].zero_grad()
+                loose[self.NAME].grad = None
+        assert self._steps(rng, monkeypatch, drop) == 3
+
+
 class TestSchedule:
     def test_endpoints_exact(self):
         total = 101
