@@ -394,10 +394,10 @@ class Arena:
     reads ``data`` runs as before. A tensor holds its slot while its
     ``data`` is a view of the arena: ``stacked_data`` then returns its
     region's stacked view, ``_accumulate`` writes its gradient into its
-    slot of the gradient array, and ``train.adam_step`` updates runs of
-    adjacent regions as one flat array. Rebinding ``data``, or
-    deep-copying the tensor, leaves the slot: the tensor then behaves as
-    one that was never placed.
+    slot of the gradient array, and ``train.adam_step`` updates spans of
+    slots as flat arrays. Rebinding ``data``, or deep-copying the
+    tensor, leaves the slot: the tensor then behaves as one that was
+    never placed, which ``train.adam_step`` refuses to step.
     """
 
     def __init__(self, groups):
@@ -673,12 +673,15 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
 
 
 def _frame_buffer(shape: tuple, k: int):
-    """(padded, frames): a zero (N, T + 2*(k//2), ...) array and its
-    (N, T, ...) interior, the view a length-k convolution's input frames
-    are written to; the frames around it stay 0, the convolution's
-    same-padding."""
+    """(padded, frames): an (N, T + 2*(k//2), ...) array and its (N, T,
+    ...) interior, the view a length-k convolution's input frames are
+    written to. Only the k//2 frames on each side of the interior are
+    set, to 0, the convolution's same-padding; every caller writes the
+    whole interior."""
     p = k // 2
-    padded = np.zeros((shape[0], shape[1] + 2 * p) + tuple(shape[2:]))
+    padded = np.empty((shape[0], shape[1] + 2 * p) + tuple(shape[2:]))
+    padded[:, :p] = 0.0
+    padded[:, p + shape[1]:] = 0.0
     return padded, padded[:, p:p + shape[1]]
 
 

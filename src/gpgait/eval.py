@@ -158,9 +158,9 @@ def pairwise_distances(probe: np.ndarray, gallery: np.ndarray,
     raise DataError(f"unknown distance metric {metric!r}")
 
 
-def _nearest_exact(flat, probe_rows, gallery_rows, metric) -> tuple:
-    """(position in ``gallery_rows``, distance) of each probe row's
-    nearest gallery row of ``flat``: the argmin of its row of
+def _nearest_exact(flat, probe_rows, gallery_rows) -> tuple:
+    """(position in ``gallery_rows``, Euclidean distance) of each probe
+    row's nearest gallery row of ``flat``: the argmin of its row of
     ``pairwise_distances``, lowest index on ties and the first NaN
     before any number, over ``_block_rows`` blocks gathered one at a
     time."""
@@ -171,7 +171,8 @@ def _nearest_exact(flat, probe_rows, gallery_rows, metric) -> tuple:
         probes = flat[probe_rows[i:i + p_rows]]
         mins, at = [], []
         for j in range(0, len(gallery_rows), g_rows):
-            dist = pairwise_distances(probes, flat[gallery_rows[j:j + g_rows]], metric)
+            dist = pairwise_distances(probes, flat[gallery_rows[j:j + g_rows]],
+                                      "euclidean")
             mins.append(dist.min(axis=1))
             at.append(dist.argmin(axis=1) + j)
         # the first block holding a row's smallest distance (or its first
@@ -329,7 +330,7 @@ def nearest_gallery(embeddings: np.ndarray, probe_rows, gallery_rows,
             for r in np.flatnonzero(keep.any(axis=1)):
                 cols = np.flatnonzero(keep[r])
                 (pos,), (dist,) = _nearest_exact(flat, block_rows[r:r + 1],
-                                                 gallery_rows[j + cols], metric)
+                                                 gallery_rows[j + cols])
                 if at[r] < 0 or (not np.isnan(best[r])
                                  and (np.isnan(dist) or dist < best[r])):
                     best[r], at[r] = dist, j + cols[pos]

@@ -14,14 +14,12 @@ triplet + gamma * ce and averaged over all slots.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import (ARENA_ALIGN, Tensor, _home_region, _slot_gradient_region,
-                       stop_gradient)
+from .autodiff import ARENA_ALIGN, Tensor, _slot_gradient_region, stop_gradient
 from .errors import ConfigError, DataError, NumericError
 from .hod import describe
 from .pagcn import (
@@ -40,7 +38,7 @@ FLIP_PAIRS = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14), (15, 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_SLICE = 8192   # floats per slice of an arena run in adam_step
+ADAM_SLICE = 8192   # floats per slice of a span in adam_step
 
 
 @dataclass(frozen=True)
@@ -266,43 +264,15 @@ def combined_loss(metrics: Tensor, logits: Tensor, labels: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """Adam's step count and moments. ``m`` and ``v`` map a parameter's
-    name to its moments, made on its first gradient. For a parameter
-    that holds its arena slot (``autodiff.Arena``) they are views of
-    this state's two moment arrays of that arena's layout
-    (``moments``), so they step with the parameters as flat arrays."""
+    """Adam's step count and moments. ``m`` and ``v`` are flat arrays of
+    the parameter arena's layout (``autodiff.Arena``), made as zeros on
+    the first step or by ``restore_training_state``: a parameter's
+    moments are its slot of each, and the padding between regions stays
+    0."""
 
-    m: dict = field(default_factory=dict)  # name -> first moment
-    v: dict = field(default_factory=dict)  # name -> second moment
     step: int = 0
-    moments: dict = field(default_factory=dict)  # Arena -> (m, v) flat arrays
-    # (key, runs, alone) of the last step's run plan (_adam_plan)
-    plan: tuple = field(default=None, repr=False, compare=False)
-
-
-def _moments(state: OptimizerState, name: str, p: Tensor):
-    """(m, v) of parameter ``name``, made as zeros on first use: for a
-    ``p`` that holds its arena slot, that slot's views of the state's
-    moment arrays of the arena (the values of moments the state held
-    for the name before are copied in), arrays of their own otherwise."""
-    region = _home_region(p)
-    if region is None:
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state.m[name], state.v[name]
-    arrays = state.moments.get(region.arena)
-    if arrays is None:
-        arrays = state.moments[region.arena] = (np.zeros(region.arena.size),
-                                                np.zeros(region.arena.size))
-    m = state.m.get(name)
-    if m is None or m.base is not arrays[0]:
-        for table, flat in zip((state.m, state.v), arrays):
-            view = region.stack(flat)[p.home[1]]
-            if name in table:
-                view[...] = table[name]
-            table[name] = view
-    return state.m[name], state.v[name]
+    m: np.ndarray = None
+    v: np.ndarray = None
 
 
 def _adam_update(p, g, m, v, lr: float, bc1: float, bc2: float, tmp, step):
@@ -330,53 +300,45 @@ def _check_finite(name: str, g: np.ndarray):
         raise NumericError(f"non-finite gradient in tensor {name}")
 
 
-def _adam_runs(params: dict, state: OptimizerState):
-    """(runs, alone) of the parameters with a gradient. A run is
-    [arena, start, stop, (name, param) members]: adjacent arena regions
-    whose tensors all hold their slots with their gradients in their
-    slots (``autodiff._slot_gradient_region``), as one span of the
-    arena's flat arrays; their moments are made here. ``alone`` holds
-    every other (name, param)."""
-    whole, alone = {}, []
+def _slot(flat: np.ndarray, p: Tensor) -> np.ndarray:
+    """``p``'s slot of ``flat``, an array of its arena's layout (a view)."""
+    region, i = p.home
+    return region.stack(flat)[i]
+
+
+def _adam_spans(params: dict):
+    """(arena, spans) of the parameters with a gradient, or (None, [])
+    when none has one. Each must hold its arena slot with its gradient
+    in its slot (``autodiff._slot_gradient_region``), all in one arena;
+    a ValueError names the first that does not. A span is
+    [start, stop, (name, param) members]: slots in arena order, each
+    starting where the previous one stops, or starting the region that
+    follows the previous one's when that slot ends its region, so only
+    region padding lies between them. A slot without a gradient is never
+    inside a span."""
+    slots, arena = [], None
     for name, p in params.items():
         if p.grad is None:
             continue
         region = _slot_gradient_region(p)
-        if region is None:
-            alone.append((name, p))
+        if region is None or (arena is not None and region.arena is not arena):
+            raise ValueError(f"parameter {name} does not hold its slot of the "
+                             "arena, with its gradient in the slot")
+        arena = region.arena
+        start = region.start + p.home[1] * p.data.size
+        slots.append((start, start + p.data.size, region, name, p))
+    slots.sort(key=lambda slot: slot[0])
+    spans, last = [], None
+    for start, stop, region, name, p in slots:
+        if spans and (start == spans[-1][1] or (
+                spans[-1][1] == last.stop and start == region.start
+                and start - spans[-1][1] < ARENA_ALIGN)):
+            spans[-1][1] = stop
+            spans[-1][2].append((name, p))
         else:
-            whole.setdefault(region, []).append((name, p))
-    runs = []
-    for region in sorted(whole, key=lambda r: r.start):
-        members = whole[region]
-        if len(members) != len(region.views):
-            alone += members
-            continue
-        for name, p in members:
-            _moments(state, name, p)
-        last = runs[-1] if runs else None
-        if last and last[0] is region.arena and 0 <= region.start - last[2] < ARENA_ALIGN:
-            last[2] = region.stop
-            last[3] += members
-        else:
-            runs.append([region.arena, region.start, region.stop, members])
-    return runs, alone
-
-
-def _adam_plan(params: dict, state: OptimizerState):
-    """(runs, alone) of ``_adam_runs``, kept on the state and reused while
-    the plan's key is the same objects: every parameter's name, tensor,
-    values and gradient, in order. Its values being the same view keeps
-    a tensor in the same arena slot, and its gradient being the same
-    view keeps that gradient in its slot; a rebound ``data``, a
-    parameter that gained or lost a gradient, or one whose gradient is a
-    new array rebuilds the plan."""
-    key = [x for name, p in params.items() for x in (name, p, p.data, p.grad)]
-    plan = state.plan
-    if (plan is None or len(plan[0]) != len(key)
-            or not all(map(operator.is_, key, plan[0]))):
-        plan = state.plan = (key, *_adam_runs(params, state))
-    return plan[1], plan[2]
+            spans.append([start, stop, [(name, p)]])
+        last = region
+    return arena, spans
 
 
 def adam_step(params: dict, state: OptimizerState, lr: float):
@@ -390,39 +352,33 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
     rounded as those formulas round it. The ops are elementwise, so how
     the values are grouped changes no bit.
 
-    Parameters that hold their arena slots, with their gradients in
-    their slots, step as runs of adjacent whole regions
-    (``_adam_runs``, kept between steps by ``_adam_plan``): one span of
-    the arena's value, gradient and moment arrays
-    (``OptimizerState.moments``), walked in slices of at most
+    Every parameter with a gradient holds its arena slot with its
+    gradient in its slot, or a ValueError names it (``_adam_spans``).
+    Their slots are joined into spans of the arena's value, gradient and
+    moment arrays (``OptimizerState``), each walked in slices of at most
     ``ADAM_SLICE`` floats through two scratch buffers of that size, so
-    no full-size temporary is made. Any other parameter with a gradient
-    steps on its own arrays. A non-finite gradient raises
-    ``NumericError`` naming its tensor before its slice, or its tensor,
-    is updated.
+    no full-size temporary is made. A non-finite gradient raises
+    ``NumericError`` naming its tensor before its slice is updated.
     """
+    arena, spans = _adam_spans(params)
     state.step += 1
+    if arena is None:
+        return
+    if state.m is None:
+        state.m, state.v = np.zeros(arena.size), np.zeros(arena.size)
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    runs, alone = _adam_plan(params, state)
-    for name, p in alone:
-        _check_finite(name, p.grad)
-        m, v = _moments(state, name, p)
-        _adam_update(p.data, p.grad, m, v, lr, bc1, bc2, np.empty_like(m),
-                     np.empty_like(m))
-    if runs:
-        tmp, step = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
-    for arena, start, stop, members in runs:
-        m, v = state.moments[arena]
+    tmp, step = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
+    for start, stop, members in spans:
         for lo in range(start, stop, ADAM_SLICE):
             hi = min(lo + ADAM_SLICE, stop)
             g = arena.grad[lo:hi]
             if not np.isfinite(g).all():
                 for name, p in members:
                     _check_finite(name, p.grad)
-            _adam_update(arena.data[lo:hi], g, m[lo:hi], v[lo:hi], lr, bc1, bc2,
-                         tmp[:hi - lo], step[:hi - lo])
+            _adam_update(arena.data[lo:hi], g, state.m[lo:hi], state.v[lo:hi],
+                         lr, bc1, bc2, tmp[:hi - lo], step[:hi - lo])
 
 
 def one_cycle_lr(iteration: int, total: int, lr_init: float, lr_max: float,
@@ -451,12 +407,13 @@ def one_cycle_lr(iteration: int, total: int, lr_init: float, lr_max: float,
 
 
 def training_tensors(model: ModelParams, state: OptimizerState) -> dict:
-    """Model tensors plus optimizer state for checkpointing."""
+    """Model tensors plus optimizer state for checkpointing: once the
+    moments exist, every parameter's slots of them."""
     out = model_tensors(model)
-    for name in model.named_parameters():
-        if name in state.m:
-            out[f"optim/{name}/m"] = state.m[name]
-            out[f"optim/{name}/v"] = state.v[name]
+    if state.m is not None:
+        for name, p in model.named_parameters().items():
+            out[f"optim/{name}/m"] = _slot(state.m, p)
+            out[f"optim/{name}/v"] = _slot(state.v, p)
     out["train/step"] = np.asarray([float(state.step)])
     return out
 
@@ -464,8 +421,9 @@ def training_tensors(model: ModelParams, state: OptimizerState) -> dict:
 def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
     """Load a checkpoint's parameters and running statistics into
     ``model`` (``pagcn.load_model_tensors``) and return the optimizer
-    state it records: the step and, per parameter that has them, its
-    moments, copied into their arena views (``_moments``)."""
+    state it records: the step and, when it holds any moments, the
+    moment arrays, each parameter's slots holding its saved moments or
+    0 where it has none."""
     from .pagcn import load_model_tensors
     load_model_tensors(model, tensors)
     state = OptimizerState()
@@ -479,8 +437,11 @@ def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
             if tuple(tensors[key].shape) != p.data.shape:
                 raise DataError(f"tensor {key}: checkpoint shape "
                                 f"{tensors[key].shape} != model {p.data.shape}")
-        for moment, key in zip(_moments(state, name, p), (mk, vk)):
-            moment[...] = tensors[key]
+        if state.m is None:
+            size = p.home[0].arena.size
+            state.m, state.v = np.zeros(size), np.zeros(size)
+        _slot(state.m, p)[...] = tensors[mk]
+        _slot(state.v, p)[...] = tensors[vk]
     if "train/step" in tensors:
         state.step = int(round(float(tensors["train/step"][0])))
     return state

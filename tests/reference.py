@@ -19,13 +19,15 @@ stacked tail, and the no-graph model view inference once ran through
 (``detached_view``). The last keeps the pooling node as it was when
 every group's maxima ran over its own joints (``joint_group_pool``), the
 bit-exact oracle of the node that pools the body from its parts. After
-it, the per-tensor Adam step (``adam_step``) is the bit-exact oracle of
-the one that steps arena runs as flat arrays.
+it, the per-tensor Adam step (``adam_step``, on an ``AdamState``) is the
+bit-exact oracle of the one that steps spans of the parameter arena as
+flat arrays.
 """
 
 import copy
 import math
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -832,10 +834,20 @@ def joint_group_pool(x, groups):
 # -- the Adam step one tensor at a time ----------------------------------
 
 
-def adam_step(params: dict, state, lr: float):
+@dataclass
+class AdamState:
+    """The per-tensor Adam step's state: the step count and, per
+    parameter name, moment arrays of its own, made on its first
+    gradient."""
+
+    step: int = 0
+    m: dict = field(default_factory=dict)   # name -> first moment
+    v: dict = field(default_factory=dict)   # name -> second moment
+
+
+def adam_step(params: dict, state: AdamState, lr: float):
     """``train.adam_step`` as it was when it walked the parameters one by
-    one, each with moment arrays of its own in ``state.m``/``state.v``
-    (name -> array, made on the tensor's first gradient)."""
+    one, each with moment arrays of its own in ``state.m``/``state.v``."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t

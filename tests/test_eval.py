@@ -479,9 +479,9 @@ class TestGramScreen:
         calls = []
         exact = ev._nearest_exact
 
-        def counting(flat, probe_rows, gallery_rows, metric):
+        def counting(flat, probe_rows, gallery_rows):
             calls.append(len(gallery_rows))
-            return exact(flat, probe_rows, gallery_rows, metric)
+            return exact(flat, probe_rows, gallery_rows)
 
         monkeypatch.setattr(ev, "_nearest_exact", counting)
         ev.nearest_gallery(emb, range(100), range(100, 300))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from gpgait import hot, pagcn
+from gpgait import autodiff, hot, pagcn
 from gpgait.autodiff import Tensor
 from gpgait.checkpoint import load_container, save_container
 from gpgait.config import build_run_config, read_header
@@ -312,6 +312,67 @@ PLANS = {
     "casiab": (dict(parts5_channels=(64, 64, 128)), (2, 2, 20)),
 }
 
+
+class _DirtyEmpty:
+    """numpy, whose ``empty`` fills float arrays with NaN, as memory the
+    allocator hands back may hold anything."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+
+class TestFrameBuffer:
+    """``autodiff._frame_buffer`` sets only its padding frames: they are
+    exactly 0 in every buffer a block's training forward, its backward
+    and its inference pass use, and the callers write every interior
+    frame, so with ``np.empty`` handing out NaN-filled memory the values
+    and gradients are byte-identical."""
+
+    @staticmethod
+    def _run(block, f, weight):
+        x = Tensor(f, requires_grad=True)
+        for p in _block_params(block).values():
+            p.zero_grad()
+        out = pagcn_block(x, block, ADJ, MASKS, training=True)
+        (out * Tensor(weight)).sum().backward()
+        inference = pagcn_block(Tensor(f), block, ADJ, MASKS, training=False)
+        return [out.data, x.grad, inference.data] + [
+            p.grad for p in _block_params(block).values()]
+
+    @pytest.mark.parametrize("k,t", [(1, 1), (1, 4), (3, 2), (3, 6), (5, 2),
+                                     (5, 4), (5, 7)])
+    def test_padding_exactly_zero(self, rng, monkeypatch, k, t):
+        block = make_block(rng, 3, 4, kernel=k)
+        f = random_input(rng, n=3, t=t)
+        weight = rng.normal(size=f.shape[:-1] + (4,))
+        clean = self._run(copy.deepcopy(block), f, weight)
+
+        buffers = []
+        make = autodiff._frame_buffer
+
+        def recording(shape, k):
+            padded, frames = make(shape, k)
+            buffers.append((padded, k // 2, shape[1]))
+            return padded, frames
+
+        monkeypatch.setattr(autodiff, "np", _DirtyEmpty())
+        monkeypatch.setattr(autodiff, "_frame_buffer", recording)
+        monkeypatch.setattr(pagcn, "_frame_buffer", recording)
+        dirty = self._run(block, f, weight)
+        assert len(buffers) == 3          # forward, backward, inference
+        for padded, p, frames in buffers:
+            assert padded.shape[1] == frames + 2 * p
+            for pad in (padded[:, :p], padded[:, p + frames:]):
+                assert pad.tobytes() == bytes(pad.nbytes)      # +0.0 only
+        for a, b in zip(clean, dirty):
+            assert a.tobytes() == b.tobytes()
 
 def _stored_tape(monkeypatch):
     """Swap in the two training nodes that store their intermediates."""

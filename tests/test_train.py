@@ -9,12 +9,12 @@ import pytest
 
 import reference as ref
 from gpgait import train as tr
-from gpgait.autodiff import Tensor
+from gpgait.autodiff import ARENA_ALIGN, Arena, Tensor, _slot_gradient_region
 from gpgait.checkpoint import load_container, save_container
 from gpgait.config import build_run_config
 from gpgait.errors import ConfigError, DataError, NumericError
 from gpgait.hot import HotConfig, apply_hot
-from gpgait.pagcn import NetworkConfig, init_model, network_forward
+from gpgait.pagcn import NetworkConfig, blank_model, init_model, network_forward
 from gpgait.synth import CameraSpec, generate_sequence, make_identities
 
 from conftest import walker_frame
@@ -230,17 +230,34 @@ class TestCombinedLoss:
         assert total.item() == pytest.approx(sum(parts) / 18, abs=1e-12)
 
 
+def _placed(*arrays):
+    """Parameters holding ``arrays``' values, each placed in an arena
+    region of its own (``autodiff.Arena``), as a model's are."""
+    params = [Tensor(a, requires_grad=True) for a in arrays]
+    Arena([[p] for p in params])
+    return params
+
+
+def _set_grads(params: dict, grads: dict):
+    """Each parameter's gradient for the next step, through
+    ``_accumulate`` as backward delivers it; one that ``grads`` maps to
+    None gets none."""
+    for name, p in params.items():
+        p.zero_grad()
+        if grads[name] is not None:
+            p._accumulate(grads[name])
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        p.grad = np.array([1.0])
-        state = tr.OptimizerState()
-        tr.adam_step({"w": p}, state, lr=0.01)
+        (p,) = _placed(np.array([0.0]))
+        p._accumulate(np.array([1.0]))
+        tr.adam_step({"w": p}, tr.OptimizerState(), lr=0.01)
         assert p.data[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_zero_gradient_no_move(self):
-        p = Tensor(np.array([5.0]), requires_grad=True)
-        p.grad = np.array([0.0])
+        (p,) = _placed(np.array([5.0]))
+        p._accumulate(np.array([0.0]))
         state = tr.OptimizerState()
         tr.adam_step({"w": p}, state, lr=0.1)
         assert p.data[0] == 5.0
@@ -249,10 +266,10 @@ class TestAdam:
     def test_two_step_recurrence(self):
         g = 0.7
         lr = 0.05
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        (p,) = _placed(np.array([1.0]))
         state = tr.OptimizerState()
         for _ in range(2):
-            p.grad = np.array([g])
+            _set_grads({"w": p}, {"w": np.array([g])})
             tr.adam_step({"w": p}, state, lr)
         # hand-computed recurrence
         b1, b2, eps = 0.9, 0.999, 1e-8
@@ -271,8 +288,8 @@ class TestAdam:
         3): moments and parameters equal the textbook formulas exactly,
         and the parameter and moment arrays are updated in place."""
         b1, b2, eps = 0.9, 0.999, 1e-8
-        params = {"a": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-                  "b": Tensor(rng.normal(size=5), requires_grad=True)}
+        a, b = _placed(rng.normal(size=(3, 4)), rng.normal(size=5))
+        params = {"a": a, "b": b}
         arrays = {n: p.data for n, p in params.items()}
         x = {n: p.data.copy() for n, p in params.items()}
         m = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -280,11 +297,13 @@ class TestAdam:
         state = tr.OptimizerState()
         for t in range(1, 6):
             lr = 0.01 * t
-            for n, p in params.items():
-                p.grad = None if (n, t) == ("b", 3) else rng.normal(size=p.shape)
-            grads = {n: None if p.grad is None else p.grad.copy()
+            grads = {n: None if (n, t) == ("b", 3) else rng.normal(size=p.shape)
                      for n, p in params.items()}
+            _set_grads(params, grads)
             tr.adam_step(params, state, lr)
+            if t == 1:
+                moments = state.m, state.v
+            assert state.m is moments[0] and state.v is moments[1]
             bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for n, p in params.items():
                 g = grads[n]
@@ -293,15 +312,15 @@ class TestAdam:
                     v[n] = b2 * v[n] + (1.0 - b2) * g * g
                     x[n] = x[n] - lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
                     np.testing.assert_array_equal(p.grad, g)
-                    np.testing.assert_array_equal(state.m[n], m[n])
-                    np.testing.assert_array_equal(state.v[n], v[n])
+                np.testing.assert_array_equal(tr._slot(state.m, p), m[n])
+                np.testing.assert_array_equal(tr._slot(state.v, p), v[n])
                 np.testing.assert_array_equal(p.data, x[n])
                 assert p.data is arrays[n]
         assert state.step == 5
 
     def test_nonfinite_gradient_names_tensor(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        p.grad = np.array([np.nan])
+        (p,) = _placed(np.array([0.0]))
+        p._accumulate(np.array([np.nan]))
         with pytest.raises(NumericError, match="spooky"):
             tr.adam_step({"spooky": p}, tr.OptimizerState(), 0.1)
 
@@ -318,107 +337,189 @@ def _disjoint(arrays: list) -> bool:
 
 
 class TestArenaAdam:
-    """Adam over a model's parameter arena steps runs of whole regions
-    as flat arrays; the per-tensor step (``reference.adam_step``) on
-    loose copies of the same parameters is its bit-exact oracle."""
+    """Adam over a model's parameter arena steps spans of slots as flat
+    arrays; the per-tensor step (``reference.adam_step``) on loose copies
+    of the same parameters is its bit-exact oracle."""
 
     SKIPPED = "branch/angle/block0/k1/attn_a"      # no gradient at step 3
     NEVER = "branch/joint/block1/k2/adj"           # never a gradient
-    ASSIGNED = "head/03/fc_w"                      # p.grad assigned directly
+    MIDDLE = "head/05/fc_b"                        # (4,): narrower than ARENA_ALIGN
 
-    def test_five_steps_equal_the_per_tensor_oracle(self, rng):
+    @staticmethod
+    def _model():
         model = init_model(tiny_net_cfg(3), seed=5)
         params = model.named_parameters()
         assert all(_in_arena(p) for p in params.values())
         loose = {name: Tensor(p.data.copy(), requires_grad=True)
                  for name, p in params.items()}
+        return model, params, loose
+
+    @staticmethod
+    def _step(params, loose, state, oracle, lr, grads):
+        """One step of the arena's Adam and of the oracle on the same
+        gradients; every value and moment agrees bit for bit."""
+        _set_grads(params, grads)
+        for name, t in loose.items():
+            t.grad = None if grads[name] is None else grads[name].copy()
+        tr.adam_step(params, state, lr)
+        ref.adam_step(loose, oracle, lr)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, loose[name].data, err_msg=name)
+            for moment in ("m", "v"):
+                expect = getattr(oracle, moment).get(name, np.zeros(p.shape))
+                np.testing.assert_array_equal(
+                    tr._slot(getattr(state, moment), p), expect, err_msg=name)
+
+    def test_five_steps_equal_the_per_tensor_oracle(self, rng):
+        model, params, loose = self._model()
         arrays = {name: p.data for name, p in params.items()}
-        state, oracle = tr.OptimizerState(), tr.OptimizerState()
+        state, oracle = tr.OptimizerState(), ref.AdamState()
         for t in range(1, 6):
-            lr = 0.01 * t
-            for name, p in params.items():
-                p.zero_grad()
-                loose[name].grad = None
-                if name == self.NEVER or (name, t) == (self.SKIPPED, 3):
-                    continue
-                g = rng.normal(size=p.shape)
-                loose[name].grad = g.copy()
-                if name == self.ASSIGNED:
-                    p.grad = g
-                else:
-                    p._accumulate(g)
-            runs, alone = tr._adam_runs(params, tr.OptimizerState())
-            assert runs
-            assert self.ASSIGNED in {name for name, _p in alone}
-            tr.adam_step(params, state, lr)
-            ref.adam_step(loose, oracle, lr)
-            for name, p in params.items():
-                assert p.data is arrays[name]
-                np.testing.assert_array_equal(p.data, loose[name].data, err_msg=name)
-            assert state.m.keys() == oracle.m.keys() == params.keys() - {self.NEVER}
-            for name in oracle.m:
-                np.testing.assert_array_equal(state.m[name], oracle.m[name], err_msg=name)
-                np.testing.assert_array_equal(state.v[name], oracle.v[name], err_msg=name)
+            grads = {name: None if name == self.NEVER
+                     or (name, t) == (self.SKIPPED, 3) else rng.normal(size=p.shape)
+                     for name, p in params.items()}
+            self._step(params, loose, state, oracle, 0.01 * t, grads)
+            assert all(p.data is arrays[name] for name, p in params.items())
         assert state.step == oracle.step == 5
+        assert oracle.m.keys() == params.keys() - {self.NEVER}
         assert _disjoint(list(arrays.values()))
         assert _disjoint([p.grad for p in params.values() if p.grad is not None])
-        assert _disjoint(list(state.m.values()) + list(state.v.values()))
         saved = tr.training_tensors(model, state)
-        assert not {f"optim/{self.NEVER}/m", f"optim/{self.NEVER}/v"} & saved.keys()
-        assert f"optim/{self.SKIPPED}/m" in saved
+        assert [k for k in saved if k.startswith("optim/")] == [
+            f"optim/{name}/{moment}" for name in params for moment in ("m", "v")]
+        assert not saved[f"optim/{self.NEVER}/m"].any()
+        assert not saved[f"optim/{self.NEVER}/v"].any()
 
     def test_nonfinite_gradient_names_its_tensor(self, rng):
-        model = init_model(tiny_net_cfg(3), seed=5)
-        params = model.named_parameters()
-        for name, p in params.items():
-            g = rng.normal(size=p.shape)
-            if name == self.SKIPPED:
-                g[0, 1] = np.inf
-            p._accumulate(g)
-        assert tr._adam_runs(params, tr.OptimizerState())[0]
+        _model, params, _loose = self._model()
+        grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
+        grads[self.SKIPPED][0, 1] = np.inf
+        _set_grads(params, grads)
+        assert tr._adam_spans(params)[1]
         with pytest.raises(NumericError, match=self.SKIPPED):
             tr.adam_step(params, tr.OptimizerState(), 0.1)
 
+    def test_gradient_outside_its_slot_names_the_tensor(self, rng):
+        """A gradient assigned as an array of its own, or a tensor whose
+        ``data`` was rebound out of its slot, is a ValueError naming it;
+        nothing is stepped."""
+        for name, leave in (("head/03/fc_w", "grad"), (self.SKIPPED, "data")):
+            model, params, _loose = self._model()
+            _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
+            p = params[name]
+            if leave == "grad":
+                p.grad = p.grad.copy()
+            else:
+                p.data = p.data.copy()
+            before = [q.data.copy() for q in params.values()]
+            state = tr.OptimizerState()
+            with pytest.raises(ValueError, match=name):
+                tr.adam_step(params, state, 0.1)
+            assert state.step == 0 and state.m is None
+            for q, old in zip(params.values(), before):
+                np.testing.assert_array_equal(q.data, old)
+
+    def test_slot_without_gradient_is_not_stepped(self, rng):
+        """With ``embed_dim`` 4 each fc_b slot is 4 floats, fewer than
+        ``ARENA_ALIGN``. A middle one without a gradient keeps its value
+        and moments (its gradient slot still holds the last step's
+        values), while the slots on both sides of it step."""
+        _model, params, loose = self._model()
+        p = params[self.MIDDLE]
+        region, i = p.home
+        assert p.data.size < ARENA_ALIGN and 0 < i < len(region.views) - 1
+        neighbours = [n for n, q in params.items()
+                      if q.home in ((region, i - 1), (region, i + 1))]
+        assert len(neighbours) == 2
+        state, oracle = tr.OptimizerState(), ref.AdamState()
+        for t in range(1, 4):
+            grads = {name: None if (name, t) == (self.MIDDLE, 3)
+                     else rng.normal(size=q.shape) for name, q in params.items()}
+            if t == 3:
+                held = [a.copy() for a in (p.data, tr._slot(state.m, p),
+                                            tr._slot(state.v, p))]
+                moved = {n: params[n].data.copy() for n in neighbours}
+            self._step(params, loose, state, oracle, 0.01, grads)
+        assert tr._slot(p.home[0].arena.grad, p).any()
+        for old, now in zip(held, (p.data, tr._slot(state.m, p), tr._slot(state.v, p))):
+            np.testing.assert_array_equal(now, old)
+        assert all(not np.array_equal(params[n].data, moved[n]) for n in neighbours)
+        _arena, spans = tr._adam_spans(params)
+        assert any(stop == p.home[0].start + i * p.data.size for _s, stop, *_ in spans)
+
+    def test_region_padding_stays_zero(self, rng):
+        """The floats between regions are 0 in the values, gradients and
+        moments, and stay 0 through steps."""
+        _model, params, loose = self._model()
+        arena = next(iter(params.values())).home[0].arena
+        pad = np.ones(arena.size, dtype=bool)
+        for p in params.values():
+            pad[p.home[0].start:p.home[0].stop] = False
+        assert pad.any()
+        state = tr.OptimizerState()
+        for t in range(1, 4):
+            _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
+            tr.adam_step(params, state, 0.01 * t)
+            for flat in (arena.data, arena.grad, state.m, state.v):
+                assert flat[pad].tobytes() == bytes(8 * pad.sum())
+
+    def test_restore_without_some_moments_then_step_equals_the_oracle(self, rng):
+        """A checkpoint lacking some parameters' ``optim/`` entries
+        restores them as fresh (zero) moments: the next steps equal the
+        oracle's, which has no moments for them."""
+        model, params, loose = self._model()
+        state, oracle = tr.OptimizerState(), ref.AdamState()
+        for t in range(1, 3):
+            self._step(params, loose, state, oracle, 0.01 * t,
+                       {n: rng.normal(size=p.shape) for n, p in params.items()})
+        tensors = dict(tr.training_tensors(model, state))
+        for name in (self.SKIPPED, self.MIDDLE):
+            del tensors[f"optim/{name}/m"], tensors[f"optim/{name}/v"]
+            del oracle.m[name], oracle.v[name]
+        resumed = init_model(tiny_net_cfg(3), seed=9)
+        restored = tr.restore_training_state(resumed, tensors)
+        assert restored.step == oracle.step == 2
+        params2 = resumed.named_parameters()
+        for t in range(3, 5):
+            self._step(params2, loose, restored, oracle, 0.01 * t,
+                       {n: rng.normal(size=p.shape) for n, p in params2.items()})
+
     def test_load_and_resume_fill_the_arena_views(self, tmp_path, rng):
-        """After ``load_model_tensors`` / ``restore_training_state`` every
-        parameter and moment is an arena view holding the checkpoint's
-        values, and the next step moves those same arrays."""
+        """After ``restore_training_state`` every parameter and moment
+        slot holds the checkpoint's values, and the next step moves those
+        same arrays."""
         model = init_model(tiny_net_cfg(3), seed=5)
         params = model.named_parameters()
         state = tr.OptimizerState()
         for _ in range(2):
-            for p in params.values():
-                p.zero_grad()
-                p._accumulate(rng.normal(size=p.shape))
+            _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
             tr.adam_step(params, state, 0.01)
-        saved = tr.training_tensors(model, state)
         path = tmp_path / "run.gpgw"
-        save_container(path, {}, saved)
+        save_container(path, {}, tr.training_tensors(model, state))
         _, tensors = load_container(path)
         resumed = init_model(tiny_net_cfg(3), seed=9)
         restored = tr.restore_training_state(resumed, tensors)
         assert restored.step == 2
         params2 = resumed.named_parameters()
         arena = next(iter(params2.values())).home[0].arena
-        m_flat, v_flat = restored.moments[arena]
+        assert restored.m.shape == restored.v.shape == (arena.size,)
         held = {}
         for name, p in params2.items():
             assert _in_arena(p) and p.home[0].arena is arena, name
-            assert restored.m[name].base is m_flat and restored.v[name].base is v_flat
             np.testing.assert_array_equal(p.data, tensors[name])
             for moment in ("m", "v"):
-                np.testing.assert_array_equal(getattr(restored, moment)[name],
+                np.testing.assert_array_equal(tr._slot(getattr(restored, moment), p),
                                               tensors[f"optim/{name}/{moment}"])
-            held[name] = (p.data, restored.m[name], restored.v[name])
-        for p in params2.values():
-            p._accumulate(rng.normal(size=p.shape))
+            held[name] = p.data
+        moments = restored.m, restored.v
+        _set_grads(params2, {n: rng.normal(size=p.shape) for n, p in params2.items()})
         tr.adam_step(params2, restored, 0.01)
+        assert restored.m is moments[0] and restored.v is moments[1]
         for name, p in params2.items():
-            now = (p.data, restored.m[name], restored.v[name])
-            assert all(a is b for a, b in zip(now, held[name])), name
+            assert p.data is held[name], name
             assert not np.array_equal(p.data, tensors[name]), name
-            assert not np.array_equal(restored.m[name], tensors[f"optim/{name}/m"])
-
+            assert not np.array_equal(tr._slot(restored.m, p),
+                                      tensors[f"optim/{name}/m"]), name
 
     def test_model_freed_without_the_cycle_collector(self, rng):
         """Tensors, their regions and the arena hold no reference cycle:
@@ -433,77 +534,11 @@ class TestArenaAdam:
             state = tr.OptimizerState()
             tr.adam_step(params, state, 0.01)
             arena = tensor.home[0].arena
-            refs = [weakref.ref(a) for a in (arena.data, arena.grad,
-                                             *state.moments[arena])]
+            refs = [weakref.ref(a) for a in (arena.data, arena.grad, state.m, state.v)]
             del model, params, tensor, state, arena
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
-
-
-class TestAdamPlan:
-    """``adam_step`` keeps its run plan on the optimizer state and
-    rebuilds it only when a parameter's name, tensor, values or gradient
-    is another object than when it was made; every step's values equal
-    the per-tensor oracle (``reference.adam_step``) bit for bit."""
-
-    NAME = "branch/joint/block0/k1/weight"
-
-    def _steps(self, rng, monkeypatch, before_step):
-        """Four steps of a toy model and of loose copies of its
-        parameters, ``before_step(t, params)`` run after each step's
-        gradients are placed; returns the number of plans built."""
-        built = []
-        plan_runs = tr._adam_runs
-        monkeypatch.setattr(tr, "_adam_runs",
-                            lambda *a: built.append(1) or plan_runs(*a))
-        model = init_model(tiny_net_cfg(3), seed=5)
-        params = model.named_parameters()
-        loose = {name: Tensor(p.data.copy(), requires_grad=True)
-                 for name, p in params.items()}
-        state, oracle = tr.OptimizerState(), tr.OptimizerState()
-        for t in range(1, 5):
-            for name, p in params.items():
-                p.zero_grad()
-                g = rng.normal(size=p.shape)
-                p._accumulate(g)
-                loose[name].grad = g.copy()
-            before_step(t, params, loose)
-            tr.adam_step(params, state, 0.01 * t)
-            ref.adam_step(loose, oracle, 0.01 * t)
-            for name, p in params.items():
-                np.testing.assert_array_equal(p.data, loose[name].data, err_msg=name)
-            assert state.m.keys() == oracle.m.keys()
-            for name in oracle.m:
-                np.testing.assert_array_equal(state.m[name], oracle.m[name], err_msg=name)
-                np.testing.assert_array_equal(state.v[name], oracle.v[name], err_msg=name)
-        return len(built)
-
-    def test_plan_made_once_while_nothing_changes(self, rng, monkeypatch):
-        assert self._steps(rng, monkeypatch, lambda t, params, loose: None) == 1
-
-    def test_rebound_data_rebuilds_the_plan(self, rng, monkeypatch):
-        """Step 3 rebinds one tensor's ``data`` before its gradient is
-        placed, so the tensor leaves its arena slot and steps alone. Its
-        gradient is then an array of its own, a new one every step, so
-        steps 3 and 4 each build a plan."""
-        def rebind(t, params, loose):
-            if t == 3:
-                p = params[self.NAME]
-                p.data = p.data.copy()
-                p.zero_grad()
-                p._accumulate(loose[self.NAME].grad)
-                assert not _in_arena(p)
-        assert self._steps(rng, monkeypatch, rebind) == 3
-
-    def test_missing_gradient_rebuilds_the_plan(self, rng, monkeypatch):
-        """One parameter has no gradient at step 2 and has one again at
-        step 3: each change builds a plan."""
-        def drop(t, params, loose):
-            if t == 2:
-                params[self.NAME].zero_grad()
-                loose[self.NAME].grad = None
-        assert self._steps(rng, monkeypatch, drop) == 3
 
 
 class TestSchedule:
@@ -650,17 +685,55 @@ class TestTrainLoop:
                       tiny_train_cfg(iterations=3), tmp_path / "run")
         assert len(previous) == 3
 
-    def test_moment_shape_mismatch_is_data_error(self):
+    def test_moment_shape_mismatch_is_data_error(self, rng):
         model = init_model(tiny_net_cfg(3), seed=0)
+        params = model.named_parameters()
+        _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
         state = tr.OptimizerState()
-        for name, p in model.named_parameters().items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
+        tr.adam_step(params, state, 0.01)
         tensors = tr.training_tensors(model, state)
         name = "optim/head/00/fc_b/v"
         tensors[name] = tensors[name][:1]
         with pytest.raises(DataError, match=f"tensor {name}: checkpoint shape"):
             tr.restore_training_state(init_model(tiny_net_cfg(3), seed=1), tensors)
+
+    def test_training_steps_the_whole_arena_as_one_span(self, tmp_path,
+                                                         monkeypatch):
+        """Every step of a fresh and of a resumed run finds each
+        parameter's values and gradient in its arena slots and steps the
+        whole arena as one span: training never takes another path."""
+        seen = []
+        spans_of = tr._adam_spans
+
+        def recording(params):
+            arena, spans = spans_of(params)
+            seen.append((arena, [span[:2] for span in spans]))
+            for name, p in params.items():
+                assert _slot_gradient_region(p) is p.home[0], name
+            return arena, spans
+
+        monkeypatch.setattr(tr, "_adam_spans", recording)
+
+        def assert_one_span(model):
+            params = model.named_parameters().values()
+            arena = next(iter(params)).home[0].arena
+            whole = max(p.home[0].stop for p in params)
+            assert arena.size - ARENA_ALIGN < whole <= arena.size
+            assert seen == [(arena, [[0, whole]])] * 2
+            seen.clear()
+
+        ts = build_train_set()
+        net_cfg = tiny_net_cfg(ts.num_classes)
+        cfg = tiny_train_cfg(iterations=2, checkpoint_interval=1)
+        model, _final = tr.train_loop(ts, net_cfg, cfg, tmp_path / "run")
+        assert_one_span(model)
+        header, tensors = load_container(tmp_path / "run" / "ckpt_000001.gpgw")
+        resumed = blank_model(net_cfg)
+        state = tr.restore_training_state(resumed, tensors)
+        tr.train_loop(ts, net_cfg, tiny_train_cfg(iterations=3), tmp_path / "resumed",
+                      model=resumed, state=state,
+                      sampler_state=header["sampler_state"])
+        assert_one_span(resumed)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator setting is glibc's")
