@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Everything is float64. A Tensor wraps an ndarray plus an optional
-gradient; operations build a graph of backward closures which
-``backward()`` replays in reverse topological order. Only the ops the
-network needs are implemented; all of them support the broadcasting
-that numpy itself performs, with gradients summed back to the original
-shapes.
+gradient and has no arithmetic of its own. Each op of the network and
+its losses is one fused node with a hand-written backward closure: a
+training block (``graph_block``), a branch's part pooling
+(``group_pool``), the heads' fc layer (``slot_fc``) and BNNeck plus
+classifier (``bnneck_classifier``), and the losses (``train``).
+``backward()`` replays the closures in reverse topological order.
 
 The engine is deliberately free of global state so repeated runs with
 identical inputs are bit-reproducible.
@@ -27,19 +28,6 @@ def _as_array(x) -> np.ndarray:
     if isinstance(x, np.ndarray):
         return x.astype(np.float64, copy=False)
     return np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -70,6 +58,12 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
+        """Drop the gradient. A tensor holding its arena slot (``Arena``)
+        also sets its slot of the arena's gradient array to 0, so that
+        array holds only gradients of the current step."""
+        region = _home_region(self)
+        if region is not None and region.arena._grad is not None:
+            region.gradients()[1][self.home[1]].fill(0.0)
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
@@ -125,227 +119,12 @@ class Tensor:
                 node._backward(node.grad)
                 node.grad = None
 
-    # -- binary ops -------------------------------------------------
-
-    def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = _make(self.data + other.data, (self, other))
-        if out.requires_grad:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(g, b.data.shape))
-            out._backward = bwd
-        return out
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = _make(self.data - other.data, (self, other))
-        if out.requires_grad:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(-g, b.data.shape))
-            out._backward = bwd
-        return out
-
-    def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = _make(self.data * other.data, (self, other))
-        if out.requires_grad:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-            out._backward = bwd
-        return out
-
-    def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = _make(np.matmul(self.data, other.data), (self, other))
-        if out.requires_grad:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                    a._accumulate(_unbroadcast(ga, a.data.shape))
-                if b.requires_grad and b.data.ndim == 2:
-                    # one GEMM over all leading axes, not a per-matrix
-                    # product summed afterwards
-                    c_in, c_out = b.data.shape
-                    b._accumulate(a.data.reshape(-1, c_in).T @ g.reshape(-1, c_out))
-                elif b.requires_grad:
-                    gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                    b._accumulate(_unbroadcast(gb, b.data.shape))
-            out._backward = bwd
-        return out
-
-    # -- unary ops --------------------------------------------------
-
-    def relu(self):
-        out = _make(np.maximum(self.data, 0.0), (self,))
-        if out.requires_grad:
-            mask = self.data > 0.0
-            def bwd(g, a=self, m=mask):
-                a._accumulate(g * m)
-            out._backward = bwd
-        return out
-
-    def exp(self):
-        out = _make(np.exp(self.data), (self,))
-        if out.requires_grad:
-            def bwd(g, a=self, y=out.data):
-                a._accumulate(g * y)
-            out._backward = bwd
-        return out
-
-    def log(self):
-        out = _make(np.log(self.data), (self,))
-        if out.requires_grad:
-            def bwd(g, a=self):
-                a._accumulate(g / a.data)
-            out._backward = bwd
-        return out
-
-    def sqrt(self):
-        """Square root whose gradient at exactly 0 is taken as 0.
-
-        The zero convention keeps batch-hard losses finite when two
-        embeddings in a batch coincide.
-        """
-        out = _make(np.sqrt(self.data), (self,))
-        if out.requires_grad:
-            def bwd(g, a=self, y=out.data):
-                safe = np.where(y > 0.0, y, 1.0)
-                a._accumulate(np.where(y > 0.0, g / (2.0 * safe), 0.0))
-            out._backward = bwd
-        return out
-
-    def square(self):
-        out = _make(self.data * self.data, (self,))
-        if out.requires_grad:
-            def bwd(g, a=self):
-                a._accumulate(g * 2.0 * a.data)
-            out._backward = bwd
-        return out
-
-    # -- reductions -------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            def bwd(g, a=self, axis=axis, keepdims=keepdims):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.data.shape))
-            out._backward = bwd
-        return out
-
-    def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis, keepdims=False):
-        """Max along one axis; gradient routes to the first argmax."""
-        data = self.data
-        out_data = data.max(axis=axis, keepdims=keepdims)
-        out = _make(out_data, (self,))
-        if out.requires_grad:
-            idx = data.argmax(axis=axis)
-            def bwd(g, a=self, axis=axis, keepdims=keepdims, idx=idx):
-                grad = np.zeros_like(a.data)
-                np.put_along_axis(grad, np.expand_dims(idx, axis),
-                                  g if keepdims else np.expand_dims(g, axis), axis)
-                a._accumulate(grad)
-            out._backward = bwd
-        return out
-
-    # -- shape ops --------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = _make(self.data.reshape(shape), (self,))
-        if out.requires_grad:
-            def bwd(g, a=self):
-                a._accumulate(g.reshape(a.data.shape))
-            out._backward = bwd
-        return out
-
-    def transpose(self, axes):
-        out = _make(self.data.transpose(axes), (self,))
-        if out.requires_grad:
-            inv = np.argsort(axes)
-            def bwd(g, a=self, inv=tuple(inv)):
-                a._accumulate(g.transpose(inv))
-            out._backward = bwd
-        return out
-
-    def take(self, indices, axis):
-        """Gather along an axis; repeated indices scatter-add on the
-        way back, unique ones are assigned."""
-        indices = np.asarray(indices)
-        out = _make(np.take(self.data, indices, axis=axis), (self,))
-        if out.requires_grad:
-            repeats = np.unique(indices).size < indices.size
-            def bwd(g, a=self, indices=indices, axis=axis, repeats=repeats):
-                grad = np.zeros_like(a.data)
-                gm = np.moveaxis(grad, axis, 0)
-                if repeats:
-                    np.add.at(gm, indices, np.moveaxis(g, axis, 0))
-                else:
-                    gm[indices] = np.moveaxis(g, axis, 0)
-                a._accumulate(grad)
-            out._backward = bwd
-        return out
-
 
 def _make(data: np.ndarray, parents) -> Tensor:
     out = Tensor(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
-    return out
-
-
-def _axis_count(shape, axis):
-    if isinstance(axis, int):
-        axis = (axis,)
-    n = 1
-    for a in axis:
-        n *= shape[a]
-    return n
-
-
-def concat(tensors, axis=0) -> Tensor:
-    datas = [t.data for t in tensors]
-    out = _make(np.concatenate(datas, axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [d.shape[axis] for d in datas]
-        def bwd(g, tensors=tuple(tensors), sizes=sizes, axis=axis):
-            start = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(start, start + size)
-                    t._accumulate(g[tuple(sl)])
-                start += size
-        out._backward = bwd
-    return out
-
-
-def stack(tensors) -> Tensor:
-    """``np.stack`` of the tensors as one node. Its value is their arena
-    region's view where ``stacked_data`` finds one, and backward hands
-    each tensor its slice (``_accumulate_stacked``)."""
-    tensors = tuple(tensors)
-    out = _make(stacked_data(tensors), tensors)
-    if out.requires_grad:
-        def bwd(g):
-            _accumulate_stacked(tensors, g)
-        out._backward = bwd
     return out
 
 
@@ -497,8 +276,7 @@ def group_pool(x: Tensor, groups) -> Tensor:
     group whose joints are exactly those of the earlier groups inside
     it (the whole body after its parts) takes the max of their maxima
     instead; max is exact, so the values are the same. A max's gradient
-    goes to its first argmax frame and joint, as ``Tensor.max`` routes
-    it."""
+    goes to its first argmax frame and joint."""
     n, t, v, c = x.shape
     group, joint = np.array([(p, j) for p, members in enumerate(groups)
                              for j in members]).T
@@ -539,37 +317,29 @@ def group_pool(x: Tensor, groups) -> Tensor:
     return out
 
 
-def _softmax(data: np.ndarray, axis=-1, mask=None) -> np.ndarray:
-    """Softmax over ``axis``; a binary mask excludes entries from the
-    normalization (their output is 0)."""
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-        shifted = np.where(mask, data, -np.inf)
-        m = shifted.max(axis=axis, keepdims=True)
-        # rows that are fully masked would produce nan; keep them at 0
-        m = np.where(np.isfinite(m), m, 0.0)
-        e = np.exp(np.where(mask, data - m, -np.inf))
-    else:
-        m = data.max(axis=axis, keepdims=True)
-        e = np.exp(data - m)
+def _softmax(data: np.ndarray, axis, mask) -> np.ndarray:
+    """Softmax over ``axis`` within a binary mask: masked entries are
+    excluded from the normalization (their output is 0)."""
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
+    m = np.where(mask, data, -np.inf).max(axis=axis, keepdims=True)
+    # rows that are fully masked would produce nan; keep them at 0
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(np.where(mask, data - m, -np.inf))
     denom = e.sum(axis=axis, keepdims=True)
     denom = np.where(denom == 0.0, 1.0, denom)
     return e / denom
 
 
-def stop_gradient(x: Tensor) -> Tensor:
-    return Tensor(x.data)
-
-
 # -- fused network ops ------------------------------------------------
 #
-# Each replaces a chain of generic nodes with one node whose backward is
-# written out, so the sweep allocates one gradient per input instead of
-# one per intermediate, and a node keeps only what its backward cannot
-# cheaply rebuild; the rest is recomputed by the forward's exact
-# operations, so values and gradients match a stored tape bit for bit.
+# Each is one node whose backward is written out, so the sweep
+# allocates one gradient per input, not one per intermediate step, and
+# a node keeps only what its backward cannot cheaply rebuild; the rest
+# is recomputed by the forward's exact operations, so values and
+# gradients match a stored tape bit for bit.
 # A training block is one ``graph_block`` node, which keeps its input
-# and no (N, T, V, C) array of its own. Given only constant tensors the
+# and no (N, T, V, C) array of its own; the heads are two nodes
+# (``slot_fc``, ``bnneck_classifier``). Given only constant tensors the
 # ops build no graph; a block's inference pass (``pagcn._inference_block``)
 # calls the array kernels below directly.
 
@@ -781,35 +551,6 @@ def _bn_backward(g, xhat, std, gamma, out=None):
     return gx, gx_sum, g_sum
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
-    """Training-mode batch norm over every axis but the last (the channel
-    axis): ``(x - mean) / sqrt(var + eps) * gamma + beta`` with the
-    batch's biased statistics.
-
-    Returns (output, batch mean, batch variance); the statistics are
-    arrays shaped like ``gamma``. Backward recomputes the normalized
-    input from ``x`` instead of keeping it.
-    """
-    x2 = x.data.reshape(-1, x.shape[-1])
-    data, mu, var, std = _bn_normalize(x2, eps)
-    data *= gamma.data
-    data += beta.data
-    out = _make(data.reshape(x.shape), (x, gamma, beta))
-    if out.requires_grad:
-        def bwd(g, x=x, gamma=gamma, beta=beta):
-            xhat = _bn_xhat(x2, mu, std)
-            gx, g_gamma, g_beta = _bn_backward(g.reshape(x2.shape), xhat, std,
-                                               gamma.data, out=xhat)
-            if gamma.requires_grad:
-                gamma._accumulate(g_gamma)
-            if beta.requires_grad:
-                beta._accumulate(g_beta)
-            if x.requires_grad:
-                x._accumulate(gx.reshape(x.shape))
-        out._backward = bwd
-    return out, mu.reshape(gamma.shape), var.reshape(gamma.shape)
-
-
 def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
              out: np.ndarray = None) -> np.ndarray:
     """``relu(xhat * gamma + beta)``, written to ``out`` (``xhat``
@@ -937,6 +678,83 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
             if residual:
                 g_f += g
             f_in._accumulate(g_f)
+
+    out._backward = bwd
+    return (out, *stats)
+
+
+def slot_fc(pools, weights, biases) -> Tensor:
+    """(S, N, D) metric features of S slots as one node: slot s's (N, C)
+    pooled features times its (C, D) weight, plus its (D,) bias.
+
+    ``pools`` are (N, P_b, C) tensors, the branches' pooling outputs
+    (``group_pool``); their slots in order are the S slots. ``weights``
+    and ``biases`` hold S tensors each, read through ``stacked_data`` and
+    handed their gradients through ``_accumulate_stacked``, as
+    ``graph_block`` does. The pooled features are joined into one small
+    (N, S, C) array, so all slots run as one batched product and each
+    pool gets its slice of the input gradient."""
+    x = np.concatenate([p.data for p in pools], axis=1).transpose(1, 0, 2)
+    w = stacked_data(weights)                                   # (S, C, D)
+    metric = np.matmul(x, w)
+    metric += stacked_data(biases).reshape(len(biases), 1, -1)
+    out = _make(metric, (*pools, *weights, *biases))
+    if out.requires_grad:
+        def bwd(g):
+            if any(b.requires_grad for b in biases):
+                _accumulate_stacked(biases, g.sum(axis=1))
+            if any(p.requires_grad for p in pools):
+                g_x = np.matmul(g, np.swapaxes(w, -1, -2)).transpose(1, 0, 2)
+                start = 0
+                for p in pools:
+                    stop = start + p.shape[1]
+                    if p.requires_grad:
+                        p._accumulate(g_x[:, start:stop])
+                    start = stop
+            if any(wk.requires_grad for wk in weights):
+                _accumulate_stacked(weights, np.matmul(np.swapaxes(x, -1, -2), g))
+        out._backward = bwd
+    return out
+
+
+def bnneck_classifier(metric: Tensor, gammas, betas, classifiers, eps: float):
+    """BNNeck then classifier of S slots as one node: the (S, N, D)
+    metric features normalized as one (N, S*D) batch norm with the
+    batch's biased statistics, each slot's columns scaled and shifted by
+    its (D,) gamma and beta, then multiplied by its (D, K) classifier.
+
+    Returns ((S, N, K) logits, batch mean, batch variance), the
+    statistics shaped (S, D). Parameters are read through
+    ``stacked_data`` and handed their gradients through
+    ``_accumulate_stacked``. The node keeps the (N, S*D) BNNeck output
+    for the classifier's gradient; backward rebuilds the normalized
+    input from ``metric`` by the forward's operations (``_bn_xhat``)."""
+    s, n, d = metric.shape
+    x = metric.data.transpose(1, 0, 2).reshape(n, s * d)
+    necked, mu, var, std = _bn_normalize(x, eps)
+    del x
+    gamma = stacked_data(gammas).reshape(s * d)
+    necked *= gamma
+    necked += stacked_data(betas).reshape(s * d)
+    necked = necked.reshape(n, s, d).transpose(1, 0, 2)
+    w = stacked_data(classifiers)                               # (S, D, K)
+    out = _make(np.matmul(necked, w), (metric, *gammas, *betas, *classifiers))
+    stats = mu.reshape(s, d), var.reshape(s, d)
+    if not out.requires_grad:
+        return (out, *stats)
+
+    def bwd(g):
+        if any(c.requires_grad for c in classifiers):
+            _accumulate_stacked(classifiers, np.matmul(np.swapaxes(necked, -1, -2), g))
+        g_necked = np.matmul(g, np.swapaxes(w, -1, -2)).transpose(1, 0, 2)
+        xhat = _bn_xhat(metric.data.transpose(1, 0, 2).reshape(n, s * d), mu, std)
+        g_x, g_gamma, g_beta = _bn_backward(g_necked.reshape(n, s * d), xhat, std,
+                                            gamma, out=xhat)
+        for params, grad in ((gammas, g_gamma), (betas, g_beta)):
+            if any(t.requires_grad for t in params):
+                _accumulate_stacked(params, grad)
+        if metric.requires_grad:
+            metric._accumulate(g_x.reshape(n, s, d).transpose(1, 0, 2))
 
     out._backward = bwd
     return (out, *stats)

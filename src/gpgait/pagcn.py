@@ -17,11 +17,12 @@ A branch stacks small-part blocks first and wider-part blocks after,
 each wider block with its own parameters. Branch outputs are pooled per
 body part (mean + max over joints, then max over frames), passed
 through one head per (branch, part) slot, and concatenated into the
-final embedding. Each slot keeps its own head parameters; a forward
-stacks them once and runs all slots, and their losses, as one batch.
-Every parameter lives in one arena (``autodiff.Arena``) laid out by
-role, so those stacks are views and the optimizer steps them as flat
-arrays.
+final embedding. Each slot keeps its own head parameters.
+In training every block is one autodiff node, every branch's pooling
+one more, and the heads of all slots two: the fc layer, then BNNeck and
+classifier (``part_heads``). Every parameter lives in one arena
+(``autodiff.Arena``) laid out by role, so a node reads a role's stacked
+parameters as one view and the optimizer steps them as flat arrays.
 At inference the branches and pooling run over chunks of whole
 sequences, the heads once over all of them, and the network stops at
 the metric features (``metric_features``).
@@ -34,8 +35,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import (Arena, Tensor, _attention, _frame_buffer,
-                       _stacked_adjacency, _temporal_conv, batch_norm_train,
-                       concat, graph_block, group_pool, stack, stacked_data)
+                       _stacked_adjacency, _temporal_conv, bnneck_classifier,
+                       graph_block, group_pool, slot_fc, stacked_data)
 from . import hot
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
@@ -487,29 +488,23 @@ def part_pool(f_m: Tensor) -> Tensor:
     return group_pool(f_m, PART_GROUPS)
 
 
-def part_heads(pooled: Tensor, heads: list):
-    """Training: (S, N, C) pooled slots -> metric features (S, N, D) and
-    classifier logits (S, N, K), every slot through its own head.
-
-    The slots' parameters are stacked once per call (``autodiff.stack``:
-    views of their arena regions in a model from ``init_model``): the fc
-    layer and the classifier each run as one batched matmul, and the
-    BNNeck as one batch norm over the (N, S*D) columns, folding the
-    batch statistics into each slot's running averages. Inference stops
-    at the metric features (``metric_features``).
+def part_heads(pools: list, heads: list):
+    """Training: the branches' (N, P, C) pooled slots -> metric features
+    (S, N, D) and classifier logits (S, N, K), every slot through its own
+    head, as two nodes: the fc layer (``autodiff.slot_fc``), then the
+    BNNeck and the classifier (``autodiff.bnneck_classifier``), which
+    read the slots' parameters as views of their arena regions in a model
+    from ``init_model``. The BNNeck's batch statistics are folded into
+    each slot's running averages. Inference stops at the metric features
+    (``metric_features``).
     """
-    s, n, _c = pooled.shape
-    metric = (pooled @ stack([h.fc_w for h in heads])
-              + stack([h.fc_b for h in heads]).reshape(s, 1, -1))
-    d = metric.shape[-1]
-    necked, mu, var = batch_norm_train(
-        metric.transpose((1, 0, 2)).reshape(n, s * d),
-        stack([h.bnn.gamma for h in heads]).reshape(s * d),
-        stack([h.bnn.beta for h in heads]).reshape(s * d), BN_EPS)
-    necked = necked.reshape(n, s, d).transpose((1, 0, 2))
-    for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
+    metric = slot_fc(pools, [h.fc_w for h in heads], [h.fc_b for h in heads])
+    logits, mu, var = bnneck_classifier(
+        metric, [h.bnn.gamma for h in heads], [h.bnn.beta for h in heads],
+        [h.cls_w for h in heads], BN_EPS)
+    for head, mu_h, var_h in zip(heads, mu, var):
         _update_running(head.bnn, mu_h, var_h)
-    return metric, necked @ stack([h.cls_w for h in heads])
+    return metric, logits
 
 
 @dataclass
@@ -544,9 +539,9 @@ def _sequence_chunks(n: int, t: int) -> list:
 
 
 def pooled_slots(model: ModelParams, branch_inputs: dict,
-                 training: bool = False) -> Tensor:
-    """(N, S, C) pooled slots: every branch's blocks, then its part
-    pooling, slots branch-major. ``branch_inputs`` maps branch name to
+                 training: bool = False) -> list:
+    """Per branch, in config order, its (N, P, C) pooled slots: its
+    blocks, then its part pooling. ``branch_inputs`` maps branch name to
     an (N, T, V, C) array or Tensor."""
     cfg = model.config
     slots = []
@@ -561,7 +556,7 @@ def pooled_slots(model: ModelParams, branch_inputs: dict,
         slots.append(part_pool(branch_forward(x, model.branches[bname],
                                               model.adjacency, model.masks,
                                               training)))
-    return concat(slots, axis=1)
+    return slots
 
 
 def metric_features(model: ModelParams, n: int, t: int, chunk_inputs,
@@ -570,7 +565,8 @@ def metric_features(model: ModelParams, n: int, t: int, chunk_inputs,
 
     ``chunk_inputs(lo, hi)`` gives the branch inputs of sequences lo to
     hi, as ``pooled_slots`` takes them. Blocks and pooling run over the
-    chunks of ``_sequence_chunks`` into one (N, S, C) array, so the
+    chunks of ``_sequence_chunks`` into one (N, S, C) array, slots
+    branch-major, so the
     inputs, block outputs, stacked adjacencies and pooling temporaries
     stay chunk-sized. The heads then run once over all N rows: slot by
     slot, the fc product is written into ``out`` (a new array if None),
@@ -581,10 +577,12 @@ def metric_features(model: ModelParams, n: int, t: int, chunk_inputs,
     """
     pooled = None
     for lo, hi in _sequence_chunks(n, t):
-        chunk = pooled_slots(model, chunk_inputs(lo, hi)).data
+        chunk = pooled_slots(model, chunk_inputs(lo, hi))
         if pooled is None:
-            pooled = np.empty((n,) + chunk.shape[1:])
-        pooled[lo:hi] = chunk
+            p, c = chunk[0].shape[1:]
+            pooled = np.empty((n, p * len(chunk), c))
+        for b, part in enumerate(chunk):
+            pooled[lo:hi, b * p:(b + 1) * p] = part.data
     if out is None:
         out = np.empty((n, len(model.heads), model.config.embed_dim))
     for slot, head in enumerate(model.heads):
@@ -607,9 +605,8 @@ def network_forward(model: ModelParams, branch_inputs: dict,
     ``metric_features`` over slices of the inputs (``logits`` is None).
     """
     if training:
-        metrics, logits = part_heads(
-            pooled_slots(model, branch_inputs, True).transpose((1, 0, 2)),
-            model.heads)
+        metrics, logits = part_heads(pooled_slots(model, branch_inputs, True),
+                                     model.heads)
         return ForwardResult(metrics=metrics, logits=logits)
     arrays = {b: x.data if isinstance(x, Tensor) else np.asarray(x)
               for b, x in branch_inputs.items()}

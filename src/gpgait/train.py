@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import ARENA_ALIGN, Tensor, _slot_gradient_region, stop_gradient
+from .autodiff import ARENA_ALIGN, Tensor, _make, _slot_gradient_region
 from .errors import ConfigError, DataError, NumericError
 from .hod import describe
 from .pagcn import (
@@ -186,32 +186,41 @@ def sample_batch(train_set: TrainSet, p: int, k: int, length: int, rng,
 # -- losses -----------------------------------------------------------
 
 
-def _pairwise_sq_dists(emb: Tensor) -> Tensor:
-    s, n, _ = emb.shape
-    sq = emb.square().sum(axis=2)                       # (S, N)
-    gram = emb @ emb.transpose((0, 2, 1))               # (S, N, N)
-    d2 = sq.reshape(s, n, 1) + sq.reshape(s, 1, n) - gram * 2.0
-    return d2.relu()  # clamp tiny negatives from cancellation
+def _slot_batch(x: Tensor) -> np.ndarray:
+    """The (S, N, ...) array of a loss input, a 2-D input as one slot."""
+    return x.data.reshape((1,) + x.shape) if x.ndim == 2 else x.data
 
 
 def triplet_loss(metric: Tensor, labels: np.ndarray, margin: float) -> Tensor:
     """Batch-hard triplet loss over the (S, N, D) metric features of S
-    part slots, or the (N, D) features of one.
+    part slots, or the (N, D) features of one, as one node.
 
     Per slot and anchor, hinge(hardest positive - hardest negative +
     margin), averaged over anchors that have at least one positive and
     one negative, then over slots. Anchors without positives are
-    skipped; if every anchor is skipped the loss is 0 (with a warning).
+    skipped; if every anchor is skipped the loss is 0 (with a warning)
+    and ``metric`` gets no gradient. Distances are
+    ``sqrt(relu(|a|^2 + |b|^2 - 2 a.b))``, whose gradient at a distance
+    of exactly 0 is taken as 0, so coinciding embeddings keep the loss
+    finite.
+
+    The node keeps the (S, N, N) distances and the hardest pairs.
+    Backward routes each anchor's hinge gradient to its two pairs'
+    distances, then through the square root, the squared norms and the
+    Gram product to ``metric``, adding the norms', the Gram product's
+    left and its right operand's terms in that order.
     """
-    if metric.ndim == 2:
-        metric = metric.reshape((1,) + metric.shape)
-    s, n, _ = metric.shape
+    emb = _slot_batch(metric)
+    s, n, _ = emb.shape
     labels = np.asarray(labels)
-    dist = _pairwise_sq_dists(metric).sqrt()
-    dmat = dist.data
+    sq = (emb * emb).sum(axis=2)                                # (S, N)
+    d2 = (sq.reshape(s, n, 1) + sq.reshape(s, 1, n)
+          - np.matmul(emb, emb.transpose(0, 2, 1)) * 2.0)
+    # clamp tiny negatives from cancellation
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    del d2
     same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-    pos_mask = same & ~eye
+    pos_mask = same & ~np.eye(n, dtype=bool)
     neg_mask = ~same
 
     valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
@@ -219,32 +228,67 @@ def triplet_loss(metric: Tensor, labels: np.ndarray, margin: float) -> Tensor:
         warnings.warn("triplet loss: no anchor has a positive pair")
         return Tensor(0.0)
     rows = np.flatnonzero(valid)
-    pos_idx = np.where(pos_mask[rows], dmat[:, rows], -np.inf).argmax(axis=2)
-    neg_idx = np.where(neg_mask[rows], dmat[:, rows], np.inf).argmin(axis=2)
     anchors = (np.arange(s)[:, None] * n + rows) * n    # (S, R) flat row starts
-    flat = dist.reshape(s * n * n)
-    hardest_pos = flat.take(anchors + pos_idx, axis=0)
-    hardest_neg = flat.take(anchors + neg_idx, axis=0)
-    return (hardest_pos - hardest_neg + margin).relu().mean(axis=1).mean()
+    pos = anchors + np.where(pos_mask[rows], dist[:, rows], -np.inf).argmax(axis=2)
+    neg = anchors + np.where(neg_mask[rows], dist[:, rows], np.inf).argmin(axis=2)
+    flat = dist.reshape(-1)
+    hinge = flat[pos] - flat[neg] + margin
+    out = _make((np.maximum(hinge, 0.0).sum(axis=1) * (1.0 / rows.size)).sum()
+                * (1.0 / s), (metric,))
+    if out.requires_grad:
+        def bwd(g):
+            g_hinge = (g * (1.0 / s)) * (1.0 / rows.size) * (hinge > 0.0)
+            g_dist = np.zeros(dist.size)
+            g_dist[pos] = g_hinge
+            g_dist[neg] = 0.0 - g_hinge         # +0 where the hinge is inactive
+            g_dist = g_dist.reshape(dist.shape)
+            # the clamp's gradient is 0 where the distance is, as the
+            # square root's already is
+            safe = np.where(dist > 0.0, dist, 1.0)
+            g_d2 = np.where(dist > 0.0, g_dist / (2.0 * safe), 0.0)
+            g_sq = g_d2.sum(axis=2) + g_d2.sum(axis=1)
+            g_gram = -g_d2 * 2.0
+            g_emb = (g_sq * 2.0)[:, :, None] * emb
+            g_emb = g_emb + np.matmul(g_gram, emb)
+            g_emb = g_emb + np.matmul(np.swapaxes(emb, -1, -2), g_gram).transpose(0, 2, 1)
+            metric._accumulate(g_emb.reshape(metric.shape))
+        out._backward = bwd
+    return out
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Softmax cross-entropy over the (S, N, K) logits of S part slots,
     or the (N, K) logits of one, averaged over the batch, then over
-    slots; stabilized with a detached per-row max."""
-    if logits.ndim == 2:
-        logits = logits.reshape((1,) + logits.shape)
+    slots, as one node; stabilized with each row's max.
+
+    The node keeps only each row's max and the sum of its shifted
+    exponentials, (S, N) each. The forward holds one logits-sized array
+    for the exponentials; backward rebuilds them into one array and
+    turns it into the gradient ``softmax - onehot`` in place.
+    """
+    z = _slot_batch(logits)
     labels = np.asarray(labels)
-    s, n, c = logits.shape
+    s, n, c = z.shape
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"label outside [0, {c})")
-    m = stop_gradient(logits.max(axis=2, keepdims=True))
-    shifted = logits - m
-    lse = shifted.exp().sum(axis=2).log() + m.reshape(s, n)
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    picked = (logits * onehot).sum(axis=2)
-    return (lse - picked).mean(axis=1).mean()
+    m = z.max(axis=2, keepdims=True)
+    e = z - m
+    np.exp(e, out=e)
+    total = e.sum(axis=2)                                       # (S, N)
+    del e
+    rows = np.arange(n)
+    nll = (np.log(total) + m.reshape(s, n)) - z[:, rows, labels]
+    out = _make((nll.sum(axis=1) * (1.0 / n)).sum() * (1.0 / s), (logits,))
+    if out.requires_grad:
+        def bwd(g):
+            share = (g * (1.0 / s)) * (1.0 / n)
+            grad = z - m
+            np.exp(grad, out=grad)
+            grad *= (share / total)[:, :, None]
+            grad[:, rows, labels] -= share
+            logits._accumulate(grad.reshape(logits.shape))
+        out._backward = bwd
+    return out
 
 
 def combined_loss(metrics: Tensor, logits: Tensor, labels: np.ndarray,
@@ -252,11 +296,20 @@ def combined_loss(metrics: Tensor, logits: Tensor, labels: np.ndarray,
     """Mean over part slots of (triplet + gamma * ce), from the (S, N, D)
     metric features and (S, N, K) logits of ``network_forward``.
 
-    Returns (total, mean_triplet, mean_ce) as tensors.
+    Returns (total, mean_triplet, mean_ce) as tensors; ``total`` is one
+    node over the two loss nodes.
     """
     tri = triplet_loss(metrics, labels, margin)
     ce = cross_entropy_loss(logits, labels)
-    return tri + ce * ce_weight, tri, ce
+    total = _make(tri.data + ce.data * ce_weight, (tri, ce))
+    if total.requires_grad:
+        def bwd(g):
+            if tri.requires_grad:
+                tri._accumulate(g)
+            if ce.requires_grad:
+                ce._accumulate(g * ce_weight)
+        total._backward = bwd
+    return total, tri, ce
 
 
 # -- optimizer --------------------------------------------------------

@@ -2,26 +2,41 @@
 
 Most are written with explicit index loops and plain Python math so
 they share no vectorized code path with the package under test. The
-fourth-to-last section keeps the chain of autodiff nodes a part-aware
-graph block was built from before it became fused nodes
-(``graph_conv``, ``softmax``, ``attention_adjacency``,
-``temporal_conv`` and ``ref_block_chain``), as the oracle of the fused
-block's values and gradients. Its temporal convolution is the loop over
-kernel taps (``tap_temporal_conv``, ``tap_temporal_conv_grads``), the
-oracle of the one-contraction kernels. The next keeps the two training
-nodes a block was before it became one, as they were when they stored their
-intermediates for backward (``stored_spatial_graph_conv``,
-``stored_block_epilogue``), and chains them into ``stored_graph_block``,
-the bit-exact oracle of the node that rebuilds them. The next keeps the
-network's tail as it was when every (branch, part) slot ran through its
-own pooling, head and loss nodes (``slot_tail``), as the oracle of the
-stacked tail, and the no-graph model view inference once ran through
-(``detached_view``). The last keeps the pooling node as it was when
-every group's maxima ran over its own joints (``joint_group_pool``), the
-bit-exact oracle of the node that pools the body from its parts. After
-it, the per-tensor Adam step (``adam_step``, on an ``AdamState``) is the
-bit-exact oracle of the one that steps spans of the parameter arena as
-flat arrays.
+sections, in file order:
+
+- the generic Tensor algebra the network and its losses were built from
+  before each became a fused node: ``OpTensor``, a Tensor subclass with
+  broadcasting arithmetic, reductions and shape ops, ``ops`` to lift a
+  Tensor to it, and ``concat``, ``stack``, ``stop_gradient`` and
+  ``batch_norm_train``. The node chains below are written in it;
+- loop oracles of the attention, the spatial step, batch norm, the
+  temporal convolution, pooling, a head, both losses, distances and
+  rank-1 (``ref_*``);
+- HOT and HOD one frame and one joint at a time;
+- the chain of autodiff nodes a part-aware graph block was built from
+  before it became fused nodes (``graph_conv``, ``softmax``,
+  ``attention_adjacency``, ``temporal_conv`` and ``ref_block_chain``),
+  the oracle of the fused block's values and gradients. Its temporal
+  convolution is the loop over kernel taps (``tap_temporal_conv``,
+  ``tap_temporal_conv_grads``), the oracle of the one-contraction
+  kernels;
+- the two training nodes a block was before it became one, as they were
+  when they stored their intermediates for backward
+  (``stored_spatial_graph_conv``, ``stored_block_epilogue``), chained
+  into ``stored_graph_block``, the bit-exact oracle of the node that
+  rebuilds them;
+- the network's tail as it was when every (branch, part) slot ran
+  through its own pooling, head and loss nodes (``slot_tail``), the
+  oracle of the fused tail; the no-graph model view inference once ran
+  through (``detached_view``); and the stacked tail in the generic
+  algebra (``generic_tail``), the bit-exact oracle of the fused heads
+  and losses;
+- the pooling node as it was when every group's maxima ran over its own
+  joints (``joint_group_pool``), the bit-exact oracle of the node that
+  pools the body from its parts;
+- the per-tensor Adam step (``adam_step``, on an ``AdamState``), the
+  bit-exact oracle of the one that steps spans of the parameter arena as
+  flat arrays.
 """
 
 import copy
@@ -32,13 +47,304 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gpgait import pagcn
-from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
-                             _make, _softmax, batch_norm_train, concat,
-                             stop_gradient)
+from gpgait.autodiff import (Tensor, _accumulate_stacked, _bn_backward,
+                             _bn_normalize, _bn_xhat, _softmax, stacked_data)
 from gpgait.errors import DataError, NumericError
 from gpgait.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 BN_EPS = 1e-5
+
+
+# -- the generic Tensor algebra -------------------------------------------
+#
+# The broadcasting ops the network and its losses were built from before
+# each became a fused node, on a Tensor subclass, as the algebra the
+# oracles below are written in.
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _axis_count(shape, axis):
+    if isinstance(axis, int):
+        axis = (axis,)
+    n = 1
+    for a in axis:
+        n *= shape[a]
+    return n
+
+
+class OpTensor(Tensor):
+    """A Tensor with the generic broadcasting algebra: arithmetic,
+    reductions and shape ops, each one node whose gradients are summed
+    back to its inputs' shapes. The other operand of a binary op may be
+    any Tensor or an array; ``ops`` lifts a Tensor to an OpTensor."""
+
+    __slots__ = ()
+
+    # -- binary ops -------------------------------------------------
+
+    def __add__(self, other):
+        other = other if isinstance(other, Tensor) else OpTensor(other)
+        out = _make(self.data + other.data, (self, other))
+        if out.requires_grad:
+            def bwd(g, a=self, b=other):
+                if a.requires_grad:
+                    a._accumulate(_unbroadcast(g, a.data.shape))
+                if b.requires_grad:
+                    b._accumulate(_unbroadcast(g, b.data.shape))
+            out._backward = bwd
+        return out
+
+    def __sub__(self, other):
+        other = other if isinstance(other, Tensor) else OpTensor(other)
+        out = _make(self.data - other.data, (self, other))
+        if out.requires_grad:
+            def bwd(g, a=self, b=other):
+                if a.requires_grad:
+                    a._accumulate(_unbroadcast(g, a.data.shape))
+                if b.requires_grad:
+                    b._accumulate(_unbroadcast(-g, b.data.shape))
+            out._backward = bwd
+        return out
+
+    def __mul__(self, other):
+        other = other if isinstance(other, Tensor) else OpTensor(other)
+        out = _make(self.data * other.data, (self, other))
+        if out.requires_grad:
+            def bwd(g, a=self, b=other):
+                if a.requires_grad:
+                    a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+                if b.requires_grad:
+                    b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            out._backward = bwd
+        return out
+
+    def __matmul__(self, other):
+        other = other if isinstance(other, Tensor) else OpTensor(other)
+        out = _make(np.matmul(self.data, other.data), (self, other))
+        if out.requires_grad:
+            def bwd(g, a=self, b=other):
+                if a.requires_grad:
+                    ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                    a._accumulate(_unbroadcast(ga, a.data.shape))
+                if b.requires_grad and b.data.ndim == 2:
+                    # one GEMM over all leading axes, not a per-matrix
+                    # product summed afterwards
+                    c_in, c_out = b.data.shape
+                    b._accumulate(a.data.reshape(-1, c_in).T @ g.reshape(-1, c_out))
+                elif b.requires_grad:
+                    gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                    b._accumulate(_unbroadcast(gb, b.data.shape))
+            out._backward = bwd
+        return out
+
+    # -- unary ops --------------------------------------------------
+
+    def relu(self):
+        out = _make(np.maximum(self.data, 0.0), (self,))
+        if out.requires_grad:
+            mask = self.data > 0.0
+            def bwd(g, a=self, m=mask):
+                a._accumulate(g * m)
+            out._backward = bwd
+        return out
+
+    def exp(self):
+        out = _make(np.exp(self.data), (self,))
+        if out.requires_grad:
+            def bwd(g, a=self, y=out.data):
+                a._accumulate(g * y)
+            out._backward = bwd
+        return out
+
+    def log(self):
+        out = _make(np.log(self.data), (self,))
+        if out.requires_grad:
+            def bwd(g, a=self):
+                a._accumulate(g / a.data)
+            out._backward = bwd
+        return out
+
+    def sqrt(self):
+        """Square root whose gradient at exactly 0 is taken as 0."""
+        out = _make(np.sqrt(self.data), (self,))
+        if out.requires_grad:
+            def bwd(g, a=self, y=out.data):
+                safe = np.where(y > 0.0, y, 1.0)
+                a._accumulate(np.where(y > 0.0, g / (2.0 * safe), 0.0))
+            out._backward = bwd
+        return out
+
+    def square(self):
+        out = _make(self.data * self.data, (self,))
+        if out.requires_grad:
+            def bwd(g, a=self):
+                a._accumulate(g * 2.0 * a.data)
+            out._backward = bwd
+        return out
+
+    # -- reductions -------------------------------------------------
+
+    def sum(self, axis=None, keepdims=False):
+        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+        if out.requires_grad:
+            def bwd(g, a=self, axis=axis, keepdims=keepdims):
+                if axis is not None and not keepdims:
+                    g = np.expand_dims(g, axis)
+                a._accumulate(np.broadcast_to(g, a.data.shape))
+            out._backward = bwd
+        return out
+
+    def mean(self, axis=None, keepdims=False):
+        count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+    def max(self, axis, keepdims=False):
+        """Max along one axis; gradient routes to the first argmax."""
+        data = self.data
+        out_data = data.max(axis=axis, keepdims=keepdims)
+        out = _make(out_data, (self,))
+        if out.requires_grad:
+            idx = data.argmax(axis=axis)
+            def bwd(g, a=self, axis=axis, keepdims=keepdims, idx=idx):
+                grad = np.zeros_like(a.data)
+                np.put_along_axis(grad, np.expand_dims(idx, axis),
+                                  g if keepdims else np.expand_dims(g, axis), axis)
+                a._accumulate(grad)
+            out._backward = bwd
+        return out
+
+    # -- shape ops --------------------------------------------------
+
+    def reshape(self, *shape):
+        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+            shape = tuple(shape[0])
+        out = _make(self.data.reshape(shape), (self,))
+        if out.requires_grad:
+            def bwd(g, a=self):
+                a._accumulate(g.reshape(a.data.shape))
+            out._backward = bwd
+        return out
+
+    def transpose(self, axes):
+        out = _make(self.data.transpose(axes), (self,))
+        if out.requires_grad:
+            inv = np.argsort(axes)
+            def bwd(g, a=self, inv=tuple(inv)):
+                a._accumulate(g.transpose(inv))
+            out._backward = bwd
+        return out
+
+    def take(self, indices, axis):
+        """Gather along an axis; repeated indices scatter-add on the
+        way back, unique ones are assigned."""
+        indices = np.asarray(indices)
+        out = _make(np.take(self.data, indices, axis=axis), (self,))
+        if out.requires_grad:
+            repeats = np.unique(indices).size < indices.size
+            def bwd(g, a=self, indices=indices, axis=axis, repeats=repeats):
+                grad = np.zeros_like(a.data)
+                gm = np.moveaxis(grad, axis, 0)
+                if repeats:
+                    np.add.at(gm, indices, np.moveaxis(g, axis, 0))
+                else:
+                    gm[indices] = np.moveaxis(g, axis, 0)
+                a._accumulate(grad)
+            out._backward = bwd
+        return out
+
+
+def _make(data: np.ndarray, parents) -> OpTensor:
+    out = OpTensor(data)
+    out.requires_grad = any(p.requires_grad for p in parents)
+    if out.requires_grad:
+        out._parents = tuple(parents)
+    return out
+
+
+def ops(t: Tensor) -> OpTensor:
+    """``t`` as an OpTensor: itself, or one node handing its gradient to
+    ``t`` unchanged."""
+    if isinstance(t, OpTensor):
+        return t
+    out = _make(t.data, (t,))
+    if out.requires_grad:
+        out._backward = t._accumulate
+    return out
+
+
+def concat(tensors, axis=0) -> OpTensor:
+    datas = [t.data for t in tensors]
+    out = _make(np.concatenate(datas, axis=axis), tuple(tensors))
+    if out.requires_grad:
+        sizes = [d.shape[axis] for d in datas]
+        def bwd(g, tensors=tuple(tensors), sizes=sizes, axis=axis):
+            start = 0
+            for t, size in zip(tensors, sizes):
+                if t.requires_grad:
+                    sl = [slice(None)] * g.ndim
+                    sl[axis] = slice(start, start + size)
+                    t._accumulate(g[tuple(sl)])
+                start += size
+        out._backward = bwd
+    return out
+
+
+def stack(tensors) -> OpTensor:
+    """``np.stack`` of the tensors as one node. Its value is their arena
+    region's view where ``stacked_data`` finds one, and backward hands
+    each tensor its slice (``_accumulate_stacked``)."""
+    tensors = tuple(tensors)
+    out = _make(stacked_data(tensors), tensors)
+    if out.requires_grad:
+        def bwd(g):
+            _accumulate_stacked(tensors, g)
+        out._backward = bwd
+    return out
+
+
+def stop_gradient(x: Tensor) -> OpTensor:
+    return OpTensor(x.data)
+
+
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
+    """Training-mode batch norm over every axis but the last (the channel
+    axis): ``(x - mean) / sqrt(var + eps) * gamma + beta`` with the
+    batch's biased statistics.
+
+    Returns (output, batch mean, batch variance); the statistics are
+    arrays shaped like ``gamma``. Backward recomputes the normalized
+    input from ``x`` instead of keeping it.
+    """
+    x2 = x.data.reshape(-1, x.shape[-1])
+    data, mu, var, std = _bn_normalize(x2, eps)
+    data *= gamma.data
+    data += beta.data
+    out = _make(data.reshape(x.shape), (x, gamma, beta))
+    if out.requires_grad:
+        def bwd(g, x=x, gamma=gamma, beta=beta):
+            xhat = _bn_xhat(x2, mu, std)
+            gx, g_gamma, g_beta = _bn_backward(g.reshape(x2.shape), xhat, std,
+                                               gamma.data, out=xhat)
+            if gamma.requires_grad:
+                gamma._accumulate(g_gamma)
+            if beta.requires_grad:
+                beta._accumulate(g_beta)
+            if x.requires_grad:
+                x._accumulate(gx.reshape(x.shape))
+        out._backward = bwd
+    return out, mu.reshape(gamma.shape), var.reshape(gamma.shape)
 
 
 def ref_attention(f, pa, pb, mask=None):
@@ -427,7 +733,7 @@ def graph_conv(f_in, adjacencies, weights):
 def softmax(x, axis=-1, mask=None):
     """Softmax node; an optional binary mask excludes entries from the
     normalization (their output is 0)."""
-    y = _softmax(x.data, axis, mask)
+    y = _softmax(x.data, axis, True if mask is None else mask)
     out = _make(y, (x,))
     if out.requires_grad:
         def bwd(g, a=x, y=y, axis=axis):
@@ -444,7 +750,7 @@ def attention_adjacency(f_in, attn_a, attn_b, mask=None):
     given, entries outside a row's part are excluded from the softmax
     so the result is block-diagonal.
     """
-    pooled = f_in.mean(axis=1)              # (N, V, C)
+    pooled = ops(f_in).mean(axis=1)         # (N, V, C)
     q = pooled @ attn_a                     # (N, V, C_e)
     k = pooled @ attn_b
     scale = 1.0 / np.sqrt(attn_a.shape[1])
@@ -519,7 +825,7 @@ def ref_spatial_chain(f_in, block, adjacency, mask):
     mask_t = Tensor(mask)
     combined = []
     for k, sub in enumerate(block.subsets):
-        adj = Tensor(adjacency[k]) + sub.learned_adj
+        adj = OpTensor(adjacency[k]) + sub.learned_adj
         if sub.attn_a is not None:
             adj = adj + attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
         combined.append(adj * mask_t)
@@ -721,7 +1027,7 @@ def slot_part_pool(f_m):
     pooled = []
     for name in pagcn.PART_ORDER:
         group = pagcn.PARTS5.get(name, tuple(range(pagcn.V)))
-        sub = f_m.take(np.asarray(group), axis=2)
+        sub = ops(f_m).take(np.asarray(group), axis=2)
         v = sub.mean(axis=2) + sub.max(axis=2)
         n, t, c = v.shape
         pooled.append(v.reshape(n, t, 1, c))
@@ -731,7 +1037,7 @@ def slot_part_pool(f_m):
 def per_part_head(vec, head, training):
     """(N, C) -> metric feature (N, D) and classifier logits (N, K) of
     one slot's head."""
-    metric = vec @ head.fc_w + head.fc_b
+    metric = ops(vec) @ head.fc_w + head.fc_b
     necked = ref_batch_norm_chain(metric, head.bnn, training)
     return metric, necked @ head.cls_w
 
@@ -750,7 +1056,7 @@ def slot_triplet_loss(metric, labels, margin):
     valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
     if not valid.any():
         warnings.warn("triplet loss: no anchor has a positive pair")
-        return Tensor(0.0)
+        return OpTensor(0.0)
     rows = np.flatnonzero(valid)
     pos_idx = np.where(pos_mask[rows], dist.data[rows], -np.inf).argmax(axis=1)
     neg_idx = np.where(neg_mask[rows], dist.data[rows], np.inf).argmin(axis=1)
@@ -793,6 +1099,71 @@ def slot_tail(model, f_ms, labels, margin, ce_weight, training=True):
     ce = concat([slot_cross_entropy_loss(lg, labels).reshape(1)
                  for lg in logits]).mean()
     return tri + ce * ce_weight, metrics, logits
+
+
+def generic_tail(model, pools, labels, margin, ce_weight):
+    """(total, triplet, ce, metrics, logits) of the stacked tail as it was
+    built from the generic algebra, on the branches' (N, P, C) pooled
+    slots ``pools``: the slots joined by ``concat``, the heads' parameters
+    ``stack``ed into batched products and one ``batch_norm_train`` over
+    the (N, S*D) columns, the losses as chains of generic nodes. The
+    bit-exact oracle of the fused tail; it folds the BNNeck's statistics
+    into the running averages as the fused heads do."""
+    heads = model.heads
+    pooled = concat(pools, axis=1).transpose((1, 0, 2))
+    s, n, _c = pooled.shape
+    metric = (pooled @ stack([h.fc_w for h in heads])
+              + stack([h.fc_b for h in heads]).reshape(s, 1, -1))
+    d = metric.shape[-1]
+    necked, mu, var = batch_norm_train(
+        metric.transpose((1, 0, 2)).reshape(n, s * d),
+        stack([h.bnn.gamma for h in heads]).reshape(s * d),
+        stack([h.bnn.beta for h in heads]).reshape(s * d), pagcn.BN_EPS)
+    necked = necked.reshape(n, s, d).transpose((1, 0, 2))
+    for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
+        pagcn._update_running(head.bnn, mu_h, var_h)
+    logits = necked @ stack([h.cls_w for h in heads])
+    tri = generic_triplet_loss(metric, labels, margin)
+    ce = generic_cross_entropy_loss(logits, labels)
+    return tri + ce * ce_weight, tri, ce, metric, logits
+
+
+def generic_triplet_loss(metric, labels, margin):
+    """``train.triplet_loss`` of (S, N, D) features as generic nodes."""
+    s, n, _ = metric.shape
+    labels = np.asarray(labels)
+    sq = metric.square().sum(axis=2)                    # (S, N)
+    gram = metric @ metric.transpose((0, 2, 1))         # (S, N, N)
+    d2 = sq.reshape(s, n, 1) + sq.reshape(s, 1, n) - gram * 2.0
+    dist = d2.relu().sqrt()
+    same = labels[:, None] == labels[None, :]
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    neg_mask = ~same
+    valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    if not valid.any():
+        warnings.warn("triplet loss: no anchor has a positive pair")
+        return OpTensor(0.0)
+    rows = np.flatnonzero(valid)
+    pos_idx = np.where(pos_mask[rows], dist.data[:, rows], -np.inf).argmax(axis=2)
+    neg_idx = np.where(neg_mask[rows], dist.data[:, rows], np.inf).argmin(axis=2)
+    anchors = (np.arange(s)[:, None] * n + rows) * n
+    flat = dist.reshape(s * n * n)
+    hardest_pos = flat.take(anchors + pos_idx, axis=0)
+    hardest_neg = flat.take(anchors + neg_idx, axis=0)
+    return (hardest_pos - hardest_neg + margin).relu().mean(axis=1).mean()
+
+
+def generic_cross_entropy_loss(logits, labels):
+    """``train.cross_entropy_loss`` of (S, N, K) logits as generic nodes,
+    stabilized with a detached per-row max."""
+    labels = np.asarray(labels)
+    s, n, c = logits.shape
+    m = stop_gradient(logits.max(axis=2, keepdims=True))
+    lse = (logits - m).exp().sum(axis=2).log() + m.reshape(s, n)
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    picked = (logits * onehot).sum(axis=2)
+    return (lse - picked).mean(axis=1).mean()
 
 
 # -- the pooling node before the body was pooled from its parts -----------

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _frame_buffer,
-                             _temporal_conv, _temporal_conv_grads,
-                             batch_norm_train, concat, graph_block, group_pool,
-                             stop_gradient)
+from gpgait.autodiff import (Arena, Tensor, _bn_backward, _bn_normalize,
+                             _frame_buffer, _temporal_conv, _temporal_conv_grads,
+                             bnneck_classifier, graph_block, group_pool, slot_fc)
 from gpgait.graph import mask_set
 from gpgait.pagcn import PART_GROUPS
-from reference import (graph_conv, joint_group_pool, softmax,
+from reference import (OpTensor, batch_norm_train, concat, graph_conv,
+                       joint_group_pool, softmax, stop_gradient,
                        stored_spatial_graph_conv, tap_temporal_conv,
                        tap_temporal_conv_grads, temporal_conv)
 
@@ -24,11 +24,11 @@ def finite_difference(fn, x0, h=1e-6):
 
 
 def check_grad(build, x0, h=1e-6, tol=1e-6):
-    """build maps a Tensor to a scalar Tensor."""
-    x = Tensor(x0.copy(), requires_grad=True)
+    """build maps an OpTensor to a scalar Tensor."""
+    x = OpTensor(x0.copy(), requires_grad=True)
     y = build(x)
     y.backward()
-    num = finite_difference(lambda a: build(Tensor(a)).item(), x0, h)
+    num = finite_difference(lambda a: build(OpTensor(a)).item(), x0, h)
     err = np.abs(x.grad - num) / np.maximum(
         np.maximum(np.abs(x.grad), np.abs(num)), 1e-4)
     assert err.max() < tol, f"max rel grad error {err.max():.3e}"
@@ -37,11 +37,11 @@ def check_grad(build, x0, h=1e-6, tol=1e-6):
 def check_grads(build, arrays, rng, h=1e-6, tol=1e-6):
     """Central-difference check of every input of ``build``, which maps
     a list of Tensors to one Tensor; the scalar checked is the output
-    weighted by a fixed random array."""
+    weighted by a fixed random array, the seed of its backward."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = build(leaves)
     weight = rng.normal(size=out.shape)
-    (out * Tensor(weight)).sum().backward()
+    out.backward(weight)
     for j, leaf in enumerate(leaves):
         def value(a, j=j):
             inputs = [Tensor(b) for b in arrays]
@@ -61,11 +61,11 @@ def x0(rng):
 class TestElementwise:
     def test_add_mul(self, x0, rng):
         c = rng.normal(size=(3, 4))
-        check_grad(lambda x: ((x + Tensor(c)) * x).sum(), x0)
+        check_grad(lambda x: ((x + OpTensor(c)) * x).sum(), x0)
 
     def test_broadcast_ops(self, x0, rng):
         row = rng.normal(size=(4,))
-        check_grad(lambda x: (x * Tensor(row) * (1.0 / 3.0) - Tensor(row)).square().sum(), x0)
+        check_grad(lambda x: (x * OpTensor(row) * (1.0 / 3.0) - OpTensor(row)).square().sum(), x0)
 
     def test_relu_exp_log(self, x0):
         check_grad(lambda x: (x.relu() + 1.0).log().exp().sum(), x0)
@@ -74,7 +74,7 @@ class TestElementwise:
         check_grad(lambda x: (x.square() + 1.0).sqrt().sum(), x0)
 
     def test_sqrt_zero_gradient_convention(self):
-        x = Tensor(np.array([0.0, 4.0]), requires_grad=True)
+        x = OpTensor(np.array([0.0, 4.0]), requires_grad=True)
         y = x.sqrt().sum()
         y.backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.25])
@@ -83,13 +83,13 @@ class TestElementwise:
 class TestMatmulShapes:
     def test_plain(self, x0, rng):
         w = rng.normal(size=(4, 5))
-        check_grad(lambda x: (x @ Tensor(w)).square().sum(), x0)
+        check_grad(lambda x: (x @ OpTensor(w)).square().sum(), x0)
 
     def test_batched_broadcast(self, rng):
         f = rng.normal(size=(2, 3, 5, 4))
         h = rng.normal(size=(2, 1, 4, 4))
-        x = Tensor(h.copy(), requires_grad=True)
-        out = Tensor(f) @ x
+        x = OpTensor(h.copy(), requires_grad=True)
+        out = OpTensor(f) @ x
         out.backward(np.ones_like(out.data))
         num = finite_difference(
             lambda a: float(np.matmul(f, a).sum()), h)
@@ -97,8 +97,8 @@ class TestMatmulShapes:
 
     def test_vector_weight_sides(self, rng):
         a0 = rng.normal(size=(5, 4))
-        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        out = (Tensor(a0) @ w).sum()
+        w = OpTensor(rng.normal(size=(4, 2)), requires_grad=True)
+        out = (OpTensor(a0) @ w).sum()
         out.backward()
         num = finite_difference(
             lambda v: float((a0 @ v).sum()), w.data.copy())
@@ -110,7 +110,7 @@ class TestReductionsAndShape:
         check_grad(lambda x: x.mean(axis=(0, 1)) * 5.0, x0)
 
     def test_max_routes_to_argmax(self):
-        x = Tensor(np.array([[1.0, 5.0, 3.0], [2.0, 2.0, 0.0]]),
+        x = OpTensor(np.array([[1.0, 5.0, 3.0], [2.0, 2.0, 0.0]]),
                    requires_grad=True)
         x.max(axis=1).sum().backward()
         np.testing.assert_array_equal(
@@ -244,7 +244,7 @@ class TestFusedOps:
         check_grads(lambda x: group_pool(x[0], groups),
                     [rng.normal(size=(2, 3, 4, 2))], rng)
         x = Tensor(np.zeros((1, 2, 4, 1)), requires_grad=True)
-        group_pool(x, ((1, 2),)).sum().backward()
+        group_pool(x, ((1, 2),)).backward()
         # mean shares on both joints of the first frame, the max on joint 1
         np.testing.assert_array_equal(x.grad[0, :, :, 0],
                                       [[0.0, 1.5, 0.5, 0.0], [0.0] * 4])
@@ -267,11 +267,54 @@ class TestFusedOps:
         for pool in (group_pool, joint_group_pool):
             x = Tensor(data, requires_grad=True)
             out = pool(x, groups)
-            (out * Tensor(g)).sum().backward()
+            out.backward(g)
             outs.append(out.data)
             grads.append(x.grad)
         assert outs[0].tobytes() == outs[1].tobytes()
         assert grads[0].tobytes() == grads[1].tobytes()
+
+
+    def test_slot_fc_gradient(self, rng):
+        """Two pools of 2 and 3 slots; every slot its own weight and bias."""
+        s, n, c, d = 5, 4, 3, 2
+        arrays = [rng.normal(size=(n, 2, c)), rng.normal(size=(n, 3, c))]
+        arrays += [rng.normal(size=(c, d)) for _ in range(s)]
+        arrays += [rng.normal(size=d) for _ in range(s)]
+
+        def build(t):
+            return slot_fc(t[:2], t[2:2 + s], t[2 + s:])
+
+        # linear in each input, so a wide step has no truncation error
+        check_grads(build, arrays, rng, h=1e-3)
+        x = np.concatenate(arrays[:2], axis=1)
+        expect = np.stack([x[:, i] @ arrays[2 + i] + arrays[2 + s + i]
+                           for i in range(s)])
+        np.testing.assert_allclose(build([Tensor(a) for a in arrays]).data, expect,
+                                   atol=1e-12)
+
+    def test_bnneck_classifier_gradient(self, rng):
+        """Every input, and the batch statistics of each slot's columns."""
+        s, n, d, k = 3, 5, 2, 4
+        arrays = [rng.normal(1.0, 2.0, size=(s, n, d))]
+        arrays += [rng.uniform(0.5, 1.5, size=d) for _ in range(s)]
+        arrays += [rng.normal(size=d) for _ in range(s)]
+        arrays += [rng.normal(size=(d, k)) for _ in range(s)]
+
+        def run(t):
+            return bnneck_classifier(t[0], t[1:1 + s], t[1 + s:1 + 2 * s],
+                                     t[1 + 2 * s:], 1e-5)
+
+        # as for the batch norm of a block: rounding and truncation error
+        # both stay below the tolerance at a step of 1e-5
+        check_grads(lambda t: run(t)[0], arrays, rng, h=1e-5)
+        logits, mu, var = run([Tensor(a) for a in arrays])
+        x = arrays[0]
+        np.testing.assert_allclose(mu, x.mean(axis=1), atol=1e-12)
+        np.testing.assert_allclose(var, x.var(axis=1), atol=1e-12)
+        gamma, beta, cls = (np.stack(arrays[1 + i * s:1 + (i + 1) * s]) for i in range(3))
+        necked = ((x - mu[:, None]) / np.sqrt(var[:, None] + 1e-5) * gamma[:, None]
+                  + beta[:, None])
+        np.testing.assert_allclose(logits.data, necked @ cls, atol=1e-12)
 
 
 # (kernel size, frames, channels): T = 1, 2, k - 1 (T < k included) and 20
@@ -400,14 +443,14 @@ class TestSoftmax:
 
     def test_gradient(self, x0, rng):
         g = rng.normal(size=(3, 4))
-        check_grad(lambda x: (softmax(x, axis=-1) * Tensor(g)).sum(), x0)
+        check_grad(lambda x: (softmax(x, axis=-1) * OpTensor(g)).sum(), x0)
 
     def test_masked_gradient(self, x0, rng):
         mask = np.zeros((3, 4), dtype=bool)
         mask[:, :3] = True
         g = rng.normal(size=(3, 4))
         check_grad(
-            lambda x: (softmax(x, axis=-1, mask=mask) * Tensor(g)).sum(), x0)
+            lambda x: (softmax(x, axis=-1, mask=mask) * OpTensor(g)).sum(), x0)
 
     def test_masked_excludes(self, rng):
         mask = np.array([[True, True, False, False]])
@@ -418,24 +461,24 @@ class TestSoftmax:
 
 class TestGraphMechanics:
     def test_diamond_accumulation(self):
-        x = Tensor(np.array(2.0), requires_grad=True)
+        x = OpTensor(np.array(2.0), requires_grad=True)
         y = x * 3.0
         z = y * y + y
         z.backward()
         assert x.grad == pytest.approx(2 * 6.0 * 3 + 3)
 
     def test_stop_gradient(self):
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        x = OpTensor(np.array([1.0, 2.0]), requires_grad=True)
         (stop_gradient(x) * x).sum().backward()
         np.testing.assert_array_equal(x.grad, [1.0, 2.0])
 
     def test_no_grad_tracking_when_not_required(self):
-        x = Tensor(np.ones((2, 2)))
+        x = OpTensor(np.ones((2, 2)))
         y = (x @ x).relu()
         assert y._parents == () and y._backward is None
 
     def test_deep_chain_no_recursion_error(self):
-        x = Tensor(np.array(1.0), requires_grad=True)
+        x = OpTensor(np.array(1.0), requires_grad=True)
         y = x
         for _ in range(5000):
             y = y * 1.0001
@@ -443,8 +486,8 @@ class TestGraphMechanics:
         assert np.isfinite(x.grad)
 
     def test_intermediate_grads_released_leaf_grads_kept(self, rng):
-        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        x = Tensor(rng.normal(size=(4, 3)))
+        w = OpTensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = OpTensor(rng.normal(size=(4, 3)))
         hidden = (x @ w).relu()
         loss = (hidden * hidden).sum()
         loss.backward()
@@ -461,8 +504,8 @@ class TestGraphMechanics:
         assert id(w) in seen and id(hidden) in seen
 
     def test_leaves_own_their_grads(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
+        a = OpTensor(np.ones(3), requires_grad=True)
+        b = OpTensor(np.ones(3), requires_grad=True)
         (a + b).sum().backward()
         assert a.grad is not b.grad
         assert not np.shares_memory(a.grad, b.grad)
@@ -470,9 +513,40 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(b.grad, np.ones(3))
 
     def test_repeated_backward_zero_grad(self):
-        x = Tensor(np.array(3.0), requires_grad=True)
+        x = OpTensor(np.array(3.0), requires_grad=True)
         (x * x).backward()
         g1 = float(x.grad)
         x.zero_grad()
         (x * x).backward()
         assert float(x.grad) == g1
+
+
+class TestZeroGrad:
+    def test_clears_the_arena_slot(self, rng):
+        """A parameter holding its arena slot: ``zero_grad`` sets its slot
+        of the arena's gradient array to 0 and leaves its neighbours'."""
+        params = [Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+                  for _ in range(3)]
+        arena = Arena([params])
+        for p in params:
+            p._accumulate(rng.normal(size=(2, 3)))
+        kept = [params[0].grad.copy(), params[2].grad.copy()]
+        params[1].zero_grad()
+        assert params[1].grad is None
+        region, i = params[1].home
+        assert not region.stack(arena.grad)[i].any()
+        np.testing.assert_array_equal(params[0].grad, kept[0])
+        np.testing.assert_array_equal(params[2].grad, kept[1])
+        assert params[0].grad.any() and params[2].grad.any()
+
+    def test_loose_and_unused_tensors(self, rng):
+        """A tensor outside any arena, or in one whose gradient array was
+        never made, just drops its gradient."""
+        loose = Tensor(rng.normal(size=3), requires_grad=True)
+        loose._accumulate(np.ones(3))
+        loose.zero_grad()
+        assert loose.grad is None
+        placed = Tensor(rng.normal(size=3), requires_grad=True)
+        arena = Arena([[placed]])
+        placed.zero_grad()
+        assert placed.grad is None and arena._grad is None

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestFusedBlock:
     def _run(fn, block, masks, f, weight, **kw):
         x = Tensor(f, requires_grad=True)
         out = fn(x, block, ADJ, masks, **kw)
-        (out * Tensor(weight)).sum().backward()
+        out.backward(weight)
         return out.data, x.grad, {n: p.grad for n, p in
                                   _block_params(block).items()}
 
@@ -341,7 +342,7 @@ class TestFrameBuffer:
         for p in _block_params(block).values():
             p.zero_grad()
         out = pagcn_block(x, block, ADJ, MASKS, training=True)
-        (out * Tensor(weight)).sum().backward()
+        out.backward(weight)
         inference = pagcn_block(Tensor(f), block, ADJ, MASKS, training=False)
         return [out.data, x.grad, inference.data] + [
             p.grad for p in _block_params(block).values()]
@@ -568,13 +569,57 @@ class TestStackedTail:
                                        err_msg=name)
         np.testing.assert_allclose(embedding, embedding_ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_bit_identical_to_generic_tail(self, rng, plan, distinct):
+        """The two head nodes and the loss nodes against the stacked
+        tail in the generic algebra (``reference.generic_tail``) on the
+        same pooled slots: the three losses, the gradients of the pooled
+        slots and of every head parameter, and the BNNeck's running
+        statistics, bit for bit. The fused nodes run the same forward
+        operations and add each gradient's terms in the same order. With
+        every label ``distinct`` no anchor has a positive: the triplet
+        loss is 0 and the metric features get the BNNeck's gradient
+        only."""
+        channels, (p, k, _t) = PLANS[plan]
+        cfg = NetworkConfig(num_classes=p * k, **channels)
+        labels = np.arange(p * k) if distinct else np.repeat(np.arange(p), k)
+        pooled = [rng.normal(size=(p * k, len(pagcn.PART_ORDER), cfg.larger_channels))
+                  for _ in cfg.branches]
+        gammas = rng.uniform(0.5, 1.5, size=(cfg.num_parts, cfg.embed_dim))
+        betas = rng.normal(0.0, 0.3, size=(cfg.num_parts, cfg.embed_dim))
+
+        def step(fused):
+            model = init_model(cfg, seed=3)
+            for head, gamma, beta in zip(model.heads, gammas, betas):
+                # in place: the tensors keep their arena slots
+                head.bnn.gamma.data[...] = gamma
+                head.bnn.beta.data[...] = beta
+            pools = [Tensor(a, requires_grad=True) for a in pooled]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if fused:
+                    losses = combined_loss(*part_heads(pools, model.heads),
+                                           labels, 0.2, 0.7)
+                else:
+                    losses = ref.generic_tail(model, pools, labels, 0.2, 0.7)[:3]
+            losses[0].backward()
+            heads = {name: t for name, t in model.named_tensors().items()
+                     if name.startswith("head/")}
+            arrays = [loss.data for loss in losses] + [pool.grad for pool in pools]
+            return arrays + [t.grad if isinstance(t, Tensor) else t
+                             for t in heads.values()]
+
+        for got, want in zip(step(True), step(False), strict=True):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestGraphGuards:
-    def test_training_graph_node_bound(self, rng):
-        """A toy training step's graph (every tensor reachable from the
-        loss, leaves included): 18 block nodes, 243 parameters, 3 inputs
-        and the stacked tail. Measured: 332 nodes, 76 of them with a
-        backward; 1181 (788) when every slot had its own chain."""
+    @staticmethod
+    def _toy_step_graph(rng):
+        """(every tensor reachable from a toy training step's loss, the
+        backward closures' qualified names of its inner nodes), and the
+        model."""
         channels, (p, k, t) = PLANS["toy"]
         cfg = NetworkConfig(num_classes=p, **channels)
         inputs = descriptor_inputs(
@@ -584,16 +629,35 @@ class TestGraphGuards:
         res = network_forward(model, inputs, training=True)
         total = combined_loss(res.metrics, res.logits, np.repeat(np.arange(p), k),
                               0.2, 1.0)[0]
-        seen, stack, interior = {id(total)}, [total], 0
+        seen, stack, inner = {id(total)}, [total], []
         while stack:
             node = stack.pop()
-            interior += node._backward is not None
+            if node._backward is not None:
+                inner.append(node._backward.__qualname__.split(".")[0])
             for parent in node._parents:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
+        return seen, inner, model
+
+    def test_training_graph_node_bound(self, rng):
+        """A toy training step's graph (every tensor reachable from the
+        loss, leaves included): 243 parameters, 3 inputs and 17 inner
+        nodes. Measured: 263 nodes; 321 with 65 inner nodes when the
+        tail was built from generic ops, 1181 (788) when every slot had
+        its own chain."""
+        seen, inner, model = self._toy_step_graph(rng)
         assert len(model.named_parameters()) == 243
-        assert len(seen) <= 350 and interior <= 80, (len(seen), interior)
+        assert len(seen) == 263 and len(inner) == 17, (len(seen), len(inner))
+
+    def test_tape_is_fused_nodes(self, rng):
+        """Every inner node behind a toy step's loss is a block, a
+        branch's pooling or one of the tail's five nodes: 9 + 3 + 5."""
+        _seen, inner, _model = self._toy_step_graph(rng)
+        tail = ["slot_fc", "bnneck_classifier", "triplet_loss",
+                "cross_entropy_loss", "combined_loss"]
+        assert sorted(inner) == sorted(["graph_block"] * 9 + ["group_pool"] * 3
+                                       + tail), sorted(inner)
 
     def test_inference_builds_no_graph(self, rng):
         """Inference on the live, trainable model: outputs have no
@@ -738,7 +802,8 @@ class TestHeads:
         """Training: the metric is the fc output, the logits its BNNeck
         output under batch statistics through an identity classifier."""
         v = np.array([[[1.0, -2.0, 0.5, 3.0], [3.0, 2.0, -0.5, 1.0]]])
-        metric, logits = part_heads(Tensor(v), [_identity_head()])
+        metric, logits = part_heads([Tensor(v.transpose(1, 0, 2))],
+                                    [_identity_head()])
         np.testing.assert_allclose(metric.data, v, atol=1e-12)
         expect = (v - v.mean(axis=1)) / np.sqrt(v.var(axis=1) + pagcn.BN_EPS)
         np.testing.assert_allclose(logits.data, expect, atol=1e-12)
@@ -760,7 +825,7 @@ class TestHeads:
         pooled = rng.normal(size=(18, 4, 4))
         # training updates the running statistics: on a copy
         heads = copy.deepcopy(model.heads)
-        metric, logits = part_heads(Tensor(pooled), heads)
+        metric, logits = part_heads([Tensor(pooled.transpose(1, 0, 2))], heads)
         assert metric.shape == (18, 4, 4) and logits.shape == (18, 4, 2)
         for slot, head in enumerate(copy.deepcopy(model.heads)):
             em, el = ref.per_part_head(Tensor(pooled[slot]), head, True)
@@ -986,8 +1051,8 @@ class TestBatchNormStats:
 
     def test_running_stats_update(self, rng):
         model = init_model(tiny_config(), seed=4)
-        pooled = Tensor(rng.normal(2.0, 3.0, size=(18, 50, 4)))
-        metric, _ = part_heads(pooled, model.heads)
+        pooled = Tensor(rng.normal(2.0, 3.0, size=(50, 18, 4)))
+        metric, _ = part_heads([pooled], model.heads)
         for slot, head in enumerate(model.heads):
             mu = metric.data[slot].mean(axis=0)
             var = metric.data[slot].var(axis=0)
@@ -1013,7 +1078,8 @@ class TestBatchNormStats:
         res = network_forward(model, inputs)
         assert res.logits is None
         np.testing.assert_array_equal(res.embedding_matrix(), expect)
-        pooled = pagcn.pooled_slots(model, inputs).data
+        pooled = np.concatenate([p.data for p in pagcn.pooled_slots(model, inputs)],
+                                axis=1)
         for slot, head in enumerate(model.heads):
             np.testing.assert_allclose(
                 expect[:, slot], pooled[:, slot] @ head.fc_w.data + head.fc_b.data,

@@ -2,6 +2,7 @@ import gc
 import math
 import platform
 import resource
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -230,6 +231,86 @@ class TestCombinedLoss:
         assert total.item() == pytest.approx(sum(parts) / 18, abs=1e-12)
 
 
+def _central_differences(loss, x0, h=1e-6):
+    """Central differences of the scalar ``loss(Tensor)`` at ``x0``."""
+    num = np.zeros_like(x0)
+    for i in range(x0.size):
+        xp, xm = x0.copy(), x0.copy()
+        xp.flat[i] += h
+        xm.flat[i] -= h
+        num.flat[i] = (loss(Tensor(xp)).item() - loss(Tensor(xm)).item()) / (2 * h)
+    return num
+
+
+class TestLossNodes:
+    """Each loss is one node with a hand-written backward."""
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6, 3)])
+    def test_triplet_gradient(self, rng, shape):
+        """2-D (one slot) and S = 3 against central differences; random
+        features keep every hardest pair and hinge away from a tie."""
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        x0 = rng.normal(size=shape)
+        x = Tensor(x0.copy(), requires_grad=True)
+        tr.triplet_loss(x, labels, 1.0).backward()
+        num = _central_differences(lambda t: tr.triplet_loss(t, labels, 1.0), x0)
+        assert np.abs(num).max() > 0.0
+        np.testing.assert_allclose(x.grad, num, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
+    def test_cross_entropy_gradient(self, rng, shape):
+        labels = np.array([4, 0, 2, 2])
+        x0 = rng.normal(size=shape)
+        x = Tensor(x0.copy(), requires_grad=True)
+        tr.cross_entropy_loss(x, labels).backward()
+        num = _central_differences(lambda t: tr.cross_entropy_loss(t, labels), x0)
+        np.testing.assert_allclose(x.grad, num, rtol=1e-6, atol=1e-8)
+
+    def test_all_anchors_skipped_gives_no_gradient(self, rng):
+        """Every label distinct: the triplet loss is 0 with its warning,
+        and only the cross-entropy reaches a gradient."""
+        metric = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        logits = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        labels = np.array([0, 1, 2])
+        with pytest.warns(UserWarning, match="no anchor"):
+            total, tri, ce = tr.combined_loss(metric, logits, labels, 0.2, 1.0)
+        assert tri.item() == 0.0 and total.item() == ce.item()
+        total.backward()
+        assert metric.grad is None and logits.grad.any()
+
+    def test_cross_entropy_memory(self, rng):
+        """On (18, 64, 2000) logits that borrow their gradient, as the
+        classifier's output does, forward and backward each peak within
+        1.25 logits-sized arrays above what was allocated before, and the
+        gradient is ``(softmax - onehot) / (S * N)``."""
+        s, n, c = 18, 64, 2000
+        data = rng.normal(size=(s, n, c))
+        labels = rng.integers(0, c, size=n)
+        received = []
+        logits = Tensor(data)
+        logits.requires_grad = True
+        logits._backward = received.append
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss = tr.cross_entropy_loss(logits, labels)
+            forward = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            backward = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward <= 1.25 * data.nbytes, forward / data.nbytes
+        assert backward <= 1.25 * data.nbytes, backward / data.nbytes
+        e = np.exp(data - data.max(axis=2, keepdims=True))
+        expect = e / e.sum(axis=2, keepdims=True)
+        expect[:, np.arange(n), labels] -= 1.0
+        np.testing.assert_allclose(received[0], expect / (s * n), rtol=0,
+                                   atol=1e-15)
+
+
 def _placed(*arrays):
     """Parameters holding ``arrays``' values, each placed in an arena
     region of its own (``autodiff.Arena``), as a model's are."""
@@ -422,8 +503,8 @@ class TestArenaAdam:
     def test_slot_without_gradient_is_not_stepped(self, rng):
         """With ``embed_dim`` 4 each fc_b slot is 4 floats, fewer than
         ``ARENA_ALIGN``. A middle one without a gradient keeps its value
-        and moments (its gradient slot still holds the last step's
-        values), while the slots on both sides of it step."""
+        and moments (its gradient slot is 0: ``zero_grad`` cleared it),
+        while the slots on both sides of it step."""
         _model, params, loose = self._model()
         p = params[self.MIDDLE]
         region, i = p.home
@@ -440,7 +521,7 @@ class TestArenaAdam:
                                             tr._slot(state.v, p))]
                 moved = {n: params[n].data.copy() for n in neighbours}
             self._step(params, loose, state, oracle, 0.01, grads)
-        assert tr._slot(p.home[0].arena.grad, p).any()
+        assert not tr._slot(p.home[0].arena.grad, p).any()
         for old, now in zip(held, (p.data, tr._slot(state.m, p), tr._slot(state.v, p))):
             np.testing.assert_array_equal(now, old)
         assert all(not np.array_equal(params[n].data, moved[n]) for n in neighbours)
