@@ -36,7 +36,9 @@ sections, in file order:
   pools the body from its parts;
 - the per-tensor Adam step (``adam_step``, on an ``AdamState``), the
   bit-exact oracle of the one that steps spans of the parameter arena as
-  flat arrays.
+  flat arrays;
+- the model's initial tensors drawn one tensor at a time
+  (``init_tensors``), the byte-exact oracle of ``pagcn.init_model``.
 """
 
 import copy
@@ -1247,3 +1249,55 @@ def adam_step(params: dict, state: AdamState, lr: float):
         step *= lr
         step /= tmp
         p.data -= step
+
+
+# -- the model's initial tensors, drawn one tensor at a time -------------
+
+
+def init_tensors(cfg, seed: int) -> dict:
+    """``pagcn.model_tensors(pagcn.init_model(cfg, seed))`` written out:
+    parameters then running statistics, in checkpoint order, each drawn
+    on its own from ``np.random.default_rng(seed)``. Per block and
+    subset k = 0..2 its weight, then with attention its query and key
+    projections; then the block's temporal kernel. Per head its fc
+    weight, then its classifier. A draw is uniform within
+    +-1/sqrt(fan-in). Every other tensor is its constant: learned
+    adjacencies, betas, fc biases and running means 0, gammas and
+    running variances 1."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    params, buffers = {}, {}
+
+    def bn(prefix, c):
+        params[f"{prefix}/gamma"], params[f"{prefix}/beta"] = np.ones(c), np.zeros(c)
+        buffers[f"{prefix}/mean"], buffers[f"{prefix}/var"] = np.zeros(c), np.ones(c)
+
+    widths = list(cfg.parts5_channels) + [cfg.larger_channels] * len(cfg.larger_schemes)
+    for bname in cfg.branches:
+        c_in = pagcn.BRANCH_CHANNELS[bname]
+        for j, c_out in enumerate(widths):
+            prefix = f"branch/{bname}/block{j}"
+            for k in range(3):
+                params[f"{prefix}/k{k}/weight"] = uniform((c_in, c_out), c_in)
+                params[f"{prefix}/k{k}/adj"] = np.zeros((17, 17))
+                if cfg.attention:
+                    ce = max(c_in // 4, 4)
+                    params[f"{prefix}/k{k}/attn_a"] = uniform((c_in, ce), c_in)
+                    params[f"{prefix}/k{k}/attn_b"] = uniform((c_in, ce), c_in)
+            k = cfg.temporal_kernel
+            params[f"{prefix}/tkernel"] = uniform((k, c_out), k)
+            bn(f"{prefix}/bn1", c_out)
+            bn(f"{prefix}/bn2", c_out)
+            c_in = c_out
+    d = cfg.embed_dim
+    for i in range(6 * len(cfg.branches)):
+        prefix = f"head/{i:02d}"
+        params[f"{prefix}/fc_w"] = uniform((widths[-1], d), widths[-1])
+        params[f"{prefix}/fc_b"] = np.zeros(d)
+        bn(f"{prefix}/bnn", d)
+        params[f"{prefix}/cls_w"] = uniform((d, cfg.num_classes), d)
+    return {**params, **buffers}

@@ -1087,6 +1087,23 @@ class TestBatchNormStats:
         assert all(np.isnan(h.bnn.running_mean).all() for h in model.heads)
 
 
+class TestInit:
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("preset", ["toy", "casiab"])
+    def test_draws_equal_the_oracle(self, preset, attention):
+        """Every tensor of ``init_model`` byte for byte as the oracle
+        draws it (``reference.init_tensors``), in checkpoint order."""
+        cfg = dataclasses.replace(
+            build_run_config(preset=preset).network_config(num_classes=7),
+            attention=attention)
+        got = model_tensors(init_model(cfg, seed=11))
+        want = ref.init_tensors(cfg, 11)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), name
+
+
 class TestCheckpointGlue:
     def test_roundtrip(self, tmp_path, rng):
         model = init_model(tiny_config(), seed=9)
