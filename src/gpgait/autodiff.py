@@ -11,15 +11,16 @@ classifier (``bnneck_classifier``), and the losses (``train``).
 The engine is deliberately free of global state so repeated runs with
 identical inputs are bit-reproducible.
 
-Parameters can live in an ``Arena``: one flat array for their values
-and one of the same layout for their gradients, cut into regions of
-same-shaped tensors stacked along a new first axis, so a fused op reads
-the stacked operand as a view and hands back its gradient in one copy.
+Trainable parameters are ``Role`` tensors placed in an ``Arena``: one
+flat array for their values and one of the same layout for their
+gradients. A role stacks the same-shaped parameters of one kind along
+its first axis, so a fused op reads it as one array and hands back its
+gradient in one copy.
 """
 
 from __future__ import annotations
 
-import math
+import copy
 
 import numpy as np
 
@@ -31,9 +32,7 @@ def _as_array(x) -> np.ndarray:
 
 
 class Tensor:
-    # home: (Region, index) of the arena slot the tensor was placed in,
-    # or None; see Arena
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "home")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
@@ -41,7 +40,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
-        self.home = None
 
     @property
     def shape(self):
@@ -58,29 +56,19 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        """Drop the gradient. A tensor holding its arena slot (``Arena``)
-        also sets its slot of the arena's gradient array to 0, so that
-        array holds only gradients of the current step."""
-        region = _home_region(self)
-        if region is not None and region.arena._grad is not None:
-            region.gradients()[1][self.home[1]].fill(0.0)
+        """Drop the gradient."""
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
-        """Add an incoming gradient. A leaf (no ``_backward``) owns its
-        gradient array, so no two parameters ever share one: its slot of
-        its arena's gradient array while it holds its arena view
-        (``Arena``), a copy otherwise. An intermediate node borrows the
-        first incoming array and adds later ones out of place, so it
-        never writes into an array that another node may hold."""
+        """Add an incoming gradient of this tensor's shape. A leaf (no
+        ``_backward``) owns its gradient array, so no two parameters ever
+        share one: a copy of the first, or a role's region of its arena
+        (``Role``). An intermediate node borrows the first incoming array
+        and adds later ones out of place, so it never writes into an
+        array that another node may hold."""
         if self._backward is None:
             if self.grad is None:
-                region = _home_region(self)
-                if region is None:
-                    self.grad = np.array(grad, dtype=np.float64)
-                else:
-                    self.grad = region.gradients()[1][self.home[1]]
-                    np.copyto(self.grad, grad)
+                self.grad = np.array(grad, dtype=np.float64)
             else:
                 self.grad += grad
         elif self.grad is None:
@@ -130,141 +118,82 @@ def _make(data: np.ndarray, parents) -> Tensor:
 
 # -- parameter arenas -------------------------------------------------
 
-ARENA_ALIGN = 8     # floats: every region starts on a 64-byte boundary
+ARENA_ALIGN = 8     # floats: every role starts on a 64-byte boundary
 
 
-class Region:
-    """K same-shaped tensors stacked along a new first axis in the floats
-    ``[start, stop)`` of an arena's arrays; tensor i is index i of the
-    stack, so each tensor's view is C-contiguous. A region refers to its
-    arena but not to its tensors, so a model's tensors, regions and
-    arena hold no reference cycle and are freed with the model."""
+class Role(Tensor):
+    """A trainable parameter tensor whose values are a region of its
+    arena's value array and whose gradient, once it has one, is the same
+    region of the arena's gradient array (``Arena``). A role stacks the
+    same-shaped parameters of one kind along its first axis, a block's K
+    subset weights as one (K, C_in, C_out) role for example, so a fused
+    op reads it as one array and hands back its gradient in one copy.
 
-    __slots__ = ("arena", "start", "stop", "shape", "data", "views", "_grads")
+    ``zero_grad`` only drops the gradient: the next sweep's first
+    gradient is copied over the region, later ones are added onto it.
+    A region whose role got no gradient keeps its old values until
+    ``train.adam_step`` clears it. A role refers to its arena, and the
+    arena to no role, so a model is freed without the cycle collector.
+    """
 
-    def __init__(self, arena, start: int, k: int, shape: tuple):
-        self.arena, self.start = arena, start
-        self.shape = (k,) + tuple(shape)
-        self.stop = start + math.prod(self.shape)
-        self._grads = None
+    __slots__ = ("arena", "start")
 
-    def stack(self, flat: np.ndarray) -> np.ndarray:
-        """This region of ``flat``, an array of the arena's layout,
-        shaped as the stacked tensors (a view)."""
-        return flat[self.start:self.stop].reshape(self.shape)
+    def __init__(self, shape, fill: float = 0.0):
+        """A role for an ``Arena`` to place, its values ``fill``; until
+        then they are a read-only placeholder."""
+        super().__init__(np.broadcast_to(fill, shape), requires_grad=True)
+        self.arena, self.start = None, 0
 
-    def gradients(self):
-        """(stacked view, each tensor's view) of the arena's gradient
-        array."""
-        if self._grads is None:
-            stacked = self.stack(self.arena.grad)
-            self._grads = (stacked, list(stacked))
-        return self._grads
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """This role's region of ``flat``, an array of its arena's layout
+        (the values, gradients or Adam moments), shaped as the role."""
+        return flat[self.start:self.start + self.data.size].reshape(self.data.shape)
+
+    def __deepcopy__(self, memo):
+        """A role of a copy of the arena, which every role copied in one
+        ``copy.deepcopy`` call shares, at the same place."""
+        out = Role(self.data.shape)
+        out.arena, out.start = copy.deepcopy(self.arena, memo), self.start
+        out.requires_grad = self.requires_grad
+        out.data = out.view(out.arena.data)
+        if self.grad is not None:
+            out.grad = out.view(out.arena.grad)
+        return out
+
+    def _accumulate(self, grad: np.ndarray):
+        if self.grad is None:
+            arena = self.arena
+            if arena.grad is None:      # so a model that never trains holds none
+                arena.grad = np.zeros(arena.size)
+            self.grad = self.view(arena.grad)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
 
 class Arena:
-    """One flat float64 array holding many parameter tensors, and one of
-    the same layout for their gradients, made on the first gradient.
+    """One flat float64 array holding the values of many roles, and one of
+    the same layout for their gradients (``grad``), made on the first
+    gradient.
 
-    ``groups`` lists the regions in layout order, each a sequence of K
-    same-shaped tensors that becomes one ``Region``, starting on an
-    ``ARENA_ALIGN`` boundary (the padding stays 0). Each tensor's values
-    are copied in and its ``data`` rebound to its view, so every op that
-    reads ``data`` runs as before. A tensor holds its slot while its
-    ``data`` is a view of the arena: ``stacked_data`` then returns its
-    region's stacked view, ``_accumulate`` writes its gradient into its
-    slot of the gradient array, and ``train.adam_step`` updates spans of
-    slots as flat arrays. Rebinding ``data``, or deep-copying the
-    tensor, leaves the slot: the tensor then behaves as one that was
-    never placed, which ``train.adam_step`` refuses to step.
+    ``Arena(roles)`` lays the roles out in order, each starting on an
+    ``ARENA_ALIGN`` boundary (the padding stays 0), and makes each one's
+    ``data`` its region of the value array, holding its fill value.
+    ``train.adam_step`` updates runs of regions as flat arrays.
     """
 
-    def __init__(self, groups):
-        regions, start = [], 0
-        for tensors in groups:
-            regions.append(Region(self, start, len(tensors), tensors[0].shape))
-            start = -(-regions[-1].stop // ARENA_ALIGN) * ARENA_ALIGN
+    def __init__(self, roles):
+        start = 0
+        for role in roles:
+            role.arena, role.start = self, start
+            start += -(-role.data.size // ARENA_ALIGN) * ARENA_ALIGN
         self.size = start
         self.data = np.zeros(start)
-        self._grad = None
-        for region, tensors in zip(regions, groups):
-            region.data = region.stack(self.data)
-            region.views = list(region.data)
-            for i, (t, view) in enumerate(zip(tensors, region.views)):
-                view[...] = t.data
-                t.data, t.home = view, (region, i)
-
-    @property
-    def grad(self) -> np.ndarray:
-        """The gradient array, allocated (zeros) on first use, so a model
-        that never trains does not hold it."""
-        if self._grad is None:
-            self._grad = np.zeros(self.size)
-        return self._grad
-
-
-def _home_region(t: Tensor):
-    """The arena region whose slot ``t`` holds, or None."""
-    home = t.home
-    if home is None or t.data.base is not home[0].arena.data:
-        return None
-    return home[0]
-
-
-def _slot_gradient_region(t: Tensor):
-    """The arena region whose slot ``t`` holds with its gradient in the
-    slot's gradient view, or None."""
-    region = _home_region(t)
-    if region is None or region._grads is None:
-        return None
-    return region if t.grad is region._grads[1][t.home[1]] else None
-
-
-def _stacked_region(tensors):
-    """The region whose slots ``tensors`` hold, each in its own, in
-    order, filling it; or None."""
-    region = _home_region(tensors[0])
-    if region is None or len(tensors) != len(region.views):
-        return None
-    base = region.arena.data
-    for i, t in enumerate(tensors):
-        if t.home != (region, i) or t.data.base is not base:
-            return None
-    return region
-
-
-def stacked_data(tensors) -> np.ndarray:
-    """The tensors' values stacked along a new first axis, as
-    ``np.stack`` stacks them: a view of their arena region when they hold
-    its slots in order, a new array otherwise (loose tensors, or a
-    region's tensors in another grouping)."""
-    region = _stacked_region(tensors)
-    if region is None:
-        return np.stack([t.data for t in tensors])
-    return region.data
-
-
-def _accumulate_stacked(tensors, grad: np.ndarray):
-    """Hand each of ``tensors`` its slice of ``grad``, the gradient of
-    their stack (``stacked_data``) in any shape that reshapes to it. When
-    they hold their region's slots this is one copy into the region's
-    gradient (none has a gradient yet) or one sum onto it (each has its
-    slot's); otherwise one ``_accumulate`` per tensor."""
-    grad = grad.reshape((len(tensors),) + tensors[0].shape)
-    region = _stacked_region(tensors)
-    if region is not None and all(t.requires_grad for t in tensors):
-        stacked, views = region.gradients()
-        if all(t.grad is None for t in tensors):
-            np.copyto(stacked, grad)
-            for t, view in zip(tensors, views):
-                t.grad = view
-            return
-        if all(t.grad is view for t, view in zip(tensors, views)):
-            stacked += grad
-            return
-    for t, share in zip(tensors, grad):
-        if t.requires_grad:
-            t._accumulate(share)
+        self.grad = None
+        for role in roles:
+            view = role.view(self.data)
+            view[...] = role.data
+            role.data = view
 
 
 def group_pool(x: Tensor, groups) -> Tensor:
@@ -344,10 +273,10 @@ def _softmax(data: np.ndarray, axis, mask) -> np.ndarray:
 # calls the array kernels below directly.
 
 
-def _projections(attn_q, attn_k) -> list:
-    """The K query and the K key projections, each joined along their
-    columns to one (C_in, K*C_e) operand."""
-    return [np.concatenate(stacked_data(proj), axis=1) for proj in (attn_q, attn_k)]
+def _projections(attn_q: np.ndarray, attn_k: np.ndarray) -> list:
+    """The (K, C_in, C_e) query and key projections, each joined along
+    their columns to one (C_in, K*C_e) operand."""
+    return [np.concatenate(proj, axis=1) for proj in (attn_q, attn_k)]
 
 
 def _queries_keys(pooled: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, k: int):
@@ -359,26 +288,28 @@ def _queries_keys(pooled: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, k: int):
             for w in (w_q, w_k)]
 
 
-def _attention(f: np.ndarray, attn_q, attn_k, mask: np.ndarray):
+def _attention(f: np.ndarray, attn_q: np.ndarray, attn_k: np.ndarray,
+               mask: np.ndarray):
     """(pooled, attention) of the attention term of a block's spatial
-    step on (N, T, V, C_in) features: the temporal mean pooled once to
-    (N, V, C_in), its queries and keys (``_queries_keys``), and one
-    softmax over (N, K, V, V) normalized within the mask, so a row's
-    attention is exactly 0 outside its part."""
+    step on (N, T, V, C_in) features, given the (K, C_in, C_e)
+    projections: the temporal mean pooled once to (N, V, C_in), its
+    queries and keys (``_queries_keys``), and one softmax over
+    (N, K, V, V) normalized within the mask, so a row's attention is
+    exactly 0 outside its part."""
     pooled = f.sum(axis=1) * (1.0 / f.shape[1])
     q, key = _queries_keys(pooled, *_projections(attn_q, attn_k), len(attn_q))
     sim = np.matmul(q, key.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
     return pooled, _softmax(sim, -1, mask > 0)
 
 
-def _stacked_adjacency(fixed: np.ndarray, mask: np.ndarray, learned,
+def _stacked_adjacency(fixed: np.ndarray, mask: np.ndarray, learned: np.ndarray,
                        att: np.ndarray = None) -> np.ndarray:
     """The combined adjacency ``(fixed_k + learned_k + att_k) * mask`` of
     a block's spatial step, stacked to the operand of its batched
     product: (V*K, V), or (N, 1, V*K, V) with the (N, K, V, V) attention
     ``att``. A masked entry is exactly 0, so it adds exactly 0."""
     k, v = len(learned), fixed.shape[-1]
-    adj = fixed + stacked_data(learned)                         # (K, V, V)
+    adj = fixed + learned                                       # (K, V, V)
     if att is not None:
         adj = adj + att                                         # (N, K, V, V)
     adj *= mask
@@ -389,8 +320,9 @@ def _stacked_adjacency(fixed: np.ndarray, mask: np.ndarray, learned,
 
 
 def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
-                         mask: np.ndarray, learned, w: np.ndarray, attn_q,
-                         attn_k, pooled: np.ndarray, att: np.ndarray):
+                         mask: np.ndarray, learned: Tensor, w: np.ndarray,
+                         attn_q: Tensor, attn_k: Tensor, pooled: np.ndarray,
+                         att: np.ndarray):
     """Backward of a block's spatial step for the (M, C_out) gradient
     ``g`` of ``y``, less the weight gradient, given the stacked
     (K*C_in, C_out) weights ``w`` and, with attention, the forward's
@@ -402,7 +334,7 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
     products."""
     f = f_in.data
     n, t, v, c_in = f.shape
-    k = len(learned)
+    k = learned.shape[0]
     per_sequence = stacked.ndim == 4
     g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
     g_f = None
@@ -415,9 +347,10 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
     g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
     g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
     g_adj *= mask                                               # (.., K, V, V)
-    _accumulate_stacked(learned, g_adj.sum(axis=0) if per_sequence else g_adj)
-    if attn_q:
-        w_q, w_k = _projections(attn_q, attn_k)
+    if learned.requires_grad:
+        learned._accumulate(g_adj.sum(axis=0) if per_sequence else g_adj)
+    if attn_q is not None:
+        w_q, w_k = _projections(attn_q.data, attn_k.data)
         q, key = _queries_keys(pooled, w_q, w_k, k)
         ce = q.shape[-1]
         # softmax backward; a masked entry has att == 0, so its
@@ -430,10 +363,10 @@ def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
         g_key = g_key.transpose(0, 2, 1, 3).reshape(-1, k * ce)
         flat_pooled = pooled.reshape(-1, c_in)
         for proj, g_proj in ((attn_q, g_q), (attn_k, g_key)):
-            if any(a.requires_grad for a in proj):
+            if proj.requires_grad:
                 # (C_in, K*C_e) columns back to the K projections
                 g_proj = (flat_pooled.T @ g_proj).reshape(c_in, k, ce)
-                _accumulate_stacked(proj, g_proj.swapaxes(0, 1))
+                proj._accumulate(g_proj.swapaxes(0, 1))
         if g_f is not None:
             g_pooled = g_q @ w_q.T
             g_pooled += g_key @ w_k.T
@@ -561,10 +494,10 @@ def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return h
 
 
-def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
-                weights, attn_q, attn_k, gamma1: Tensor, beta1: Tensor,
-                kernel: Tensor, gamma2: Tensor, beta2: Tensor, eps: float,
-                residual: bool = False):
+def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
+                learned: Tensor, weights: Tensor, attn_q: Tensor, attn_k: Tensor,
+                gamma1: Tensor, beta1: Tensor, kernel: Tensor, gamma2: Tensor,
+                beta2: Tensor, eps: float, residual: bool = False):
     """A part-aware graph block in training as one node:
     ``relu(bn2(temporal_conv(relu(bn1(y)), kernel)))``, plus ``f_in`` when
     ``residual``, where both batch norms use the batch's statistics,
@@ -573,16 +506,14 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     with the combined adjacency ``A_k = (fixed_k + learned_k + att_k) * mask``.
 
     ``f_in`` is (N, T, V, C_in); ``fixed`` (K, V, V) and ``mask`` (V, V)
-    are constants; ``learned`` holds K (V, V) tensors, ``weights`` K
-    (C_in, C_out) tensors, and ``attn_q``/``attn_k`` K (C_in, C_e)
-    tensors each, or nothing for no attention term (``_attention``).
-    Joints are aggregated by one batched product with the stacked
-    (V*K, V) adjacency (``_stacked_adjacency``), channels mixed by one
-    GEMM with the stacked (K*C_in, C_out) weights; aggregating first
-    keeps the widest buffer at K*C_in channels, never K*C_out. Stacked
-    parameters are read through ``stacked_data`` (views of their arena
-    region in a model from ``pagcn.init_model``) and their gradients
-    handed back through ``_accumulate_stacked``, one copy per region.
+    are constants; ``learned`` is (K, V, V), ``weights`` (K, C_in, C_out)
+    and ``attn_q``/``attn_k`` (K, C_in, C_e) each, or None for no
+    attention term (``_attention``): one tensor per role, its gradient
+    handed back in one piece (``Role``). Joints are aggregated by one
+    batched product with the stacked (V*K, V) adjacency
+    (``_stacked_adjacency``), channels mixed by one GEMM with the
+    (K*C_in, C_out) weights; aggregating first keeps the widest buffer
+    at K*C_in channels, never K*C_out.
 
     Returns (output, (mean1, var1), (mean2, var2)), the statistics shaped
     (C_out,). The forward frees the aggregate once ``y`` is formed and
@@ -612,14 +543,15 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     value is bit-identical to a spatial node and an epilogue node that
     stored their arrays.
     """
-    shape = f_in.shape[:-1] + (weights[0].shape[1],)
-    c_agg, c = len(weights) * f_in.shape[-1], shape[-1]
+    shape = f_in.shape[:-1] + (weights.shape[2],)
+    c_agg, c = weights.shape[0] * f_in.shape[-1], shape[-1]
     pooled = att = None
-    if attn_q:
-        pooled, att = _attention(f_in.data, attn_q, attn_k, mask)
-    stacked = _stacked_adjacency(fixed, mask, learned, att)
+    attention = (attn_q, attn_k) if attn_q is not None else ()
+    if attention:
+        pooled, att = _attention(f_in.data, attn_q.data, attn_k.data, mask)
+    stacked = _stacked_adjacency(fixed, mask, learned.data, att)
     agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
-    xhat1 = agg @ stacked_data(weights).reshape(c_agg, c)    # y, normalized below
+    xhat1 = agg @ weights.data.reshape(c_agg, c)             # y, normalized below
     del agg
     xhat1, mu1, var1, std1 = _bn_normalize(xhat1, eps, out=xhat1)
     padded, h = _frame_buffer(shape, kernel.shape[0])
@@ -632,15 +564,15 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     del xhat2
     if residual:
         r += f_in.data
-    out = _make(r, (f_in, *learned, *weights, *attn_q, *attn_k,
-                    gamma1, beta1, kernel, gamma2, beta2))
+    out = _make(r, (f_in, learned, weights, *attention, gamma1, beta1, kernel,
+                    gamma2, beta2))
     stats = ((mu1, var1), (mu2, var2))
     if not out.requires_grad:
         return (out, *stats)
 
     def bwd(g):
         agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
-        w = stacked_data(weights).reshape(c_agg, c)
+        w = weights.data.reshape(c_agg, c)
         xhat1 = agg @ w
         _bn_xhat(xhat1, mu1, std1, out=xhat1)
         padded, h = _frame_buffer(shape, kernel.shape[0])
@@ -669,8 +601,8 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
                         (gamma1, g_gamma1), (beta1, g_beta1)):
             if t.requires_grad:
                 t._accumulate(grad)
-        if any(wk.requires_grad for wk in weights):
-            _accumulate_stacked(weights, agg.T @ g_y)
+        if weights.requires_grad:
+            weights._accumulate((agg.T @ g_y).reshape(weights.shape))
         del agg
         g_f = _spatial_input_grads(g_y, f_in, stacked, mask, learned, w,
                                    attn_q, attn_k, pooled, att)
@@ -683,26 +615,25 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray, learned,
     return (out, *stats)
 
 
-def slot_fc(pools, weights, biases) -> Tensor:
+def slot_fc(pools, weights: Tensor, biases: Tensor) -> Tensor:
     """(S, N, D) metric features of S slots as one node: slot s's (N, C)
     pooled features times its (C, D) weight, plus its (D,) bias.
 
     ``pools`` are (N, P_b, C) tensors, the branches' pooling outputs
     (``group_pool``); their slots in order are the S slots. ``weights``
-    and ``biases`` hold S tensors each, read through ``stacked_data`` and
-    handed their gradients through ``_accumulate_stacked``, as
-    ``graph_block`` does. The pooled features are joined into one small
-    (N, S, C) array, so all slots run as one batched product and each
-    pool gets its slice of the input gradient."""
+    is (S, C, D) and ``biases`` (S, D), a role each, as ``graph_block``
+    takes them. The pooled features are joined into one small (N, S, C)
+    array, so all slots run as one batched product and each pool gets
+    its slice of the input gradient."""
     x = np.concatenate([p.data for p in pools], axis=1).transpose(1, 0, 2)
-    w = stacked_data(weights)                                   # (S, C, D)
+    w = weights.data                                            # (S, C, D)
     metric = np.matmul(x, w)
-    metric += stacked_data(biases).reshape(len(biases), 1, -1)
-    out = _make(metric, (*pools, *weights, *biases))
+    metric += biases.data[:, None]
+    out = _make(metric, (*pools, weights, biases))
     if out.requires_grad:
         def bwd(g):
-            if any(b.requires_grad for b in biases):
-                _accumulate_stacked(biases, g.sum(axis=1))
+            if biases.requires_grad:
+                biases._accumulate(g.sum(axis=1))
             if any(p.requires_grad for p in pools):
                 g_x = np.matmul(g, np.swapaxes(w, -1, -2)).transpose(1, 0, 2)
                 start = 0
@@ -711,48 +642,48 @@ def slot_fc(pools, weights, biases) -> Tensor:
                     if p.requires_grad:
                         p._accumulate(g_x[:, start:stop])
                     start = stop
-            if any(wk.requires_grad for wk in weights):
-                _accumulate_stacked(weights, np.matmul(np.swapaxes(x, -1, -2), g))
+            if weights.requires_grad:
+                weights._accumulate(np.matmul(np.swapaxes(x, -1, -2), g))
         out._backward = bwd
     return out
 
 
-def bnneck_classifier(metric: Tensor, gammas, betas, classifiers, eps: float):
+def bnneck_classifier(metric: Tensor, gammas: Tensor, betas: Tensor,
+                      classifiers: Tensor, eps: float):
     """BNNeck then classifier of S slots as one node: the (S, N, D)
     metric features normalized as one (N, S*D) batch norm with the
     batch's biased statistics, each slot's columns scaled and shifted by
-    its (D,) gamma and beta, then multiplied by its (D, K) classifier.
+    its row of the (S, D) ``gammas`` and ``betas``, then multiplied by
+    its (D, K) matrix of the (S, D, K) ``classifiers``.
 
     Returns ((S, N, K) logits, batch mean, batch variance), the
-    statistics shaped (S, D). Parameters are read through
-    ``stacked_data`` and handed their gradients through
-    ``_accumulate_stacked``. The node keeps the (N, S*D) BNNeck output
+    statistics shaped (S, D). The node keeps the (N, S*D) BNNeck output
     for the classifier's gradient; backward rebuilds the normalized
     input from ``metric`` by the forward's operations (``_bn_xhat``)."""
     s, n, d = metric.shape
     x = metric.data.transpose(1, 0, 2).reshape(n, s * d)
     necked, mu, var, std = _bn_normalize(x, eps)
     del x
-    gamma = stacked_data(gammas).reshape(s * d)
+    gamma = gammas.data.reshape(s * d)
     necked *= gamma
-    necked += stacked_data(betas).reshape(s * d)
+    necked += betas.data.reshape(s * d)
     necked = necked.reshape(n, s, d).transpose(1, 0, 2)
-    w = stacked_data(classifiers)                               # (S, D, K)
-    out = _make(np.matmul(necked, w), (metric, *gammas, *betas, *classifiers))
+    w = classifiers.data                                        # (S, D, K)
+    out = _make(np.matmul(necked, w), (metric, gammas, betas, classifiers))
     stats = mu.reshape(s, d), var.reshape(s, d)
     if not out.requires_grad:
         return (out, *stats)
 
     def bwd(g):
-        if any(c.requires_grad for c in classifiers):
-            _accumulate_stacked(classifiers, np.matmul(np.swapaxes(necked, -1, -2), g))
+        if classifiers.requires_grad:
+            classifiers._accumulate(np.matmul(np.swapaxes(necked, -1, -2), g))
         g_necked = np.matmul(g, np.swapaxes(w, -1, -2)).transpose(1, 0, 2)
         xhat = _bn_xhat(metric.data.transpose(1, 0, 2).reshape(n, s * d), mu, std)
         g_x, g_gamma, g_beta = _bn_backward(g_necked.reshape(n, s * d), xhat, std,
                                             gamma, out=xhat)
-        for params, grad in ((gammas, g_gamma), (betas, g_beta)):
-            if any(t.requires_grad for t in params):
-                _accumulate_stacked(params, grad)
+        for param, grad in ((gammas, g_gamma), (betas, g_beta)):
+            if param.requires_grad:
+                param._accumulate(grad.reshape(s, d))
         if metric.requires_grad:
             metric._accumulate(g_x.reshape(n, s, d).transpose(1, 0, 2))
 

@@ -20,9 +20,12 @@ through one head per (branch, part) slot, and concatenated into the
 final embedding. Each slot keeps its own head parameters.
 In training every block is one autodiff node, every branch's pooling
 one more, and the heads of all slots two: the fc layer, then BNNeck and
-classifier (``part_heads``). Every parameter lives in one arena
-(``autodiff.Arena``) laid out by role, so a node reads a role's stacked
-parameters as one view and the optimizer steps them as flat arrays.
+classifier (``part_heads``). Each kind of parameter of a block (its K
+subsets stacked) or of the heads (their S slots stacked) is one role
+(``autodiff.Role``), all in one arena (``autodiff.Arena``): a node reads
+a role as one array and the optimizer steps the arena as flat arrays.
+Checkpoints name every subset's and slot's parameters on their own;
+``Slot`` views reach them.
 At inference the branches and pooling run over chunks of whole
 sequences, the heads once over all of them, and the network stops at
 the metric features (``metric_features``).
@@ -34,9 +37,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import (Arena, Tensor, _attention, _frame_buffer,
+from .autodiff import (Arena, Role, Tensor, _attention, _frame_buffer,
                        _stacked_adjacency, _temporal_conv, bnneck_classifier,
-                       graph_block, group_pool, slot_fc, stacked_data)
+                       graph_block, group_pool, slot_fc)
 from . import hot
 from .errors import ConfigError, DataError
 from .graph import PARTS5, V, build_adjacency_subsets, mask_set
@@ -108,17 +111,55 @@ class BatchNormParams:
     running_var: np.ndarray
 
 
+class Slot:
+    """Index ``k`` of a role (``autodiff.Role``): the parameter of one
+    adjacency subset or one head slot, as checkpoints name it. Its
+    ``data`` and ``grad`` are views of the role's, so it holds no state
+    of its own; ``zero_grad`` drops the role's gradient."""
+
+    __slots__ = ("role", "k")
+
+    def __init__(self, role: Tensor, k: int):
+        self.role, self.k = role, k
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.role.data[self.k]
+
+    @property
+    def grad(self):
+        grad = self.role.grad
+        return None if grad is None else grad[self.k]
+
+    @property
+    def shape(self):
+        return self.role.shape[1:]
+
+    def zero_grad(self):
+        self.role.zero_grad()
+
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """This slot's place in ``flat``, an array of its arena's layout."""
+        return self.role.view(flat)[self.k]
+
+
 @dataclass
 class SubsetParams:
-    weight: Tensor        # (C_in, C_out) channel mix
-    learned_adj: Tensor   # (V, V), zero-initialized
-    attn_a: Tensor = None  # (C_in, C_e) attention projections
-    attn_b: Tensor = None
+    """One adjacency subset's parameters, as ``Slot`` views."""
+    weight: Slot        # (C_in, C_out) channel mix
+    learned_adj: Slot   # (V, V), zero-initialized
+    attn_a: Slot        # (C_in, C_e) attention projections, or None
+    attn_b: Slot
 
 
 @dataclass
 class BlockParams:
-    subsets: list  # list[SubsetParams], one per adjacency subset
+    """A block's parameters, one role each; the K adjacency subsets'
+    share the first axis of their roles."""
+    weight: Tensor           # (K, C_in, C_out) channel mix
+    learned_adj: Tensor      # (K, V, V), zero-initialized
+    attn_a: Tensor           # (K, C_in, C_e) attention projections, or None
+    attn_b: Tensor
     temporal_kernel: Tensor  # (k, C_out)
     bn1: BatchNormParams
     bn2: BatchNormParams
@@ -126,31 +167,90 @@ class BlockParams:
     in_channels: int
     out_channels: int
 
+    @property
+    def subsets(self) -> list:
+        """Per adjacency subset, its parameters as ``Slot`` views."""
+        attn = self.attn_a is not None
+        return [SubsetParams(Slot(self.weight, k), Slot(self.learned_adj, k),
+                             Slot(self.attn_a, k) if attn else None,
+                             Slot(self.attn_b, k) if attn else None)
+                for k in range(self.weight.shape[0])]
+
+    def roles(self) -> list:
+        return [r for r in (self.weight, self.learned_adj, self.attn_a, self.attn_b,
+                            self.temporal_kernel, self.bn1.gamma, self.bn1.beta,
+                            self.bn2.gamma, self.bn2.beta) if r is not None]
+
 
 @dataclass
 class HeadParams:
-    fc_w: Tensor   # (C, D)
-    fc_b: Tensor   # (D,)
+    """One (branch, part) slot's head as ``Heads`` gives it: ``Slot``
+    views, and rows of the BNNeck's running statistics."""
+    fc_w: Slot   # (C, D)
+    fc_b: Slot   # (D,)
     bnn: BatchNormParams  # BNNeck over the metric feature
-    cls_w: Tensor  # (D, num_classes)
+    cls_w: Slot  # (D, num_classes)
+
+
+@dataclass
+class Heads:
+    """The heads of all S (branch, part) slots, one role per parameter
+    with the slots along its first axis; ``heads[i]`` is slot i's head
+    (``HeadParams``)."""
+    fc_w: Tensor   # (S, C, D)
+    fc_b: Tensor   # (S, D)
+    bnn: BatchNormParams  # BNNeck: (S, D) affines and running statistics
+    cls_w: Tensor  # (S, D, num_classes)
+
+    def __len__(self) -> int:
+        return self.fc_w.shape[0]
+
+    def __getitem__(self, i: int) -> HeadParams:
+        bnn = self.bnn
+        return HeadParams(Slot(self.fc_w, i), Slot(self.fc_b, i),
+                          BatchNormParams(Slot(bnn.gamma, i), Slot(bnn.beta, i),
+                                          bnn.running_mean[i], bnn.running_var[i]),
+                          Slot(self.cls_w, i))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def roles(self) -> list:
+        return [self.fc_w, self.fc_b, self.bnn.gamma, self.bnn.beta, self.cls_w]
 
 
 @dataclass
 class ModelParams:
     config: NetworkConfig
     branches: dict                # branch name -> list[BlockParams]
-    heads: list                   # num_parts HeadParams
-    adjacency: np.ndarray         # (K_v, V, V) fixed subsets
+    heads: Heads
+    adjacency: np.ndarray         # (K, V, V) fixed subsets
     masks: dict = field(default_factory=dict)
+
+    def blocks(self) -> list:
+        """Every block, branch by branch in config order."""
+        return [blk for bname in self.config.branches for blk in self.branches[bname]]
+
+    def roles(self) -> list:
+        """Every parameter role, in arena order: block by block its
+        subset weights, learned adjacencies, attention projections,
+        temporal kernel and batch-norm affines; then the heads' fc
+        weights and biases, BNNeck affines and classifiers."""
+        return [r for blk in self.blocks() for r in blk.roles()] + self.heads.roles()
+
+    @property
+    def arena(self) -> Arena:
+        return self.heads.fc_w.arena
 
     def named_tensors(self) -> dict:
         """Ordered name -> tensor table of the model's state.
 
-        Every trainable parameter comes first as a live ``Tensor``, then
-        every running statistic as a live ``ndarray`` (updated in place),
-        in checkpoint directory order. This is the one walk over the
-        model's structure; parameter lists and checkpoint I/O are derived
-        from it.
+        Every trainable parameter comes first, then every running
+        statistic as a live ``ndarray`` (updated in place), in checkpoint
+        directory order. A parameter is its role when the role is one
+        tensor (a temporal kernel, a block's batch-norm affine), or its
+        ``Slot`` of the role. This is the one walk over the model's
+        names; parameter lists and checkpoint I/O are derived from it.
         """
         entries = []
 
@@ -177,75 +277,59 @@ class ModelParams:
             entries.append((f"{prefix}/fc_b", head.fc_b))
             bn(f"{prefix}/bnn", head.bnn)
             entries.append((f"{prefix}/cls_w", head.cls_w))
-        params = [e for e in entries if isinstance(e[1], Tensor)]
-        buffers = [e for e in entries if not isinstance(e[1], Tensor)]
+        params = [e for e in entries if not isinstance(e[1], np.ndarray)]
+        buffers = [e for e in entries if isinstance(e[1], np.ndarray)]
         return dict(params + buffers)
 
     def named_parameters(self) -> dict:
-        """Ordered name -> Tensor mapping of every trainable tensor."""
+        """Ordered name -> parameter (a role or a ``Slot``) mapping of
+        every trainable tensor."""
         return {name: t for name, t in self.named_tensors().items()
-                if isinstance(t, Tensor)}
+                if not isinstance(t, np.ndarray)}
 
 
 def _attn_dim(c_in: int) -> int:
     return max(c_in // 4, 4)
 
 
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _bn(shape) -> BatchNormParams:
+    return BatchNormParams(gamma=Role(shape, 1.0), beta=Role(shape),
+                           running_mean=np.zeros(shape), running_var=np.ones(shape))
 
 
-def _init_bn(channels: int) -> BatchNormParams:
-    return BatchNormParams(
-        gamma=Tensor(np.ones(channels), requires_grad=True),
-        beta=Tensor(np.zeros(channels), requires_grad=True),
-        running_mean=np.zeros(channels),
-        running_var=np.ones(channels),
-    )
-
-
-def _init_block(rng, c_in, c_out, mask_name, cfg: NetworkConfig) -> BlockParams:
-    subsets = []
+def _block(k: int, c_in: int, c_out: int, mask_name: str,
+           cfg: NetworkConfig) -> BlockParams:
+    """A block over ``k`` adjacency subsets, its roles not yet placed."""
     ce = _attn_dim(c_in)
-    for _k in range(3):
-        sub = SubsetParams(
-            weight=Tensor(_uniform(rng, (c_in, c_out), c_in), requires_grad=True),
-            learned_adj=Tensor(np.zeros((V, V)), requires_grad=True),
-        )
-        if cfg.attention:
-            sub.attn_a = Tensor(_uniform(rng, (c_in, ce), c_in), requires_grad=True)
-            sub.attn_b = Tensor(_uniform(rng, (c_in, ce), c_in), requires_grad=True)
-        subsets.append(sub)
-    k = cfg.temporal_kernel
     return BlockParams(
-        subsets=subsets,
-        temporal_kernel=Tensor(_uniform(rng, (k, c_out), k), requires_grad=True),
-        bn1=_init_bn(c_out),
-        bn2=_init_bn(c_out),
+        weight=Role((k, c_in, c_out)),
+        learned_adj=Role((k, V, V)),
+        attn_a=Role((k, c_in, ce)) if cfg.attention else None,
+        attn_b=Role((k, c_in, ce)) if cfg.attention else None,
+        temporal_kernel=Role((cfg.temporal_kernel, c_out)),
+        bn1=_bn(c_out),
+        bn2=_bn(c_out),
         mask_name=mask_name,
         in_channels=c_in,
         out_channels=c_out,
     )
 
 
-_ZERO = np.zeros(1)
-_ZERO.flags.writeable = False       # so every placeholder is read-only
+def _uniform(rng, view: np.ndarray, fan_in: int):
+    """Draw ``view`` uniformly within +-1/sqrt(fan_in), in place."""
+    bound = 1.0 / np.sqrt(fan_in)
+    view[...] = rng.uniform(-bound, bound, size=view.shape)
 
 
-class _DeferredDraws:
-    """Stands in for the generator while ``_placed_model`` builds the
-    model's structure: each ``uniform`` call is recorded and answered
-    with a zero-stride placeholder of its shape, so no parameter array
-    exists before the arena does."""
-
-    def __init__(self):
-        self.calls = []
-
-    def uniform(self, low, high, size):
-        placeholder = np.ndarray(size, buffer=_ZERO, strides=(0,) * len(size))
-        self.calls.append((placeholder, low, high))
-        return placeholder
+def _draw_block(rng, blk: BlockParams):
+    """Draw a block's random parameters into their slots: per subset its
+    weight, then with attention its query and key projections; then the
+    temporal kernel."""
+    per_subset = [r for r in (blk.weight, blk.attn_a, blk.attn_b) if r is not None]
+    for k in range(blk.weight.shape[0]):
+        for role in per_subset:
+            _uniform(rng, role.data[k], blk.in_channels)
+    _uniform(rng, blk.temporal_kernel.data, blk.temporal_kernel.shape[0])
 
 
 def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
@@ -255,87 +339,46 @@ def init_model(cfg: NetworkConfig, seed: int = 0) -> ModelParams:
     like the plain predefined-graph network; mix weights use fan-in
     scaled uniform init.
 
-    Every parameter is placed in one arena (``_arena_groups``). The
-    structure is built first with the draws deferred (``_placed_model``);
-    then each draw is made, with the same generator calls in the same
-    order, straight into its tensor's arena view, so no second copy of
-    the parameters is ever held.
+    The structure is ``blank_model``'s. Each random tensor is then drawn
+    from one generator straight into its slot of its role: block by
+    block (``_draw_block``), then head by head its fc weight, then its
+    classifier.
     """
-    model, draws = _placed_model(cfg)
-    generator = np.random.default_rng(seed)
-    for t, low, high in draws:
-        t.data[...] = generator.uniform(low, high, size=t.shape)
+    model = blank_model(cfg)
+    rng = np.random.default_rng(seed)
+    for blk in model.blocks():
+        _draw_block(rng, blk)
+    heads = model.heads
+    for i in range(len(heads)):
+        _uniform(rng, heads.fc_w.data[i], heads.fc_w.shape[1])
+        _uniform(rng, heads.cls_w.data[i], heads.cls_w.shape[1])
     return model
 
 
 def blank_model(cfg: NetworkConfig) -> ModelParams:
     """The model ``init_model`` builds, with the parameters it draws at
     random left at 0: for a checkpoint to be loaded into
-    (``load_model_tensors`` sets every tensor), so no draw is wasted."""
-    return _placed_model(cfg)[0]
-
-
-def _placed_model(cfg: NetworkConfig):
-    """(model, deferred draws): the model's structure with every
-    parameter placed in its arena, the randomly drawn ones at 0, and
-    for each of their draws, in generator order, (tensor, low, high)."""
-    rng = _DeferredDraws()
+    (``load_model_tensors`` sets every tensor), so no draw is wasted.
+    Its roles are laid out in one arena (``autodiff.Arena``) in
+    ``ModelParams.roles`` order."""
+    adjacency = build_adjacency_subsets()
+    plan = ([(c, "parts5") for c in cfg.parts5_channels]
+            + [(cfg.larger_channels, scheme) for scheme in cfg.larger_schemes])
     branches = {}
     for bname in cfg.branches:
-        blocks = []
-        c_in = BRANCH_CHANNELS[bname]
-        for c_out in cfg.parts5_channels:
-            blocks.append(_init_block(rng, c_in, c_out, "parts5", cfg))
+        c_in, blocks = BRANCH_CHANNELS[bname], []
+        for c_out, mask_name in plan:
+            blocks.append(_block(len(adjacency), c_in, c_out, mask_name, cfg))
             c_in = c_out
-        for scheme in cfg.larger_schemes:
-            blocks.append(_init_block(rng, c_in, cfg.larger_channels, scheme, cfg))
-            c_in = cfg.larger_channels
         branches[bname] = blocks
-    final_c = cfg.larger_channels if cfg.larger_schemes else cfg.parts5_channels[-1]
-    heads = []
-    for _ in range(cfg.num_parts):
-        heads.append(HeadParams(
-            fc_w=Tensor(_uniform(rng, (final_c, cfg.embed_dim), final_c),
-                        requires_grad=True),
-            fc_b=Tensor(np.zeros(cfg.embed_dim), requires_grad=True),
-            bnn=_init_bn(cfg.embed_dim),
-            cls_w=Tensor(_uniform(rng, (cfg.embed_dim, cfg.num_classes),
-                                  cfg.embed_dim), requires_grad=True),
-        ))
-    # distinct-tensor construction contract: no tensor object shared
+    s, c, d = cfg.num_parts, plan[-1][0], cfg.embed_dim
+    heads = Heads(fc_w=Role((s, c, d)), fc_b=Role((s, d)), bnn=_bn((s, d)),
+                  cls_w=Role((s, d, cfg.num_classes)))
     model = ModelParams(config=cfg, branches=branches, heads=heads,
-                        adjacency=build_adjacency_subsets(),
+                        adjacency=adjacency,
                         masks=mask_set(cfg.partition_overrides, cfg.use_masks))
-    seen = set()
-    for name, t in model.named_tensors().items():
-        if id(t) in seen:
-            raise ConfigError(f"tensor {name} aliases another tensor")
-        seen.add(id(t))
-    owners = {id(t.data): t for t in model.named_parameters().values()}
-    Arena(_arena_groups(model))
-    return model, [(owners[id(placeholder)], low, high)
-                   for placeholder, low, high in rng.calls]
-
-
-def _arena_groups(model: ModelParams) -> list:
-    """The regions of a model's parameter arena, role-major: per block
-    its K subset weights (whose stack reshapes to the (K*C_in, C_out)
-    channel mix), its K learned adjacencies, its K query and its K key
-    projections, then its temporal kernel and batch-norm parameters one
-    each; then each head role's slots."""
-    groups = []
-    for bname in model.config.branches:
-        for blk in model.branches[bname]:
-            subs = blk.subsets
-            groups += [[s.weight for s in subs], [s.learned_adj for s in subs]]
-            if subs[0].attn_a is not None:
-                groups += [[s.attn_a for s in subs], [s.attn_b for s in subs]]
-            groups += [[t] for t in (blk.temporal_kernel, blk.bn1.gamma,
-                                     blk.bn1.beta, blk.bn2.gamma, blk.bn2.beta)]
-    heads = model.heads
-    return groups + [[h.fc_w for h in heads], [h.fc_b for h in heads],
-                     [h.bnn.gamma for h in heads], [h.bnn.beta for h in heads],
-                     [h.cls_w for h in heads]]
+    Arena(model.roles())
+    return model
 
 
 # -- forward ops ------------------------------------------------------
@@ -345,16 +388,6 @@ def _check_channels(f_in: Tensor, block: BlockParams):
     if f_in.shape[-1] != block.in_channels:
         raise DataError(
             f"spatial conv expects {block.in_channels} channels, got {f_in.shape[-1]}")
-
-
-def _spatial_params(block: BlockParams) -> tuple:
-    """(learned adjacencies, weights, attention queries, attention keys)
-    of a block's subsets, as ``graph_block`` takes them."""
-    subs = block.subsets
-    if subs[0].attn_a is None:
-        return [s.learned_adj for s in subs], [s.weight for s in subs], (), ()
-    return ([s.learned_adj for s in subs], [s.weight for s in subs],
-            [s.attn_a for s in subs], [s.attn_b for s in subs])
 
 
 def _update_running(bn: BatchNormParams, mu: np.ndarray, var: np.ndarray):
@@ -378,7 +411,7 @@ def _group_bytes_per_sequence(shape: tuple, block: BlockParams) -> int:
     (T + 2*(k//2), V, C_out) zero-padded frames, which hold ``y`` and
     the first ReLU's output."""
     _n, t, v, c_in = shape
-    k, c_out = len(block.subsets), block.out_channels
+    k, c_out = block.weight.shape[0], block.out_channels
     padded_t = t + 2 * (block.temporal_kernel.shape[0] // 2)
     return 8 * v * (t * (c_in + k * c_in + c_out) + padded_t * c_out)
 
@@ -411,15 +444,15 @@ def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
     runs along (V*C) rows.
     """
     n, t, v, c_in = f.shape
-    learned, weights, attn_q, attn_k = _spatial_params(block)
-    k, c_out = len(weights), block.out_channels
+    k, c_out = block.weight.shape[0], block.out_channels
     stacked = _stacked_adjacency(
-        adjacency, mask, learned,
-        _attention(f, attn_q, attn_k, mask)[1] if attn_q else None)
+        adjacency, mask, block.learned_adj.data,
+        _attention(f, block.attn_a.data, block.attn_b.data, mask)[1]
+        if block.attn_a is not None else None)
     per_sequence = stacked.ndim == 4
     scale1, shift1 = _folded(block.bn1)
     scale2, shift2 = _folded(block.bn2)
-    weight = stacked_data(weights).reshape(k * c_in, c_out) * scale1
+    weight = block.weight.data.reshape(k * c_in, c_out) * scale1
     kernel = np.tile(block.temporal_kernel.data * scale2, (1, v))
     shift1, shift2 = np.tile(shift1, v), np.tile(shift2, v)
     g = _inference_group(f.shape, block)
@@ -465,9 +498,9 @@ def pagcn_block(f_in: Tensor, block: BlockParams, adjacency: np.ndarray,
     _check_channels(f_in, block)
     if training:
         out, stats1, stats2 = graph_block(
-            f_in, adjacency, mask, *_spatial_params(block), block.bn1.gamma,
-            block.bn1.beta, block.temporal_kernel, block.bn2.gamma,
-            block.bn2.beta, BN_EPS, residual)
+            f_in, adjacency, mask, block.learned_adj, block.weight, block.attn_a,
+            block.attn_b, block.bn1.gamma, block.bn1.beta, block.temporal_kernel,
+            block.bn2.gamma, block.bn2.beta, BN_EPS, residual)
         _update_running(block.bn1, *stats1)
         _update_running(block.bn2, *stats2)
         return out
@@ -488,22 +521,19 @@ def part_pool(f_m: Tensor) -> Tensor:
     return group_pool(f_m, PART_GROUPS)
 
 
-def part_heads(pools: list, heads: list):
+def part_heads(pools: list, heads: Heads):
     """Training: the branches' (N, P, C) pooled slots -> metric features
     (S, N, D) and classifier logits (S, N, K), every slot through its own
     head, as two nodes: the fc layer (``autodiff.slot_fc``), then the
-    BNNeck and the classifier (``autodiff.bnneck_classifier``), which
-    read the slots' parameters as views of their arena regions in a model
-    from ``init_model``. The BNNeck's batch statistics are folded into
-    each slot's running averages. Inference stops at the metric features
-    (``metric_features``).
+    BNNeck and the classifier (``autodiff.bnneck_classifier``), each
+    reading a head role as one array. The BNNeck's batch statistics are
+    folded into the slots' running averages. Inference stops at the
+    metric features (``metric_features``).
     """
-    metric = slot_fc(pools, [h.fc_w for h in heads], [h.fc_b for h in heads])
-    logits, mu, var = bnneck_classifier(
-        metric, [h.bnn.gamma for h in heads], [h.bnn.beta for h in heads],
-        [h.cls_w for h in heads], BN_EPS)
-    for head, mu_h, var_h in zip(heads, mu, var):
-        _update_running(head.bnn, mu_h, var_h)
+    metric = slot_fc(pools, heads.fc_w, heads.fc_b)
+    logits, mu, var = bnneck_classifier(metric, heads.bnn.gamma, heads.bnn.beta,
+                                        heads.cls_w, BN_EPS)
+    _update_running(heads.bnn, mu, var)
     return metric, logits
 
 
@@ -583,11 +613,12 @@ def metric_features(model: ModelParams, n: int, t: int, chunk_inputs,
             pooled = np.empty((n, p * len(chunk), c))
         for b, part in enumerate(chunk):
             pooled[lo:hi, b * p:(b + 1) * p] = part.data
+    weights = model.heads.fc_w.data
     if out is None:
-        out = np.empty((n, len(model.heads), model.config.embed_dim))
-    for slot, head in enumerate(model.heads):
-        np.matmul(pooled[:, slot], head.fc_w.data, out=out[:, slot])
-    out += stacked_data([head.fc_b for head in model.heads])
+        out = np.empty((n, len(weights), model.config.embed_dim))
+    for slot, w in enumerate(weights):
+        np.matmul(pooled[:, slot], w, out=out[:, slot])
+    out += model.heads.fc_b.data
     return out
 
 
@@ -624,20 +655,19 @@ def model_tensors(model: ModelParams) -> dict:
 
     The arrays are the model's own: copy them to keep a snapshot.
     """
-    return {name: (t.data if isinstance(t, Tensor) else t)
+    return {name: (t if isinstance(t, np.ndarray) else t.data)
             for name, t in model.named_tensors().items()}
 
 
 def load_model_tensors(model: ModelParams, tensors: dict):
     """Copy checkpoint arrays into the model's own arrays, validating
-    shapes: parameters into their ``data`` (their arena views in a model
-    from ``init_model``, which stay in place), running statistics into
-    theirs."""
+    shapes: parameters into their slots of their roles' values,
+    running statistics into theirs, all in place."""
     for name, t in model.named_tensors().items():
         if name not in tensors:
             raise DataError(f"checkpoint missing tensor {name}")
         arr = tensors[name]
-        current = t.data if isinstance(t, Tensor) else t
+        current = t if isinstance(t, np.ndarray) else t.data
         if tuple(arr.shape) != tuple(current.shape):
             raise DataError(
                 f"tensor {name}: checkpoint shape {arr.shape} != model {current.shape}")

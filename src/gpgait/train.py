@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import ARENA_ALIGN, Tensor, _make, _slot_gradient_region
+from .autodiff import Tensor, _make
 from .errors import ConfigError, DataError, NumericError
 from .hod import describe
 from .pagcn import (
@@ -319,9 +319,8 @@ def combined_loss(metrics: Tensor, logits: Tensor, labels: np.ndarray,
 class OptimizerState:
     """Adam's step count and moments. ``m`` and ``v`` are flat arrays of
     the parameter arena's layout (``autodiff.Arena``), made as zeros on
-    the first step or by ``restore_training_state``: a parameter's
-    moments are its slot of each, and the padding between regions stays
-    0."""
+    the first step or by ``restore_training_state``: a role's moments
+    are its region of each, and the padding between regions stays 0."""
 
     step: int = 0
     m: np.ndarray = None
@@ -348,74 +347,50 @@ def _adam_update(p, g, m, v, lr: float, bc1: float, bc2: float, tmp, step):
     p -= step
 
 
-def _check_finite(name: str, g: np.ndarray):
-    if not np.isfinite(g).all():
-        raise NumericError(f"non-finite gradient in tensor {name}")
+def _nonfinite_name(model: ModelParams) -> str:
+    """The checkpoint name of the first parameter whose gradient is not
+    finite."""
+    return next(name for name, p in model.named_parameters().items()
+                if p.grad is not None and not np.isfinite(p.grad).all())
 
 
-def _slot(flat: np.ndarray, p: Tensor) -> np.ndarray:
-    """``p``'s slot of ``flat``, an array of its arena's layout (a view)."""
-    region, i = p.home
-    return region.stack(flat)[i]
+def adam_step(model: ModelParams, state: OptimizerState, lr: float):
+    """One Adam update of ``model``'s parameters with bias-corrected
+    moments. A role without a gradient this step is left untouched, and
+    its region of the arena's gradient array is set to 0, so that array
+    holds only this step's gradients.
 
-
-def _adam_spans(params: dict):
-    """(arena, spans) of the parameters with a gradient, or (None, [])
-    when none has one. Each must hold its arena slot with its gradient
-    in its slot (``autodiff._slot_gradient_region``), all in one arena;
-    a ValueError names the first that does not. A span is
-    [start, stop, (name, param) members]: slots in arena order, each
-    starting where the previous one stops, or starting the region that
-    follows the previous one's when that slot ends its region, so only
-    region padding lies between them. A slot without a gradient is never
-    inside a span."""
-    slots, arena = [], None
-    for name, p in params.items():
-        if p.grad is None:
-            continue
-        region = _slot_gradient_region(p)
-        if region is None or (arena is not None and region.arena is not arena):
-            raise ValueError(f"parameter {name} does not hold its slot of the "
-                             "arena, with its gradient in the slot")
-        arena = region.arena
-        start = region.start + p.home[1] * p.data.size
-        slots.append((start, start + p.data.size, region, name, p))
-    slots.sort(key=lambda slot: slot[0])
-    spans, last = [], None
-    for start, stop, region, name, p in slots:
-        if spans and (start == spans[-1][1] or (
-                spans[-1][1] == last.stop and start == region.start
-                and start - spans[-1][1] < ARENA_ALIGN)):
-            spans[-1][1] = stop
-            spans[-1][2].append((name, p))
-        else:
-            spans.append([start, stop, [(name, p)]])
-        last = region
-    return arena, spans
-
-
-def adam_step(params: dict, state: OptimizerState, lr: float):
-    """One Adam update with bias-corrected moments. Parameters without
-    a gradient this step are left untouched.
-
-    The moments and ``p.data`` are updated in place, with the operations
-    and their order of ``m = b1 m + (1 - b1) g``,
+    The moments and the values are updated in place, with the
+    operations and their order of ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g g`` and
     ``p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, so every value is
     rounded as those formulas round it. The ops are elementwise, so how
     the values are grouped changes no bit.
 
-    Every parameter with a gradient holds its arena slot with its
-    gradient in its slot, or a ValueError names it (``_adam_spans``).
-    Their slots are joined into spans of the arena's value, gradient and
-    moment arrays (``OptimizerState``), each walked in slices of at most
-    ``ADAM_SLICE`` floats through two scratch buffers of that size, so
-    no full-size temporary is made. A non-finite gradient raises
-    ``NumericError`` naming its tensor before its slice is updated.
+    Consecutive roles with a gradient form one span of the arena's
+    value, gradient and moment arrays (``OptimizerState``), the padding
+    between them included (it stays 0): in training every role has one,
+    so the whole arena is one span. Each span is walked in slices of at
+    most ``ADAM_SLICE`` floats through two scratch buffers of that size,
+    so no full-size temporary is made. A non-finite gradient raises
+    ``NumericError`` naming a parameter that has one, before its slice
+    is updated.
     """
-    arena, spans = _adam_spans(params)
+    arena = model.arena
     state.step += 1
-    if arena is None:
+    spans, joined = [], False
+    for role in model.roles():
+        stop = role.start + role.data.size
+        if role.grad is None:
+            if arena.grad is not None:
+                role.view(arena.grad)[...] = 0.0
+            joined = False
+        elif joined:
+            spans[-1][1] = stop
+        else:
+            spans.append([role.start, stop])
+            joined = True
+    if not spans:
         return
     if state.m is None:
         state.m, state.v = np.zeros(arena.size), np.zeros(arena.size)
@@ -423,13 +398,13 @@ def adam_step(params: dict, state: OptimizerState, lr: float):
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     tmp, step = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
-    for start, stop, members in spans:
+    for start, stop in spans:
         for lo in range(start, stop, ADAM_SLICE):
             hi = min(lo + ADAM_SLICE, stop)
             g = arena.grad[lo:hi]
             if not np.isfinite(g).all():
-                for name, p in members:
-                    _check_finite(name, p.grad)
+                raise NumericError(
+                    f"non-finite gradient in tensor {_nonfinite_name(model)}")
             _adam_update(arena.data[lo:hi], g, state.m[lo:hi], state.v[lo:hi],
                          lr, bc1, bc2, tmp[:hi - lo], step[:hi - lo])
 
@@ -461,12 +436,12 @@ def one_cycle_lr(iteration: int, total: int, lr_init: float, lr_max: float,
 
 def training_tensors(model: ModelParams, state: OptimizerState) -> dict:
     """Model tensors plus optimizer state for checkpointing: once the
-    moments exist, every parameter's slots of them."""
+    moments exist, every parameter's place in them."""
     out = model_tensors(model)
     if state.m is not None:
         for name, p in model.named_parameters().items():
-            out[f"optim/{name}/m"] = _slot(state.m, p)
-            out[f"optim/{name}/v"] = _slot(state.v, p)
+            out[f"optim/{name}/m"] = p.view(state.m)
+            out[f"optim/{name}/v"] = p.view(state.v)
     out["train/step"] = np.asarray([float(state.step)])
     return out
 
@@ -475,7 +450,7 @@ def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
     """Load a checkpoint's parameters and running statistics into
     ``model`` (``pagcn.load_model_tensors``) and return the optimizer
     state it records: the step and, when it holds any moments, the
-    moment arrays, each parameter's slots holding its saved moments or
+    moment arrays, each parameter's place holding its saved moments or
     0 where it has none."""
     from .pagcn import load_model_tensors
     load_model_tensors(model, tensors)
@@ -491,10 +466,9 @@ def restore_training_state(model: ModelParams, tensors: dict) -> OptimizerState:
                 raise DataError(f"tensor {key}: checkpoint shape "
                                 f"{tensors[key].shape} != model {p.data.shape}")
         if state.m is None:
-            size = p.home[0].arena.size
-            state.m, state.v = np.zeros(size), np.zeros(size)
-        _slot(state.m, p)[...] = tensors[mk]
-        _slot(state.v, p)[...] = tensors[vk]
+            state.m, state.v = np.zeros(model.arena.size), np.zeros(model.arena.size)
+        p.view(state.m)[...] = tensors[mk]
+        p.view(state.v)[...] = tensors[vk]
     if "train/step" in tensors:
         state.step = int(round(float(tensors["train/step"][0])))
     return state
@@ -588,7 +562,7 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
         return augment_noise(frames, train_cfg.noise_probability,
                              train_cfg.noise_sigma, rng)
 
-    params = model.named_parameters()
+    roles = model.roles()
     log_path = os.path.join(out_dir, "metrics.log")
     final_path = os.path.join(out_dir, "final.gpgw")
     last_good = None
@@ -610,10 +584,10 @@ def train_loop(train_set: TrainSet, net_cfg: NetworkConfig,
                 raise NumericError(
                     f"non-finite loss at iteration {it}"
                     + (f" (last good checkpoint: {last_good})" if last_good else ""))
-            for p in params.values():
-                p.zero_grad()
+            for role in roles:
+                role.zero_grad()
             total.backward()
-            adam_step(params, state, lr)
+            adam_step(model, state, lr)
 
             if it % train_cfg.log_interval == 0 or it == train_cfg.iterations - 1:
                 line = (f"iter\t{it}\tlr\t{lr:.9e}\ttriplet\t{tri.item():.6f}"

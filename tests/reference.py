@@ -7,8 +7,9 @@ sections, in file order:
 - the generic Tensor algebra the network and its losses were built from
   before each became a fused node: ``OpTensor``, a Tensor subclass with
   broadcasting arithmetic, reductions and shape ops, ``ops`` to lift a
-  Tensor to it, and ``concat``, ``stack``, ``stop_gradient`` and
-  ``batch_norm_train``. The node chains below are written in it;
+  Tensor to it, ``slot`` to take a ``pagcn.Slot`` of its role, and
+  ``concat``, ``stop_gradient`` and ``batch_norm_train``. The node chains
+  below are written in it;
 - loop oracles of the attention, the spatial step, batch norm, the
   temporal convolution, pooling, a head, both losses, distances and
   rank-1 (``ref_*``);
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gpgait import pagcn
-from gpgait.autodiff import (Tensor, _accumulate_stacked, _bn_backward,
-                             _bn_normalize, _bn_xhat, _softmax, stacked_data)
+from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
+                             _softmax)
 from gpgait.errors import DataError, NumericError
 from gpgait.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -303,17 +304,13 @@ def concat(tensors, axis=0) -> OpTensor:
     return out
 
 
-def stack(tensors) -> OpTensor:
-    """``np.stack`` of the tensors as one node. Its value is their arena
-    region's view where ``stacked_data`` finds one, and backward hands
-    each tensor its slice (``_accumulate_stacked``)."""
-    tensors = tuple(tensors)
-    out = _make(stacked_data(tensors), tensors)
-    if out.requires_grad:
-        def bwd(g):
-            _accumulate_stacked(tensors, g)
-        out._backward = bwd
-    return out
+def slot(p) -> OpTensor:
+    """A parameter as an operand: a ``pagcn.Slot`` as the node taking
+    its index of its role, whose gradient goes to that index of the
+    role's; any other Tensor lifted (``ops``)."""
+    if isinstance(p, pagcn.Slot):
+        return ops(p.role).take(p.k, axis=0)
+    return ops(p)
 
 
 def stop_gradient(x: Tensor) -> OpTensor:
@@ -827,23 +824,25 @@ def ref_spatial_chain(f_in, block, adjacency, mask):
     mask_t = Tensor(mask)
     combined = []
     for k, sub in enumerate(block.subsets):
-        adj = OpTensor(adjacency[k]) + sub.learned_adj
+        adj = OpTensor(adjacency[k]) + slot(sub.learned_adj)
         if sub.attn_a is not None:
-            adj = adj + attention_adjacency(f_in, sub.attn_a, sub.attn_b, mask)
+            adj = adj + attention_adjacency(f_in, slot(sub.attn_a), slot(sub.attn_b),
+                                            mask)
         combined.append(adj * mask_t)
-    return graph_conv(f_in, combined, [sub.weight for sub in block.subsets])
+    return graph_conv(f_in, combined, [slot(sub.weight) for sub in block.subsets])
 
 
 def ref_batch_norm_chain(x, bn, training):
+    gamma, beta = slot(bn.gamma), slot(bn.beta)
     if training:
-        out, mu, var = batch_norm_train(x, bn.gamma, bn.beta, pagcn.BN_EPS)
+        out, mu, var = batch_norm_train(x, gamma, beta, pagcn.BN_EPS)
         bn.running_mean[...] = (pagcn.BN_MOMENTUM * bn.running_mean
                                 + (1.0 - pagcn.BN_MOMENTUM) * mu)
         bn.running_var[...] = (pagcn.BN_MOMENTUM * bn.running_var
                                + (1.0 - pagcn.BN_MOMENTUM) * var)
         return out
     xhat = (x - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + pagcn.BN_EPS))
-    return xhat * bn.gamma + bn.beta
+    return xhat * gamma + beta
 
 
 def ref_block_chain(f_in, block, adjacency, masks, training=False):
@@ -862,23 +861,23 @@ def ref_block_chain(f_in, block, adjacency, masks, training=False):
 
 
 def stored_spatial_graph_conv(f_in: Tensor, fixed: np.ndarray,
-                              mask: np.ndarray, learned, weights, attn_q=(),
-                              attn_k=()) -> Tensor:
+                              mask: np.ndarray, learned: Tensor, weights: Tensor,
+                              attn_q: Tensor = None, attn_k: Tensor = None) -> Tensor:
     """The spatial step of ``autodiff.graph_block`` as the node it once
     was on its own, keeping the aggregated (N, T, V*K, C_in) features,
     the stacked weights and the attention arrays for backward instead
     of rebuilding them."""
     n, t, v, c_in = f_in.shape
-    k = len(weights)
-    c_out = weights[0].shape[1]
+    k, _, c_out = weights.shape
     f = f_in.data
-    w = np.concatenate([wk.data for wk in weights], axis=0)
-    adj = fixed + np.stack([a.data for a in learned])              # (K, V, V)
-    if attn_q:
-        ce = attn_q[0].shape[1]
+    w = np.concatenate(list(weights.data), axis=0)
+    adj = fixed + learned.data                                      # (K, V, V)
+    attention = (attn_q, attn_k) if attn_q is not None else ()
+    if attention:
+        ce = attn_q.shape[2]
         scale = 1.0 / np.sqrt(ce)
-        w_q = np.concatenate([a.data for a in attn_q], axis=1)     # (C_in, K*C_e)
-        w_k = np.concatenate([a.data for a in attn_k], axis=1)
+        w_q = np.concatenate(list(attn_q.data), axis=1)            # (C_in, K*C_e)
+        w_k = np.concatenate(list(attn_k.data), axis=1)
         pooled = f.sum(axis=1) * (1.0 / t)                          # (N, V, C_in)
         q = (pooled @ w_q).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
         key = (pooled @ w_k).reshape(n, v, k, ce).transpose(0, 2, 1, 3)
@@ -893,17 +892,14 @@ def stored_spatial_graph_conv(f_in: Tensor, fixed: np.ndarray,
         stacked = stacked[:, None]                                  # (N, 1, V*K, V)
     agg = np.matmul(stacked, f).reshape(-1, k * c_in)
     out = _make((agg @ w).reshape(n, t, v, c_out),
-                (f_in, *learned, *weights, *attn_q, *attn_k))
+                (f_in, learned, weights, *attention))
     if not out.requires_grad:
         return out
 
     def bwd(g):
         g = g.reshape(-1, c_out)
-        if any(wk.requires_grad for wk in weights):
-            g_w = agg.T @ g
-            for i, wk in enumerate(weights):
-                if wk.requires_grad:
-                    wk._accumulate(g_w[i * c_in:(i + 1) * c_in])
+        if weights.requires_grad:
+            weights._accumulate((agg.T @ g).reshape(k, c_in, c_out))
         g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
         g_f = None
         if f_in.requires_grad:
@@ -914,11 +910,9 @@ def stored_spatial_graph_conv(f_in: Tensor, fixed: np.ndarray,
         g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
         g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
         g_adj *= mask                                               # (.., K, V, V)
-        g_learned = g_adj.sum(axis=0) if per_sequence else g_adj
-        for i, a in enumerate(learned):
-            if a.requires_grad:
-                a._accumulate(g_learned[i])
-        if attn_q:
+        if learned.requires_grad:
+            learned._accumulate(g_adj.sum(axis=0) if per_sequence else g_adj)
+        if attention:
             # softmax backward; a masked entry has att == 0, so its
             # similarity gets exactly 0
             g_sim = g_adj - (g_adj * att).sum(axis=-1, keepdims=True)
@@ -929,11 +923,9 @@ def stored_spatial_graph_conv(f_in: Tensor, fixed: np.ndarray,
             g_key = g_key.transpose(0, 2, 1, 3).reshape(-1, k * ce)
             flat_pooled = pooled.reshape(-1, c_in)
             for proj, g_proj in ((attn_q, g_q), (attn_k, g_key)):
-                if any(a.requires_grad for a in proj):
-                    g_stacked = flat_pooled.T @ g_proj
-                    for i, a in enumerate(proj):
-                        if a.requires_grad:
-                            a._accumulate(g_stacked[:, i * ce:(i + 1) * ce])
+                if proj.requires_grad:
+                    g_stacked = (flat_pooled.T @ g_proj).reshape(c_in, k, ce)
+                    proj._accumulate(g_stacked.transpose(1, 0, 2))
             if g_f is not None:
                 g_pooled = g_q @ w_q.T
                 g_pooled += g_key @ w_k.T
@@ -1013,11 +1005,12 @@ def stored_graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
 
 def detached_view(model):
     """Model sharing the same parameter arrays but with gradient tracking
-    off: forward passes through the view build no graph. Running
-    statistics are copies, so a training forward through the view
-    leaves the model's as they are."""
-    memo = {id(t): Tensor(t.data) if isinstance(t, Tensor) else t.copy()
-            for t in model.named_tensors().values()}
+    off: each role is a plain Tensor on the role's own values, so a
+    change to the model's parameters reaches the view, and forward
+    passes through the view build no graph. Running statistics are
+    copies, so a training forward through the view leaves the model's
+    as they are."""
+    memo = {id(r): Tensor(r.data) for r in model.roles()}
     for shared in (model.config, model.adjacency, model.masks):
         memo[id(shared)] = shared
     return copy.deepcopy(model, memo)
@@ -1039,9 +1032,9 @@ def slot_part_pool(f_m):
 def per_part_head(vec, head, training):
     """(N, C) -> metric feature (N, D) and classifier logits (N, K) of
     one slot's head."""
-    metric = ops(vec) @ head.fc_w + head.fc_b
+    metric = ops(vec) @ slot(head.fc_w) + slot(head.fc_b)
     necked = ref_batch_norm_chain(metric, head.bnn, training)
-    return metric, necked @ head.cls_w
+    return metric, necked @ slot(head.cls_w)
 
 
 def slot_triplet_loss(metric, labels, margin):
@@ -1106,25 +1099,23 @@ def slot_tail(model, f_ms, labels, margin, ce_weight, training=True):
 def generic_tail(model, pools, labels, margin, ce_weight):
     """(total, triplet, ce, metrics, logits) of the stacked tail as it was
     built from the generic algebra, on the branches' (N, P, C) pooled
-    slots ``pools``: the slots joined by ``concat``, the heads' parameters
-    ``stack``ed into batched products and one ``batch_norm_train`` over
-    the (N, S*D) columns, the losses as chains of generic nodes. The
-    bit-exact oracle of the fused tail; it folds the BNNeck's statistics
-    into the running averages as the fused heads do."""
+    slots ``pools``: the slots joined by ``concat``, the heads' roles in
+    batched products and one ``batch_norm_train`` over the (N, S*D)
+    columns, the losses as chains of generic nodes. The bit-exact oracle
+    of the fused tail; it folds the BNNeck's statistics into the running
+    averages as the fused heads do."""
     heads = model.heads
     pooled = concat(pools, axis=1).transpose((1, 0, 2))
     s, n, _c = pooled.shape
-    metric = (pooled @ stack([h.fc_w for h in heads])
-              + stack([h.fc_b for h in heads]).reshape(s, 1, -1))
+    metric = pooled @ heads.fc_w + ops(heads.fc_b).reshape(s, 1, -1)
     d = metric.shape[-1]
     necked, mu, var = batch_norm_train(
         metric.transpose((1, 0, 2)).reshape(n, s * d),
-        stack([h.bnn.gamma for h in heads]).reshape(s * d),
-        stack([h.bnn.beta for h in heads]).reshape(s * d), pagcn.BN_EPS)
+        ops(heads.bnn.gamma).reshape(s * d), ops(heads.bnn.beta).reshape(s * d),
+        pagcn.BN_EPS)
     necked = necked.reshape(n, s, d).transpose((1, 0, 2))
-    for head, mu_h, var_h in zip(heads, mu.reshape(s, d), var.reshape(s, d)):
-        pagcn._update_running(head.bnn, mu_h, var_h)
-    logits = necked @ stack([h.cls_w for h in heads])
+    pagcn._update_running(heads.bnn, mu.reshape(s, d), var.reshape(s, d))
+    logits = necked @ heads.cls_w
     tri = generic_triplet_loss(metric, labels, margin)
     ce = generic_cross_entropy_loss(logits, labels)
     return tri + ce * ce_weight, tri, ce, metric, logits

@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from gpgait.autodiff import (Arena, Tensor, _bn_backward, _bn_normalize,
+from gpgait.autodiff import (Arena, Role, Tensor, _bn_backward, _bn_normalize,
                              _frame_buffer, _temporal_conv, _temporal_conv_grads,
                              bnneck_classifier, graph_block, group_pool, slot_fc)
 from gpgait.graph import mask_set
@@ -173,19 +175,18 @@ class TestFusedOps:
         c_out = c_in if residual else 2
         fixed = rng.uniform(size=(k, 17, 17))
         arrays = [rng.normal(size=(2, frames, 17, c_in))]
-        arrays += [rng.normal(size=(17, 17)) for _ in range(k)]
-        arrays += [rng.normal(size=(c_in, c_out)) for _ in range(k)]
+        arrays += [np.stack([rng.normal(size=(17, 17)) for _ in range(k)]),
+                   np.stack([rng.normal(size=(c_in, c_out)) for _ in range(k)])]
         if attention:
-            arrays += [rng.normal(size=(c_in, ce)) for _ in range(2 * k)]
+            proj = [rng.normal(size=(c_in, ce)) for _ in range(2 * k)]
+            arrays += [np.stack(proj[:k]), np.stack(proj[k:])]
         n_spatial = len(arrays)
         arrays += [rng.uniform(0.5, 1.5, size=c_out), rng.normal(size=c_out),
                    rng.normal(size=(taps, c_out)), rng.uniform(0.5, 1.5, size=c_out),
                    rng.normal(size=c_out)]
 
         def spatial_args(t):
-            attn = t[1 + 2 * k:n_spatial]
-            return (t[0], fixed, mask, t[1:1 + k], t[1 + k:1 + 2 * k],
-                    attn[:k], attn[k:])
+            return (t[0], fixed, mask, t[1], t[2], *(t[3:n_spatial] or (None, None)))
 
         def build(t):
             return graph_block(*spatial_args(t), *t[n_spatial:], 1e-5,
@@ -278,31 +279,29 @@ class TestFusedOps:
         """Two pools of 2 and 3 slots; every slot its own weight and bias."""
         s, n, c, d = 5, 4, 3, 2
         arrays = [rng.normal(size=(n, 2, c)), rng.normal(size=(n, 3, c))]
-        arrays += [rng.normal(size=(c, d)) for _ in range(s)]
-        arrays += [rng.normal(size=d) for _ in range(s)]
+        arrays += [np.stack([rng.normal(size=(c, d)) for _ in range(s)]),
+                   np.stack([rng.normal(size=d) for _ in range(s)])]
 
         def build(t):
-            return slot_fc(t[:2], t[2:2 + s], t[2 + s:])
+            return slot_fc(t[:2], t[2], t[3])
 
         # linear in each input, so a wide step has no truncation error
         check_grads(build, arrays, rng, h=1e-3)
         x = np.concatenate(arrays[:2], axis=1)
-        expect = np.stack([x[:, i] @ arrays[2 + i] + arrays[2 + s + i]
-                           for i in range(s)])
+        expect = np.stack([x[:, i] @ arrays[2][i] + arrays[3][i] for i in range(s)])
         np.testing.assert_allclose(build([Tensor(a) for a in arrays]).data, expect,
                                    atol=1e-12)
 
     def test_bnneck_classifier_gradient(self, rng):
         """Every input, and the batch statistics of each slot's columns."""
         s, n, d, k = 3, 5, 2, 4
-        arrays = [rng.normal(1.0, 2.0, size=(s, n, d))]
-        arrays += [rng.uniform(0.5, 1.5, size=d) for _ in range(s)]
-        arrays += [rng.normal(size=d) for _ in range(s)]
-        arrays += [rng.normal(size=(d, k)) for _ in range(s)]
+        arrays = [rng.normal(1.0, 2.0, size=(s, n, d)),
+                  np.stack([rng.uniform(0.5, 1.5, size=d) for _ in range(s)]),
+                  np.stack([rng.normal(size=d) for _ in range(s)]),
+                  np.stack([rng.normal(size=(d, k)) for _ in range(s)])]
 
         def run(t):
-            return bnneck_classifier(t[0], t[1:1 + s], t[1 + s:1 + 2 * s],
-                                     t[1 + 2 * s:], 1e-5)
+            return bnneck_classifier(*t, 1e-5)
 
         # as for the batch norm of a block: rounding and truncation error
         # both stay below the tolerance at a step of 1e-5
@@ -311,7 +310,7 @@ class TestFusedOps:
         x = arrays[0]
         np.testing.assert_allclose(mu, x.mean(axis=1), atol=1e-12)
         np.testing.assert_allclose(var, x.var(axis=1), atol=1e-12)
-        gamma, beta, cls = (np.stack(arrays[1 + i * s:1 + (i + 1) * s]) for i in range(3))
+        gamma, beta, cls = arrays[1:]
         necked = ((x - mu[:, None]) / np.sqrt(var[:, None] + 1e-5) * gamma[:, None]
                   + beta[:, None])
         np.testing.assert_allclose(logits.data, necked @ cls, atol=1e-12)
@@ -522,31 +521,69 @@ class TestGraphMechanics:
 
 
 class TestZeroGrad:
-    def test_clears_the_arena_slot(self, rng):
-        """A parameter holding its arena slot: ``zero_grad`` sets its slot
-        of the arena's gradient array to 0 and leaves its neighbours'."""
-        params = [Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-                  for _ in range(3)]
-        arena = Arena([params])
-        for p in params:
-            p._accumulate(rng.normal(size=(2, 3)))
-        kept = [params[0].grad.copy(), params[2].grad.copy()]
-        params[1].zero_grad()
-        assert params[1].grad is None
-        region, i = params[1].home
-        assert not region.stack(arena.grad)[i].any()
-        np.testing.assert_array_equal(params[0].grad, kept[0])
-        np.testing.assert_array_equal(params[2].grad, kept[1])
-        assert params[0].grad.any() and params[2].grad.any()
+    def test_first_gradient_overwrites_the_region(self, rng):
+        """A role whose gradient was dropped: the next sweep's first
+        gradient is copied over its region of the arena's gradient array,
+        not added to the old values; later ones are added. Its
+        neighbours' regions keep theirs."""
+        roles = [Role((2, 3)) for _ in range(3)]
+        arena = Arena(roles)
+        for r in roles:
+            r._accumulate(rng.normal(size=(2, 3)))
+        kept = [roles[0].grad.copy(), roles[2].grad.copy()]
+        roles[1].zero_grad()
+        assert roles[1].grad is None
+        g = rng.normal(size=(2, 3))
+        roles[1]._accumulate(g)
+        assert np.shares_memory(roles[1].grad, arena.grad)
+        np.testing.assert_array_equal(roles[1].view(arena.grad), g)
+        roles[1]._accumulate(g)
+        np.testing.assert_array_equal(roles[1].view(arena.grad), g + g)
+        np.testing.assert_array_equal(roles[0].grad, kept[0])
+        np.testing.assert_array_equal(roles[2].grad, kept[1])
 
     def test_loose_and_unused_tensors(self, rng):
-        """A tensor outside any arena, or in one whose gradient array was
-        never made, just drops its gradient."""
+        """A tensor outside any arena just drops its gradient; an arena
+        whose roles never had one holds no gradient array."""
         loose = Tensor(rng.normal(size=3), requires_grad=True)
         loose._accumulate(np.ones(3))
         loose.zero_grad()
         assert loose.grad is None
-        placed = Tensor(rng.normal(size=3), requires_grad=True)
-        arena = Arena([[placed]])
+        placed = Role((3,))
+        arena = Arena([placed])
         placed.zero_grad()
-        assert placed.grad is None and arena._grad is None
+        assert placed.grad is None and arena.grad is None
+
+
+class TestArena:
+    def test_layout(self):
+        """Roles in order, each on an ``ARENA_ALIGN`` boundary, their
+        values views of the one value array holding their fill values;
+        the padding is 0."""
+        roles = [Role((3,), 1.0), Role((2, 9)), Role((8,), -2.0)]
+        arena = Arena(roles)
+        assert [r.start for r in roles] == [0, 8, 32]
+        assert arena.size == 40
+        expect = np.zeros(40)
+        expect[:3], expect[32:] = 1.0, -2.0
+        np.testing.assert_array_equal(arena.data, expect)
+        for r in roles:
+            assert r.data.base is arena.data and r.data.flags.writeable
+
+    def test_deep_copy_keeps_roles_in_the_copied_arena(self, rng):
+        """A deep copy of roles shares one copy of their arena, each role
+        at its place, values and gradient included; the original is
+        untouched by writes to the copy."""
+        roles = [Role((2, 3)), Role((4,), 1.0)]
+        arena = Arena(roles)
+        roles[0]._accumulate(rng.normal(size=(2, 3)))
+        twins = copy.deepcopy(roles)
+        twin_arena = twins[0].arena
+        assert twin_arena is twins[1].arena and twin_arena is not arena
+        for role, twin in zip(roles, twins):
+            assert twin.data.base is twin_arena.data and twin.start == role.start
+            np.testing.assert_array_equal(twin.data, role.data)
+        assert twins[0].grad.base is twin_arena.grad and twins[1].grad is None
+        np.testing.assert_array_equal(twins[0].grad, roles[0].grad)
+        twins[1].data[...] = 7.0
+        assert (roles[1].data == 1.0).all()

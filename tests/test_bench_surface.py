@@ -13,7 +13,7 @@ import pytest
 from gpgait import cli, hot, pagcn
 from gpgait import eval as eval_mod
 from gpgait.config import build_run_config
-from gpgait.pagcn import init_model
+from gpgait.pagcn import NetworkConfig, descriptor_inputs, init_model
 
 from conftest import sequence_from_coords, walker_frame
 
@@ -62,3 +62,21 @@ def test_network_flops_linear_in_batch(bench):
     flops = layers.network_flops(model, 4, 20)
     assert flops > 0
     assert layers.network_flops(model, 8, 20) == 2 * flops
+
+
+def test_block_microbench_on_a_tiny_model(bench, rng):
+    """As a traced training run's set-up calls it: every block through
+    ``pagcn.pagcn_block`` with its block argument, forward and backward,
+    read through ``blk.subsets``, then every named parameter's
+    ``zero_grad``."""
+    layers = bench[0]
+    cfg = NetworkConfig(num_classes=2, parts5_channels=(4,), larger_schemes=("global",),
+                        larger_channels=4, embed_dim=4)
+    model = init_model(cfg, seed=0)
+    inputs = descriptor_inputs(cfg, rng.normal(size=(2, 3, 17, 2)),
+                               rng.normal(size=(2, 3, 17, 2)),
+                               rng.normal(size=(2, 3, 17, 1)))
+    blocks = layers.block_microbench(model, inputs, reps=2)
+    assert [b["shape"] for b in blocks] == [[2, 3, 2, 4], [2, 3, 4, 4]]
+    assert all(b["fwd_gflop"] > 0 and b["bwd_ms"] > 0 for b in blocks)
+    assert all(p.grad is None for p in model.named_parameters().values())

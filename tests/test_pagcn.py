@@ -9,7 +9,7 @@ import pytest
 
 import reference as ref
 from gpgait import autodiff, hot, pagcn
-from gpgait.autodiff import Tensor
+from gpgait.autodiff import Arena, Tensor
 from gpgait.checkpoint import load_container, save_container
 from gpgait.config import build_run_config, read_header
 from gpgait.errors import ConfigError, DataError
@@ -46,10 +46,12 @@ def make_block(rng, c_in, c_out, mask_name="parts5", attention=True,
     cfg = NetworkConfig(num_classes=2, parts5_channels=(c_out,),
                         larger_channels=c_out, temporal_kernel=kernel,
                         attention=attention)
-    block = pagcn._init_block(rng, c_in, c_out, mask_name, cfg)
+    block = pagcn._block(len(ADJ), c_in, c_out, mask_name, cfg)
+    Arena(block.roles())
+    pagcn._draw_block(rng, block)
     # non-zero learned adjacency so it participates in oracles
-    for sub in block.subsets:
-        sub.learned_adj.data = rng.normal(0, 0.1, size=(17, 17))
+    for adj in block.learned_adj.data:
+        adj[...] = rng.normal(0, 0.1, size=(17, 17))
     return block
 
 
@@ -153,8 +155,8 @@ def _perturbed_bn(rng, bn):
     """Non-trivial affine and running statistics, so the inference fold
     has something to fold."""
     c = bn.gamma.shape[0]
-    bn.gamma.data = rng.uniform(0.5, 1.5, size=c)
-    bn.beta.data = rng.normal(0.0, 0.3, size=c)
+    bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=c)
+    bn.beta.data[...] = rng.normal(0.0, 0.3, size=c)
     bn.running_mean[...] = rng.normal(0.0, 0.5, size=c)
     bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
 
@@ -498,14 +500,13 @@ class TestRebuiltTape:
 
 
 def _block_params(block):
-    params = {"tkernel": block.temporal_kernel}
+    """A block's roles by name."""
+    names = ("weight", "learned_adj", "attn_a", "attn_b", "temporal_kernel")
+    params = {name: getattr(block, name) for name in names
+              if getattr(block, name) is not None}
     for bn_name in ("bn1", "bn2"):
         bn = getattr(block, bn_name)
         params[f"{bn_name}/gamma"], params[f"{bn_name}/beta"] = bn.gamma, bn.beta
-    for k, sub in enumerate(block.subsets):
-        params[f"k{k}/weight"], params[f"k{k}/adj"] = sub.weight, sub.learned_adj
-        if sub.attn_a is not None:
-            params[f"k{k}/attn_a"], params[f"k{k}/attn_b"] = sub.attn_a, sub.attn_b
     return params
 
 
@@ -607,7 +608,7 @@ class TestStackedTail:
             heads = {name: t for name, t in model.named_tensors().items()
                      if name.startswith("head/")}
             arrays = [loss.data for loss in losses] + [pool.grad for pool in pools]
-            return arrays + [t.grad if isinstance(t, Tensor) else t
+            return arrays + [t if isinstance(t, np.ndarray) else t.grad
                              for t in heads.values()]
 
         for got, want in zip(step(True), step(False), strict=True):
@@ -642,13 +643,15 @@ class TestGraphGuards:
 
     def test_training_graph_node_bound(self, rng):
         """A toy training step's graph (every tensor reachable from the
-        loss, leaves included): 243 parameters, 3 inputs and 17 inner
-        nodes. Measured: 263 nodes; 321 with 65 inner nodes when the
-        tail was built from generic ops, 1181 (788) when every slot had
-        its own chain."""
+        loss, leaves included): 86 parameter roles (243 checkpoint
+        names), 3 inputs and 17 inner nodes. Measured: 106 nodes; 263
+        when every subset's and slot's parameter was a leaf of its own,
+        321 with 65 inner nodes when the tail was built from generic ops,
+        1181 (788) when every slot had its own chain."""
         seen, inner, model = self._toy_step_graph(rng)
         assert len(model.named_parameters()) == 243
-        assert len(seen) == 263 and len(inner) == 17, (len(seen), len(inner))
+        assert len(model.roles()) == 86
+        assert len(seen) == 106 and len(inner) == 17, (len(seen), len(inner))
 
     def test_tape_is_fused_nodes(self, rng):
         """Every inner node behind a toy step's loss is a block, a
@@ -790,11 +793,12 @@ class TestPooling:
 
 
 def _identity_head():
-    return pagcn.HeadParams(
-        fc_w=Tensor(np.eye(4)), fc_b=Tensor(np.zeros(4)),
-        bnn=BatchNormParams(Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                            np.zeros(4), np.ones(4) - pagcn.BN_EPS),
-        cls_w=Tensor(np.eye(4)))
+    """The heads of one slot, as plain tensors."""
+    return pagcn.Heads(
+        fc_w=Tensor(np.eye(4)[None]), fc_b=Tensor(np.zeros((1, 4))),
+        bnn=BatchNormParams(Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))),
+                            np.zeros((1, 4)), np.ones((1, 4)) - pagcn.BN_EPS),
+        cls_w=Tensor(np.eye(4)[None]))
 
 
 class TestHeads:
@@ -803,18 +807,19 @@ class TestHeads:
         output under batch statistics through an identity classifier."""
         v = np.array([[[1.0, -2.0, 0.5, 3.0], [3.0, 2.0, -0.5, 1.0]]])
         metric, logits = part_heads([Tensor(v.transpose(1, 0, 2))],
-                                    [_identity_head()])
+                                    _identity_head())
         np.testing.assert_allclose(metric.data, v, atol=1e-12)
         expect = (v - v.mean(axis=1)) / np.sqrt(v.var(axis=1) + pagcn.BN_EPS)
         np.testing.assert_allclose(logits.data, expect, atol=1e-12)
 
     def test_heads_never_share_parameters(self):
+        """Every head's every parameter is memory of its own."""
         model = init_model(tiny_config(), seed=1)
-        ids = set()
-        for h in model.heads:
-            for t in (h.fc_w, h.fc_b, h.bnn.gamma, h.bnn.beta, h.cls_w):
-                assert id(t) not in ids
-                ids.add(id(t))
+        arrays = [t.data for h in model.heads
+                  for t in (h.fc_w, h.fc_b, h.bnn.gamma, h.bnn.beta, h.cls_w)]
+        assert len(arrays) == 18 * 5
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[:i])
 
     def test_head_matches_reference(self, rng):
         """Every slot of one stacked training call against the per-slot
@@ -1127,8 +1132,8 @@ class TestCheckpointGlue:
         blank, seeded = pagcn.blank_model(cfg), init_model(cfg, seed=1)
         assert ([(n, a.shape) for n, a in model_tensors(blank).items()]
                 == [(n, a.shape) for n, a in tensors.items()])
-        assert all(t.data.base is t.home[0].arena.data
-                   for t in blank.named_parameters().values())
+        assert all(r.data.base is blank.arena.data for r in blank.roles())
+        assert blank.arena.size == seeded.arena.size
         for model in (blank, seeded):
             load_model_tensors(model, tensors)
         for name, arr in model_tensors(blank).items():
@@ -1155,10 +1160,10 @@ class TestCheckpointGlue:
         _, tensors = load_container(path)
         assert np.abs(tensors["head/00/bnn/mean"]).max() > 0
         model2 = init_model(tiny_config(), seed=1)
-        before = model2.named_tensors()
+        before = model_tensors(model2)
         load_model_tensors(model2, tensors)
-        after = model2.named_tensors()
-        assert all(after[name] is t for name, t in before.items())
+        after = model_tensors(model2)
+        assert all(np.shares_memory(after[name], a) for name, a in before.items())
         for name, arr in model_tensors(model).items():
             np.testing.assert_array_equal(model_tensors(model2)[name],
                                           arr.astype(np.float32))
@@ -1184,6 +1189,5 @@ class TestMaskOverride:
     def test_with_masks_shares_parameters(self):
         model = init_model(tiny_config(), seed=2)
         twin = dataclasses.replace(model, masks=mask_set(partitioned=False))
-        assert twin.branches["joint"][0].subsets[0].weight is \
-            model.branches["joint"][0].subsets[0].weight
+        assert twin.branches["joint"][0].weight is model.branches["joint"][0].weight
         assert twin.masks["parts5"].all()

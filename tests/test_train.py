@@ -10,7 +10,7 @@ import pytest
 
 import reference as ref
 from gpgait import train as tr
-from gpgait.autodiff import ARENA_ALIGN, Arena, Tensor, _slot_gradient_region
+from gpgait.autodiff import ARENA_ALIGN, Tensor
 from gpgait.checkpoint import load_container, save_container
 from gpgait.config import build_run_config
 from gpgait.errors import ConfigError, DataError, NumericError
@@ -311,47 +311,59 @@ class TestLossNodes:
                                    atol=1e-15)
 
 
-def _placed(*arrays):
-    """Parameters holding ``arrays``' values, each placed in an arena
-    region of its own (``autodiff.Arena``), as a model's are."""
-    params = [Tensor(a, requires_grad=True) for a in arrays]
-    Arena([[p] for p in params])
-    return params
+def _set_grads(model, grads: dict):
+    """Each role's gradient for the next step, through ``_accumulate`` as
+    backward delivers it: ``grads`` maps a role's position in
+    ``model.roles()`` to its gradient; a role it maps to None, or leaves
+    out, gets none."""
+    for i, role in enumerate(model.roles()):
+        role.zero_grad()
+        if grads.get(i) is not None:
+            role._accumulate(grads[i])
 
 
-def _set_grads(params: dict, grads: dict):
-    """Each parameter's gradient for the next step, through
-    ``_accumulate`` as backward delivers it; one that ``grads`` maps to
-    None gets none."""
-    for name, p in params.items():
-        p.zero_grad()
-        if grads[name] is not None:
-            p._accumulate(grads[name])
+def _random_grads(model, rng, skip=()) -> dict:
+    """A random gradient for every role but those in ``skip``."""
+    return {i: rng.normal(size=role.shape) for i, role in enumerate(model.roles())
+            if not any(role is r for r in skip)}
+
+
+def _one_role(value: float):
+    """A tiny model and one of its roles, its head biases, set to
+    ``value``; its other roles get no gradient in these tests."""
+    model = init_model(tiny_net_cfg(3), seed=5)
+    role = model.heads.fc_b
+    role.data[...] = value
+    return model, role
+
+
+def _position(model, role) -> int:
+    return next(i for i, r in enumerate(model.roles()) if r is role)
 
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        (p,) = _placed(np.array([0.0]))
-        p._accumulate(np.array([1.0]))
-        tr.adam_step({"w": p}, tr.OptimizerState(), lr=0.01)
-        assert p.data[0] == pytest.approx(-0.01, rel=1e-6)
+        model, p = _one_role(0.0)
+        _set_grads(model, {_position(model, p): np.ones(p.shape)})
+        tr.adam_step(model, tr.OptimizerState(), lr=0.01)
+        np.testing.assert_allclose(p.data, -0.01, rtol=1e-6)
 
     def test_zero_gradient_no_move(self):
-        (p,) = _placed(np.array([5.0]))
-        p._accumulate(np.array([0.0]))
+        model, p = _one_role(5.0)
+        _set_grads(model, {_position(model, p): np.zeros(p.shape)})
         state = tr.OptimizerState()
-        tr.adam_step({"w": p}, state, lr=0.1)
-        assert p.data[0] == 5.0
+        tr.adam_step(model, state, lr=0.1)
+        assert (p.data == 5.0).all()
         assert state.step == 1
 
     def test_two_step_recurrence(self):
         g = 0.7
         lr = 0.05
-        (p,) = _placed(np.array([1.0]))
+        model, p = _one_role(1.0)
         state = tr.OptimizerState()
         for _ in range(2):
-            _set_grads({"w": p}, {"w": np.array([g])})
-            tr.adam_step({"w": p}, state, lr)
+            _set_grads(model, {_position(model, p): np.full(p.shape, g)})
+            tr.adam_step(model, state, lr)
         # hand-computed recurrence
         b1, b2, eps = 0.9, 0.999, 1e-8
         m = v = 0.0
@@ -362,54 +374,53 @@ class TestAdam:
             mh = m / (1 - b1 ** t)
             vh = v / (1 - b2 ** t)
             x -= lr * mh / (math.sqrt(vh) + eps)
-        assert p.data[0] == pytest.approx(x, abs=1e-12)
+        np.testing.assert_allclose(p.data, x, rtol=0, atol=1e-12)
 
     def test_in_place_update_equals_formula_bit_for_bit(self, rng):
-        """Five steps on two parameters (one without a gradient at step
-        3): moments and parameters equal the textbook formulas exactly,
-        and the parameter and moment arrays are updated in place."""
+        """Five steps on two roles (one without a gradient at step 3):
+        moments and values equal the textbook formulas exactly, and the
+        value and moment arrays are updated in place."""
         b1, b2, eps = 0.9, 0.999, 1e-8
-        a, b = _placed(rng.normal(size=(3, 4)), rng.normal(size=5))
-        params = {"a": a, "b": b}
-        arrays = {n: p.data for n, p in params.items()}
-        x = {n: p.data.copy() for n, p in params.items()}
-        m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        model = init_model(tiny_net_cfg(3), seed=5)
+        roles = {"a": model.heads.cls_w, "b": model.branches["joint"][0].temporal_kernel}
+        at = {n: _position(model, r) for n, r in roles.items()}
+        arrays = {n: r.data for n, r in roles.items()}
+        x = {n: r.data.copy() for n, r in roles.items()}
+        m = {n: np.zeros_like(r.data) for n, r in roles.items()}
+        v = {n: np.zeros_like(r.data) for n, r in roles.items()}
         state = tr.OptimizerState()
         for t in range(1, 6):
             lr = 0.01 * t
-            grads = {n: None if (n, t) == ("b", 3) else rng.normal(size=p.shape)
-                     for n, p in params.items()}
-            _set_grads(params, grads)
-            tr.adam_step(params, state, lr)
+            grads = {n: None if (n, t) == ("b", 3) else rng.normal(size=r.shape)
+                     for n, r in roles.items()}
+            _set_grads(model, {at[n]: g for n, g in grads.items()})
+            tr.adam_step(model, state, lr)
             if t == 1:
                 moments = state.m, state.v
             assert state.m is moments[0] and state.v is moments[1]
             bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for n, p in params.items():
+            for n, r in roles.items():
                 g = grads[n]
                 if g is not None:
                     m[n] = b1 * m[n] + (1.0 - b1) * g
                     v[n] = b2 * v[n] + (1.0 - b2) * g * g
                     x[n] = x[n] - lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
-                    np.testing.assert_array_equal(p.grad, g)
-                np.testing.assert_array_equal(tr._slot(state.m, p), m[n])
-                np.testing.assert_array_equal(tr._slot(state.v, p), v[n])
-                np.testing.assert_array_equal(p.data, x[n])
-                assert p.data is arrays[n]
+                    np.testing.assert_array_equal(r.grad, g)
+                np.testing.assert_array_equal(r.view(state.m), m[n])
+                np.testing.assert_array_equal(r.view(state.v), v[n])
+                np.testing.assert_array_equal(r.data, x[n])
+                assert r.data is arrays[n]
         assert state.step == 5
 
     def test_nonfinite_gradient_names_tensor(self):
-        (p,) = _placed(np.array([0.0]))
-        p._accumulate(np.array([np.nan]))
-        with pytest.raises(NumericError, match="spooky"):
-            tr.adam_step({"spooky": p}, tr.OptimizerState(), 0.1)
-
-
-def _in_arena(t: Tensor) -> bool:
-    """Whether ``t`` holds its arena slot: its data is a view of the
-    arena's value array."""
-    return t.home is not None and t.data.base is t.home[0].arena.data
+        """The error names the parameter by its checkpoint name: the
+        role's slot that holds the value."""
+        model, p = _one_role(0.0)
+        g = np.zeros(p.shape)
+        g[2, 1] = np.nan
+        _set_grads(model, {_position(model, p): g})
+        with pytest.raises(NumericError, match="head/02/fc_b"):
+            tr.adam_step(model, tr.OptimizerState(), 0.1)
 
 
 def _disjoint(arrays: list) -> bool:
@@ -418,129 +429,118 @@ def _disjoint(arrays: list) -> bool:
 
 
 class TestArenaAdam:
-    """Adam over a model's parameter arena steps spans of slots as flat
+    """Adam over a model's parameter arena steps runs of roles as flat
     arrays; the per-tensor step (``reference.adam_step``) on loose copies
-    of the same parameters is its bit-exact oracle."""
+    of every checkpoint-named parameter is its bit-exact oracle."""
 
-    SKIPPED = "branch/angle/block0/k1/attn_a"      # no gradient at step 3
-    NEVER = "branch/joint/block1/k2/adj"           # never a gradient
-    MIDDLE = "head/05/fc_b"                        # (4,): narrower than ARENA_ALIGN
+    @staticmethod
+    def skipped(model):                     # no gradient at step 3
+        return model.branches["angle"][0].attn_a
+
+    @staticmethod
+    def never(model):                       # never a gradient
+        return model.branches["joint"][1].learned_adj
 
     @staticmethod
     def _model():
         model = init_model(tiny_net_cfg(3), seed=5)
         params = model.named_parameters()
-        assert all(_in_arena(p) for p in params.values())
         loose = {name: Tensor(p.data.copy(), requires_grad=True)
                  for name, p in params.items()}
         return model, params, loose
 
     @staticmethod
-    def _step(params, loose, state, oracle, lr, grads):
+    def _step(model, loose, state, oracle, lr, grads):
         """One step of the arena's Adam and of the oracle on the same
         gradients; every value and moment agrees bit for bit."""
-        _set_grads(params, grads)
+        _set_grads(model, grads)
+        params = model.named_parameters()
         for name, t in loose.items():
-            t.grad = None if grads[name] is None else grads[name].copy()
-        tr.adam_step(params, state, lr)
+            g = params[name].grad
+            t.grad = None if g is None else g.copy()
+        tr.adam_step(model, state, lr)
         ref.adam_step(loose, oracle, lr)
+        saved = tr.training_tensors(model, state)
         for name, p in params.items():
             np.testing.assert_array_equal(p.data, loose[name].data, err_msg=name)
             for moment in ("m", "v"):
                 expect = getattr(oracle, moment).get(name, np.zeros(p.shape))
-                np.testing.assert_array_equal(
-                    tr._slot(getattr(state, moment), p), expect, err_msg=name)
+                np.testing.assert_array_equal(saved[f"optim/{name}/{moment}"], expect,
+                                              err_msg=name)
+
+    @staticmethod
+    def _names(model, role) -> set:
+        """The checkpoint names of a role's parameters."""
+        return {name for name, p in model.named_parameters().items()
+                if p is role or getattr(p, "role", None) is role}
 
     def test_five_steps_equal_the_per_tensor_oracle(self, rng):
         model, params, loose = self._model()
-        arrays = {name: p.data for name, p in params.items()}
+        arrays = [r.data for r in model.roles()]
         state, oracle = tr.OptimizerState(), ref.AdamState()
         for t in range(1, 6):
-            grads = {name: None if name == self.NEVER
-                     or (name, t) == (self.SKIPPED, 3) else rng.normal(size=p.shape)
-                     for name, p in params.items()}
-            self._step(params, loose, state, oracle, 0.01 * t, grads)
-            assert all(p.data is arrays[name] for name, p in params.items())
+            skip = [self.never(model)] + ([self.skipped(model)] if t == 3 else [])
+            self._step(model, loose, state, oracle, 0.01 * t,
+                       _random_grads(model, rng, skip))
+            assert all(r.data is a for r, a in zip(model.roles(), arrays))
         assert state.step == oracle.step == 5
-        assert oracle.m.keys() == params.keys() - {self.NEVER}
-        assert _disjoint(list(arrays.values()))
+        never = self._names(model, self.never(model))
+        assert len(never) == 3
+        assert oracle.m.keys() == params.keys() - never
+        assert _disjoint([p.data for p in params.values()])
         assert _disjoint([p.grad for p in params.values() if p.grad is not None])
         saved = tr.training_tensors(model, state)
         assert [k for k in saved if k.startswith("optim/")] == [
             f"optim/{name}/{moment}" for name in params for moment in ("m", "v")]
-        assert not saved[f"optim/{self.NEVER}/m"].any()
-        assert not saved[f"optim/{self.NEVER}/v"].any()
+        for name in never:
+            assert not saved[f"optim/{name}/m"].any()
+            assert not saved[f"optim/{name}/v"].any()
 
     def test_nonfinite_gradient_names_its_tensor(self, rng):
-        _model, params, _loose = self._model()
-        grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
-        grads[self.SKIPPED][0, 1] = np.inf
-        _set_grads(params, grads)
-        assert tr._adam_spans(params)[1]
-        with pytest.raises(NumericError, match=self.SKIPPED):
-            tr.adam_step(params, tr.OptimizerState(), 0.1)
-
-    def test_gradient_outside_its_slot_names_the_tensor(self, rng):
-        """A gradient assigned as an array of its own, or a tensor whose
-        ``data`` was rebound out of its slot, is a ValueError naming it;
-        nothing is stepped."""
-        for name, leave in (("head/03/fc_w", "grad"), (self.SKIPPED, "data")):
-            model, params, _loose = self._model()
-            _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
-            p = params[name]
-            if leave == "grad":
-                p.grad = p.grad.copy()
-            else:
-                p.data = p.data.copy()
-            before = [q.data.copy() for q in params.values()]
-            state = tr.OptimizerState()
-            with pytest.raises(ValueError, match=name):
-                tr.adam_step(params, state, 0.1)
-            assert state.step == 0 and state.m is None
-            for q, old in zip(params.values(), before):
-                np.testing.assert_array_equal(q.data, old)
+        model, _params, _loose = self._model()
+        grads = _random_grads(model, rng)
+        grads[_position(model, self.skipped(model))][1, 0, 1] = np.inf
+        _set_grads(model, grads)
+        with pytest.raises(NumericError, match="branch/angle/block0/k1/attn_a"):
+            tr.adam_step(model, tr.OptimizerState(), 0.1)
 
     def test_slot_without_gradient_is_not_stepped(self, rng):
-        """With ``embed_dim`` 4 each fc_b slot is 4 floats, fewer than
-        ``ARENA_ALIGN``. A middle one without a gradient keeps its value
-        and moments (its gradient slot is 0: ``zero_grad`` cleared it),
-        while the slots on both sides of it step."""
-        _model, params, loose = self._model()
-        p = params[self.MIDDLE]
-        region, i = p.home
-        assert p.data.size < ARENA_ALIGN and 0 < i < len(region.views) - 1
-        neighbours = [n for n, q in params.items()
-                      if q.home in ((region, i - 1), (region, i + 1))]
-        assert len(neighbours) == 2
+        """With 4 channels each batch-norm shift of a block is 4 floats,
+        fewer than ``ARENA_ALIGN``. A middle one without a gradient keeps
+        its value and moments, its region of the gradient array is set to
+        0, and the roles on both sides of it step."""
+        model, _params, loose = self._model()
+        block = model.branches["angle"][1]
+        p, neighbours = block.bn1.beta, (block.bn1.gamma, block.bn2.gamma)
+        roles = model.roles()
+        i = _position(model, p)
+        assert p.data.size < ARENA_ALIGN and roles[i - 1] is neighbours[0]
+        assert roles[i + 1] is neighbours[1]
         state, oracle = tr.OptimizerState(), ref.AdamState()
         for t in range(1, 4):
-            grads = {name: None if (name, t) == (self.MIDDLE, 3)
-                     else rng.normal(size=q.shape) for name, q in params.items()}
             if t == 3:
-                held = [a.copy() for a in (p.data, tr._slot(state.m, p),
-                                            tr._slot(state.v, p))]
-                moved = {n: params[n].data.copy() for n in neighbours}
-            self._step(params, loose, state, oracle, 0.01, grads)
-        assert not tr._slot(p.home[0].arena.grad, p).any()
-        for old, now in zip(held, (p.data, tr._slot(state.m, p), tr._slot(state.v, p))):
+                held = [a.copy() for a in (p.data, p.view(state.m), p.view(state.v))]
+                moved = [r.data.copy() for r in neighbours]
+            self._step(model, loose, state, oracle, 0.01,
+                       _random_grads(model, rng, [p] if t == 3 else []))
+        assert not p.view(model.arena.grad).any()
+        for old, now in zip(held, (p.data, p.view(state.m), p.view(state.v))):
             np.testing.assert_array_equal(now, old)
-        assert all(not np.array_equal(params[n].data, moved[n]) for n in neighbours)
-        _arena, spans = tr._adam_spans(params)
-        assert any(stop == p.home[0].start + i * p.data.size for _s, stop, *_ in spans)
+        assert all(not np.array_equal(r.data, old) for r, old in zip(neighbours, moved))
 
     def test_region_padding_stays_zero(self, rng):
         """The floats between regions are 0 in the values, gradients and
         moments, and stay 0 through steps."""
-        _model, params, loose = self._model()
-        arena = next(iter(params.values())).home[0].arena
+        model, _params, _loose = self._model()
+        arena = model.arena
         pad = np.ones(arena.size, dtype=bool)
-        for p in params.values():
-            pad[p.home[0].start:p.home[0].stop] = False
+        for r in model.roles():
+            pad[r.start:r.start + r.data.size] = False
         assert pad.any()
         state = tr.OptimizerState()
         for t in range(1, 4):
-            _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
-            tr.adam_step(params, state, 0.01 * t)
+            _set_grads(model, _random_grads(model, rng))
+            tr.adam_step(model, state, 0.01 * t)
             for flat in (arena.data, arena.grad, state.m, state.v):
                 assert flat[pad].tobytes() == bytes(8 * pad.sum())
 
@@ -551,72 +551,66 @@ class TestArenaAdam:
         model, params, loose = self._model()
         state, oracle = tr.OptimizerState(), ref.AdamState()
         for t in range(1, 3):
-            self._step(params, loose, state, oracle, 0.01 * t,
-                       {n: rng.normal(size=p.shape) for n, p in params.items()})
+            self._step(model, loose, state, oracle, 0.01 * t, _random_grads(model, rng))
         tensors = dict(tr.training_tensors(model, state))
-        for name in (self.SKIPPED, self.MIDDLE):
+        for name in ("branch/angle/block0/k1/attn_a", "head/05/fc_b"):
             del tensors[f"optim/{name}/m"], tensors[f"optim/{name}/v"]
             del oracle.m[name], oracle.v[name]
         resumed = init_model(tiny_net_cfg(3), seed=9)
         restored = tr.restore_training_state(resumed, tensors)
         assert restored.step == oracle.step == 2
-        params2 = resumed.named_parameters()
         for t in range(3, 5):
-            self._step(params2, loose, restored, oracle, 0.01 * t,
-                       {n: rng.normal(size=p.shape) for n, p in params2.items()})
+            self._step(resumed, loose, restored, oracle, 0.01 * t,
+                       _random_grads(resumed, rng))
 
     def test_load_and_resume_fill_the_arena_views(self, tmp_path, rng):
         """After ``restore_training_state`` every parameter and moment
-        slot holds the checkpoint's values, and the next step moves those
-        same arrays."""
+        holds the checkpoint's values in its place of the arena's
+        arrays, and the next step moves those same arrays."""
         model = init_model(tiny_net_cfg(3), seed=5)
-        params = model.named_parameters()
         state = tr.OptimizerState()
         for _ in range(2):
-            _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
-            tr.adam_step(params, state, 0.01)
+            _set_grads(model, _random_grads(model, rng))
+            tr.adam_step(model, state, 0.01)
         path = tmp_path / "run.gpgw"
         save_container(path, {}, tr.training_tensors(model, state))
         _, tensors = load_container(path)
         resumed = init_model(tiny_net_cfg(3), seed=9)
         restored = tr.restore_training_state(resumed, tensors)
         assert restored.step == 2
-        params2 = resumed.named_parameters()
-        arena = next(iter(params2.values())).home[0].arena
+        arena = resumed.arena
         assert restored.m.shape == restored.v.shape == (arena.size,)
-        held = {}
+        held = [r.data for r in resumed.roles()]
+        assert all(a.base is arena.data for a in held)
+        params2 = resumed.named_parameters()
         for name, p in params2.items():
-            assert _in_arena(p) and p.home[0].arena is arena, name
             np.testing.assert_array_equal(p.data, tensors[name])
             for moment in ("m", "v"):
-                np.testing.assert_array_equal(tr._slot(getattr(restored, moment), p),
+                np.testing.assert_array_equal(p.view(getattr(restored, moment)),
                                               tensors[f"optim/{name}/{moment}"])
-            held[name] = p.data
         moments = restored.m, restored.v
-        _set_grads(params2, {n: rng.normal(size=p.shape) for n, p in params2.items()})
-        tr.adam_step(params2, restored, 0.01)
+        _set_grads(resumed, _random_grads(resumed, rng))
+        tr.adam_step(resumed, restored, 0.01)
         assert restored.m is moments[0] and restored.v is moments[1]
+        assert all(r.data is a for r, a in zip(resumed.roles(), held))
         for name, p in params2.items():
-            assert p.data is held[name], name
             assert not np.array_equal(p.data, tensors[name]), name
-            assert not np.array_equal(tr._slot(restored.m, p),
+            assert not np.array_equal(p.view(restored.m),
                                       tensors[f"optim/{name}/m"]), name
 
     def test_model_freed_without_the_cycle_collector(self, rng):
-        """Tensors, their regions and the arena hold no reference cycle:
-        a trained model and its optimizer state are freed as soon as
-        nothing refers to them, not at the next cycle collection."""
+        """Roles and their arena hold no reference cycle: a trained model
+        and its optimizer state are freed as soon as nothing refers to
+        them, not at the next cycle collection."""
         gc.disable()
         try:
             model = init_model(tiny_net_cfg(3), seed=5)
-            params = model.named_parameters()
-            for tensor in params.values():
-                tensor._accumulate(rng.normal(size=tensor.shape))
+            _set_grads(model, _random_grads(model, rng))
             state = tr.OptimizerState()
-            tr.adam_step(params, state, 0.01)
-            arena = tensor.home[0].arena
+            tr.adam_step(model, state, 0.01)
+            arena = model.arena
             refs = [weakref.ref(a) for a in (arena.data, arena.grad, state.m, state.v)]
-            del model, params, tensor, state, arena
+            del model, state, arena
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
@@ -768,10 +762,9 @@ class TestTrainLoop:
 
     def test_moment_shape_mismatch_is_data_error(self, rng):
         model = init_model(tiny_net_cfg(3), seed=0)
-        params = model.named_parameters()
-        _set_grads(params, {n: rng.normal(size=p.shape) for n, p in params.items()})
+        _set_grads(model, _random_grads(model, rng))
         state = tr.OptimizerState()
-        tr.adam_step(params, state, 0.01)
+        tr.adam_step(model, state, 0.01)
         tensors = tr.training_tensors(model, state)
         name = "optim/head/00/fc_b/v"
         tensors[name] = tensors[name][:1]
@@ -780,27 +773,29 @@ class TestTrainLoop:
 
     def test_training_steps_the_whole_arena_as_one_span(self, tmp_path,
                                                          monkeypatch):
-        """Every step of a fresh and of a resumed run finds each
-        parameter's values and gradient in its arena slots and steps the
-        whole arena as one span: training never takes another path."""
+        """Every step of a fresh and of a resumed run gives every role a
+        gradient in its region of the arena's gradient array and steps
+        the whole arena as one span, slice after slice from 0 to the last
+        role's end: training never takes another path."""
         seen = []
-        spans_of = tr._adam_spans
+        update = tr._adam_update
 
-        def recording(params):
-            arena, spans = spans_of(params)
-            seen.append((arena, [span[:2] for span in spans]))
-            for name, p in params.items():
-                assert _slot_gradient_region(p) is p.home[0], name
-            return arena, spans
+        def recording(p, g, m, v, *args):
+            seen.append((p.base, g.base, p.size))
+            update(p, g, m, v, *args)
 
-        monkeypatch.setattr(tr, "_adam_spans", recording)
+        monkeypatch.setattr(tr, "_adam_update", recording)
 
         def assert_one_span(model):
-            params = model.named_parameters().values()
-            arena = next(iter(params)).home[0].arena
-            whole = max(p.home[0].stop for p in params)
+            arena, roles = model.arena, model.roles()
+            for role in roles:
+                assert role.data.base is arena.data and role.grad.base is arena.grad
+            whole = roles[-1].start + roles[-1].data.size
             assert arena.size - ARENA_ALIGN < whole <= arena.size
-            assert seen == [(arena, [[0, whole]])] * 2
+            slices = -(-whole // tr.ADAM_SLICE)
+            assert len(seen) == 2 * slices
+            assert all(p is arena.data and g is arena.grad for p, g, _ in seen)
+            assert sum(size for *_, size in seen) == 2 * whole
             seen.clear()
 
         ts = build_train_set()

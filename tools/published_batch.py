@@ -80,7 +80,6 @@ def measure(sequences: int, frames: int) -> dict:
                                rng.normal(size=(n, frames, 17, 2)),
                                rng.normal(size=(n, frames, 17, 1)))
     labels = np.repeat(np.arange(SUBJECTS), k)
-    params = model.named_parameters()
     state = OptimizerState()
 
     faults = _rusage().ru_minflt
@@ -93,7 +92,7 @@ def measure(sequences: int, frames: int) -> dict:
     t2 = time.process_time()
     total.backward()
     t3 = time.process_time()
-    adam_step(params, state, run_cfg.lr_init)
+    adam_step(model, state, run_cfg.lr_init)
     t4 = time.process_time()
     usage = _rusage()
     gflop = layers.network_flops(model, n, frames) / 1e9
