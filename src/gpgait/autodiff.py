@@ -8,8 +8,14 @@ training block (``graph_block``), a branch's part pooling
 classifier (``bnneck_classifier``), and the losses (``train``).
 ``backward()`` replays the closures in reverse topological order.
 
-The engine is deliberately free of global state so repeated runs with
-identical inputs are bit-reproducible.
+The engine keeps no state between calls except constants derived from
+their arguments (``group_pool``'s per-grouping tables, built once and
+read-only), so repeated runs with identical inputs are bit-reproducible.
+A training step is bound by per-call work and elementwise passes over
+short rows more than by its products, so a block's per-channel
+broadcasts run along (N*T, V*C) rows, the (C,) vectors tiled over the
+V joints once per pass, while every reduction adds the (N*T*V, C)
+view's rows in order, the values of the (C,)-row passes bit for bit.
 
 Trainable parameters are ``Role`` tensors placed in an ``Arena``: one
 flat array for their values and one of the same layout for their
@@ -21,6 +27,8 @@ gradient in one copy.
 from __future__ import annotations
 
 import copy
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,6 +204,53 @@ class Arena:
             role.data = view
 
 
+class _PoolPlan(NamedTuple):
+    """The constants of ``group_pool`` for one grouping of V joints with
+    C channels (``_pool_plan``)."""
+    group: np.ndarray       # (P,) the group of each (group, joint) pair
+    weight: np.ndarray      # (P, 1) a pair's share of its group's mean
+    share: np.ndarray       # (G, V) the means' matrix of joint shares
+    maxima: tuple           # per group: (from earlier groups' maxima?, sources)
+    padded: np.ndarray      # (G, W, 1) each group's joints, padded with its first
+    padded_cells: np.ndarray  # (G, W) their first cells within a frame
+    group_rows: np.ndarray  # (G, 1) the group indices
+    pair_cells: np.ndarray  # (P, C) a pair's cells within a frame
+    chan: np.ndarray        # (C,) the channel indices
+
+
+@functools.lru_cache(maxsize=32)
+def _pool_plan(groups: tuple, v: int, c: int) -> _PoolPlan:
+    """``group_pool``'s constants for ``groups`` (a tuple of joint-index
+    tuples) on V joints with C channels, built on the first call with
+    them. Every later call shares them, so each array is read-only.
+    ``maxima[p]`` is (True, the earlier groups inside group p) when their
+    joints are exactly its own (the whole body after its parts), else
+    (False, its joints)."""
+    group, joint = np.array([(p, j) for p, members in enumerate(groups)
+                             for j in members]).T
+    weight = 1.0 / np.bincount(group)[group]
+    share = np.zeros((len(groups), v))
+    np.add.at(share, (group, joint), weight)
+    members = [set(m) for m in groups]
+    maxima = []
+    for p, own in enumerate(members):
+        inside = tuple(q for q in range(p) if members[q] <= own)
+        if inside and set().union(*(members[q] for q in inside)) == own:
+            maxima.append((True, inside))
+        else:
+            maxima.append((False, groups[p]))
+    width = max(len(m) for m in groups)
+    padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
+    chan = np.arange(c)
+    plan = _PoolPlan(group, weight[:, None], share, tuple(maxima),
+                     padded[:, :, None], padded * c, np.arange(len(groups))[:, None],
+                     joint[:, None] * c + chan, chan)
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
+
+
 def group_pool(x: Tensor, groups) -> Tensor:
     """(N, T, V, C) -> (N, G, C): per group of joints (a non-empty index
     sequence), the mean plus the max over its joints, then the max over
@@ -205,42 +260,35 @@ def group_pool(x: Tensor, groups) -> Tensor:
     group whose joints are exactly those of the earlier groups inside
     it (the whole body after its parts) takes the max of their maxima
     instead; max is exact, so the values are the same. A max's gradient
-    goes to its first argmax frame and joint."""
+    goes to its first argmax frame and joint. The grouping's constants
+    are built once (``_pool_plan``)."""
     n, t, v, c = x.shape
-    group, joint = np.array([(p, j) for p, members in enumerate(groups)
-                             for j in members]).T
-    weight = 1.0 / np.bincount(group)[group]              # per (group, joint) pair
-    share = np.zeros((len(groups), v))
-    np.add.at(share, (group, joint), weight)
+    plan = _pool_plan(tuple(map(tuple, groups)), v, c)
     peak = np.empty((len(groups), n, t, c))                # group-major: contiguous rows
-    members = [set(m) for m in groups]
-    for p, row in enumerate(peak):
-        inside = [q for q in range(p) if members[q] <= members[p]]
-        if inside and set().union(*(members[q] for q in inside)) == members[p]:
-            first, *rest = (peak[q] for q in inside)
+    for row, (from_maxima, sources) in zip(peak, plan.maxima):
+        if from_maxima:
+            first, *rest = (peak[q] for q in sources)
         else:
-            first, *rest = (x.data[:, :, j] for j in groups[p])
+            first, *rest = (x.data[:, :, j] for j in sources)
         np.copyto(row, first)
         for other in rest:
             np.maximum(row, other, out=row)
-    per_frame = np.matmul(share, x.data)
+    per_frame = np.matmul(plan.share, x.data)
     per_frame += np.moveaxis(peak, 0, 2)
     out = _make(per_frame.max(axis=1), (x,))
     if out.requires_grad:
         rows = np.arange(n)[:, None, None] * t + per_frame.argmax(axis=1)  # (N, G, C)
-        chan = np.arange(c)
-        # each group padded with its first joint, so argmax over the
-        # padded joints at the max's frame finds the first maximum
-        width = max(len(m) for m in groups)
-        padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
 
         def bwd(g):
-            at = x.data.reshape(n * t, v, c)[rows[:, :, None], padded[:, :, None], chan]
-            first = padded[np.arange(len(groups))[:, None], at.argmax(axis=2)]
-            cells = np.concatenate([
-                ((rows[:, group] * v + joint[:, None]) * c + chan).ravel(),
-                ((rows * v + first) * c + chan).ravel()])
-            weights = np.concatenate([(g[:, group] * weight[:, None]).ravel(), g.ravel()])
+            # argmax over each group's padded joints at the max's frame
+            # finds the first maximum
+            at = x.data.reshape(n * t, v, c)[rows[:, :, None], plan.padded, plan.chan]
+            first = plan.padded_cells[plan.group_rows, at.argmax(axis=2)]
+            base = rows * (v * c)                   # the frames' first cells
+            cells = np.concatenate([(base[:, plan.group] + plan.pair_cells).ravel(),
+                                    (base + first + plan.chan).ravel()])
+            weights = np.concatenate([(g[:, plan.group] * plan.weight).ravel(),
+                                      g.ravel()])
             x._accumulate(np.bincount(cells, weights, x.data.size).reshape(x.shape))
         out._backward = bwd
     return out
@@ -248,15 +296,19 @@ def group_pool(x: Tensor, groups) -> Tensor:
 
 def _softmax(data: np.ndarray, axis, mask) -> np.ndarray:
     """Softmax over ``axis`` within a binary mask: masked entries are
-    excluded from the normalization (their output is 0)."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-    m = np.where(mask, data, -np.inf).max(axis=axis, keepdims=True)
-    # rows that are fully masked would produce nan; keep them at 0
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(np.where(mask, data - m, -np.inf))
-    denom = e.sum(axis=axis, keepdims=True)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    return e / denom
+    excluded from the normalization (their output is 0). The mask is
+    added as 0 or -inf in one pass, then the max, exp, sum and division
+    run in place.
+
+    Every row must keep at least one entry, or it would be nan. The
+    partition masks keep their diagonal: ``graph.mask_set`` checks that
+    every joint is in exactly one group of a scheme, so every row of a
+    mask has its own joint's entry."""
+    s = data + np.where(mask, 0.0, -np.inf)
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
 
 
 # -- fused network ops ------------------------------------------------
@@ -446,40 +498,61 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij->j", x) if x.shape[1] > 1 else x.sum(axis=0)
 
 
-def _bn_normalize(x: np.ndarray, eps: float, out: np.ndarray = None):
-    """Normalize the columns of an (M, C) array with the batch's biased
-    statistics: returns (xhat, mean, variance, std), the statistics
-    shaped (C,). ``xhat`` is written to ``out`` (``x`` itself is
-    allowed), or to a new array."""
-    inv_count = 1.0 / x.shape[0]
-    mu = _column_sums(x) * inv_count
-    xhat = np.subtract(x, mu, out=out)      # centred, then scaled below
-    var = np.einsum("ij,ij->j", xhat, xhat) * inv_count
+def _tiled(vec: np.ndarray, v: int) -> np.ndarray:
+    """The (V*C,) operand of a per-channel broadcast along rows of V
+    joints of C channels: the (C,) ``vec`` repeated V times, or ``vec``
+    itself when V = 1. The values of ``np.tile(vec, v)``, at a fraction
+    of its call's cost."""
+    if v == 1:
+        return vec
+    out = np.empty((v, vec.shape[0]))
+    out[...] = vec
+    return out.reshape(-1)
+
+
+def _bn_normalize(x: np.ndarray, c: int, eps: float, out: np.ndarray = None):
+    """Normalize the channels of an (R, V*C) array, V joints of C
+    channels a row, with the batch's biased statistics over its (R*V, C)
+    view: returns (xhat, mean, variance, std), the statistics shaped
+    (C,). The sums add the (R*V, C) view's rows one after another; the
+    mean and std are tiled over the joints (``_tiled``), so each
+    broadcast runs along the long rows. ``xhat`` is written to ``out``
+    (``x`` itself is allowed), or to a new array."""
+    v = x.shape[-1] // c
+    inv_count = 1.0 / (x.size // c)
+    mu = _column_sums(x.reshape(-1, c)) * inv_count
+    xhat = np.subtract(x, _tiled(mu, v), out=out)    # centred, then scaled below
+    cols = xhat.reshape(-1, c)
+    var = np.einsum("ij,ij->j", cols, cols) * inv_count
     std = np.sqrt(var + eps)
-    xhat /= std
+    xhat /= _tiled(std, v)
     return xhat, mu, var, std
 
 
 def _bn_xhat(x: np.ndarray, mu: np.ndarray, std: np.ndarray,
              out: np.ndarray = None) -> np.ndarray:
     """The normalized input again, by the forward's exact operations,
-    written to ``out`` or to a new array."""
+    written to ``out`` or to a new array; ``mu`` and ``std`` are tiled
+    to the rows of ``x`` (``_tiled``)."""
     xhat = np.subtract(x, mu, out=out)
     xhat /= std
     return xhat
 
 
-def _bn_backward(g, xhat, std, gamma, out=None):
-    """(input, gamma, beta) gradients of batch norm over the rows of
-    (M, C) arrays; the input gradient is written to ``out`` (``xhat``
-    itself is allowed), or to a new array."""
-    inv_count = 1.0 / g.shape[0]
-    g_sum = _column_sums(g)
-    gx_sum = np.einsum("ij,ij->j", g, xhat)
+def _bn_backward(g, xhat, std, gamma, c, out=None):
+    """(input, gamma, beta) gradients of batch norm over the (R*V, C)
+    views of (R, V*C) arrays, ``std`` and ``gamma`` tiled to their rows
+    (``_tiled``), the last two (C,); the input gradient is written to
+    ``out`` (``xhat`` itself is allowed), or to a new array."""
+    v = g.shape[-1] // c
+    inv_count = 1.0 / (g.size // c)
+    cols = g.reshape(-1, c)
+    g_sum = _column_sums(cols)
+    gx_sum = np.einsum("ij,ij->j", cols, xhat.reshape(-1, c))
     # gamma / std * (g - mean(g) - xhat * mean(g * xhat))
-    gx = np.multiply(xhat, -gx_sum * inv_count, out=out)
+    gx = np.multiply(xhat, _tiled(-gx_sum * inv_count, v), out=out)
     gx += g
-    gx -= g_sum * inv_count
+    gx -= _tiled(g_sum * inv_count, v)
     gx *= gamma / std
     return gx, gx_sum, g_sum
 
@@ -487,7 +560,8 @@ def _bn_backward(g, xhat, std, gamma, out=None):
 def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
              out: np.ndarray = None) -> np.ndarray:
     """``relu(xhat * gamma + beta)``, written to ``out`` (``xhat``
-    itself is allowed) or to a new array."""
+    itself is allowed) or to a new array; ``gamma`` and ``beta`` are
+    tiled to the rows of ``xhat`` (``_tiled``)."""
     h = np.multiply(xhat, gamma, out=out)
     h += beta
     np.maximum(h, 0.0, out=h)
@@ -516,12 +590,15 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     at K*C_in channels, never K*C_out.
 
     Returns (output, (mean1, var1), (mean2, var2)), the statistics shaped
-    (C_out,). The forward frees the aggregate once ``y`` is formed and
-    normalizes it in place. The first ReLU writes its output straight
-    into the interior of a zero-padded frame buffer (``_frame_buffer``),
-    and ``y``'s buffer is freed. The temporal conv reads that buffer's
-    taps as one contraction (``_temporal_conv``) into a new array, where
-    the second batch norm and ReLU run in place.
+    (C_out,). The batch norms' and ReLUs' per-channel broadcasts run
+    along (N*T, V*C_out) rows, forward and backward, with the (C_out,)
+    vectors tiled over the joints once per pass (``_tiled``), as the
+    inference pass tiles them. The forward frees the aggregate once
+    ``y`` is formed and normalizes it in place. The first ReLU writes its
+    output straight into the interior of a zero-padded frame buffer
+    (``_frame_buffer``), and ``y``'s buffer is freed. The temporal conv
+    reads that buffer's taps as one contraction (``_temporal_conv``) into
+    a new array, where the second batch norm and ReLU run in place.
 
     The node keeps its input, the stacked adjacency, the per-channel
     means and standard deviations and, with attention, the (N, V, C_in)
@@ -543,24 +620,27 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     value is bit-identical to a spatial node and an epilogue node that
     stored their arrays.
     """
-    shape = f_in.shape[:-1] + (weights.shape[2],)
-    c_agg, c = weights.shape[0] * f_in.shape[-1], shape[-1]
+    n, t, v, c_in = f_in.shape
+    c = weights.shape[2]
+    c_agg, shape, rows = weights.shape[0] * c_in, (n, t, v, c), (n * t, v * c)
     pooled = att = None
     attention = (attn_q, attn_k) if attn_q is not None else ()
     if attention:
         pooled, att = _attention(f_in.data, attn_q.data, attn_k.data, mask)
     stacked = _stacked_adjacency(fixed, mask, learned.data, att)
     agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
-    xhat1 = agg @ weights.data.reshape(c_agg, c)             # y, normalized below
+    xhat1 = (agg @ weights.data.reshape(c_agg, c)).reshape(rows)  # y, normalized below
     del agg
-    xhat1, mu1, var1, std1 = _bn_normalize(xhat1, eps, out=xhat1)
+    xhat1, mu1, var1, std1 = _bn_normalize(xhat1, c, eps, out=xhat1)
     padded, h = _frame_buffer(shape, kernel.shape[0])
-    _bn_relu(xhat1.reshape(shape), gamma1.data, beta1.data, out=h)
+    _bn_relu(xhat1.reshape(n, t, -1), _tiled(gamma1.data, v), _tiled(beta1.data, v),
+             out=h.reshape(n, t, -1))
     del xhat1, h
-    xhat2 = _temporal_conv(padded, kernel.data).reshape(-1, c)
+    xhat2 = _temporal_conv(padded, kernel.data).reshape(rows)
     del padded
-    xhat2, mu2, var2, std2 = _bn_normalize(xhat2, eps, out=xhat2)
-    r = _bn_relu(xhat2, gamma2.data, beta2.data, out=xhat2).reshape(shape)
+    xhat2, mu2, var2, std2 = _bn_normalize(xhat2, c, eps, out=xhat2)
+    r = _bn_relu(xhat2, _tiled(gamma2.data, v), _tiled(beta2.data, v),
+                 out=xhat2).reshape(shape)
     del xhat2
     if residual:
         r += f_in.data
@@ -571,20 +651,22 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
         return (out, *stats)
 
     def bwd(g):
+        mean1, sd1, scale1, shift1, mean2, sd2, scale2, shift2 = (
+            _tiled(a, v) for a in (mu1, std1, gamma1.data, beta1.data,
+                                   mu2, std2, gamma2.data, beta2.data))
         agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
         w = weights.data.reshape(c_agg, c)
-        xhat1 = agg @ w
-        _bn_xhat(xhat1, mu1, std1, out=xhat1)
+        xhat1 = (agg @ w).reshape(rows)
+        _bn_xhat(xhat1, mean1, sd1, out=xhat1)
         padded, h = _frame_buffer(shape, kernel.shape[0])
-        _bn_relu(xhat1.reshape(shape), gamma1.data, beta1.data, out=h)
-        xhat2 = _temporal_conv(padded, kernel.data).reshape(-1, c)
-        _bn_xhat(xhat2, mu2, std2, out=xhat2)
-        g_r = np.multiply(xhat2, gamma2.data)
-        g_r += beta2.data
+        _bn_relu(xhat1.reshape(n, t, -1), scale1, shift1, out=h.reshape(n, t, -1))
+        xhat2 = _temporal_conv(padded, kernel.data).reshape(rows)
+        _bn_xhat(xhat2, mean2, sd2, out=xhat2)
+        g_r = np.multiply(xhat2, scale2)
+        g_r += shift2
         # the output gradient through the second ReLU
-        np.multiply(g.reshape(-1, c), g_r > 0.0, out=g_r)
-        g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, std2, gamma2.data,
-                                              out=xhat2)
+        np.multiply(g.reshape(rows), g_r > 0.0, out=g_r)
+        g_z, g_gamma2, g_beta2 = _bn_backward(g_r, xhat2, sd2, scale2, c, out=xhat2)
         del g_r, xhat2
         active = h > 0.0                    # the first ReLU's mask
         del h
@@ -594,13 +676,14 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
         del g_z, padded
         g_h *= active
         del active
-        g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(-1, c), xhat1, std1,
-                                              gamma1.data, out=xhat1)
+        g_y, g_gamma1, g_beta1 = _bn_backward(g_h.reshape(rows), xhat1, sd1, scale1, c,
+                                              out=xhat1)
         del g_h
-        for t, grad in ((gamma2, g_gamma2), (beta2, g_beta2), (kernel, g_kernel),
+        g_y = g_y.reshape(-1, c)
+        for p, grad in ((gamma2, g_gamma2), (beta2, g_beta2), (kernel, g_kernel),
                         (gamma1, g_gamma1), (beta1, g_beta1)):
-            if t.requires_grad:
-                t._accumulate(grad)
+            if p.requires_grad:
+                p._accumulate(grad)
         if weights.requires_grad:
             weights._accumulate((agg.T @ g_y).reshape(weights.shape))
         del agg
@@ -662,7 +745,7 @@ def bnneck_classifier(metric: Tensor, gammas: Tensor, betas: Tensor,
     input from ``metric`` by the forward's operations (``_bn_xhat``)."""
     s, n, d = metric.shape
     x = metric.data.transpose(1, 0, 2).reshape(n, s * d)
-    necked, mu, var, std = _bn_normalize(x, eps)
+    necked, mu, var, std = _bn_normalize(x, s * d, eps)
     del x
     gamma = gammas.data.reshape(s * d)
     necked *= gamma
@@ -680,7 +763,7 @@ def bnneck_classifier(metric: Tensor, gammas: Tensor, betas: Tensor,
         g_necked = np.matmul(g, np.swapaxes(w, -1, -2)).transpose(1, 0, 2)
         xhat = _bn_xhat(metric.data.transpose(1, 0, 2).reshape(n, s * d), mu, std)
         g_x, g_gamma, g_beta = _bn_backward(g_necked.reshape(n, s * d), xhat, std,
-                                            gamma, out=xhat)
+                                            gamma, s * d, out=xhat)
         for param, grad in ((gammas, g_gamma), (betas, g_beta)):
             if param.requires_grad:
                 param._accumulate(grad.reshape(s, d))

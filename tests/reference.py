@@ -4,6 +4,10 @@ Most are written with explicit index loops and plain Python math so
 they share no vectorized code path with the package under test. The
 sections, in file order:
 
+- the batch-norm kernels and the masked softmax as they were on rows of
+  C channels (``_bn_normalize``, ``_bn_xhat``, ``_bn_backward``,
+  ``_bn_relu``, ``_softmax``), the byte-exact oracles of ``autodiff``'s
+  kernels on joint-wide rows and its one-pass softmax;
 - the generic Tensor algebra the network and its losses were built from
   before each became a fused node: ``OpTensor``, a Tensor subclass with
   broadcasting arithmetic, reductions and shape ops, ``ops`` to lift a
@@ -50,12 +54,80 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gpgait import pagcn
-from gpgait.autodiff import (Tensor, _bn_backward, _bn_normalize, _bn_xhat,
-                             _softmax)
+from gpgait.autodiff import Tensor, _column_sums
 from gpgait.errors import DataError, NumericError
 from gpgait.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 BN_EPS = 1e-5
+
+
+# -- the per-channel kernels on (M, C) rows -------------------------------
+#
+# The batch-norm kernels and the masked softmax as they were when every
+# per-channel broadcast ran along rows of C channels and the softmax
+# masked with ``where`` passes: the byte-exact oracles of
+# ``autodiff``'s kernels on joint-wide rows and its one-pass softmax.
+
+
+def _softmax(data: np.ndarray, axis, mask) -> np.ndarray:
+    """Softmax over ``axis`` within a binary mask: masked entries are
+    excluded from the normalization (their output is 0)."""
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
+    m = np.where(mask, data, -np.inf).max(axis=axis, keepdims=True)
+    # rows that are fully masked would produce nan; keep them at 0
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(np.where(mask, data - m, -np.inf))
+    denom = e.sum(axis=axis, keepdims=True)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    return e / denom
+
+
+def _bn_normalize(x: np.ndarray, eps: float, out: np.ndarray = None):
+    """Normalize the columns of an (M, C) array with the batch's biased
+    statistics: returns (xhat, mean, variance, std), the statistics
+    shaped (C,). ``xhat`` is written to ``out`` (``x`` itself is
+    allowed), or to a new array."""
+    inv_count = 1.0 / x.shape[0]
+    mu = _column_sums(x) * inv_count
+    xhat = np.subtract(x, mu, out=out)      # centred, then scaled below
+    var = np.einsum("ij,ij->j", xhat, xhat) * inv_count
+    std = np.sqrt(var + eps)
+    xhat /= std
+    return xhat, mu, var, std
+
+
+def _bn_xhat(x: np.ndarray, mu: np.ndarray, std: np.ndarray,
+             out: np.ndarray = None) -> np.ndarray:
+    """The normalized input again, by the forward's exact operations,
+    written to ``out`` or to a new array."""
+    xhat = np.subtract(x, mu, out=out)
+    xhat /= std
+    return xhat
+
+
+def _bn_backward(g, xhat, std, gamma, out=None):
+    """(input, gamma, beta) gradients of batch norm over the rows of
+    (M, C) arrays; the input gradient is written to ``out`` (``xhat``
+    itself is allowed), or to a new array."""
+    inv_count = 1.0 / g.shape[0]
+    g_sum = _column_sums(g)
+    gx_sum = np.einsum("ij,ij->j", g, xhat)
+    # gamma / std * (g - mean(g) - xhat * mean(g * xhat))
+    gx = np.multiply(xhat, -gx_sum * inv_count, out=out)
+    gx += g
+    gx -= g_sum * inv_count
+    gx *= gamma / std
+    return gx, gx_sum, g_sum
+
+
+def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+             out: np.ndarray = None) -> np.ndarray:
+    """``relu(xhat * gamma + beta)``, written to ``out`` (``xhat``
+    itself is allowed) or to a new array."""
+    h = np.multiply(xhat, gamma, out=out)
+    h += beta
+    np.maximum(h, 0.0, out=h)
+    return h
 
 
 # -- the generic Tensor algebra -------------------------------------------

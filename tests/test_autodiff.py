@@ -3,9 +3,11 @@ import copy
 import numpy as np
 import pytest
 
-from gpgait.autodiff import (Arena, Role, Tensor, _bn_backward, _bn_normalize,
-                             _frame_buffer, _temporal_conv, _temporal_conv_grads,
-                             bnneck_classifier, graph_block, group_pool, slot_fc)
+import reference as ref
+from gpgait.autodiff import (Arena, Role, Tensor, _bn_backward, _bn_normalize, _bn_relu,
+                             _bn_xhat, _frame_buffer, _pool_plan, _softmax, _temporal_conv,
+                             _temporal_conv_grads, _tiled, bnneck_classifier, graph_block,
+                             group_pool, slot_fc)
 from gpgait.graph import mask_set
 from gpgait.pagcn import PART_GROUPS
 from reference import (OpTensor, batch_norm_train, concat, graph_conv,
@@ -275,6 +277,30 @@ class TestFusedOps:
         assert grads[0].tobytes() == grads[1].tobytes()
 
 
+    def test_group_pool_shares_read_only_constants(self, rng):
+        """Calls alternating between two groupings each equal the node
+        that builds its constants on every call (``joint_group_pool``);
+        the constants all calls with one grouping share cannot be
+        written."""
+        data = rng.integers(-3, 4, size=(2, 4, 17, 3)).astype(float)
+        for groups in (PART_GROUPS, ((1, 2),), PART_GROUPS, [[1, 2]]):
+            g = rng.normal(size=(2, len(groups), 3))
+            outs, grads = [], []
+            for pool in (group_pool, joint_group_pool):
+                x = Tensor(data, requires_grad=True)
+                out = pool(x, groups)
+                out.backward(g)
+                outs.append(out.data)
+                grads.append(x.grad)
+            assert outs[0].tobytes() == outs[1].tobytes()
+            assert grads[0].tobytes() == grads[1].tobytes()
+        for groups in (PART_GROUPS, ((1, 2),)):
+            arrays = [a for a in _pool_plan(groups, 17, 3) if isinstance(a, np.ndarray)]
+            assert len(arrays) == 8
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0
+
     def test_slot_fc_gradient(self, rng):
         """Two pools of 2 and 3 slots; every slot its own weight and bias."""
         s, n, c, d = 5, 4, 3, 2
@@ -424,11 +450,38 @@ class TestBatchNormSums:
     def test_sums_equal_numpy_sum(self, rng, m, c):
         x = rng.normal(1.0, 2.0, size=(m, c))
         g = rng.normal(size=(m, c))
-        _xhat, mu, _var, _std = _bn_normalize(x.copy(), 1e-5)
+        _xhat, mu, _var, _std = _bn_normalize(x.copy(), c, 1e-5)
         assert mu.tobytes() == (x.sum(axis=0) * (1.0 / m)).tobytes()
         xhat = rng.normal(size=(m, c))
-        _gx, _g_gamma, g_sum = _bn_backward(g, xhat, np.ones(c), np.ones(c))
+        _gx, _g_gamma, g_sum = _bn_backward(g, xhat, np.ones(c), np.ones(c), c)
         assert g_sum.tobytes() == g.sum(axis=0).tobytes()
+
+
+class TestRowKernels:
+    """The batch-norm kernels on (N*T, V*C) rows, their per-channel
+    vectors tiled over the joints, equal byte for byte the kernels on
+    (N*T*V, C) rows they replaced (``reference``)."""
+
+    @pytest.mark.parametrize("v", [1, 17])
+    @pytest.mark.parametrize("c", [1, 16, 128])
+    def test_equal_channel_rows(self, rng, v, c):
+        shape, rows, cols = (2, 5, v, c), (10, v * c), (-1, c)
+        x = rng.normal(1.0, 2.0, size=shape)
+        g = rng.normal(size=shape)
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        want = ref._bn_normalize(x.reshape(cols).copy(), 1e-5)
+        pairs = list(zip(_bn_normalize(x.reshape(rows).copy(), c, 1e-5), want))
+        _xhat, mu, _var, std = want
+        mu_t, std_t, gamma_t, beta_t = (_tiled(a, v) for a in (mu, std, gamma, beta))
+        xhat = _bn_xhat(x.reshape(rows), mu_t, std_t)
+        xhat_cols = xhat.reshape(cols)
+        pairs += [(gamma_t, np.tile(gamma, v)),
+                  (xhat, ref._bn_xhat(x.reshape(cols), mu, std)),
+                  (_bn_relu(xhat, gamma_t, beta_t), ref._bn_relu(xhat_cols, gamma, beta)),
+                  *zip(_bn_backward(g.reshape(rows), xhat, std_t, gamma_t, c),
+                       ref._bn_backward(g.reshape(cols), xhat_cols, std, gamma))]
+        for got, expect in pairs:
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestSoftmax:
@@ -456,6 +509,20 @@ class TestSoftmax:
         s = softmax(Tensor(rng.normal(size=(1, 4))), axis=-1, mask=mask)
         assert s.data[0, 2] == 0.0 and s.data[0, 3] == 0.0
         np.testing.assert_allclose(s.data.sum(), 1.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("partitioned", [True, False])
+    def test_one_pass_equals_masked_passes(self, rng, partitioned):
+        """``autodiff._softmax`` equals byte for byte the softmax of
+        ``where`` passes it replaced (``reference._softmax``) on (N, K,
+        17, 17) similarities, for every mask ``mask_set`` builds: each
+        built-in scheme, an override of single-joint groups (the
+        identity mask) and the unpartitioned masks."""
+        singles = (("singles", tuple((j,) for j in range(17))),)
+        for name, mask in mask_set(singles, partitioned).items():
+            sim = rng.normal(0.0, 3.0, size=(4, 3, 17, 17))
+            got = _softmax(sim, -1, mask > 0)
+            assert got.tobytes() == ref._softmax(sim, -1, mask > 0).tobytes(), name
 
 
 class TestGraphMechanics:

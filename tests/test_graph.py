@@ -113,6 +113,23 @@ class TestPartitionMasks:
         np.testing.assert_array_equal(masks["parts5"], graph.mask_set()["upper_lower"])
         np.testing.assert_array_equal(masks["halves"], masks["parts5"])
 
+    @given(st.lists(st.integers(0, 16), min_size=17, max_size=17))
+    @settings(max_examples=30, deadline=None)
+    def test_every_mask_keeps_its_diagonal(self, labels):
+        """The precondition of the one-pass masked softmax
+        (``autodiff._softmax``): every row of every mask keeps its own
+        joint, so no row is masked out. It holds for each built-in
+        scheme, for an override scheme of any grouping (joint j in group
+        ``labels[j]``) and for unpartitioned masks, because the coverage
+        check puts every joint in exactly one group."""
+        groups = tuple(tuple(j for j in range(17) if labels[j] == g)
+                       for g in sorted(set(labels)))
+        for partitioned in (True, False):
+            masks = graph.mask_set((("override", groups),), partitioned)
+            assert list(masks) == [*graph.PARTITION_SCHEMES, "override"]
+            for m in masks.values():
+                np.testing.assert_array_equal(np.diag(m), 1.0)
+
     def test_unpartitioned_all_ones(self):
         masks = graph.mask_set((("extra", (tuple(range(17)),)),), partitioned=False)
         assert list(masks) == [*graph.PARTITION_SCHEMES, "extra"]
