@@ -14,9 +14,11 @@ NAMES = ("parent", "change")
 
 def line(op_ms, rss, failed=0, correct=True):
     """A result line as ``perfbench/run.py`` prints it."""
+    values = {"op_ms_p50": (op_ms, "ms"), "seq_per_s": (1000.0 / op_ms, "seq/s"),
+              "peak_rss_mb": (rss, "MB")}
     return {"correct": correct, "attempted": 40, "failed": failed,
-            "metrics": {"op_ms_p50": op_ms, "seq_per_s": 1000.0 / op_ms,
-                        "peak_rss_mb": rss}}
+            "metrics": {name: {"value": value, "unit": unit}
+                        for name, (value, unit) in values.items()}}
 
 
 def runs(pairs):

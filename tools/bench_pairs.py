@@ -80,7 +80,8 @@ def _better(a: float, b: float, direction: str) -> bool:
 def summarize(runs: list, names: tuple, better: dict, bounds: dict) -> dict:
     """The summary of one workload's ``runs``: dicts with ``seed``,
     ``side`` (one of the two ``names``, base first) and ``result`` (the
-    line ``run.py`` printed, or None when it printed none). A pair is
+    line ``run.py`` printed, its metrics ``{name: {"value": ..., "unit":
+    ...}}``, or None when it printed none). A pair is
     the two sides' runs of one seed; a metric is summarized over the
     pairs whose both lines hold it."""
     base, change = names
@@ -99,9 +100,9 @@ def summarize(runs: list, names: tuple, better: dict, bounds: dict) -> dict:
             if m not in metrics:
                 metrics.append(m)
     for m in metrics:
-        held = [(b["metrics"][m], c["metrics"][m]) for b, c in pairs
-                if b and c and b["metrics"].get(m) is not None
-                and c["metrics"].get(m) is not None]
+        held = [(b["metrics"][m]["value"], c["metrics"][m]["value"]) for b, c in pairs
+                if b and c and m in c["metrics"]
+                and None not in (b["metrics"][m]["value"], c["metrics"][m]["value"])]
         if not held:
             continue
         xs, ys = [p[0] for p in held], [p[1] for p in held]
@@ -124,8 +125,9 @@ def summarize(runs: list, names: tuple, better: dict, bounds: dict) -> dict:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its exit code and its
-    last stdout line as JSON (None when it printed none)."""
+    """One ``perfbench/run.py`` run in ``tree``: its exit code, its last
+    stdout line (the result) and its ``details`` line, as JSON (None
+    when it printed none)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -134,7 +136,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) ->
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    out = {"exit": proc.returncode, "result": result}
+    details = [json.loads(ln[len("details "):]) for ln in lines
+               if ln.startswith("details ")]
+    out = {"exit": proc.returncode, "result": result,
+           "details": details[-1] if details else None}
     if result is None:
         out["stderr"] = proc.stderr.strip()[-400:]
     return out
