@@ -41,7 +41,7 @@ def test_summary_of_canned_lines():
     """Medians, quartiles, wins by each metric's direction and the bound
     check, on four pairs whose change is faster on three and uses more
     memory."""
-    better, bounds = bench_pairs.metric_rules()
+    better, bounds = bench_pairs.metric_rules(bench_pairs.benchmark_spec())
     pairs = [(1, line(100.0, 50.0), line(90.0, 60.0)),
              (2, line(104.0, 50.0), line(95.0, 60.0)),
              (3, line(96.0, 51.0), line(98.0, 61.0)),
@@ -70,7 +70,7 @@ def test_summary_of_canned_lines():
 def test_failed_and_missing_runs():
     """A run that printed no line counts as not correct and holds no
     metric; a failed operation is reported per run."""
-    better, bounds = bench_pairs.metric_rules()
+    better, bounds = bench_pairs.metric_rules(bench_pairs.benchmark_spec())
     pairs = [(1, line(100.0, 50.0), line(99.0, 50.0, failed=2, correct=False)),
              (2, line(101.0, 50.0), None)]
     summary = bench_pairs.summarize(runs(pairs), NAMES, better, bounds)

@@ -8,9 +8,10 @@ directory; there are exactly two, the base first and the change second.
 For every workload and seed (``--seeds`` takes numbers and ranges, as in
 ``1,4,10-19``) one pair runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds X --trace T
+    python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
-in each checkout, one after the other. Which side runs first alternates
+in each checkout, ``X`` being ``BENCHMARK.json``'s ``run_seconds`` unless
+``--seconds`` is given,, one after the other. Which side runs first alternates
 from pair to pair: the base on a workload's even pairs, the change on
 its odd ones. Nothing but ``run.py`` is called, and nothing under
 ``perfbench/`` is read except what ``run.py`` prints.
@@ -28,11 +29,11 @@ whether every run was correct, and per metric of the result lines
 - ``change_vs_parent``, the change's median relative to the base's;
 - ``change_wins``, the pairs whose change value is better than its
   base value, better as ``BENCHMARK.json`` (next to this directory)
-  says for the metric; null for a metric it does not list;
+  says for the metric;
 - ``resolved``, whether the medians differ by more than the base's
   quartile spread;
-- for an end-to-end metric, its ``bound`` and ``within_bound``: the
-  change's median is not worse than the base's by more than the bound.
+- its ``bound`` and ``within_bound``: the change's median is not worse
+  than the base's by more than the bound.
 """
 
 from __future__ import annotations
@@ -57,14 +58,17 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def metric_rules(path: str = BENCHMARK) -> tuple:
-    """({metric: "lower" or "higher"}, {end-to-end metric: bound}) of a
-    ``BENCHMARK.json``."""
+def benchmark_spec(path: str = BENCHMARK) -> dict:
     with open(path) as fh:
-        spec = json.load(fh)
-    listed = spec.get("end_to_end", []) + spec.get("per_layer", [])
-    return ({m["name"]: m["better"] for m in listed},
-            {m["name"]: m["bound"] for m in spec.get("end_to_end", [])})
+        return json.load(fh)
+
+
+def metric_rules(spec: dict) -> tuple:
+    """({metric: "lower" or "higher"}, {metric: bound}) of a
+    ``BENCHMARK.json``'s end-to-end metrics."""
+    metrics = spec["end_to_end"]
+    return ({m["name"]: m["better"] for m in metrics},
+            {m["name"]: m["bound"] for m in metrics})
 
 
 def _quartiles(values: list) -> list:
@@ -114,22 +118,22 @@ def summarize(runs: list, names: tuple, better: dict, bounds: dict) -> dict:
                f"{base}_median": mx, f"{change}_median": my,
                f"{base}_quartiles": qx, f"{change}_quartiles": qy,
                f"{base}_iqr": iqr, f"{change}_vs_{base}": rel,
-               f"{change}_wins": (sum(_better(y, x, better[m]) for x, y in held)
-                                  if m in better else None),
-               "pairs": len(held), "resolved": abs(my - mx) > iqr}
-        if m in bounds and rel is not None:
+               f"{change}_wins": sum(_better(y, x, better[m]) for x, y in held),
+               "pairs": len(held), "resolved": abs(my - mx) > iqr,
+               "bound": bounds[m]}
+        if rel is not None:
             worse = rel if better[m] == "lower" else -rel
-            row["bound"], row["within_bound"] = bounds[m], worse <= bounds[m]
+            row["within_bound"] = worse <= bounds[m]
         out["metrics"][m] = row
     return out
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its exit code, its last
     stdout line (the result) and its ``details`` line, as JSON (None
     when it printed none)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
     try:
@@ -160,17 +164,17 @@ def main(argv=None) -> int:
                         help="NAME=PATH of a source checkout (twice: base, change)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     trees = dict(t.split("=", 1) for t in args.tree)
     if len(trees) != 2:
         parser.error("give exactly two --tree NAME=PATH")
     names = tuple(trees)
-    better, bounds = metric_rules()
+    spec = benchmark_spec()
+    better, bounds = metric_rules(spec)
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     report = {
-        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   f"--trace {args.trace}",
+        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "seeds": args.seeds,
         "trees": {name: {"commit": _commit(path)} for name, path in trees.items()},
         "workloads": {},
@@ -179,8 +183,7 @@ def main(argv=None) -> int:
         runs = []
         for i, seed in enumerate(args.seeds):
             for position, side in enumerate(names if i % 2 == 0 else names[::-1]):
-                run = run_once(os.path.abspath(trees[side]), workload, seed,
-                               args.seconds, args.trace)
+                run = run_once(os.path.abspath(trees[side]), workload, seed, seconds)
                 run = {"seed": seed, "side": side, "position": position, **run}
                 print(json.dumps(run), file=sys.stderr, flush=True)
                 runs.append(run)
