@@ -8,9 +8,8 @@ training block (``graph_block``), a branch's part pooling
 classifier (``bnneck_classifier``), and the losses (``train``).
 ``backward()`` replays the closures in reverse topological order.
 
-The engine keeps no state between calls except constants derived from
-their arguments (``group_pool``'s per-grouping tables, built once and
-read-only), so repeated runs with identical inputs are bit-reproducible.
+The engine is deliberately free of global state so repeated runs with
+identical inputs are bit-reproducible.
 A training step is bound by per-call work and elementwise passes over
 short rows more than by its products, so a block's per-channel
 broadcasts run along (N*T, V*C) rows, the (C,) vectors tiled over the
@@ -27,8 +26,6 @@ gradient in one copy.
 from __future__ import annotations
 
 import copy
-import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -204,53 +201,6 @@ class Arena:
             role.data = view
 
 
-class _PoolPlan(NamedTuple):
-    """The constants of ``group_pool`` for one grouping of V joints with
-    C channels (``_pool_plan``)."""
-    group: np.ndarray       # (P,) the group of each (group, joint) pair
-    weight: np.ndarray      # (P, 1) a pair's share of its group's mean
-    share: np.ndarray       # (G, V) the means' matrix of joint shares
-    maxima: tuple           # per group: (from earlier groups' maxima?, sources)
-    padded: np.ndarray      # (G, W, 1) each group's joints, padded with its first
-    padded_cells: np.ndarray  # (G, W) their first cells within a frame
-    group_rows: np.ndarray  # (G, 1) the group indices
-    pair_cells: np.ndarray  # (P, C) a pair's cells within a frame
-    chan: np.ndarray        # (C,) the channel indices
-
-
-@functools.lru_cache(maxsize=32)
-def _pool_plan(groups: tuple, v: int, c: int) -> _PoolPlan:
-    """``group_pool``'s constants for ``groups`` (a tuple of joint-index
-    tuples) on V joints with C channels, built on the first call with
-    them. Every later call shares them, so each array is read-only.
-    ``maxima[p]`` is (True, the earlier groups inside group p) when their
-    joints are exactly its own (the whole body after its parts), else
-    (False, its joints)."""
-    group, joint = np.array([(p, j) for p, members in enumerate(groups)
-                             for j in members]).T
-    weight = 1.0 / np.bincount(group)[group]
-    share = np.zeros((len(groups), v))
-    np.add.at(share, (group, joint), weight)
-    members = [set(m) for m in groups]
-    maxima = []
-    for p, own in enumerate(members):
-        inside = tuple(q for q in range(p) if members[q] <= own)
-        if inside and set().union(*(members[q] for q in inside)) == own:
-            maxima.append((True, inside))
-        else:
-            maxima.append((False, groups[p]))
-    width = max(len(m) for m in groups)
-    padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
-    chan = np.arange(c)
-    plan = _PoolPlan(group, weight[:, None], share, tuple(maxima),
-                     padded[:, :, None], padded * c, np.arange(len(groups))[:, None],
-                     joint[:, None] * c + chan, chan)
-    for a in plan:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return plan
-
-
 def group_pool(x: Tensor, groups) -> Tensor:
     """(N, T, V, C) -> (N, G, C): per group of joints (a non-empty index
     sequence), the mean plus the max over its joints, then the max over
@@ -260,35 +210,42 @@ def group_pool(x: Tensor, groups) -> Tensor:
     group whose joints are exactly those of the earlier groups inside
     it (the whole body after its parts) takes the max of their maxima
     instead; max is exact, so the values are the same. A max's gradient
-    goes to its first argmax frame and joint. The grouping's constants
-    are built once (``_pool_plan``)."""
+    goes to its first argmax frame and joint."""
     n, t, v, c = x.shape
-    plan = _pool_plan(tuple(map(tuple, groups)), v, c)
+    group, joint = np.array([(p, j) for p, members in enumerate(groups)
+                             for j in members]).T
+    weight = 1.0 / np.bincount(group)[group]              # per (group, joint) pair
+    share = np.zeros((len(groups), v))
+    np.add.at(share, (group, joint), weight)
     peak = np.empty((len(groups), n, t, c))                # group-major: contiguous rows
-    for row, (from_maxima, sources) in zip(peak, plan.maxima):
-        if from_maxima:
-            first, *rest = (peak[q] for q in sources)
+    members = [set(m) for m in groups]
+    for p, row in enumerate(peak):
+        inside = [q for q in range(p) if members[q] <= members[p]]
+        if inside and set().union(*(members[q] for q in inside)) == members[p]:
+            first, *rest = (peak[q] for q in inside)
         else:
-            first, *rest = (x.data[:, :, j] for j in sources)
+            first, *rest = (x.data[:, :, j] for j in groups[p])
         np.copyto(row, first)
         for other in rest:
             np.maximum(row, other, out=row)
-    per_frame = np.matmul(plan.share, x.data)
+    per_frame = np.matmul(share, x.data)
     per_frame += np.moveaxis(peak, 0, 2)
     out = _make(per_frame.max(axis=1), (x,))
     if out.requires_grad:
         rows = np.arange(n)[:, None, None] * t + per_frame.argmax(axis=1)  # (N, G, C)
+        chan = np.arange(c)
+        # each group padded with its first joint, so argmax over the
+        # padded joints at the max's frame finds the first maximum
+        width = max(len(m) for m in groups)
+        padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
 
         def bwd(g):
-            # argmax over each group's padded joints at the max's frame
-            # finds the first maximum
-            at = x.data.reshape(n * t, v, c)[rows[:, :, None], plan.padded, plan.chan]
-            first = plan.padded_cells[plan.group_rows, at.argmax(axis=2)]
-            base = rows * (v * c)                   # the frames' first cells
-            cells = np.concatenate([(base[:, plan.group] + plan.pair_cells).ravel(),
-                                    (base + first + plan.chan).ravel()])
-            weights = np.concatenate([(g[:, plan.group] * plan.weight).ravel(),
-                                      g.ravel()])
+            at = x.data.reshape(n * t, v, c)[rows[:, :, None], padded[:, :, None], chan]
+            first = padded[np.arange(len(groups))[:, None], at.argmax(axis=2)]
+            cells = np.concatenate([
+                ((rows[:, group] * v + joint[:, None]) * c + chan).ravel(),
+                ((rows * v + first) * c + chan).ravel()])
+            weights = np.concatenate([(g[:, group] * weight[:, None]).ravel(), g.ravel()])
             x._accumulate(np.bincount(cells, weights, x.data.size).reshape(x.shape))
         out._backward = bwd
     return out
@@ -499,15 +456,15 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _tiled(vec: np.ndarray, v: int) -> np.ndarray:
-    """The (V*C,) operand of a per-channel broadcast along rows of V
-    joints of C channels: the (C,) ``vec`` repeated V times, or ``vec``
-    itself when V = 1. The values of ``np.tile(vec, v)``, at a fraction
-    of its call's cost."""
+    """The (..., V*C) operand of a per-channel broadcast along rows of V
+    joints of C channels: the (..., C) ``vec`` repeated V times along its
+    last axis, or ``vec`` itself when V = 1. The values of
+    ``np.tile(vec, (1, ..., v))``, at a fraction of its call's cost."""
     if v == 1:
         return vec
-    out = np.empty((v, vec.shape[0]))
-    out[...] = vec
-    return out.reshape(-1)
+    out = np.empty(vec.shape[:-1] + (v, vec.shape[-1]))
+    out[...] = vec[..., None, :]
+    return out.reshape(vec.shape[:-1] + (-1,))
 
 
 def _bn_normalize(x: np.ndarray, c: int, eps: float, out: np.ndarray = None):

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import (Arena, Role, Tensor, _attention, _frame_buffer,
-                       _stacked_adjacency, _temporal_conv, bnneck_classifier,
+                       _stacked_adjacency, _temporal_conv, _tiled, bnneck_classifier,
                        graph_block, group_pool, slot_fc)
 from . import hot
 from .errors import ConfigError, DataError
@@ -453,8 +453,8 @@ def _inference_block(f: np.ndarray, block: BlockParams, adjacency: np.ndarray,
     scale1, shift1 = _folded(block.bn1)
     scale2, shift2 = _folded(block.bn2)
     weight = block.weight.data.reshape(k * c_in, c_out) * scale1
-    kernel = np.tile(block.temporal_kernel.data * scale2, (1, v))
-    shift1, shift2 = np.tile(shift1, v), np.tile(shift2, v)
+    kernel = _tiled(block.temporal_kernel.data * scale2, v)
+    shift1, shift2 = _tiled(shift1, v), _tiled(shift2, v)
     g = _inference_group(f.shape, block)
     agg = np.empty((g, t, v * k, c_in))
     padded, frames = _frame_buffer((g, t, v * c_out), kernel.shape[0])

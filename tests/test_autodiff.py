@@ -5,7 +5,7 @@ import pytest
 
 import reference as ref
 from gpgait.autodiff import (Arena, Role, Tensor, _bn_backward, _bn_normalize, _bn_relu,
-                             _bn_xhat, _frame_buffer, _pool_plan, _softmax, _temporal_conv,
+                             _bn_xhat, _frame_buffer, _softmax, _temporal_conv,
                              _temporal_conv_grads, _tiled, bnneck_classifier, graph_block,
                              group_pool, slot_fc)
 from gpgait.graph import mask_set
@@ -277,30 +277,6 @@ class TestFusedOps:
         assert grads[0].tobytes() == grads[1].tobytes()
 
 
-    def test_group_pool_shares_read_only_constants(self, rng):
-        """Calls alternating between two groupings each equal the node
-        that builds its constants on every call (``joint_group_pool``);
-        the constants all calls with one grouping share cannot be
-        written."""
-        data = rng.integers(-3, 4, size=(2, 4, 17, 3)).astype(float)
-        for groups in (PART_GROUPS, ((1, 2),), PART_GROUPS, [[1, 2]]):
-            g = rng.normal(size=(2, len(groups), 3))
-            outs, grads = [], []
-            for pool in (group_pool, joint_group_pool):
-                x = Tensor(data, requires_grad=True)
-                out = pool(x, groups)
-                out.backward(g)
-                outs.append(out.data)
-                grads.append(x.grad)
-            assert outs[0].tobytes() == outs[1].tobytes()
-            assert grads[0].tobytes() == grads[1].tobytes()
-        for groups in (PART_GROUPS, ((1, 2),)):
-            arrays = [a for a in _pool_plan(groups, 17, 3) if isinstance(a, np.ndarray)]
-            assert len(arrays) == 8
-            for a in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    a.flat[0] = 0
-
     def test_slot_fc_gradient(self, rng):
         """Two pools of 2 and 3 slots; every slot its own weight and bias."""
         s, n, c, d = 5, 4, 3, 2
@@ -475,7 +451,9 @@ class TestRowKernels:
         mu_t, std_t, gamma_t, beta_t = (_tiled(a, v) for a in (mu, std, gamma, beta))
         xhat = _bn_xhat(x.reshape(rows), mu_t, std_t)
         xhat_cols = xhat.reshape(cols)
-        pairs += [(gamma_t, np.tile(gamma, v)),
+        kernel = rng.normal(size=(9, c))       # a temporal kernel's (K, C) taps
+        assert _tiled(kernel, v).shape == (9, v * c)
+        pairs += [(gamma_t, np.tile(gamma, v)), (_tiled(kernel, v), np.tile(kernel, (1, v))),
                   (xhat, ref._bn_xhat(x.reshape(cols), mu, std)),
                   (_bn_relu(xhat, gamma_t, beta_t), ref._bn_relu(xhat_cols, gamma, beta)),
                   *zip(_bn_backward(g.reshape(rows), xhat, std_t, gamma_t, c),

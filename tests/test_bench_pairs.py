@@ -79,3 +79,18 @@ def test_failed_and_missing_runs():
     op = summary["metrics"]["op_ms_p50"]
     assert op["pairs"] == 1 and op["parent"] == [100.0] and op["change"] == [99.0]
     assert op["parent_iqr"] == 0.0 and op["resolved"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tree", "parent=a", "--tree", "change", "--workload", "w", "--seeds", "1-3"],
+    ["--tree", "parent=a", "--tree", "change=b", "--workload", "w", "--seeds", "1-3,2"],
+    ["--tree", "parent=a", "--tree", "parent=b", "--workload", "w", "--seeds", "1"],
+])
+def test_bad_arguments_are_usage_errors(argv, capsys):
+    """A ``--tree`` without ``=``, a repeated seed (its pair would be
+    overwritten) or a repeated tree name stops with a usage error
+    before anything runs."""
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(argv)
+    assert stop.value.code == 2
+    assert "usage:" in capsys.readouterr().err

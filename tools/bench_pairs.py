@@ -10,8 +10,8 @@ For every workload and seed (``--seeds`` takes numbers and ranges, as in
 
     python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
-in each checkout, ``X`` being ``BENCHMARK.json``'s ``run_seconds`` unless
-``--seconds`` is given,, one after the other. Which side runs first alternates
+in each checkout, ``X`` being ``BENCHMARK.json``'s ``run_seconds``, one
+after the other. Which side runs first alternates
 from pair to pair: the base on a workload's even pairs, the change on
 its odd ones. Nothing but ``run.py`` is called, and nothing under
 ``perfbench/`` is read except what ``run.py`` prints.
@@ -164,15 +164,18 @@ def main(argv=None) -> int:
                         help="NAME=PATH of a source checkout (twice: base, change)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
+    if any("=" not in t for t in args.tree):
+        parser.error("each --tree is NAME=PATH")
     trees = dict(t.split("=", 1) for t in args.tree)
     if len(trees) != 2:
         parser.error("give exactly two --tree NAME=PATH")
+    if len(set(args.seeds)) != len(args.seeds):
+        parser.error("--seeds repeats a seed; a pair is one seed's two runs")
     names = tuple(trees)
     spec = benchmark_spec()
     better, bounds = metric_rules(spec)
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     report = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "seeds": args.seeds,
