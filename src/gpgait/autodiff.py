@@ -210,7 +210,14 @@ def group_pool(x: Tensor, groups) -> Tensor:
     group whose joints are exactly those of the earlier groups inside
     it (the whole body after its parts) takes the max of their maxima
     instead; max is exact, so the values are the same. A max's gradient
-    goes to its first argmax frame and joint."""
+    goes to its first argmax frame and joint.
+
+    The forward finds both: per (sequence, group, channel) the first
+    argmax frame of the pooled sum, then the first argmax joint of the
+    group at that frame. The node keeps these (N, G, C) index arrays and
+    the input's shape, no input values, so backward reads nothing of
+    ``x.data`` and a caller may drop it once the node is made
+    (``pagcn.pooled_slots``)."""
     n, t, v, c = x.shape
     group, joint = np.array([(p, j) for p, members in enumerate(groups)
                              for j in members]).T
@@ -230,6 +237,7 @@ def group_pool(x: Tensor, groups) -> Tensor:
             np.maximum(row, other, out=row)
     per_frame = np.matmul(share, x.data)
     per_frame += np.moveaxis(peak, 0, 2)
+    del peak
     out = _make(per_frame.max(axis=1), (x,))
     if out.requires_grad:
         rows = np.arange(n)[:, None, None] * t + per_frame.argmax(axis=1)  # (N, G, C)
@@ -238,15 +246,17 @@ def group_pool(x: Tensor, groups) -> Tensor:
         # padded joints at the max's frame finds the first maximum
         width = max(len(m) for m in groups)
         padded = np.array([list(m) + [m[0]] * (width - len(m)) for m in groups])
+        at = x.data.reshape(n * t, v, c)[rows[:, :, None], padded[:, :, None], chan]
+        first = padded[np.arange(len(groups))[:, None], at.argmax(axis=2)]
+        del at
+        size, shape = x.data.size, x.shape
 
         def bwd(g):
-            at = x.data.reshape(n * t, v, c)[rows[:, :, None], padded[:, :, None], chan]
-            first = padded[np.arange(len(groups))[:, None], at.argmax(axis=2)]
             cells = np.concatenate([
                 ((rows[:, group] * v + joint[:, None]) * c + chan).ravel(),
                 ((rows * v + first) * c + chan).ravel()])
             weights = np.concatenate([(g[:, group] * weight[:, None]).ravel(), g.ravel()])
-            x._accumulate(np.bincount(cells, weights, x.data.size).reshape(x.shape))
+            x._accumulate(np.bincount(cells, weights, size).reshape(shape))
         out._backward = bwd
     return out
 
@@ -328,32 +338,31 @@ def _stacked_adjacency(fixed: np.ndarray, mask: np.ndarray, learned: np.ndarray,
     return stacked[:, None] if adj.ndim == 4 else stacked
 
 
-def _spatial_input_grads(g: np.ndarray, f_in: Tensor, stacked: np.ndarray,
+def _spatial_input_grads(g_agg: np.ndarray, f_in: Tensor, stacked: np.ndarray,
                          mask: np.ndarray, learned: Tensor, w: np.ndarray,
                          attn_q: Tensor, attn_k: Tensor, pooled: np.ndarray,
                          att: np.ndarray):
-    """Backward of a block's spatial step for the (M, C_out) gradient
-    ``g`` of ``y``, less the weight gradient, given the stacked
-    (K*C_in, C_out) weights ``w`` and, with attention, the forward's
-    pooled features and attention (``_attention``): accumulates the
-    learned adjacencies' and the attention projections' gradients and
-    returns the input's, or None when ``f_in`` needs none. The adjacency
-    gradient is masked, so a masked learned entry gets a gradient of
-    exactly 0; the queries and keys are rebuilt by the forward's own
-    products."""
+    """Backward of a block's spatial step for the (N, T, V*K, C_in)
+    gradient ``g_agg`` of the aggregate, given the stacked (K*C_in,
+    C_out) weights ``w`` and, with attention, the forward's pooled
+    features and attention (``_attention``): accumulates the learned
+    adjacencies' and the attention projections' gradients and returns
+    the input's, or None when ``f_in`` needs none. The per-frame
+    adjacency products are summed and freed before the input gradient
+    is allocated. The adjacency gradient is masked, so a
+    masked learned entry gets a gradient of exactly 0; the queries and
+    keys are rebuilt by the forward's own products."""
     f = f_in.data
     n, t, v, c_in = f.shape
     k = learned.shape[0]
     per_sequence = stacked.ndim == 4
-    g_agg = (g @ w.T).reshape(n, t, v * k, c_in)
-    g_f = None
-    if f_in.requires_grad:
-        g_f = np.matmul(np.swapaxes(stacked, -1, -2), g_agg)
     # per-frame (V*K, C_in) @ (C_in, V) products summed over frames:
     # faster here than one (V*K, T*C_in) GEMM per sequence
     g_adj = np.matmul(g_agg, np.swapaxes(f, -1, -2))
-    del g_agg
     g_adj = g_adj.sum(axis=1 if per_sequence else (0, 1))
+    g_f = None
+    if f_in.requires_grad:
+        g_f = np.matmul(np.swapaxes(stacked, -1, -2), g_agg)
     g_adj = np.moveaxis(g_adj.reshape(g_adj.shape[:-2] + (v, k, v)), -3, -1)
     g_adj *= mask                                               # (.., K, V, V)
     if learned.requires_grad:
@@ -563,19 +572,28 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     (N, K, V, V) attention (the size of the stacked adjacency): no
     (N, T, V, C_out) array. Backward recomputes from the pooled features
     only the two small query and key products (``_queries_keys``), and
-    rebuilds, once each and by the forward's exact operations, the
-    aggregate and ``y`` from it (normalized in place to the first
-    normalized array, which the first batch norm's gradient uses too),
-    the first ReLU's output in its frame buffer (its mask is ``> 0``, and
-    the kernel gradient reads its taps) and the second normalized array,
-    from which the second ReLU's mask is ``xhat2 * gamma2 + beta2 > 0``.
-    Once the first ReLU's mask is taken, the temporal conv's gradients
-    reuse the frame buffer for the output gradient's frames, and its
-    input gradient is written over that output gradient
-    (``_temporal_conv_grads``). The gradient of ``y`` goes straight into
-    the spatial step's backward (``_spatial_input_grads``), so every
-    value is bit-identical to a spatial node and an epilogue node that
-    stored their arrays.
+    rebuilds by the forward's exact operations the aggregate and ``y``
+    from it (normalized in place to the first normalized array, which
+    the first batch norm's gradient uses too), the first ReLU's output
+    in its frame buffer (its mask is ``> 0``, and the kernel gradient
+    reads its taps) and the second normalized array, from which the
+    second ReLU's mask is ``xhat2 * gamma2 + beta2 > 0``. Once the first
+    ReLU's mask is taken, the temporal conv's gradients reuse the frame
+    buffer for the output gradient's frames, and its input gradient is
+    written over that output gradient (``_temporal_conv_grads``).
+
+    The (N*T*V, K*C_in) aggregate, K*C_in/C_out output-sized arrays, is
+    held only around its two products: it is freed once ``y`` is
+    rebuilt, so the epilogue's backward runs without it, and made again
+    by the same batched product for the weight gradient, then freed.
+    The gradient of ``y`` (the first normalized array's buffer) is
+    dropped once the aggregate's gradient is formed, and that goes into
+    the spatial step's backward (``_spatial_input_grads``). So a
+    128 -> 128 block's backward peaks at under 5 output-sized arrays
+    (the epilogue's: the first normalized array, the frame buffer, the
+    second normalized array and its ReLU's gradient), and every value is
+    bit-identical to a spatial node and an epilogue node that stored
+    their arrays.
     """
     n, t, v, c_in = f_in.shape
     c = weights.shape[2]
@@ -614,6 +632,7 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
         agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
         w = weights.data.reshape(c_agg, c)
         xhat1 = (agg @ w).reshape(rows)
+        del agg
         _bn_xhat(xhat1, mean1, sd1, out=xhat1)
         padded, h = _frame_buffer(shape, kernel.shape[0])
         _bn_relu(xhat1.reshape(n, t, -1), scale1, shift1, out=h.reshape(n, t, -1))
@@ -642,10 +661,14 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
             if p.requires_grad:
                 p._accumulate(grad)
         if weights.requires_grad:
+            agg = np.matmul(stacked, f_in.data).reshape(-1, c_agg)
             weights._accumulate((agg.T @ g_y).reshape(weights.shape))
-        del agg
-        g_f = _spatial_input_grads(g_y, f_in, stacked, mask, learned, w,
+            del agg
+        g_agg = (g_y @ w.T).reshape(n, t, -1, c_in)
+        del g_y, xhat1
+        g_f = _spatial_input_grads(g_agg, f_in, stacked, mask, learned, w,
                                    attn_q, attn_k, pooled, att)
+        del g_agg
         if g_f is not None:
             if residual:
                 g_f += g

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import eval as eval_mod
-from . import pose_io, synth
+from . import pose_io
 from .config import METRICS, PROTOCOLS, build_run_config
 from .errors import ConfigError, DataError, EmptySequenceError, GpgaitError
 from .graph import mask_set
@@ -169,7 +169,11 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _parse_camera(spec: str) -> synth.CameraSpec:
+def _parse_camera(spec: str):
+    """A ``synth.CameraSpec`` from ``key=value,...``. ``synth`` is
+    imported here and in ``cmd_synth`` only, so no other command loads
+    the data generator."""
+    from . import synth
     kwargs = {}
     for part in spec.split(","):
         part = part.strip()
@@ -190,6 +194,7 @@ def _parse_camera(spec: str) -> synth.CameraSpec:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     cameras = [_parse_camera(c) for c in (args.camera or ["scale=1"])]
     manifest = synth.generate_dataset(
         args.out, args.identities, args.sequences, cameras, args.frames,

@@ -572,7 +572,14 @@ def pooled_slots(model: ModelParams, branch_inputs: dict,
                  training: bool = False) -> list:
     """Per branch, in config order, its (N, P, C) pooled slots: its
     blocks, then its part pooling. ``branch_inputs`` maps branch name to
-    an (N, T, V, C) array or Tensor."""
+    an (N, T, V, C) array or Tensor.
+
+    In training, once a branch is pooled its last block output's values
+    are dropped: its ``data`` becomes a read-only zero-stride view of
+    the same shape. Nothing reads them again: the pooling keeps index
+    arrays only (``group_pool``), and a block keeps its input, not its
+    output (``graph_block``). So the tape holds each branch's earlier
+    block outputs, as the next blocks' inputs, and not its last."""
     cfg = model.config
     slots = []
     for bname in cfg.branches:
@@ -583,9 +590,11 @@ def pooled_slots(model: ModelParams, branch_inputs: dict,
         if x.shape[-1] != expect or x.shape[2] != V:
             raise DataError(
                 f"branch {bname!r} expects (N,T,{V},{expect}), got {x.shape}")
-        slots.append(part_pool(branch_forward(x, model.branches[bname],
-                                              model.adjacency, model.masks,
-                                              training)))
+        f = branch_forward(x, model.branches[bname], model.adjacency, model.masks,
+                           training)
+        slots.append(part_pool(f))
+        if training and f is not x:
+            f.data = np.broadcast_to(0.0, f.shape)
     return slots
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,11 +115,54 @@ def sequence_to_record(seq: PoseSequence) -> dict:
     }
 
 
+_NUMBER_TYPES = {float, int}
+
+
+def _numeric_frames(frames):
+    """The (T, K, 3) float64 array of a record's ``frames`` field when
+    it is T > 0 lists of K keypoints, K = 17 in every frame or 18 in
+    every frame, each a list of three JSON numbers (``int`` or
+    ``float``: no bool, no string, no null); otherwise None. Each level's
+    types and lengths are checked by one C-level pass over its
+    flattened items, and the values are read from the flat iterator, so
+    the checks cost about what a nested ``np.array`` conversion saves."""
+    if type(frames) is not list or set(map(type, frames)) != {list}:
+        return None
+    keypoints = list(chain.from_iterable(frames))
+    width = set(map(len, frames))
+    try:
+        if set(map(len, keypoints)) != {3} or (
+                width != {NUM_KEYPOINTS} and width != {KEYPOINTS_WITH_NECK}):
+            return None
+    except TypeError:               # a keypoint without a length
+        return None
+    if not set(map(type, chain.from_iterable(keypoints))) <= _NUMBER_TYPES:
+        return None
+    try:
+        values = np.fromiter(chain.from_iterable(keypoints), np.float64,
+                             3 * len(keypoints))
+    except OverflowError:           # an integer beyond float64
+        return None
+    return values.reshape(len(frames), -1, 3)
+
+
+def _is_number(value) -> bool:
+    """Whether a keypoint value is a number: ``float`` reads it, and it
+    is no bool or string, though ``float`` reads ``True`` and ``"1.5"``."""
+    if isinstance(value, (bool, str)):
+        return False
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 def _malformed_frames(frames):
     """Why a record's ``frames`` field is not T frames of 17 numeric
     triples (or of 18, every frame, as an 18-keypoint estimator writes
     them), or None when it is. Walks the nested lists, so it only runs
-    once the array conversion has failed or looks suspect."""
+    once ``_numeric_frames`` has refused them."""
     if not isinstance(frames, list):
         return f"frames is {type(frames).__name__}, expected a list of frames"
     expected = NUM_KEYPOINTS
@@ -136,9 +180,7 @@ def _malformed_frames(frames):
             if len(kp) != 3:
                 return f"keypoint has {len(kp)} fields, expected 3"
             for value in kp:
-                try:
-                    float(value)
-                except (TypeError, ValueError, OverflowError):
+                if not _is_number(value):
                     return f"keypoint value {value!r} is not a number"
     return None
 
@@ -153,17 +195,12 @@ def sequence_from_record(rec: dict, path="<memory>", line_no=0) -> PoseSequence:
                 for key in ("seq_id", "subject", "condition", "view")}
     except KeyError as e:
         raise RecordError(path, line_no, f"missing field {e.args[0]!r}") from e
-    try:
-        frames = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        frames = np.empty((0,))
-    # numpy reads null as NaN, so a NaN also triggers the walk, which
-    # tells a JSON NaN (a non-finite keypoint HOT drops) from a null
-    if (frames.shape[1:] not in ((NUM_KEYPOINTS, 3), (KEYPOINTS_WITH_NECK, 3))
-            or np.isnan(frames).any()):
+    frames = _numeric_frames(raw)
+    if frames is None:
         problem = _malformed_frames(raw)
         if problem is not None:
             raise RecordError(path, line_no, problem)
+        frames = np.array(raw, dtype=np.float64)    # no frame, or not from JSON
     if frames.shape[1:] == (KEYPOINTS_WITH_NECK, 3):
         frames = convert_alphapose18_to_coco17(frames)
     return PoseSequence(frames=frames, **meta)

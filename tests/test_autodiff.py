@@ -276,6 +276,23 @@ class TestFusedOps:
         assert outs[0].tobytes() == outs[1].tobytes()
         assert grads[0].tobytes() == grads[1].tobytes()
 
+    def test_group_pool_backward_reads_no_input_values(self, rng):
+        """The node keeps its maxima's argmax frames and joints, found in
+        the forward, not the input: with the input's values overwritten
+        between forward and backward, the input gradient is byte-equal.
+        Small integers make ties, so the first-argmax routing counts."""
+        data = rng.integers(-3, 4, size=(3, 5, 17, 4)).astype(float)
+        g = rng.normal(size=(3, len(PART_GROUPS), 4))
+        grads = []
+        for overwrite in (False, True):
+            x = Tensor(data.copy(), requires_grad=True)
+            out = group_pool(x, PART_GROUPS)
+            if overwrite:
+                x.data[...] = rng.integers(-3, 4, size=data.shape)
+            out.backward(g)
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
 
     def test_slot_fc_gradient(self, rng):
         """Two pools of 2 and 3 slots; every slot its own weight and bias."""

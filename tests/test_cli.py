@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +92,18 @@ class TestSynthCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_other_commands_do_not_load_synth(self):
+        """``import gpgait.cli`` leaves the data generator unloaded, so a
+        ``train`` or ``eval`` process never imports it."""
+        import gpgait
+        src = str(Path(gpgait.__file__).resolve().parents[1])
+        code = ("import sys, gpgait.cli; "
+                "print('gpgait.synth' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
     def test_zero_sequences_is_data_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "s"), "--sequences", "0"])

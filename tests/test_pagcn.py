@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -497,6 +498,62 @@ class TestRebuiltTape:
                 adjacency = [((17 * k, 17), "<f8")]
             assert kept == sorted([((c_out,), "<f8")] * 4 + adjacency)
             assert any(a is mask for a in arrays)
+
+
+class TestTrainingMemory:
+    """What a training forward holds and what a block's backward
+    allocates."""
+
+    def test_pooled_branch_outputs_dropped(self, rng, monkeypatch):
+        """After a training ``pooled_slots`` each branch's last block
+        output array is freed (its pooling keeps index arrays only),
+        while the earlier block outputs, the next blocks' inputs, stay
+        alive on the tape."""
+        cfg = tiny_config(parts5_channels=(4, 4))
+        model = init_model(cfg, seed=1)
+        inputs = descriptor_inputs(cfg, rng.normal(size=(2, 3, 17, 2)),
+                                   rng.normal(size=(2, 3, 17, 2)),
+                                   rng.normal(size=(2, 3, 17, 1)))
+        refs = []
+
+        def recording(*args, **kw):
+            out = pagcn_block(*args, **kw)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(pagcn, "pagcn_block", recording)
+        slots = pagcn.pooled_slots(model, inputs, training=True)
+        depth = len(model.branches[cfg.branches[0]])
+        assert depth == 3 and len(refs) == depth * len(cfg.branches)
+        alive = [r() is not None for r in refs]
+        assert alive == [i % depth != depth - 1 for i in range(len(refs))], alive
+        for pool in slots:
+            dropped = pool._parents[0].data
+            assert dropped.shape == (2, 3, 17, 4) and not any(dropped.strides)
+            assert not dropped.flags.writeable
+
+    def test_block_backward_peak(self, rng):
+        """A 128 -> 128 block's backward at (4, 20, 17, 128) allocates at
+        most 5 output-sized arrays at its peak (tracemalloc; the arena's
+        gradient array made by a first step, as in training): the
+        K*C_in-wide aggregate is freed once ``y`` is rebuilt, made again
+        only for the weight gradient, and the gradient of ``y`` is
+        dropped once the aggregate's is formed."""
+        block = make_block(rng, 128, 128)
+        f = random_input(rng, n=4, t=20, c=128)
+        g = rng.normal(size=f.shape)
+        for _ in range(2):
+            for role in block.roles():
+                role.zero_grad()
+            out = pagcn_block(Tensor(f, requires_grad=True), block, ADJ, MASKS,
+                              training=True)
+            tracemalloc.start()
+            try:
+                out._backward(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 5 * g.nbytes, peak / g.nbytes
 
 
 def _block_params(block):

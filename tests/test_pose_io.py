@@ -66,6 +66,31 @@ class TestLoadSequences:
         assert exc.value.line_no == 2
         assert str(exc.value) == f"{path}:2: {message}"
 
+    @pytest.mark.parametrize("keypoint, message", [
+        ([True, False, 1.0], "keypoint value True is not a number"),
+        ([0.5, 0.5, False], "keypoint value False is not a number"),
+        (["1.5", 0.0, 1.0], "keypoint value '1.5' is not a number"),
+        ([0, 1, "1"], "keypoint value '1' is not a number"),
+    ])
+    def test_bool_or_numeric_string_refused(self, keypoint, message):
+        """``float`` reads JSON ``true`` as 1 and ``"1.5"`` as 1.5; as
+        keypoint values both are refused, among numbers or alone."""
+        frames = [[[0.0, 0.0, 1.0]] * 17, [[0.0, 0.0, 1.0]] * 16 + [keypoint]]
+        rec = {"seq_id": "a", "subject": "s", "condition": "NM", "view": "000",
+               "frames": frames}
+        with pytest.raises(RecordError) as exc:
+            pose_io.sequence_from_record(rec, "a.jsonl", 4)
+        assert str(exc.value) == f"a.jsonl:4: {message}"
+
+    def test_integers_load_as_numbers(self):
+        """JSON integers are numbers: they load as the floats they name."""
+        frames = [[[3, -2, 1]] * 17]
+        rec = {"seq_id": "a", "subject": "s", "condition": "NM", "view": "000",
+               "frames": frames}
+        seq = pose_io.sequence_from_record(rec)
+        assert seq.frames.dtype == np.float64
+        np.testing.assert_array_equal(seq.frames, np.array(frames, dtype=float))
+
     def test_empty_manifest(self, tmp_path):
         mpath = _manifest(tmp_path, [])
         assert pose_io.load_sequences_with_roles(pose_io.load_manifest(mpath)) == []
