@@ -589,10 +589,11 @@ def graph_block(f_in: Tensor, fixed: np.ndarray, mask: np.ndarray,
     The gradient of ``y`` (the first normalized array's buffer) is
     dropped once the aggregate's gradient is formed, and that goes into
     the spatial step's backward (``_spatial_input_grads``). So a
-    128 -> 128 block's backward peaks at under 5 output-sized arrays
-    (the epilogue's: the first normalized array, the frame buffer, the
-    second normalized array and its ReLU's gradient), and every value is
-    bit-identical to a spatial node and an epilogue node that stored
+    128 -> 128 block's backward allocates under 5 output-sized arrays at
+    any time: in the epilogue the first normalized array, the frame
+    buffer, the second normalized array and its ReLU's gradient; in the
+    spatial step the aggregate's gradient and the input's. Every value
+    is bit-identical to a spatial node and an epilogue node that stored
     their arrays.
     """
     n, t, v, c_in = f_in.shape

@@ -574,12 +574,13 @@ def pooled_slots(model: ModelParams, branch_inputs: dict,
     blocks, then its part pooling. ``branch_inputs`` maps branch name to
     an (N, T, V, C) array or Tensor.
 
-    In training, once a branch is pooled its last block output's values
-    are dropped: its ``data`` becomes a read-only zero-stride view of
-    the same shape. Nothing reads them again: the pooling keeps index
-    arrays only (``group_pool``), and a block keeps its input, not its
-    output (``graph_block``). So the tape holds each branch's earlier
-    block outputs, as the next blocks' inputs, and not its last."""
+    Once a branch is pooled, its last block output's values are
+    dropped: its ``data`` becomes a read-only zero-stride view of the
+    same shape. Nothing reads them again: the pooling keeps index arrays
+    only (``group_pool``), and a block keeps its input, not its output
+    (``graph_block``). So a training tape holds each branch's earlier
+    block outputs, as the next blocks' inputs, and not its last, and
+    inference frees it before the next branch's blocks run."""
     cfg = model.config
     slots = []
     for bname in cfg.branches:
@@ -593,7 +594,7 @@ def pooled_slots(model: ModelParams, branch_inputs: dict,
         f = branch_forward(x, model.branches[bname], model.adjacency, model.masks,
                            training)
         slots.append(part_pool(f))
-        if training and f is not x:
+        if f is not x:
             f.data = np.broadcast_to(0.0, f.shape)
     return slots
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -122,10 +122,11 @@ def _numeric_frames(frames):
     """The (T, K, 3) float64 array of a record's ``frames`` field when
     it is T > 0 lists of K keypoints, K = 17 in every frame or 18 in
     every frame, each a list of three JSON numbers (``int`` or
-    ``float``: no bool, no string, no null); otherwise None. Each level's
-    types and lengths are checked by one C-level pass over its
-    flattened items, and the values are read from the flat iterator, so
-    the checks cost about what a nested ``np.array`` conversion saves."""
+    ``float``: no bool, no string, no null); otherwise None. Each check
+    is one C-level pass over a level's flattened items, and the values
+    are read from the flat iterator (``np.fromiter``), which takes about
+    half the time of a nested ``np.array`` conversion; that conversion
+    would also read ``true`` and ``"1.5"`` as numbers."""
     if type(frames) is not list or set(map(type, frames)) != {list}:
         return None
     keypoints = list(chain.from_iterable(frames))
